@@ -3,7 +3,7 @@ program.  Each check raises `CheckFailed` and otherwise returns the figure it
 measured (a worst-case error, an EPE, a count).
 
 Every check takes plain arrays or the program's record types, so the tests in
-`perfbench/tests` can hand it a corrupted output and see it refused.
+`benchmarks/perf/tests` can hand it a corrupted output and see it refused.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def check_close(measured: float, reported: float, what: str, rtol: float = 1e-6)
 
 
 # ----------------------------------------------------------------------
-# streaming inference and downstream tasks (sense)
+# evaluation, streaming inference and downstream tasks (sense)
 
 
 def survivor_indices(frame) -> np.ndarray:
@@ -214,6 +214,33 @@ def survivor_indices(frame) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def check_flows(flows, n_points: int, clamp: float) -> np.ndarray:
+    """One finite flow per source point, within the network's clamp."""
+    if flows is None:
+        _fail(f"no prediction for a pair of non-empty frames ({n_points} points)")
+    flows = np.asarray(flows)
+    if flows.shape != (n_points, 3):
+        _fail(f"flows of shape {flows.shape} for {n_points} points")
+    if not np.all(np.isfinite(flows)):
+        _fail("non-finite flow")
+    if np.any(np.abs(flows) > float(np.float32(clamp))):
+        _fail(f"flow {np.max(np.abs(flows)):.4g} outside the clamp {clamp}")
+    return flows
+
+
+def clip_count(sizes, clip_length: int) -> int:
+    """Evaluation clips a sequence of preprocessed frame sizes gives: pairs
+    with an empty frame are dropped, and each unbroken run of pairs is cut
+    into whole clips of `clip_length` pairs."""
+    clips = run = 0
+    for a, b in zip(sizes, sizes[1:]):
+        if a and b:
+            run += 1
+        else:
+            clips, run = clips + run // clip_length, 0
+    return clips + run // clip_length
+
+
 def check_stream_records(records, sizes, clamp: float) -> int:
     """One record per pair; a zero-flow placeholder exactly where the source
     or the target frame is empty; otherwise one finite flow per source point
@@ -221,22 +248,18 @@ def check_stream_records(records, sizes, clamp: float) -> int:
     number of placeholders."""
     if len(records) != len(sizes) - 1:
         _fail(f"{len(sizes)} frames gave {len(records)} records, want {len(sizes) - 1}")
-    bound = float(np.float32(clamp))
     placeholders = 0
     for i, rec in enumerate(records):
-        flows = np.asarray(rec["flows"])
         empty = sizes[i] == 0 or sizes[i + 1] == 0
         if bool(rec["placeholder"]) != empty:
             _fail(f"pair {i}: placeholder={rec['placeholder']} but frame sizes "
                   f"are {sizes[i]} and {sizes[i + 1]}")
-        if flows.shape != (sizes[i], 3):
-            _fail(f"pair {i}: flows of shape {flows.shape} for {sizes[i]} points")
-        if not np.all(np.isfinite(flows)):
-            _fail(f"pair {i}: non-finite flow")
+        try:
+            flows = check_flows(rec["flows"], sizes[i], clamp)
+        except CheckFailed as e:
+            _fail(f"pair {i}: {e}")
         if empty and np.any(flows != 0):
             _fail(f"pair {i}: placeholder flows are not zero")
-        if np.any(np.abs(flows) > bound):
-            _fail(f"pair {i}: flow {np.max(np.abs(flows)):.4g} outside the clamp {clamp}")
         if not rec["latency"] > 0:
             _fail(f"pair {i}: latency {rec['latency']} is not positive")
         placeholders += empty

@@ -1,6 +1,6 @@
 """milliflow benchmark: one workload per invocation, each in a fresh process.
 
-    python3 perfbench/run.py --workload {gen,train,sense} --seed N \
+    python3 benchmarks/perf/run.py --workload {gen,train,sense} --seed N \
         --seconds S --trace {0,1}
 
 Run from the root of a checkout.  `--trace 0` runs the workload untraced and
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -24,8 +25,11 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 RUNS_DIR = BENCH_DIR / ".runs"
-SPEC = BENCH_DIR.parent / "BENCHMARK.json"  # metric names and units
+SPEC = BENCH_DIR.parent.parent / "BENCHMARK.json"  # metric names and units
 DEADLINE_S = 175.0  # the whole invocation must end within 180 s
+# processes started only to import the program; `setup_s` takes the median
+# import time of these and the measured process
+IMPORT_PROBES = 2
 
 
 def _child_env() -> dict:
@@ -40,7 +44,7 @@ def _child_env() -> dict:
     return env
 
 
-def run_child(args, trace: int, deadline: float) -> dict:
+def run_child(args, trace: int, deadline: float, imports_only: bool = False) -> dict:
     """Run workloads.py once; returns its parsed last line."""
     run_dir = RUNS_DIR / f"{args.workload}-{os.getpid()}-t{trace}"
     shutil.rmtree(run_dir, ignore_errors=True)
@@ -49,12 +53,14 @@ def run_child(args, trace: int, deadline: float) -> dict:
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(trace),
            "--spawn-time", repr(spawn), "--run-dir", str(run_dir)]
+    if imports_only:
+        cmd.append("--imports-only")
     try:
         proc = subprocess.run(cmd, env=_child_env(), stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True,
                               timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
-        raise SystemExit(f"perfbench: {args.workload} did not finish in time")
+        raise SystemExit(f"benchmarks/perf: {args.workload} did not finish in time")
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     lines = proc.stdout.strip().splitlines()
@@ -62,7 +68,7 @@ def run_child(args, trace: int, deadline: float) -> dict:
         print(f"[{args.workload} trace={trace}] {line}")
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"perfbench: {args.workload} exited with {proc.returncode}")
+        raise SystemExit(f"benchmarks/perf: {args.workload} exited with {proc.returncode}")
     return json.loads(lines[-1])
 
 
@@ -87,7 +93,12 @@ def main(argv=None) -> int:
                                              / untraced["result"]["items_per_s"])
         listed = spec["per_layer"]
     else:
-        values = untraced["result"]
+        imports = [untraced["result"]["import_s"]] + [
+            run_child(args, 0, deadline, imports_only=True)["import_s"]
+            for _ in range(IMPORT_PROBES)]
+        print(f"[{args.workload}] import_s {[round(t, 3) for t in imports]}")
+        values = dict(untraced["result"], setup_s=statistics.median(imports)
+                      + untraced["result"]["workload_setup_s"])
         listed = spec["end_to_end"]
     metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in listed}
 

@@ -1,7 +1,7 @@
 """Each output check of the benchmark accepts the program's output and
 refuses a corrupted copy of it.
 
-Run from the repository root:  python3 -m pytest -q perfbench/tests
+Run from the repository root:  python3 -m pytest -q benchmarks/perf/tests
 """
 
 import dataclasses
@@ -223,6 +223,40 @@ def test_bad_flows_refused(stream, corrupt):
     bad[0]["flows"] = corrupt(bad[0]["flows"])
     with pytest.raises(checks.CheckFailed):
         checks.check_stream_records(bad, [len(f) for f in frames], model.cfg.clamp)
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda f: None, "no prediction"),
+    (lambda f: f[:-1], "shape"),
+    (lambda f: -10 * f, "clamp"),
+    (lambda f: np.where(np.arange(len(f))[:, None] == 0, np.inf, f), "non-finite"),
+])
+def test_check_flows(stream, corrupt, match):
+    model, frames, records = stream
+    flows = records[0]["flows"]
+    assert checks.check_flows(flows, len(frames[0]), model.cfg.clamp) is not None
+    with pytest.raises(checks.CheckFailed, match=match):
+        checks.check_flows(corrupt(flows), len(frames[0]), model.cfg.clamp)
+
+
+def test_clip_count():
+    # an empty frame drops the pairs on either side of it and breaks the run
+    assert checks.clip_count([5] * 6, 5) == 1
+    assert checks.clip_count([5] * 11, 5) == 2
+    assert checks.clip_count([5, 5, 5, 0, 5, 5, 5, 5, 5, 5], 5) == 1
+    assert checks.clip_count([5, 5, 0, 5, 5, 5, 5, 5], 5) == 0
+    assert checks.clip_count([], 5) == 0
+
+
+def test_kept_results_restores_the_name(stream):
+    import workloads
+
+    model, frames, _ = stream
+    original = flownet.infer_sequence
+    with workloads.kept_results(flownet, "infer_sequence") as calls:
+        records, _ = flownet.infer_sequence(model, frames[:2])
+    assert flownet.infer_sequence is original
+    assert len(calls) == 1 and calls[0][1] is records
 
 
 def test_permutation(stream):

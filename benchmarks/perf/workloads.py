@@ -1,12 +1,12 @@
 """One workload, measured in the process that runs this file.
 
-    python3 perfbench/workloads.py --workload gen --seed 1 --seconds 20 \
+    python3 benchmarks/perf/workloads.py --workload gen --seed 1 --seconds 20 \
         --trace 0 --spawn-time <time.monotonic() of the parent> --run-dir DIR
 
 `run.py` starts it with BLAS pinned to one thread.  The process sets up the
 workload's inputs with the program itself, `SETUP_REPEATS` times, runs the
 workload's untimed warm-up rounds, then whole timed rounds until `--seconds`
-have passed (for `sense`, also until enough pairs were streamed for a 95th
+have passed (for `sense`, also until enough pairs were tracked for a 95th
 percentile), then checks the outputs of the last round.  The last line of its
 output is one JSON object with the figures `run.py` reports.
 """
@@ -14,6 +14,7 @@ output is one JSON object with the figures `run.py` reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import resource
@@ -24,24 +25,24 @@ import time
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
-SRC_DIR = BENCH_DIR.parent / "src"
+SRC_DIR = BENCH_DIR.parent.parent / "src"
 sys.path.insert(0, str(SRC_DIR))
 
 import numpy as np  # noqa: E402
 
 import milliflow  # noqa: E402
-from milliflow import dataio, downstream, flownet, labeling, metrics, pipeline  # noqa: E402
+from milliflow import dataio, downstream, flownet, labeling, pipeline  # noqa: E402
 from milliflow.config import GenConfig, NetConfig, RunConfig, TaskConfig, TrainConfig  # noqa: E402
-from milliflow.errors import EmptyFrame, EmptyMask, MilliflowError  # noqa: E402
+from milliflow.errors import MilliflowError  # noqa: E402
 from milliflow.skeleton import make_subject  # noqa: E402
 
 import checks  # noqa: E402
 from tracer import TRACE_POINTS, Tracer  # noqa: E402
 
 SETUP_REPEATS = 3
-MIN_STREAM_PAIRS = 200  # so that 10 latencies lie beyond the 95th percentile
+MIN_TRACKED_PAIRS = 200  # so that 10 latencies lie beyond the 95th percentile
 PERMUTATION_PAIRS = 3
-HOST_KERNEL_REPEATS = 200
+HOST_KERNEL_REPEATS = 100
 # networks are initialised from a fixed seed: the workload seed changes only
 # the generated data, so that two seeds differ in their inputs alone
 MODEL_SEED = 0
@@ -53,15 +54,24 @@ SCENE = dict(distance_range=(2.9, 3.1), amplitude_range=(0.65, 0.75),
              period_range=(1.9, 2.1))
 
 
-def host_kernel_ms() -> float:
-    """Median time of a fixed 256x256 float64 matmul: the host's speed."""
-    a = np.random.default_rng(0).standard_normal((256, 256))
-    times = []
-    for _ in range(HOST_KERNEL_REPEATS):
-        t0 = time.perf_counter()
-        a @ a
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e3
+def host_kernel_ms() -> dict:
+    """Median times of two fixed kernels, the host's speed: a 256x256 float64
+    matmul (cache-resident arithmetic) and a 64x32x32 complex FFT (the memory
+    traffic of the radar heatmap)."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((256, 256))
+    cube = rng.standard_normal((64, 32, 32)) + 1j * rng.standard_normal((64, 32, 32))
+    out = {}
+    for name, kernel in (("matmul256", lambda: a @ a), ("fft64x32x32", lambda: np.fft.fftn(cube))):
+        for _ in range(10):  # untimed: plan caches, first-touch pages
+            kernel()
+        times = []
+        for _ in range(HOST_KERNEL_REPEATS):
+            t0 = time.perf_counter()
+            kernel()
+            times.append(time.perf_counter() - t0)
+        out[name] = round(statistics.median(times) * 1e3, 4)
+    return out
 
 
 def generate(cfg: RunConfig, root: Path):
@@ -161,22 +171,18 @@ class Train(Workload):
     and checkpointing."""
 
     name = "train"
-    config = dict(n_subjects=2, n_scenes=1, frames_per_sequence=11,
+    config = dict(n_subjects=3, n_scenes=1, frames_per_sequence=11,
                   in_set=("ArmSwing",), out_of_set=(), **SCENE)
-    split = {"train": [0], "val": [1], "test": []}
-    epochs, clips_per_epoch, val_clips = 2, 2, 2
-    # the first rounds grow the heap to the size the uncollected tapes need
-    # (about 3 GB); a training run pays that once, so it is not timed
-    warmup_rounds = 2
-
-    def __init__(self, seed: int, root: Path):
-        # The inputs do not follow --seed.  Tapes are freed only by the cyclic
-        # collector, whose full collections fall where allocation counts say;
-        # any change of input (a pair with or without large flows) moves them,
-        # and peak RSS then lands near 2.7 GB or near 3.8 GB and the training
-        # rate moves with it (seeds 1-20: 2.6-3.9 GB, 4.0-5.7 pairs/s).  Fixed
-        # inputs measure the same collector schedule in every run.
-        super().__init__(0, root)
+    split = {"train": [0, 1], "val": [2], "test": []}
+    # Which pairs of a clip carry a valid label (0 to 20 of 128 points, pair
+    # by pair) sets how much of the clip's tape the loss keeps alive and
+    # backward walks, so one clip's cost and memory differ from another's.
+    # One epoch over four distinct clips averages that over twice the data
+    # of two epochs over two, with the same number of tapes in memory.
+    epochs, clips_per_epoch, val_clips = 1, 4, 2
+    # the first round grows the heap to the size the uncollected tapes need;
+    # later rounds reuse it, so the first is not timed
+    warmup_rounds = 1
 
     def setup(self, repeat: int):
         data = self.root / f"setup{repeat}"
@@ -233,22 +239,27 @@ class Train(Workload):
 
 
 class Sense(Workload):
-    """The three commands a user runs on a test split, on exact-labelled test
-    sequences with a seeded `FlowNet`: streaming `infer_sequence` over each
-    whole sequence, scored per pair (`eval --task flow`);
-    `evaluate_tracking` with the flow model (`track`); `predict_har` with
-    strategy s1 and a seeded `HarNet` (`eval --task har`)."""
+    """The three commands a user runs on a test split, as the CLI runs them,
+    on exact-labelled test sequences with a seeded `FlowNet`:
+    `flownet.evaluate_model` on `make_clips(pair_samples(seq, "test"))`
+    (`eval --task flow`); `evaluate_tracking` with the flow model (`track`);
+    `predict_har` with strategy s1 and a seeded `HarNet` (`eval --task har`).
+    Latency is per pair, from the records of the `infer_sequence` calls that
+    `evaluate_tracking` makes, whose mean `track` prints."""
 
     name = "sense"
-    config = dict(n_subjects=2, n_scenes=1, frames_per_sequence=5,
+    # six frames: five pairs make one flow clip of CLIP_LENGTH, and the first
+    # five frames one tracking clip and one HAR window
+    config = dict(n_subjects=2, n_scenes=1, frames_per_sequence=6,
                   in_set=("ArmSwing", "LegSwing", "ArmLegSwing"), out_of_set=(), **SCENE)
     split = {"train": [], "val": [], "test": [0, 1]}
+    har_window = 5
 
     def setup(self, repeat: int):
         self.data = self.root / f"setup{repeat}"
         generate(self.cfg, self.data)
         self.flow = flownet.FlowNet(NetConfig(), seed=MODEL_SEED)
-        self.task_cfg = TaskConfig(window=self.config["frames_per_sequence"])
+        self.task_cfg = TaskConfig(window=self.har_window)
         self.har = downstream.HarNet(
             self.task_cfg, downstream.strategy_feature_dim("s1", self.flow),
             n_classes=len(self.config["in_set"]), seed=MODEL_SEED)
@@ -257,53 +268,57 @@ class Sense(Workload):
 
     def round(self, r: int):
         seqs = pipeline.load_labeled_sequences(self.data, "test")
-        streams, scores = [], []
-        for seq in seqs:
-            frames, kept = [], []
-            for f in seq.frames:
-                try:
-                    idx = dataio.preprocess_indices(f, "test")
-                except EmptyFrame:
-                    idx = np.zeros(0, dtype=np.int64)
-                frames.append(f.subset(idx))
-                kept.append(idx)
-            records, _ = flownet.infer_sequence(self.flow, frames)
-            for i, rec in enumerate(records):
-                if rec["placeholder"]:
-                    continue
-                label = seq.labels[i].subset(kept[i])
-                try:
-                    scores.append(metrics.flow_metrics(rec["flows"], label.flows,
-                                                       eval_mask=label.valid_mask).epe_all)
-                except EmptyMask:
-                    pass
-            streams.append((frames, records))
-            self.latencies += [rec["latency"] for rec in records]
-        self.track = downstream.evaluate_tracking(seqs, flow_model=self.flow)
-        clips = downstream.task_clips(seqs, self.task_cfg, "test",
-                                      catalogue=self.config["in_set"], seed=self.seed)
-        self.har_preds, _ = downstream.predict_har(self.har, clips, "s1", self.flow)
-        self.seqs, self.streams, self.scores = seqs, streams, scores
+        clips = [clip for seq in seqs for clip in dataio.make_clips(
+                 dataio.pair_samples(seq, "test", seed=self.seed))]
+        self.report = flownet.evaluate_model(self.flow, clips)
+        with kept_results(downstream, "infer_sequence") as calls:
+            self.track = downstream.evaluate_tracking(seqs, flow_model=self.flow)
+        har_clips = downstream.task_clips(seqs, self.task_cfg, "test",
+                                          catalogue=self.config["in_set"], seed=self.seed)
+        self.har_preds, _ = downstream.predict_har(self.har, har_clips, "s1", self.flow)
+        self.windows = calls
+        self.latencies += [rec["latency"] for (_, records, _) in calls for rec in records]
+        self.seqs, self.clips = seqs, clips
 
     def satisfied(self) -> bool:
-        return len(self.latencies) >= MIN_STREAM_PAIRS
+        return len(self.latencies) >= MIN_TRACKED_PAIRS
 
     def check(self) -> dict:
-        preds, labels, placeholders = [], [], 0
-        for seq, (_, records) in zip(self.seqs, self.streams, strict=True):
-            keep = [checks.survivor_indices(f) for f in seq.frames]
-            placeholders += checks.check_stream_records(
-                records, [len(k) for k in keep], self.flow.cfg.clamp)
-            for i, rec in enumerate(records):
-                preds.append(None if rec["placeholder"] else rec["flows"])
-                labels.append(seq.labels[i].subset(keep[i]))
-        epe = checks.frame_mean_epe(preds, labels)
-        checks.check_close(epe, float(np.mean(self.scores)), "streamed EPE3D")
-
         net = self.flow.cfg
-        candidates = [(s, t) for frames, _ in self.streams for s, t in zip(frames, frames[1:])
-                      if len(s) and len(t)
-                      and not checks.selection_ties(s.points, net.sa_radii, net.sa_samples, net.cv_k)]
+        # eval: the benchmark predicts the same clips again and scores them
+        # with its own numpy against the program's report
+        preds, labels = [], []
+        for clip in self.clips:
+            for sample, flows in zip(clip, flownet.predict_clip(self.flow, clip), strict=True):
+                checks.check_flows(flows, len(sample.source), net.clamp)
+                preds.append(flows)
+                labels.append(sample.label)
+        epe = checks.frame_mean_epe(preds, labels)
+        checks.check_close(epe, self.report["epe3d"]["all"], "eval EPE3D")
+        sizes = {seq.seq_id: [len(checks.survivor_indices(f)) for f in seq.frames]
+                 for seq in self.seqs}
+        checks.check_count(len(self.clips),
+                           sum(checks.clip_count(s, dataio.CLIP_LENGTH) for s in sizes.values()),
+                           "eval clips")
+        checks.check_count(self.report["n_frames"] + self.report["n_frames_excluded"],
+                           len(self.clips) * dataio.CLIP_LENGTH, "eval pairs")
+
+        # track: one record per pair of every tracking clip, placeholders
+        # exactly where the benchmark finds an empty frame
+        length = downstream.TRACK_CLIP_LENGTH
+        placeholders, windows = 0, []
+        for seq in self.seqs:
+            if seq.activity_id in downstream.TRACK_TARGETS:
+                windows += [sizes[seq.seq_id][s: s + length]
+                            for s in range(0, len(seq.frames) - length + 1, length)]
+        checks.check_count(self.track["n_clips"], len(windows), "tracking clips")
+        checks.check_count(len(self.windows), len(windows), "tracking inference calls")
+        for (_, records, _), window in zip(self.windows, windows):
+            placeholders += checks.check_stream_records(records, window, net.clamp)
+
+        candidates = [(s.source, s.target) for clip in self.clips for s in clip
+                      if not checks.selection_ties(s.source.points, net.sa_radii,
+                                                   net.sa_samples, net.cv_k)]
         if not candidates:
             raise checks.CheckFailed("no frame pair without selection ties to permute")
         perm_diff = 0.0
@@ -314,19 +329,32 @@ class Sense(Workload):
             perm_diff = max(perm_diff, checks.check_permutation(
                 plain[0]["flows"], permuted[0]["flows"], perm))
 
-        window, length = self.task_cfg.window, downstream.TRACK_CLIP_LENGTH
-        track_clips = har_windows = 0
-        for seq in self.seqs:
-            if seq.activity_id in downstream.TRACK_TARGETS:
-                track_clips += len(seq.frames) // length
-            sizes = [len(checks.survivor_indices(f)) for f in seq.frames]
-            har_windows += sum(any(sizes[s: s + window])
-                               for s in range(0, len(sizes) - window + 1, window))
-        checks.check_count(self.track["n_clips"], track_clips, "tracking clips")
+        window = self.task_cfg.window
+        har_windows = sum(any(s[i: i + window]) for s in sizes.values()
+                          for i in range(0, len(s) - window + 1, window))
         checks.check_count(len(self.har_preds), har_windows, "HAR predictions")
         return {"epe3d_m": epe, "placeholders": placeholders,
                 "permutation_pairs": min(len(candidates), PERMUTATION_PAIRS),
                 "permutation_worst_diff": perm_diff}
+
+
+@contextlib.contextmanager
+def kept_results(module, name: str):
+    """While the block runs, `module.name` also appends (args, result...) of
+    each call to the list the block receives: how the benchmark reads the
+    records of the `infer_sequence` calls inside `evaluate_tracking`."""
+    original, calls = getattr(module, name), []
+
+    def keep(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, *result))
+        return result
+
+    setattr(module, name, keep)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
 
 
 WORKLOADS = {w.name: w for w in (Gen, Train, Sense)}
@@ -379,11 +407,16 @@ def main(argv=None) -> int:
     p.add_argument("--trace", type=int, choices=(0, 1), required=True)
     p.add_argument("--spawn-time", type=float, required=True)
     p.add_argument("--run-dir", required=True)
+    p.add_argument("--imports-only", action="store_true",
+                   help="print the seconds from spawn to the end of imports and exit")
     args = p.parse_args(argv)
-    imported = time.monotonic()
+    import_s = time.monotonic() - args.spawn_time
     if Path(milliflow.__file__).resolve().parent.parent != SRC_DIR:
-        raise SystemExit(f"perfbench: milliflow imported from {milliflow.__file__}, "
+        raise SystemExit(f"benchmarks/perf: milliflow imported from {milliflow.__file__}, "
                          f"not from {SRC_DIR}")
+    if args.imports_only:
+        print(json.dumps({"import_s": import_s}))
+        return 0
 
     host_before = host_kernel_ms()
     root = Path(args.run_dir)
@@ -394,22 +427,25 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         workload.setup(repeat)
         setups.append(time.perf_counter() - t0)
-    setup_s = (imported - args.spawn_time) + statistics.median(setups)
-    # every run starts its rounds from the same collector state, whatever
-    # garbage its seed's setup left; the rounds leave the collector alone
-    gc.collect()
 
     tracer = Tracer(OBSERVERS) if args.trace else None
     warmup = workload.warmup_rounds
     round_times, attempted, failed, timed_failed, r = [], 0, 0, 0, 0
     while True:
+        # every round starts from the collector state of a fresh process, as
+        # a user's command does: the garbage that set-up and earlier rounds
+        # left (the tapes of `train`, which only the cyclic collector frees)
+        # is collected here, untimed and outside the collector figures
+        if tracer is not None:
+            tracer.count_gc = False
+        gc.collect()
         timed = r >= warmup
         if r == warmup:
             start = time.perf_counter()
             if tracer is not None:
                 tracer.install()
         if tracer is not None:
-            tracer.round = r - warmup
+            tracer.round, tracer.count_gc = r - warmup, True
         t0 = time.perf_counter()
         try:
             workload.round(r)
@@ -445,14 +481,15 @@ def main(argv=None) -> int:
     if isinstance(workload, Sense):
         lat = np.asarray(workload.latencies) * 1e3
         p50, p95 = float(np.percentile(lat, 50)), float(np.percentile(lat, 95))
-        lat_note = f"{len(lat)} streamed pairs"
+        lat_note = f"{len(lat)} tracked pairs"
     else:
         per_item_ms = sorted(t * 1e3 / workload.items for t in round_times)
         p50 = statistics.median(per_item_ms)
         p95 = per_item_ms[min(len(per_item_ms) - 1, int(0.95 * len(per_item_ms)))]
         lat_note = f"{len(per_item_ms)} rounds"
     result = {
-        "setup_s": setup_s,
+        "import_s": import_s,
+        "workload_setup_s": statistics.median(setups),
         "items_per_s": (timed_items - timed_failed) / wall,
         "latency_p50_ms": p50,
         "latency_p95_ms": p95,
@@ -463,7 +500,7 @@ def main(argv=None) -> int:
         result["per_layer"] = per_layer(tracer, timed_items, workload.items, wall, figures)
         tracer.write(BENCH_DIR / ".runs" / f"trace-{args.workload}.jsonl")
     info = {
-        "host_matmul256_ms": [round(host_before, 4), round(host_after, 4)],
+        "host_kernel_ms": {"before": host_before, "after": host_after},
         "setup_repeats_s": [round(s, 3) for s in setups],
         "warmup_rounds": warmup, "round_s": [round(t, 3) for t in round_times],
         "latency_samples": lat_note,

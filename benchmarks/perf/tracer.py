@@ -85,7 +85,6 @@ class Tracer:
         self.spans = []  # (name, start, end, parent index, round)
         self.counts = defaultdict(lambda: defaultdict(float))  # round -> name -> count
         self.round = 0
-        self.count_gc = True  # False while the benchmark itself collects
         self.gc_pause = 0.0
         self.gc_full = defaultdict(int)  # round -> full collections
         self._stack = []
@@ -118,8 +117,6 @@ class Tracer:
         return traced
 
     def _on_gc(self, phase, info):
-        if not self.count_gc:
-            return
         if phase == "start":
             self._gc_start = time.perf_counter()
         elif self._gc_start is not None:

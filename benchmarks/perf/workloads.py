@@ -6,8 +6,9 @@
 `run.py` starts it with BLAS pinned to one thread.  The process sets up the
 workload's inputs with the program itself, `SETUP_REPEATS` times, runs the
 workload's untimed warm-up rounds, then whole timed rounds until `--seconds`
-have passed (for `sense`, also until enough pairs were tracked for a 95th
-percentile), then checks the outputs of the last round.  The last line of its
+have passed (for `sense`, also until it holds 200 latency records; for
+`train`, also until five rounds are timed), then checks the outputs of the
+last round.  The last line of its
 output is one JSON object with the figures `run.py` reports.
 """
 
@@ -40,7 +41,9 @@ import checks  # noqa: E402
 from tracer import TRACE_POINTS, Tracer  # noqa: E402
 
 SETUP_REPEATS = 3
-MIN_TRACKED_PAIRS = 200  # so that 10 latencies lie beyond the 95th percentile
+# latency records a `sense` run gathers at least: every round tracks the same
+# 24 pairs, so each pair's latency is the median of 9 or more repeats
+MIN_TRACKED_PAIRS = 200
 PERMUTATION_PAIRS = 3
 HOST_KERNEL_REPEATS = 100
 # networks are initialised from a fixed seed: the workload seed changes only
@@ -80,7 +83,7 @@ def generate(cfg: RunConfig, root: Path):
 
 
 class Workload:
-    """Set up inputs once per repeat, then run identical rounds of `items`
+    """Set up inputs once per repeat, then run rounds of the same `items`
     items each; `check()` tests the last round's outputs."""
 
     warmup_rounds = 0
@@ -183,6 +186,14 @@ class Train(Workload):
     # the first round grows the heap to the size the uncollected tapes need;
     # later rounds reuse it, so the first is not timed
     warmup_rounds = 1
+    # Each round resamples the frames with its own seed, as a user's
+    # `train --seed` does, so a run averages cost, memory and outcome over
+    # several labellings.  The outcome is two-valued through the clamp
+    # defect (see CHANGES.md): about one labelling in five ends short of the
+    # clamp, with a best validation EPE3D of 0.04-0.15 m against about
+    # 0.175 m.  `epe3d_m` is the median over the first EPE_ROUNDS timed
+    # rounds, so one such round does not move it.
+    EPE_ROUNDS = 5
 
     def setup(self, repeat: int):
         data = self.root / f"setup{repeat}"
@@ -194,10 +205,12 @@ class Train(Workload):
         self.items = self.epochs * self.clips_per_epoch * dataio.CLIP_LENGTH
         self.ckpt = self.root / "flow.ckpt"
         self.log = self.root / "flow.log.jsonl"
+        self.round_epe = []  # (benchmark's EPE, program's best val EPE3D) per timed round
 
     def round(self, r: int):
+        seed = int(np.random.SeedSequence((self.seed, r)).generate_state(1)[0])
         clips = {p: [clip for seq in seqs for clip in dataio.make_clips(
-                     dataio.pair_samples(seq, p, seed=self.seed))]
+                     dataio.pair_samples(seq, p, seed=seed))]
                  for p, seqs in self.seqs.items()}
         self.train_clips, self.val = clips["train"], clips["val"][: self.val_clips]
         if len(self.train_clips) < self.clips_per_epoch or len(self.val) < self.val_clips:
@@ -206,27 +219,55 @@ class Train(Workload):
             self.train_clips, self.val, NetConfig(), self.train_cfg, self.ckpt,
             log_path=self.log)
 
+    def after_round(self, r: int):
+        """The benchmark's own EPE of the returned model on the validation
+        clips, next to the program's figure, for the first EPE_ROUNDS timed
+        rounds; untimed and untraced."""
+        if r >= self.warmup_rounds and len(self.round_epe) < self.EPE_ROUNDS:
+            try:
+                measured = self._val_epe(self._val_predictions(self.model))
+            except checks.CheckFailed:  # no pair could be scored; check() refuses it
+                measured = float("nan")
+            self.round_epe.append((measured, min(h["val_epe3d"] for h in self.history)))
+
+    def satisfied(self) -> bool:
+        return len(self.round_epe) >= self.EPE_ROUNDS
+
+    def _val_predictions(self, model):
+        return [p for clip in self.val for p in flownet.predict_clip(model, clip)]
+
+    def _val_epe(self, preds) -> float:
+        return checks.frame_mean_epe(preds, [s.label for clip in self.val for s in clip])
+
     def check(self) -> dict:
         with open(self.log) as f:
             logged = [json.loads(line) for line in f]
         checks.check_finite_losses(self.history, logged)
 
-        preds = [p for clip in self.val for p in flownet.predict_clip(self.model, clip)]
-        labels = [s.label for clip in self.val for s in clip]
-        epe = checks.frame_mean_epe(preds, labels)
-        checks.check_close(epe, min(h["val_epe3d"] for h in self.history), "best val EPE3D")
+        preds = self._val_predictions(self.model)
+        checks.check_close(self._val_epe(preds), min(h["val_epe3d"] for h in self.history),
+                           "best val EPE3D")
+        for measured, reported in self.round_epe:
+            checks.check_close(measured, reported, "best val EPE3D of a timed round")
 
         reloaded = flownet.load_flow_model(self.ckpt)
-        again = [p for clip in self.val for p in flownet.predict_clip(reloaded, clip)]
-        checks.check_bitwise(preds, again)
-        return {"epe3d_m": epe, "gradient_worst_rel_err": self._gradient_check()}
+        checks.check_bitwise(preds, self._val_predictions(reloaded))
+        return {"epe3d_m": statistics.median(m for m, _ in self.round_epe),
+                "round_epe3d_m": [round(m, 5) for m, _ in self.round_epe],
+                "gradient_worst_rel_err": self._gradient_check()}
 
     def _gradient_check(self) -> float:
-        """Central differences of `clip_loss` on the first two pairs of a
-        clip, in float64, against autodiff."""
+        """Central differences of `clip_loss` on two consecutive pairs of a
+        clip, in float64, against autodiff.  The pairs are the first two of
+        the train clips of which one or both carry a valid label: on a pair
+        without one, `clip_loss` has no term to differentiate (some seeds
+        give a clip whose first two pairs have none)."""
         model = flownet.FlowNet(NetConfig(), seed=MODEL_SEED, dtype=np.float64)
         params = model.named_params()
-        clip = self.train_clips[0][:2]
+        clip = next((c[i: i + 2] for c in self.train_clips for i in range(len(c) - 1)
+                     if any(s.label.valid_mask.any() for s in c[i: i + 2])), None)
+        if clip is None:
+            raise checks.CheckFailed("no training pair carries a valid label")
         flownet.clip_loss(model, clip).backward()
         # the largest entry of each tensor's gradient: far above the
         # differencing noise, and not a unit that ReLU switched off
@@ -277,11 +318,11 @@ class Sense(Workload):
                                           catalogue=self.config["in_set"], seed=self.seed)
         self.har_preds, _ = downstream.predict_har(self.har, har_clips, "s1", self.flow)
         self.windows = calls
-        self.latencies += [rec["latency"] for (_, records, _) in calls for rec in records]
+        self.latencies.append([rec["latency"] for (_, records, _) in calls for rec in records])
         self.seqs, self.clips = seqs, clips
 
     def satisfied(self) -> bool:
-        return len(self.latencies) >= MIN_TRACKED_PAIRS
+        return sum(map(len, self.latencies)) >= MIN_TRACKED_PAIRS
 
     def check(self) -> dict:
         net = self.flow.cfg
@@ -436,16 +477,15 @@ def main(argv=None) -> int:
         # a user's command does: the garbage that set-up and earlier rounds
         # left (the tapes of `train`, which only the cyclic collector frees)
         # is collected here, untimed and outside the collector figures
-        if tracer is not None:
-            tracer.count_gc = False
         gc.collect()
         timed = r >= warmup
         if r == warmup:
             start = time.perf_counter()
-            if tracer is not None:
-                tracer.install()
-        if tracer is not None:
-            tracer.round, tracer.count_gc = r - warmup, True
+        # the tracer sees the timed rounds only, not what `after_round` does
+        traced = tracer is not None and timed
+        if traced:
+            tracer.round = r - warmup
+            tracer.install()
         t0 = time.perf_counter()
         try:
             workload.round(r)
@@ -453,7 +493,10 @@ def main(argv=None) -> int:
         except MilliflowError as e:
             print(f"round {r} failed: {type(e).__name__}: {e}", flush=True)
             lost = workload.items
-        elapsed = time.perf_counter() - t0
+        finally:
+            elapsed = time.perf_counter() - t0
+            if traced:
+                tracer.uninstall()
         attempted += workload.items
         failed += lost
         if timed:
@@ -463,8 +506,6 @@ def main(argv=None) -> int:
         r += 1
         if timed and time.perf_counter() - start >= args.seconds and workload.satisfied():
             break
-    if tracer is not None:
-        tracer.uninstall()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     host_after = host_kernel_ms()
     wall = sum(round_times)
@@ -479,9 +520,12 @@ def main(argv=None) -> int:
             correct = False
 
     if isinstance(workload, Sense):
-        lat = np.asarray(workload.latencies) * 1e3
+        # one latency per tracked pair: the median of its repeats, one per
+        # round, so that a burst of host load in one round does not set the
+        # tail; the percentiles are taken over the pairs
+        lat = np.median(np.asarray(workload.latencies), axis=0) * 1e3
         p50, p95 = float(np.percentile(lat, 50)), float(np.percentile(lat, 95))
-        lat_note = f"{len(lat)} tracked pairs"
+        lat_note = f"{len(lat)} tracked pairs, {len(workload.latencies)} repeats each"
     else:
         per_item_ms = sorted(t * 1e3 / workload.items for t in round_times)
         p50 = statistics.median(per_item_ms)

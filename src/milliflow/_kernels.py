@@ -8,6 +8,11 @@ the float-valued segment-distance kernel agrees to within last-ulp rounding
 selected when numba is not importable or when the environment variable
 ``MFL_NO_NUMBA`` is set to ``1`` (useful for debugging and for the benchmark
 in ``benchmarks/bench_kernels.py``).
+
+``cfar_mask`` is the exception: it always runs the numpy path.  The loop
+version sums each training window cell by cell, which rounds differently
+from a cumulative-sum difference, so a cell on the threshold could be
+detected on one path and not the other; it is kept as a test reference.
 """
 
 from __future__ import annotations
@@ -255,32 +260,43 @@ def cfar_mask_np(
     """CA-CFAR detection mask along axis 0 of a (range, ...) heatmap.
 
     Training cells on both sides of the cell under test, excluding the guard
-    band; edge cells use whatever training cells exist in bounds.
+    band; edge cells use whatever training cells exist in bounds.  A cell is
+    detected when ``value > ((left sum) + (right sum)) / count * scale_factor``,
+    in that order of operations.  Expects ``train_cells >= 1`` and
+    ``guard_cells >= 0``.
     """
     r = heatmap.shape[0]
-    flat = heatmap.reshape(r, -1)
-    csum = np.zeros((r + 1, flat.shape[1]), dtype=np.float64)
-    np.cumsum(flat, axis=0, out=csum[1:])
-
-    def window_sum(lo, hi):  # sum over range cells [lo, hi) clipped to bounds
-        lo = np.clip(lo, 0, r)
-        hi = np.clip(hi, 0, r)
-        return csum[hi] - csum[lo], np.maximum(hi - lo, 0)
-
+    reach = guard_cells + train_cells
+    # csum[lead + k] is the sum of range cells [0, k) with k clipped to
+    # [0, r], so every window sum is a difference of two row slices of csum
+    lead = reach + 1
+    csum = np.empty((r + 2 * lead,) + heatmap.shape[1:], dtype=np.float64)
+    csum[: lead + 1] = 0.0
+    np.cumsum(heatmap, axis=0, out=csum[lead + 1 : lead + 1 + r])
+    csum[lead + 1 + r :] = csum[lead + r]
     idx = np.arange(r)
-    left_sum, left_n = window_sum(idx - guard_cells - train_cells, idx - guard_cells)
-    right_sum, right_n = window_sum(idx + guard_cells + 1, idx + guard_cells + train_cells + 1)
-    total = left_sum + right_sum
-    count = (left_n + right_n).astype(np.float64)[:, None]
+    count = (
+        np.clip(idx - guard_cells, 0, r) - np.clip(idx - reach, 0, r)
+        + np.clip(idx + reach + 1, 0, r) - np.clip(idx + guard_cells + 1, 0, r)
+    )
+
+    def rows(k):  # csum at clipped position k + i for every range cell i
+        return csum[lead + k : lead + k + r]
+
+    # the threshold is built in place, in the order the docstring states
+    total = np.subtract(rows(-guard_cells), rows(-reach))
+    total += np.subtract(rows(reach + 1), rows(guard_cells + 1))
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = total / count
-    detect = np.zeros_like(flat, dtype=np.bool_)
-    valid = count[:, 0] > 0
-    detect[valid] = flat[valid] > scale_factor * mean[valid]
-    return detect.reshape(heatmap.shape)
+        total /= count.astype(np.float64).reshape((r,) + (1,) * (heatmap.ndim - 1))
+    total *= scale_factor
+    detect = np.greater(heatmap, total)
+    detect[count == 0] = False
+    return detect
 
 
 def _cfar_mask_loop(flat, train_cells, guard_cells, scale_factor):
+    """Explicit-loop CA-CFAR on a (range, cells) array; a reference for tests,
+    never dispatched (see the module docstring)."""
     r, c = flat.shape
     out = np.zeros((r, c), dtype=np.bool_)
     for j in range(c):
@@ -310,7 +326,6 @@ if USE_NUMBA:
     _ball_query_jit = njit(cache=True)(_ball_query_loop)
     _fps_jit = njit(cache=True)(_fps_loop)
     _psd_jit = njit(cache=True)(_point_segment_distances_loop)
-    _cfar_jit = njit(cache=True)(_cfar_mask_loop)
 
     def knn_indices(query, ref, k):
         return _knn_indices_jit(
@@ -337,13 +352,6 @@ if USE_NUMBA:
             np.ascontiguousarray(seg_b, dtype=np.float64),
         )
 
-    def cfar_mask(heatmap, train_cells, guard_cells, scale_factor):
-        r = heatmap.shape[0]
-        flat = np.ascontiguousarray(heatmap.reshape(r, -1), dtype=np.float64)
-        return _cfar_jit(flat, train_cells, guard_cells, float(scale_factor)).reshape(
-            heatmap.shape
-        )
-
 else:
     def knn_indices(query, ref, k):
         return knn_indices_np(
@@ -368,7 +376,8 @@ else:
             np.asarray(seg_b, dtype=np.float64),
         )
 
-    def cfar_mask(heatmap, train_cells, guard_cells, scale_factor):
-        return cfar_mask_np(
-            np.asarray(heatmap, dtype=np.float64), train_cells, guard_cells, float(scale_factor)
-        )
+
+def cfar_mask(heatmap, train_cells, guard_cells, scale_factor):
+    return cfar_mask_np(
+        np.asarray(heatmap, dtype=np.float64), train_cells, guard_cells, float(scale_factor)
+    )

@@ -3,9 +3,9 @@ and tracking pipelines.  One JSON config governs every stage; flags override
 file values, and the config is echoed into every output manifest so a run can
 be reproduced from its artifacts alone.
 
-Exit codes: 0 success, 2 bad flags or configuration, 3 I/O failure,
-4 missing checkpoint file, 5 checkpoint does not match the requested
-task/strategy.
+Exit codes: 0 success, 2 bad flags or configuration or a truncated
+checkpoint or dataset file, 3 I/O failure, 4 missing checkpoint file,
+5 checkpoint does not match the requested task/strategy.
 """
 
 from __future__ import annotations

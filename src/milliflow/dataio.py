@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyFrame, LengthMismatch, TooFewSubjects
+from .errors import (
+    ConfigError, EmptyFrame, LengthMismatch, TooFewSubjects, read_exact, read_struct,
+)
 from .labeling import FlowLabel
 from .radar import RadarFrame
 from .skeleton import OUT_OF_SET_ACTIVITIES, ObservedKeypoints, SkeletonPose
@@ -279,11 +281,9 @@ def _write_array(f, arr: np.ndarray, fmt: str):
     f.write(flat.tobytes())
 
 
-def _read_array(f, fmt: str, shape=None) -> np.ndarray:
-    (count,) = struct.unpack("<I", f.read(4))
-    itemsize = np.dtype(fmt).itemsize
-    arr = np.frombuffer(f.read(itemsize * count), dtype=fmt)
-    return arr.reshape(shape) if shape is not None else arr
+def _read_array(f, fmt: str) -> np.ndarray:
+    (count,) = read_struct(f, "<I")
+    return np.frombuffer(read_exact(f, np.dtype(fmt).itemsize * count), dtype=fmt)
 
 
 def _write_binary_frames(path: Path, seq: Sequence):
@@ -304,18 +304,17 @@ def _write_binary_frames(path: Path, seq: Sequence):
 def _read_binary_frames(path: Path):
     frames, poses, observed = [], [], []
     with open(path, "rb") as f:
-        if f.read(4) != _BINARY_MAGIC:
+        if read_exact(f, 4) != _BINARY_MAGIC:
             raise ConfigError(f"{path} is not a binary sequence file")
-        version, n = struct.unpack("<II", f.read(8))
+        version, n = read_struct(f, "<II")
         if version != _BINARY_VERSION:
             raise ConfigError(f"unsupported binary version {version}")
         for _ in range(n):
-            (frame_index,) = struct.unpack("<I", f.read(4))
-            (timestamp,) = struct.unpack("<d", f.read(8))
+            frame_index, timestamp = read_struct(f, "<Id")
             pts = _read_array(f, "<f8").reshape(-1, 4)
             kps = _read_array(f, "<f8").reshape(-1, 4)
             pose_kp = _read_array(f, "<f8").reshape(-1, 3)
-            (has_prov,) = struct.unpack("<B", f.read(1))
+            (has_prov,) = read_struct(f, "<B")
             prov = _read_array(f, "<q").astype(np.int64) if has_prov else None
             frames.append(
                 RadarFrame(pts[:, :3].copy(), pts[:, 3].copy(), frame_index,
@@ -340,9 +339,9 @@ def _write_binary_labels(path: Path, labels: list):
 def _read_binary_labels(path: Path) -> list:
     labels = []
     with open(path, "rb") as f:
-        if f.read(4) != _BINARY_MAGIC:
+        if read_exact(f, 4) != _BINARY_MAGIC:
             raise ConfigError(f"{path} is not a binary label file")
-        version, n = struct.unpack("<II", f.read(8))
+        version, n = read_struct(f, "<II")
         if version != _BINARY_VERSION:
             raise ConfigError(f"unsupported binary version {version}")
         for _ in range(n):

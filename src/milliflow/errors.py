@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exact-length reads
+that turn a truncated binary file into a typed error."""
+
+import struct
 
 
 class MilliflowError(Exception):
@@ -63,3 +66,24 @@ class TaskMismatch(ConfigError):
 
 class MissingCheckpoint(ConfigError):
     """A referenced checkpoint file does not exist."""
+
+
+class CorruptFile(MilliflowError):
+    """A stored file is truncated or does not follow its format."""
+
+
+def read_exact(f, n: int) -> bytes:
+    """Read exactly ``n`` bytes from the binary file ``f`` or raise CorruptFile."""
+    offset = f.tell()
+    data = f.read(n)
+    if len(data) != n:
+        raise CorruptFile(
+            f"{getattr(f, 'name', 'file')}: truncated, needs {n} bytes at offset "
+            f"{offset} but {len(data)} remain"
+        )
+    return data
+
+
+def read_struct(f, fmt: str) -> tuple:
+    """Unpack the ``struct`` format ``fmt`` from ``f`` or raise CorruptFile."""
+    return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt)))

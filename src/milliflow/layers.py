@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from ._kernels import ball_query_indices, farthest_point_sample as _fps, knn_indices
 from .autodiff import Tensor
-from .errors import BadK, ConfigError, ShapeMismatch
+from .errors import BadK, ConfigError, ShapeMismatch, read_exact, read_struct
 
 CHECKPOINT_MAGIC = b"MFLW"
 CHECKPOINT_VERSION = 1
@@ -349,11 +349,11 @@ def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
 def load_checkpoint(path):
     """Returns (named float64 arrays, config dict)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = read_struct(f, "<I")
+        header = json.loads(read_exact(f, hlen).decode("utf-8"))
         if header["format_version"] != CHECKPOINT_VERSION:
             raise ConfigError(
                 f"unsupported checkpoint version {header['format_version']}"
@@ -362,7 +362,7 @@ def load_checkpoint(path):
         for entry in header["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * count)
+            buf = read_exact(f, 8 * count)
             params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return params, header["config"]
 

@@ -12,10 +12,10 @@ axis) and v = z/R (elevation axis).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from ._kernels import cfar_mask, knn_indices
 from .errors import ConfigError
@@ -316,18 +316,32 @@ def elevation_cosine_axis(cfg: RadarConfig) -> np.ndarray:
 def cfar_detect(hm: np.ndarray, cfar: CfarParams) -> np.ndarray:
     """CA-CFAR along range plus 3x3x3 local-maximum suppression.
 
-    Returns a (D, 4) array of (range_bin, az_bin, el_bin, intensity) rows in
-    lexicographic bin order.
+    A CFAR hit is kept when no cell of its 3x3x3 neighbourhood is larger,
+    cells outside the heatmap counting as 0.  Returns a (D, 4) array of
+    (range_bin, az_bin, el_bin, intensity) rows in lexicographic bin order.
     """
     if cfar.train_cells < 1:
         raise ConfigError("train_cells must be >= 1")
+    if cfar.guard_cells < 0:
+        raise ConfigError("guard_cells must be >= 0")
     if cfar.scale_factor <= 0:
         raise ConfigError("scale_factor must be positive")
     detected = cfar_mask(hm, cfar.train_cells, cfar.guard_cells, cfar.scale_factor)
-    local_max = hm >= ndimage.maximum_filter(hm, size=3, mode="constant", cval=0.0)
-    cells = np.argwhere(detected & local_max)
-    values = hm[tuple(cells.T)] if len(cells) else np.empty(0)
-    return np.column_stack([cells.astype(np.float64), values]) if len(cells) else np.empty((0, 4))
+    # test only the hits, on a zero-padded copy so that no neighbour index
+    # leaves the array; filtering offset by offset keeps the bin order
+    padded = np.zeros([n + 2 for n in hm.shape], dtype=hm.dtype)
+    padded[(slice(1, -1),) * hm.ndim] = hm
+    flat = padded.reshape(-1)
+    steps = np.array(padded.strides) // padded.itemsize
+    hits = np.unravel_index(np.flatnonzero(detected), hm.shape)
+    at = np.ravel_multi_index([idx + 1 for idx in hits], padded.shape)
+    values = flat[at]
+    for offset in itertools.product((-1, 0, 1), repeat=hm.ndim):
+        if any(offset):
+            keep = values >= flat[at + np.dot(offset, steps)]
+            at, values = at[keep], values[keep]
+    cells = np.column_stack(np.unravel_index(at, padded.shape)) - 1
+    return np.column_stack([cells.astype(np.float64), values])
 
 
 def to_point_cloud(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,14 +143,20 @@ class TestEvalFlow:
         assert main(["eval", "--task", "flow", "--data", dataset,
                      "--ckpt", str(tmp_path / "none.ckpt")]) == 4
 
+    def test_truncated_checkpoint_exits_2(self, dataset, flow_ckpt, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        whole = Path(flow_ckpt).read_bytes()
+        cut.write_bytes(whole[: len(whole) // 2])
+        assert main(["eval", "--task", "flow", "--data", dataset,
+                     "--ckpt", str(cut)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_no_model_and_no_oracle_exits_2(self, dataset):
         assert main(["eval", "--task", "flow", "--data", dataset]) == 2
 
 
 class TestTrain:
     def test_flow_artifacts(self, workdir, dataset, flow_ckpt):
-        from pathlib import Path
-
         ckpt = Path(flow_ckpt)
         assert ckpt.exists()
         log_rows = [json.loads(line) for line in

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,13 @@ from milliflow.dataio import (
     split,
     write_manifest,
 )
-from milliflow.errors import ConfigError, EmptyFrame, LengthMismatch, TooFewSubjects
+from milliflow.errors import (
+    ConfigError,
+    CorruptFile,
+    EmptyFrame,
+    LengthMismatch,
+    TooFewSubjects,
+)
 from milliflow.labeling import FlowLabel
 from milliflow.radar import RadarFrame
 from milliflow.skeleton import ObservedKeypoints, SkeletonPose
@@ -318,6 +326,19 @@ class TestSerialization:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
             read_manifest(tmp_path)
+
+    @pytest.mark.parametrize("name", ["frames.bin", "labels.bin"])
+    def test_every_truncation_is_corrupt_file(self, tmp_path, name):
+        seq = toy_sequence(n_frames=3, n_points=2)
+        seq.frames[1] = dataclasses.replace(seq.frames[1], prov_bone=None)
+        path = save_sequence(tmp_path, seq, binary=True) / name
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(CorruptFile):
+                load_sequence(tmp_path, seq.seq_id)
+        path.write_bytes(whole)
+        assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
 
     def test_sequence_length_validation(self):
         with pytest.raises(LengthMismatch):

@@ -117,6 +117,21 @@ class TestPointSegment:
                 )
 
 
+def cfar_threshold_reference(hm, train, guard, scale):
+    """CA-CFAR threshold (left sum + right sum) / count * scale, each window
+    sum a difference of one cumulative sum at the clipped window edges."""
+    r = hm.shape[0]
+    flat = hm.reshape(r, -1)
+    csum = np.zeros((r + 1, flat.shape[1]))
+    np.cumsum(flat, axis=0, out=csum[1:])
+    i = np.arange(r)
+    lo_l, hi_l = np.clip(i - guard - train, 0, r), np.clip(i - guard, 0, r)
+    lo_r, hi_r = np.clip(i + guard + 1, 0, r), np.clip(i + guard + train + 1, 0, r)
+    total = (csum[hi_l] - csum[lo_l]) + (csum[hi_r] - csum[lo_r])
+    count = (hi_l - lo_l + hi_r - lo_r).astype(np.float64)[:, None]
+    return (total / count * scale).reshape(hm.shape)
+
+
 class TestCfar:
     def test_spike_example(self):
         hm = np.array([1.0, 1.0, 10.0, 1.0, 1.0]).reshape(5, 1, 1)
@@ -129,11 +144,38 @@ class TestCfar:
 
     def test_paths_agree(self):
         rng = np.random.default_rng(11)
-        hm = rng.exponential(size=(32, 6, 5))
-        a = k.cfar_mask_np(hm, 5, 2, 3.0)
-        b = k._cfar_mask_loop(hm.reshape(32, -1), 5, 2, 3.0).reshape(hm.shape)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(k.cfar_mask(hm, 5, 2, 3.0), a)
+        shapes = [(32, 6, 5), (7, 3, 2), (3, 4, 4), (1, 2, 2), (40, 1, 1)]
+        # (train, guard, scale); a guard of 10 swallows every window of the
+        # shorter range axes, so those cells have no training cells at all
+        params = [(5, 2, 3.0), (1, 0, 1.0), (8, 6, 5.0), (2, 10, 1.5), (3, 0, 0.5)]
+        for shape in shapes:
+            for hm in (rng.exponential(size=shape),
+                       rng.integers(0, 4, size=shape).astype(np.float64)):
+                # a transposed view, as heatmap() returns, as well as a C array
+                views = (hm, np.ascontiguousarray(hm.transpose(1, 2, 0)).transpose(2, 0, 1))
+                for train, guard, scale in params:
+                    loop = k._cfar_mask_loop(hm.reshape(shape[0], -1), train, guard, scale)
+                    for view in views:
+                        a = k.cfar_mask_np(view, train, guard, scale)
+                        np.testing.assert_array_equal(a, loop.reshape(shape))
+                        np.testing.assert_array_equal(k.cfar_mask(view, train, guard, scale), a)
+
+    def test_threshold_association(self):
+        # cells set on the threshold, and one ulp above it, detect as the
+        # reference only if the threshold is rounded as
+        # (left + right) / count * scale
+        rng = np.random.default_rng(5)
+        hm = rng.exponential(size=(24, 16, 16))
+        row = 10
+        for _ in range(5):  # the row's own values shift the cumsum rounding
+            hm[row] = cfar_threshold_reference(hm, 3, 2, 3.0)[row]
+        above = hm.copy()
+        above[row] = np.nextafter(hm[row], np.inf)
+        for field in (hm, above):
+            threshold = cfar_threshold_reference(field, 3, 2, 3.0)
+            assert np.sum(np.abs(field[row] - threshold[row])
+                          <= np.spacing(threshold[row])) > 200
+            np.testing.assert_array_equal(k.cfar_mask(field, 3, 2, 3.0), field > threshold)
 
     def test_edge_cells_use_partial_window(self):
         hm = np.array([10.0, 1.0, 1.0, 1.0]).reshape(4, 1, 1)

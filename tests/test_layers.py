@@ -5,7 +5,7 @@ from helpers import check_param_grads, jitter_params
 from milliflow import autodiff as ad
 from milliflow import layers as L
 from milliflow.autodiff import Tensor
-from milliflow.errors import BadK, ConfigError, ShapeMismatch
+from milliflow.errors import BadK, ConfigError, CorruptFile, ShapeMismatch
 
 
 def zero_out(module, prefix="m"):
@@ -469,6 +469,15 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ConfigError):
             L.load_checkpoint(path)
+
+    def test_every_truncation_is_corrupt_file(self, tmp_path):
+        path = tmp_path / "cut.mflw"
+        L.save_checkpoint(path, self.params(np.random.default_rng(4)), config={"k": 2})
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(CorruptFile):
+                L.load_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v.mflw"

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from milliflow._kernels import cfar_mask
 from milliflow.errors import ConfigError
 from milliflow.radar import (
     SPEED_OF_LIGHT,
@@ -215,6 +218,94 @@ class TestHeatmap:
         np.testing.assert_allclose(un, mirrored, atol=1e-9)
 
 
+def dense_local_max(hm):
+    """Oracle: hm >= its 3x3x3 neighbourhood max, outside cells reading 0."""
+    padded = np.pad(hm, 1, mode="constant", constant_values=0.0)
+    r, a, e = hm.shape
+    neighbourhood_max = np.full(hm.shape, -np.inf)
+    for dr, da, de in itertools.product(range(3), repeat=3):
+        np.maximum(neighbourhood_max, padded[dr : dr + r, da : da + a, de : de + e],
+                   out=neighbourhood_max)
+    return hm >= neighbourhood_max
+
+
+def dense_detect(hm, cfar):
+    """Oracle for cfar_detect: the CFAR mask and the dense local maximum."""
+    mask = cfar_mask(hm, cfar.train_cells, cfar.guard_cells, cfar.scale_factor)
+    cells = np.argwhere(mask & dense_local_max(hm))
+    return np.column_stack([cells.astype(np.float64), hm[tuple(cells.T)]])
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestCfarDetectOracle:
+    PARAMS = [CfarParams(1, 0, 0.5), CfarParams(2, 1, 1.0), CfarParams(8, 6, 5.0),
+              CfarParams(3, 0, 1.5)]
+
+    @pytest.mark.parametrize("shape", [(16, 6, 5), (7, 1, 4), (1, 5, 5), (9, 3, 1),
+                                       (1, 1, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("kind", ["exponential", "ties", "signed"])
+    def test_random_heatmaps(self, shape, kind):
+        rng = np.random.default_rng([*shape, len(kind)])
+        for _ in range(20):
+            if kind == "exponential":
+                hm = rng.exponential(size=shape)
+            elif kind == "ties":  # plateaus and equal neighbours
+                hm = rng.integers(0, 3, size=shape).astype(np.float64)
+            else:  # negative cells, also on the boundary
+                hm = rng.normal(size=shape)
+            for cfar in self.PARAMS:
+                assert_same_bytes(cfar_detect(hm, cfar), dense_detect(hm, cfar))
+
+    def test_faces_and_corners(self):
+        hm = np.full((12, 4, 4), 0.01)
+        corners = list(itertools.product((0, 11), (0, 3), (0, 3)))
+        faces = [(5, 0, 1), (6, 3, 2), (0, 1, 2), (11, 2, 1), (3, 2, 0), (8, 1, 3)]
+        for cell in corners + faces:
+            hm[cell] = 9.0
+        det = cfar_detect(hm, CfarParams(2, 0, 3.0))
+        assert_same_bytes(det, dense_detect(hm, CfarParams(2, 0, 3.0)))
+        assert {tuple(int(v) for v in row[:3]) for row in det} == set(corners + faces)
+
+    def test_negative_boundary_hit_loses_to_outside_zero(self):
+        # every cell is negative; a CFAR hit on the boundary is never a local
+        # maximum because the cells outside the heatmap read 0
+        hm = -np.ones((10, 3, 3))
+        hm[0, 1, 1] = -0.5
+        hm[5, 1, 1] = -0.5
+        cfar = CfarParams(1, 0, 1.0)
+        assert cfar_mask(hm, 1, 0, 1.0)[0, 1, 1]
+        assert cfar_mask(hm, 1, 0, 1.0)[5, 1, 1]
+        det = cfar_detect(hm, cfar)
+        assert_same_bytes(det, dense_detect(hm, cfar))
+        assert det[:, :3].tolist() == [[5.0, 1.0, 1.0]]
+
+    def test_tied_neighbours_both_kept(self):
+        hm = np.full((12, 3, 3), 0.01)
+        hm[5, 1, 1] = hm[6, 1, 1] = 4.0
+        cfar = CfarParams(2, 1, 3.0)
+        det = cfar_detect(hm, cfar)
+        assert_same_bytes(det, dense_detect(hm, cfar))
+        assert det[:, 0].tolist() == [5.0, 6.0]
+
+    def test_empty_mask(self):
+        hm = np.ones((6, 2, 2))
+        det = cfar_detect(hm, CfarParams(2, 0, 1.5))
+        assert_same_bytes(det, np.empty((0, 4)))
+        assert_same_bytes(det, dense_detect(hm, CfarParams(2, 0, 1.5)))
+
+    def test_pipeline_heatmap(self):
+        cfg = RadarConfig()
+        refl = reflectors_at([(0.1, 2.5, 0.2), (-0.3, 3.0, -0.1), (0.0, 2.0, 0.0)])
+        hm = heatmap(synthesize_cube(refl, cfg, seed=4), cfg)
+        det = cfar_detect(hm, cfg.cfar)
+        assert len(det) > 0
+        assert_same_bytes(det, dense_detect(hm, cfg.cfar))
+
+
 class TestCfarDetect:
     def test_two_injected_peaks(self):
         hm = np.ones((64, 8, 8)) * 0.01
@@ -247,6 +338,8 @@ class TestCfarDetect:
             cfar_detect(hm, CfarParams(train_cells=0))
         with pytest.raises(ConfigError):
             cfar_detect(hm, CfarParams(scale_factor=0.0))
+        with pytest.raises(ConfigError):
+            cfar_detect(hm, CfarParams(guard_cells=-1))
 
 
 class TestToPointCloud:

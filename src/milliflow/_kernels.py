@@ -1,22 +1,26 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Hot numeric kernels: neighbour search, farthest point sampling,
+point-to-segment distances and CA-CFAR.
 
-Every public function here has two implementations: an explicit-loop version
-compiled with ``numba.njit`` and a vectorized numpy fallback.  The integer-
-and boolean-valued kernels produce bitwise identical results on both paths;
-the float-valued segment-distance kernel agrees to within last-ulp rounding
-(the two paths associate the arithmetic differently).  The numpy path is
-selected when numba is not importable or when the environment variable
-``MFL_NO_NUMBA`` is set to ``1`` (useful for debugging and for the benchmark
-in ``benchmarks/bench_kernels.py``).
+The network's geometry comes from ``NeighbourTable``: one float64 distance
+matrix and one stable ``argsort`` per frame, from which every ball query and
+every k-nearest lookup of that frame is read.  It is plain numpy whether or
+not numba is installed, so network outputs do not depend on the install.
+``cfar_mask`` likewise always runs its numpy path: the loop version sums each
+training window cell by cell, which rounds differently from a cumulative-sum
+difference, so it is kept only as a test reference.
 
-``cfar_mask`` is the exception: it always runs the numpy path.  The loop
-version sums each training window cell by cell, which rounds differently
-from a cumulative-sum difference, so a cell on the threshold could be
-detected on one path and not the other; it is kept as a test reference.
+The standalone kernels (``knn_indices``, ``farthest_point_sample``,
+``point_segment_distances``) dispatch to an
+explicit-loop version compiled with ``numba.njit`` when numba is importable
+and ``MFL_NO_NUMBA`` is not ``1``, and to a vectorised numpy version
+otherwise.  The integer-valued kernels agree bit for bit on both paths; the
+float-valued segment distances agree to within last-ulp rounding (the paths
+associate the arithmetic differently).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -32,7 +36,51 @@ USE_NUMBA = HAS_NUMBA and os.environ.get("MFL_NO_NUMBA", "0") != "1"
 
 
 # ---------------------------------------------------------------------------
-# k-nearest-neighbour indices
+# neighbour search: k nearest and ball queries
+
+
+class NeighbourTable:
+    """Every query point's neighbours among the reference points, sorted once.
+
+    Squared distances are taken in float64 and sorted with one stable
+    ``argsort`` per row: nearest first, exact ties broken by lower index.
+    Ball queries at any radius and k-nearest lookups are then read from the
+    sorted table, so one frame's grouping at every radius, and its self-kNN,
+    cost one sort.  ``ref`` defaults to ``query``.
+    """
+
+    def __init__(self, query: np.ndarray, ref: np.ndarray | None = None):
+        query = np.asarray(query, dtype=np.float64)
+        ref = query if ref is None else np.asarray(ref, dtype=np.float64)
+        diff = query[:, None, :] - ref[None, :, :]
+        self._d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+        self.order = np.argsort(self._d2, axis=1, kind="stable")
+
+    @functools.cached_property
+    def sorted_d2(self) -> np.ndarray:
+        """Squared distances in the order of ``self.order``; built on the
+        first ball query, as a k-nearest lookup does not need them."""
+        return np.take_along_axis(self._d2, self.order, axis=1)
+
+    def ball(self, radius: float, max_samples: int, rows=None) -> np.ndarray:
+        """Up to ``max_samples`` reference indices within ``radius`` of each
+        query row (all rows, or those ``rows`` selects).
+
+        Nearest first, padded by repeating the nearest hit.  A row with no
+        point inside the radius falls back to its single nearest point.
+        """
+        order, sorted_d2 = self.order, self.sorted_d2
+        if rows is not None:
+            order, sorted_d2 = order[rows], sorted_d2[rows]
+        # the rows are sorted, so the hits among the first max_samples
+        # columns are min(hits, max_samples)
+        hits = np.count_nonzero(sorted_d2[:, :max_samples] <= radius * radius, axis=1)
+        col = np.arange(max_samples)
+        return np.take_along_axis(order, np.where(col < hits[:, None], col, 0), axis=1)
+
+    def knn(self, k: int) -> np.ndarray:
+        """The ``k`` nearest reference indices per query row, nearest first."""
+        return np.ascontiguousarray(self.order[:, :k])
 
 
 def knn_indices_np(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
@@ -41,10 +89,7 @@ def knn_indices_np(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     Nearest first; exact distance ties broken by lower index. ``k`` may not
     exceed ``len(ref)``.
     """
-    diff = query[:, None, :] - ref[None, :, :]
-    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
-    order = np.argsort(d2, axis=1, kind="stable")
-    return np.ascontiguousarray(order[:, :k]).astype(np.int64)
+    return NeighbourTable(query, ref).knn(k)
 
 
 def _knn_indices_loop(query, ref, k):
@@ -79,34 +124,11 @@ def _knn_indices_loop(query, ref, k):
     return out
 
 
-# ---------------------------------------------------------------------------
-# ball query
-
-
 def ball_query_np(
     centroids: np.ndarray, points: np.ndarray, radius: float, max_samples: int
 ) -> np.ndarray:
-    """Up to ``max_samples`` point indices within ``radius`` of each centroid.
-
-    Nearest first, padded by repeating the nearest hit.  A centroid with no
-    point inside the radius falls back to its single globally nearest point.
-    """
-    diff = centroids[:, None, :] - points[None, :, :]
-    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
-    order = np.argsort(d2, axis=1, kind="stable")
-    sorted_d2 = np.take_along_axis(d2, order, axis=1)
-    r2 = radius * radius
-    out = np.empty((centroids.shape[0], max_samples), dtype=np.int64)
-    for i in range(centroids.shape[0]):
-        hits = order[i, : np.searchsorted(sorted_d2[i], r2, side="right")]
-        if hits.size == 0:
-            out[i, :] = order[i, 0]
-        elif hits.size >= max_samples:
-            out[i, :] = hits[:max_samples]
-        else:
-            out[i, : hits.size] = hits
-            out[i, hits.size :] = hits[0]
-    return out
+    """``NeighbourTable(centroids, points).ball(radius, max_samples)``."""
+    return NeighbourTable(centroids, points).ball(radius, max_samples)
 
 
 def _ball_query_loop(centroids, points, radius, max_samples):
@@ -323,7 +345,6 @@ def _cfar_mask_loop(flat, train_cells, guard_cells, scale_factor):
 
 if USE_NUMBA:
     _knn_indices_jit = njit(cache=True)(_knn_indices_loop)
-    _ball_query_jit = njit(cache=True)(_ball_query_loop)
     _fps_jit = njit(cache=True)(_fps_loop)
     _psd_jit = njit(cache=True)(_point_segment_distances_loop)
 
@@ -332,14 +353,6 @@ if USE_NUMBA:
             np.ascontiguousarray(query, dtype=np.float64),
             np.ascontiguousarray(ref, dtype=np.float64),
             k,
-        )
-
-    def ball_query_indices(centroids, points, radius, max_samples):
-        return _ball_query_jit(
-            np.ascontiguousarray(centroids, dtype=np.float64),
-            np.ascontiguousarray(points, dtype=np.float64),
-            float(radius),
-            max_samples,
         )
 
     def farthest_point_sample(points, k, start=0):
@@ -356,14 +369,6 @@ else:
     def knn_indices(query, ref, k):
         return knn_indices_np(
             np.asarray(query, dtype=np.float64), np.asarray(ref, dtype=np.float64), k
-        )
-
-    def ball_query_indices(centroids, points, radius, max_samples):
-        return ball_query_np(
-            np.asarray(centroids, dtype=np.float64),
-            np.asarray(points, dtype=np.float64),
-            float(radius),
-            max_samples,
         )
 
     def farthest_point_sample(points, k, start=0):

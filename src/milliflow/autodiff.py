@@ -2,7 +2,9 @@
 
 A Tensor wraps an ndarray plus an optional gradient and a backward closure.
 Calling backward() on a scalar (or with an explicit seed gradient) walks the
-tape in reverse topological order.  Broadcasting is supported everywhere by
+tape in reverse topological order, handing each node's gradient to its
+closure.  A closure holds its inputs but not its output, so a tape has no
+reference cycle and is freed as soon as its last tensor is dropped.  Broadcasting is supported everywhere by
 summing gradients back over broadcast axes.
 """
 
@@ -29,6 +31,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def is_grad_enabled() -> bool:
+    """Whether operations record a tape (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -43,7 +50,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -90,8 +97,11 @@ class Tensor:
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=grad.dtype)
-        self.grad += grad
+            # the first touch stores a copy: the closures hand out views of
+            # their own gradient, which must not alias this one
+            self.grad = np.broadcast_to(grad, self.data.shape).copy()
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None):
         if grad is None:
@@ -116,7 +126,7 @@ class Tensor:
                     stack.append((p, False))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -221,48 +231,44 @@ def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     out_data = a.data + b.data
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.shape))
+            a._accumulate(_unbroadcast(grad, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad, b.shape))
+            b._accumulate(_unbroadcast(grad, b.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     out_data = a.data * b.data
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
+            a._accumulate(_unbroadcast(grad * b.data, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
+            b._accumulate(_unbroadcast(grad * a.data, b.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
 
 
 def powr(a, p: float) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data**p
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(out.grad * p * a.data ** (p - 1.0))
+            a._accumulate(grad * p * a.data ** (p - 1.0))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = np.matmul(a.data, b.data)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
@@ -270,8 +276,7 @@ def matmul(a, b) -> Tensor:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
 
 
 def linear(x, w, b) -> Tensor:
@@ -281,8 +286,7 @@ def linear(x, w, b) -> Tensor:
         raise ShapeMismatch(f"linear: input dim {x.shape[-1]} != weight rows {w.shape[0]}")
     out_data = np.matmul(x.data, w.data) + b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if x.requires_grad:
             x._accumulate(np.matmul(g, w.data.T))
         if w.requires_grad:
@@ -292,56 +296,51 @@ def linear(x, w, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    out = _make(out_data, (x, w, b), backward)
-    return out
+    return _make(out_data, (x, w, b), backward)
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.maximum(a.data, 0.0)
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(out.grad * (a.data > 0.0))
+            a._accumulate(grad * (a.data > 0.0))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.exp(a.data)
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(out.grad * out_data)
+            a._accumulate(grad * out_data)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.log(a.data)
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(out.grad / a.data)
+            a._accumulate(grad / a.data)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.tanh(a.data)
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(out.grad * (1.0 - out_data * out_data))
+            a._accumulate(grad * (1.0 - out_data * out_data))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -351,27 +350,24 @@ def sigmoid(a) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = 1.0 / (1.0 + np.exp(-a.data))
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(out.grad * out_data * (1.0 - out_data))
+            a._accumulate(grad * out_data * (1.0 - out_data))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if not keepdims and axis is not None:
             g = np.expand_dims(g, axis)
         if a.requires_grad:
             a._accumulate(np.broadcast_to(g, a.shape).copy())
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -390,8 +386,7 @@ def tmax(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.max(axis=axis, keepdims=keepdims)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         expanded = out_data
         if not keepdims and axis is not None:
             g = np.expand_dims(g, axis)
@@ -402,8 +397,7 @@ def tmax(a, axis=None, keepdims=False) -> Tensor:
             share = (mask / counts).astype(a.dtype)
             a._accumulate(np.broadcast_to(g, a.shape) * share)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def maximum(a, b) -> Tensor:
@@ -411,30 +405,28 @@ def maximum(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     out_data = np.maximum(a.data, b.data)
 
-    def backward():
+    def backward(grad):
         take_a = a.data >= b.data
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * take_a, a.shape))
+            a._accumulate(_unbroadcast(grad * take_a, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * ~take_a, b.shape))
+            b._accumulate(_unbroadcast(grad * ~take_a, b.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
 
 
 def minimum(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     out_data = np.minimum(a.data, b.data)
 
-    def backward():
+    def backward(grad):
         take_a = a.data <= b.data
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * take_a, a.shape))
+            a._accumulate(_unbroadcast(grad * take_a, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * ~take_a, b.shape))
+            b._accumulate(_unbroadcast(grad * ~take_a, b.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(out_data, (a, b), backward)
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -445,25 +437,23 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.reshape(shape)
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
-            a._accumulate(out.grad.reshape(a.shape))
+            a._accumulate(grad.reshape(a.shape))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
     out_data = np.transpose(a.data, axes)
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
             inv = None if axes is None else np.argsort(axes)
-            a._accumulate(np.transpose(out.grad, inv))
+            a._accumulate(np.transpose(grad, inv))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -472,15 +462,14 @@ def concat(tensors, axis=0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(grad):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * out_data.ndim
                 sl[axis] = slice(lo, hi)
-                t._accumulate(out.grad[tuple(sl)])
+                t._accumulate(grad[tuple(sl)])
 
-    out = _make(out_data, tuple(tensors), backward)
-    return out
+    return _make(out_data, tuple(tensors), backward)
 
 
 def take(a, idx) -> Tensor:
@@ -488,14 +477,13 @@ def take(a, idx) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data[idx]
 
-    def backward():
+    def backward(grad):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, idx, out.grad)
+            np.add.at(full, idx, grad)
             a._accumulate(full)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def softmax(a, axis=-1) -> Tensor:

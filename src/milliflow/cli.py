@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from .config import RunConfig, load_config, run_config_from_dict
-from .dataio import make_clips, pair_samples, read_manifest
+from .dataio import make_clips, pair_samples, read_manifest, write_json
 from .downstream import (
     confusion_matrix_csv,
     evaluate_har,
@@ -81,14 +81,6 @@ def _require_checkpoint(path, what: str) -> Path:
     if not path.exists():
         raise MissingCheckpoint(f"{what} not found: {path}")
     return path
-
-
-def _write_json(path, data: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _write_text(path, text: str) -> None:
@@ -186,7 +178,7 @@ def cmd_train(args) -> int:
         best = max(h["val_oa"] for h in history)
         print(f"trained {args.task} model ({strategy}): best val oA {best:.4f}")
 
-    _write_json(Path(str(ckpt) + ".manifest.json"), {
+    write_json(Path(str(ckpt) + ".manifest.json"), {
         "config": cfg.as_dict(),
         "task": args.task,
         "strategy": args.strategy,
@@ -237,7 +229,7 @@ def cmd_eval(args) -> int:
 
     report = dict(report, config=cfg.as_dict())
     if args.out:
-        _write_json(args.out, report)
+        write_json(args.out, report)
         print(f"report: {args.out}")
         if csv_text is not None:
             csv_path = Path(args.out).with_suffix(".confusion.csv")

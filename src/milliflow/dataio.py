@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError, EmptyFrame, LengthMismatch, TooFewSubjects, read_exact, read_struct,
+    ConfigError, CorruptFile, EmptyFrame, LengthMismatch, TooFewSubjects, atomic_write,
+    read_exact, read_struct,
 )
 from .labeling import FlowLabel
 from .radar import RadarFrame
@@ -287,7 +288,7 @@ def _read_array(f, fmt: str) -> np.ndarray:
 
 
 def _write_binary_frames(path: Path, seq: Sequence):
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_BINARY_MAGIC)
         f.write(struct.pack("<II", _BINARY_VERSION, len(seq.frames)))
         for frame, pose, obs in zip(seq.frames, seq.poses, seq.observed_kps):
@@ -326,7 +327,7 @@ def _read_binary_frames(path: Path):
 
 
 def _write_binary_labels(path: Path, labels: list):
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_BINARY_MAGIC)
         f.write(struct.pack("<II", _BINARY_VERSION, len(labels)))
         for lab in labels:
@@ -357,23 +358,44 @@ def sequence_dir(root, seq_id: str) -> Path:
     return Path(root) / f"seq_{seq_id}"
 
 
+def _write_jsonl(path: Path, records):
+    with atomic_write(path) as f:
+        for rec in records:
+            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+
+
+def _read_jsonl(path: Path, parse) -> list:
+    """Parsed records of a JSON-lines file; a cut or malformed record raises
+    CorruptFile.  Every record ends with a newline, so a file that does not
+    was cut inside its last record."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data and not data.endswith(b"\n"):
+        raise CorruptFile(f"{path}: truncated inside its last record")
+    try:
+        return [parse(json.loads(line)) for line in data.splitlines()]
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptFile(f"{path}: malformed record: {e}") from e
+
+
+def _write_labels(out: Path, labels: list, binary: bool):
+    if binary:
+        _write_binary_labels(out / "labels.bin", labels)
+    else:
+        _write_jsonl(out / "labels.jsonl", (_label_record(lab) for lab in labels))
+
+
 def save_sequence(root, seq: Sequence, binary: bool = False) -> Path:
     out = sequence_dir(root, seq.seq_id)
     out.mkdir(parents=True, exist_ok=True)
     if binary:
         _write_binary_frames(out / "frames.bin", seq)
-        if seq.labels is not None:
-            _write_binary_labels(out / "labels.bin", seq.labels)
     else:
-        with open(out / "frames.jsonl", "w") as f:
-            for frame, pose, obs in zip(seq.frames, seq.poses, seq.observed_kps):
-                f.write(json.dumps(_frame_record(frame, pose, obs),
-                                   separators=(",", ":")) + "\n")
-        if seq.labels is not None:
-            with open(out / "labels.jsonl", "w") as f:
-                for lab in seq.labels:
-                    f.write(json.dumps(_label_record(lab),
-                                       separators=(",", ":")) + "\n")
+        _write_jsonl(out / "frames.jsonl", (
+            _frame_record(frame, pose, obs)
+            for frame, pose, obs in zip(seq.frames, seq.poses, seq.observed_kps)))
+    if seq.labels is not None:
+        _write_labels(out, seq.labels, binary)
     return out
 
 
@@ -382,13 +404,7 @@ def save_labels(root, seq_id: str, labels: list, binary: bool = False) -> Path:
     out = sequence_dir(root, seq_id)
     if not out.is_dir():
         raise ConfigError(f"no sequence stored under {out}")
-    if binary:
-        _write_binary_labels(out / "labels.bin", labels)
-    else:
-        with open(out / "labels.jsonl", "w") as f:
-            for lab in labels:
-                f.write(json.dumps(_label_record(lab),
-                                   separators=(",", ":")) + "\n")
+    _write_labels(out, labels, binary)
     return out
 
 
@@ -411,37 +427,45 @@ def load_sequence(root, seq_id: str) -> Sequence:
             else None
         )
     elif (src / "frames.jsonl").exists():
-        frames, poses, observed = [], [], []
-        with open(src / "frames.jsonl") as f:
-            for line in f:
-                frame, pose, obs = _parse_frame_record(json.loads(line))
-                frames.append(frame)
-                poses.append(pose)
-                observed.append(obs)
+        records = _read_jsonl(src / "frames.jsonl", _parse_frame_record)
+        frames = [r[0] for r in records]
+        poses = [r[1] for r in records]
+        observed = [r[2] for r in records]
         labels = None
         if (src / "labels.jsonl").exists():
-            with open(src / "labels.jsonl") as f:
-                labels = [_parse_label_record(json.loads(line)) for line in f]
+            labels = _read_jsonl(src / "labels.jsonl", _parse_label_record)
     else:
         raise ConfigError(f"no frame data under {src}")
-    return Sequence(subject, activity, scene, frames, poses, observed, labels)
+    try:
+        return Sequence(subject, activity, scene, frames, poses, observed, labels)
+    except LengthMismatch as e:
+        raise CorruptFile(f"{src}: {e}; one of the files was cut") from e
 
 
-def write_manifest(root, data: dict) -> Path:
-    path = Path(root) / "manifest.json"
+def write_json(path, data: dict) -> Path:
+    """Indented, key-sorted JSON with a final newline, written atomically."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
+
+
+def write_manifest(root, data: dict) -> Path:
+    return write_json(Path(root) / "manifest.json", data)
 
 
 def read_manifest(root) -> dict:
     path = Path(root) / "manifest.json"
     if not path.exists():
         raise ConfigError(f"missing manifest: {path}")
-    with open(path) as f:
-        return json.load(f)
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data)
+    except ValueError as e:
+        raise CorruptFile(f"{path}: not a whole JSON document: {e}") from e
 
 
 def list_sequences(root) -> list[str]:

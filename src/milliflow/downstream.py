@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import point_segment_distances
+from ._kernels import NeighbourTable, point_segment_distances
 from .autodiff import Tensor
 from .config import NetConfig, TaskConfig, TrainConfig, _coerce_tuples
 from .dataio import _frame_seed, preprocess_indices
@@ -32,7 +32,7 @@ from .errors import (
     NoValidPoints,
     TaskMismatch,
 )
-from .flownet import FlowNet, flow_loss, infer_sequence
+from .flownet import CloudEncoder, FlowNet, broadcast_rows, flow_loss, infer_sequence
 from .geometry import kabsch
 from .labeling import ASSIGNMENT_RADIUS, N_SEGMENTS
 from .layers import (
@@ -185,52 +185,13 @@ def decorate_clip(frames, strategy: str, flow_model: FlowNet | None,
 # task networks
 
 
-def _broadcast_rows(vec: Tensor, n: int, dtype) -> Tensor:
-    ones = Tensor(np.ones((n, 1), dtype=dtype))
-    return ad.mul(ones, ad.reshape(vec, (1, -1)))
-
-
-class _CloudEncoder:
-    """Multi-scale local features with pooled global context appended."""
-
-    def __init__(self, rng, cfg: TaskConfig, in_features: int, dtype):
-        self.cfg = cfg
-        self.dtype = dtype
-        n_scales = len(cfg.sa_radii)
-        in_dim = 3 + in_features
-        self.sas = [MLP(rng, in_dim, list(cfg.sa_mlp), dtype=dtype)
-                    for _ in range(n_scales)]
-        self.posts = [MLP(rng, cfg.sa_mlp[-1], list(cfg.post_sa_mlp), dtype=dtype)
-                      for _ in range(n_scales)]
-        self.feat_out = n_scales * cfg.post_sa_mlp[-1]
-        self.z_dim = 2 * self.feat_out
-        self.attn = MLP(rng, self.feat_out, [cfg.attention_hidden, 1], dtype=dtype)
-
-    def __call__(self, points, feats: Tensor):
-        outs = []
-        for sa, post, radius, samples in zip(self.sas, self.posts,
-                                             self.cfg.sa_radii, self.cfg.sa_samples):
-            outs.append(post(set_abstraction(sa, points, feats, radius, samples)))
-        k = ad.concat(outs, axis=1)
-        g, _ = global_pool(self.attn, k)
-        z = ad.concat([k, _broadcast_rows(g, k.shape[0], self.dtype)], axis=1)
-        return z, g
-
-    def named_params(self, prefix: str) -> dict:
-        out = {}
-        for s, (sa, post) in enumerate(zip(self.sas, self.posts)):
-            out.update(sa.named_params(f"{prefix}.sa{s}"))
-            out.update(post.named_params(f"{prefix}.post{s}"))
-        out.update(self.attn.named_params(f"{prefix}.attn"))
-        return out
-
-
 class HarNet:
     """Sequence-level activity classifier.
 
     Per frame: cloud encoder, then a second local encoder on farthest-point
-    centroids, attention-pooled into one frame vector.  An LSTM consumes the
-    frame vectors; the classifier reads its last hidden state.
+    centroids, attention-pooled into one frame vector; both read one
+    neighbour table of the frame.  An LSTM consumes the frame vectors; the
+    classifier reads its last hidden state.
     """
 
     kind = "har"
@@ -244,7 +205,7 @@ class HarNet:
         self.n_classes = n_classes
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        self.encoder = _CloudEncoder(rng, cfg, in_features, self.dtype)
+        self.encoder = CloudEncoder(rng, cfg, in_features, self.dtype)
         self.stage2 = MLP(rng, 3 + self.encoder.z_dim, list(cfg.stage2_mlp),
                           dtype=self.dtype)
         self.stage2_attn = MLP(rng, cfg.stage2_mlp[-1],
@@ -264,14 +225,16 @@ class HarNet:
 
     def frame_vector(self, frame, feats: Tensor) -> Tensor:
         points = np.asarray(frame.points, dtype=self.dtype)
-        z, _ = self.encoder(points, feats)
+        table = NeighbourTable(points)
+        z, _ = self.encoder(points, feats, table)
         k = min(self.cfg.fps_centroids, len(points))
         # anchor the sweep at the lexicographically smallest point so the
         # centroid choice depends on geometry, not on input order
         start = int(np.lexsort((points[:, 2], points[:, 1], points[:, 0]))[0])
         centroid_idx = farthest_point_sample(points, k, start=start)
         pooled = set_abstraction(self.stage2, points, z, self.cfg.stage2_radius,
-                                 self.cfg.stage2_samples, centroid_idx=centroid_idx)
+                                 self.cfg.stage2_samples, centroid_idx=centroid_idx,
+                                 table=table)
         v, _ = global_pool(self.stage2_attn, pooled)
         return v
 
@@ -317,7 +280,7 @@ class HpNet:
         self.n_classes = n_segments
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        self.encoder = _CloudEncoder(rng, cfg, in_features, self.dtype)
+        self.encoder = CloudEncoder(rng, cfg, in_features, self.dtype)
         self.gru = GRUCell(rng, cfg.gru_hidden, input_dim=self.encoder.feat_out,
                            dtype=self.dtype)
         self.head = MLP(rng, self.encoder.z_dim + cfg.gru_hidden,
@@ -340,7 +303,7 @@ class HpNet:
             points = np.asarray(frame.points, dtype=self.dtype)
             z, g = self.encoder(points, feats)
             h = self.gru(h, g)
-            final = ad.concat([z, _broadcast_rows(h, z.shape[0], self.dtype)], axis=1)
+            final = ad.concat([z, broadcast_rows(h, z.shape[0])], axis=1)
             scores.append(self.head(final))
         return scores
 
@@ -708,8 +671,6 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
     named = model.named_params()
     flow_model = None
     if stored == "s2":
-        from .config import NetConfig
-
         flow_cfg = config["flow"]
         flow_model = FlowNet(NetConfig(**_coerce_tuples(NetConfig, flow_cfg["net"])),
                              seed=0, dtype=np.dtype(flow_cfg["dtype"]))

@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the exact-length reads
-that turn a truncated binary file into a typed error."""
+"""Exception types shared across the package, and the file helpers that
+keep stored files whole: exact-length reads that turn a truncated binary
+file into a typed error, and atomic writes."""
 
+import contextlib
+import os
 import struct
+from pathlib import Path
 
 
 class MilliflowError(Exception):
@@ -87,3 +91,24 @@ def read_exact(f, n: int) -> bytes:
 def read_struct(f, fmt: str) -> tuple:
     """Unpack the ``struct`` format ``fmt`` from ``f`` or raise CorruptFile."""
     return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt)))
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing.  When the block
+    ends without error the file replaces ``path`` in one ``os.replace``; when
+    it raises, the temporary file is removed and ``path`` keeps its previous
+    contents.  The data is synced to disk before the rename."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+            # the data must reach the disk before the rename does, or a
+            # crash of the machine can leave ``path`` empty
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -4,9 +4,12 @@ Five stages per frame pair: (1) a shared multi-scale local encoder over both
 clouds, (2) attention-pooled global context appended to every point, (3) a
 patch-to-patch cost volume between the enriched clouds, (4) a flow-embedding
 encoder whose pooled output drives a GRU carrying motion context across the
-samples of a clip, (5) a clamped per-point flow regressor.  Training runs
-clip-by-clip with full backpropagation through the recurrent state inside a
-clip and a hard state reset between clips.
+samples of a clip, (5) a clamped per-point flow regressor.  Stages 1-2 are
+the `CloudEncoder` that the downstream networks use too.  The recurrent state
+also carries the last target's encoding, which the next pair reuses for its
+source when the frames are equal.  Training runs clip-by-clip with full
+backpropagation through the recurrent state inside a clip and a hard state
+reset between clips.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import knn_indices
+from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
 from .config import NetConfig, TrainConfig, _coerce_tuples
 from .errors import (
@@ -47,10 +50,76 @@ from .metrics import aggregate_flow_metrics, flow_metrics
 RESET_PERIOD = 5  # GRU hidden state zeroed after this many samples
 
 
+def broadcast_rows(vec: Tensor, n: int) -> Tensor:
+    """(C,) -> (n, C) as a product with a column of ones."""
+    ones = Tensor(np.ones((n, 1), dtype=vec.dtype))
+    return ad.mul(ones, ad.reshape(vec, (1, -1)))
+
+
+class CloudEncoder:
+    """Multi-scale local features with pooled global context appended.
+
+    One set abstraction per radius of `cfg.sa_radii`, each followed by its
+    post MLP; the concatenated per-point features k are attention-pooled into
+    g, and every point's encoding is z = [k || g].  `cfg` is a NetConfig or a
+    TaskConfig; both carry the same encoder fields.
+    """
+
+    def __init__(self, rng, cfg, in_features: int, dtype):
+        self.cfg = cfg
+        n_scales = len(cfg.sa_radii)
+        in_dim = 3 + in_features
+        self.sas = [MLP(rng, in_dim, list(cfg.sa_mlp), dtype=dtype)
+                    for _ in range(n_scales)]
+        self.posts = [MLP(rng, cfg.sa_mlp[-1], list(cfg.post_sa_mlp), dtype=dtype)
+                      for _ in range(n_scales)]
+        self.feat_out = n_scales * cfg.post_sa_mlp[-1]
+        self.z_dim = 2 * self.feat_out
+        self.attn = MLP(rng, self.feat_out, [cfg.attention_hidden, 1], dtype=dtype)
+
+    def __call__(self, points, feats: Tensor,
+                 table: NeighbourTable | None = None) -> tuple[Tensor, Tensor]:
+        """(points N x 3, features N x C[, the points' NeighbourTable]) ->
+        (z N x z_dim, g feat_out)."""
+        if table is None:
+            table = NeighbourTable(np.asarray(points, dtype=feats.dtype))
+        outs = []
+        for sa, post, radius, samples in zip(self.sas, self.posts,
+                                             self.cfg.sa_radii, self.cfg.sa_samples):
+            outs.append(post(set_abstraction(sa, points, feats, radius, samples,
+                                             table=table)))
+        k = ad.concat(outs, axis=1)
+        g, _ = global_pool(self.attn, k)
+        return ad.concat([k, broadcast_rows(g, k.shape[0])], axis=1), g
+
+    def named_params(self, prefix: str) -> dict[str, Tensor]:
+        out = {}
+        for s, (sa, post) in enumerate(zip(self.sas, self.posts)):
+            out.update(sa.named_params(f"{prefix}.sa{s}"))
+            out.update(post.named_params(f"{prefix}.post{s}"))
+        out.update(self.attn.named_params(f"{prefix}.attn"))
+        return out
+
+
+@dataclass(eq=False)
+class EncodedFrame:
+    """One frame's network inputs, neighbour table and local encoding z."""
+
+    points: np.ndarray  # (N, 3) in the model dtype
+    feats: Tensor  # (N, 1) intensities in the model dtype
+    table: NeighbourTable
+    z: Tensor  # (N, z_dim)
+    grad: bool  # whether z was recorded on a tape
+
+
 @dataclass
 class TemporalState:
     h: Tensor  # (gru_hidden,)
     steps_since_reset: int = 0
+    # the previous pair's target, encoded: the next pair's source is the same
+    # frame whenever a stream or a clip moves on by one, so its encoding is
+    # reused when the inputs are equal (valid while parameters are unchanged)
+    target: EncodedFrame | None = None
 
 
 class FlowNet:
@@ -60,26 +129,14 @@ class FlowNet:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        n_scales = len(cfg.sa_radii)
-        in_dim = 3 + cfg.input_features
-        feat_out = n_scales * cfg.post_sa_mlp[-1]  # 256
+        self.local = CloudEncoder(rng, cfg, cfg.input_features, dtype)
+        self.ctx = CloudEncoder(rng, cfg, cfg.input_features, dtype)
 
-        def encoder():
-            sas = [MLP(rng, in_dim, list(cfg.sa_mlp), dtype=dtype) for _ in range(n_scales)]
-            posts = [
-                MLP(rng, cfg.sa_mlp[-1], list(cfg.post_sa_mlp), dtype=dtype)
-                for _ in range(n_scales)
-            ]
-            attn = MLP(rng, feat_out, [cfg.attention_hidden, 1], dtype=dtype)
-            return sas, posts, attn
-
-        self.local_sa, self.local_post, self.local_attn = encoder()
-        self.ctx_sa, self.ctx_post, self.ctx_attn = encoder()
-
-        z_dim = 2 * feat_out  # 512, per-point feature + global context
+        z_dim = self.local.z_dim  # 512, per-point feature + global context
         self.cv = CostVolume(rng, z_dim, k_neighbors=cfg.cv_k,
                              d_cost=cfg.cv_dcost, dtype=dtype)
         embed_in = cfg.cv_dcost + z_dim  # 576
+        n_scales = len(cfg.sa_radii)
         self.embed = [
             MLP(rng, embed_in, list(cfg.embed_mlp), dtype=dtype) for _ in range(n_scales)
         ]
@@ -96,15 +153,8 @@ class FlowNet:
         self.regressor.weights[-1].data *= 1e-3
 
     def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, sas, posts, attn in (
-            ("local", self.local_sa, self.local_post, self.local_attn),
-            ("ctx", self.ctx_sa, self.ctx_post, self.ctx_attn),
-        ):
-            for s, (sa, post) in enumerate(zip(sas, posts)):
-                out.update(sa.named_params(f"{name}.sa{s}"))
-                out.update(post.named_params(f"{name}.post{s}"))
-            out.update(attn.named_params(f"{name}.attn"))
+        out = self.local.named_params("local")
+        out.update(self.ctx.named_params("ctx"))
         out.update(self.cv.named_params("cv"))
         for s, branch in enumerate(self.embed):
             out.update(branch.named_params(f"embed.{s}"))
@@ -116,39 +166,29 @@ class FlowNet:
     def initial_state(self) -> TemporalState:
         return TemporalState(Tensor(np.zeros(self.cfg.gru_hidden, dtype=self.dtype)), 0)
 
-    def _encode(self, sas, posts, points, feats) -> Tensor:
-        outs = []
-        for sa, post, radius, samples in zip(sas, posts, self.cfg.sa_radii,
-                                             self.cfg.sa_samples):
-            outs.append(post(set_abstraction(sa, points, feats, radius, samples)))
-        return ad.concat(outs, axis=1)
-
-    def _broadcast_rows(self, vec: Tensor, n: int) -> Tensor:
-        ones = Tensor(np.ones((n, 1), dtype=self.dtype))
-        return ad.mul(ones, ad.reshape(vec, (1, -1)))
-
-    def _with_global(self, attn, feats) -> tuple[Tensor, Tensor]:
-        g, _ = global_pool(attn, feats)
-        return ad.concat([feats, self._broadcast_rows(g, feats.shape[0])], axis=1), g
+    def _encoded(self, frame, cached: EncodedFrame | None = None) -> EncodedFrame:
+        """The frame's inputs with its table and local encoding; `cached` is
+        returned instead when it holds the same inputs in the same grad mode."""
+        points = np.asarray(frame.points, dtype=self.dtype)
+        feats = Tensor(frame.intensities.astype(self.dtype)[:, None])
+        grad = ad.is_grad_enabled()
+        if (cached is not None and cached.grad == grad
+                and np.array_equal(cached.points, points)
+                and np.array_equal(cached.feats.data, feats.data)):
+            return cached
+        table = NeighbourTable(points)
+        z, _ = self.local(points, feats, table)
+        return EncodedFrame(points, feats, table, z, grad)
 
     def forward(self, source, target, state: TemporalState):
         """One frame pair -> (flows N x 3, new state, final features A N x 512)."""
         if len(source) == 0 or len(target) == 0:
             raise EmptyFrame("forward needs non-empty source and target frames")
-        pts_p = np.asarray(source.points, dtype=self.dtype)
-        pts_q = np.asarray(target.points, dtype=self.dtype)
-        feats_p = Tensor(source.intensities.astype(self.dtype)[:, None])
-        feats_q = Tensor(target.intensities.astype(self.dtype)[:, None])
+        p = self._encoded(source, state.target)
+        q = self._encoded(target)
+        z_c, _ = self.ctx(p.points, p.feats, p.table)
 
-        k_p = self._encode(self.local_sa, self.local_post, pts_p, feats_p)
-        k_q = self._encode(self.local_sa, self.local_post, pts_q, feats_q)
-        z_p, _ = self._with_global(self.local_attn, k_p)
-        z_q, _ = self._with_global(self.local_attn, k_q)
-
-        k_c = self._encode(self.ctx_sa, self.ctx_post, pts_p, feats_p)
-        z_c, _ = self._with_global(self.ctx_attn, k_c)
-
-        cost = self.cv(pts_p, z_p, pts_q, z_q)
+        cost = self.cv(p.points, p.z, q.points, q.z, table_p=p.table)
         stacked = ad.concat([cost, z_c], axis=1)
         emb = ad.concat([branch(stacked) for branch in self.embed], axis=1)
         g_b, _ = global_pool(self.embed_attn, emb)
@@ -159,12 +199,13 @@ class FlowNet:
         else:
             h_new = state.h
             top = g_b
-        final = ad.concat([emb, self._broadcast_rows(top, emb.shape[0])], axis=1)
+        final = ad.concat([emb, broadcast_rows(top, emb.shape[0])], axis=1)
         flows = ad.clamp(self.regressor(final), -self.cfg.clamp, self.cfg.clamp)
 
         steps = state.steps_since_reset + 1
-        new_state = self.initial_state() if steps >= RESET_PERIOD else TemporalState(h_new, steps)
-        return flows, new_state, final
+        if steps >= RESET_PERIOD:
+            h_new, steps = self.initial_state().h, 0
+        return flows, TemporalState(h_new, steps, q), final
 
     def config_dict(self) -> dict:
         return {

@@ -58,10 +58,6 @@ class RigidTransform:
         )
 
 
-def apply(t: RigidTransform, p: np.ndarray) -> np.ndarray:
-    return t.apply(p)
-
-
 def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about ``axis`` (need not be unit length)."""
     axis = np.asarray(axis, dtype=np.float64)

@@ -15,9 +15,11 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import ball_query_indices, farthest_point_sample as _fps, knn_indices
+from ._kernels import (
+    NeighbourTable, farthest_point_sample as _fps, knn_indices,
+)
 from .autodiff import Tensor
-from .errors import BadK, ConfigError, ShapeMismatch, read_exact, read_struct
+from .errors import BadK, ConfigError, ShapeMismatch, atomic_write, read_exact, read_struct
 
 CHECKPOINT_MAGIC = b"MFLW"
 CHECKPOINT_VERSION = 1
@@ -66,12 +68,6 @@ class MLP:
         return out
 
 
-def mlp_forward(params: MLP, x: Tensor, dims: list[int] | None = None) -> Tensor:
-    if dims is not None and list(dims) != params.dims:
-        raise ShapeMismatch(f"MLP dims {params.dims} != requested {list(dims)}")
-    return params(x)
-
-
 def farthest_point_sample(points: np.ndarray, k: int, start: int = 0) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -83,13 +79,26 @@ def farthest_point_sample(points: np.ndarray, k: int, start: int = 0) -> np.ndar
 
 
 def ball_query(
-    centroids: np.ndarray, points: np.ndarray, radius: float, max_samples: int
+    centroids: np.ndarray,
+    points: np.ndarray,
+    radius: float,
+    max_samples: int,
+    table: NeighbourTable | None = None,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Up to ``max_samples`` indices of ``points`` within ``radius`` of each
+    centroid, read from the centroids' ``NeighbourTable`` among ``points``.
+
+    A ``table`` already built for these points is read instead of a new one;
+    ``rows``, when given, picks the table's query rows that are the centroids.
+    """
     if radius <= 0:
         raise ConfigError(f"radius must be positive, got {radius}")
     if max_samples < 1:
         raise BadK(f"max_samples must be >= 1, got {max_samples}")
-    return ball_query_indices(centroids, points, radius, max_samples)
+    if table is None:
+        table = NeighbourTable(centroids, points)
+    return table.ball(radius, max_samples, rows)
 
 
 def set_abstraction(
@@ -98,24 +107,24 @@ def set_abstraction(
     feats: Tensor,
     radius: float,
     n_samples: int,
-    centroids: np.ndarray | None = None,
     centroid_idx: np.ndarray | None = None,
+    table: NeighbourTable | None = None,
 ) -> Tensor:
     """Ball-query neighborhoods -> shared MLP on [rel-xyz || feats] -> max-pool.
 
     Centroids default to all input points.  `centroid_idx` selects a subset of
     the input points as centroids (used with farthest point sampling).
+    `table` is the points' own NeighbourTable; it is built when not given.
     """
     points = np.asarray(points, dtype=feats.dtype)
     if len(points) != feats.shape[0]:
         raise ShapeMismatch(
             f"points ({len(points)}) and features ({feats.shape[0]}) disagree"
         )
-    if centroid_idx is not None:
-        centroids = points[centroid_idx]
-    elif centroids is None:
-        centroids = points
-    idx = ball_query(centroids, points, radius, n_samples)  # (N', k)
+    centroids = points if centroid_idx is None else points[centroid_idx]
+    if table is None:
+        table = NeighbourTable(points)
+    idx = ball_query(centroids, points, radius, n_samples, table, centroid_idx)  # (N', k)
     rel = points[idx] - centroids[:, None, :]  # (N', k, 3)
     gathered = ad.take(feats, idx)  # (N', k, C)
     local = ad.concat([Tensor(rel), gathered], axis=2)
@@ -160,7 +169,10 @@ class CostVolume:
         self.weight_mlp1 = MLP(rng, 3, [8, 8, 1], dtype=dtype)
         self.weight_mlp2 = MLP(rng, 3, [8, 8, 1], dtype=dtype)
 
-    def __call__(self, pts_p, feats_p: Tensor, pts_q, feats_q: Tensor) -> Tensor:
+    def __call__(self, pts_p, feats_p: Tensor, pts_q, feats_q: Tensor,
+                 table_p: NeighbourTable | None = None) -> Tensor:
+        """`table_p` is the source points' own NeighbourTable, built when not
+        given; stage 2 reads its self-kNN from it."""
         if feats_p.shape[-1] != feats_q.shape[-1]:
             raise ShapeMismatch("source/target feature dims differ")
         pts_p = np.asarray(pts_p, dtype=feats_p.dtype)
@@ -178,7 +190,9 @@ class CostVolume:
         patch_cost = ad.tsum(ad.mul(w1, cost), axis=1)  # (N, D)
 
         k2 = min(self.k, n)
-        idx_p = knn_indices(pts_p, pts_p, k2)  # (N, k2)
+        if table_p is None:
+            table_p = NeighbourTable(pts_p)
+        idx_p = table_p.knn(k2)  # (N, k2)
         disp2 = pts_p[idx_p] - pts_p[:, None, :]
         costs2 = ad.take(patch_cost, idx_p)  # (N, k2, D)
         w2 = ad.softmax(self.weight_mlp2(Tensor(disp2)), axis=1)
@@ -190,13 +204,6 @@ class CostVolume:
         out.update(self.weight_mlp1.named_params(f"{prefix}.weight1"))
         out.update(self.weight_mlp2.named_params(f"{prefix}.weight2"))
         return out
-
-
-def cost_volume(params: CostVolume, pts_p, feats_p, pts_q, feats_q,
-                k_neighbors: int | None = None) -> Tensor:
-    if k_neighbors is not None and k_neighbors != params.k:
-        raise ShapeMismatch(f"cost volume built with k={params.k}, asked {k_neighbors}")
-    return params(pts_p, feats_p, pts_q, feats_q)
 
 
 class GRUCell:
@@ -235,10 +242,6 @@ class GRUCell:
             f"{prefix}.w_r": self.w_r, f"{prefix}.b_r": self.b_r,
             f"{prefix}.w_h": self.w_h, f"{prefix}.b_h": self.b_h,
         }
-
-
-def gru_cell(params: GRUCell, h: Tensor, x: Tensor) -> Tensor:
-    return params(h, x)
 
 
 class LSTMCell:
@@ -280,10 +283,6 @@ class LSTMCell:
             f"{prefix}.w_o": self.w_o, f"{prefix}.b_o": self.b_o,
             f"{prefix}.w_g": self.w_g, f"{prefix}.b_g": self.b_g,
         }
-
-
-def lstm_cell(params: LSTMCell, h: Tensor, c: Tensor, x: Tensor):
-    return params(h, c, x)
 
 
 class Adam:
@@ -338,7 +337,7 @@ def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
          "params": entries},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)

@@ -12,7 +12,6 @@ test and out-of-set sequences, mirroring an annotated evaluation set.
 from __future__ import annotations
 
 import collections
-import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -30,9 +29,10 @@ from .dataio import (
     save_labels,
     save_sequence,
     split,
+    write_json,
     write_manifest,
 )
-from .errors import ConfigError
+from .errors import ConfigError, CorruptFile
 from .labeling import ground_truth_flow, label_frame_pair
 from .radar import (
     clutter_removal,
@@ -261,6 +261,16 @@ def sequence_partition(manifest_split: SplitManifest, seq_id: str,
     return manifest_split.partition_of(subject_id)
 
 
+def _load_listed(root, meta: dict) -> Sequence:
+    """The stored sequence a manifest entry lists; a frame count that differs
+    from the entry's means a frame file was cut between two records."""
+    seq = load_sequence(root, meta["id"])
+    if len(seq.frames) != meta["n_frames"]:
+        raise CorruptFile(f"sequence {meta['id']}: {len(seq.frames)} frames stored, "
+                          f"the manifest lists {meta['n_frames']}")
+    return seq
+
+
 def label_dataset(root, binary: bool = False) -> dict:
     """Label every stored sequence per its partition; writes label files and a
     summary with the valid-point ratio."""
@@ -272,7 +282,7 @@ def label_dataset(root, binary: bool = False) -> dict:
     total_valid = 0
     n_sequences = 0
     for meta in manifest["sequences"]:
-        seq = load_sequence(root, meta["id"])
+        seq = _load_listed(root, meta)
         partition = sequence_partition(split_manifest, meta["id"], meta["subject_id"])
         labels = label_sequence(seq, partition)
         save_labels(root, meta["id"], labels, binary=binary)
@@ -288,9 +298,7 @@ def label_dataset(root, binary: bool = False) -> dict:
         "n_valid": total_valid,
         "valid_ratio": (total_valid / total_points) if total_points else 0.0,
     }
-    with open(root / "label_summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(root / "label_summary.json", summary)
     return summary
 
 
@@ -304,5 +312,5 @@ def load_labeled_sequences(root, partition: str | None = None) -> list[Sequence]
         part = sequence_partition(split_manifest, meta["id"], meta["subject_id"])
         if partition is not None and part != partition:
             continue
-        out.append(load_sequence(root, meta["id"]))
+        out.append(_load_listed(root, meta))
     return out

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from helpers import check_param_grads
@@ -205,3 +208,31 @@ class TestGraph:
         y = a * b  # dy/dx = 2 * 12 * x = 48
         y.backward()
         assert x.grad == pytest.approx(48.0)
+
+    def test_first_gradient_is_a_copy(self):
+        # add hands its own gradient to both inputs unchanged; each input
+        # must own its copy, or the second accumulation would alias the first
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        s = x + y
+        (s * s).sum().backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        assert not np.shares_memory(x.grad, s.grad)
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+
+    def test_tape_freed_without_collector(self):
+        rng = np.random.default_rng(0)
+        w = leaf(rng, 4, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            hidden = ad.relu(ad.matmul(leaf(rng, 3, 4), w))
+            loss = ad.tsum(ad.softmax(ad.concat([hidden, hidden * 2.0], axis=1)))
+            interior = weakref.ref(hidden)
+            del hidden
+            loss.backward()
+            del loss
+            assert interior() is None
+            assert w.grad is not None
+        finally:
+            gc.enable()

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,29 @@ class TestLabel:
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["label", "--data", str(tmp_path / "nowhere")]) == 3
+
+    @pytest.mark.parametrize("cut", ["record", "line"])
+    def test_cut_frame_file_exits_2(self, dataset, tmp_path, capsys, cut):
+        # a cut inside a record is malformed JSON; a cut between records of
+        # an unlabelled sequence disagrees with the manifest's frame count
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        seq_dir = next(data.glob("seq_*"))
+        (seq_dir / "labels.jsonl").unlink()
+        frames = seq_dir / "frames.jsonl"
+        whole = frames.read_bytes()
+        end = whole.index(b"\n") + 1
+        frames.write_bytes(whole[: end // 2] if cut == "record" else whole[:end])
+        assert main(["label", "--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cut_manifest_exits_2(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = data / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:100])
+        assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEvalFlow:

@@ -15,6 +15,7 @@ from milliflow.dataio import (
     preprocess,
     preprocess_indices,
     read_manifest,
+    save_labels,
     save_sequence,
     split,
     write_manifest,
@@ -25,6 +26,7 @@ from milliflow.errors import (
     EmptyFrame,
     LengthMismatch,
     TooFewSubjects,
+    atomic_write,
 )
 from milliflow.labeling import FlowLabel
 from milliflow.radar import RadarFrame
@@ -340,6 +342,40 @@ class TestSerialization:
         path.write_bytes(whole)
         assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
 
+    @pytest.mark.parametrize("name", ["frames.jsonl", "labels.jsonl"])
+    def test_every_text_truncation_is_corrupt_file(self, tmp_path, name):
+        seq = toy_sequence(n_frames=3, n_points=2)
+        seq.frames[1] = dataclasses.replace(seq.frames[1], prov_bone=None)
+        path = save_sequence(tmp_path, seq) / name
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(CorruptFile):
+                load_sequence(tmp_path, seq.seq_id)
+        path.write_bytes(whole)
+        assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
+
+    def test_every_manifest_truncation_is_corrupt_file(self, tmp_path):
+        data = {"split": split([_SeqStub(s, "ArmSwing") for s in range(6)]).as_dict(),
+                "sequences": [{"id": "003_ArmSwing_01", "n_frames": 3}]}
+        path = write_manifest(tmp_path, data)
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            if whole[:cut].strip() == whole.strip():  # only the final newline cut
+                assert read_manifest(tmp_path) == data
+                continue
+            with pytest.raises(CorruptFile):
+                read_manifest(tmp_path)
+
+    def test_malformed_record_is_corrupt_file(self, tmp_path):
+        seq = toy_sequence(n_frames=2, n_points=3)
+        path = save_sequence(tmp_path, seq) / "labels.jsonl"
+        path.write_text('{"flows": [[0.0, 0.0, 0.0]]}\n')
+        with pytest.raises(CorruptFile):
+            load_sequence(tmp_path, seq.seq_id)
+
+
     def test_sequence_length_validation(self):
         with pytest.raises(LengthMismatch):
             Sequence(0, "ArmSwing", 0, [toy_frame(0)], [], [])
@@ -348,3 +384,41 @@ class TestSerialization:
         obs = [ObservedKeypoints(np.zeros((14, 3)), np.ones(14)) for _ in range(3)]
         with pytest.raises(LengthMismatch):
             Sequence(0, "ArmSwing", 0, frames, poses, obs, labels=[toy_label(5)])
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as f:
+                f.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_label_write_keeps_previous_labels(self, tmp_path, monkeypatch):
+        seq = toy_sequence(n_frames=4, n_points=5)
+        out = save_sequence(tmp_path, seq)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+
+        def failing_record(label):
+            calls.append(label)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return record(label)
+
+        record = dataio._label_record
+        monkeypatch.setattr(dataio, "_label_record", failing_record)
+        with pytest.raises(RuntimeError):
+            save_labels(tmp_path, seq.seq_id, [toy_label(5, seed=9)] * 3)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_manifest_write_keeps_previous_manifest(self, tmp_path):
+        write_manifest(tmp_path, {"a": 1})
+        before = (tmp_path / "manifest.json").read_bytes()
+        with pytest.raises(TypeError):  # json.dump fails after writing "a"
+            write_manifest(tmp_path, {"a": 2, "z": object()})
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TrainConfig
 from milliflow.dataio import Sample
 from milliflow.errors import ConfigError, EmptyFrame, LengthMismatch, NoValidPoints
+from milliflow.downstream import decorate_clip
 from milliflow.flownet import (
     FlowNet,
     clip_loss,
@@ -18,6 +22,7 @@ from milliflow.flownet import (
     flow_loss,
     infer_sequence,
     load_flow_model,
+    predict_clip,
     train_flow_model,
 )
 from milliflow.labeling import FlowLabel
@@ -469,3 +474,158 @@ class TestBaselinesAndEvaluation:
         report = evaluate_model(model, clips)
         assert set(report) >= {"epe3d", "acc3d", "n_frames"}
         assert report["n_frames"] == 4
+
+
+def copied(frame):
+    return RadarFrame(frame.points.copy(), frame.intensities.copy(),
+                      frame.frame_index, frame.timestamp)
+
+
+def chained_clip(n_samples=5, n=10, seed=0):
+    """Samples whose target equals the next sample's source as a distinct
+    object, as `pair_samples` builds them."""
+    frames = [make_frame(n, seed + t) for t in range(n_samples + 1)]
+    return [Sample(source=copied(frames[t]), target=copied(frames[t + 1]),
+                   label=make_label(n, seed + 50 + t)) for t in range(n_samples)]
+
+
+class CountingEncoder:
+    def __init__(self, encoder):
+        self.encoder, self.calls = encoder, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.encoder(*args, **kwargs)
+
+
+def without_reuse(monkeypatch):
+    """From here on `FlowNet.forward` encodes every source afresh."""
+    encoded = FlowNet._encoded
+    monkeypatch.setattr(FlowNet, "_encoded", lambda self, frame, cached=None: encoded(self, frame))
+
+
+class TestEncodingReuse:
+    """The previous target's encoding serves as the next source's: outputs
+    are bitwise those of encoding every frame afresh."""
+
+    def test_predict_clip(self, monkeypatch):
+        model = FlowNet(tiny_net(), seed=0)
+        clip = chained_clip()
+        model.local = CountingEncoder(model.local)
+        reused = predict_clip(model, clip)
+        assert model.local.calls == len(clip) + 1
+        without_reuse(monkeypatch)
+        fresh = predict_clip(model, clip)
+        assert model.local.calls == len(clip) + 1 + 2 * len(clip)
+        for a, b in zip(reused, fresh, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_infer_sequence_with_empty_frame(self, monkeypatch):
+        model = FlowNet(tiny_net(), seed=0)
+        frames = [make_frame(9, s) for s in range(9)]
+        frames[3] = make_frame(0)
+        model.local = CountingEncoder(model.local)
+        reused, _ = infer_sequence(model, frames)
+        # pairs (0,1) and (4,5) encode both frames; (1,2), (5,6), (6,7) and
+        # (7,8) reuse their source, the last one across the state reset
+        assert model.local.calls == 2 + 1 + 2 + 1 + 1 + 1
+        without_reuse(monkeypatch)
+        fresh, _ = infer_sequence(model, frames)
+        for a, b in zip(reused, fresh, strict=True):
+            assert a["placeholder"] == b["placeholder"]
+            np.testing.assert_array_equal(a["flows"], b["flows"])
+
+    @pytest.mark.parametrize("strategy", ["s1", "s2"])
+    def test_decorate_clip(self, monkeypatch, strategy):
+        model = FlowNet(tiny_net(), seed=0)
+        frames = [make_frame(8, s) for s in range(5)]
+        reused = decorate_clip(frames, strategy, model)
+        without_reuse(monkeypatch)
+        fresh = decorate_clip(frames, strategy, model)
+        for a, b in zip(reused.feats, fresh.feats, strict=True):
+            np.testing.assert_array_equal(a.data, b.data)
+        if strategy == "s2":
+            for a, b in zip(reused.pair_flows, fresh.pair_flows, strict=True):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_clip_loss_gradients(self, monkeypatch):
+        model = FlowNet(tiny_net(), seed=7, dtype=np.float64)
+        named = model.named_params()
+        jitter_params(named, np.random.default_rng(8))
+        clip = chained_clip(n_samples=3, n=8)
+
+        def grads():
+            model_grads = {}
+            for t in named.values():
+                t.zero_grad()
+            loss = clip_loss(model, clip)
+            loss.backward()
+            for name, t in named.items():
+                model_grads[name] = t.grad.copy()
+            return float(loss.data), model_grads
+
+        loss_reused, reused = grads()
+        without_reuse(monkeypatch)
+        loss_fresh, fresh = grads()
+        assert loss_reused == loss_fresh
+        scale = max(np.abs(g).max() for g in fresh.values())
+        for name in named:
+            np.testing.assert_allclose(reused[name], fresh[name], rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("field", ["points", "intensities"])
+    def test_one_ulp_difference_recomputes(self, field):
+        model = FlowNet(tiny_net(), seed=0)
+        f0, f1, f2 = (make_frame(8, s) for s in range(3))
+        _, state, _ = model.forward(f0, f1, model.initial_state())
+        nudged = copied(f1)
+        values = getattr(nudged, field).reshape(-1)
+        values[0] = np.nextafter(np.float32(values[0]), np.float32(np.inf))
+        model.local = CountingEncoder(model.local)
+        flows, _, final = model.forward(nudged, f2, state)
+        assert model.local.calls == 2
+        want, _, want_final = model.forward(nudged, f2, dataclasses.replace(state, target=None))
+        np.testing.assert_array_equal(flows.data, want.data)
+        np.testing.assert_array_equal(final.data, want_final.data)
+
+    def test_grad_mode_change_recomputes(self):
+        model = FlowNet(tiny_net(), seed=0)
+        f0, f1, f2 = (make_frame(8, s) for s in range(3))
+        with ad.no_grad():
+            _, state, _ = model.forward(f0, f1, model.initial_state())
+        model.local = CountingEncoder(model.local)
+        model.forward(f1, f2, state)
+        assert model.local.calls == 2
+
+    def test_entry_survives_reset(self):
+        model = FlowNet(tiny_net(), seed=0)
+        clip = chained_clip(n_samples=6, n=8)
+        state = model.initial_state()
+        for sample in clip[:5]:
+            _, state, _ = model.forward(sample.source, sample.target, state)
+        assert state.steps_since_reset == 0
+        assert state.target is not None
+        model.local = CountingEncoder(model.local)
+        model.forward(clip[5].source, clip[5].target, state)
+        assert model.local.calls == 1
+
+
+class TestTapeLifetime:
+    def test_clip_tape_freed_without_collector(self):
+        model = FlowNet(tiny_net(), seed=0)
+        clip = chained_clip(n_samples=3, n=8)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = clip_loss(model, clip)
+            node = loss
+            for _ in range(15):  # deep inside the last pair's forward
+                node = node._parents[0]
+            interior = weakref.ref(node)
+            del node
+            loss.backward()
+            assert interior() is not None
+            del loss
+            assert interior() is None
+        finally:
+            gc.enable()

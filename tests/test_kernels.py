@@ -47,7 +47,6 @@ class TestBallQuery:
         got_np = k.ball_query_np(q, r, radius, ms)
         got_loop = k._ball_query_loop(q, r, radius, ms)
         np.testing.assert_array_equal(got_np, got_loop)
-        np.testing.assert_array_equal(k.ball_query_indices(q, r, radius, ms), got_np)
         for i, c in enumerate(q):
             d = [(float(np.sum((c - p) ** 2)), j) for j, p in enumerate(r)]
             d.sort()
@@ -62,13 +61,61 @@ class TestBallQuery:
 
     def test_empty_ball_falls_back_to_nearest(self):
         pts = np.array([[10.0, 0, 0], [20.0, 0, 0]])
-        got = k.ball_query_indices(np.zeros((1, 3)), pts, 0.5, 4)
+        got = k.ball_query_np(np.zeros((1, 3)), pts, 0.5, 4)
         np.testing.assert_array_equal(got, [[0, 0, 0, 0]])
 
     def test_padding_repeats_nearest_hit(self):
         pts = np.array([[0.3, 0, 0], [0.1, 0, 0], [9.0, 0, 0]])
-        got = k.ball_query_indices(np.zeros((1, 3)), pts, 0.5, 5)
+        got = k.ball_query_np(np.zeros((1, 3)), pts, 0.5, 5)
         np.testing.assert_array_equal(got, [[1, 0, 1, 1, 1]])
+
+
+def tied_clouds():
+    """Clouds whose squared distances tie exactly: integer grid points, and
+    points mirrored about the origin in x (the polar radar grid makes such
+    mirror pairs common), each with its own float32 rounding."""
+    grid = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3), axis=-1).reshape(-1, 3)
+    rng = np.random.default_rng(7)
+    half = rng.uniform(0.05, 0.4, (20, 3)).astype(np.float32).astype(np.float64)
+    # points on the mirror plane x = 0 see each mirrored pair at one distance
+    mirror = np.concatenate([half, half * [-1.0, 1.0, 1.0], half[:6] * [0.0, 1.0, 1.0]])
+    return {"grid": grid, "mirror": mirror[rng.permutation(len(mirror))]}
+
+
+class TestNeighbourTable:
+    """`NeighbourTable.ball` and `.knn` against the explicit-loop oracles."""
+
+    @pytest.mark.parametrize("name", ["grid", "mirror", "normal"])
+    def test_ball_matches_loop(self, name, clouds):
+        pts = clouds[0] if name == "normal" else tied_clouds()[name]
+        table = k.NeighbourTable(pts)
+        rows = np.array([len(pts) - 1, 0, 3, 3, 1])
+        for radius in (1e-3, 0.1, 0.3, 1.0, 1.5, 2.0, 10.0):
+            for ms in (1, 2, 5, 16, len(pts), len(pts) + 7):
+                want = k._ball_query_loop(pts, pts, radius, ms)
+                np.testing.assert_array_equal(table.ball(radius, ms), want)
+                np.testing.assert_array_equal(table.ball(radius, ms, rows=rows), want[rows])
+
+    def test_no_hit_falls_back_to_nearest(self):
+        pts = np.array([[10.0, 0, 0], [20.0, 0, 0], [0.0, 30.0, 0]])
+        table = k.NeighbourTable(np.zeros((1, 3)), pts)
+        np.testing.assert_array_equal(table.ball(0.5, 4), [[0, 0, 0, 0]])
+
+    def test_query_against_other_cloud(self, clouds):
+        q, r = clouds
+        table = k.NeighbourTable(q, r)
+        np.testing.assert_array_equal(table.ball(0.8, 6), k._ball_query_loop(q, r, 0.8, 6))
+        np.testing.assert_array_equal(table.knn(5), k._knn_indices_loop(q, r, 5))
+
+    @pytest.mark.parametrize("name", ["grid", "mirror", "normal"])
+    def test_knn_matches_loop(self, name, clouds):
+        pts = clouds[0] if name == "normal" else tied_clouds()[name]
+        table = k.NeighbourTable(pts)
+        for kk in (1, 2, 8, len(pts)):
+            got = table.knn(kk)
+            np.testing.assert_array_equal(got, k._knn_indices_loop(pts, pts, kk))
+            np.testing.assert_array_equal(got, k.knn_indices_np(pts, pts, kk))
+            assert got.dtype == np.int64 and got.flags.c_contiguous
 
 
 class TestFps:

@@ -4,6 +4,7 @@ from helpers import check_param_grads, jitter_params
 
 from milliflow import autodiff as ad
 from milliflow import layers as L
+from milliflow._kernels import NeighbourTable
 from milliflow.autodiff import Tensor
 from milliflow.errors import BadK, ConfigError, CorruptFile, ShapeMismatch
 
@@ -50,13 +51,6 @@ class TestMLP:
     def test_empty_dims_rejected(self):
         with pytest.raises(ConfigError):
             L.MLP(np.random.default_rng(0), 4, [])
-
-    def test_mlp_forward_validates_dims(self):
-        mlp = L.MLP(np.random.default_rng(0), 4, [2, 2])
-        x = Tensor(np.zeros((1, 4)))
-        assert L.mlp_forward(mlp, x, dims=[2, 2]).shape == (1, 2)
-        with pytest.raises(ShapeMismatch):
-            L.mlp_forward(mlp, x, dims=[2, 3])
 
     def test_named_params_layout(self):
         mlp = L.MLP(np.random.default_rng(0), 4, [2, 3])
@@ -106,6 +100,14 @@ class TestSampling:
         assert idx.shape == (5, 6)
         assert idx.min() >= 0 and idx.max() < 20
 
+    def test_ball_query_reads_given_table(self):
+        rng = np.random.default_rng(2)
+        pts = rng.normal(size=(20, 3))
+        rows = np.array([4, 0, 17])
+        want = L.ball_query(pts[rows], pts, 0.8, 6)
+        table = NeighbourTable(pts)
+        np.testing.assert_array_equal(L.ball_query(pts[rows], pts, 0.8, 6, table, rows), want)
+
 
 class TestSetAbstraction:
     def make(self, rng, feat_dim=4, out_dims=(8, 5)):
@@ -136,6 +138,20 @@ class TestSetAbstraction:
         cidx = L.farthest_point_sample(pts, 4)
         out = L.set_abstraction(mlp, pts, feats, 0.9, 5, centroid_idx=cidx)
         assert out.shape == (4, 5)
+
+    def test_shared_table_same_output(self):
+        rng = np.random.default_rng(5)
+        mlp = self.make(rng)
+        pts = np.round(rng.normal(size=(12, 3)), 1)  # rounded: ties in distance
+        feats = Tensor(rng.normal(size=(12, 4)))
+        table = NeighbourTable(pts)
+        cidx = L.farthest_point_sample(pts, 5)
+        for radius, ms in ((0.3, 2), (0.8, 4), (2.0, 20)):
+            for rows in (None, cidx):
+                np.testing.assert_array_equal(
+                    L.set_abstraction(mlp, pts, feats, radius, ms, centroid_idx=rows,
+                                      table=table).data,
+                    L.set_abstraction(mlp, pts, feats, radius, ms, centroid_idx=rows).data)
 
     def test_points_feats_disagree(self):
         mlp = self.make(np.random.default_rng(0))
@@ -254,19 +270,25 @@ class TestCostVolume:
         out = cv(p, Tensor(rng.normal(size=(5, 4))), q, Tensor(rng.normal(size=(2, 4))))
         assert out.shape == (5, 6)
 
+    def test_shared_table_same_output(self):
+        rng = np.random.default_rng(6)
+        cv = self.make(rng, k=4)
+        p, q = np.round(rng.normal(size=(9, 3)), 1), rng.normal(size=(7, 3))
+        fp, fq = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(7, 4)))
+        np.testing.assert_array_equal(cv(p, fp, q, fq, table_p=NeighbourTable(p)).data,
+                                      cv(p, fp, q, fq).data)
+
     def test_feature_dim_mismatch(self):
         cv = self.make(np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             cv(np.zeros((2, 3)), Tensor(np.zeros((2, 4))),
                np.zeros((2, 3)), Tensor(np.zeros((2, 5))))
 
-    def test_wrapper_k_check(self):
+    def test_k_above_cloud_size(self):
         cv = self.make(np.random.default_rng(0), k=3)
-        args = (np.zeros((1, 3)), Tensor(np.zeros((1, 4))),
-                np.zeros((1, 3)), Tensor(np.zeros((1, 4))))
-        assert L.cost_volume(cv, *args).shape == (1, 6)
-        with pytest.raises(ShapeMismatch):
-            L.cost_volume(cv, *args, k_neighbors=5)
+        out = cv(np.zeros((1, 3)), Tensor(np.zeros((1, 4))),
+                 np.zeros((1, 3)), Tensor(np.zeros((1, 4))))
+        assert out.shape == (1, 6)
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
@@ -381,18 +403,6 @@ class TestRecurrentCells:
         with pytest.raises(ShapeMismatch):
             lstm(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))),
                  Tensor(np.zeros((1, 9))))
-
-    def test_module_function_wrappers(self):
-        rng = np.random.default_rng(5)
-        gru = L.GRUCell(rng, hidden=2, input_dim=2)
-        h, x = Tensor(np.zeros((1, 2))), Tensor(np.ones((1, 2)))
-        np.testing.assert_array_equal(L.gru_cell(gru, h, x).data, gru(h, x).data)
-        lstm = L.LSTMCell(rng, hidden=2, input_dim=2)
-        c = Tensor(np.zeros((1, 2)))
-        got = L.lstm_cell(lstm, h, c, x)
-        want = lstm(h, c, x)
-        np.testing.assert_array_equal(got[0].data, want[0].data)
-        np.testing.assert_array_equal(got[1].data, want[1].data)
 
 
 class TestAdam:

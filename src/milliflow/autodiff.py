@@ -381,6 +381,14 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     return mul(tsum(a, axis, keepdims), 1.0 / count)
 
 
+def mean_of(terms) -> Tensor:
+    """Mean of a non-empty list of tensors, summed left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = add(total, term)
+    return mul(total, 1.0 / len(terms))
+
+
 def tmax(a, axis=None, keepdims=False) -> Tensor:
     """Max reduction; exact ties share the gradient equally."""
     a = _as_tensor(a)

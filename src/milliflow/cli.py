@@ -3,9 +3,10 @@ and tracking pipelines.  One JSON config governs every stage; flags override
 file values, and the config is echoed into every output manifest so a run can
 be reproduced from its artifacts alone.
 
-Exit codes: 0 success, 2 bad flags or configuration or a truncated
-checkpoint or dataset file, 3 I/O failure, 4 missing checkpoint file,
-5 checkpoint does not match the requested task/strategy.
+Exit codes: 0 success, 2 bad flags or configuration, a truncated or
+malformed checkpoint or dataset file, or a non-finite training loss, 3 I/O
+failure, 4 missing checkpoint file, 5 checkpoint does not match the requested
+task/strategy.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from .downstream import (
     task_clips,
     train_task_model,
 )
-from .errors import (
-    ConfigError,
-    MilliflowError,
-    MissingCheckpoint,
-    MissingFlowModel,
-    TaskMismatch,
-)
+from .errors import ConfigError, MilliflowError, MissingCheckpoint, MissingFlowModel, TaskMismatch
 from .flownet import (
     evaluate_baseline,
     evaluate_model,
@@ -50,6 +45,16 @@ from .pipeline import generate_dataset, label_dataset, load_labeled_sequences
 log = logging.getLogger(__name__)
 
 TASKS = ("flow", "har", "hp")
+
+# the first entry that matches an error gives the exit code, so a subclass
+# comes before its base class
+EXIT_CODES = (
+    (MissingCheckpoint, 4),
+    (TaskMismatch, 5),
+    (ConfigError, 2),
+    (OSError, 3),
+    (MilliflowError, 2),
+)
 
 
 # ----------------------------------------------------------------------
@@ -342,24 +347,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MissingCheckpoint as e:
+    except (MilliflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 4
-    except TaskMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except MissingFlowModel as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except MilliflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(e, kind))
 
 
 if __name__ == "__main__":

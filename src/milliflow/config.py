@@ -140,15 +140,17 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _coerce_tuples(cls, d: dict) -> dict:
-    out = dict(d)
-    for f in dataclasses.fields(cls):
-        if f.name in out and isinstance(out[f.name], list):
-            out[f.name] = tuple(out[f.name])
-    unknown = set(out) - {f.name for f in dataclasses.fields(cls)}
+def from_dict(cls, d: dict):
+    """A config dataclass from its JSON form: lists become tuples, and a
+    section that is not an object or names an unknown field raises
+    ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} section must be an object")
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(d) - fields
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return out
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def run_config_from_dict(d: dict) -> RunConfig:
@@ -159,13 +161,13 @@ def run_config_from_dict(d: dict) -> RunConfig:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     radar_d = dict(d.get("radar", {}))
     if "cfar" in radar_d:
-        radar_d["cfar"] = CfarParams(**_coerce_tuples(CfarParams, radar_d["cfar"]))
+        radar_d["cfar"] = from_dict(CfarParams, radar_d["cfar"])
     return RunConfig(
-        radar=RadarConfig(**_coerce_tuples(RadarConfig, radar_d)),
-        gen=GenConfig(**_coerce_tuples(GenConfig, d.get("gen", {}))),
-        net=NetConfig(**_coerce_tuples(NetConfig, d.get("net", {}))),
-        train=TrainConfig(**_coerce_tuples(TrainConfig, d.get("train", {}))),
-        task=TaskConfig(**_coerce_tuples(TaskConfig, d.get("task", {}))),
+        radar=from_dict(RadarConfig, radar_d),
+        gen=from_dict(GenConfig, d.get("gen", {})),
+        net=from_dict(NetConfig, d.get("net", {})),
+        train=from_dict(TrainConfig, d.get("train", {})),
+        task=from_dict(TaskConfig, d.get("task", {})),
         seed=int(d.get("seed", 0)),
         explicit_split=d.get("explicit_split"),
     )

@@ -456,16 +456,36 @@ def write_manifest(root, data: dict) -> Path:
     return write_json(Path(root) / "manifest.json", data)
 
 
+# the keys of a manifest's split and of each of its sequence entries
+SPLIT_KEYS = tuple(f.name for f in dataclasses.fields(SplitManifest))
+SEQUENCE_KEYS = ("id", "subject_id", "n_frames")
+
+
 def read_manifest(root) -> dict:
+    """The dataset manifest: a config object, a split and a list of sequence
+    entries.  A file that is not whole JSON, or lacks one of those or one of
+    their keys, raises CorruptFile."""
     path = Path(root) / "manifest.json"
     if not path.exists():
         raise ConfigError(f"missing manifest: {path}")
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return json.loads(data)
+        manifest = json.loads(data)
     except ValueError as e:
         raise CorruptFile(f"{path}: not a whole JSON document: {e}") from e
+    if (_lacks(manifest, ("config", "split", "sequences"))
+            or not isinstance(manifest["config"], dict)
+            or _lacks(manifest["split"], SPLIT_KEYS)
+            or not isinstance(manifest["sequences"], list)
+            or any(_lacks(entry, SEQUENCE_KEYS) for entry in manifest["sequences"])):
+        raise CorruptFile(f"{path}: not a dataset manifest: it needs a config object, "
+                          f"a split with {SPLIT_KEYS} and sequences with {SEQUENCE_KEYS}")
+    return manifest
+
+
+def _lacks(obj, keys) -> bool:
+    return not isinstance(obj, dict) or any(k not in obj for k in keys)
 
 
 def list_sequences(root) -> list[str]:

@@ -11,16 +11,14 @@ networks jointly on a summed loss.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from ._kernels import NeighbourTable, point_segment_distances
 from .autodiff import Tensor
-from .config import NetConfig, TaskConfig, TrainConfig, _coerce_tuples
+from .config import TaskConfig, TrainConfig, from_dict
 from .dataio import _frame_seed, preprocess_indices
 from .errors import (
     ConfigError,
@@ -32,19 +30,21 @@ from .errors import (
     NoValidPoints,
     TaskMismatch,
 )
-from .flownet import CloudEncoder, FlowNet, broadcast_rows, flow_loss, infer_sequence
+from .flownet import (
+    CloudEncoder, FlowNet, broadcast_rows, fit, flow_model_from_config, infer_sequence,
+    mean_flow_loss,
+)
 from .geometry import kabsch
 from .labeling import ASSIGNMENT_RADIUS, N_SEGMENTS
 from .layers import (
     MLP,
-    Adam,
     GRUCell,
     LSTMCell,
     assign_params,
+    checkpoint_config,
     farthest_point_sample,
     global_pool,
     load_checkpoint,
-    save_checkpoint,
     set_abstraction,
 )
 from .metrics import mean_iou, mean_joint_error, overall_accuracy
@@ -351,30 +351,19 @@ def balanced_cross_entropy(scores: Tensor, labels, valid) -> Tensor:
     for c in np.unique(labels[valid]):
         idx = np.flatnonzero(valid & (labels == c))
         terms.append(cross_entropy(ad.take(scores, idx), np.full(len(idx), c)))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.mul(total, 1.0 / len(terms))
+    return ad.mean_of(terms)
 
 
-def _joint_flow_loss(decorated: DecoratedClip, clip: TaskClip, flow_cfg):
-    """Mean flow loss over the window's usable pairs (s2 joint training)."""
-    terms = []
-    for flows, label in zip(decorated.pair_flows, clip.labels):
-        if flows is None or label is None:
-            continue
-        try:
-            terms.append(flow_loss(flows, label, zeta=flow_cfg.loss_zeta,
-                                   alpha_large=flow_cfg.alpha_large,
-                                   alpha_small=flow_cfg.alpha_small))
-        except NoValidPoints:
-            continue
-    if not terms:
-        return None
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.mul(total, 1.0 / len(terms))
+def _with_joint_flow_loss(loss: Tensor, decorated: DecoratedClip, clip: TaskClip,
+                          flow_model: FlowNet | None) -> Tensor:
+    """s2 adds the mean flow loss of the window's usable pairs to the task
+    loss (equal weighting); other strategies keep the task loss."""
+    if decorated.pair_flows is None:
+        return loss
+    pairs = [(flows, label) for flows, label in zip(decorated.pair_flows, clip.labels)
+             if flows is not None and label is not None]
+    flow_term = mean_flow_loss(pairs, flow_model.cfg)
+    return loss if flow_term is None else ad.add(loss, flow_term)
 
 
 def har_clip_loss(model: HarNet, clip: TaskClip, decorated: DecoratedClip,
@@ -385,12 +374,8 @@ def har_clip_loss(model: HarNet, clip: TaskClip, decorated: DecoratedClip,
         scores = model.forward(clip.frames, decorated.feats)
     except EmptyFrame:
         return None
-    loss = cross_entropy(scores, clip.activity)
-    if decorated.pair_flows is not None:
-        flow_term = _joint_flow_loss(decorated, clip, flow_model.cfg)
-        if flow_term is not None:
-            loss = ad.add(loss, flow_term)
-    return loss
+    return _with_joint_flow_loss(cross_entropy(scores, clip.activity), decorated,
+                                 clip, flow_model)
 
 
 def hp_clip_loss(model: HpNet, clip: TaskClip, decorated: DecoratedClip,
@@ -411,12 +396,8 @@ def hp_clip_loss(model: HpNet, clip: TaskClip, decorated: DecoratedClip,
     valid = np.concatenate(valid_rows)
     if not valid.any():
         return None
-    loss = balanced_cross_entropy(stacked, labels, valid)
-    if decorated.pair_flows is not None:
-        flow_term = _joint_flow_loss(decorated, clip, flow_model.cfg)
-        if flow_term is not None:
-            loss = ad.add(loss, flow_term)
-    return loss
+    return _with_joint_flow_loss(balanced_cross_entropy(stacked, labels, valid),
+                                 decorated, clip, flow_model)
 
 
 # ----------------------------------------------------------------------
@@ -424,9 +405,14 @@ def hp_clip_loss(model: HpNet, clip: TaskClip, decorated: DecoratedClip,
 
 
 def _decoration_lookup(decorations, clip, strategy, flow_model, dtype):
-    if decorations is not None and id(clip) in decorations:
-        return decorations[id(clip)]
-    return decorate_clip(clip.frames, strategy, flow_model, dtype=dtype)
+    """`decorate_clip` on the clip's frames; `decorations`, when given, is a
+    cache keyed by id(clip) that is read and filled."""
+    if decorations is None:
+        return decorate_clip(clip.frames, strategy, flow_model, dtype=dtype)
+    if id(clip) not in decorations:
+        decorations[id(clip)] = decorate_clip(clip.frames, strategy, flow_model,
+                                              dtype=dtype)
+    return decorations[id(clip)]
 
 
 def predict_har(model: HarNet, clips, strategy: str,
@@ -519,132 +505,50 @@ def _make_task_model(task: str, task_cfg: TaskConfig, in_features: int,
     raise ConfigError(f"unknown task {task!r}")
 
 
-def _task_checkpoint_config(model, strategy: str,
-                            flow_model: FlowNet | None) -> dict:
-    config = model.config_dict()
-    config["strategy"] = strategy
-    if strategy == "s2":
-        # the co-trained flow model ships inside the same checkpoint
-        config["flow"] = flow_model.config_dict()
-    return config
-
-
 def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
                      train_cfg: TrainConfig, strategy: str, checkpoint_path,
                      flow_model: FlowNet | None = None, n_classes: int | None = None,
                      log_path=None):
-    """Shared trainer for both classification tasks.
+    """`fit` for both classification tasks, keeping the model with the best
+    validation accuracy.
 
-    raw/s1 train the task network alone (s1 decorations are precomputed from
-    the frozen flow model); s2 optimizes the task and flow parameters jointly
-    on the summed loss.  Checkpoints keep the best validation accuracy.
+    raw/s1 train the task network alone (s1 decorations come from the frozen
+    flow model, so each clip's are computed once); s2 optimizes the task and
+    flow parameters jointly on the summed loss.
     """
     if task not in ("har", "hp"):
         raise ConfigError(f"unknown task {task!r}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    train_clips, val_clips = list(train_clips), list(val_clips)
-    if not train_clips:
-        raise ConfigError("no training clips")
-    if not val_clips:
-        raise ConfigError("no validation clips")
     if strategy != "raw" and flow_model is None:
         raise MissingFlowModel(f"strategy {strategy!r} needs a flow model")
-    checkpoint_path = Path(checkpoint_path)
-    dtype = np.float32 if train_cfg.dtype == "float32" else np.float64
+    dtype = np.dtype(train_cfg.dtype)
     if n_classes is None:
         n_classes = len(IN_SET_ACTIVITIES) if task == "har" else N_SEGMENTS
-    in_features = strategy_feature_dim(strategy, flow_model)
-    model = _make_task_model(task, task_cfg, in_features, n_classes,
-                             train_cfg.seed, dtype)
-    clip_loss_fn = har_clip_loss if task == "har" else hp_clip_loss
-
+    model = _make_task_model(task, task_cfg, strategy_feature_dim(strategy, flow_model),
+                             n_classes, train_cfg.seed, dtype)
     named = model.named_params()
+    config = dict(model.config_dict(), strategy=strategy)
     if strategy == "s2":
+        # the co-trained flow model ships inside the same checkpoint
         named.update({f"flow.{k}": t for k, t in flow_model.named_params().items()})
-    opt = Adam(named, lr=train_cfg.lr)
-    rng = np.random.default_rng(train_cfg.seed)
-    if train_cfg.max_val_clips is not None and len(val_clips) > train_cfg.max_val_clips:
-        pick = rng.permutation(len(val_clips))[: train_cfg.max_val_clips]
-        val_clips = [val_clips[i] for i in pick]
+        config["flow"] = flow_model.config_dict()
+    cache = None if strategy == "s2" else {}  # by id(clip), filled as clips come
+    clip_loss_fn = har_clip_loss if task == "har" else hp_clip_loss
+    evaluate = evaluate_har if task == "har" else evaluate_hp
 
-    cache = None
-    if strategy in ("raw", "s1"):  # decorations are constant, compute once
-        cache = {id(c): decorate_clip(c.frames, strategy, flow_model, dtype)
-                 for c in train_clips + val_clips}
+    def loss(clip):
+        decorated = _decoration_lookup(cache, clip, strategy, flow_model, dtype)
+        return clip_loss_fn(model, clip, decorated, flow_model)
 
-    def decorated(clip):
-        if cache is not None:
-            return cache[id(clip)]
-        return decorate_clip(clip.frames, strategy, flow_model, dtype)
-
-    def val_accuracy():
-        evaluate = evaluate_har if task == "har" else evaluate_hp
+    def val_accuracy(clips):
         try:
-            return evaluate(model, val_clips, strategy, flow_model,
-                            decorations=cache)["oa"]
+            return evaluate(model, clips, strategy, flow_model, decorations=cache)["oa"]
         except EmptyInput:
             return float("nan")
 
-    log_f = open(log_path, "w") if log_path is not None else None
-    history = []
-    best = -np.inf
-    saved = False
-    since_best = 0
-    try:
-        for epoch in range(train_cfg.epochs):
-            opt.lr = train_cfg.lr * train_cfg.lr_decay ** epoch
-            order = rng.permutation(len(train_clips))
-            if train_cfg.max_clips_per_epoch is not None:
-                order = order[: train_cfg.max_clips_per_epoch]
-            epoch_losses = []
-            for start in range(0, len(order), train_cfg.batch_clips):
-                batch = order[start: start + train_cfg.batch_clips]
-                opt.zero_grad()
-                contributed = 0
-                for ci in batch:
-                    clip = train_clips[ci]
-                    loss = clip_loss_fn(model, clip, decorated(clip), flow_model)
-                    if loss is None:
-                        continue
-                    loss.backward()
-                    epoch_losses.append(float(loss.data))
-                    contributed += 1
-                if contributed == 0:
-                    continue
-                if contributed > 1:
-                    for t in named.values():
-                        if t.grad is not None:
-                            t.grad /= contributed
-                opt.step()
-            val_oa = val_accuracy()
-            row = {
-                "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-                "val_oa": val_oa,
-                "lr": opt.lr,
-            }
-            history.append(row)
-            if log_f is not None:
-                log_f.write(json.dumps(row) + "\n")
-                log_f.flush()
-            if (not np.isnan(val_oa) and val_oa > best) or not saved:
-                best = val_oa if not np.isnan(val_oa) else best
-                save_checkpoint(checkpoint_path, named,
-                                config=_task_checkpoint_config(model, strategy,
-                                                               flow_model))
-                saved = True
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= train_cfg.patience:
-                    break
-    finally:
-        if log_f is not None:
-            log_f.close()
-
-    values, _ = load_checkpoint(checkpoint_path)
-    assign_params(named, values)
+    history = fit(named, train_clips, val_clips, loss, val_accuracy, train_cfg,
+                  checkpoint_path, config, "val_oa", maximize=True, log_path=log_path)
     return model, history
 
 
@@ -664,16 +568,15 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
     if strategy is not None and stored != strategy:
         raise TaskMismatch(
             f"checkpoint was trained with strategy {stored!r}, not {strategy!r}")
-    task_cfg = TaskConfig(**_coerce_tuples(TaskConfig, config["task"]))
-    dtype = np.dtype(config.get("dtype", "float32"))
-    model = _make_task_model(kind, task_cfg, config["in_features"],
-                             config["n_classes"], 0, dtype)
+    with checkpoint_config(path):
+        task_cfg = from_dict(TaskConfig, config["task"])
+        dtype = np.dtype(config.get("dtype", "float32"))
+        in_features, n_classes = int(config["in_features"]), int(config["n_classes"])
+    model = _make_task_model(kind, task_cfg, in_features, n_classes, 0, dtype)
     named = model.named_params()
     flow_model = None
     if stored == "s2":
-        flow_cfg = config["flow"]
-        flow_model = FlowNet(NetConfig(**_coerce_tuples(NetConfig, flow_cfg["net"])),
-                             seed=0, dtype=np.dtype(flow_cfg["dtype"]))
+        flow_model = flow_model_from_config(config.get("flow"), path)
         named.update({f"flow.{k}": t for k, t in flow_model.named_params().items()})
     assign_params(named, values)
     return model, stored, flow_model

@@ -76,6 +76,10 @@ class CorruptFile(MilliflowError):
     """A stored file is truncated or does not follow its format."""
 
 
+class NonFiniteLoss(MilliflowError):
+    """A training loss is NaN or infinite."""
+
+
 def read_exact(f, n: int) -> bytes:
     """Read exactly ``n`` bytes from the binary file ``f`` or raise CorruptFile."""
     offset = f.tell()

@@ -18,19 +18,19 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
-from .config import NetConfig, TrainConfig, _coerce_tuples
+from .config import NetConfig, TrainConfig, from_dict
 from .errors import (
     ConfigError,
     EmptyFrame,
     EmptyMask,
     LengthMismatch,
+    NonFiniteLoss,
     NoValidPoints,
     TaskMismatch,
 )
@@ -40,6 +40,7 @@ from .layers import (
     CostVolume,
     GRUCell,
     assign_params,
+    checkpoint_config,
     global_pool,
     load_checkpoint,
     save_checkpoint,
@@ -236,30 +237,32 @@ def flow_loss(flows: Tensor, label, zeta: float = 0.1,
     return loss
 
 
-def _loss_from_cfg(flows, label, cfg: NetConfig):
-    return flow_loss(flows, label, zeta=cfg.loss_zeta,
-                     alpha_large=cfg.alpha_large, alpha_small=cfg.alpha_small)
+def mean_flow_loss(pairs, cfg: NetConfig) -> Tensor | None:
+    """Mean of the configured flow loss over (flows, label) pairs; pairs
+    without a valid label are skipped, and None is returned when none is
+    left."""
+    losses = []
+    for flows, label in pairs:
+        try:
+            losses.append(flow_loss(flows, label, zeta=cfg.loss_zeta,
+                                    alpha_large=cfg.alpha_large,
+                                    alpha_small=cfg.alpha_small))
+        except NoValidPoints:
+            continue
+    return ad.mean_of(losses) if losses else None
 
 
 def clip_loss(model: FlowNet, clip) -> Tensor | None:
     """Mean loss over a clip's usable samples; None when none are usable."""
     state = model.initial_state()
-    losses = []
+    pairs = []
     for sample in clip:
         try:
             flows, state, _ = model.forward(sample.source, sample.target, state)
         except EmptyFrame:
             continue
-        try:
-            losses.append(_loss_from_cfg(flows, sample.label, model.cfg))
-        except NoValidPoints:
-            continue
-    if not losses:
-        return None
-    total = losses[0]
-    for term in losses[1:]:
-        total = ad.add(total, term)
-    return ad.mul(total, 1.0 / len(losses))
+        pairs.append((flows, sample.label))
+    return mean_flow_loss(pairs, model.cfg)
 
 
 def predict_clip(model: FlowNet, clip) -> list[np.ndarray | None]:
@@ -318,30 +321,41 @@ def evaluate_baseline(clips, kind: str) -> dict:
     return _collect_metrics(flows, clips)
 
 
-def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
-                     train_cfg: TrainConfig, checkpoint_path,
-                     log_path=None) -> tuple[FlowNet, list[dict]]:
-    """Adam training with per-epoch lr decay, best-on-validation checkpointing
-    and early stopping; returns the best model and the per-epoch history."""
+def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
+        train_cfg: TrainConfig, checkpoint_path, config: dict, score_name: str,
+        maximize: bool = False, log_path=None) -> list[dict]:
+    """The training loop both trainers share.
+
+    Each epoch runs Adam, its learning rate decayed per epoch, over the
+    training clips in a seeded shuffle, `batch_clips` clips per step, with
+    the gradient averaged over the clips that gave a loss.  `loss_fn(clip)`
+    returns a scalar loss Tensor, or None when the clip has nothing to learn
+    from.  Then `validate(clips)` scores the validation clips (a seeded
+    subset of at most `max_val_clips`, drawn before the first shuffle); the
+    parameters are checkpointed with `config` whenever the score improves,
+    and training stops after `patience` epochs without improvement.  Each
+    epoch's row {epoch, train_loss, `score_name`, lr} is appended to the
+    history and to the JSONL log at `log_path`.  A NaN or infinite loss
+    raises NonFiniteLoss before it reaches the parameters.  Returns the
+    history, with the best checkpoint's values loaded into `named`.
+    """
+    train_clips, val_clips = list(train_clips), list(val_clips)
     if not train_clips:
         raise ConfigError("no training clips")
     if not val_clips:
         raise ConfigError("no validation clips")
-    checkpoint_path = Path(checkpoint_path)
-    dtype = np.float32 if train_cfg.dtype == "float32" else np.float64
-    model = FlowNet(net_cfg, seed=train_cfg.seed, dtype=dtype)
-    named = model.named_params()
     opt = Adam(named, lr=train_cfg.lr)
     rng = np.random.default_rng(train_cfg.seed)
     if train_cfg.max_val_clips is not None and len(val_clips) > train_cfg.max_val_clips:
         pick = rng.permutation(len(val_clips))[: train_cfg.max_val_clips]
         val_clips = [val_clips[i] for i in pick]
 
-    log_f = open(log_path, "w") if log_path is not None else None
-    history = []
-    best = np.inf
+    sign = 1.0 if maximize else -1.0
+    best = -np.inf  # of sign * score
     saved = False
     since_best = 0
+    history = []
+    log_f = open(log_path, "w") if log_path is not None else None
     try:
         for epoch in range(train_cfg.epochs):
             opt.lr = train_cfg.lr * train_cfg.lr_decay ** epoch
@@ -350,13 +364,15 @@ def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
                 order = order[: train_cfg.max_clips_per_epoch]
             epoch_losses = []
             for start in range(0, len(order), train_cfg.batch_clips):
-                batch = order[start: start + train_cfg.batch_clips]
                 opt.zero_grad()
                 contributed = 0
-                for ci in batch:
-                    loss = clip_loss(model, train_clips[ci])
+                for ci in order[start: start + train_cfg.batch_clips]:
+                    loss = loss_fn(train_clips[ci])
                     if loss is None:
                         continue
+                    if not np.isfinite(loss.data):
+                        raise NonFiniteLoss(
+                            f"epoch {epoch}, training clip {ci}: loss is {float(loss.data)}")
                     loss.backward()
                     epoch_losses.append(float(loss.data))
                     contributed += 1
@@ -367,20 +383,20 @@ def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
                         if t.grad is not None:
                             t.grad /= contributed
                 opt.step()
-            val_epe = evaluate_model(model, val_clips)["epe3d"]["all"]
+            score = validate(val_clips)
             row = {
                 "epoch": epoch,
                 "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-                "val_epe3d": val_epe,
+                score_name: score,
                 "lr": opt.lr,
             }
             history.append(row)
             if log_f is not None:
                 log_f.write(json.dumps(row) + "\n")
                 log_f.flush()
-            if (not np.isnan(val_epe) and val_epe < best) or not saved:
-                best = val_epe if not np.isnan(val_epe) else best
-                save_checkpoint(checkpoint_path, named, config=model.config_dict())
+            if (not np.isnan(score) and sign * score > best) or not saved:
+                best = sign * score if not np.isnan(score) else best
+                save_checkpoint(checkpoint_path, named, config=config)
                 saved = True
                 since_best = 0
             else:
@@ -393,15 +409,37 @@ def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
 
     values, _ = load_checkpoint(checkpoint_path)
     assign_params(named, values)
+    return history
+
+
+def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
+                     train_cfg: TrainConfig, checkpoint_path,
+                     log_path=None) -> tuple[FlowNet, list[dict]]:
+    """`fit` on the flow loss, keeping the model with the lowest validation
+    EPE3D; returns the best model and the per-epoch history."""
+    model = FlowNet(net_cfg, seed=train_cfg.seed, dtype=np.dtype(train_cfg.dtype))
+    history = fit(model.named_params(), train_clips, val_clips,
+                  lambda clip: clip_loss(model, clip),
+                  lambda clips: evaluate_model(model, clips)["epe3d"]["all"],
+                  train_cfg, checkpoint_path, model.config_dict(), "val_epe3d",
+                  log_path=log_path)
     return model, history
+
+
+def flow_model_from_config(config: dict, path) -> FlowNet:
+    """An untrained FlowNet as a checkpoint's flow config describes it;
+    `path` names the checkpoint in errors."""
+    with checkpoint_config(path):
+        net_cfg = from_dict(NetConfig, config["net"])
+        dtype = np.dtype(config.get("dtype", "float32"))
+    return FlowNet(net_cfg, seed=0, dtype=dtype)
 
 
 def load_flow_model(path) -> FlowNet:
     values, config = load_checkpoint(path)
     if config.get("kind") != "flow":
         raise TaskMismatch(f"checkpoint at {path} is not a flow model")
-    net_cfg = NetConfig(**_coerce_tuples(NetConfig, config["net"]))
-    model = FlowNet(net_cfg, seed=0, dtype=np.dtype(config.get("dtype", "float32")))
+    model = flow_model_from_config(config, path)
     assign_params(model.named_params(), values)
     return model
 

@@ -9,6 +9,7 @@ flow only through features and parameters.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 
@@ -19,7 +20,9 @@ from ._kernels import (
     NeighbourTable, farthest_point_sample as _fps, knn_indices,
 )
 from .autodiff import Tensor
-from .errors import BadK, ConfigError, ShapeMismatch, atomic_write, read_exact, read_struct
+from .errors import (
+    BadK, ConfigError, CorruptFile, ShapeMismatch, atomic_write, read_exact, read_struct,
+)
 
 CHECKPOINT_MAGIC = b"MFLW"
 CHECKPOINT_VERSION = 1
@@ -346,17 +349,14 @@ def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
 
 
 def load_checkpoint(path):
-    """Returns (named float64 arrays, config dict)."""
+    """Returns (named float64 arrays, config dict).  A header that is not the
+    one `save_checkpoint` writes raises CorruptFile."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
         (hlen,) = read_struct(f, "<I")
-        header = json.loads(read_exact(f, hlen).decode("utf-8"))
-        if header["format_version"] != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint version {header['format_version']}"
-            )
+        header = _parse_header(read_exact(f, hlen), path)
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
@@ -364,6 +364,35 @@ def load_checkpoint(path):
             buf = read_exact(f, 8 * count)
             params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return params, header["config"]
+
+
+def _parse_header(raw: bytes, path) -> dict:
+    """The parsed header: a config object and a list of named, shaped
+    parameters.  A header of another format version raises ConfigError, a
+    malformed one CorruptFile."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+        if header["format_version"] != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {header['format_version']}")
+        valid = (isinstance(header["config"], dict)
+                 and all(isinstance(e["name"], str) and isinstance(e["shape"], list)
+                         and all(isinstance(n, int) and n >= 0 for n in e["shape"])
+                         for e in header["params"]))
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptFile(f"{path}: malformed checkpoint header: {e!r}") from e
+    if not valid:
+        raise CorruptFile(f"{path}: malformed checkpoint header")
+    return header
+
+
+@contextlib.contextmanager
+def checkpoint_config(path):
+    """Reads of a loaded checkpoint's config: a missing or malformed entry
+    met inside the block raises CorruptFile."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
+        raise CorruptFile(f"{path}: malformed checkpoint config: {e!r}") from e
 
 
 def assign_params(named: dict[str, Tensor], values: dict[str, np.ndarray]):

@@ -33,6 +33,14 @@ class TestBasics:
         y.backward()
         assert x.grad == pytest.approx(7.0)
 
+    def test_mean_of_sums_left_to_right(self):
+        # float32 values whose sum depends on the association order
+        terms = [Tensor(np.float32(v), requires_grad=True) for v in (1e8, -1e8, 1.0)]
+        mean = ad.mean_of(terms)
+        assert mean.item() == np.float32(((np.float32(1e8) - np.float32(1e8)) + 1) / 3)
+        mean.backward()
+        assert all(t.grad == pytest.approx(1 / 3) for t in terms)
+
     def test_no_grad_blocks_tape(self):
         x = Tensor(2.0, requires_grad=True)
         with no_grad():

@@ -1,12 +1,16 @@
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from milliflow.autodiff import Tensor
 from milliflow.cli import main
+from milliflow.layers import load_checkpoint, save_checkpoint
 
 CONFIG = {
     "gen": {
@@ -130,6 +134,11 @@ class TestLabel:
         assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_manifest_without_keys_exits_2(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("{}")
+        assert main(["label", "--data", str(tmp_path)]) == 2
+        assert "not a dataset manifest" in capsys.readouterr().err
+
 
 class TestEvalFlow:
     def test_oracle_epe_zero(self, dataset, tmp_path, capsys):
@@ -175,6 +184,23 @@ class TestEvalFlow:
                      "--ckpt", str(cut)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("header", [b"{}", b"{not json"])
+    def test_malformed_checkpoint_header_exits_2(self, dataset, tmp_path, capsys, header):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"MFLW" + struct.pack("<I", len(header)) + header)
+        assert main(["eval", "--task", "flow", "--data", dataset,
+                     "--ckpt", str(bad)]) == 2
+        assert "malformed checkpoint header" in capsys.readouterr().err
+
+    def test_flow_config_without_net_exits_2(self, dataset, flow_ckpt, tmp_path, capsys):
+        values, config = load_checkpoint(flow_ckpt)
+        del config["net"]
+        bad = tmp_path / "no_net.ckpt"
+        save_checkpoint(bad, values, config=config)
+        assert main(["eval", "--task", "flow", "--data", dataset,
+                     "--ckpt", str(bad)]) == 2
+        assert "malformed checkpoint config" in capsys.readouterr().err
+
     def test_no_model_and_no_oracle_exits_2(self, dataset):
         assert main(["eval", "--task", "flow", "--data", dataset]) == 2
 
@@ -189,6 +215,17 @@ class TestTrain:
         sidecar = json.loads(Path(str(ckpt) + ".manifest.json").read_text())
         assert sidecar["task"] == "flow"
         assert sidecar["config"]["train"]["epochs"] == 1  # config echo
+
+    def test_non_finite_loss_exits_2(self, dataset, tmp_path, capsys, monkeypatch):
+        import milliflow.flownet as flownet
+
+        monkeypatch.setattr(flownet, "clip_loss",
+                            lambda model, clip: Tensor(np.array(np.nan, np.float32)))
+        ckpt = tmp_path / "nan.ckpt"
+        assert main(["train", "--task", "flow", "--data", dataset,
+                     "--ckpt", str(ckpt)]) == 2
+        assert "loss is nan" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_epochs_flag_overrides_config(self, workdir, dataset, tmp_path):
         ckpt = tmp_path / "two.ckpt"

@@ -7,6 +7,7 @@ from milliflow.config import (
     NetConfig,
     RunConfig,
     TrainConfig,
+    from_dict,
     load_config,
     run_config_from_dict,
     save_config,
@@ -82,6 +83,14 @@ class TestRoundTrip:
         d["extra"] = {}
         with pytest.raises(ConfigError):
             run_config_from_dict(d)
+
+    def test_from_dict_section(self):
+        net = from_dict(NetConfig, {"sa_radii": [0.1, 0.2], "sa_samples": [4, 8]})
+        assert net == NetConfig(sa_radii=(0.1, 0.2), sa_samples=(4, 8))
+        with pytest.raises(ConfigError, match="nonsense"):
+            from_dict(NetConfig, {"nonsense": 1})
+        with pytest.raises(ConfigError, match="object"):
+            from_dict(NetConfig, [1, 2])
 
     def test_explicit_split_survives(self):
         cfg = RunConfig(

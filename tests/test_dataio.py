@@ -319,11 +319,36 @@ class TestSerialization:
 
     def test_manifest_round_trip(self, tmp_path):
         manifest = split([_SeqStub(s, "ArmSwing") for s in range(6)], seed=2)
-        data = {"split": manifest.as_dict(), "seed": 2, "config": {"frames": 200}}
+        data = {"split": manifest.as_dict(), "seed": 2, "config": {"frames": 200},
+                "sequences": []}
         write_manifest(tmp_path, data)
         back = read_manifest(tmp_path)
         assert back == data
         assert SplitManifest.from_dict(back["split"]) == manifest
+
+    @pytest.mark.parametrize("drop", [
+        "whole", "config", "split", "sequences", "split.val_subjects",
+        "sequence.subject_id", "config-not-object", "sequences-not-list",
+    ])
+    def test_manifest_lacking_a_key_is_corrupt_file(self, tmp_path, drop):
+        data = {"config": {},
+                "split": split([_SeqStub(s, "ArmSwing") for s in range(6)]).as_dict(),
+                "sequences": [{"id": "003_ArmSwing_01", "subject_id": 3, "n_frames": 3}]}
+        if drop == "whole":
+            data = {}
+        elif drop == "split.val_subjects":
+            del data["split"]["val_subjects"]
+        elif drop == "sequence.subject_id":
+            del data["sequences"][0]["subject_id"]
+        elif drop == "config-not-object":
+            data["config"] = [1]
+        elif drop == "sequences-not-list":
+            data["sequences"] = {"id": "x"}
+        else:
+            del data[drop]
+        write_manifest(tmp_path, data)
+        with pytest.raises(CorruptFile, match="not a dataset manifest"):
+            read_manifest(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -356,8 +381,9 @@ class TestSerialization:
         assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
 
     def test_every_manifest_truncation_is_corrupt_file(self, tmp_path):
-        data = {"split": split([_SeqStub(s, "ArmSwing") for s in range(6)]).as_dict(),
-                "sequences": [{"id": "003_ArmSwing_01", "n_frames": 3}]}
+        data = {"config": {},
+                "split": split([_SeqStub(s, "ArmSwing") for s in range(6)]).as_dict(),
+                "sequences": [{"id": "003_ArmSwing_01", "subject_id": 3, "n_frames": 3}]}
         path = write_manifest(tmp_path, data)
         whole = path.read_bytes()
         for cut in range(len(whole)):

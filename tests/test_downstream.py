@@ -34,6 +34,7 @@ from milliflow.downstream import (
 )
 from milliflow.errors import (
     ConfigError,
+    CorruptFile,
     DegenerateInput,
     EmptyFrame,
     EmptyInput,
@@ -44,7 +45,7 @@ from milliflow.errors import (
 )
 from milliflow.flownet import FlowNet
 from milliflow.labeling import FlowLabel
-from milliflow.layers import save_checkpoint
+from milliflow.layers import load_checkpoint, save_checkpoint
 from milliflow.radar import RadarFrame
 from milliflow.skeleton import BONES, ObservedKeypoints, SkeletonPose
 
@@ -605,6 +606,19 @@ class TestTraining:
         save_checkpoint(path, {"w": np.zeros(2)}, config={"kind": "flow"})
         with pytest.raises(ConfigError):
             load_task_model(path)
+
+    @pytest.mark.parametrize("drop", ["task", "in_features", "flow"])
+    def test_malformed_config_is_corrupt_file(self, tmp_path, drop):
+        flow = FlowNet(tiny_flow(clamp=10.0), seed=0)
+        clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
+        ckpt = tmp_path / "har_s2.ckpt"
+        train_task_model("har", clips, clips[:2], tiny_task(), self.make_cfg(epochs=1),
+                         "s2", ckpt, flow_model=flow, n_classes=2)
+        values, config = load_checkpoint(ckpt)
+        del config[drop]
+        save_checkpoint(ckpt, values, config=config)
+        with pytest.raises(CorruptFile, match="malformed checkpoint config"):
+            load_task_model(ckpt)
 
     def test_hp_all_one_class_drives_argmax(self, tmp_path):
         from milliflow.downstream import predict_hp

@@ -12,13 +12,16 @@ from milliflow import autodiff as ad
 from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TrainConfig
 from milliflow.dataio import Sample
-from milliflow.errors import ConfigError, EmptyFrame, LengthMismatch, NoValidPoints
+from milliflow.errors import (
+    ConfigError, CorruptFile, EmptyFrame, LengthMismatch, NonFiniteLoss, NoValidPoints,
+)
 from milliflow.downstream import decorate_clip
 from milliflow.flownet import (
     FlowNet,
     clip_loss,
     evaluate_baseline,
     evaluate_model,
+    fit,
     flow_loss,
     infer_sequence,
     load_flow_model,
@@ -26,7 +29,7 @@ from milliflow.flownet import (
     train_flow_model,
 )
 from milliflow.labeling import FlowLabel
-from milliflow.layers import save_checkpoint
+from milliflow.layers import load_checkpoint, save_checkpoint
 from milliflow.radar import RadarFrame
 
 
@@ -402,6 +405,70 @@ class TestTraining:
         save_checkpoint(path, {"w": np.zeros(3)}, config={"kind": "other"})
         with pytest.raises(ConfigError):
             load_flow_model(path)
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "flow"},
+        {"kind": "flow", "net": "wide"},
+        {"kind": "flow", "net": {"sa_radii": [0.1]}},
+        {"kind": "flow", "net": {}, "dtype": "no-such-type"},
+    ])
+    def test_load_rejects_malformed_config(self, tmp_path, config):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, {"w": np.zeros(3)}, config=config)
+        with pytest.raises(CorruptFile, match="malformed checkpoint config"):
+            load_flow_model(path)
+
+
+class TestFit:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_stops_before_the_step(self, tmp_path, bad):
+        clips = constant_flow_clips(4, np.array([0.01, 0.0, 0.0]))
+        model = FlowNet(tiny_net(clamp=10.0), seed=0)
+        named = model.named_params()
+        ckpt = tmp_path / "c.ckpt"
+        seen = {}
+
+        def loss_fn(clip):
+            # epoch 0 is finite; the first loss of epoch 1 is not
+            seen["calls"] = seen.get("calls", 0) + 1
+            loss = clip_loss(model, clip)
+            if seen["calls"] <= len(clips):
+                return loss
+            seen["checkpoint"] = ckpt.read_bytes()
+            seen["params"] = {k: t.data.copy() for k, t in named.items()}
+            return ad.mul(loss, bad)
+
+        with pytest.raises(NonFiniteLoss, match="epoch 1"):
+            fit(named, clips, clips[:1], loss_fn,
+                lambda c: evaluate_model(model, c)["epe3d"]["all"],
+                TrainConfig(lr=1e-2, epochs=3, batch_clips=2, seed=0), ckpt,
+                model.config_dict(), "val_epe3d")
+        assert ckpt.read_bytes() == seen["checkpoint"]
+        for k, t in named.items():
+            assert t.grad is None, k  # no backward ran on the bad loss
+            np.testing.assert_array_equal(t.data, seen["params"][k])
+
+    def test_restores_best_epoch_and_logs_rows(self, tmp_path):
+        # validation scores 3, 1, 2: epoch 1 is the best, and the returned
+        # parameters are the ones checkpointed there
+        clips = constant_flow_clips(2, np.array([0.01, 0.0, 0.0]))
+        model = FlowNet(tiny_net(clamp=10.0), seed=0)
+        named = model.named_params()
+        ckpt, log = tmp_path / "c.ckpt", tmp_path / "log.jsonl"
+        scores, snapshots = iter([3.0, 1.0, 2.0]), []
+
+        def validate(c):
+            snapshots.append({k: t.data.copy() for k, t in named.items()})
+            return next(scores)
+
+        history = fit(named, clips, clips, lambda clip: clip_loss(model, clip),
+                      validate, TrainConfig(lr=1e-2, epochs=3, batch_clips=2, seed=0),
+                      ckpt, {"kind": "test"}, "val_score", log_path=log)
+        assert [row["val_score"] for row in history] == [3.0, 1.0, 2.0]
+        assert [json.loads(line) for line in log.read_text().splitlines()] == history
+        for k, t in named.items():
+            np.testing.assert_array_equal(t.data, snapshots[1][k].astype(t.dtype))
+        assert load_checkpoint(ckpt)[1] == {"kind": "test"}
 
 
 class TestInferSequence:

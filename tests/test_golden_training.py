@@ -1,0 +1,124 @@
+"""Golden training hashes: tiny seeded runs of the flow and task trainers,
+with the checkpoint and the JSONL training log hashed byte for byte.
+
+The runs cover the training loop's branches: the seeded validation subsample,
+gradient averaging over a batch of two clips, clips that contribute no loss,
+the per-epoch learning-rate decay, best-on-validation checkpoints and early
+stopping, for the flow network and for the activity (raw, s1) and parsing
+(s2, joint with the flow network) networks.  A change that moves these bytes
+changes what training computes; re-record the hashes only together with an
+explanation of why.  Recorded with numpy 2.4.6 on x86-64 (a different numpy
+build may round a matrix product differently).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from milliflow.config import NetConfig, TaskConfig, TrainConfig
+from milliflow.dataio import Sample
+from milliflow.downstream import TaskClip, train_task_model
+from milliflow.flownet import FlowNet, train_flow_model
+from milliflow.labeling import FlowLabel
+from milliflow.radar import RadarFrame
+
+N_POINTS = 9
+
+
+def tiny_net() -> NetConfig:
+    # a clamp wide enough that the untrained head does not saturate it
+    return NetConfig(sa_radii=(0.5, 1.0), sa_samples=(2, 3), sa_mlp=(8, 8),
+                     post_sa_mlp=(8, 8), attention_hidden=4, cv_k=2, cv_dcost=6,
+                     embed_mlp=(8, 6), gru_hidden=12, regressor=(8, 3), clamp=10.0)
+
+
+def tiny_task() -> TaskConfig:
+    return TaskConfig(sa_radii=(0.5, 1.0), sa_samples=(2, 3), sa_mlp=(8, 8),
+                      post_sa_mlp=(8, 8), attention_hidden=4, fps_centroids=4,
+                      stage2_radius=1.0, stage2_samples=4, stage2_mlp=(8, 8),
+                      lstm_hidden=6, gru_hidden=6, classifier=(8,), window=3)
+
+
+def frame(seed: int, index: int, scale: float = 0.4) -> RadarFrame:
+    rng = np.random.default_rng(seed)
+    return RadarFrame(rng.normal(0.0, scale, (N_POINTS, 3)) + [0.0, 3.0, 0.0],
+                      rng.uniform(0.6, 3.0, N_POINTS), index, index / 13.2)
+
+
+def label(seed: int, valid: bool = True, segment: int | None = None) -> FlowLabel:
+    rng = np.random.default_rng(seed)
+    segments = (np.full(N_POINTS, segment) if segment is not None
+                else rng.integers(0, 3, N_POINTS))
+    return FlowLabel(rng.normal(0.0, 0.05, (N_POINTS, 3)),
+                     np.full(N_POINTS, valid), np.zeros(N_POINTS, np.int64),
+                     segments.astype(np.int64))
+
+
+def flow_clip(seed: int, valid: bool = True, pairs: int = 3) -> list:
+    return [Sample(frame(100 * seed + t, t), frame(100 * seed + t + 1, t + 1),
+                   label(100 * seed + 50 + t, valid), clip_position=t)
+            for t in range(pairs)]
+
+
+def task_clip(seed: int, klass: int, valid: bool = True) -> TaskClip:
+    # class 0 a tight blob, class 1 a wide shell
+    scale = 0.1 if klass == 0 else 0.5
+    frames = [frame(100 * seed + t, t, scale) for t in range(3)]
+    labels = [label(100 * seed + 50 + t, valid, segment=None if klass else 0)
+              for t in range(2)]
+    return TaskClip(frames, labels + [None], klass, ("ArmSwing", "Bowing")[klass])
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_flow(root):
+    # the last training clip has no valid label, so it contributes no loss
+    train = [flow_clip(s) for s in range(5)] + [flow_clip(5, valid=False)]
+    val = [flow_clip(s) for s in range(20, 23)]
+    cfg = TrainConfig(lr=1e-2, epochs=3, batch_clips=2, seed=3, max_val_clips=2)
+    train_flow_model(train, val, tiny_net(), cfg, root / "run.ckpt",
+                     log_path=root / "run.log.jsonl")
+
+
+def run_task(task: str, strategy: str, root):
+    train = [task_clip(s, s % 2) for s in range(5)]
+    if task == "hp":
+        train.append(task_clip(5, 1, valid=False))  # no valid point: no loss
+    val = [task_clip(s, s % 2) for s in range(20, 23)]
+    flow = None if strategy == "raw" else FlowNet(tiny_net(), seed=1)
+    cfg = TrainConfig(lr=5e-3, epochs=3, batch_clips=2, seed=4, max_val_clips=2,
+                      patience=1)
+    train_task_model(task, train, val, tiny_task(), cfg, strategy,
+                     root / "run.ckpt", flow_model=flow,
+                     n_classes=2 if task == "har" else 3,
+                     log_path=root / "run.log.jsonl")
+
+
+RUNS = {
+    "flow": run_flow,
+    "har-raw": lambda root: run_task("har", "raw", root),
+    "har-s1": lambda root: run_task("har", "s1", root),
+    "hp-s2": lambda root: run_task("hp", "s2", root),
+}
+
+# (checkpoint SHA-256, log SHA-256) per run
+GOLDEN = {
+    "flow": ("4e8ed799f5306bebf3dbf5a0f099686d98b3f60fd60b301d620631e88ad883d9",
+             "25777b79ac7cefa3a1cde0a4b2faed7599eb07b24c9a510638b450e372fc69bc"),
+    "har-raw": ("eb3f8070f918a4fa3b52d95b131cde4e98502b4ce186d35c4d0f6fabeac880a2",
+                "065d8258fed337bfa67bd27662768ef07880be057f7a3ef87ee402f6a0d15e5e"),
+    "har-s1": ("46674431d09ebfdc86c4737eb0745d0ae7348a7e3cc31693856c0ec70e07ecce",
+               "20d845e327fa65999d2db4e6675cdb0fa83635ca433a8fc1e54ad87862179c3b"),
+    "hp-s2": ("755ec7704c21121d14c6e95f90abe679fb9cc30a4657a1472362908c900b4598",
+              "30d881abbfa9b7e65ea94c132986c6014d2a6debc3bd10c47cb0726d2006b36a"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_training_bytes_unchanged(tmp_path, run):
+    RUNS[run](tmp_path)
+    got = (sha256(tmp_path / "run.ckpt"), sha256(tmp_path / "run.log.jsonl"))
+    assert got == GOLDEN[run]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from helpers import check_param_grads, jitter_params
@@ -497,6 +499,19 @@ class TestCheckpoints:
         mutated = head.replace('"format_version":1', '"format_version":9', 1)
         path.write_bytes(bytes(raw[:8]) + mutated.encode("utf-8"))
         with pytest.raises(ConfigError):
+            L.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"{}", b"{not json", b"[1]", b"\xff\xfe", b'{"format_version":1}',
+        b'{"format_version":1,"config":[],"params":[]}',
+        b'{"format_version":1,"config":{},"params":[{"name":"w"}]}',
+        b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[-2]}]}',
+        b'{"format_version":1,"config":{},"params":"w"}',
+    ])
+    def test_malformed_header_is_corrupt_file(self, tmp_path, header):
+        path = tmp_path / "h.mflw"
+        path.write_bytes(L.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(CorruptFile, match="malformed checkpoint header"):
             L.load_checkpoint(path)
 
     def test_assign_params_round_trip(self, tmp_path):

@@ -32,7 +32,9 @@ from .downstream import (
     task_clips,
     train_task_model,
 )
-from .errors import ConfigError, MilliflowError, MissingCheckpoint, MissingFlowModel, TaskMismatch
+from .errors import (
+    ConfigError, MilliflowError, MissingCheckpoint, MissingFlowModel, TaskMismatch, atomic_write,
+)
 from .flownet import (
     evaluate_baseline,
     evaluate_model,
@@ -91,7 +93,8 @@ def _require_checkpoint(path, what: str) -> Path:
 def _write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with atomic_write(path) as f:
+        f.write(text)
 
 
 def _flow_clips(root, cfg: RunConfig, partition: str) -> list:

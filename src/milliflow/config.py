@@ -1,6 +1,7 @@
 """Aggregated run configuration: radar, generation, network, and training
-knobs with JSON load/save.  The full config is echoed into every dataset
-manifest so a run can be reproduced from its outputs alone.
+knobs, loaded from JSON (`dataio.write_json` writes it).  The full config is
+echoed into every dataset manifest so a run can be reproduced from its
+outputs alone.
 """
 
 from __future__ import annotations
@@ -142,15 +143,18 @@ class RunConfig:
 
 def from_dict(cls, d: dict):
     """A config dataclass from its JSON form: lists become tuples, and a
-    section that is not an object or names an unknown field raises
-    ConfigError."""
+    section that is not an object, names an unknown field or holds a value
+    the dataclass rejects raises ConfigError."""
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} section must be an object")
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(d) - fields
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {cls.__name__} value: {e}") from e
 
 
 def run_config_from_dict(d: dict) -> RunConfig:
@@ -159,16 +163,20 @@ def run_config_from_dict(d: dict) -> RunConfig:
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    radar_d = dict(d.get("radar", {}))
-    if "cfar" in radar_d:
-        radar_d["cfar"] = from_dict(CfarParams, radar_d["cfar"])
+    radar_d = d.get("radar", {})
+    if isinstance(radar_d, dict) and "cfar" in radar_d:
+        radar_d = dict(radar_d, cfar=from_dict(CfarParams, radar_d["cfar"]))
+    try:
+        seed = int(d.get("seed", 0))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad seed: {e}") from e
     return RunConfig(
         radar=from_dict(RadarConfig, radar_d),
         gen=from_dict(GenConfig, d.get("gen", {})),
         net=from_dict(NetConfig, d.get("net", {})),
         train=from_dict(TrainConfig, d.get("train", {})),
         task=from_dict(TaskConfig, d.get("task", {})),
-        seed=int(d.get("seed", 0)),
+        seed=seed,
         explicit_split=d.get("explicit_split"),
     )
 
@@ -184,16 +192,4 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    try:
-        return run_config_from_dict(data)
-    except TypeError as e:
-        raise ConfigError(f"bad config value: {e}") from e
-
-
-def save_config(path, cfg: RunConfig) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(cfg.as_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    return run_config_from_dict(data)

@@ -1,5 +1,6 @@
 """Dataset serialization, frame preprocessing, sample pairing, clip
-construction, and subject-level splits.
+construction, and subject-level splits.  Every network input is read from
+`preprocess_sequence` and tiled into full, disjoint windows by `windows`.
 
 On-disk layout: `<root>/manifest.json` plus one directory per sequence holding
 `frames.jsonl` (points, observed keypoints, ground-truth pose per frame) and
@@ -11,6 +12,7 @@ the shortest exact decimal form, so both modes round-trip bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import struct
@@ -145,49 +147,58 @@ def _frame_seed(seed: int, frame_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, frame_index))
 
 
-def pair_samples(seq: Sequence, mode: str, seed: int = 0) -> list[Sample]:
-    """Consecutive frame pairs as training samples; labels follow the source
-    frame's resampling.  Pairs whose frames lose every point are skipped."""
+def preprocess_sequence(seq: Sequence, mode: str, seed: int = 0) -> tuple[list, list]:
+    """(frames, labels): every frame of a labelled sequence preprocessed once,
+    and the label of the pair each frame starts, subset by the same indices.
+
+    A frame that loses every point becomes an empty frame with label None, as
+    the last frame, which starts no pair, always has.
+    """
     if seq.labels is None:
         raise ConfigError(f"sequence {seq.seq_id} has no labels")
+    frames, labels = [], []
+    for i, frame in enumerate(seq.frames):
+        try:
+            idx = preprocess_indices(frame, mode, _frame_seed(seed, i))
+        except EmptyFrame:
+            frames.append(frame.subset([]))
+            labels.append(None)
+            continue
+        frames.append(frame.subset(idx))
+        labels.append(seq.labels[i].subset(idx) if i < len(seq.labels) else None)
+    return frames, labels
+
+
+def windows(n: int, length: int) -> list[slice]:
+    """Full, disjoint windows of `length` consecutive items out of n, from
+    the first item on; the remainder is dropped."""
+    return [slice(start, start + length) for start in range(0, n - length + 1, length)]
+
+
+def pair_samples(seq: Sequence, mode: str, seed: int = 0) -> list[Sample]:
+    """Consecutive frame pairs of `preprocess_sequence` as training samples;
+    pairs with an empty frame are skipped."""
+    frames, labels = preprocess_sequence(seq, mode, seed)
     samples = []
     for i in range(seq.n_samples):
-        try:
-            src_idx = preprocess_indices(seq.frames[i], mode, _frame_seed(seed, i))
-            tgt_idx = preprocess_indices(seq.frames[i + 1], mode, _frame_seed(seed, i + 1))
-        except EmptyFrame:
+        if len(frames[i]) == 0 or len(frames[i + 1]) == 0:
             log.warning("skipping empty pair %d of %s", i, seq.seq_id)
             continue
-        samples.append(
-            Sample(
-                source=seq.frames[i].subset(src_idx),
-                target=seq.frames[i + 1].subset(tgt_idx),
-                label=seq.labels[i].subset(src_idx),
-            )
-        )
+        samples.append(Sample(source=frames[i], target=frames[i + 1], label=labels[i]))
     return samples
 
 
 def make_clips(samples: list[Sample]) -> list[list[Sample]]:
     """Chunk samples into consecutive, non-overlapping clips of CLIP_LENGTH;
     the remainder is dropped.  Clips never span a temporal gap."""
-    runs, current = [], []
-    for s in samples:
-        if current and s.source.frame_index != current[-1].source.frame_index + 1:
-            runs.append(current)
-            current = []
-        current.append(s)
-    if current:
-        runs.append(current)
-
     clips = []
-    for run in runs:
-        for start in range(0, len(run) - CLIP_LENGTH + 1, CLIP_LENGTH):
-            clip = [
-                dataclasses.replace(s, clip_position=j)
-                for j, s in enumerate(run[start : start + CLIP_LENGTH])
-            ]
-            clips.append(clip)
+    # frame index minus position is constant exactly along consecutive frames
+    for _, run in itertools.groupby(enumerate(samples),
+                                    key=lambda p: p[1].source.frame_index - p[0]):
+        run = [s for _, s in run]
+        for window in windows(len(run), CLIP_LENGTH):
+            clips.append([dataclasses.replace(s, clip_position=j)
+                          for j, s in enumerate(run[window])])
     if not clips and samples:
         log.warning("fewer than %d samples; no clips produced", CLIP_LENGTH)
     return clips

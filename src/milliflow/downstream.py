@@ -5,11 +5,14 @@ activity classification, per-point body-segment classification, and
 Kabsch-based body-part tracking.  Point features are selected by strategy:
 "raw" uses intensity alone, "s1" appends per-point flow from a frozen flow
 model, "s2" appends the flow network's per-point features and trains both
-networks jointly on a summed loss.
+networks jointly on a summed loss.  Task and tracking windows come from
+`dataio.preprocess_sequence` and `dataio.windows`, as flow samples do, and
+s1/s2 run the flow network through `flownet.stream`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -19,7 +22,10 @@ from . import autodiff as ad
 from ._kernels import NeighbourTable, point_segment_distances
 from .autodiff import Tensor
 from .config import TaskConfig, TrainConfig, from_dict
-from .dataio import _frame_seed, preprocess_indices
+# every call of preprocess_indices goes through dataio.preprocess_sequence; the
+# name stays importable here because benchmarks/perf/tracer.py lists it among
+# its trace points
+from .dataio import preprocess_indices, preprocess_sequence, windows  # noqa: F401
 from .errors import (
     ConfigError,
     DegenerateInput,
@@ -32,7 +38,7 @@ from .errors import (
 )
 from .flownet import (
     CloudEncoder, FlowNet, broadcast_rows, fit, flow_model_from_config, infer_sequence,
-    mean_flow_loss,
+    mean_flow_loss, stream,
 )
 from .geometry import kabsch
 from .labeling import ASSIGNMENT_RADIUS, N_SEGMENTS
@@ -48,7 +54,6 @@ from .layers import (
     set_abstraction,
 )
 from .metrics import mean_iou, mean_joint_error, overall_accuracy
-from .radar import RadarFrame
 from .skeleton import BONES, IN_SET_ACTIVITIES
 
 STRATEGIES = ("raw", "s1", "s2")
@@ -80,32 +85,20 @@ def task_clips(sequences, cfg: TaskConfig, mode: str,
                catalogue=IN_SET_ACTIVITIES, seed: int = 0) -> list[TaskClip]:
     """Tile labeled sequences into full, disjoint windows of cfg.window frames.
 
-    Frames are preprocessed like flow-training samples (same per-frame seeds);
-    a frame losing every point stays in the window as an empty placeholder.
-    Sequences whose activity is outside the catalogue are skipped.
+    Frames and labels come from `preprocess_sequence`, as flow-training
+    samples do; a frame losing every point stays in the window as an empty
+    placeholder.  Sequences whose activity is outside the catalogue are
+    skipped.
     """
     clips = []
     for seq in sequences:
         if seq.activity_id not in catalogue:
             continue
-        if seq.labels is None:
-            raise ConfigError(f"sequence {seq.seq_id} has no labels")
         klass = catalogue.index(seq.activity_id)
-        frames, labels = [], []
-        for i, frame in enumerate(seq.frames):
-            try:
-                idx = preprocess_indices(frame, mode, _frame_seed(seed, i))
-            except EmptyFrame:
-                frames.append(RadarFrame(np.zeros((0, 3)), np.zeros(0),
-                                         frame.frame_index, frame.timestamp))
-                labels.append(None)
-                continue
-            frames.append(frame.subset(idx))
-            labels.append(seq.labels[i].subset(idx) if i < len(seq.labels) else None)
-        for start in range(0, len(frames) - cfg.window + 1, cfg.window):
-            window = frames[start: start + cfg.window]
-            window_labels = labels[start: start + cfg.window - 1] + [None]
-            clips.append(TaskClip(window, window_labels, klass, seq.activity_id))
+        frames, labels = preprocess_sequence(seq, mode, seed)
+        for window in windows(len(frames), cfg.window):
+            clips.append(TaskClip(frames[window], labels[window][:-1] + [None], klass,
+                                  seq.activity_id))
     return clips
 
 
@@ -114,12 +107,13 @@ def task_clips(sequences, cfg: TaskConfig, mode: str,
 
 
 def strategy_feature_dim(strategy: str, flow_model: FlowNet | None) -> int:
-    if strategy == "raw":
-        return 1
+    """Features per point for a strategy; the one check of a strategy and its flow model."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if flow_model is None:
+    if strategy != "raw" and flow_model is None:
         raise MissingFlowModel(f"strategy {strategy!r} needs a flow model")
+    if strategy == "raw":
+        return 1
     if strategy == "s1":
         return 4  # intensity plus the three flow components
     return 1 + flow_model.final_dim
@@ -140,52 +134,46 @@ def decorate_clip(frames, strategy: str, flow_model: FlowNet | None,
     a joint loss reaches the flow parameters, and also returns the per-pair
     flow tensors for reuse in that loss.
     """
+    width = strategy_feature_dim(strategy, flow_model) - 1  # flow-derived channels
     base = [Tensor(f.intensities.astype(dtype)[:, None]) for f in frames]
     if strategy == "raw":
         return DecoratedClip(base)
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    if flow_model is None:
-        raise MissingFlowModel(f"strategy {strategy!r} needs a flow model")
 
-    if strategy == "s1":
-        state = flow_model.initial_state()
-        feats = []
-        with ad.no_grad():
-            for t, frame in enumerate(frames):
-                flows = np.zeros((len(frame), 3), dtype=dtype)
-                if t < len(frames) - 1:
-                    try:
-                        out, state, _ = flow_model.forward(frame, frames[t + 1], state)
-                        flows = out.data
-                    except EmptyFrame:
-                        pass
-                feats.append(Tensor(np.concatenate(
-                    [base[t].data, flows.astype(dtype)], axis=1)))
-        return DecoratedClip(feats)
-
-    state = flow_model.initial_state()
-    width = flow_model.final_dim
     feats, pair_flows = [], []
-    for t, frame in enumerate(frames):
-        final = None
-        if t < len(frames) - 1:
-            try:
-                flows, state, final = flow_model.forward(frame, frames[t + 1], state)
-                pair_flows.append(flows)
-            except EmptyFrame:
-                pair_flows.append(None)
-        if final is None:
-            final = Tensor(np.zeros((len(frame), width), dtype=dtype))
-        feats.append(ad.concat([base[t], final], axis=1))
-    return DecoratedClip(feats, pair_flows)
+    with ad.no_grad() if strategy == "s1" else contextlib.nullcontext():
+        outputs = stream(flow_model, zip(frames[:-1], frames[1:]))
+        for b in base:
+            # the final frame starts no pair and reads None, as an empty pair does
+            out = next(outputs, None)
+            if out is None:
+                extra = Tensor(np.zeros((b.shape[0], width), dtype=dtype))
+            elif strategy == "s1":
+                extra = Tensor(out[0].data.astype(dtype))
+            else:
+                extra = out[1]
+            feats.append(ad.concat([b, extra], axis=1))
+            pair_flows.append(None if out is None else out[0])
+    return DecoratedClip(feats, pair_flows[:-1] if strategy == "s2" else None)
 
 
 # ----------------------------------------------------------------------
 # task networks
 
 
-class HarNet:
+class _TaskNet:
+    """What the activity and parsing networks share: their checkpoint config."""
+
+    def config_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "task": dataclasses.asdict(self.cfg),
+            "in_features": self.in_features,
+            "n_classes": self.n_classes,
+            "dtype": self.dtype.name,
+        }
+
+
+class HarNet(_TaskNet):
     """Sequence-level activity classifier.
 
     Per frame: cloud encoder, then a second local encoder on farthest-point
@@ -253,17 +241,8 @@ class HarNet:
             raise EmptyFrame("every frame in the window is empty")
         return self.head(h)
 
-    def config_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "task": dataclasses.asdict(self.cfg),
-            "in_features": self.in_features,
-            "n_classes": self.n_classes,
-            "dtype": self.dtype.name,
-        }
 
-
-class HpNet:
+class HpNet(_TaskNet):
     """Per-point body-segment classifier.
 
     Per frame: cloud encoder; a GRU propagates the pooled global vector
@@ -306,15 +285,6 @@ class HpNet:
             final = ad.concat([z, broadcast_rows(h, z.shape[0])], axis=1)
             scores.append(self.head(final))
         return scores
-
-    def config_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "task": dataclasses.asdict(self.cfg),
-            "in_features": self.in_features,
-            "n_classes": self.n_classes,
-            "dtype": self.dtype.name,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -378,22 +348,22 @@ def har_clip_loss(model: HarNet, clip: TaskClip, decorated: DecoratedClip,
                                  clip, flow_model)
 
 
+def _labelled_scores(model: HpNet, clip: TaskClip, decorated: DecoratedClip) -> list:
+    """(scores, label) for each frame of the window that has both."""
+    return [(scores, label)
+            for scores, label in zip(model.forward(clip.frames, decorated.feats), clip.labels)
+            if scores is not None and label is not None]
+
+
 def hp_clip_loss(model: HpNet, clip: TaskClip, decorated: DecoratedClip,
                  flow_model: FlowNet | None = None) -> Tensor | None:
     """Class-balanced cross-entropy pooled over the window's labeled points."""
-    score_rows, label_rows, valid_rows = [], [], []
-    for scores, label in zip(model.forward(clip.frames, decorated.feats),
-                             clip.labels):
-        if scores is None or label is None:
-            continue
-        score_rows.append(scores)
-        label_rows.append(label.segment_label)
-        valid_rows.append(label.valid_mask)
-    if not score_rows:
+    rows = _labelled_scores(model, clip, decorated)
+    if not rows:
         return None
-    stacked = ad.concat(score_rows, axis=0)
-    labels = np.concatenate(label_rows)
-    valid = np.concatenate(valid_rows)
+    stacked = ad.concat([scores for scores, _ in rows], axis=0)
+    labels = np.concatenate([label.segment_label for _, label in rows])
+    valid = np.concatenate([label.valid_mask for _, label in rows])
     if not valid.any():
         return None
     return _with_joint_flow_loss(balanced_cross_entropy(stacked, labels, valid),
@@ -456,10 +426,7 @@ def predict_hp(model: HpNet, clips, strategy: str,
         for clip in clips:
             decorated = _decoration_lookup(decorations, clip, strategy,
                                            flow_model, model.dtype)
-            for scores, label in zip(model.forward(clip.frames, decorated.feats),
-                                     clip.labels):
-                if scores is None or label is None:
-                    continue
+            for scores, label in _labelled_scores(model, clip, decorated):
                 keep = label.valid_mask
                 preds.append(np.argmax(scores.data[keep], axis=1))
                 truths.append(label.segment_label[keep])
@@ -518,10 +485,6 @@ def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
     """
     if task not in ("har", "hp"):
         raise ConfigError(f"unknown task {task!r}")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    if strategy != "raw" and flow_model is None:
-        raise MissingFlowModel(f"strategy {strategy!r} needs a flow model")
     dtype = np.dtype(train_cfg.dtype)
     if n_classes is None:
         n_classes = len(IN_SET_ACTIVITIES) if task == "har" else N_SEGMENTS
@@ -688,33 +651,20 @@ def evaluate_tracking(sequences, flow_model: FlowNet | None = None,
         bone_ids = targets.get(seq.activity_id)
         if bone_ids is None:
             continue
-        if seq.labels is None:
-            raise ConfigError(f"sequence {seq.seq_id} has no labels")
-        frames, labels = [], []
-        for i, frame in enumerate(seq.frames):
-            try:
-                idx = preprocess_indices(frame, "test")
-            except EmptyFrame:
-                idx = np.zeros(0, dtype=np.int64)
-            frames.append(frame.subset(idx))
-            labels.append(seq.labels[i].subset(idx) if i < len(seq.labels) else None)
-        for start in range(0, len(frames) - clip_length + 1, clip_length):
-            window = frames[start: start + clip_length]
+        frames, labels = preprocess_sequence(seq, "test")
+        for window in windows(len(frames), clip_length):
+            clip, poses = frames[window], seq.poses[window]
             if flow_model is None:
-                flow_fields = []
-                for t in range(clip_length - 1):
-                    label = labels[start + t]
-                    flow_fields.append(label.flows if label is not None
-                                       else np.zeros((len(window[t]), 3)))
+                flow_fields = [np.zeros((len(frame), 3)) if label is None else label.flows
+                               for frame, label in zip(clip[:-1], labels[window])]
             else:
-                records, _ = infer_sequence(flow_model, window)
+                records, _ = infer_sequence(flow_model, clip)
                 flow_fields = [r["flows"] for r in records]
                 latencies.extend(r["latency"] for r in records)
-            init = bone_endpoints(seq.poses[start].keypoints, bone_ids)
-            trajectory = track_clip(window, flow_fields, bone_ids, init)
+            init = bone_endpoints(poses[0].keypoints, bone_ids)
+            trajectory = track_clip(clip, flow_fields, bone_ids, init)
             for state in trajectory[1:]:
-                truth = bone_endpoints(
-                    seq.poses[start + state.tracking_length].keypoints, bone_ids)
+                truth = bone_endpoints(poses[state.tracking_length].keypoints, bone_ids)
                 err = mean_joint_error(state.endpoints.reshape(-1, 3),
                                        truth.reshape(-1, 3))
                 key = (seq.activity_id, state.tracking_length)

@@ -9,7 +9,7 @@ the `CloudEncoder` that the downstream networks use too.  The recurrent state
 also carries the last target's encoding, which the next pair reuses for its
 source when the frames are equal.  Training runs clip-by-clip with full
 backpropagation through the recurrent state inside a clip and a hard state
-reset between clips.
+reset between clips; `stream` carries the state over a clip's pairs.
 """
 
 from __future__ import annotations
@@ -252,32 +252,34 @@ def mean_flow_loss(pairs, cfg: NetConfig) -> Tensor | None:
     return ad.mean_of(losses) if losses else None
 
 
+def stream(model: FlowNet, pairs):
+    """`model.forward` over consecutive (source, target) pairs from a fresh
+    state, carrying the recurrent state from pair to pair: yields
+    (flows, final features) per pair, or None for a pair with an empty frame,
+    which leaves the state as it was."""
+    state = model.initial_state()
+    for source, target in pairs:
+        try:
+            flows, state, final = model.forward(source, target, state)
+        except EmptyFrame:
+            yield None
+            continue
+        yield flows, final
+
+
 def clip_loss(model: FlowNet, clip) -> Tensor | None:
     """Mean loss over a clip's usable samples; None when none are usable."""
-    state = model.initial_state()
-    pairs = []
-    for sample in clip:
-        try:
-            flows, state, _ = model.forward(sample.source, sample.target, state)
-        except EmptyFrame:
-            continue
-        pairs.append((flows, sample.label))
+    outputs = stream(model, ((sample.source, sample.target) for sample in clip))
+    pairs = [(out[0], sample.label) for out, sample in zip(outputs, clip)
+             if out is not None]
     return mean_flow_loss(pairs, model.cfg)
 
 
 def predict_clip(model: FlowNet, clip) -> list[np.ndarray | None]:
     """Inference over one clip; None marks samples with an empty frame."""
-    state = model.initial_state()
-    out = []
     with ad.no_grad():
-        for sample in clip:
-            try:
-                flows, state, _ = model.forward(sample.source, sample.target, state)
-            except EmptyFrame:
-                out.append(None)
-                continue
-            out.append(flows.data.astype(np.float64))
-    return out
+        return [None if out is None else out[0].data.astype(np.float64)
+                for out in stream(model, ((s.source, s.target) for s in clip))]
 
 
 def _baseline_flows(sample, kind: str) -> np.ndarray:

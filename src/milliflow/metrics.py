@@ -2,10 +2,10 @@
 mean IoU, and mean joint error.
 
 Flow metrics are computed per frame and averaged over frames for dataset-level
-reporting (per-point pooling is available behind a flag).  A point is moving
-when its reference flow exceeds 0.01 m; accuracy thresholds are 0.025 m / 5%
-(strict) and 0.05 m / 10% (relax), with the relative term guarded for
-near-zero reference flows.
+reporting; `pooled_flow_metrics` pools the points of every frame instead.  A
+point is moving when its reference flow exceeds 0.01 m; accuracy thresholds
+are 0.025 m / 5% (strict) and 0.05 m / 10% (relax), with the relative term
+guarded for near-zero reference flows.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ test and out-of-set sequences, mirroring an annotated evaluation set.
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -197,10 +199,9 @@ def dataset_split(cfg: RunConfig) -> SplitManifest:
     return split(stubs, seed=cfg.seed)
 
 
-def _gen_worker(cfg_dict: dict, subject: int, activity: str, scene: int,
-                root: str, binary: bool) -> tuple[str, int]:
+def _gen_worker(cfg_dict: dict, root: str, binary: bool, spec: tuple) -> tuple[str, int]:
     cfg = run_config_from_dict(cfg_dict)
-    seq = generate_sequence(cfg, subject, activity, scene)
+    seq = generate_sequence(cfg, *spec)
     save_sequence(root, seq, binary=binary)
     return seq.seq_id, len(seq.frames)
 
@@ -215,24 +216,15 @@ def generate_dataset(cfg: RunConfig, root, binary: bool = False,
 
     workers = resolve_workers(workers)
     entries = []
-    if workers == 1:
-        for subject, activity, scene in specs:
-            seq_id, n = _gen_worker(cfg.as_dict(), subject, activity, scene,
-                                    str(root), binary)
+    # in this process or in a pool, the results arrive in spec order
+    with (contextlib.nullcontext() if workers == 1
+          else ProcessPoolExecutor(max_workers=workers)) as pool:
+        run = map if pool is None else pool.map
+        results = run(functools.partial(_gen_worker, cfg.as_dict(), str(root), binary),
+                      specs)
+        for (subject, activity, scene), (seq_id, n) in zip(specs, results):
             entries.append((seq_id, subject, activity, scene, n))
             log.info("generated %s (%d frames)", seq_id, n)
-    else:
-        cfg_dict = cfg.as_dict()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (pool.submit(_gen_worker, cfg_dict, subject, activity, scene,
-                             str(root), binary), subject, activity, scene)
-                for subject, activity, scene in specs
-            ]
-            for fut, subject, activity, scene in futures:
-                seq_id, n = fut.result()
-                entries.append((seq_id, subject, activity, scene, n))
-                log.info("generated %s (%d frames)", seq_id, n)
 
     manifest = {
         "config": cfg.as_dict(),

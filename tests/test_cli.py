@@ -134,6 +134,16 @@ class TestLabel:
         assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_manifest_config_value_of_wrong_type_exits_2(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        manifest = data / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["config"]["net"]["sa_radii"] = 5
+        manifest.write_text(json.dumps(content))
+        assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
+        assert "bad NetConfig value" in capsys.readouterr().err
+
     def test_manifest_without_keys_exits_2(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{}")
         assert main(["label", "--data", str(tmp_path)]) == 2

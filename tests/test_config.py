@@ -10,8 +10,8 @@ from milliflow.config import (
     from_dict,
     load_config,
     run_config_from_dict,
-    save_config,
 )
+from milliflow.dataio import write_json
 from milliflow.errors import ConfigError
 from milliflow.radar import CfarParams
 
@@ -102,7 +102,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(seed=3, gen=GenConfig(n_scenes=2))
         path = tmp_path / "run.json"
-        save_config(path, cfg)
+        write_json(path, cfg.as_dict())
         assert load_config(path) == cfg
 
     def test_partial_file_uses_defaults(self, tmp_path):
@@ -122,6 +122,21 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("content", [
+        {"net": {"sa_radii": 5}},
+        {"train": {"lr_decay": "fast"}},
+        {"seed": [1]},
+        {"seed": "x"},
+        {"radar": 5},
+    ])
+    def test_value_of_wrong_type(self, tmp_path, content):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(ConfigError):
+            load_config(path)
+        with pytest.raises(ConfigError):
+            run_config_from_dict(content)
 
     def test_non_dict_root(self, tmp_path):
         path = tmp_path / "list.json"

@@ -130,8 +130,7 @@ def cmd_gen(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    manifest = generate_dataset(cfg, args.out, binary=args.binary,
-                                workers=args.workers)
+    manifest = generate_dataset(cfg, args.out, workers=args.workers)
     in_set = sum(s["n_frames"] for s in manifest["sequences"] if s["in_set"])
     out_set = sum(s["n_frames"] for s in manifest["sequences"] if not s["in_set"])
     print(f"wrote {len(manifest['sequences'])} sequences to {args.out}")
@@ -142,7 +141,7 @@ def cmd_gen(args) -> int:
 
 def cmd_label(args) -> int:
     _read_dataset_manifest(args.data)
-    summary = label_dataset(args.data, binary=args.binary)
+    summary = label_dataset(args.data)
     print(f"labeled {summary['n_sequences']} sequences")
     print(f"valid-point ratio: {summary['valid_ratio']:.4f}")
     return 0
@@ -289,15 +288,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run config (defaults if omitted)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--binary", action="store_true",
-                   help="store frames in the compact binary format")
     p.add_argument("--workers", type=int,
                    help="parallel workers (default: MFL_THREADS or 1)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("label", help="label every stored sequence")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="train a flow or task model")

@@ -4,9 +4,8 @@ construction, and subject-level splits.  Every network input is read from
 
 On-disk layout: `<root>/manifest.json` plus one directory per sequence holding
 `frames.jsonl` (points, observed keypoints, ground-truth pose per frame) and
-`labels.jsonl` (per-pair flow labels).  A binary mode stores the same records
-with little-endian 64-bit floats and length-prefixed arrays; JSON numbers use
-the shortest exact decimal form, so both modes round-trip bit-exactly.
+`labels.jsonl` (per-pair flow labels), one JSON record per line.  JSON numbers
+use the shortest exact decimal form, so a sequence round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import dataclasses
 import itertools
 import json
 import logging
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +21,6 @@ import numpy as np
 
 from .errors import (
     ConfigError, CorruptFile, EmptyFrame, LengthMismatch, TooFewSubjects, atomic_write,
-    read_exact, read_struct,
 )
 from .labeling import FlowLabel
 from .radar import RadarFrame
@@ -36,8 +33,9 @@ INTENSITY_FLOOR = 0.5  # strict: intensity must exceed this
 SAMPLE_SIZE = 128
 CLIP_LENGTH = 5
 
-_BINARY_MAGIC = b"MFLB"
-_BINARY_VERSION = 1
+
+def sequence_id(subject_id: int, activity_id: str, scene_id: int) -> str:
+    return f"{subject_id:03d}_{activity_id}_{scene_id:02d}"
 
 
 @dataclass
@@ -58,10 +56,15 @@ class Sequence:
             raise LengthMismatch(
                 f"{n} frames need {n - 1} labels, got {len(self.labels)}"
             )
+        for i, (label, frame) in enumerate(zip(self.labels or (), self.frames)):
+            if len(label) != len(frame):
+                raise LengthMismatch(
+                    f"label {i} has {len(label)} rows for {len(frame)} points"
+                )
 
     @property
     def seq_id(self) -> str:
-        return f"{self.subject_id:03d}_{self.activity_id}_{self.scene_id:02d}"
+        return sequence_id(self.subject_id, self.activity_id, self.scene_id)
 
     @property
     def n_samples(self) -> int:
@@ -225,11 +228,15 @@ def split(sequences, seed: int = 0) -> SplitManifest:
         train_subjects=tuple(sorted(shuffled[:n_train])),
         val_subjects=tuple(sorted(shuffled[n_train : n_train + n_val])),
         test_subjects=tuple(sorted(shuffled[n_train + n_val :])),
-        out_of_set_sequences=tuple(
-            sorted(s.seq_id for s in seqs if s.activity_id in OUT_OF_SET_ACTIVITIES)
-        ),
+        out_of_set_sequences=out_of_set_ids(seqs),
     )
     return manifest
+
+
+def out_of_set_ids(sequences) -> tuple:
+    """Sorted ids of the sequences whose activity is out of set."""
+    return tuple(sorted(s.seq_id for s in sequences
+                        if s.activity_id in OUT_OF_SET_ACTIVITIES))
 
 
 # ----------------------------------------------------------------------
@@ -253,15 +260,22 @@ def _parse_frame_record(rec: dict):
     pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 4)
     kps = np.asarray(rec["keypoints"], dtype=np.float64).reshape(-1, 4)
     prov = rec.get("bone_prov")
+    if prov is not None:
+        prov = np.asarray(prov, dtype=np.int64)
+        if prov.shape != (len(pts),):
+            raise LengthMismatch(f"provenance of shape {prov.shape} for {len(pts)} points")
+    pose_kp = np.asarray(rec["pose_gt"], dtype=np.float64)
+    if pose_kp.shape != (len(kps), 3):
+        raise LengthMismatch(f"a pose of shape {pose_kp.shape} for {len(kps)} keypoints")
     frame = RadarFrame(
         points=pts[:, :3],
         intensities=pts[:, 3],
         frame_index=int(rec["frame_index"]),
         timestamp=float(rec["timestamp"]),
-        prov_bone=None if prov is None else np.asarray(prov, dtype=np.int64),
+        prov_bone=prov,
     )
     pose = SkeletonPose(
-        keypoints=np.asarray(rec["pose_gt"], dtype=np.float64),
+        keypoints=pose_kp,
         frame_index=int(rec["frame_index"]),
         timestamp=float(rec["timestamp"]),
     )
@@ -279,90 +293,17 @@ def _label_record(label: FlowLabel) -> dict:
 
 
 def _parse_label_record(rec: dict) -> FlowLabel:
-    return FlowLabel(
+    label = FlowLabel(
         flows=np.asarray(rec["flows"], dtype=np.float64).reshape(-1, 3),
         valid_mask=np.asarray(rec["valid"], dtype=bool),
         bone_assignment=np.asarray(rec["bone"], dtype=np.int64),
         segment_label=np.asarray(rec["segment"], dtype=np.int64),
     )
-
-
-def _write_array(f, arr: np.ndarray, fmt: str):
-    flat = np.ascontiguousarray(arr, dtype=fmt)
-    f.write(struct.pack("<I", flat.size))
-    f.write(flat.tobytes())
-
-
-def _read_array(f, fmt: str) -> np.ndarray:
-    (count,) = read_struct(f, "<I")
-    return np.frombuffer(read_exact(f, np.dtype(fmt).itemsize * count), dtype=fmt)
-
-
-def _write_binary_frames(path: Path, seq: Sequence):
-    with atomic_write(path, "wb") as f:
-        f.write(_BINARY_MAGIC)
-        f.write(struct.pack("<II", _BINARY_VERSION, len(seq.frames)))
-        for frame, pose, obs in zip(seq.frames, seq.poses, seq.observed_kps):
-            f.write(struct.pack("<I", int(frame.frame_index)))
-            f.write(struct.pack("<d", float(frame.timestamp)))
-            _write_array(f, np.column_stack([frame.points, frame.intensities]), "<f8")
-            _write_array(f, np.column_stack([obs.positions, obs.confidences]), "<f8")
-            _write_array(f, pose.keypoints, "<f8")
-            f.write(struct.pack("<B", frame.prov_bone is not None))
-            if frame.prov_bone is not None:
-                _write_array(f, frame.prov_bone, "<q")
-
-
-def _read_binary_frames(path: Path):
-    frames, poses, observed = [], [], []
-    with open(path, "rb") as f:
-        if read_exact(f, 4) != _BINARY_MAGIC:
-            raise ConfigError(f"{path} is not a binary sequence file")
-        version, n = read_struct(f, "<II")
-        if version != _BINARY_VERSION:
-            raise ConfigError(f"unsupported binary version {version}")
-        for _ in range(n):
-            frame_index, timestamp = read_struct(f, "<Id")
-            pts = _read_array(f, "<f8").reshape(-1, 4)
-            kps = _read_array(f, "<f8").reshape(-1, 4)
-            pose_kp = _read_array(f, "<f8").reshape(-1, 3)
-            (has_prov,) = read_struct(f, "<B")
-            prov = _read_array(f, "<q").astype(np.int64) if has_prov else None
-            frames.append(
-                RadarFrame(pts[:, :3].copy(), pts[:, 3].copy(), frame_index,
-                           timestamp, prov)
-            )
-            poses.append(SkeletonPose(pose_kp.copy(), frame_index, timestamp))
-            observed.append(ObservedKeypoints(kps[:, :3].copy(), kps[:, 3].copy()))
-    return frames, poses, observed
-
-
-def _write_binary_labels(path: Path, labels: list):
-    with atomic_write(path, "wb") as f:
-        f.write(_BINARY_MAGIC)
-        f.write(struct.pack("<II", _BINARY_VERSION, len(labels)))
-        for lab in labels:
-            _write_array(f, lab.flows, "<f8")
-            _write_array(f, lab.valid_mask, "<B")
-            _write_array(f, lab.bone_assignment, "<q")
-            _write_array(f, lab.segment_label, "<q")
-
-
-def _read_binary_labels(path: Path) -> list:
-    labels = []
-    with open(path, "rb") as f:
-        if read_exact(f, 4) != _BINARY_MAGIC:
-            raise ConfigError(f"{path} is not a binary label file")
-        version, n = read_struct(f, "<II")
-        if version != _BINARY_VERSION:
-            raise ConfigError(f"unsupported binary version {version}")
-        for _ in range(n):
-            flows = _read_array(f, "<f8").reshape(-1, 3)
-            valid = _read_array(f, "<B").astype(bool)
-            bone = _read_array(f, "<q").astype(np.int64)
-            segment = _read_array(f, "<q").astype(np.int64)
-            labels.append(FlowLabel(flows.copy(), valid, bone, segment))
-    return labels
+    for name, arr in (("valid", label.valid_mask), ("bone", label.bone_assignment),
+                      ("segment", label.segment_label)):
+        if arr.shape != (len(label),):
+            raise LengthMismatch(f"{name} of shape {arr.shape} for {len(label)} flows")
+    return label
 
 
 def sequence_dir(root, seq_id: str) -> Path:
@@ -385,37 +326,31 @@ def _read_jsonl(path: Path, parse) -> list:
         raise CorruptFile(f"{path}: truncated inside its last record")
     try:
         return [parse(json.loads(line)) for line in data.splitlines()]
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, LengthMismatch) as e:
         raise CorruptFile(f"{path}: malformed record: {e}") from e
 
 
-def _write_labels(out: Path, labels: list, binary: bool):
-    if binary:
-        _write_binary_labels(out / "labels.bin", labels)
-    else:
-        _write_jsonl(out / "labels.jsonl", (_label_record(lab) for lab in labels))
+def _write_labels(out: Path, labels: list):
+    _write_jsonl(out / "labels.jsonl", (_label_record(lab) for lab in labels))
 
 
-def save_sequence(root, seq: Sequence, binary: bool = False) -> Path:
+def save_sequence(root, seq: Sequence) -> Path:
     out = sequence_dir(root, seq.seq_id)
     out.mkdir(parents=True, exist_ok=True)
-    if binary:
-        _write_binary_frames(out / "frames.bin", seq)
-    else:
-        _write_jsonl(out / "frames.jsonl", (
-            _frame_record(frame, pose, obs)
-            for frame, pose, obs in zip(seq.frames, seq.poses, seq.observed_kps)))
+    _write_jsonl(out / "frames.jsonl", (
+        _frame_record(frame, pose, obs)
+        for frame, pose, obs in zip(seq.frames, seq.poses, seq.observed_kps)))
     if seq.labels is not None:
-        _write_labels(out, seq.labels, binary)
+        _write_labels(out, seq.labels)
     return out
 
 
-def save_labels(root, seq_id: str, labels: list, binary: bool = False) -> Path:
+def save_labels(root, seq_id: str, labels: list) -> Path:
     """Write labels for an already stored sequence."""
     out = sequence_dir(root, seq_id)
     if not out.is_dir():
         raise ConfigError(f"no sequence stored under {out}")
-    _write_labels(out, labels, binary)
+    _write_labels(out, labels)
     return out
 
 
@@ -430,27 +365,19 @@ def _parse_seq_id(seq_id: str):
 def load_sequence(root, seq_id: str) -> Sequence:
     src = sequence_dir(root, seq_id)
     subject, activity, scene = _parse_seq_id(seq_id)
-    if (src / "frames.bin").exists():
-        frames, poses, observed = _read_binary_frames(src / "frames.bin")
-        labels = (
-            _read_binary_labels(src / "labels.bin")
-            if (src / "labels.bin").exists()
-            else None
-        )
-    elif (src / "frames.jsonl").exists():
-        records = _read_jsonl(src / "frames.jsonl", _parse_frame_record)
-        frames = [r[0] for r in records]
-        poses = [r[1] for r in records]
-        observed = [r[2] for r in records]
-        labels = None
-        if (src / "labels.jsonl").exists():
-            labels = _read_jsonl(src / "labels.jsonl", _parse_label_record)
-    else:
+    if not (src / "frames.jsonl").exists():
         raise ConfigError(f"no frame data under {src}")
+    records = _read_jsonl(src / "frames.jsonl", _parse_frame_record)
+    frames = [r[0] for r in records]
+    poses = [r[1] for r in records]
+    observed = [r[2] for r in records]
+    labels = None
+    if (src / "labels.jsonl").exists():
+        labels = _read_jsonl(src / "labels.jsonl", _parse_label_record)
     try:
         return Sequence(subject, activity, scene, frames, poses, observed, labels)
     except LengthMismatch as e:
-        raise CorruptFile(f"{src}: {e}; one of the files was cut") from e
+        raise CorruptFile(f"{src}: the stored files disagree: {e}") from e
 
 
 def write_json(path, data: dict) -> Path:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the file helpers that
-keep stored files whole: exact-length reads that turn a truncated binary
-file into a typed error, and atomic writes."""
+keep stored files whole: exact-length reads that turn a truncated
+checkpoint into a typed error, and atomic writes."""
 
 import contextlib
 import os

@@ -134,8 +134,8 @@ class FlowNet:
         self.ctx = CloudEncoder(rng, cfg, cfg.input_features, dtype)
 
         z_dim = self.local.z_dim  # 512, per-point feature + global context
-        self.cv = CostVolume(rng, z_dim, k_neighbors=cfg.cv_k,
-                             d_cost=cfg.cv_dcost, dtype=dtype)
+        self.cv = CostVolume(rng, z_dim, k_neighbors=cfg.cv_k, d_cost=cfg.cv_dcost,
+                             weight_hidden=cfg.cv_weight_hidden, dtype=dtype)
         embed_in = cfg.cv_dcost + z_dim  # 576
         n_scales = len(cfg.sa_radii)
         self.embed = [

@@ -134,25 +134,16 @@ def set_abstraction(
     return ad.tmax(params(local), axis=1)  # (N', C')
 
 
-def global_pool(params: MLP | None, feats: Tensor, weights_mode: str = "attention"):
-    """Aggregate per-point features into one vector.
-
-    attention: two-layer MLP scores each point, softmax over points, weighted
-    sum; returns (vector, weights).  max/avg need no params and return
-    (vector, None).
-    """
+def global_pool(params: MLP, feats: Tensor):
+    """Aggregate per-point features into one vector by attention: the MLP
+    scores each point, a softmax over points weighs them, and the weighted
+    features are summed.  Returns (vector, weights)."""
     if feats.shape[0] < 1:
         raise ShapeMismatch("global_pool needs at least one point")
-    if weights_mode == "attention":
-        logits = params(feats)  # (N, 1)
-        w = ad.softmax(logits, axis=0)
-        g = ad.tsum(ad.mul(w, feats), axis=0)
-        return g, ad.reshape(w, (-1,))
-    if weights_mode == "max":
-        return ad.tmax(feats, axis=0), None
-    if weights_mode == "avg":
-        return ad.tmean(feats, axis=0), None
-    raise ConfigError(f"unknown pooling mode: {weights_mode!r}")
+    logits = params(feats)  # (N, 1)
+    w = ad.softmax(logits, axis=0)
+    g = ad.tsum(ad.mul(w, feats), axis=0)
+    return g, ad.reshape(w, (-1,))
 
 
 class CostVolume:
@@ -162,15 +153,15 @@ class CostVolume:
     a shared MLP on [feat_p || feat_q || (q - p)] and aggregates them with a
     displacement-conditioned softmax.  Stage 2 re-aggregates those costs over
     each source point's k nearest source neighbors, again softmax-weighted by
-    displacement.
+    displacement.  `weight_hidden` gives the hidden widths of both weight MLPs.
     """
 
     def __init__(self, rng, feat_dim: int, k_neighbors: int = 8, d_cost: int = 64,
-                 dtype=np.float64):
+                 weight_hidden: tuple = (8, 8), dtype=np.float64):
         self.k = k_neighbors
         self.cost_mlp = MLP(rng, 2 * feat_dim + 3, [d_cost, d_cost], dtype=dtype)
-        self.weight_mlp1 = MLP(rng, 3, [8, 8, 1], dtype=dtype)
-        self.weight_mlp2 = MLP(rng, 3, [8, 8, 1], dtype=dtype)
+        self.weight_mlp1 = MLP(rng, 3, list(weight_hidden) + [1], dtype=dtype)
+        self.weight_mlp2 = MLP(rng, 3, list(weight_hidden) + [1], dtype=dtype)
 
     def __call__(self, pts_p, feats_p: Tensor, pts_q, feats_q: Tensor,
                  table_p: NeighbourTable | None = None) -> Tensor:

@@ -18,6 +18,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +26,12 @@ from .config import RunConfig, run_config_from_dict
 from .dataio import (
     Sequence,
     SplitManifest,
-    list_sequences,
     load_sequence,
+    out_of_set_ids,
     read_manifest,
     save_labels,
     save_sequence,
+    sequence_id,
     split,
     write_json,
     write_manifest,
@@ -164,15 +166,14 @@ def dataset_sequence_specs(cfg: RunConfig) -> list[tuple[int, str, int]]:
     return specs
 
 
-class _SeqStub:
-    def __init__(self, subject_id, activity_id, scene_id):
-        self.subject_id = subject_id
-        self.activity_id = activity_id
-        self.scene_id = scene_id
+class _SeqStub(NamedTuple):
+    subject_id: int
+    activity_id: str
+    scene_id: int
 
     @property
-    def seq_id(self):
-        return f"{self.subject_id:03d}_{self.activity_id}_{self.scene_id:02d}"
+    def seq_id(self) -> str:
+        return sequence_id(*self)
 
 
 def dataset_split(cfg: RunConfig) -> SplitManifest:
@@ -185,29 +186,23 @@ def dataset_split(cfg: RunConfig) -> SplitManifest:
             raise ConfigError(
                 f"explicit split covers {sorted(listed)}, dataset has {sorted(subjects)}"
             )
-        from .skeleton import OUT_OF_SET_ACTIVITIES
-
         return SplitManifest(
             train_subjects=tuple(sorted(es["train"])),
             val_subjects=tuple(sorted(es["val"])),
             test_subjects=tuple(sorted(es["test"])),
-            out_of_set_sequences=tuple(
-                sorted(s.seq_id for s in stubs
-                       if s.activity_id in OUT_OF_SET_ACTIVITIES)
-            ),
+            out_of_set_sequences=out_of_set_ids(stubs),
         )
     return split(stubs, seed=cfg.seed)
 
 
-def _gen_worker(cfg_dict: dict, root: str, binary: bool, spec: tuple) -> tuple[str, int]:
+def _gen_worker(cfg_dict: dict, root: str, spec: tuple) -> tuple[str, int]:
     cfg = run_config_from_dict(cfg_dict)
     seq = generate_sequence(cfg, *spec)
-    save_sequence(root, seq, binary=binary)
+    save_sequence(root, seq)
     return seq.seq_id, len(seq.frames)
 
 
-def generate_dataset(cfg: RunConfig, root, binary: bool = False,
-                     workers: int | None = None) -> dict:
+def generate_dataset(cfg: RunConfig, root, workers: int | None = None) -> dict:
     """Generate and store every sequence plus the manifest; returns the manifest."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -220,8 +215,7 @@ def generate_dataset(cfg: RunConfig, root, binary: bool = False,
     with (contextlib.nullcontext() if workers == 1
           else ProcessPoolExecutor(max_workers=workers)) as pool:
         run = map if pool is None else pool.map
-        results = run(functools.partial(_gen_worker, cfg.as_dict(), str(root), binary),
-                      specs)
+        results = run(functools.partial(_gen_worker, cfg.as_dict(), str(root)), specs)
         for (subject, activity, scene), (seq_id, n) in zip(specs, results):
             entries.append((seq_id, subject, activity, scene, n))
             log.info("generated %s (%d frames)", seq_id, n)
@@ -263,7 +257,7 @@ def _load_listed(root, meta: dict) -> Sequence:
     return seq
 
 
-def label_dataset(root, binary: bool = False) -> dict:
+def label_dataset(root) -> dict:
     """Label every stored sequence per its partition; writes label files and a
     summary with the valid-point ratio."""
     root = Path(root)
@@ -277,7 +271,7 @@ def label_dataset(root, binary: bool = False) -> dict:
         seq = _load_listed(root, meta)
         partition = sequence_partition(split_manifest, meta["id"], meta["subject_id"])
         labels = label_sequence(seq, partition)
-        save_labels(root, meta["id"], labels, binary=binary)
+        save_labels(root, meta["id"], labels)
         total_points += sum(len(l) for l in labels)
         total_valid += sum(int(l.valid_mask.sum()) for l in labels)
         n_sequences += 1

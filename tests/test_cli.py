@@ -144,6 +144,26 @@ class TestLabel:
         assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
         assert "bad NetConfig value" in capsys.readouterr().err
 
+    def test_frames_bin_alone_exits_2(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        seq_dir = data / "seq_002_ArmSwing_00"
+        (seq_dir / "labels.jsonl").unlink()
+        (seq_dir / "frames.jsonl").rename(seq_dir / "frames.bin")
+        assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
+        assert "no frame data under" in capsys.readouterr().err
+
+    def test_merged_label_integers_exit_2(self, dataset, tmp_path, capsys):
+        # a "," flipped to "." merges two bone indices into one float
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        labels = data / "seq_002_ArmSwing_00" / "labels.jsonl"
+        whole = labels.read_bytes()
+        at = whole.index(b",", whole.index(b'"bone":['))
+        labels.write_bytes(whole[:at] + b"." + whole[at + 1:])
+        assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
+        assert "bone of shape" in capsys.readouterr().err
+
     def test_manifest_without_keys_exits_2(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{}")
         assert main(["label", "--data", str(tmp_path)]) == 2
@@ -334,6 +354,12 @@ class TestParser:
     def test_unknown_flag_exits_2(self, dataset):
         with pytest.raises(SystemExit) as e:
             main(["eval", "--task", "flow", "--data", dataset, "--frobnicate"])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("command", ["gen --out ds", "label --data ds"])
+    def test_binary_flag_exits_2(self, command):
+        with pytest.raises(SystemExit) as e:
+            main(command.split() + ["--binary"])
         assert e.value.code == 2
 
     def test_missing_subcommand_exits_2(self):

@@ -287,12 +287,6 @@ class TestSerialization:
         assert (tmp_path / f"seq_{seq.seq_id}" / "frames.jsonl").exists()
         assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
 
-    def test_binary_round_trip_bit_exact(self, tmp_path):
-        seq = toy_sequence(n_frames=4, n_points=25)
-        save_sequence(tmp_path, seq, binary=True)
-        assert (tmp_path / f"seq_{seq.seq_id}" / "frames.bin").exists()
-        assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
-
     def test_unlabeled_round_trip(self, tmp_path):
         seq = toy_sequence(n_frames=3, n_points=10, with_labels=False)
         save_sequence(tmp_path, seq)
@@ -354,19 +348,6 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             read_manifest(tmp_path)
 
-    @pytest.mark.parametrize("name", ["frames.bin", "labels.bin"])
-    def test_every_truncation_is_corrupt_file(self, tmp_path, name):
-        seq = toy_sequence(n_frames=3, n_points=2)
-        seq.frames[1] = dataclasses.replace(seq.frames[1], prov_bone=None)
-        path = save_sequence(tmp_path, seq, binary=True) / name
-        whole = path.read_bytes()
-        for cut in range(len(whole)):
-            path.write_bytes(whole[:cut])
-            with pytest.raises(CorruptFile):
-                load_sequence(tmp_path, seq.seq_id)
-        path.write_bytes(whole)
-        assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
-
     @pytest.mark.parametrize("name", ["frames.jsonl", "labels.jsonl"])
     def test_every_text_truncation_is_corrupt_file(self, tmp_path, name):
         seq = toy_sequence(n_frames=3, n_points=2)
@@ -379,6 +360,38 @@ class TestSerialization:
                 load_sequence(tmp_path, seq.seq_id)
         path.write_bytes(whole)
         assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
+
+    def test_every_bit_flip_loads_consistently_or_is_corrupt_file(self, tmp_path):
+        # bit 1 turns "," into ".", which merges two integers of an array
+        seq = toy_sequence(n_frames=3, n_points=2)
+        out = save_sequence(tmp_path, seq)
+        labels = (out / "labels.jsonl").read_bytes()
+        frames = (out / "frames.jsonl").read_bytes()
+        flips = [("labels.jsonl", labels, i) for i in range(len(labels))]
+        flips += [("frames.jsonl", frames, i) for i, c in enumerate(frames) if c == ord(b",")]
+        for name, whole, i in flips:
+            flipped = bytearray(whole)
+            flipped[i] ^= 0b10
+            (out / name).write_bytes(flipped)
+            try:
+                back = load_sequence(tmp_path, seq.seq_id)
+            except CorruptFile:
+                continue
+            finally:
+                (out / name).write_bytes(whole)
+            for frame, label in zip(back.frames, back.labels):
+                n = len(frame)
+                assert frame.intensities.shape == frame.prov_bone.shape == (n,)
+                assert label.flows.shape == (n, 3)
+                assert (label.valid_mask.shape == label.bone_assignment.shape
+                        == label.segment_label.shape == (n,))
+
+    def test_label_rows_differing_from_source_points_is_corrupt_file(self, tmp_path):
+        seq = toy_sequence(n_frames=3, n_points=4)
+        save_sequence(tmp_path, seq)
+        save_labels(tmp_path, seq.seq_id, [toy_label(4), toy_label(5)])
+        with pytest.raises(CorruptFile, match="label 1 has 5 rows for 4 points"):
+            load_sequence(tmp_path, seq.seq_id)
 
     def test_every_manifest_truncation_is_corrupt_file(self, tmp_path):
         data = {"config": {},
@@ -410,6 +423,9 @@ class TestSerialization:
         obs = [ObservedKeypoints(np.zeros((14, 3)), np.ones(14)) for _ in range(3)]
         with pytest.raises(LengthMismatch):
             Sequence(0, "ArmSwing", 0, frames, poses, obs, labels=[toy_label(5)])
+        with pytest.raises(LengthMismatch):
+            Sequence(0, "ArmSwing", 0, frames, poses, obs,
+                     labels=[toy_label(5), toy_label(4)])
 
 
 class TestAtomicWrite:

@@ -89,6 +89,13 @@ class TestForward:
         assert final.shape == (128, 512)
         assert state.h.shape == (256,)
 
+    def test_cost_volume_weight_widths_follow_config(self):
+        model = FlowNet(tiny_net(cv_weight_hidden=(5,)), seed=0)
+        for mlp in (model.cv.weight_mlp1, model.cv.weight_mlp2):
+            assert [w.shape for w in mlp.weights] == [(3, 5), (5, 1)]
+        flows, _, _ = model.forward(make_frame(6), make_frame(6, 1), model.initial_state())
+        assert flows.shape == (6, 3)
+
     def test_clamp_binds(self):
         model = FlowNet(tiny_net(), seed=0)
         # blow up the regressor so raw outputs exceed the bound everywhere

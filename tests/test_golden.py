@@ -26,9 +26,9 @@ def golden_cfg() -> RunConfig:
     )
 
 
-def dataset_hashes(root, binary: bool) -> dict:
-    pipeline.generate_dataset(golden_cfg(), root, binary=binary, workers=1)
-    pipeline.label_dataset(root, binary=binary)
+def dataset_hashes(root) -> dict:
+    pipeline.generate_dataset(golden_cfg(), root, workers=1)
+    pipeline.label_dataset(root)
     return {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*"))
@@ -91,64 +91,10 @@ GOLDEN = {
         "seq_005_Sitting_00/labels.jsonl":
             "4a13f8d9d882d85032194d771ffebfe610b2470e88ad2ffff702b16481016aa9",
     },
-    "binary": {
-        "label_summary.json":
-            "bc9cf57161a5e1ac9072d270d7293ceff98eb4993a0ed3e0aef570d6d68f5f62",
-        "manifest.json":
-            "17551ba7eee2045ac82444d677eb995bae021cead18e1f32bf7552d47a1aa4eb",
-        "seq_000_ArmSwing_00/frames.bin":
-            "4b882c253751f3445cf0c36d908c87b4e74462e8206a33fed0290c47d18651e0",
-        "seq_000_ArmSwing_00/labels.bin":
-            "652e2f062f41c40b7e4f3ad3fccc9b31a1593d83b359a25a9f55d4122c8b940d",
-        "seq_000_Sitting_00/frames.bin":
-            "3e80dc8bd39eec3adc30be767d4b4cc5fba4f5944e766be915f2f2c197545267",
-        "seq_000_Sitting_00/labels.bin":
-            "87f0421e27ca971c9be73185d168d6383cc8724568e49866379cc5d9d1712c9d",
-        "seq_001_ArmSwing_00/frames.bin":
-            "7e1c064011b71c67e799f6334b1b92b137a683f42849aae436a0f9183bed6e2b",
-        "seq_001_ArmSwing_00/labels.bin":
-            "186bedc3f15176d99dac894f70c5f3969e75d7add3492ddde289f3dbca35062e",
-        "seq_001_Sitting_00/frames.bin":
-            "323e7391dc4b9107e3874d9d80d95d5e4cdeef32c309186cd0be1ce1bf288915",
-        "seq_001_Sitting_00/labels.bin":
-            "9fa616d903f162d0aab609b683df7d26014fda36de5410836d7cf310d1ccd804",
-        "seq_002_ArmSwing_00/frames.bin":
-            "904a69aaeccd64a494a076bf602a7b5cedc563878cba2210f373ba63ba451073",
-        "seq_002_ArmSwing_00/labels.bin":
-            "7e004940d370b06dc56b7a7d38040a4e4c0856883f7c3e9d0030771e1685b5da",
-        "seq_002_Sitting_00/frames.bin":
-            "cae998dea2fde202fbcc22e7046783031388be33614ee02646cd75d7a24de778",
-        "seq_002_Sitting_00/labels.bin":
-            "28ed753b9cf5b427b6f82d7a425f6ef421ebebb6bf74a6a1089e6c845b597482",
-        "seq_003_ArmSwing_00/frames.bin":
-            "4c30f7b7c5503ad785871929cb2eceda763af8718ed2abee9eb6e2e2554d7a6b",
-        "seq_003_ArmSwing_00/labels.bin":
-            "f7a0099efbaa4d22bf3bc24db0e20476863e132f8d8a8b2f124a7eed0bd1f786",
-        "seq_003_Sitting_00/frames.bin":
-            "473612a3b26f20ed176ab3d5a372ed3f08322cab84e83957d00582c7ae6dafc1",
-        "seq_003_Sitting_00/labels.bin":
-            "6549f8baf82710a769eba81fe6a0d93ed2629d162a179e3ca0d3cdef66042808",
-        "seq_004_ArmSwing_00/frames.bin":
-            "8de47af1351ae982e5df14e11d32cd82cdba71136097574c9bd1516dd25efd79",
-        "seq_004_ArmSwing_00/labels.bin":
-            "b62ce7cdf4d4286827659563ff8e06994eea5fdf71291f0bd787a8aca3d2ae2a",
-        "seq_004_Sitting_00/frames.bin":
-            "282bb84fb3675ffb319426c28253679f0a8c4bd9b747373e76b4e2da2b48fd9f",
-        "seq_004_Sitting_00/labels.bin":
-            "f772ea8f55af93be7e0f13f0f633cd98ae14e4f766bdd8ea71587f874b906cee",
-        "seq_005_ArmSwing_00/frames.bin":
-            "8cdea5fcd35434bec7bc85599ab70d3025de1e7e2b9c18dad36bcbfe3704d955",
-        "seq_005_ArmSwing_00/labels.bin":
-            "7b6f70d08cd77a127f2fa41b9de923ba5ec2daa3bc013493246473900f9a63eb",
-        "seq_005_Sitting_00/frames.bin":
-            "ab600a18de926000fb5a6d2b4f93f5a50883d13ab63d81349cdcabf53098ce15",
-        "seq_005_Sitting_00/labels.bin":
-            "02977e99524b9a343120027ba02833245747ec0acd2102769e48eb64aa9d3ab9",
-    },
 }
 
 
-@pytest.mark.parametrize("mode", ["json", "binary"])
+@pytest.mark.parametrize("mode", ["json"])
 def test_dataset_bytes_unchanged(tmp_path, mode):
-    got = dataset_hashes(tmp_path, binary=mode == "binary")
+    got = dataset_hashes(tmp_path)
     assert got == GOLDEN[mode]

@@ -187,7 +187,7 @@ class TestGlobalPool:
         rng = np.random.default_rng(0)
         mlp = L.MLP(rng, 4, [8, 1])
         feats = Tensor(np.tile([0.5, -1.0, 2.0, 0.1], (2, 1)))
-        g, w = L.global_pool(mlp, feats, "attention")
+        g, w = L.global_pool(mlp, feats)
         np.testing.assert_allclose(w.data, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(g.data, feats.data[0], atol=1e-12)
 
@@ -195,37 +195,23 @@ class TestGlobalPool:
         rng = np.random.default_rng(1)
         mlp = L.MLP(rng, 4, [8, 1])
         feats = Tensor(rng.normal(size=(17, 4)))
-        g, w = L.global_pool(mlp, feats, "attention")
+        g, w = L.global_pool(mlp, feats)
         assert g.shape == (4,)
         assert abs(w.data.sum() - 1.0) < 1e-6
         assert np.all(w.data > 0)
 
-    def test_avg_pool(self):
-        feats = Tensor(np.array([[1.0, 0.0], [3.0, 0.0]]))
-        g, w = L.global_pool(None, feats, "avg")
-        np.testing.assert_array_equal(g.data, [2.0, 0.0])
-        assert w is None
-
-    def test_max_pool(self):
-        feats = Tensor(np.array([[1.0, 5.0], [3.0, 0.0]]))
-        g, _ = L.global_pool(None, feats, "max")
-        np.testing.assert_array_equal(g.data, [3.0, 5.0])
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            L.global_pool(None, Tensor(np.ones((2, 2))), "median")
-
     def test_empty_input(self):
+        mlp = L.MLP(np.random.default_rng(0), 4, [8, 1])
         with pytest.raises(ShapeMismatch):
-            L.global_pool(None, Tensor(np.zeros((0, 4))), "max")
+            L.global_pool(mlp, Tensor(np.zeros((0, 4))))
 
     def test_attention_permutation_invariance(self):
         rng = np.random.default_rng(2)
         mlp = L.MLP(rng, 4, [8, 1])
         feats = rng.normal(size=(11, 4))
         perm = rng.permutation(11)
-        g, w = L.global_pool(mlp, Tensor(feats), "attention")
-        g_p, w_p = L.global_pool(mlp, Tensor(feats[perm]), "attention")
+        g, w = L.global_pool(mlp, Tensor(feats))
+        g_p, w_p = L.global_pool(mlp, Tensor(feats[perm]))
         np.testing.assert_allclose(g_p.data, g.data, atol=1e-9)
         np.testing.assert_allclose(w_p.data, w.data[perm], atol=1e-9)
 
@@ -236,13 +222,18 @@ class TestGlobalPool:
         feats = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         params = dict(mlp.named_params("att"), feats=feats)
         check_param_grads(
-            lambda: (L.global_pool(mlp, feats, "attention")[0] ** 2.0).sum(), params
+            lambda: (L.global_pool(mlp, feats)[0] ** 2.0).sum(), params
         )
 
 
 class TestCostVolume:
     def make(self, rng, feat_dim=4, k=3, d_cost=6):
         return L.CostVolume(rng, feat_dim, k_neighbors=k, d_cost=d_cost)
+
+    def test_weight_mlp_widths(self):
+        cv = L.CostVolume(np.random.default_rng(0), 4, weight_hidden=(5, 7, 2))
+        for mlp in (cv.weight_mlp1, cv.weight_mlp2):
+            assert [w.shape for w in mlp.weights] == [(3, 5), (5, 7), (7, 2), (2, 1)]
 
     def test_single_pair(self):
         rng = np.random.default_rng(0)

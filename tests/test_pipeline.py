@@ -214,19 +214,6 @@ class TestGenerateDataset:
         mb = (tmp_path / "b" / "manifest.json").read_bytes()
         assert ma == mb
 
-    def test_binary_mode_round_trips(self, tmp_path):
-        cfg = tiny_cfg(frames_per_sequence=3)
-        pipeline.generate_dataset(cfg, tmp_path / "j", binary=False)
-        pipeline.generate_dataset(cfg, tmp_path / "b", binary=True)
-        pipeline.label_dataset(tmp_path / "j", binary=False)
-        pipeline.label_dataset(tmp_path / "b", binary=True)
-        a = load_sequence(tmp_path / "j", "002_ArmSwing_00")
-        b = load_sequence(tmp_path / "b", "002_ArmSwing_00")
-        for fa, fb in zip(a.frames, b.frames):
-            np.testing.assert_array_equal(fa.points, fb.points)
-        for la, lb in zip(a.labels, b.labels):
-            np.testing.assert_array_equal(la.flows, lb.flows)
-
     def test_parallel_matches_serial(self, tmp_path):
         cfg = tiny_cfg(frames_per_sequence=3)
         pipeline.generate_dataset(cfg, tmp_path / "s", workers=1)

@@ -9,12 +9,11 @@ recognition, body-part parsing, and body-part tracking.
 __version__ = "0.1.0"
 
 from .errors import MilliflowError
-from .geometry import RigidTransform, kabsch, point_segment_distance
+from .geometry import RigidTransform, kabsch
 
 __all__ = [
     "__version__",
     "MilliflowError",
     "RigidTransform",
     "kabsch",
-    "point_segment_distance",
 ]

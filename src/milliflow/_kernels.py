@@ -17,6 +17,8 @@ import functools
 
 import numpy as np
 
+from .errors import BadK
+
 
 # ---------------------------------------------------------------------------
 # neighbour search: k nearest and ball queries
@@ -82,6 +84,11 @@ def knn_indices(query, ref, k: int) -> np.ndarray:
 def farthest_point_sample(points, k: int, start: int = 0) -> np.ndarray:
     """Greedy max-min selection of ``k`` indices starting at ``start``."""
     points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    if not 1 <= k <= n:
+        raise BadK(f"k must be in [1, {n}], got {k}")
+    if not 0 <= start < n:
+        raise BadK(f"start must index a point, got {start}")
     sel = np.empty(k, dtype=np.int64)
     sel[0] = start
     d2 = np.sum((points - points[start]) ** 2, axis=1)

@@ -65,10 +65,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -76,20 +72,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def __len__(self):
-        return len(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -127,62 +111,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # ------------------------------------------------------------------
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul(other, -1.0))
-        return add(self, np.negative(other))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), mul(self, -1.0))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, powr(other, -1.0))
-        return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return powr(self, p)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    @property
-    def T(self):
-        return transpose(self, None)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
-    def max(self, axis=None, keepdims=False):
-        return tmax(self, axis, keepdims)
 
 
 def _as_tensor(x) -> Tensor:
@@ -262,21 +190,6 @@ def powr(a, p: float) -> Tensor:
             a._accumulate(grad * p * a.data ** (p - 1.0))
 
     return _make(out_data, (a,), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
-
-    return _make(out_data, (a, b), backward)
 
 
 def linear(x, w, b) -> Tensor:
@@ -408,37 +321,19 @@ def tmax(a, axis=None, keepdims=False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties send the gradient to the first argument."""
-    a, b = _coerce_pair(a, b)
-    out_data = np.maximum(a.data, b.data)
-
-    def backward(grad):
-        take_a = a.data >= b.data
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * take_a, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * ~take_a, b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    out_data = np.minimum(a.data, b.data)
-
-    def backward(grad):
-        take_a = a.data <= b.data
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * take_a, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * ~take_a, b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def clamp(a, lo: float, hi: float) -> Tensor:
-    return minimum(maximum(a, lo), hi)
+    """Elementwise min(max(a, lo), hi).  The gradient passes where
+    ``a >= lo`` and ``max(a, lo) <= hi``: at a bound it goes to ``a``."""
+    a = _as_tensor(a)
+    lo_t, hi_t = (np.asarray(v, dtype=a.dtype) for v in (lo, hi))
+    floor = np.maximum(a.data, lo_t)
+    out_data = np.minimum(floor, hi_t)
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * ((a.data >= lo_t) & (floor <= hi_t)))
+
+    return _make(out_data, (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -448,18 +343,6 @@ def reshape(a, shape) -> Tensor:
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad.reshape(a.shape))
-
-    return _make(out_data, (a,), backward)
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.transpose(a.data, axes)
-
-    def backward(grad):
-        if a.requires_grad:
-            inv = None if axes is None else np.argsort(axes)
-            a._accumulate(np.transpose(grad, inv))
 
     return _make(out_data, (a,), backward)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,18 +144,46 @@ class RunConfig:
 
 def from_dict(cls, d: dict):
     """A config dataclass from its JSON form: lists become tuples, and a
-    section that is not an object, names an unknown field or holds a value
-    the dataclass rejects raises ConfigError."""
+    section that is not an object, names an unknown field, holds a value of
+    another kind than its field or a value the dataclass rejects raises
+    ConfigError."""
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} section must be an object")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - fields
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+    for name, value in values.items():
+        if not _of_kind(value, hints[name], fields[name]):
+            raise ConfigError(f"bad {cls.__name__} value: {name}={value!r} "
+                              f"is not of its field's kind ({fields[name].type})")
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        return cls(**values)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad {cls.__name__} value: {e}") from e
+
+
+def _of_kind(value, hint, field_) -> bool:
+    """Whether `value` fits its field's annotation `hint`: None only where
+    the annotation admits it, and a tuple's items the kind of the items of
+    the field's default."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None:
+        return type(None) in kinds
+    kind = next(k for k in kinds if k is not type(None))
+    if kind is tuple:
+        default = field_.default
+        item_kind = type(default[0]) if isinstance(default, tuple) and default else object
+        return isinstance(value, tuple) and all(_fits(item, item_kind) for item in value)
+    return _fits(value, kind)
+
+
+def _fits(value, kind) -> bool:
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def run_config_from_dict(d: dict) -> RunConfig:

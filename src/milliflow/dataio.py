@@ -140,10 +140,6 @@ def preprocess_indices(frame: RadarFrame, mode: str, seed: int = 0) -> np.ndarra
     return np.sort(chosen)
 
 
-def preprocess(frame: RadarFrame, mode: str, seed: int = 0) -> RadarFrame:
-    return frame.subset(preprocess_indices(frame, mode, seed))
-
-
 def _frame_seed(seed: int, frame_index: int) -> np.random.SeedSequence:
     # the same frame must resample identically as a pair's target and as the
     # next pair's source, or temporal state sees a discontinuity
@@ -424,7 +420,3 @@ def read_manifest(root) -> dict:
 
 def _lacks(obj, keys) -> bool:
     return not isinstance(obj, dict) or any(k not in obj for k in keys)
-
-
-def list_sequences(root) -> list[str]:
-    return sorted(p.name[4:] for p in Path(root).glob("seq_*") if p.is_dir())

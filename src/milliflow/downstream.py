@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import NeighbourTable, point_segment_distances
+from ._kernels import NeighbourTable, farthest_point_sample, point_segment_distances
 from .autodiff import Tensor
 from .config import TaskConfig, TrainConfig, from_dict
 # every call of preprocess_indices goes through dataio.preprocess_sequence; the
@@ -48,7 +48,6 @@ from .layers import (
     LSTMCell,
     assign_params,
     checkpoint_config,
-    farthest_point_sample,
     global_pool,
     load_checkpoint,
     set_abstraction,
@@ -221,8 +220,7 @@ class HarNet(_TaskNet):
         start = int(np.lexsort((points[:, 2], points[:, 1], points[:, 0]))[0])
         centroid_idx = farthest_point_sample(points, k, start=start)
         pooled = set_abstraction(self.stage2, points, z, self.cfg.stage2_radius,
-                                 self.cfg.stage2_samples, centroid_idx=centroid_idx,
-                                 table=table)
+                                 self.cfg.stage2_samples, table, centroid_idx)
         v, _ = global_pool(self.stage2_attn, pooled)
         return v
 
@@ -280,7 +278,7 @@ class HpNet(_TaskNet):
                 scores.append(None)  # state held across the gap
                 continue
             points = np.asarray(frame.points, dtype=self.dtype)
-            z, g = self.encoder(points, feats)
+            z, g = self.encoder(points, feats, NeighbourTable(points))
             h = self.gru(h, g)
             final = ad.concat([z, broadcast_rows(h, z.shape[0])], axis=1)
             scores.append(self.head(final))
@@ -527,19 +525,22 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
         raise TaskMismatch(f"checkpoint at {path} is not a task model")
     if task is not None and kind != task:
         raise TaskMismatch(f"checkpoint holds a {kind!r} model, not {task!r}")
-    stored = config.get("strategy", "raw")
+    with checkpoint_config(path):
+        stored = config["strategy"]
+        if stored not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {stored!r}")
+        task_cfg = from_dict(TaskConfig, config["task"])
+        dtype = np.dtype(config["dtype"])
+        in_features, n_classes = int(config["in_features"]), int(config["n_classes"])
+        flow_config = config["flow"] if stored == "s2" else None
     if strategy is not None and stored != strategy:
         raise TaskMismatch(
             f"checkpoint was trained with strategy {stored!r}, not {strategy!r}")
-    with checkpoint_config(path):
-        task_cfg = from_dict(TaskConfig, config["task"])
-        dtype = np.dtype(config.get("dtype", "float32"))
-        in_features, n_classes = int(config["in_features"]), int(config["n_classes"])
     model = _make_task_model(kind, task_cfg, in_features, n_classes, 0, dtype)
     named = model.named_params()
     flow_model = None
     if stored == "s2":
-        flow_model = flow_model_from_config(config.get("flow"), path)
+        flow_model = flow_model_from_config(flow_config, path)
         named.update({f"flow.{k}": t for k, t in flow_model.named_params().items()})
     assign_params(named, values)
     return model, stored, flow_model

@@ -79,16 +79,13 @@ class CloudEncoder:
         self.attn = MLP(rng, self.feat_out, [cfg.attention_hidden, 1], dtype=dtype)
 
     def __call__(self, points, feats: Tensor,
-                 table: NeighbourTable | None = None) -> tuple[Tensor, Tensor]:
-        """(points N x 3, features N x C[, the points' NeighbourTable]) ->
+                 table: NeighbourTable) -> tuple[Tensor, Tensor]:
+        """(points N x 3, features N x C, the points' NeighbourTable) ->
         (z N x z_dim, g feat_out)."""
-        if table is None:
-            table = NeighbourTable(np.asarray(points, dtype=feats.dtype))
         outs = []
         for sa, post, radius, samples in zip(self.sas, self.posts,
                                              self.cfg.sa_radii, self.cfg.sa_samples):
-            outs.append(post(set_abstraction(sa, points, feats, radius, samples,
-                                             table=table)))
+            outs.append(post(set_abstraction(sa, points, feats, radius, samples, table)))
         k = ad.concat(outs, axis=1)
         g, _ = global_pool(self.attn, k)
         return ad.concat([k, broadcast_rows(g, k.shape[0])], axis=1), g
@@ -189,7 +186,7 @@ class FlowNet:
         q = self._encoded(target)
         z_c, _ = self.ctx(p.points, p.feats, p.table)
 
-        cost = self.cv(p.points, p.z, q.points, q.z, table_p=p.table)
+        cost = self.cv(p.points, p.z, q.points, q.z, p.table)
         stacked = ad.concat([cost, z_c], axis=1)
         emb = ad.concat([branch(stacked) for branch in self.embed], axis=1)
         g_b, _ = global_pool(self.embed_attn, emb)
@@ -433,7 +430,7 @@ def flow_model_from_config(config: dict, path) -> FlowNet:
     `path` names the checkpoint in errors."""
     with checkpoint_config(path):
         net_cfg = from_dict(NetConfig, config["net"])
-        dtype = np.dtype(config.get("dtype", "float32"))
+        dtype = np.dtype(config["dtype"])
     return FlowNet(net_cfg, seed=0, dtype=dtype)
 
 

@@ -1,4 +1,4 @@
-"""Rigid 3D geometry: transforms, Kabsch alignment, point-segment distance.
+"""Rigid 3D geometry: transforms, rotations and Kabsch alignment.
 
 Coordinate frame throughout the package: x right, y forward (away from the
 radar), z up, all in meters.
@@ -17,7 +17,6 @@ __all__ = [
     "axis_angle_rotation",
     "rotation_between",
     "kabsch",
-    "point_segment_distance",
 ]
 
 
@@ -38,17 +37,6 @@ class RigidTransform:
         if p.ndim == 1:
             return self.rotation @ p + self.translation
         return p @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
     def is_valid(self, tol: float = 1e-9) -> bool:
         r = self.rotation
@@ -141,20 +129,3 @@ def kabsch(
     rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     translation = centroid_dst - rotation @ centroid_src
     return RigidTransform(rotation, translation)
-
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance from ``p`` to the segment [a, b].
-
-    A zero-length segment degrades to the distance to ``a``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ab = b - a
-    ab2 = float(np.dot(ab, ab))
-    if ab2 == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.dot(p - a, ab)) / ab2
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))

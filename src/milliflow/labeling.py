@@ -202,7 +202,4 @@ def ground_truth_flow(
             valid[i] = False
         p = frame.points[i]
         flows[i] = transforms[j].apply(p) - p
-    segments = np.where(
-        assignment >= 0, BONE_SEGMENT[np.clip(assignment, 0, 12)], UNASSIGNED_SEGMENT
-    )
-    return FlowLabel(flows, valid, assignment, segments)
+    return FlowLabel(flows, valid, assignment, segment_labels(assignment))

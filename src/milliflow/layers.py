@@ -1,7 +1,7 @@
 """Network building blocks on top of the autodiff Tensor.
 
 Shared MLPs, PointNet++-style set abstraction over ball neighborhoods,
-attention/max/avg global pooling, a patch-to-patch cost volume, GRU and LSTM
+attention global pooling, a patch-to-patch cost volume, GRU and LSTM
 cells, Kaiming-uniform initialization, Adam, and a byte-stable checkpoint
 format.  Point geometry (indices, neighborhoods) is plain numpy; gradients
 flow only through features and parameters.
@@ -16,9 +16,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import (
-    NeighbourTable, farthest_point_sample as _fps, knn_indices,
-)
+from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
 from .errors import (
     BadK, ConfigError, CorruptFile, ShapeMismatch, atomic_write, read_exact, read_struct,
@@ -71,36 +69,14 @@ class MLP:
         return out
 
 
-def farthest_point_sample(points: np.ndarray, k: int, start: int = 0) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    if not 1 <= k <= n:
-        raise BadK(f"k must be in [1, {n}], got {k}")
-    if not 0 <= start < n:
-        raise BadK(f"start must index a point, got {start}")
-    return _fps(points, k, start)
-
-
-def ball_query(
-    centroids: np.ndarray,
-    points: np.ndarray,
-    radius: float,
-    max_samples: int,
-    table: NeighbourTable | None = None,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Up to ``max_samples`` indices of ``points`` within ``radius`` of each
-    centroid, read from the centroids' ``NeighbourTable`` among ``points``.
-
-    A ``table`` already built for these points is read instead of a new one;
-    ``rows``, when given, picks the table's query rows that are the centroids.
-    """
+def ball_query(table: NeighbourTable, radius: float, max_samples: int,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Up to ``max_samples`` reference indices within ``radius`` of each
+    query point of ``table``, or of the query rows ``rows`` selects."""
     if radius <= 0:
         raise ConfigError(f"radius must be positive, got {radius}")
     if max_samples < 1:
         raise BadK(f"max_samples must be >= 1, got {max_samples}")
-    if table is None:
-        table = NeighbourTable(centroids, points)
     return table.ball(radius, max_samples, rows)
 
 
@@ -110,14 +86,14 @@ def set_abstraction(
     feats: Tensor,
     radius: float,
     n_samples: int,
+    table: NeighbourTable,
     centroid_idx: np.ndarray | None = None,
-    table: NeighbourTable | None = None,
 ) -> Tensor:
     """Ball-query neighborhoods -> shared MLP on [rel-xyz || feats] -> max-pool.
 
     Centroids default to all input points.  `centroid_idx` selects a subset of
     the input points as centroids (used with farthest point sampling).
-    `table` is the points' own NeighbourTable; it is built when not given.
+    `table` is the points' own NeighbourTable.
     """
     points = np.asarray(points, dtype=feats.dtype)
     if len(points) != feats.shape[0]:
@@ -125,9 +101,7 @@ def set_abstraction(
             f"points ({len(points)}) and features ({feats.shape[0]}) disagree"
         )
     centroids = points if centroid_idx is None else points[centroid_idx]
-    if table is None:
-        table = NeighbourTable(points)
-    idx = ball_query(centroids, points, radius, n_samples, table, centroid_idx)  # (N', k)
+    idx = ball_query(table, radius, n_samples, centroid_idx)  # (N', k)
     rel = points[idx] - centroids[:, None, :]  # (N', k, 3)
     gathered = ad.take(feats, idx)  # (N', k, C)
     local = ad.concat([Tensor(rel), gathered], axis=2)
@@ -164,9 +138,9 @@ class CostVolume:
         self.weight_mlp2 = MLP(rng, 3, list(weight_hidden) + [1], dtype=dtype)
 
     def __call__(self, pts_p, feats_p: Tensor, pts_q, feats_q: Tensor,
-                 table_p: NeighbourTable | None = None) -> Tensor:
-        """`table_p` is the source points' own NeighbourTable, built when not
-        given; stage 2 reads its self-kNN from it."""
+                 table_p: NeighbourTable) -> Tensor:
+        """`table_p` is the source points' own NeighbourTable; stage 2 reads
+        its self-kNN from it."""
         if feats_p.shape[-1] != feats_q.shape[-1]:
             raise ShapeMismatch("source/target feature dims differ")
         pts_p = np.asarray(pts_p, dtype=feats_p.dtype)
@@ -184,8 +158,6 @@ class CostVolume:
         patch_cost = ad.tsum(ad.mul(w1, cost), axis=1)  # (N, D)
 
         k2 = min(self.k, n)
-        if table_p is None:
-            table_p = NeighbourTable(pts_p)
         idx_p = table_p.knn(k2)  # (N, k2)
         disp2 = pts_p[idx_p] - pts_p[:, None, :]
         costs2 = ad.take(patch_cost, idx_p)  # (N, k2, D)
@@ -341,7 +313,8 @@ def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
 
 def load_checkpoint(path):
     """Returns (named float64 arrays, config dict).  A header that is not the
-    one `save_checkpoint` writes raises CorruptFile."""
+    one `save_checkpoint` writes, or a blob whose length differs from the one
+    the header's shapes give, raises CorruptFile."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4)
         if magic != CHECKPOINT_MAGIC:
@@ -354,6 +327,8 @@ def load_checkpoint(path):
             count = int(np.prod(shape)) if shape else 1
             buf = read_exact(f, 8 * count)
             params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise CorruptFile(f"{path}: bytes left after the last parameter")
     return params, header["config"]
 
 

@@ -2,10 +2,9 @@
 mean IoU, and mean joint error.
 
 Flow metrics are computed per frame and averaged over frames for dataset-level
-reporting; `pooled_flow_metrics` pools the points of every frame instead.  A
-point is moving when its reference flow exceeds 0.01 m; accuracy thresholds
-are 0.025 m / 5% (strict) and 0.05 m / 10% (relax), with the relative term
-guarded for near-zero reference flows.
+reporting.  A point is moving when its reference flow exceeds 0.01 m;
+accuracy thresholds are 0.025 m / 5% (strict) and 0.05 m / 10% (relax), with
+the relative term guarded for near-zero reference flows.
 """
 
 from __future__ import annotations
@@ -109,25 +108,6 @@ def aggregate_flow_metrics(per_frame: list[FlowMetrics],
         "n_frames_excluded": int(n_excluded),
         "n_points": int(sum(m.n_points for m in per_frame)),
     }
-
-
-def pooled_flow_metrics(preds: list[np.ndarray], gts: list[np.ndarray],
-                        masks: list[np.ndarray] | None = None) -> FlowMetrics:
-    """Per-point pooling across frames (every point weighted equally)."""
-    if not preds:
-        raise EmptyInput("no frames")
-    if masks is None:
-        masks = [None] * len(preds)
-    if not (len(preds) == len(gts) == len(masks)):
-        raise LengthMismatch("frame list lengths differ")
-    kept_p, kept_g = [], []
-    for p, g, m in zip(preds, gts, masks):
-        p, g = np.asarray(p, dtype=np.float64), np.asarray(g, dtype=np.float64)
-        if m is None:
-            m = np.ones(len(p), dtype=bool)
-        kept_p.append(p[np.asarray(m, dtype=bool)])
-        kept_g.append(g[np.asarray(m, dtype=bool)])
-    return flow_metrics(np.concatenate(kept_p), np.concatenate(kept_g))
 
 
 def overall_accuracy(pred_labels, gt_labels) -> float:

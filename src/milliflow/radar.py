@@ -33,6 +33,14 @@ class CfarParams:
     guard_cells: int = 6
     scale_factor: float = 5.0
 
+    def __post_init__(self):
+        if self.train_cells < 1:
+            raise ConfigError("train_cells must be >= 1")
+        if self.guard_cells < 0:
+            raise ConfigError("guard_cells must be >= 0")
+        if self.scale_factor <= 0:
+            raise ConfigError("scale_factor must be positive")
+
 
 @dataclass(frozen=True)
 class RadarConfig:
@@ -215,13 +223,6 @@ def place_reflectors(
     return Reflectors(positions, reflectivities, normals, bone_index)
 
 
-def sample_reflectors(
-    pose: SkeletonPose, model: SkeletonModel, cfg: RadarConfig, seed: int
-) -> Reflectors:
-    """Reflectors for a single pose; same seed gives the same material points."""
-    return place_reflectors(model, pose, sample_bone_local_reflectors(model, cfg, seed))
-
-
 def visibility_filter(
     reflectors: Reflectors, sensor_origin: np.ndarray, half_angle: float
 ) -> Reflectors:
@@ -320,12 +321,6 @@ def cfar_detect(hm: np.ndarray, cfar: CfarParams) -> np.ndarray:
     cells outside the heatmap counting as 0.  Returns a (D, 4) array of
     (range_bin, az_bin, el_bin, intensity) rows in lexicographic bin order.
     """
-    if cfar.train_cells < 1:
-        raise ConfigError("train_cells must be >= 1")
-    if cfar.guard_cells < 0:
-        raise ConfigError("guard_cells must be >= 0")
-    if cfar.scale_factor <= 0:
-        raise ConfigError("scale_factor must be positive")
     detected = cfar_mask(hm, cfar.train_cells, cfar.guard_cells, cfar.scale_factor)
     # test only the hits, on a zero-padded copy so that no neighbour index
     # leaves the array; filtering offset by offset keeps the bin order

@@ -86,10 +86,6 @@ class SkeletonModel:
     body_radius_per_bone: np.ndarray
     rest_keypoints: np.ndarray  # (14, 3) local frame: neck at origin, facing -y
 
-    @property
-    def n_keypoints(self) -> int:
-        return len(self.keypoint_names)
-
 
 @dataclass(frozen=True)
 class SkeletonPose:

@@ -1,8 +1,12 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and
+checkpoint header bit flips."""
+
+import struct
 
 import numpy as np
 
 from milliflow.autodiff import Tensor
+from milliflow.errors import MilliflowError
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -38,7 +42,7 @@ def check_param_grads(
         t.zero_grad()
     loss = loss_fn()
     loss.backward()
-    assert np.isfinite(loss.item())
+    assert np.isfinite(float(loss.data))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -50,9 +54,9 @@ def check_param_grads(
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + h
-            up = loss_fn().item()
+            up = float(loss_fn().data)
             flat[i] = orig - h
-            down = loss_fn().item()
+            down = float(loss_fn().data)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             analytic = t.grad.reshape(-1)[i]
@@ -63,3 +67,29 @@ def check_param_grads(
                 f"rel={err:.3g}"
             )
     return worst
+
+
+def param_signature(named: dict[str, Tensor]) -> dict:
+    """{name: (shape, dtype)} of named parameter tensors."""
+    return {k: (t.shape, t.dtype) for k, t in named.items()}
+
+
+def flip_header_bits(path, load) -> int:
+    """Flip bit 1 of each byte of the checkpoint at `path` up to the end of
+    its JSON header, one byte at a time, and load it with `load(path)`,
+    which returns a parameter signature.  Each flip must raise a
+    MilliflowError or give the signature of the unflipped file.  Returns how
+    many flips loaded."""
+    whole = path.read_bytes()
+    want = load(path)
+    (header_len,) = struct.unpack("<I", whole[4:8])
+    loaded = 0
+    for at in range(8 + header_len):
+        path.write_bytes(whole[:at] + bytes([whole[at] ^ 0b10]) + whole[at + 1:])
+        try:
+            got = load(path)
+        except MilliflowError:
+            continue
+        assert got == want, f"a flip at byte {at} loaded another model"
+        loaded += 1
+    return loaded

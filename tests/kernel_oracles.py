@@ -1,6 +1,7 @@
 """Explicit-loop reference versions of the numeric kernels in
-``milliflow._kernels``, one point or cell at a time.  ``test_kernels.py``
-compares the vectorised kernels against them.
+``milliflow._kernels``, one point or cell at a time, and the scalar
+point-to-segment distance.  ``test_kernels.py`` compares the vectorised
+kernels against them.
 """
 
 import numpy as np
@@ -137,6 +138,24 @@ def point_segment_distances_loop(points, seg_a, seg_b):
             dz = apz - t * abz
             out[i, j] = np.sqrt(dx * dx + dy * dy + dz * dz)
     return out
+
+
+def point_segment_distance(p, a, b) -> float:
+    """Euclidean distance from ``p`` to the segment [a, b], as vector
+    arithmetic on one point and one segment.
+
+    A zero-length segment degrades to the distance to ``a``.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ab = b - a
+    ab2 = float(np.dot(ab, ab))
+    if ab2 == 0.0:
+        return float(np.linalg.norm(p - a))
+    t = float(np.dot(p - a, ab)) / ab2
+    t = min(1.0, max(0.0, t))
+    return float(np.linalg.norm(p - (a + t * ab)))
 
 
 def cfar_mask_loop(flat, train_cells, guard_cells, scale_factor):

@@ -100,6 +100,14 @@ class TestGen:
         assert main(["gen", "--config", str(unknown),
                      "--out", str(tmp_path / "y")]) == 2
 
+    def test_bad_cfar_config_exits_2_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "cfar.json"
+        bad.write_text(json.dumps(dict(CONFIG, radar={"cfar": {"train_cells": 0}})))
+        out = tmp_path / "ds"
+        assert main(["gen", "--config", str(bad), "--out", str(out)]) == 2
+        assert "train_cells" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLabel:
     def test_summary_written(self, workdir):
@@ -168,6 +176,33 @@ class TestLabel:
         (tmp_path / "manifest.json").write_text("{}")
         assert main(["label", "--data", str(tmp_path)]) == 2
         assert "not a dataset manifest" in capsys.readouterr().err
+
+
+class TestConfigKinds:
+    @pytest.mark.parametrize("net", [
+        {"sa_mlp": [32, 32, 64.5]}, {"gru_hidden": "256"}, {"cv_k": 8.0},
+        {"cv_weight_hidden": [8.8]}, {"temporal": 1},
+    ])
+    def test_wrong_typed_net_value_exits_2(self, dataset, tmp_path, capsys, net):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(CONFIG, net=net)))
+        ckpt = tmp_path / "flow.ckpt"
+        assert main(["train", "--task", "flow", "--data", dataset, "--config", str(bad),
+                     "--ckpt", str(ckpt)]) == 2
+        assert "bad NetConfig value" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_wrong_typed_checkpoint_config_exits_2(self, dataset, flow_ckpt, tmp_path,
+                                                   capsys):
+        # one flipped bit turns the "," of [8,8] into "."
+        whole = Path(flow_ckpt).read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(whole.replace(b'"cv_weight_hidden":[8,8]',
+                                      b'"cv_weight_hidden":[8.8]', 1))
+        assert bad.read_bytes() != whole
+        assert main(["eval", "--task", "flow", "--data", dataset,
+                     "--ckpt", str(bad)]) == 2
+        assert "malformed checkpoint config" in capsys.readouterr().err
 
 
 class TestEvalFlow:

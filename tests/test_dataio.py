@@ -8,11 +8,9 @@ from milliflow.dataio import (
     Sample,
     Sequence,
     SplitManifest,
-    list_sequences,
     load_sequence,
     make_clips,
     pair_samples,
-    preprocess,
     preprocess_indices,
     read_manifest,
     save_labels,
@@ -86,19 +84,19 @@ class TestPreprocess:
             [[0.0, 2.0, 0.0], [0.0, 6.0, 0.0], [4.0, 2.0, 0.0], [0.0, 2.0, -2.0]],
             [1.0, 1.0, 1.0, 1.0],
         )
-        out = preprocess(f, "test")
+        out = f.subset(preprocess_indices(f, "test"))
         np.testing.assert_array_equal(out.points, [[0.0, 2.0, 0.0]])
 
     def test_intensity_gate_is_strict(self):
         f = frame_with(
             [[0.0, 2.0, 0.0], [0.1, 2.0, 0.0], [0.2, 2.0, 0.0]], [0.4, 0.5, 0.51]
         )
-        out = preprocess(f, "test")
+        out = f.subset(preprocess_indices(f, "test"))
         np.testing.assert_array_equal(out.points, [[0.2, 2.0, 0.0]])
 
     def test_train_upsamples_with_replacement(self):
         f = toy_frame(0, n=50)
-        out = preprocess(f, "train", seed=7)
+        out = f.subset(preprocess_indices(f, "train", seed=7))
         assert len(out.points) == 128
         # every output row is one of the 50 inputs
         src = {tuple(p) for p in f.points}
@@ -111,11 +109,11 @@ class TestPreprocess:
         assert len(np.unique(idx)) == 128
 
     def test_val_mode_also_128(self):
-        assert len(preprocess(toy_frame(0, n=50), "val").points) == 128
+        assert len(preprocess_indices(toy_frame(0, n=50), "val")) == 128
 
     def test_test_mode_keeps_all_survivors(self):
         f = toy_frame(0, n=300)
-        out = preprocess(f, "test")
+        out = f.subset(preprocess_indices(f, "test"))
         assert len(out.points) == 300  # toy points all survive
 
     def test_provenance_follows_resampling(self):
@@ -127,7 +125,7 @@ class TestPreprocess:
     def test_empty_frame(self):
         f = frame_with([[0.0, 9.0, 0.0]], [1.0])
         with pytest.raises(EmptyFrame):
-            preprocess(f, "train")
+            preprocess_indices(f, "train")
 
     def test_deterministic(self):
         f = toy_frame(0, n=50)
@@ -137,7 +135,7 @@ class TestPreprocess:
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
-            preprocess(toy_frame(0), "production")
+            preprocess_indices(toy_frame(0), "production")
 
 
 class TestSamplesAndClips:
@@ -299,13 +297,6 @@ class TestSerialization:
         seq.frames[0].intensities[2] = 0.1 + 0.2  # classic non-representable sum
         save_sequence(tmp_path, seq)
         assert_sequences_equal(load_sequence(tmp_path, seq.seq_id), seq)
-
-    def test_list_sequences(self, tmp_path):
-        a = toy_sequence(n_frames=2, n_points=4, subject=1, scene=0)
-        b = toy_sequence(n_frames=2, n_points=4, subject=2, scene=1)
-        save_sequence(tmp_path, a)
-        save_sequence(tmp_path, b)
-        assert list_sequences(tmp_path) == sorted([a.seq_id, b.seq_id])
 
     def test_missing_sequence(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, jitter_params
+from helpers import check_param_grads, flip_header_bits, jitter_params, param_signature
 
 from milliflow import autodiff as ad
 from milliflow.autodiff import Tensor
@@ -607,7 +607,7 @@ class TestTraining:
         with pytest.raises(ConfigError):
             load_task_model(path)
 
-    @pytest.mark.parametrize("drop", ["task", "in_features", "flow"])
+    @pytest.mark.parametrize("drop", ["task", "in_features", "flow", "strategy", "dtype"])
     def test_malformed_config_is_corrupt_file(self, tmp_path, drop):
         flow = FlowNet(tiny_flow(clamp=10.0), seed=0)
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
@@ -619,6 +619,23 @@ class TestTraining:
         save_checkpoint(ckpt, values, config=config)
         with pytest.raises(CorruptFile, match="malformed checkpoint config"):
             load_task_model(ckpt)
+
+    def test_header_bit_flips_load_the_same_model_or_raise(self, tmp_path):
+        # one scale each: every flip that parses builds both models
+        one_scale = dict(sa_radii=(0.5,), sa_samples=(2,))
+        flow = FlowNet(tiny_flow(clamp=10.0, **one_scale), seed=0)
+        clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
+        ckpt = tmp_path / "har_s2.ckpt"
+        train_task_model("har", clips, clips[:2], tiny_task(**one_scale),
+                         self.make_cfg(epochs=1), "s2", ckpt, flow_model=flow, n_classes=2)
+
+        def load(path):
+            model, strategy, flow_model = load_task_model(path)
+            named = dict(model.named_params())
+            named.update({f"flow.{k}": t for k, t in flow_model.named_params().items()})
+            return strategy, param_signature(named)
+
+        assert flip_header_bits(ckpt, load) > 0
 
     def test_hp_all_one_class_drives_argmax(self, tmp_path):
         from milliflow.downstream import predict_hp

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, jitter_params
+from helpers import check_param_grads, flip_header_bits, jitter_params, param_signature
 
 from milliflow import autodiff as ad
 from milliflow.autodiff import Tensor
@@ -252,7 +252,7 @@ class TestModelGradients:
 
 class TestClipLoss:
     def test_mean_over_samples(self):
-        model = FlowNet(tiny_net(), seed=0, dtype=np.float64)
+        model = FlowNet(tiny_net(sa_radii=(0.5,), sa_samples=(2,)), seed=0, dtype=np.float64)
         samples = [make_sample(n=8, seed=s) for s in (0, 20)]
         state = model.initial_state()
         manual = []
@@ -268,7 +268,7 @@ class TestClipLoss:
         assert clip_loss(model, clip) is None
 
     def test_empty_frame_sample_skipped(self):
-        model = FlowNet(tiny_net(), seed=0, dtype=np.float64)
+        model = FlowNet(tiny_net(sa_radii=(0.5,), sa_samples=(2,)), seed=0, dtype=np.float64)
         good = make_sample(n=8, seed=0)
         broken = Sample(source=make_frame(0), target=make_frame(8, 1),
                         label=make_label(0))
@@ -415,6 +415,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("config", [
         {"kind": "flow"},
+        {"kind": "flow", "net": {}},
         {"kind": "flow", "net": "wide"},
         {"kind": "flow", "net": {"sa_radii": [0.1]}},
         {"kind": "flow", "net": {}, "dtype": "no-such-type"},
@@ -424,6 +425,14 @@ class TestTraining:
         save_checkpoint(path, {"w": np.zeros(3)}, config=config)
         with pytest.raises(CorruptFile, match="malformed checkpoint config"):
             load_flow_model(path)
+
+    def test_header_bit_flips_load_the_same_model_or_raise(self, tmp_path):
+        model = FlowNet(tiny_net(sa_radii=(0.5,), sa_samples=(2,)), seed=0, dtype=np.float64)
+        path = tmp_path / "flow.ckpt"
+        save_checkpoint(path, model.named_params(), config=model.config_dict())
+        loaded = flip_header_bits(path, lambda p: param_signature(
+            load_flow_model(p).named_params()))
+        assert loaded > 0  # flips of numbers that leave the shapes alone
 
 
 class TestFit:

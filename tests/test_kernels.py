@@ -143,8 +143,6 @@ class TestFps:
 
 class TestPointSegment:
     def test_against_scalar_function(self, clouds):
-        from milliflow.geometry import point_segment_distance
-
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(20, 3))
         a = rng.normal(size=(5, 3))
@@ -156,7 +154,7 @@ class TestPointSegment:
         for i in range(20):
             for j in range(5):
                 assert got[i, j] == pytest.approx(
-                    point_segment_distance(pts[i], a[j], b[j]), abs=1e-12
+                    oracle.point_segment_distance(pts[i], a[j], b[j]), abs=1e-12
                 )
 
 

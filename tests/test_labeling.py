@@ -15,7 +15,9 @@ from milliflow.labeling import (
     segment_labels,
     true_bone_transforms,
 )
-from milliflow.radar import RadarConfig, RadarFrame, sample_reflectors
+from milliflow.radar import (
+    RadarConfig, RadarFrame, place_reflectors, sample_bone_local_reflectors,
+)
 from milliflow.skeleton import (
     BONES,
     ActivitySpec,
@@ -245,7 +247,7 @@ class TestSegmentLabels:
 class TestGroundTruthFlow:
     def _reflector_frame(self, model, pose, seed=0):
         cfg = RadarConfig(snr_db=None, ghost_prob=0.0)
-        refl = sample_reflectors(pose, model, cfg, seed=seed)
+        refl = place_reflectors(model, pose, sample_bone_local_reflectors(model, cfg, seed))
         return refl, RadarFrame(
             refl.positions.copy(),
             np.ones(len(refl)),

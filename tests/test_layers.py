@@ -6,9 +6,13 @@ from helpers import check_param_grads, jitter_params
 
 from milliflow import autodiff as ad
 from milliflow import layers as L
-from milliflow._kernels import NeighbourTable
+from milliflow._kernels import NeighbourTable, farthest_point_sample
 from milliflow.autodiff import Tensor
 from milliflow.errors import BadK, ConfigError, CorruptFile, ShapeMismatch
+
+
+def sq_sum(t):
+    return ad.tsum(ad.powr(t, 2.0))
 
 
 def zero_out(module, prefix="m"):
@@ -43,7 +47,7 @@ class TestMLP:
         jitter_params(mlp.named_params("mlp"), rng)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         params = dict(mlp.named_params("mlp"), x=x)
-        check_param_grads(lambda: (mlp(x) ** 2.0).sum(), params)
+        check_param_grads(lambda: sq_sum(mlp(x)), params)
 
     def test_input_dim_mismatch(self):
         mlp = L.MLP(np.random.default_rng(0), 4, [2])
@@ -69,36 +73,36 @@ class TestMLP:
 class TestSampling:
     def test_fps_collinear(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        idx = L.farthest_point_sample(pts, 2)
+        idx = farthest_point_sample(pts, 2)
         assert idx[0] == 0
         assert set(idx) == {0, 3}
 
     def test_fps_k_equals_n(self):
         pts = np.random.default_rng(0).normal(size=(9, 3))
-        idx = L.farthest_point_sample(pts, 9, start=4)
+        idx = farthest_point_sample(pts, 9, start=4)
         assert idx[0] == 4
         assert sorted(idx) == list(range(9))
 
     def test_fps_bad_k(self):
         pts = np.zeros((4, 3))
         with pytest.raises(BadK):
-            L.farthest_point_sample(pts, 0)
+            farthest_point_sample(pts, 0)
         with pytest.raises(BadK):
-            L.farthest_point_sample(pts, 5)
+            farthest_point_sample(pts, 5)
         with pytest.raises(BadK):
-            L.farthest_point_sample(pts, 2, start=4)
+            farthest_point_sample(pts, 2, start=4)
 
     def test_ball_query_validation(self):
-        pts = np.zeros((3, 3))
+        table = NeighbourTable(np.zeros((3, 3)))
         with pytest.raises(ConfigError):
-            L.ball_query(pts, pts, 0.0, 4)
+            L.ball_query(table, 0.0, 4)
         with pytest.raises(BadK):
-            L.ball_query(pts, pts, 1.0, 0)
+            L.ball_query(table, 1.0, 0)
 
     def test_ball_query_indices_in_range(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(20, 3))
-        idx = L.ball_query(pts[:5], pts, 0.8, 6)
+        idx = L.ball_query(NeighbourTable(pts[:5], pts), 0.8, 6)
         assert idx.shape == (5, 6)
         assert idx.min() >= 0 and idx.max() < 20
 
@@ -106,9 +110,15 @@ class TestSampling:
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(20, 3))
         rows = np.array([4, 0, 17])
-        want = L.ball_query(pts[rows], pts, 0.8, 6)
+        want = L.ball_query(NeighbourTable(pts[rows], pts), 0.8, 6)
         table = NeighbourTable(pts)
-        np.testing.assert_array_equal(L.ball_query(pts[rows], pts, 0.8, 6, table, rows), want)
+        np.testing.assert_array_equal(L.ball_query(table, 0.8, 6, rows), want)
+
+
+def set_abstraction(mlp, pts, feats, radius, n_samples, centroid_idx=None):
+    """`L.set_abstraction` on a neighbour table of its own."""
+    return L.set_abstraction(mlp, pts, feats, radius, n_samples, NeighbourTable(pts),
+                             centroid_idx)
 
 
 class TestSetAbstraction:
@@ -120,7 +130,7 @@ class TestSetAbstraction:
         mlp = self.make(rng)
         pts = np.zeros((1, 3))
         feats = Tensor(rng.normal(size=(1, 4)))
-        out = L.set_abstraction(mlp, pts, feats, radius=0.1, n_samples=4)
+        out = set_abstraction(mlp, pts, feats, radius=0.1, n_samples=4)
         assert out.shape == (1, 5)
         assert np.all(np.isfinite(out.data))
 
@@ -129,7 +139,7 @@ class TestSetAbstraction:
         mlp = self.make(rng)
         pts = np.tile([0.3, -0.2, 1.0], (6, 1))
         feats = Tensor(np.tile(rng.normal(size=4), (6, 1)))
-        out = L.set_abstraction(mlp, pts, feats, radius=0.5, n_samples=3).data
+        out = set_abstraction(mlp, pts, feats, radius=0.5, n_samples=3).data
         np.testing.assert_allclose(out, np.tile(out[0], (6, 1)))
 
     def test_centroid_subset(self):
@@ -137,8 +147,8 @@ class TestSetAbstraction:
         mlp = self.make(rng)
         pts = rng.normal(size=(10, 3))
         feats = Tensor(rng.normal(size=(10, 4)))
-        cidx = L.farthest_point_sample(pts, 4)
-        out = L.set_abstraction(mlp, pts, feats, 0.9, 5, centroid_idx=cidx)
+        cidx = farthest_point_sample(pts, 4)
+        out = set_abstraction(mlp, pts, feats, 0.9, 5, centroid_idx=cidx)
         assert out.shape == (4, 5)
 
     def test_shared_table_same_output(self):
@@ -147,18 +157,17 @@ class TestSetAbstraction:
         pts = np.round(rng.normal(size=(12, 3)), 1)  # rounded: ties in distance
         feats = Tensor(rng.normal(size=(12, 4)))
         table = NeighbourTable(pts)
-        cidx = L.farthest_point_sample(pts, 5)
+        cidx = farthest_point_sample(pts, 5)
         for radius, ms in ((0.3, 2), (0.8, 4), (2.0, 20)):
             for rows in (None, cidx):
                 np.testing.assert_array_equal(
-                    L.set_abstraction(mlp, pts, feats, radius, ms, centroid_idx=rows,
-                                      table=table).data,
-                    L.set_abstraction(mlp, pts, feats, radius, ms, centroid_idx=rows).data)
+                    L.set_abstraction(mlp, pts, feats, radius, ms, table, rows).data,
+                    set_abstraction(mlp, pts, feats, radius, ms, centroid_idx=rows).data)
 
     def test_points_feats_disagree(self):
         mlp = self.make(np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            L.set_abstraction(mlp, np.zeros((3, 3)), Tensor(np.zeros((4, 4))), 1.0, 2)
+            set_abstraction(mlp, np.zeros((3, 3)), Tensor(np.zeros((4, 4))), 1.0, 2)
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
@@ -168,7 +177,7 @@ class TestSetAbstraction:
         feats = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         params = dict(mlp.named_params("sa"), feats=feats)
         check_param_grads(
-            lambda: (L.set_abstraction(mlp, pts, feats, 0.6, 3) ** 2.0).sum(), params
+            lambda: sq_sum(set_abstraction(mlp, pts, feats, 0.6, 3)), params
         )
 
     def test_permutation_equivariance(self):
@@ -177,8 +186,8 @@ class TestSetAbstraction:
         pts = rng.normal(size=(12, 3))
         feats = rng.normal(size=(12, 4))
         perm = rng.permutation(12)
-        out = L.set_abstraction(mlp, pts, Tensor(feats), 0.8, 4).data
-        out_p = L.set_abstraction(mlp, pts[perm], Tensor(feats[perm]), 0.8, 4).data
+        out = set_abstraction(mlp, pts, Tensor(feats), 0.8, 4).data
+        out_p = set_abstraction(mlp, pts[perm], Tensor(feats[perm]), 0.8, 4).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
@@ -222,8 +231,13 @@ class TestGlobalPool:
         feats = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         params = dict(mlp.named_params("att"), feats=feats)
         check_param_grads(
-            lambda: (L.global_pool(mlp, feats)[0] ** 2.0).sum(), params
+            lambda: sq_sum(L.global_pool(mlp, feats)[0]), params
         )
+
+
+def cost_volume(cv, p, fp, q, fq):
+    """`cv` with a neighbour table of the source points of its own."""
+    return cv(p, fp, q, fq, NeighbourTable(p))
 
 
 class TestCostVolume:
@@ -240,7 +254,8 @@ class TestCostVolume:
         cv = self.make(rng)
         p = np.zeros((1, 3))
         q = np.array([[0.1, 0.0, 0.0]])
-        out = cv(p, Tensor(rng.normal(size=(1, 4))), q, Tensor(rng.normal(size=(1, 4))))
+        out = cost_volume(cv, p, Tensor(rng.normal(size=(1, 4))), q,
+                          Tensor(rng.normal(size=(1, 4))))
         assert out.shape == (1, 6)
         assert np.all(np.isfinite(out.data))
 
@@ -251,8 +266,8 @@ class TestCostVolume:
         q = rng.normal(size=(4, 3))
         fp, fq = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4, 4)))
         shift = np.array([10.0, -3.0, 0.5])
-        out = cv(p, fp, q, fq).data
-        out_shifted = cv(p + shift, fp, q + shift, fq).data
+        out = cost_volume(cv, p, fp, q, fq).data
+        out_shifted = cost_volume(cv, p + shift, fp, q + shift, fq).data
         np.testing.assert_allclose(out_shifted, out, atol=1e-9)
 
     def test_fewer_targets_than_k(self):
@@ -260,7 +275,8 @@ class TestCostVolume:
         cv = self.make(rng, k=8)
         p = rng.normal(size=(5, 3))
         q = rng.normal(size=(2, 3))
-        out = cv(p, Tensor(rng.normal(size=(5, 4))), q, Tensor(rng.normal(size=(2, 4))))
+        out = cost_volume(cv, p, Tensor(rng.normal(size=(5, 4))), q,
+                          Tensor(rng.normal(size=(2, 4))))
         assert out.shape == (5, 6)
 
     def test_shared_table_same_output(self):
@@ -268,19 +284,22 @@ class TestCostVolume:
         cv = self.make(rng, k=4)
         p, q = np.round(rng.normal(size=(9, 3)), 1), rng.normal(size=(7, 3))
         fp, fq = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(7, 4)))
-        np.testing.assert_array_equal(cv(p, fp, q, fq, table_p=NeighbourTable(p)).data,
-                                      cv(p, fp, q, fq).data)
+        # a table that already served ball queries, as a frame's does
+        table = NeighbourTable(p)
+        table.ball(0.5, 3)
+        np.testing.assert_array_equal(cv(p, fp, q, fq, table).data,
+                                      cost_volume(cv, p, fp, q, fq).data)
 
     def test_feature_dim_mismatch(self):
         cv = self.make(np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            cv(np.zeros((2, 3)), Tensor(np.zeros((2, 4))),
-               np.zeros((2, 3)), Tensor(np.zeros((2, 5))))
+            cost_volume(cv, np.zeros((2, 3)), Tensor(np.zeros((2, 4))),
+                        np.zeros((2, 3)), Tensor(np.zeros((2, 5))))
 
     def test_k_above_cloud_size(self):
         cv = self.make(np.random.default_rng(0), k=3)
-        out = cv(np.zeros((1, 3)), Tensor(np.zeros((1, 4))),
-                 np.zeros((1, 3)), Tensor(np.zeros((1, 4))))
+        out = cost_volume(cv, np.zeros((1, 3)), Tensor(np.zeros((1, 4))),
+                          np.zeros((1, 3)), Tensor(np.zeros((1, 4))))
         assert out.shape == (1, 6)
 
     def test_gradients(self):
@@ -292,7 +311,7 @@ class TestCostVolume:
         fp = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         fq = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         params = dict(cv.named_params("cv"), fp=fp, fq=fq)
-        check_param_grads(lambda: (cv(p, fp, q, fq) ** 2.0).sum(), params)
+        check_param_grads(lambda: sq_sum(cost_volume(cv, p, fp, q, fq)), params)
 
 
 def gru_reference(cell, h, x):
@@ -370,7 +389,7 @@ class TestRecurrentCells:
             h = Tensor(np.zeros((2, 4)))
             for x in xs:
                 h = cell(h, x)
-            return (h**2.0).sum()
+            return sq_sum(h)
 
         check_param_grads(loss, params)
 
@@ -384,7 +403,7 @@ class TestRecurrentCells:
             h, c = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
             for _ in range(2):
                 h, c = cell(h, c, x)
-            return (h**2.0).sum() + (c**2.0).sum()
+            return ad.add(sq_sum(h), sq_sum(c))
 
         check_param_grads(loss, params)
 
@@ -404,7 +423,7 @@ class TestAdam:
         opt = L.Adam({"x": x}, lr=0.1)
         for _ in range(300):
             opt.zero_grad()
-            ((x - 3.0) ** 2.0).sum().backward()
+            sq_sum(ad.add(x, -3.0)).backward()
             opt.step()
         assert abs(x.data[0] - 3.0) < 1e-2
 
@@ -419,7 +438,7 @@ class TestAdam:
         opt = L.Adam({"x": x}, lr=0.5)
         opt.lr = 0.0
         opt.zero_grad()
-        ((x - 3.0) ** 2.0).sum().backward()
+        sq_sum(ad.add(x, -3.0)).backward()
         opt.step()
         assert x.data[0] == 1.0
 
@@ -481,6 +500,18 @@ class TestCheckpoints:
             path.write_bytes(whole[:cut])
             with pytest.raises(CorruptFile):
                 L.load_checkpoint(path)
+
+    def test_bytes_after_last_parameter_are_corrupt_file(self, tmp_path):
+        path = tmp_path / "long.mflw"
+        L.save_checkpoint(path, {"w": np.ones((3, 2)), "v": np.ones(2)})
+        whole = path.read_bytes()
+        path.write_bytes(whole + b"\x00")
+        with pytest.raises(CorruptFile, match="bytes left"):
+            L.load_checkpoint(path)
+        # a shape that shrinks shifts every later parameter and leaves bytes
+        path.write_bytes(whole.replace(b'"shape":[3,2]', b'"shape":[1,2]'))
+        with pytest.raises(CorruptFile, match="bytes left"):
+            L.load_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v.mflw"

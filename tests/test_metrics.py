@@ -9,7 +9,6 @@ from milliflow.metrics import (
     mean_iou,
     mean_joint_error,
     overall_accuracy,
-    pooled_flow_metrics,
 )
 
 
@@ -145,16 +144,6 @@ class TestAggregation:
     def test_empty_list_raises(self):
         with pytest.raises(EmptyInput):
             aggregate_flow_metrics([])
-
-    def test_pooled_weighs_points_equally(self):
-        preds = [vecs((0.1, 0, 0)), vecs((0.0, 0, 0), (0.0, 0, 0))]
-        gts = [vecs((0.2, 0, 0)), vecs((0.0, 0, 0), (0.0, 0, 0))]
-        pooled = pooled_flow_metrics(preds, gts)
-        assert pooled.epe_all == pytest.approx(0.1 / 3)
-        framewise = aggregate_flow_metrics(
-            [flow_metrics(p, g) for p, g in zip(preds, gts)]
-        )
-        assert framewise["epe3d"]["all"] == pytest.approx(0.05)
 
 
 class TestOverallAccuracy:

@@ -16,8 +16,9 @@ from milliflow.radar import (
     default_vayyar_config,
     elevation_cosine_axis,
     heatmap,
+    place_reflectors,
     range_axis,
-    sample_reflectors,
+    sample_bone_local_reflectors,
     synthesize_cube,
     to_point_cloud,
     visibility_filter,
@@ -333,13 +334,12 @@ class TestCfarDetect:
             assert len(on_axis) == expected
 
     def test_bad_params(self):
-        hm = np.ones((8, 2, 2))
         with pytest.raises(ConfigError):
-            cfar_detect(hm, CfarParams(train_cells=0))
+            CfarParams(train_cells=0)
         with pytest.raises(ConfigError):
-            cfar_detect(hm, CfarParams(scale_factor=0.0))
+            CfarParams(scale_factor=0.0)
         with pytest.raises(ConfigError):
-            cfar_detect(hm, CfarParams(guard_cells=-1))
+            CfarParams(guard_cells=-1)
 
 
 class TestToPointCloud:
@@ -392,7 +392,7 @@ class TestReflectors:
         model = make_subject(0)
         pose = generate_motion(model, ActivitySpec("ArmSwing"), 2)[0]
         cfg = quiet_cfg(reflectors_per_bone=10)
-        refl = sample_reflectors(pose, model, cfg, seed=3)
+        refl = place_reflectors(model, pose, sample_bone_local_reflectors(model, cfg, 3))
         assert len(refl) == 130
         seg_a = np.array([pose.keypoints[p] for p, _ in model.bones])
         seg_b = np.array([pose.keypoints[c] for _, c in model.bones])
@@ -405,8 +405,8 @@ class TestReflectors:
         model = make_subject(1)
         pose = generate_motion(model, ActivitySpec("Bowing"), 2)[1]
         cfg = quiet_cfg()
-        a = sample_reflectors(pose, model, cfg, seed=7)
-        b = sample_reflectors(pose, model, cfg, seed=7)
+        a = place_reflectors(model, pose, sample_bone_local_reflectors(model, cfg, 7))
+        b = place_reflectors(model, pose, sample_bone_local_reflectors(model, cfg, 7))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.normals, b.normals)
 

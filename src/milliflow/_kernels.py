@@ -24,6 +24,12 @@ from .errors import BadK
 # neighbour search: k nearest and ball queries
 
 
+def squared_distances(query, ref) -> np.ndarray:
+    """(N, M) float64 squared distances from each query point to each ref point."""
+    diff = np.asarray(query, np.float64)[:, None, :] - np.asarray(ref, np.float64)[None, :, :]
+    return diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+
+
 class NeighbourTable:
     """Every query point's neighbours among the reference points, sorted once.
 
@@ -35,10 +41,7 @@ class NeighbourTable:
     """
 
     def __init__(self, query: np.ndarray, ref: np.ndarray | None = None):
-        query = np.asarray(query, dtype=np.float64)
-        ref = query if ref is None else np.asarray(ref, dtype=np.float64)
-        diff = query[:, None, :] - ref[None, :, :]
-        self._d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+        self._d2 = squared_distances(query, query if ref is None else ref)
         self.order = np.argsort(self._d2, axis=1, kind="stable")
 
     @functools.cached_property

@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import RunConfig, load_config, run_config_from_dict
+from .config import RunConfig, from_dict, load_config
 from .dataio import make_clips, pair_samples, read_manifest, write_json
 from .downstream import (
     confusion_matrix_csv,
@@ -66,19 +66,9 @@ EXIT_CODES = (
 def _load_run_config(args) -> RunConfig:
     """Explicit --config wins; otherwise reuse the config echoed into the
     dataset manifest, so later stages run exactly as generated."""
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
-    if getattr(args, "data", None):
-        manifest = _read_dataset_manifest(args.data)
-        return run_config_from_dict(manifest["config"])
-    return RunConfig()
-
-
-def _read_dataset_manifest(root) -> dict:
-    path = Path(root) / "manifest.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no dataset manifest at {path}")
-    return read_manifest(root)
+    return from_dict(RunConfig, read_manifest(args.data)["config"])
 
 
 def _require_checkpoint(path, what: str) -> Path:
@@ -140,7 +130,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_label(args) -> int:
-    _read_dataset_manifest(args.data)
     summary = label_dataset(args.data)
     print(f"labeled {summary['n_sequences']} sequences")
     print(f"valid-point ratio: {summary['valid_ratio']:.4f}")
@@ -288,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run config (defaults if omitted)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int,
-                   help="parallel workers (default: MFL_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes, at least 1 (default 1)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("label", help="label every stored sequence")

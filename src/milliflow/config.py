@@ -2,6 +2,11 @@
 knobs, loaded from JSON (`dataio.write_json` writes it).  The full config is
 echoed into every dataset manifest so a run can be reproduced from its
 outputs alone.
+
+`from_dict` is the one reader: it builds a config dataclass and every config
+dataclass nested in it from their JSON form.  Each dataclass checks itself
+when it is built, so a malformed config raises ConfigError before any stage
+writes a file.
 """
 
 from __future__ import annotations
@@ -12,13 +17,25 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
-from .radar import CfarParams, RadarConfig, default_vayyar_config
+from .radar import RadarConfig
 from .skeleton import (
+    ALL_ACTIVITIES,
     DEFAULT_FRAME_RATE,
     IN_SET_ACTIVITIES,
     OUT_OF_SET_ACTIVITIES,
 )
+
+SPLIT_PARTS = ("train", "val", "test")
+
+
+def model_dtype(name) -> np.dtype:
+    """The dtype a model is trained and stored in: float32 or float64."""
+    if name not in ("float32", "float64"):
+        raise ConfigError(f"unsupported model dtype {name!r}")
+    return np.dtype(name)
 
 
 @dataclass(frozen=True)
@@ -43,6 +60,14 @@ class GenConfig:
             raise ConfigError("sequences need at least 2 frames")
         if self.clutter_window < 2:
             raise ConfigError("clutter removal needs a window of at least 2")
+        # a name listed twice would specify the same sequences twice
+        activities = tuple(self.in_set) + tuple(self.out_of_set)
+        if len(set(activities)) != len(activities):
+            raise ConfigError(f"an activity is listed twice in {activities}")
+        unknown = set(activities) - set(ALL_ACTIVITIES)
+        if unknown:
+            raise ConfigError(f"unknown activities {sorted(unknown)}; "
+                              f"the catalogue is {ALL_ACTIVITIES}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +114,7 @@ class TrainConfig:
     max_val_clips: int | None = None
 
     def __post_init__(self):
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"unsupported training dtype {self.dtype!r}")
+        model_dtype(self.dtype)
         if not 0 < self.lr_decay <= 1:
             raise ConfigError("lr_decay must be in (0, 1]")
         for name in ("max_clips_per_epoch", "max_val_clips"):
@@ -128,7 +152,7 @@ class TaskConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    radar: RadarConfig = field(default_factory=default_vayyar_config)
+    radar: RadarConfig = field(default_factory=RadarConfig)
     gen: GenConfig = field(default_factory=GenConfig)
     net: NetConfig = field(default_factory=NetConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -138,12 +162,27 @@ class RunConfig:
     # None means an automatic 3:1:2 split (needs >= 6 subjects)
     explicit_split: dict | None = None
 
+    def __post_init__(self):
+        split = self.explicit_split
+        if split is None:
+            return
+        if not isinstance(split, dict) or set(split) != set(SPLIT_PARTS):
+            raise ConfigError(f"explicit_split must be an object with the keys {SPLIT_PARTS}")
+        if not all(isinstance(ids, list) and all(_fits(i, int) for i in ids)
+                   for ids in split.values()):
+            raise ConfigError("explicit_split must map each part to a list of subject ids")
+        listed = sorted(i for ids in split.values() for i in ids)
+        if listed != list(range(self.gen.n_subjects)):
+            raise ConfigError(f"explicit_split must list each of the {self.gen.n_subjects} "
+                              f"subjects exactly once; it lists {listed}")
+
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
 def from_dict(cls, d: dict):
-    """A config dataclass from its JSON form: lists become tuples, and a
+    """A config dataclass from its JSON form: a field annotated with a config
+    dataclass is read by `from_dict` in turn, lists become tuples, and a
     section that is not an object, names an unknown field, holds a value of
     another kind than its field or a value the dataclass rejects raises
     ConfigError."""
@@ -154,7 +193,8 @@ def from_dict(cls, d: dict):
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
-    values = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+    values = {k: from_dict(hints[k], v) if dataclasses.is_dataclass(hints[k])
+              else tuple(v) if isinstance(v, list) else v for k, v in d.items()}
     for name, value in values.items():
         if not _of_kind(value, hints[name], fields[name]):
             raise ConfigError(f"bad {cls.__name__} value: {name}={value!r} "
@@ -186,30 +226,6 @@ def _fits(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def run_config_from_dict(d: dict) -> RunConfig:
-    d = dict(d)
-    known = {"radar", "gen", "net", "train", "task", "seed", "explicit_split"}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    radar_d = d.get("radar", {})
-    if isinstance(radar_d, dict) and "cfar" in radar_d:
-        radar_d = dict(radar_d, cfar=from_dict(CfarParams, radar_d["cfar"]))
-    try:
-        seed = int(d.get("seed", 0))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad seed: {e}") from e
-    return RunConfig(
-        radar=from_dict(RadarConfig, radar_d),
-        gen=from_dict(GenConfig, d.get("gen", {})),
-        net=from_dict(NetConfig, d.get("net", {})),
-        train=from_dict(TrainConfig, d.get("train", {})),
-        task=from_dict(TaskConfig, d.get("task", {})),
-        seed=seed,
-        explicit_split=d.get("explicit_split"),
-    )
-
-
 def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -219,6 +235,4 @@ def load_config(path) -> RunConfig:
             data = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    return run_config_from_dict(data)
+    return from_dict(RunConfig, data)

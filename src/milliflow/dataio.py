@@ -1,5 +1,5 @@
 """Dataset serialization, frame preprocessing, sample pairing, clip
-construction, and subject-level splits.  Every network input is read from
+construction, and the stored subject split.  Every network input is read from
 `preprocess_sequence` and tiled into full, disjoint windows by `windows`.
 
 On-disk layout: `<root>/manifest.json` plus one directory per sequence holding
@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError, CorruptFile, EmptyFrame, LengthMismatch, TooFewSubjects, atomic_write,
+    ConfigError, CorruptFile, EmptyFrame, LengthMismatch, atomic_write,
 )
 from .labeling import FlowLabel
 from .radar import RadarFrame
-from .skeleton import OUT_OF_SET_ACTIVITIES, ObservedKeypoints, SkeletonPose
+from .skeleton import ObservedKeypoints, SkeletonPose
 
 log = logging.getLogger(__name__)
 
@@ -204,38 +204,6 @@ def make_clips(samples: list[Sample]) -> list[list[Sample]]:
 
 
 # ----------------------------------------------------------------------
-# splits
-
-
-def split(sequences, seed: int = 0) -> SplitManifest:
-    """Subject-disjoint 3:1:2 split; out-of-set activity sequences are listed
-    separately regardless of their subject's partition."""
-    seqs = list(sequences)
-    subjects = sorted({s.subject_id for s in seqs})
-    n = len(subjects)
-    if n < 6:
-        raise TooFewSubjects(f"need at least 6 subjects for a 3:1:2 split, got {n}")
-    order = np.random.default_rng(seed).permutation(n)
-    shuffled = [subjects[i] for i in order]
-    n_val = max(1, round(n / 6))
-    n_test = max(1, round(n / 3))
-    n_train = n - n_val - n_test
-    manifest = SplitManifest(
-        train_subjects=tuple(sorted(shuffled[:n_train])),
-        val_subjects=tuple(sorted(shuffled[n_train : n_train + n_val])),
-        test_subjects=tuple(sorted(shuffled[n_train + n_val :])),
-        out_of_set_sequences=out_of_set_ids(seqs),
-    )
-    return manifest
-
-
-def out_of_set_ids(sequences) -> tuple:
-    """Sorted ids of the sequences whose activity is out of set."""
-    return tuple(sorted(s.seq_id for s in sequences
-                        if s.activity_id in OUT_OF_SET_ACTIVITIES))
-
-
-# ----------------------------------------------------------------------
 # serialization
 
 
@@ -397,11 +365,12 @@ SEQUENCE_KEYS = ("id", "subject_id", "n_frames")
 
 def read_manifest(root) -> dict:
     """The dataset manifest: a config object, a split and a list of sequence
-    entries.  A file that is not whole JSON, or lacks one of those or one of
-    their keys, raises CorruptFile."""
+    entries.  A missing file raises FileNotFoundError; a file that is not
+    whole JSON, or lacks one of those or one of their keys, raises
+    CorruptFile."""
     path = Path(root) / "manifest.json"
     if not path.exists():
-        raise ConfigError(f"missing manifest: {path}")
+        raise FileNotFoundError(f"no dataset manifest at {path}")
     with open(path, "rb") as f:
         data = f.read()
     try:

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from ._kernels import NeighbourTable, farthest_point_sample, point_segment_distances
 from .autodiff import Tensor
-from .config import TaskConfig, TrainConfig, from_dict
+from .config import TaskConfig, TrainConfig, from_dict, model_dtype
 # every call of preprocess_indices goes through dataio.preprocess_sequence; the
 # name stays importable here because benchmarks/perf/tracer.py lists it among
 # its trace points
@@ -530,7 +530,7 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
         if stored not in STRATEGIES:
             raise ConfigError(f"unknown strategy {stored!r}")
         task_cfg = from_dict(TaskConfig, config["task"])
-        dtype = np.dtype(config["dtype"])
+        dtype = model_dtype(config["dtype"])
         in_features, n_classes = int(config["in_features"]), int(config["n_classes"])
         flow_config = config["flow"] if stored == "s2" else None
     if strategy is not None and stored != strategy:

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
-from .config import NetConfig, TrainConfig, from_dict
+from .config import NetConfig, TrainConfig, from_dict, model_dtype
 from .errors import (
     ConfigError,
     EmptyFrame,
@@ -430,7 +430,7 @@ def flow_model_from_config(config: dict, path) -> FlowNet:
     `path` names the checkpoint in errors."""
     with checkpoint_config(path):
         net_cfg = from_dict(NetConfig, config["net"])
-        dtype = np.dtype(config["dtype"])
+        dtype = model_dtype(config["dtype"])
     return FlowNet(net_cfg, seed=0, dtype=dtype)
 
 

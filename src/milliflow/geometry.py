@@ -27,23 +27,12 @@ class RigidTransform:
     rotation: np.ndarray
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, p: np.ndarray) -> np.ndarray:
         """Transform a single point (3,) or a batch (N, 3)."""
         p = np.asarray(p, dtype=np.float64)
         if p.ndim == 1:
             return self.rotation @ p + self.translation
         return p @ self.rotation.T + self.translation
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        r = self.rotation
-        return (
-            np.allclose(r.T @ r, np.eye(3), atol=tol)
-            and abs(np.linalg.det(r) - 1.0) <= tol
-        )
 
 
 def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -15,28 +15,24 @@ import collections
 import contextlib
 import functools
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig, run_config_from_dict
+from .config import SPLIT_PARTS, RunConfig
 from .dataio import (
     Sequence,
     SplitManifest,
     load_sequence,
-    out_of_set_ids,
     read_manifest,
     save_labels,
     save_sequence,
     sequence_id,
-    split,
     write_json,
     write_manifest,
 )
-from .errors import ConfigError, CorruptFile
+from .errors import ConfigError, CorruptFile, TooFewSubjects
 from .labeling import ground_truth_flow, label_frame_pair
 from .radar import (
     clutter_removal,
@@ -56,12 +52,6 @@ SENSOR_ORIGIN = np.zeros(3)
 
 # independent deterministic random streams per (sequence, frame)
 _STREAM_JITTER, _STREAM_NOISE, _STREAM_GHOST, _STREAM_OBS, _STREAM_SCENE = range(5)
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    return max(1, int(os.environ.get("MFL_THREADS", "1")))
 
 
 def _activity_index(cfg: RunConfig, activity_id: str) -> int:
@@ -166,56 +156,49 @@ def dataset_sequence_specs(cfg: RunConfig) -> list[tuple[int, str, int]]:
     return specs
 
 
-class _SeqStub(NamedTuple):
-    subject_id: int
-    activity_id: str
-    scene_id: int
-
-    @property
-    def seq_id(self) -> str:
-        return sequence_id(*self)
-
-
 def dataset_split(cfg: RunConfig) -> SplitManifest:
-    stubs = [_SeqStub(*s) for s in dataset_sequence_specs(cfg)]
+    """Subject-disjoint split: the config's explicit one, or else a seeded
+    3:1:2 split of the subjects.  The sequences of `cfg.gen.out_of_set` are
+    listed apart, as test sequences whatever their subject's partition."""
     if cfg.explicit_split is not None:
-        es = cfg.explicit_split
-        subjects = set(range(cfg.gen.n_subjects))
-        listed = set(es["train"]) | set(es["val"]) | set(es["test"])
-        if listed != subjects:
-            raise ConfigError(
-                f"explicit split covers {sorted(listed)}, dataset has {sorted(subjects)}"
-            )
-        return SplitManifest(
-            train_subjects=tuple(sorted(es["train"])),
-            val_subjects=tuple(sorted(es["val"])),
-            test_subjects=tuple(sorted(es["test"])),
-            out_of_set_sequences=out_of_set_ids(stubs),
-        )
-    return split(stubs, seed=cfg.seed)
+        parts = [cfg.explicit_split[part] for part in SPLIT_PARTS]
+    else:
+        n = cfg.gen.n_subjects
+        if n < 6:
+            raise TooFewSubjects(f"need at least 6 subjects for a 3:1:2 split, got {n}")
+        shuffled = np.random.default_rng(cfg.seed).permutation(n).tolist()
+        n_val, n_test = max(1, round(n / 6)), max(1, round(n / 3))
+        n_train = n - n_val - n_test
+        parts = [shuffled[:n_train], shuffled[n_train:n_train + n_val],
+                 shuffled[n_train + n_val:]]
+    train, val, test = (tuple(sorted(ids)) for ids in parts)
+    out_of_set = sorted(sequence_id(*spec) for spec in dataset_sequence_specs(cfg)
+                        if spec[1] in cfg.gen.out_of_set)
+    return SplitManifest(train, val, test, tuple(out_of_set))
 
 
-def _gen_worker(cfg_dict: dict, root: str, spec: tuple) -> tuple[str, int]:
-    cfg = run_config_from_dict(cfg_dict)
+def _gen_worker(cfg: RunConfig, root: str, spec: tuple) -> tuple[str, int]:
     seq = generate_sequence(cfg, *spec)
     save_sequence(root, seq)
     return seq.seq_id, len(seq.frames)
 
 
-def generate_dataset(cfg: RunConfig, root, workers: int | None = None) -> dict:
-    """Generate and store every sequence plus the manifest; returns the manifest."""
+def generate_dataset(cfg: RunConfig, root, workers: int = 1) -> dict:
+    """Generate and store every sequence plus the manifest; returns the
+    manifest.  A bad worker count or split raises before `root` is made."""
+    if workers < 1:
+        raise ConfigError(f"need at least one worker, got {workers}")
+    split_manifest = dataset_split(cfg)
+    specs = dataset_sequence_specs(cfg)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    specs = dataset_sequence_specs(cfg)
-    split_manifest = dataset_split(cfg)
 
-    workers = resolve_workers(workers)
     entries = []
     # in this process or in a pool, the results arrive in spec order
     with (contextlib.nullcontext() if workers == 1
           else ProcessPoolExecutor(max_workers=workers)) as pool:
         run = map if pool is None else pool.map
-        results = run(functools.partial(_gen_worker, cfg.as_dict(), str(root)), specs)
+        results = run(functools.partial(_gen_worker, cfg, str(root)), specs)
         for (subject, activity, scene), (seq_id, n) in zip(specs, results):
             entries.append((seq_id, subject, activity, scene, n))
             log.info("generated %s (%d frames)", seq_id, n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import cfar_mask, knn_indices
+from ._kernels import cfar_mask, squared_distances
 from .errors import ConfigError
 from .geometry import rotation_between
 from .skeleton import SkeletonModel, SkeletonPose
@@ -44,6 +44,9 @@ class CfarParams:
 
 @dataclass(frozen=True)
 class RadarConfig:
+    """The defaults are the Vayyar board's: 62-63.6 GHz, 151 steps, 20x16
+    virtual array: 9.375 cm bins, ~14 m reach."""
+
     f_min: float = 62.0e9
     f_max: float = 63.6e9
     n_freq_steps: int = 151
@@ -101,11 +104,6 @@ class RadarConfig:
     @property
     def frequencies(self) -> np.ndarray:
         return self.f_min + self.freq_step * np.arange(self.n_freq_steps)
-
-
-def default_vayyar_config() -> RadarConfig:
-    """62-63.6 GHz, 151 steps, 20x16 virtual array: 9.375 cm bins, ~14 m reach."""
-    return RadarConfig()
 
 
 @dataclass(frozen=True)
@@ -376,7 +374,8 @@ def to_point_cloud(
     prov = None
     if reflectors is not None and len(reflectors) > 0:
         if len(pts):
-            nearest = knn_indices(pts, reflectors.positions, 1)[:, 0]
+            # argmin takes the first of equal minima, the lower index
+            nearest = squared_distances(pts, reflectors.positions).argmin(axis=1)
             prov = reflectors.bone_index[nearest]
         else:
             prov = np.empty(0, dtype=np.int64)

@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking and
-checkpoint header bit flips."""
+"""Shared test utilities: finite-difference gradient checking, checkpoint
+header bit flips and a rotation check."""
 
 import struct
 
@@ -67,6 +67,14 @@ def check_param_grads(
                 f"rel={err:.3g}"
             )
     return worst
+
+
+def is_rotation(r, tol: float = 1e-9) -> bool:
+    """Whether the 3x3 matrix `r` is orthonormal with determinant +1, to
+    within `tol`."""
+    r = np.asarray(r, dtype=np.float64)
+    return bool(np.allclose(r.T @ r, np.eye(3), atol=tol)
+                and abs(np.linalg.det(r) - 1.0) <= tol)
 
 
 def param_signature(named: dict[str, Tensor]) -> dict:

@@ -108,6 +108,30 @@ class TestGen:
         assert "train_cells" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change", [
+        {"explicit_split": [0, 1, 2]},
+        {"explicit_split": {"train": [0, 1], "val": [1], "test": [2]}},
+        {"explicit_split": {"train": [0], "val": [], "test": [2]}},
+        {"seed": 3.7},
+        {"gen": dict(CONFIG["gen"], in_set=["ArmSwing", "Jumping"])},
+        {"gen": dict(CONFIG["gen"], out_of_set=["Bowing"])},
+    ])
+    def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, change):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(CONFIG, **change)))
+        out = tmp_path / "ds"
+        assert main(["gen", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_exits_2(self, workdir, tmp_path, capsys, workers):
+        out = tmp_path / "ds"
+        assert main(["gen", "--config", str(workdir / "config.json"), "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "worker" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLabel:
     def test_summary_written(self, workdir):
@@ -118,6 +142,20 @@ class TestLabel:
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["label", "--data", str(tmp_path / "nowhere")]) == 3
+
+    @pytest.mark.parametrize("command", ["train", "eval", "track"])
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_missing_dataset_exits_3_for_every_command(self, workdir, tmp_path, capsys,
+                                                       command, with_config):
+        nowhere = tmp_path / "nowhere"
+        args = {"train": ["train", "--task", "flow", "--ckpt", str(tmp_path / "flow.ckpt")],
+                "eval": ["eval", "--task", "flow", "--oracle"],
+                "track": ["track", "--oracle"]}[command] + ["--data", str(nowhere)]
+        if with_config:
+            args += ["--config", str(workdir / "config.json")]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: no dataset manifest at {nowhere / 'manifest.json'}\n"
 
     @pytest.mark.parametrize("cut", ["record", "line"])
     def test_cut_frame_file_exits_2(self, dataset, tmp_path, capsys, cut):
@@ -265,6 +303,17 @@ class TestEvalFlow:
         assert main(["eval", "--task", "flow", "--data", dataset,
                      "--ckpt", str(bad)]) == 2
         assert "malformed checkpoint config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dtype", ["float16", "complex64", "int64"])
+    def test_checkpoint_dtype_other_than_float32_or_float64_exits_2(
+            self, dataset, flow_ckpt, har_ckpt, tmp_path, capsys, dtype):
+        for task, ckpt in (("flow", flow_ckpt), ("har", har_ckpt)):
+            values, config = load_checkpoint(ckpt)
+            bad = tmp_path / f"{task}.ckpt"
+            save_checkpoint(bad, values, config=dict(config, dtype=dtype))
+            assert main(["eval", "--task", task, "--data", dataset,
+                         "--ckpt", str(bad)]) == 2
+            assert "unsupported model dtype" in capsys.readouterr().err
 
     def test_no_model_and_no_oracle_exits_2(self, dataset):
         assert main(["eval", "--task", "flow", "--data", dataset]) == 2

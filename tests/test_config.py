@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from milliflow.config import (
@@ -9,7 +10,7 @@ from milliflow.config import (
     TrainConfig,
     from_dict,
     load_config,
-    run_config_from_dict,
+    model_dtype,
 )
 from milliflow.dataio import write_json
 from milliflow.errors import ConfigError
@@ -51,17 +52,56 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(lr_decay=0.0)
 
+    @pytest.mark.parametrize("name", ["float16", "complex64", "int64", "", None, ["float32"]])
+    def test_model_dtype_is_float32_or_float64(self, name):
+        assert model_dtype("float32") == np.float32
+        assert model_dtype("float64") == np.float64
+        with pytest.raises(ConfigError, match="unsupported model dtype"):
+            model_dtype(name)
+
+    @pytest.mark.parametrize("gen", [
+        {"in_set": ("Jumping",)},
+        {"out_of_set": ("Sitting", "Bouncing")},
+        {"in_set": ("ArmSwing", "Sitting"), "out_of_set": ("Sitting",)},
+        {"in_set": ("ArmSwing", "ArmSwing")},
+    ])
+    def test_activities_known_and_listed_once(self, gen):
+        with pytest.raises(ConfigError):
+            GenConfig(**gen)
+
+    def test_explicit_split_accepts_empty_parts(self):
+        gen = GenConfig(n_subjects=2)
+        split = {"train": [], "val": [], "test": [1, 0]}
+        assert RunConfig(gen=gen, explicit_split=split).explicit_split == split
+
+    @pytest.mark.parametrize("split", [
+        [0, 1, 2],
+        {"train": [0], "val": [1]},
+        {"train": [0], "val": [1], "test": [2], "holdout": []},
+        {"train": [0, 1], "val": [1], "test": [2]},
+        {"train": [0], "val": [1], "test": []},
+        {"train": [0], "val": [1], "test": [3]},
+        {"train": [0], "val": [1], "test": 2},
+        {"train": (0,), "val": [1], "test": [2]},
+        {"train": [0], "val": [True], "test": [2]},
+        {"train": [0.0], "val": [1], "test": [2]},
+        {"train": ["0"], "val": [1], "test": [2]},
+    ])
+    def test_explicit_split_checked_when_built(self, split):
+        with pytest.raises(ConfigError, match="explicit_split"):
+            RunConfig(gen=GenConfig(n_subjects=3), explicit_split=split)
+
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
         cfg = RunConfig(seed=7)
-        again = run_config_from_dict(cfg.as_dict())
+        again = from_dict(RunConfig, cfg.as_dict())
         assert again == cfg
 
     def test_nested_cfar_rebuilt(self):
         d = RunConfig().as_dict()
         d["radar"]["cfar"]["scale_factor"] = 9.5
-        cfg = run_config_from_dict(d)
+        cfg = from_dict(RunConfig, d)
         assert isinstance(cfg.radar.cfar, CfarParams)
         assert cfg.radar.cfar.scale_factor == 9.5
 
@@ -69,20 +109,20 @@ class TestRoundTrip:
         d = RunConfig().as_dict()
         d["net"]["sa_radii"] = [0.1, 0.2]
         d["net"]["sa_samples"] = [4, 8]
-        cfg = run_config_from_dict(d)
+        cfg = from_dict(RunConfig, d)
         assert cfg.net.sa_radii == (0.1, 0.2)
 
     def test_unknown_key_rejected(self):
         d = RunConfig().as_dict()
         d["net"]["nonsense"] = 1
         with pytest.raises(ConfigError, match="nonsense"):
-            run_config_from_dict(d)
+            from_dict(RunConfig, d)
 
     def test_unknown_top_level_key_rejected(self):
         d = RunConfig().as_dict()
         d["extra"] = {}
         with pytest.raises(ConfigError):
-            run_config_from_dict(d)
+            from_dict(RunConfig, d)
 
     def test_from_dict_section(self):
         net = from_dict(NetConfig, {"sa_radii": [0.1, 0.2], "sa_samples": [4, 8]})
@@ -94,9 +134,10 @@ class TestRoundTrip:
 
     def test_explicit_split_survives(self):
         cfg = RunConfig(
-            explicit_split={"train": [0, 1], "val": [2], "test": [3]}
+            gen=GenConfig(n_subjects=4),
+            explicit_split={"train": [0, 1], "val": [2], "test": [3]},
         )
-        again = run_config_from_dict(cfg.as_dict())
+        again = from_dict(RunConfig, cfg.as_dict())
         assert again.explicit_split == cfg.explicit_split
 
     def test_file_round_trip(self, tmp_path):
@@ -128,6 +169,11 @@ class TestRoundTrip:
         {"train": {"lr_decay": "fast"}},
         {"seed": [1]},
         {"seed": "x"},
+        {"seed": 3.7},
+        {"seed": "3"},
+        {"seed": True},
+        {"gen": {"in_set": ["Jumping"]}},
+        {"gen": {"n_subjects": 3}, "explicit_split": [0, 1, 2]},
         {"radar": 5},
     ])
     def test_value_of_wrong_type(self, tmp_path, content):
@@ -136,7 +182,7 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             load_config(path)
         with pytest.raises(ConfigError):
-            run_config_from_dict(content)
+            from_dict(RunConfig, content)
 
     def test_non_dict_root(self, tmp_path):
         path = tmp_path / "list.json"

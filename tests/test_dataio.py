@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from milliflow import dataio
+from milliflow.config import GenConfig, RunConfig
 from milliflow.dataio import (
     Sample,
     Sequence,
@@ -15,7 +16,6 @@ from milliflow.dataio import (
     read_manifest,
     save_labels,
     save_sequence,
-    split,
     write_manifest,
 )
 from milliflow.errors import (
@@ -27,6 +27,7 @@ from milliflow.errors import (
     atomic_write,
 )
 from milliflow.labeling import FlowLabel
+from milliflow.pipeline import dataset_split, sequence_partition
 from milliflow.radar import RadarFrame
 from milliflow.skeleton import ObservedKeypoints, SkeletonPose
 
@@ -188,61 +189,66 @@ class TestSamplesAndClips:
             assert indices == list(range(indices[0], indices[0] + 5))
 
 
-class _SeqStub:
-    def __init__(self, subject_id, activity_id, scene_id=0):
-        self.subject_id = subject_id
-        self.activity_id = activity_id
-        self.scene_id = scene_id
-
-    @property
-    def seq_id(self):
-        return f"{self.subject_id:03d}_{self.activity_id}_{self.scene_id:02d}"
+def split_cfg(n_subjects, seed=0, in_set=("ArmSwing",), out_of_set=()):
+    return RunConfig(seed=seed, gen=GenConfig(n_subjects=n_subjects, n_scenes=1,
+                                              in_set=in_set, out_of_set=out_of_set))
 
 
 class TestSplit:
-    def seqs(self, n_subjects, activities=("ArmSwing",)):
-        return [
-            _SeqStub(s, a, 0) for s in range(n_subjects) for a in activities
-        ]
-
     def test_twelve_subjects(self):
-        m = split(self.seqs(12), seed=0)
+        m = dataset_split(split_cfg(12))
         assert len(m.train_subjects) == 6
         assert len(m.val_subjects) == 2
         assert len(m.test_subjects) == 4
 
     def test_six_subjects(self):
-        m = split(self.seqs(6), seed=0)
+        m = dataset_split(split_cfg(6))
         assert (len(m.train_subjects), len(m.val_subjects), len(m.test_subjects)) == (
             3, 1, 2,
         )
 
     def test_disjoint_and_complete(self):
-        m = split(self.seqs(9), seed=3)
+        m = dataset_split(split_cfg(9, seed=3))
         groups = [set(m.train_subjects), set(m.val_subjects), set(m.test_subjects)]
         assert sum(len(g) for g in groups) == 9
         assert set.union(*groups) == set(range(9))
 
     def test_deterministic_and_seed_sensitive(self):
-        seqs = self.seqs(12)
-        assert split(seqs, seed=4) == split(seqs, seed=4)
-        assert any(split(seqs, seed=4) != split(seqs, seed=s) for s in range(5, 15))
+        m = dataset_split(split_cfg(12, seed=4))
+        assert m == dataset_split(split_cfg(12, seed=4))
+        assert any(m != dataset_split(split_cfg(12, seed=s)) for s in range(5, 15))
+
+    def test_seeded_split_is_stable(self):
+        m = dataset_split(split_cfg(12, seed=0))
+        assert m.train_subjects == (2, 4, 5, 7, 9, 11)
+        assert m.val_subjects == (0, 3)
+        assert m.test_subjects == (1, 6, 8, 10)
 
     def test_too_few_subjects(self):
         with pytest.raises(TooFewSubjects):
-            split(self.seqs(5))
+            dataset_split(split_cfg(5))
 
     def test_out_of_set_listed_regardless_of_subject(self):
-        seqs = self.seqs(6, activities=("ArmSwing", "Sitting", "HeadBobbing"))
-        m = split(seqs, seed=0)
+        m = dataset_split(split_cfg(6, out_of_set=("Sitting", "HeadBobbing")))
         assert len(m.out_of_set_sequences) == 12  # 6 subjects x 2 out-of-set
         assert all(
             ("Sitting" in sid) or ("HeadBobbing" in sid)
             for sid in m.out_of_set_sequences
         )
 
+    def test_out_of_set_read_from_config(self):
+        # Bowing is in set by default and Sitting out of set: the config's
+        # lists decide, and every Bowing sequence is scored as a test sequence
+        cfg = split_cfg(6, in_set=("ArmSwing", "Sitting"), out_of_set=("Bowing",))
+        m = dataset_split(cfg)
+        assert m.out_of_set_sequences == tuple(f"{s:03d}_Bowing_00" for s in range(6))
+        for s in range(6):
+            assert sequence_partition(m, f"{s:03d}_Bowing_00", s) == "test"
+            assert sequence_partition(m, f"{s:03d}_Sitting_00", s) == m.partition_of(s)
+        assert {m.partition_of(s) for s in range(6)} == {"train", "val", "test"}
+
     def test_partition_lookup(self):
-        m = split(self.seqs(6), seed=0)
+        m = dataset_split(split_cfg(6))
         for s in range(6):
             assert m.partition_of(s) in ("train", "val", "test")
         with pytest.raises(ConfigError):
@@ -303,7 +309,7 @@ class TestSerialization:
             load_sequence(tmp_path, "000_ArmSwing_00")
 
     def test_manifest_round_trip(self, tmp_path):
-        manifest = split([_SeqStub(s, "ArmSwing") for s in range(6)], seed=2)
+        manifest = dataset_split(split_cfg(6, seed=2))
         data = {"split": manifest.as_dict(), "seed": 2, "config": {"frames": 200},
                 "sequences": []}
         write_manifest(tmp_path, data)
@@ -317,7 +323,7 @@ class TestSerialization:
     ])
     def test_manifest_lacking_a_key_is_corrupt_file(self, tmp_path, drop):
         data = {"config": {},
-                "split": split([_SeqStub(s, "ArmSwing") for s in range(6)]).as_dict(),
+                "split": dataset_split(split_cfg(6)).as_dict(),
                 "sequences": [{"id": "003_ArmSwing_01", "subject_id": 3, "n_frames": 3}]}
         if drop == "whole":
             data = {}
@@ -336,7 +342,7 @@ class TestSerialization:
             read_manifest(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(FileNotFoundError, match="no dataset manifest"):
             read_manifest(tmp_path)
 
     @pytest.mark.parametrize("name", ["frames.jsonl", "labels.jsonl"])
@@ -386,7 +392,7 @@ class TestSerialization:
 
     def test_every_manifest_truncation_is_corrupt_file(self, tmp_path):
         data = {"config": {},
-                "split": split([_SeqStub(s, "ArmSwing") for s in range(6)]).as_dict(),
+                "split": dataset_split(split_cfg(6)).as_dict(),
                 "sequences": [{"id": "003_ArmSwing_01", "subject_id": 3, "n_frames": 3}]}
         path = write_manifest(tmp_path, data)
         whole = path.read_bytes()

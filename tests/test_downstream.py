@@ -620,6 +620,20 @@ class TestTraining:
         with pytest.raises(CorruptFile, match="malformed checkpoint config"):
             load_task_model(ckpt)
 
+    def test_dtype_other_than_float32_or_float64_is_corrupt_file(self, tmp_path):
+        flow = FlowNet(tiny_flow(clamp=10.0), seed=0)
+        clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
+        ckpt = tmp_path / "har_s2.ckpt"
+        train_task_model("har", clips, clips[:2], tiny_task(), self.make_cfg(epochs=1),
+                         "s2", ckpt, flow_model=flow, n_classes=2)
+        values, config = load_checkpoint(ckpt)
+        for dtype in ("float16", "complex64", "int64"):
+            for bad in (dict(config, dtype=dtype),
+                        dict(config, flow=dict(config["flow"], dtype=dtype))):
+                save_checkpoint(ckpt, values, config=bad)
+                with pytest.raises(CorruptFile, match="unsupported model dtype"):
+                    load_task_model(ckpt)
+
     def test_header_bit_flips_load_the_same_model_or_raise(self, tmp_path):
         # one scale each: every flip that parses builds both models
         one_scale = dict(sa_radii=(0.5,), sa_samples=(2,))

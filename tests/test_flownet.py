@@ -426,6 +426,14 @@ class TestTraining:
         with pytest.raises(CorruptFile, match="malformed checkpoint config"):
             load_flow_model(path)
 
+    @pytest.mark.parametrize("dtype", ["float16", "complex64", "int64", "bool", None])
+    def test_load_rejects_dtype_other_than_float32_or_float64(self, tmp_path, dtype):
+        model = FlowNet(tiny_net(sa_radii=(0.5,), sa_samples=(2,)), seed=0)
+        path = tmp_path / "flow.ckpt"
+        save_checkpoint(path, model.named_params(), config=dict(model.config_dict(), dtype=dtype))
+        with pytest.raises(CorruptFile, match="unsupported model dtype"):
+            load_flow_model(path)
+
     def test_header_bit_flips_load_the_same_model_or_raise(self, tmp_path):
         model = FlowNet(tiny_net(sa_radii=(0.5,), sa_samples=(2,)), seed=0, dtype=np.float64)
         path = tmp_path / "flow.ckpt"

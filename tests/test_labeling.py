@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import is_rotation
 
 from milliflow.errors import ProvenanceMissing
 from milliflow.geometry import axis_angle_rotation
@@ -342,4 +343,4 @@ class TestInvariants:
         model, poses = armswing
         ts = true_bone_transforms(model, poses[2], poses[3])
         for t in ts:
-            assert t.is_valid(tol=1e-9)
+            assert is_rotation(t.rotation, tol=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from milliflow import pipeline
 from milliflow.config import GenConfig, RunConfig
 from milliflow.dataio import SplitManifest, load_sequence, preprocess_indices, read_manifest
-from milliflow.errors import ConfigError
+from milliflow.errors import ConfigError, TooFewSubjects
 from milliflow.labeling import ground_truth_flow, label_frame_pair
 from milliflow.skeleton import make_subject
 
@@ -145,31 +145,14 @@ class TestDatasetLayout:
 
     def test_explicit_split_must_cover_subjects(self):
         cfg = tiny_cfg()
-        bad = RunConfig(
-            gen=cfg.gen, explicit_split={"train": [0], "val": [1], "test": [5]}
-        )
         with pytest.raises(ConfigError):
-            pipeline.dataset_split(bad)
+            RunConfig(gen=cfg.gen, explicit_split={"train": [0], "val": [1], "test": [5]})
 
     def test_out_of_set_sequence_partition_is_test(self):
         manifest = pipeline.dataset_split(tiny_cfg())
         sid = manifest.out_of_set_sequences[0]
         assert pipeline.sequence_partition(manifest, sid, subject_id=0) == "test"
         assert pipeline.sequence_partition(manifest, "000_ArmSwing_00", 0) == "train"
-
-
-class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("MFL_THREADS", "7")
-        assert pipeline.resolve_workers(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("MFL_THREADS", "3")
-        assert pipeline.resolve_workers() == 3
-
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("MFL_THREADS", raising=False)
-        assert pipeline.resolve_workers() == 1
 
 
 class TestGenerateDataset:
@@ -220,3 +203,15 @@ class TestGenerateDataset:
         pipeline.generate_dataset(cfg, tmp_path / "p", workers=2)
         rel = "seq_000_Sitting_00/frames.jsonl"
         assert (tmp_path / "s" / rel).read_bytes() == (tmp_path / "p" / rel).read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected_before_writing(self, tmp_path, workers):
+        with pytest.raises(ConfigError, match="worker"):
+            pipeline.generate_dataset(tiny_cfg(), tmp_path / "ds", workers=workers)
+        assert not (tmp_path / "ds").exists()
+
+    def test_too_few_subjects_rejected_before_writing(self, tmp_path):
+        cfg = RunConfig(gen=tiny_cfg().gen)  # 3 subjects, no explicit split
+        with pytest.raises(TooFewSubjects):
+            pipeline.generate_dataset(cfg, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()

@@ -13,7 +13,6 @@ from milliflow.radar import (
     azimuth_cosine_axis,
     cfar_detect,
     clutter_removal,
-    default_vayyar_config,
     elevation_cosine_axis,
     heatmap,
     place_reflectors,
@@ -58,7 +57,7 @@ def dft_oracle(signal, k):
 
 class TestConfig:
     def test_derived_quantities(self):
-        cfg = default_vayyar_config()
+        cfg = RadarConfig()
         assert cfg.bandwidth == pytest.approx(1.6e9)
         assert cfg.range_resolution == pytest.approx(0.09375, abs=1e-12)
         assert cfg.freq_step == pytest.approx(10.666e6, rel=1e-3)
@@ -378,6 +377,21 @@ class TestToPointCloud:
         det = np.array([[43.0, 0.0, 0.0, 1.0]])  # u=-1, v=-1: outside unit disk
         frame = to_point_cloud(det, cfg, 0.0, seed=0)
         assert len(frame) == 0
+
+    def test_provenance_is_bone_of_nearest_reflector(self):
+        cfg = quiet_cfg()
+        rng = np.random.default_rng(5)
+        det = np.column_stack([rng.integers(30, 60, 40), rng.integers(12, 28, 40),
+                               rng.integers(10, 22, 40), np.ones(40)]).astype(float)
+        positions = rng.uniform([-1.0, 1.5, -1.0], [1.0, 4.0, 1.0], size=(50, 3))
+        # each position twice: on an exact tie the lower index, bone i, wins
+        refl = Reflectors(np.repeat(positions, 2, axis=0), np.ones(100),
+                          np.tile([0.0, -1.0, 0.0], (100, 1)),
+                          np.tile([0, -5], 50) + np.repeat(np.arange(50), 2))
+        frame = to_point_cloud(det, cfg, 0.0, seed=0, reflectors=refl)
+        d2 = ((frame.points[:, None, :] - positions[None]) ** 2).sum(axis=2)
+        assert len(frame) > 20
+        np.testing.assert_array_equal(frame.prov_bone, d2.argmin(axis=1))
 
     def test_no_reflectors_means_no_provenance(self):
         cfg = quiet_cfg()

@@ -149,24 +149,27 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, **train_over))
 
-    ckpt = Path(args.ckpt)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    log_path = args.log or ckpt.with_suffix(ckpt.suffix + ".log.jsonl")
-
     if args.task == "flow":
         if args.strategy is not None:
             raise ConfigError("--strategy does not apply to flow training")
-        train_clips = _flow_clips(args.data, cfg, "train")
-        val_clips = _flow_clips(args.data, cfg, "val")
+        read_clips = _flow_clips
+    else:
+        strategy = args.strategy or "raw"
+        flow_model = _resolve_flow_model(args, strategy)
+        read_clips = _task_clip_set
+    train_clips = read_clips(args.data, cfg, "train")
+    val_clips = read_clips(args.data, cfg, "val")
+
+    # made once every input is read, so a run refused for its inputs makes none
+    ckpt = Path(args.ckpt)
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    log_path = args.log or ckpt.with_suffix(ckpt.suffix + ".log.jsonl")
+    if args.task == "flow":
         _, history = train_flow_model(train_clips, val_clips, cfg.net,
                                       cfg.train, ckpt, log_path=log_path)
         best = min(h["val_epe3d"] for h in history)
         print(f"trained flow model: best val EPE3D {best:.4f} m")
     else:
-        strategy = args.strategy or "raw"
-        flow_model = _resolve_flow_model(args, strategy)
-        train_clips = _task_clip_set(args.data, cfg, "train")
-        val_clips = _task_clip_set(args.data, cfg, "val")
         n_classes = len(cfg.gen.in_set) if args.task == "har" else N_SEGMENTS
         _, history = train_task_model(
             args.task, train_clips, val_clips, cfg.task, cfg.train, strategy,

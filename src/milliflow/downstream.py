@@ -46,14 +46,14 @@ from .layers import (
     MLP,
     GRUCell,
     LSTMCell,
-    assign_params,
+    Params,
     checkpoint_config,
     global_pool,
     load_checkpoint,
     set_abstraction,
 )
 from .metrics import mean_iou, mean_joint_error, overall_accuracy
-from .skeleton import BONES, IN_SET_ACTIVITIES
+from .skeleton import BONES
 
 STRATEGIES = ("raw", "s1", "s2")
 TRACK_CLIP_LENGTH = 5  # one init frame plus four tracked steps
@@ -80,14 +80,15 @@ class TaskClip:
     activity_id: str
 
 
-def task_clips(sequences, cfg: TaskConfig, mode: str,
-               catalogue=IN_SET_ACTIVITIES, seed: int = 0) -> list[TaskClip]:
+def task_clips(sequences, cfg: TaskConfig, mode: str, catalogue,
+               seed: int = 0) -> list[TaskClip]:
     """Tile labeled sequences into full, disjoint windows of cfg.window frames.
 
     Frames and labels come from `preprocess_sequence`, as flow-training
     samples do; a frame losing every point stays in the window as an empty
-    placeholder.  Sequences whose activity is outside the catalogue are
-    skipped.
+    placeholder.  A window's activity class is its index in `catalogue`, the
+    run config's in-set activities; sequences whose activity is outside the
+    catalogue are skipped.
     """
     clips = []
     for seq in sequences:
@@ -160,7 +161,11 @@ def decorate_clip(frames, strategy: str, flow_model: FlowNet | None,
 
 
 class _TaskNet:
-    """What the activity and parsing networks share: their checkpoint config."""
+    """What the activity and parsing networks share: their parameter record
+    (seeded draws, or the `values` a checkpoint stores) and checkpoint config."""
+
+    def named_params(self) -> dict:
+        return dict(self._named)  # a new dict: callers add to it
 
     def config_dict(self) -> dict:
         return {
@@ -184,31 +189,21 @@ class HarNet(_TaskNet):
     kind = "har"
 
     def __init__(self, cfg: TaskConfig, in_features: int, n_classes: int,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int = 0, dtype=np.float32, values=None):
         if n_classes < 2:
             raise ConfigError("classifier needs at least 2 classes")
         self.cfg = cfg
         self.in_features = in_features
         self.n_classes = n_classes
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self.encoder = CloudEncoder(rng, cfg, in_features, self.dtype)
-        self.stage2 = MLP(rng, 3 + self.encoder.z_dim, list(cfg.stage2_mlp),
-                          dtype=self.dtype)
-        self.stage2_attn = MLP(rng, cfg.stage2_mlp[-1],
-                               [cfg.attention_hidden, 1], dtype=self.dtype)
-        self.lstm = LSTMCell(rng, cfg.lstm_hidden, input_dim=cfg.stage2_mlp[-1],
-                             dtype=self.dtype)
-        self.head = MLP(rng, cfg.lstm_hidden, list(cfg.classifier) + [n_classes],
-                        dtype=self.dtype)
-
-    def named_params(self) -> dict:
-        out = self.encoder.named_params("enc")
-        out.update(self.stage2.named_params("stage2"))
-        out.update(self.stage2_attn.named_params("stage2.attn"))
-        out.update(self.lstm.named_params("lstm"))
-        out.update(self.head.named_params("head"))
-        return out
+        p = Params(self.dtype, seed, values)
+        self.encoder = CloudEncoder(p.scope("enc"), cfg, in_features)
+        self.stage2 = MLP(p.scope("stage2"), 3 + self.encoder.z_dim, list(cfg.stage2_mlp))
+        self.stage2_attn = MLP(p.scope("stage2.attn"), cfg.stage2_mlp[-1],
+                               [cfg.attention_hidden, 1])
+        self.lstm = LSTMCell(p.scope("lstm"), cfg.lstm_hidden, input_dim=cfg.stage2_mlp[-1])
+        self.head = MLP(p.scope("head"), cfg.lstm_hidden, list(cfg.classifier) + [n_classes])
+        self._named = p.done()
 
     def frame_vector(self, frame, feats: Tensor) -> Tensor:
         points = np.asarray(frame.points, dtype=self.dtype)
@@ -251,23 +246,17 @@ class HpNet(_TaskNet):
     kind = "hp"
 
     def __init__(self, cfg: TaskConfig, in_features: int,
-                 n_segments: int = N_SEGMENTS, seed: int = 0, dtype=np.float32):
+                 n_classes: int = N_SEGMENTS, seed: int = 0, dtype=np.float32, values=None):
         self.cfg = cfg
         self.in_features = in_features
-        self.n_classes = n_segments
+        self.n_classes = n_classes
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self.encoder = CloudEncoder(rng, cfg, in_features, self.dtype)
-        self.gru = GRUCell(rng, cfg.gru_hidden, input_dim=self.encoder.feat_out,
-                           dtype=self.dtype)
-        self.head = MLP(rng, self.encoder.z_dim + cfg.gru_hidden,
-                        list(cfg.classifier) + [n_segments], dtype=self.dtype)
-
-    def named_params(self) -> dict:
-        out = self.encoder.named_params("enc")
-        out.update(self.gru.named_params("gru"))
-        out.update(self.head.named_params("head"))
-        return out
+        p = Params(self.dtype, seed, values)
+        self.encoder = CloudEncoder(p.scope("enc"), cfg, in_features)
+        self.gru = GRUCell(p.scope("gru"), cfg.gru_hidden, input_dim=self.encoder.feat_out)
+        self.head = MLP(p.scope("head"), self.encoder.z_dim + cfg.gru_hidden,
+                        list(cfg.classifier) + [n_classes])
+        self._named = p.done()
 
     def forward(self, frames, feats_list) -> list:
         """Window -> per-frame score tensors (N_t, V); None for empty frames."""
@@ -460,34 +449,25 @@ def confusion_matrix_csv(confusion: np.ndarray, class_names) -> str:
 # training
 
 
-def _make_task_model(task: str, task_cfg: TaskConfig, in_features: int,
-                     n_classes: int, seed: int, dtype):
-    if task == "har":
-        return HarNet(task_cfg, in_features, n_classes, seed=seed, dtype=dtype)
-    if task == "hp":
-        return HpNet(task_cfg, in_features, n_segments=n_classes, seed=seed,
-                     dtype=dtype)
-    raise ConfigError(f"unknown task {task!r}")
+TASK_NETS = {"har": HarNet, "hp": HpNet}
 
 
 def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
                      train_cfg: TrainConfig, strategy: str, checkpoint_path,
-                     flow_model: FlowNet | None = None, n_classes: int | None = None,
-                     log_path=None):
+                     n_classes: int, flow_model: FlowNet | None = None, log_path=None):
     """`fit` for both classification tasks, keeping the model with the best
     validation accuracy.
 
-    raw/s1 train the task network alone (s1 decorations come from the frozen
-    flow model, so each clip's are computed once); s2 optimizes the task and
-    flow parameters jointly on the summed loss.
+    `n_classes` is the number of in-set activities (har) or of body
+    segments (hp).  raw/s1 train the task network alone (s1 decorations
+    come from the frozen flow model, so each clip's are computed once); s2
+    optimizes the task and flow parameters jointly on the summed loss.
     """
-    if task not in ("har", "hp"):
+    if task not in TASK_NETS:
         raise ConfigError(f"unknown task {task!r}")
     dtype = np.dtype(train_cfg.dtype)
-    if n_classes is None:
-        n_classes = len(IN_SET_ACTIVITIES) if task == "har" else N_SEGMENTS
-    model = _make_task_model(task, task_cfg, strategy_feature_dim(strategy, flow_model),
-                             n_classes, train_cfg.seed, dtype)
+    model = TASK_NETS[task](task_cfg, strategy_feature_dim(strategy, flow_model),
+                            n_classes=n_classes, seed=train_cfg.seed, dtype=dtype)
     named = model.named_params()
     config = dict(model.config_dict(), strategy=strategy)
     if strategy == "s2":
@@ -516,12 +496,13 @@ def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
 def load_task_model(path, task: str | None = None, strategy: str | None = None):
     """Restore a task checkpoint -> (model, stored strategy, flow model or None).
 
-    The flow model is only stored for jointly trained (s2) checkpoints; s1
-    users must supply their frozen flow checkpoint separately.
+    The flow model is only stored for jointly trained (s2) checkpoints, under
+    `flow.` names; s1 users must supply their frozen flow checkpoint
+    separately.  A `flow.` entry in a raw or s1 checkpoint is refused.
     """
     values, config = load_checkpoint(path)
     kind = config.get("kind")
-    if kind not in ("har", "hp"):
+    if kind not in TASK_NETS:
         raise TaskMismatch(f"checkpoint at {path} is not a task model")
     if task is not None and kind != task:
         raise TaskMismatch(f"checkpoint holds a {kind!r} model, not {task!r}")
@@ -536,13 +517,13 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
     if strategy is not None and stored != strategy:
         raise TaskMismatch(
             f"checkpoint was trained with strategy {stored!r}, not {strategy!r}")
-    model = _make_task_model(kind, task_cfg, in_features, n_classes, 0, dtype)
-    named = model.named_params()
     flow_model = None
     if stored == "s2":
-        flow_model = flow_model_from_config(flow_config, path)
-        named.update({f"flow.{k}": t for k, t in flow_model.named_params().items()})
-    assign_params(named, values)
+        flow_values = {name[len("flow."):]: values.pop(name) for name in list(values)
+                       if name.startswith("flow.")}
+        flow_model = flow_model_from_config(flow_config, flow_values, path)
+    model = TASK_NETS[kind](task_cfg, in_features, n_classes=n_classes, dtype=dtype,
+                            values=values)
     return model, stored, flow_model
 
 

@@ -39,6 +39,7 @@ from .layers import (
     Adam,
     CostVolume,
     GRUCell,
+    Params,
     assign_params,
     checkpoint_config,
     global_pool,
@@ -66,17 +67,17 @@ class CloudEncoder:
     TaskConfig; both carry the same encoder fields.
     """
 
-    def __init__(self, rng, cfg, in_features: int, dtype):
+    def __init__(self, params: Params, cfg, in_features: int):
         self.cfg = cfg
         n_scales = len(cfg.sa_radii)
         in_dim = 3 + in_features
-        self.sas = [MLP(rng, in_dim, list(cfg.sa_mlp), dtype=dtype)
-                    for _ in range(n_scales)]
-        self.posts = [MLP(rng, cfg.sa_mlp[-1], list(cfg.post_sa_mlp), dtype=dtype)
-                      for _ in range(n_scales)]
+        self.sas = [MLP(params.scope(f"sa{s}"), in_dim, list(cfg.sa_mlp))
+                    for s in range(n_scales)]
+        self.posts = [MLP(params.scope(f"post{s}"), cfg.sa_mlp[-1], list(cfg.post_sa_mlp))
+                      for s in range(n_scales)]
         self.feat_out = n_scales * cfg.post_sa_mlp[-1]
         self.z_dim = 2 * self.feat_out
-        self.attn = MLP(rng, self.feat_out, [cfg.attention_hidden, 1], dtype=dtype)
+        self.attn = MLP(params.scope("attn"), self.feat_out, [cfg.attention_hidden, 1])
 
     def __call__(self, points, feats: Tensor,
                  table: NeighbourTable) -> tuple[Tensor, Tensor]:
@@ -89,14 +90,6 @@ class CloudEncoder:
         k = ad.concat(outs, axis=1)
         g, _ = global_pool(self.attn, k)
         return ad.concat([k, broadcast_rows(g, k.shape[0])], axis=1), g
-
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for s, (sa, post) in enumerate(zip(self.sas, self.posts)):
-            out.update(sa.named_params(f"{prefix}.sa{s}"))
-            out.update(post.named_params(f"{prefix}.post{s}"))
-        out.update(self.attn.named_params(f"{prefix}.attn"))
-        return out
 
 
 @dataclass(eq=False)
@@ -121,45 +114,39 @@ class TemporalState:
 
 
 class FlowNet:
-    """All parameters plus the forward pass; see module docstring."""
+    """All parameters plus the forward pass; see module docstring.  `values`,
+    a checkpoint's arrays by parameter name, take the place of seeded draws."""
 
-    def __init__(self, cfg: NetConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, cfg: NetConfig, seed: int = 0, dtype=np.float32, values=None):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self.local = CloudEncoder(rng, cfg, cfg.input_features, dtype)
-        self.ctx = CloudEncoder(rng, cfg, cfg.input_features, dtype)
+        p = Params(self.dtype, seed, values)
+        self.local = CloudEncoder(p.scope("local"), cfg, cfg.input_features)
+        self.ctx = CloudEncoder(p.scope("ctx"), cfg, cfg.input_features)
 
         z_dim = self.local.z_dim  # 512, per-point feature + global context
-        self.cv = CostVolume(rng, z_dim, k_neighbors=cfg.cv_k, d_cost=cfg.cv_dcost,
-                             weight_hidden=cfg.cv_weight_hidden, dtype=dtype)
+        self.cv = CostVolume(p.scope("cv"), z_dim, k_neighbors=cfg.cv_k,
+                             d_cost=cfg.cv_dcost, weight_hidden=cfg.cv_weight_hidden)
         embed_in = cfg.cv_dcost + z_dim  # 576
         n_scales = len(cfg.sa_radii)
-        self.embed = [
-            MLP(rng, embed_in, list(cfg.embed_mlp), dtype=dtype) for _ in range(n_scales)
-        ]
+        self.embed = [MLP(p.scope(f"embed.{s}"), embed_in, list(cfg.embed_mlp))
+                      for s in range(n_scales)]
         embed_out = n_scales * cfg.embed_mlp[-1]  # 256
-        self.embed_attn = MLP(rng, embed_out, [cfg.attention_hidden, 1], dtype=dtype)
-        self.gru = GRUCell(rng, cfg.gru_hidden, input_dim=embed_out, dtype=dtype)
+        self.embed_attn = MLP(p.scope("embed.attn"), embed_out, [cfg.attention_hidden, 1])
+        self.gru = GRUCell(p.scope("gru"), cfg.gru_hidden, input_dim=embed_out)
         # the ablated variant appends the pooled embedding instead of the GRU state
         top_dim = cfg.gru_hidden if cfg.temporal else embed_out
         self.final_dim = embed_out + top_dim  # width of the per-point features A
-        self.regressor = MLP(rng, self.final_dim, list(cfg.regressor), dtype=dtype)
-        # Shrink the head's last layer so initial predictions are ~1e-2, well
-        # inside the clamp band.  At default width the raw outputs are O(10);
-        # a saturated clamp passes zero gradient and training never recovers.
-        self.regressor.weights[-1].data *= 1e-3
+        self.regressor = MLP(p.scope("reg"), self.final_dim, list(cfg.regressor))
+        if values is None:
+            # Shrink the head's last layer so initial predictions are ~1e-2, well
+            # inside the clamp band.  At default width the raw outputs are O(10);
+            # a saturated clamp passes zero gradient and training never recovers.
+            self.regressor.weights[-1].data *= 1e-3
+        self._named = p.done()
 
     def named_params(self) -> dict[str, Tensor]:
-        out = self.local.named_params("local")
-        out.update(self.ctx.named_params("ctx"))
-        out.update(self.cv.named_params("cv"))
-        for s, branch in enumerate(self.embed):
-            out.update(branch.named_params(f"embed.{s}"))
-        out.update(self.embed_attn.named_params("embed.attn"))
-        out.update(self.gru.named_params("gru"))
-        out.update(self.regressor.named_params("reg"))
-        return out
+        return dict(self._named)  # a new dict: callers add to it
 
     def initial_state(self) -> TemporalState:
         return TemporalState(Tensor(np.zeros(self.cfg.gru_hidden, dtype=self.dtype)), 0)
@@ -334,7 +321,10 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     parameters are checkpointed with `config` whenever the score improves,
     and training stops after `patience` epochs without improvement.  Each
     epoch's row {epoch, train_loss, `score_name`, lr} is appended to the
-    history and to the JSONL log at `log_path`.  A NaN or infinite loss
+    history and to the JSONL log at `log_path`.  The log is a stream, not an
+    `atomic_write` as checkpoints and manifests are: it is written row by row
+    and flushed each epoch, so an interrupted run leaves the rows of its
+    finished epochs.  A NaN or infinite loss
     raises NonFiniteLoss before it reaches the parameters.  Returns the
     history, with the best checkpoint's values loaded into `named`.
     """
@@ -425,22 +415,20 @@ def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
     return model, history
 
 
-def flow_model_from_config(config: dict, path) -> FlowNet:
-    """An untrained FlowNet as a checkpoint's flow config describes it;
-    `path` names the checkpoint in errors."""
+def flow_model_from_config(config: dict, values: dict[str, np.ndarray], path) -> FlowNet:
+    """The FlowNet a checkpoint's flow config describes, holding the stored
+    `values`; `path` names the checkpoint in errors."""
     with checkpoint_config(path):
         net_cfg = from_dict(NetConfig, config["net"])
         dtype = model_dtype(config["dtype"])
-    return FlowNet(net_cfg, seed=0, dtype=dtype)
+    return FlowNet(net_cfg, dtype=dtype, values=values)
 
 
 def load_flow_model(path) -> FlowNet:
     values, config = load_checkpoint(path)
     if config.get("kind") != "flow":
         raise TaskMismatch(f"checkpoint at {path} is not a flow model")
-    model = flow_model_from_config(config, path)
-    assign_params(model.named_params(), values)
-    return model
+    return flow_model_from_config(config, values, path)
 
 
 def infer_sequence(model: FlowNet, frames) -> tuple[list[dict], TemporalState]:

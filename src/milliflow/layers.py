@@ -2,9 +2,11 @@
 
 Shared MLPs, PointNet++-style set abstraction over ball neighborhoods,
 attention global pooling, a patch-to-patch cost volume, GRU and LSTM
-cells, Kaiming-uniform initialization, Adam, and a byte-stable checkpoint
-format.  Point geometry (indices, neighborhoods) is plain numpy; gradients
-flow only through features and parameters.
+cells, Adam, and a byte-stable checkpoint format.  Every layer takes its
+parameters from one `Params` source, which draws them (Kaiming-uniform
+weights, zero biases) or reads them from a checkpoint's stored values.
+Point geometry (indices, neighborhoods) is plain numpy; gradients flow only
+through features and parameters.
 """
 
 from __future__ import annotations
@@ -26,26 +28,68 @@ CHECKPOINT_MAGIC = b"MFLW"
 CHECKPOINT_VERSION = 1
 
 
-def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape, dtype=np.float64):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+class Params:
+    """The one source of a model's parameters: a layer asks it once for each
+    parameter, by name, and gets it in `dtype`.  Without `values` a weight is
+    a Kaiming-uniform draw from a generator seeded with `seed` (anything
+    `np.random.default_rng` takes) and a bias is zeros.  With `values`, a
+    checkpoint's arrays by full name, no generator is made: each parameter is
+    the stored array of its name (that array itself when it is in `dtype`);
+    a missing one raises ConfigError, one of another shape ShapeMismatch.
+    `named` records every parameter by full name; `scope(name)` is a view
+    that prefixes `name.` and shares `named`."""
+
+    def __init__(self, dtype, seed=0, values: dict[str, np.ndarray] | None = None):
+        self.dtype = np.dtype(dtype)
+        self.values = values
+        self.rng = np.random.default_rng(seed) if values is None else None
+        self.named: dict[str, Tensor] = {}
+        self.prefix = ""
+
+    def scope(self, name: str) -> Params:
+        view = object.__new__(Params)  # shares dtype, rng, values and the record
+        view.__dict__ = dict(self.__dict__, prefix=f"{self.prefix}{name}.")
+        return view
+
+    def weight(self, name: str, fan_in: int, shape) -> Tensor:
+        bound = np.sqrt(6.0 / fan_in)
+        return self._take(name, shape, lambda: self.rng.uniform(-bound, bound, size=shape))
+
+    def bias(self, name: str, n: int) -> Tensor:
+        return self._take(name, (n,), lambda: np.zeros(n, dtype=self.dtype))
+
+    def _take(self, name: str, shape, draw) -> Tensor:
+        name = self.prefix + name
+        data = draw() if self.values is None else self.values.get(name)
+        if data is None:
+            raise ConfigError(f"checkpoint has no parameter {name!r}")
+        if data.shape != tuple(shape):
+            raise ShapeMismatch(f"{name}: checkpoint shape {data.shape} != model {tuple(shape)}")
+        self.named[name] = Tensor(data.astype(self.dtype, copy=False), requires_grad=True)
+        return self.named[name]
+
+    def done(self) -> dict[str, Tensor]:
+        """The record, once the model is built: a stored value that no
+        parameter read raises ConfigError."""
+        unread = sorted(set(self.values or ()) - set(self.named))
+        if unread:
+            raise ConfigError(f"checkpoint parameters the model does not have: {unread}")
+        return self.named
 
 
 class MLP:
     """Affine chain with ReLU on hidden layers and a linear final layer."""
 
-    def __init__(self, rng, in_dim: int, dims: list[int], dtype=np.float64):
+    def __init__(self, params: Params, in_dim: int, dims: list[int]):
         if not dims:
             raise ConfigError("MLP needs at least one layer")
         self.in_dim = in_dim
-        self.dims = list(dims)
         self.weights = []
         self.biases = []
         prev = in_dim
-        for d in dims:
-            self.weights.append(Tensor(kaiming_uniform(rng, prev, (prev, d), dtype),
-                                       requires_grad=True))
-            self.biases.append(Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
+        for i, d in enumerate(dims):
+            self.weights.append(params.weight(f"w{i}", prev, (prev, d)))
+            self.biases.append(params.bias(f"b{i}", d))
             prev = d
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -60,13 +104,6 @@ class MLP:
             if i != last:
                 h = ad.relu(h)
         return h
-
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}.w{i}"] = w
-            out[f"{prefix}.b{i}"] = b
-        return out
 
 
 def ball_query(table: NeighbourTable, radius: float, max_samples: int,
@@ -130,12 +167,12 @@ class CostVolume:
     displacement.  `weight_hidden` gives the hidden widths of both weight MLPs.
     """
 
-    def __init__(self, rng, feat_dim: int, k_neighbors: int = 8, d_cost: int = 64,
-                 weight_hidden: tuple = (8, 8), dtype=np.float64):
+    def __init__(self, params: Params, feat_dim: int, k_neighbors: int = 8,
+                 d_cost: int = 64, weight_hidden: tuple = (8, 8)):
         self.k = k_neighbors
-        self.cost_mlp = MLP(rng, 2 * feat_dim + 3, [d_cost, d_cost], dtype=dtype)
-        self.weight_mlp1 = MLP(rng, 3, list(weight_hidden) + [1], dtype=dtype)
-        self.weight_mlp2 = MLP(rng, 3, list(weight_hidden) + [1], dtype=dtype)
+        self.cost_mlp = MLP(params.scope("cost"), 2 * feat_dim + 3, [d_cost, d_cost])
+        self.weight_mlp1 = MLP(params.scope("weight1"), 3, list(weight_hidden) + [1])
+        self.weight_mlp2 = MLP(params.scope("weight2"), 3, list(weight_hidden) + [1])
 
     def __call__(self, pts_p, feats_p: Tensor, pts_q, feats_q: Tensor,
                  table_p: NeighbourTable) -> Tensor:
@@ -164,36 +201,34 @@ class CostVolume:
         w2 = ad.softmax(self.weight_mlp2(Tensor(disp2)), axis=1)
         return ad.tsum(ad.mul(w2, costs2), axis=1)  # (N, D)
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.cost_mlp.named_params(f"{prefix}.cost"))
-        out.update(self.weight_mlp1.named_params(f"{prefix}.weight1"))
-        out.update(self.weight_mlp2.named_params(f"{prefix}.weight2"))
-        return out
 
+class _GatedCell:
+    """A recurrent cell over concatenated [h || x]: each gate g of `gates`,
+    in order, has a weight w_<g> over [h || x] and a bias b_<g>."""
 
-class GRUCell:
-    """Standard GRU over concatenated [h || x]."""
-
-    def __init__(self, rng, hidden: int, input_dim: int | None = None,
-                 dtype=np.float64):
-        input_dim = hidden if input_dim is None else input_dim
+    def __init__(self, params: Params, hidden: int, input_dim: int):
         self.hidden = hidden
         self.input_dim = input_dim
         cat = hidden + input_dim
-        mk = lambda: Tensor(kaiming_uniform(rng, cat, (cat, hidden), dtype),
-                            requires_grad=True)
-        zb = lambda: Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-        self.w_z, self.b_z = mk(), zb()
-        self.w_r, self.b_r = mk(), zb()
-        self.w_h, self.b_h = mk(), zb()
+        for g in self.gates:
+            setattr(self, f"w_{g}", params.weight(f"w_{g}", cat, (cat, hidden)))
+            setattr(self, f"b_{g}", params.bias(f"b_{g}", hidden))
 
-    def __call__(self, h: Tensor, x: Tensor) -> Tensor:
+    def _check_dims(self, h: Tensor, x: Tensor):
         if h.shape[-1] != self.hidden or x.shape[-1] != self.input_dim:
             raise ShapeMismatch(
-                f"GRU dims: h{h.shape} x{x.shape} vs hidden={self.hidden}, "
+                f"{self.kind} dims: h{h.shape} x{x.shape} vs hidden={self.hidden}, "
                 f"input={self.input_dim}"
             )
+
+
+class GRUCell(_GatedCell):
+    """Standard GRU over concatenated [h || x]."""
+
+    kind, gates = "GRU", "zrh"
+
+    def __call__(self, h: Tensor, x: Tensor) -> Tensor:
+        self._check_dims(h, x)
         hx = ad.concat([h, x], axis=-1)
         z = ad.sigmoid(ad.linear(hx, self.w_z, self.b_z))
         r = ad.sigmoid(ad.linear(hx, self.w_r, self.b_r))
@@ -202,37 +237,14 @@ class GRUCell:
         one_minus_z = ad.add(ad.mul(z, -1.0), 1.0)
         return ad.add(ad.mul(one_minus_z, h), ad.mul(z, h_tilde))
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.w_z": self.w_z, f"{prefix}.b_z": self.b_z,
-            f"{prefix}.w_r": self.w_r, f"{prefix}.b_r": self.b_r,
-            f"{prefix}.w_h": self.w_h, f"{prefix}.b_h": self.b_h,
-        }
 
-
-class LSTMCell:
+class LSTMCell(_GatedCell):
     """Standard LSTM over concatenated [h || x]."""
 
-    def __init__(self, rng, hidden: int, input_dim: int | None = None,
-                 dtype=np.float64):
-        input_dim = hidden if input_dim is None else input_dim
-        self.hidden = hidden
-        self.input_dim = input_dim
-        cat = hidden + input_dim
-        mk = lambda: Tensor(kaiming_uniform(rng, cat, (cat, hidden), dtype),
-                            requires_grad=True)
-        zb = lambda: Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-        self.w_i, self.b_i = mk(), zb()
-        self.w_f, self.b_f = mk(), zb()
-        self.w_o, self.b_o = mk(), zb()
-        self.w_g, self.b_g = mk(), zb()
+    kind, gates = "LSTM", "ifog"
 
     def __call__(self, h: Tensor, c: Tensor, x: Tensor):
-        if h.shape[-1] != self.hidden or x.shape[-1] != self.input_dim:
-            raise ShapeMismatch(
-                f"LSTM dims: h{h.shape} x{x.shape} vs hidden={self.hidden}, "
-                f"input={self.input_dim}"
-            )
+        self._check_dims(h, x)
         hx = ad.concat([h, x], axis=-1)
         i = ad.sigmoid(ad.linear(hx, self.w_i, self.b_i))
         f = ad.sigmoid(ad.linear(hx, self.w_f, self.b_f))
@@ -241,14 +253,6 @@ class LSTMCell:
         c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
         h_new = ad.mul(o, ad.tanh(c_new))
         return h_new, c_new
-
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.w_i": self.w_i, f"{prefix}.b_i": self.b_i,
-            f"{prefix}.w_f": self.w_f, f"{prefix}.b_f": self.b_f,
-            f"{prefix}.w_o": self.w_o, f"{prefix}.b_o": self.b_o,
-            f"{prefix}.w_g": self.w_g, f"{prefix}.b_g": self.b_g,
-        }
 
 
 class Adam:
@@ -362,7 +366,8 @@ def checkpoint_config(path):
 
 
 def assign_params(named: dict[str, Tensor], values: dict[str, np.ndarray]):
-    """Load checkpoint arrays into live parameter tensors, casting dtype."""
+    """Load checkpoint arrays into live parameter tensors, casting dtype (as
+    `fit` restores its best checkpoint; a model is loaded through `Params`)."""
     missing = set(named) - set(values)
     extra = set(values) - set(named)
     if missing or extra:

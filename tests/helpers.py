@@ -101,3 +101,37 @@ def flip_header_bits(path, load) -> int:
         assert got == want, f"a flip at byte {at} loaded another model"
         loaded += 1
     return loaded
+
+
+# the ways checkpoint values can fail to fit the model their config describes
+MISFITS = ("unread", "flow entry", "missing", "misshapen")
+
+
+def misfit(values: dict, change: str) -> dict:
+    """A copy of a checkpoint's `values` with one `change` of MISFITS: an
+    entry no parameter reads, a `flow.` copy of a parameter (which only an s2
+    task checkpoint reads), a parameter left out, or one of another shape."""
+    values = dict(values)
+    name = sorted(values)[0]
+    if change == "unread":
+        values["unread.w0"] = np.zeros(2)
+    elif change == "flow entry":
+        values[f"flow.{name}"] = values[name]
+    elif change == "missing":
+        del values[name]
+    else:
+        values[name] = np.zeros(values[name].size + 1)
+    return values
+
+
+def no_draws(*args, **kwargs):
+    """Stands in for `np.random.default_rng` where nothing may be drawn."""
+    raise AssertionError("a random generator was made")
+
+
+def assert_same_params(got: dict, want: dict):
+    """Two named-parameter dicts hold the same names, dtypes and bytes."""
+    assert sorted(got) == sorted(want)
+    for name, t in want.items():
+        assert got[name].dtype == t.dtype, name
+        np.testing.assert_array_equal(got[name].data, t.data, err_msg=name)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import MISFITS, misfit
+
 from milliflow.autodiff import Tensor
 from milliflow.cli import main
 from milliflow.layers import load_checkpoint, save_checkpoint
@@ -315,6 +317,18 @@ class TestEvalFlow:
                          "--ckpt", str(bad)]) == 2
             assert "unsupported model dtype" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", MISFITS)
+    def test_checkpoint_values_that_do_not_fit_exit_2(self, dataset, flow_ckpt, har_ckpt,
+                                                      tmp_path, capsys, change):
+        # har_ckpt is a raw checkpoint, so a flow entry in it is never read
+        for task, ckpt in (("flow", flow_ckpt), ("har", har_ckpt)):
+            values, config = load_checkpoint(ckpt)
+            bad = tmp_path / f"{task}.ckpt"
+            save_checkpoint(bad, misfit(values, change), config=config)
+            assert main(["eval", "--task", task, "--data", dataset,
+                         "--ckpt", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_no_model_and_no_oracle_exits_2(self, dataset):
         assert main(["eval", "--task", "flow", "--data", dataset]) == 2
 
@@ -383,6 +397,21 @@ class TestTrain:
         assert main(["eval", "--task", "har", "--strategy", "s1",
                      "--flow-ckpt", flow_ckpt, "--data", dataset,
                      "--ckpt", str(ckpt)]) == 0
+
+    @pytest.mark.parametrize("case, code", [
+        ("no dataset", 3), ("no flow checkpoint", 4), ("strategy for flow", 2),
+    ])
+    def test_refused_run_makes_no_directory(self, workdir, dataset, tmp_path, case, code):
+        flags = {
+            "no dataset": ["--task", "flow", "--data", str(tmp_path / "nowhere")],
+            "no flow checkpoint": ["--task", "har", "--strategy", "s1", "--data", dataset,
+                                   "--flow-ckpt", str(tmp_path / "nope.ckpt")],
+            "strategy for flow": ["--task", "flow", "--strategy", "s1", "--data", dataset],
+        }[case]
+        ckpt = tmp_path / "out" / "deep" / "x.ckpt"
+        assert main(["train", "--config", str(workdir / "config.json"),
+                     "--ckpt", str(ckpt)] + flags) == code
+        assert not (tmp_path / "out").exists()
 
     def test_strategy_rejected_for_flow(self, dataset, tmp_path):
         assert main(["train", "--task", "flow", "--strategy", "s1",

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, flip_header_bits, jitter_params, param_signature
+from helpers import (
+    MISFITS, assert_same_params, check_param_grads, flip_header_bits, jitter_params, misfit,
+    no_draws, param_signature,
+)
 
 from milliflow import autodiff as ad
 from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TrainConfig
 from milliflow.dataio import Sequence, pair_samples
 from milliflow.downstream import (
+    TASK_NETS,
     DecoratedClip,
     HarNet,
     HpNet,
@@ -41,13 +45,14 @@ from milliflow.errors import (
     LengthMismatch,
     MissingFlowModel,
     NoValidPoints,
+    ShapeMismatch,
     TaskMismatch,
 )
 from milliflow.flownet import FlowNet
-from milliflow.labeling import FlowLabel
+from milliflow.labeling import N_SEGMENTS, FlowLabel
 from milliflow.layers import load_checkpoint, save_checkpoint
 from milliflow.radar import RadarFrame
-from milliflow.skeleton import BONES, ObservedKeypoints, SkeletonPose
+from milliflow.skeleton import BONES, IN_SET_ACTIVITIES, ObservedKeypoints, SkeletonPose
 
 
 def tiny_task(**kw):
@@ -145,7 +150,7 @@ class TestTaskClips:
     def test_windows_and_classes(self):
         seqs = [toy_sequence(n_frames=8, activity="ArmSwing"),
                 toy_sequence(n_frames=8, activity="Bowing", seed=50)]
-        clips = task_clips(seqs, tiny_task(window=3), "test")
+        clips = task_clips(seqs, tiny_task(window=3), "test", catalogue=IN_SET_ACTIVITIES)
         assert len(clips) == 4  # two full windows of 3 from each 8-frame sequence
         assert {c.activity_id for c in clips} == {"ArmSwing", "Bowing"}
         for clip in clips:
@@ -161,18 +166,19 @@ class TestTaskClips:
 
     def test_out_of_catalogue_skipped(self):
         seqs = [toy_sequence(activity="Sitting")]
-        assert task_clips(seqs, tiny_task(), "test") == []
+        assert task_clips(seqs, tiny_task(), "test", catalogue=IN_SET_ACTIVITIES) == []
 
     def test_unlabeled_sequence_rejected(self):
         seq = toy_sequence()
         seq.labels = None
         with pytest.raises(ConfigError):
-            task_clips([seq], tiny_task(), "test")
+            task_clips([seq], tiny_task(), "test", catalogue=IN_SET_ACTIVITIES)
 
     def test_frames_match_flow_samples(self):
         # the windows must see the same resampled points as the flow pipeline
         seq = toy_sequence(n_frames=6)
-        clips = task_clips([seq], tiny_task(window=6), "train", seed=7)
+        clips = task_clips([seq], tiny_task(window=6), "train",
+                           catalogue=IN_SET_ACTIVITIES, seed=7)
         samples = pair_samples(seq, "train", seed=7)
         for t, sample in enumerate(samples):
             np.testing.assert_array_equal(clips[0].frames[t].points,
@@ -542,7 +548,7 @@ class TestTraining:
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         for path in (a, b):
             train_task_model("hp", clips, clips[:2], tiny_task(),
-                             self.make_cfg(epochs=2), "raw", path)
+                             self.make_cfg(epochs=2), "raw", path, n_classes=N_SEGMENTS)
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_bad_inputs(self, tmp_path):
@@ -550,16 +556,16 @@ class TestTraining:
         cfg = self.make_cfg()
         with pytest.raises(ConfigError):
             train_task_model("pose", clips, clips, tiny_task(), cfg, "raw",
-                             tmp_path / "x.ckpt")
+                             tmp_path / "x.ckpt", n_classes=2)
         with pytest.raises(ConfigError):
             train_task_model("har", clips, clips, tiny_task(), cfg, "seven",
-                             tmp_path / "x.ckpt")
+                             tmp_path / "x.ckpt", n_classes=2)
         with pytest.raises(ConfigError):
             train_task_model("har", [], clips, tiny_task(), cfg, "raw",
-                             tmp_path / "x.ckpt")
+                             tmp_path / "x.ckpt", n_classes=2)
         with pytest.raises(MissingFlowModel):
             train_task_model("har", clips, clips, tiny_task(), cfg, "s1",
-                             tmp_path / "x.ckpt")
+                             tmp_path / "x.ckpt", n_classes=2)
 
     def test_checkpoint_round_trip(self, tmp_path):
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(3)]
@@ -605,6 +611,44 @@ class TestTraining:
         path = tmp_path / "other.ckpt"
         save_checkpoint(path, {"w": np.zeros(2)}, config={"kind": "flow"})
         with pytest.raises(ConfigError):
+            load_task_model(path)
+
+    @staticmethod
+    def save_task_checkpoint(path, model, strategy, flow=None):
+        """`model` saved as `train_task_model` saves it, with `flow` for s2."""
+        named = model.named_params()
+        config = dict(model.config_dict(), strategy=strategy)
+        if flow is not None:
+            named.update({f"flow.{k}": t for k, t in flow.named_params().items()})
+            config["flow"] = flow.config_dict()
+        save_checkpoint(path, named, config=config)
+
+    @pytest.mark.parametrize("task", ["har", "hp"])
+    @pytest.mark.parametrize("strategy", ["raw", "s2"])
+    def test_load_draws_nothing_and_holds_the_stored_bytes(self, tmp_path, monkeypatch,
+                                                          task, strategy):
+        flow = FlowNet(tiny_flow(), seed=1) if strategy == "s2" else None
+        model = TASK_NETS[task](tiny_task(), strategy_feature_dim(strategy, flow),
+                                n_classes=3, seed=2)
+        self.save_task_checkpoint(tmp_path / "task.ckpt", model, strategy, flow)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        again, stored, flow_again = load_task_model(tmp_path / "task.ckpt")
+        assert stored == strategy
+        assert_same_params(again.named_params(), model.named_params())
+        if flow is None:
+            assert flow_again is None
+        else:
+            assert_same_params(flow_again.named_params(), flow.named_params())
+
+    @pytest.mark.parametrize("change", MISFITS)
+    def test_load_refuses_values_that_do_not_fit(self, tmp_path, change):
+        # a flow entry in a raw checkpoint is one that no parameter reads
+        model = HarNet(tiny_task(), in_features=1, n_classes=2, seed=0)
+        path = tmp_path / "har.ckpt"
+        self.save_task_checkpoint(path, model, "raw")
+        values, config = load_checkpoint(path)
+        save_checkpoint(path, misfit(values, change), config=config)
+        with pytest.raises(ShapeMismatch if change == "misshapen" else ConfigError):
             load_task_model(path)
 
     @pytest.mark.parametrize("drop", ["task", "in_features", "flow", "strategy", "dtype"])
@@ -662,7 +706,7 @@ class TestTraining:
             clips.append(clip)
         model, _ = train_task_model("hp", clips, clips[:2], tiny_task(),
                                     self.make_cfg(lr=1e-2, epochs=5), "raw",
-                                    tmp_path / "hp.ckpt")
+                                    tmp_path / "hp.ckpt", n_classes=N_SEGMENTS)
         preds, _ = predict_hp(model, clips, "raw")
         assert np.mean(preds == 0) > 0.9
 

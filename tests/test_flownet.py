@@ -6,7 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, flip_header_bits, jitter_params, param_signature
+from helpers import (
+    MISFITS, assert_same_params, check_param_grads, flip_header_bits, jitter_params, misfit,
+    no_draws, param_signature,
+)
 
 from milliflow import autodiff as ad
 from milliflow.autodiff import Tensor
@@ -14,6 +17,7 @@ from milliflow.config import NetConfig, TrainConfig
 from milliflow.dataio import Sample
 from milliflow.errors import (
     ConfigError, CorruptFile, EmptyFrame, LengthMismatch, NonFiniteLoss, NoValidPoints,
+    ShapeMismatch,
 )
 from milliflow.downstream import decorate_clip
 from milliflow.flownet import (
@@ -406,6 +410,25 @@ class TestTraining:
             a, _, _ = model.forward(src, tgt, model.initial_state())
             b, _, _ = again.forward(src, tgt, again.initial_state())
         np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_draws_nothing_and_holds_the_stored_bytes(self, tmp_path, monkeypatch,
+                                                          dtype):
+        model = FlowNet(tiny_net(), seed=3, dtype=dtype)
+        path = tmp_path / "flow.ckpt"
+        save_checkpoint(path, model.named_params(), config=model.config_dict())
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        # the regressor's shrink applies to drawn weights only
+        assert_same_params(load_flow_model(path).named_params(), model.named_params())
+
+    @pytest.mark.parametrize("change", MISFITS)
+    def test_load_refuses_values_that_do_not_fit(self, tmp_path, change):
+        model = FlowNet(tiny_net(sa_radii=(0.5,), sa_samples=(2,)), seed=0)
+        path = tmp_path / "flow.ckpt"
+        values = {k: t.data for k, t in model.named_params().items()}
+        save_checkpoint(path, misfit(values, change), config=model.config_dict())
+        with pytest.raises(ShapeMismatch if change == "misshapen" else ConfigError):
+            load_flow_model(path)
 
     def test_load_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "other.ckpt"

@@ -31,6 +31,7 @@ from milliflow.flownet import FlowNet, clip_loss, predict_clip
 from milliflow.labeling import FlowLabel
 from milliflow.pipeline import generate_sequence, label_sequence
 from milliflow.radar import RadarFrame
+from milliflow.skeleton import IN_SET_ACTIVITIES
 
 FRAMES = 11
 EMPTIED_FRAME = 2
@@ -145,7 +146,7 @@ def test_flow_clips(sequences, mode, seed):
 
 @pytest.mark.parametrize("mode", ["train", "test"])
 def test_task_clips(sequences, mode):
-    clips = task_clips(sequences, tiny_task(), mode, seed=3)
+    clips = task_clips(sequences, tiny_task(), mode, catalogue=IN_SET_ACTIVITIES, seed=3)
     assert len(clips) == 9
     assert any(len(f) == 0 for clip in clips for f in clip.frames)
     assert digest(clips) == GOLDEN[f"task_clips/{mode}"]
@@ -153,7 +154,7 @@ def test_task_clips(sequences, mode):
 
 @pytest.mark.parametrize("strategy", ["raw", "s1", "s2"])
 def test_decorations(sequences, flow_model, strategy):
-    clips = task_clips(sequences, tiny_task(), "test")
+    clips = task_clips(sequences, tiny_task(), "test", catalogue=IN_SET_ACTIVITIES)
     decorated = [decorate_clip(clip.frames, strategy, flow_model) for clip in clips]
     assert digest(decorated) == GOLDEN[f"decorate_clip/{strategy}"]
 

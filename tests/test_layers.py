@@ -15,56 +15,64 @@ def sq_sum(t):
     return ad.tsum(ad.powr(t, 2.0))
 
 
-def zero_out(module, prefix="m"):
-    for t in module.named_params(prefix).values():
+def params(rng, dtype=np.float64):
+    """A parameter source that draws from `rng` itself, so a test's later
+    draws from `rng` follow the layer's."""
+    return L.Params(dtype, seed=rng)
+
+
+def zero_out(source):
+    for t in source.named.values():
         t.data = np.zeros_like(t.data)
 
 
 class TestMLP:
     def test_identity_weights_pass_input_through(self):
-        mlp = L.MLP(np.random.default_rng(0), 3, [3])
+        mlp = L.MLP(params(np.random.default_rng(0)), 3, [3])
         mlp.weights[0].data = np.eye(3)
         x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, -1.0]])
         np.testing.assert_array_equal(mlp(Tensor(x)).data, x)
 
     def test_two_layer_identity_on_nonnegative_input(self):
-        mlp = L.MLP(np.random.default_rng(0), 3, [3, 3])
+        mlp = L.MLP(params(np.random.default_rng(0)), 3, [3, 3])
         for w in mlp.weights:
             w.data = np.eye(3)
         x = np.array([[1.0, 2.0, 0.0]])
         np.testing.assert_array_equal(mlp(Tensor(x)).data, x)
 
     def test_zero_weights_broadcast_bias(self):
-        mlp = L.MLP(np.random.default_rng(1), 4, [5, 2])
-        zero_out(mlp)
+        source = params(np.random.default_rng(1))
+        mlp = L.MLP(source, 4, [5, 2])
+        zero_out(source)
         mlp.biases[-1].data = np.array([3.0, -1.0])
         out = mlp(Tensor(np.random.default_rng(2).normal(size=(7, 4))))
         np.testing.assert_array_equal(out.data, np.tile([3.0, -1.0], (7, 1)))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
-        mlp = L.MLP(rng, 4, [6, 3])
-        jitter_params(mlp.named_params("mlp"), rng)
+        source = params(rng)
+        mlp = L.MLP(source.scope("mlp"), 4, [6, 3])
+        jitter_params(source.named, rng)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        params = dict(mlp.named_params("mlp"), x=x)
-        check_param_grads(lambda: sq_sum(mlp(x)), params)
+        check_param_grads(lambda: sq_sum(mlp(x)), dict(source.named, x=x))
 
     def test_input_dim_mismatch(self):
-        mlp = L.MLP(np.random.default_rng(0), 4, [2])
+        mlp = L.MLP(params(np.random.default_rng(0)), 4, [2])
         with pytest.raises(ShapeMismatch):
             mlp(Tensor(np.zeros((3, 5))))
 
     def test_empty_dims_rejected(self):
         with pytest.raises(ConfigError):
-            L.MLP(np.random.default_rng(0), 4, [])
+            L.MLP(params(np.random.default_rng(0)), 4, [])
 
     def test_named_params_layout(self):
-        mlp = L.MLP(np.random.default_rng(0), 4, [2, 3])
-        names = sorted(mlp.named_params("enc"))
+        source = params(np.random.default_rng(0))
+        L.MLP(source.scope("enc"), 4, [2, 3])
+        names = sorted(source.named)
         assert names == ["enc.b0", "enc.b1", "enc.w0", "enc.w1"]
 
     def test_kaiming_bound(self):
-        w = L.kaiming_uniform(np.random.default_rng(0), 100, (100, 400))
+        w = params(np.random.default_rng(0)).weight("w", 100, (100, 400)).data
         bound = np.sqrt(6.0 / 100)
         assert np.abs(w).max() <= bound
         assert np.abs(w).max() > 0.9 * bound  # actually fills the range
@@ -122,12 +130,12 @@ def set_abstraction(mlp, pts, feats, radius, n_samples, centroid_idx=None):
 
 
 class TestSetAbstraction:
-    def make(self, rng, feat_dim=4, out_dims=(8, 5)):
-        return L.MLP(rng, 3 + feat_dim, list(out_dims))
+    def make(self, source, feat_dim=4, out_dims=(8, 5)):
+        return L.MLP(source.scope("sa"), 3 + feat_dim, list(out_dims))
 
     def test_single_point(self):
         rng = np.random.default_rng(0)
-        mlp = self.make(rng)
+        mlp = self.make(params(rng))
         pts = np.zeros((1, 3))
         feats = Tensor(rng.normal(size=(1, 4)))
         out = set_abstraction(mlp, pts, feats, radius=0.1, n_samples=4)
@@ -136,7 +144,7 @@ class TestSetAbstraction:
 
     def test_identical_points_identical_outputs(self):
         rng = np.random.default_rng(1)
-        mlp = self.make(rng)
+        mlp = self.make(params(rng))
         pts = np.tile([0.3, -0.2, 1.0], (6, 1))
         feats = Tensor(np.tile(rng.normal(size=4), (6, 1)))
         out = set_abstraction(mlp, pts, feats, radius=0.5, n_samples=3).data
@@ -144,7 +152,7 @@ class TestSetAbstraction:
 
     def test_centroid_subset(self):
         rng = np.random.default_rng(2)
-        mlp = self.make(rng)
+        mlp = self.make(params(rng))
         pts = rng.normal(size=(10, 3))
         feats = Tensor(rng.normal(size=(10, 4)))
         cidx = farthest_point_sample(pts, 4)
@@ -153,7 +161,7 @@ class TestSetAbstraction:
 
     def test_shared_table_same_output(self):
         rng = np.random.default_rng(5)
-        mlp = self.make(rng)
+        mlp = self.make(params(rng))
         pts = np.round(rng.normal(size=(12, 3)), 1)  # rounded: ties in distance
         feats = Tensor(rng.normal(size=(12, 4)))
         table = NeighbourTable(pts)
@@ -165,24 +173,25 @@ class TestSetAbstraction:
                     set_abstraction(mlp, pts, feats, radius, ms, centroid_idx=rows).data)
 
     def test_points_feats_disagree(self):
-        mlp = self.make(np.random.default_rng(0))
+        mlp = self.make(params(np.random.default_rng(0)))
         with pytest.raises(ShapeMismatch):
             set_abstraction(mlp, np.zeros((3, 3)), Tensor(np.zeros((4, 4))), 1.0, 2)
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
-        mlp = self.make(rng)
-        jitter_params(mlp.named_params("sa"), rng)
+        source = params(rng)
+        mlp = self.make(source)
+        jitter_params(source.named, rng)
         pts = rng.normal(size=(6, 3)) * 0.3
         feats = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        params = dict(mlp.named_params("sa"), feats=feats)
         check_param_grads(
-            lambda: sq_sum(set_abstraction(mlp, pts, feats, 0.6, 3)), params
+            lambda: sq_sum(set_abstraction(mlp, pts, feats, 0.6, 3)),
+            dict(source.named, feats=feats)
         )
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        mlp = self.make(rng)
+        mlp = self.make(params(rng))
         pts = rng.normal(size=(12, 3))
         feats = rng.normal(size=(12, 4))
         perm = rng.permutation(12)
@@ -194,7 +203,7 @@ class TestSetAbstraction:
 class TestGlobalPool:
     def test_attention_uniform_on_identical_features(self):
         rng = np.random.default_rng(0)
-        mlp = L.MLP(rng, 4, [8, 1])
+        mlp = L.MLP(params(rng), 4, [8, 1])
         feats = Tensor(np.tile([0.5, -1.0, 2.0, 0.1], (2, 1)))
         g, w = L.global_pool(mlp, feats)
         np.testing.assert_allclose(w.data, [0.5, 0.5], atol=1e-12)
@@ -202,7 +211,7 @@ class TestGlobalPool:
 
     def test_attention_weights_sum_to_one(self):
         rng = np.random.default_rng(1)
-        mlp = L.MLP(rng, 4, [8, 1])
+        mlp = L.MLP(params(rng), 4, [8, 1])
         feats = Tensor(rng.normal(size=(17, 4)))
         g, w = L.global_pool(mlp, feats)
         assert g.shape == (4,)
@@ -210,13 +219,13 @@ class TestGlobalPool:
         assert np.all(w.data > 0)
 
     def test_empty_input(self):
-        mlp = L.MLP(np.random.default_rng(0), 4, [8, 1])
+        mlp = L.MLP(params(np.random.default_rng(0)), 4, [8, 1])
         with pytest.raises(ShapeMismatch):
             L.global_pool(mlp, Tensor(np.zeros((0, 4))))
 
     def test_attention_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        mlp = L.MLP(rng, 4, [8, 1])
+        mlp = L.MLP(params(rng), 4, [8, 1])
         feats = rng.normal(size=(11, 4))
         perm = rng.permutation(11)
         g, w = L.global_pool(mlp, Tensor(feats))
@@ -226,12 +235,12 @@ class TestGlobalPool:
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
-        mlp = L.MLP(rng, 4, [8, 1])
-        jitter_params(mlp.named_params("att"), rng)
+        source = params(rng)
+        mlp = L.MLP(source.scope("att"), 4, [8, 1])
+        jitter_params(source.named, rng)
         feats = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        params = dict(mlp.named_params("att"), feats=feats)
         check_param_grads(
-            lambda: sq_sum(L.global_pool(mlp, feats)[0]), params
+            lambda: sq_sum(L.global_pool(mlp, feats)[0]), dict(source.named, feats=feats)
         )
 
 
@@ -241,17 +250,17 @@ def cost_volume(cv, p, fp, q, fq):
 
 
 class TestCostVolume:
-    def make(self, rng, feat_dim=4, k=3, d_cost=6):
-        return L.CostVolume(rng, feat_dim, k_neighbors=k, d_cost=d_cost)
+    def make(self, source, feat_dim=4, k=3, d_cost=6):
+        return L.CostVolume(source.scope("cv"), feat_dim, k_neighbors=k, d_cost=d_cost)
 
     def test_weight_mlp_widths(self):
-        cv = L.CostVolume(np.random.default_rng(0), 4, weight_hidden=(5, 7, 2))
+        cv = L.CostVolume(params(np.random.default_rng(0)), 4, weight_hidden=(5, 7, 2))
         for mlp in (cv.weight_mlp1, cv.weight_mlp2):
             assert [w.shape for w in mlp.weights] == [(3, 5), (5, 7), (7, 2), (2, 1)]
 
     def test_single_pair(self):
         rng = np.random.default_rng(0)
-        cv = self.make(rng)
+        cv = self.make(params(rng))
         p = np.zeros((1, 3))
         q = np.array([[0.1, 0.0, 0.0]])
         out = cost_volume(cv, p, Tensor(rng.normal(size=(1, 4))), q,
@@ -261,7 +270,7 @@ class TestCostVolume:
 
     def test_joint_translation_invariance(self):
         rng = np.random.default_rng(1)
-        cv = self.make(rng)
+        cv = self.make(params(rng))
         p = rng.normal(size=(5, 3))
         q = rng.normal(size=(4, 3))
         fp, fq = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4, 4)))
@@ -272,7 +281,7 @@ class TestCostVolume:
 
     def test_fewer_targets_than_k(self):
         rng = np.random.default_rng(2)
-        cv = self.make(rng, k=8)
+        cv = self.make(params(rng), k=8)
         p = rng.normal(size=(5, 3))
         q = rng.normal(size=(2, 3))
         out = cost_volume(cv, p, Tensor(rng.normal(size=(5, 4))), q,
@@ -281,7 +290,7 @@ class TestCostVolume:
 
     def test_shared_table_same_output(self):
         rng = np.random.default_rng(6)
-        cv = self.make(rng, k=4)
+        cv = self.make(params(rng), k=4)
         p, q = np.round(rng.normal(size=(9, 3)), 1), rng.normal(size=(7, 3))
         fp, fq = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(7, 4)))
         # a table that already served ball queries, as a frame's does
@@ -291,27 +300,28 @@ class TestCostVolume:
                                       cost_volume(cv, p, fp, q, fq).data)
 
     def test_feature_dim_mismatch(self):
-        cv = self.make(np.random.default_rng(0))
+        cv = self.make(params(np.random.default_rng(0)))
         with pytest.raises(ShapeMismatch):
             cost_volume(cv, np.zeros((2, 3)), Tensor(np.zeros((2, 4))),
                         np.zeros((2, 3)), Tensor(np.zeros((2, 5))))
 
     def test_k_above_cloud_size(self):
-        cv = self.make(np.random.default_rng(0), k=3)
+        cv = self.make(params(np.random.default_rng(0)), k=3)
         out = cost_volume(cv, np.zeros((1, 3)), Tensor(np.zeros((1, 4))),
                           np.zeros((1, 3)), Tensor(np.zeros((1, 4))))
         assert out.shape == (1, 6)
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
-        cv = self.make(rng)
-        jitter_params(cv.named_params("cv"), rng)
+        source = params(rng)
+        cv = self.make(source)
+        jitter_params(source.named, rng)
         p = rng.normal(size=(5, 3))
         q = rng.normal(size=(4, 3))
         fp = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         fq = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        params = dict(cv.named_params("cv"), fp=fp, fq=fq)
-        check_param_grads(lambda: sq_sum(cost_volume(cv, p, fp, q, fq)), params)
+        check_param_grads(lambda: sq_sum(cost_volume(cv, p, fp, q, fq)),
+                          dict(source.named, fp=fp, fq=fq))
 
 
 def gru_reference(cell, h, x):
@@ -341,15 +351,17 @@ def lstm_reference(cell, h, c, x):
 
 class TestRecurrentCells:
     def test_gru_zero_params_halves_state(self):
-        cell = L.GRUCell(np.random.default_rng(0), hidden=4, input_dim=3)
-        zero_out(cell)
+        source = params(np.random.default_rng(0))
+        cell = L.GRUCell(source, hidden=4, input_dim=3)
+        zero_out(source)
         h = np.array([[2.0, -4.0, 1.0, 0.0]])
         out = cell(Tensor(h), Tensor(np.ones((1, 3))))
         np.testing.assert_array_equal(out.data, 0.5 * h)
 
     def test_lstm_zero_params_closed_form(self):
-        cell = L.LSTMCell(np.random.default_rng(0), hidden=3, input_dim=2)
-        zero_out(cell)
+        source = params(np.random.default_rng(0))
+        cell = L.LSTMCell(source, hidden=3, input_dim=2)
+        zero_out(source)
         c = np.array([[1.0, -2.0, 0.5]])
         h_new, c_new = cell(Tensor(np.zeros((1, 3))), Tensor(c), Tensor(np.ones((1, 2))))
         np.testing.assert_array_equal(c_new.data, 0.5 * c)
@@ -357,7 +369,7 @@ class TestRecurrentCells:
 
     def test_gru_matches_reference_recurrence(self):
         rng = np.random.default_rng(1)
-        cell = L.GRUCell(rng, hidden=5, input_dim=3)
+        cell = L.GRUCell(params(rng), hidden=5, input_dim=3)
         h = np.zeros((2, 5))
         ht = Tensor(h)
         for t in range(4):
@@ -368,7 +380,7 @@ class TestRecurrentCells:
 
     def test_lstm_matches_reference_recurrence(self):
         rng = np.random.default_rng(2)
-        cell = L.LSTMCell(rng, hidden=4, input_dim=3)
+        cell = L.LSTMCell(params(rng), hidden=4, input_dim=3)
         h = c = np.zeros((2, 4))
         ht, ct = Tensor(h), Tensor(c)
         for t in range(4):
@@ -380,10 +392,11 @@ class TestRecurrentCells:
 
     def test_gru_gradients_through_steps(self):
         rng = np.random.default_rng(3)
-        cell = L.GRUCell(rng, hidden=4, input_dim=3)
+        source = params(rng)
+        cell = L.GRUCell(source.scope("gru"), hidden=4, input_dim=3)
         xs = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(3)]
-        params = dict(cell.named_params("gru"))
-        params.update({f"x{t}": x for t, x in enumerate(xs)})
+        tensors = dict(source.named)
+        tensors.update({f"x{t}": x for t, x in enumerate(xs)})
 
         def loss():
             h = Tensor(np.zeros((2, 4)))
@@ -391,13 +404,14 @@ class TestRecurrentCells:
                 h = cell(h, x)
             return sq_sum(h)
 
-        check_param_grads(loss, params)
+        check_param_grads(loss, tensors)
 
     def test_lstm_gradients(self):
         rng = np.random.default_rng(4)
-        cell = L.LSTMCell(rng, hidden=3, input_dim=2)
+        source = params(rng)
+        cell = L.LSTMCell(source.scope("lstm"), hidden=3, input_dim=2)
         x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        params = dict(cell.named_params("lstm"), x=x)
+        tensors = dict(source.named, x=x)
 
         def loss():
             h, c = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
@@ -405,13 +419,13 @@ class TestRecurrentCells:
                 h, c = cell(h, c, x)
             return ad.add(sq_sum(h), sq_sum(c))
 
-        check_param_grads(loss, params)
+        check_param_grads(loss, tensors)
 
     def test_dim_validation(self):
-        gru = L.GRUCell(np.random.default_rng(0), hidden=4, input_dim=3)
+        gru = L.GRUCell(params(np.random.default_rng(0)), hidden=4, input_dim=3)
         with pytest.raises(ShapeMismatch):
             gru(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))))
-        lstm = L.LSTMCell(np.random.default_rng(0), hidden=4, input_dim=3)
+        lstm = L.LSTMCell(params(np.random.default_rng(0)), hidden=4, input_dim=3)
         with pytest.raises(ShapeMismatch):
             lstm(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))),
                  Tensor(np.zeros((1, 9))))
@@ -537,15 +551,16 @@ class TestCheckpoints:
             L.load_checkpoint(path)
 
     def test_assign_params_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        mlp = L.MLP(rng, 4, [3, 2], dtype=np.float32)
-        named = mlp.named_params("mlp")
+        source = params(np.random.default_rng(3), np.float32)
+        L.MLP(source.scope("mlp"), 4, [3, 2])
+        named = source.named
         path = tmp_path / "mlp.mflw"
         L.save_checkpoint(path, named)
-        fresh = L.MLP(np.random.default_rng(99), 4, [3, 2], dtype=np.float32)
+        fresh = params(np.random.default_rng(99), np.float32)
+        L.MLP(fresh.scope("mlp"), 4, [3, 2])
         values, _ = L.load_checkpoint(path)
-        L.assign_params(fresh.named_params("mlp"), values)
-        for k, t in fresh.named_params("mlp").items():
+        L.assign_params(fresh.named, values)
+        for k, t in fresh.named.items():
             assert t.dtype == np.float32
             np.testing.assert_array_equal(t.data, named[k].data)
 

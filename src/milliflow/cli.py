@@ -23,6 +23,7 @@ from pathlib import Path
 from .config import RunConfig, from_dict, load_config
 from .dataio import make_clips, pair_samples, read_manifest, write_json
 from .downstream import (
+    STRATEGIES,
     confusion_matrix_csv,
     evaluate_har,
     evaluate_hp,
@@ -43,8 +44,6 @@ from .flownet import (
 )
 from .labeling import N_SEGMENTS
 from .pipeline import generate_dataset, label_dataset, load_labeled_sequences
-
-log = logging.getLogger(__name__)
 
 TASKS = ("flow", "har", "hp")
 
@@ -103,7 +102,7 @@ def _task_clip_set(root, cfg: RunConfig, partition: str) -> list:
 def _resolve_flow_model(args, strategy: str):
     """Flow model referenced by --flow-ckpt: frozen features for s1, the
     joint-training starting point for s2."""
-    if strategy not in ("s1", "s2"):
+    if strategy == "raw":
         if args.flow_ckpt is not None:
             raise ConfigError("--flow-ckpt only applies to strategies s1/s2")
         return None
@@ -149,6 +148,7 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, **train_over))
 
+    strategy = None  # flow training takes no strategy
     if args.task == "flow":
         if args.strategy is not None:
             raise ConfigError("--strategy does not apply to flow training")
@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
     write_json(Path(str(ckpt) + ".manifest.json"), {
         "config": cfg.as_dict(),
         "task": args.task,
-        "strategy": args.strategy,
+        "strategy": strategy,
         "history": history,
     })
     print(f"checkpoint: {ckpt}")
@@ -214,8 +214,6 @@ def cmd_eval(args) -> int:
         model, strategy, flow_model = load_task_model(
             _require_checkpoint(args.ckpt, "--ckpt"),
             task=args.task, strategy=args.strategy)
-        if strategy == "s1":
-            flow_model = _resolve_flow_model(args, strategy)
         clips = _task_clip_set(args.data, cfg, args.split)
         if args.task == "har":
             report = evaluate_har(model, clips, strategy, flow_model)
@@ -253,7 +251,7 @@ def cmd_track(args) -> int:
     report = evaluate_tracking(seqs, flow_model=flow_model,
                                activities=args.activities,
                                clip_length=args.length + 1)
-    csv_text = mje_table_csv(report, max_length=args.length)
+    csv_text = mje_table_csv(report)
     if "latency_ms" in report:
         print(f"mean per-pair latency: {report['latency_ms']:.2f} ms")
     print(f"clips tracked: {report['n_clips']}")
@@ -293,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True, help="checkpoint output path")
     p.add_argument("--config", help="override the dataset's echoed config")
-    p.add_argument("--strategy", choices=("raw", "s1", "s2"),
+    p.add_argument("--strategy", choices=STRATEGIES,
                    help="task feature strategy (har/hp only; default raw)")
     p.add_argument("--flow-ckpt", help="frozen flow checkpoint (s1) or s2 init")
     p.add_argument("--log", help="JSONL training log path")
@@ -307,9 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt")
     p.add_argument("--config")
-    p.add_argument("--strategy", choices=("raw", "s1", "s2"),
+    p.add_argument("--strategy", choices=STRATEGIES,
                    help="must match the checkpoint when given")
-    p.add_argument("--flow-ckpt")
     p.add_argument("--oracle", action="store_true",
                    help="flow only: score the labels against themselves")
     p.add_argument("--baseline", choices=("zero", "nearest"),

@@ -5,9 +5,10 @@ activity classification, per-point body-segment classification, and
 Kabsch-based body-part tracking.  Point features are selected by strategy:
 "raw" uses intensity alone, "s1" appends per-point flow from a frozen flow
 model, "s2" appends the flow network's per-point features and trains both
-networks jointly on a summed loss.  Task and tracking windows come from
-`dataio.preprocess_sequence` and `dataio.windows`, as flow samples do, and
-s1/s2 run the flow network through `flownet.stream`.
+networks jointly on a summed loss.  s1 and s2 task checkpoints store their
+flow model, frozen or co-trained, under `flow.` names.  Task and tracking
+windows come from `dataio.preprocess_sequence` and `dataio.windows`, as flow
+samples do, and s1/s2 run the flow network through `flownet.stream`.
 """
 
 from __future__ import annotations
@@ -470,8 +471,8 @@ def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
                             n_classes=n_classes, seed=train_cfg.seed, dtype=dtype)
     named = model.named_params()
     config = dict(model.config_dict(), strategy=strategy)
-    if strategy == "s2":
-        # the co-trained flow model ships inside the same checkpoint
+    if strategy != "raw":
+        # the frozen (s1) or co-trained (s2) flow model ships in the checkpoint
         named.update({f"flow.{k}": t for k, t in flow_model.named_params().items()})
         config["flow"] = flow_model.config_dict()
     cache = None if strategy == "s2" else {}  # by id(clip), filled as clips come
@@ -496,9 +497,9 @@ def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
 def load_task_model(path, task: str | None = None, strategy: str | None = None):
     """Restore a task checkpoint -> (model, stored strategy, flow model or None).
 
-    The flow model is only stored for jointly trained (s2) checkpoints, under
-    `flow.` names; s1 users must supply their frozen flow checkpoint
-    separately.  A `flow.` entry in a raw or s1 checkpoint is refused.
+    s1 and s2 checkpoints store the flow model they were trained with, frozen
+    or co-trained, under `flow.` names and a `flow` config entry; a raw
+    checkpoint stores none, and a `flow.` entry in it is refused.
     """
     values, config = load_checkpoint(path)
     kind = config.get("kind")
@@ -513,12 +514,12 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
         task_cfg = from_dict(TaskConfig, config["task"])
         dtype = model_dtype(config["dtype"])
         in_features, n_classes = int(config["in_features"]), int(config["n_classes"])
-        flow_config = config["flow"] if stored == "s2" else None
+        flow_config = config["flow"] if stored != "raw" else None
     if strategy is not None and stored != strategy:
         raise TaskMismatch(
             f"checkpoint was trained with strategy {stored!r}, not {strategy!r}")
     flow_model = None
-    if stored == "s2":
+    if stored != "raw":
         flow_values = {name[len("flow."):]: values.pop(name) for name in list(values)
                        if name.startswith("flow.")}
         flow_model = flow_model_from_config(flow_config, flow_values, path)
@@ -664,12 +665,10 @@ def evaluate_tracking(sequences, flow_model: FlowNet | None = None,
     return report
 
 
-def mje_table_csv(report: dict, max_length: int | None = None) -> str:
+def mje_table_csv(report: dict) -> str:
     """CSV of tracking error rows (activity, tracking_length, mje)."""
     lines = ["activity,tracking_length,mje"]
     for activity in sorted(report["mje"]):
         for length in sorted(report["mje"][activity]):
-            if max_length is not None and length > max_length:
-                continue
             lines.append(f"{activity},{length},{report['mje'][activity][length]:.6f}")
     return "\n".join(lines) + "\n"

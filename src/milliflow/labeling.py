@@ -28,7 +28,6 @@ ASSIGNMENT_TIE_TOL = 1e-12
 # bone index -> body segment (head, L arm, R arm, torso, L leg, R leg)
 BONE_SEGMENT = np.array([0, 1, 2, 1, 2, 1, 2, 3, 3, 4, 5, 4, 5])
 N_SEGMENTS = 6
-SEGMENT_NAMES = ("head", "left_arm", "right_arm", "torso", "left_leg", "right_leg")
 UNASSIGNED_SEGMENT = 3  # convention: unassigned points count as torso, masked out
 
 

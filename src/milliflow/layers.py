@@ -265,8 +265,8 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
+        # made at a parameter's first gradient: a frozen one costs no memory
+        self.m, self.v = {}, {}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -280,6 +280,8 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
+            if k not in self.m:
+                self.m[k], self.v[k] = np.zeros_like(p.data), np.zeros_like(p.data)
             self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[k] / b1t

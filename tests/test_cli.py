@@ -12,6 +12,8 @@ from helpers import MISFITS, misfit
 
 from milliflow.autodiff import Tensor
 from milliflow.cli import main
+from milliflow.downstream import load_task_model
+from milliflow.flownet import load_flow_model
 from milliflow.layers import load_checkpoint, save_checkpoint
 
 CONFIG = {
@@ -58,6 +60,14 @@ def har_ckpt(workdir, dataset):
     ckpt = workdir / "har.ckpt"
     assert main(["train", "--task", "har", "--data", dataset,
                  "--ckpt", str(ckpt)]) == 0
+    return str(ckpt)
+
+
+@pytest.fixture(scope="module")
+def har_s1_ckpt(workdir, dataset, flow_ckpt):
+    ckpt = workdir / "har_s1.ckpt"
+    assert main(["train", "--task", "har", "--strategy", "s1", "--flow-ckpt", flow_ckpt,
+                 "--data", dataset, "--ckpt", str(ckpt)]) == 0
     return str(ckpt)
 
 
@@ -386,17 +396,47 @@ class TestTrain:
         assert main(["train", "--task", "har", "--strategy", "s1",
                      "--data", dataset, "--ckpt", str(tmp_path / "x.ckpt")]) == 2
 
-    def test_s1_round_trip(self, workdir, dataset, flow_ckpt, tmp_path):
-        ckpt = tmp_path / "har_s1.ckpt"
-        assert main(["train", "--task", "har", "--strategy", "s1",
-                     "--flow-ckpt", flow_ckpt, "--data", dataset,
-                     "--ckpt", str(ckpt)]) == 0
+    def test_s1_round_trip(self, dataset, har_s1_ckpt):
         # evaluating under a different strategy is refused
         assert main(["eval", "--task", "har", "--strategy", "raw",
-                     "--data", dataset, "--ckpt", str(ckpt)]) == 5
+                     "--data", dataset, "--ckpt", har_s1_ckpt]) == 5
+        # the checkpoint holds its flow model, so eval needs no flow flag
         assert main(["eval", "--task", "har", "--strategy", "s1",
-                     "--flow-ckpt", flow_ckpt, "--data", dataset,
-                     "--ckpt", str(ckpt)]) == 0
+                     "--data", dataset, "--ckpt", har_s1_ckpt]) == 0
+
+    def test_s1_checkpoint_stores_its_flow_model(self, flow_ckpt, har_s1_ckpt):
+        _, config = load_checkpoint(har_s1_ckpt)
+        assert config["flow"] == load_checkpoint(flow_ckpt)[1]
+        _, strategy, flow_model = load_task_model(har_s1_ckpt, task="har")
+        assert strategy == "s1"
+        expected = load_flow_model(flow_ckpt).named_params()
+        got = flow_model.named_params()
+        assert sorted(got) == sorted(expected)
+        for name, t in expected.items():
+            assert got[name].data.tobytes() == t.data.tobytes()
+
+    def test_eval_takes_no_flow_checkpoint(self, dataset, flow_ckpt, har_s1_ckpt):
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--task", "har", "--strategy", "s1", "--flow-ckpt", flow_ckpt,
+                  "--data", dataset, "--ckpt", har_s1_ckpt])
+        assert e.value.code == 2
+
+    def test_s1_checkpoint_without_its_flow_model_exits_2(self, dataset, har_s1_ckpt,
+                                                           tmp_path, capsys):
+        # the layout s1 checkpoints had before they stored their flow model
+        values, config = load_checkpoint(har_s1_ckpt)
+        old = tmp_path / "old_s1.ckpt"
+        save_checkpoint(old, {k: v for k, v in values.items() if not k.startswith("flow.")},
+                        config={k: v for k, v in config.items() if k != "flow"})
+        assert main(["eval", "--task", "har", "--strategy", "s1",
+                     "--data", dataset, "--ckpt", str(old)]) == 2
+        assert "malformed checkpoint config: KeyError('flow')" in capsys.readouterr().err
+
+    def test_sidecar_records_the_trained_strategy(self, flow_ckpt, har_ckpt):
+        # har_ckpt is trained without --strategy, so with the default raw
+        for ckpt, strategy in ((flow_ckpt, None), (har_ckpt, "raw")):
+            sidecar = json.loads(Path(ckpt + ".manifest.json").read_text())
+            assert sidecar["strategy"] == strategy
 
     @pytest.mark.parametrize("case, code", [
         ("no dataset", 3), ("no flow checkpoint", 4), ("strategy for flow", 2),

@@ -922,5 +922,8 @@ class TestEvaluateTracking:
         lines = csv.strip().splitlines()
         assert lines[0] == "activity,tracking_length,mje"
         assert len(lines) == 5
-        trimmed = mje_table_csv(report, max_length=2)
-        assert len(trimmed.strip().splitlines()) == 3
+        # a clip of three frames tracks, and so reports, lengths 1 and 2 only
+        trimmed = mje_table_csv(evaluate_tracking([tracking_sequence()], clip_length=3))
+        trimmed_lines = trimmed.strip().splitlines()
+        assert trimmed_lines[0] == "activity,tracking_length,mje"
+        assert [line.split(",")[1] for line in trimmed_lines[1:]] == ["1", "2"]

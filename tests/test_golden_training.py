@@ -5,13 +5,15 @@ The runs cover the training loop's branches: the seeded validation subsample,
 gradient averaging over a batch of two clips, clips that contribute no loss,
 the per-epoch learning-rate decay, best-on-validation checkpoints and early
 stopping, for the flow network and for the activity (raw, s1) and parsing
-(s2, joint with the flow network) networks.  A change that moves these bytes
-changes what training computes; re-record the hashes only together with an
-explanation of why.  Recorded with numpy 2.4.6 on x86-64 (a different numpy
-build may round a matrix product differently).
+(s2, joint with the flow network) networks.  The s1 and s2 checkpoints hold
+their flow model's parameters too, under `flow.` names.  A change that moves
+these bytes changes what training computes or stores; re-record the hashes
+only together with an explanation of why.  Recorded with numpy 2.4.6 on
+x86-64 (a different numpy build may round a matrix product differently).
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from milliflow.dataio import Sample
 from milliflow.downstream import TaskClip, train_task_model
 from milliflow.flownet import FlowNet, train_flow_model
 from milliflow.labeling import FlowLabel
+from milliflow.layers import load_checkpoint, save_checkpoint
 from milliflow.radar import RadarFrame
 
 N_POINTS = 9
@@ -110,7 +113,7 @@ GOLDEN = {
              "25777b79ac7cefa3a1cde0a4b2faed7599eb07b24c9a510638b450e372fc69bc"),
     "har-raw": ("eb3f8070f918a4fa3b52d95b131cde4e98502b4ce186d35c4d0f6fabeac880a2",
                 "065d8258fed337bfa67bd27662768ef07880be057f7a3ef87ee402f6a0d15e5e"),
-    "har-s1": ("46674431d09ebfdc86c4737eb0745d0ae7348a7e3cc31693856c0ec70e07ecce",
+    "har-s1": ("a101e8f33a888daaa97dea55114eb5979564152dc97ae8e74fb078cdc0f956b8",
                "20d845e327fa65999d2db4e6675cdb0fa83635ca433a8fc1e54ad87862179c3b"),
     "hp-s2": ("755ec7704c21121d14c6e95f90abe679fb9cc30a4657a1472362908c900b4598",
               "30d881abbfa9b7e65ea94c132986c6014d2a6debc3bd10c47cb0726d2006b36a"),
@@ -122,3 +125,18 @@ def test_training_bytes_unchanged(tmp_path, run):
     RUNS[run](tmp_path)
     got = (sha256(tmp_path / "run.ckpt"), sha256(tmp_path / "run.log.jsonl"))
     assert got == GOLDEN[run]
+
+
+# the har-s1 checkpoint from before s1 checkpoints stored their frozen flow model
+HAR_S1_TASK_ONLY = "46674431d09ebfdc86c4737eb0745d0ae7348a7e3cc31693856c0ec70e07ecce"
+
+
+def test_s1_checkpoint_adds_only_its_frozen_flow_model(tmp_path):
+    run_task("har", "s1", tmp_path)
+    values, config = load_checkpoint(tmp_path / "run.ckpt")
+    frozen = FlowNet(tiny_net(), seed=1)
+    assert config.pop("flow") == json.loads(json.dumps(frozen.config_dict()))
+    for name, t in frozen.named_params().items():
+        assert values.pop(f"flow.{name}").tobytes() == t.data.astype("<f8").tobytes()
+    save_checkpoint(tmp_path / "task_only.ckpt", values, config=config)
+    assert sha256(tmp_path / "task_only.ckpt") == HAR_S1_TASK_ONLY

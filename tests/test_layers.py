@@ -447,6 +447,16 @@ class TestAdam:
         opt.step()
         assert x.data[0] == 1.0
 
+    def test_no_moments_for_params_without_a_gradient(self):
+        x = Tensor(np.array([0.0]), requires_grad=True)
+        frozen = Tensor(np.array([1.0]), requires_grad=True)
+        opt = L.Adam({"x": x, "frozen": frozen}, lr=0.1)
+        opt.zero_grad()
+        sq_sum(ad.add(x, -3.0)).backward()
+        opt.step()
+        assert set(opt.m) == set(opt.v) == {"x"}
+        assert frozen.data[0] == 1.0
+
     def test_lr_is_mutable(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         opt = L.Adam({"x": x}, lr=0.5)

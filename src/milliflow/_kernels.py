@@ -144,7 +144,9 @@ def cfar_mask(heatmap, train_cells: int, guard_cells: int, scale_factor: float) 
     # csum[lead + k] is the sum of range cells [0, k) with k clipped to
     # [0, r], so every window sum is a difference of two row slices of csum
     lead = reach + 1
-    csum = np.empty((r + 2 * lead,) + heatmap.shape[1:], dtype=np.float64)
+    # laid out in memory as the heatmap is, so every step below runs over
+    # memory in order
+    csum = np.empty_like(heatmap, shape=(r + 2 * lead,) + heatmap.shape[1:])
     csum[: lead + 1] = 0.0
     np.cumsum(heatmap, axis=0, out=csum[lead + 1 : lead + 1 + r])
     csum[lead + 1 + r :] = csum[lead + r]

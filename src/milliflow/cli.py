@@ -148,10 +148,10 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, **train_over))
 
-    strategy = None  # flow training takes no strategy
+    strategy = None  # flow training takes no strategy and no flow model
     if args.task == "flow":
-        if args.strategy is not None:
-            raise ConfigError("--strategy does not apply to flow training")
+        if args.strategy is not None or args.flow_ckpt is not None:
+            raise ConfigError("--strategy and --flow-ckpt do not apply to flow training")
         read_clips = _flow_clips
     else:
         strategy = args.strategy or "raw"

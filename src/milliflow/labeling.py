@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import point_segment_distances
 from .errors import ProvenanceMissing
 from .geometry import RigidTransform, rotation_between
-from .radar import RadarFrame, bone_frame, rest_triads
+from .radar import RadarFrame, bone_frame
 from .skeleton import BONES, ObservedKeypoints, SkeletonModel, SkeletonPose
 
 CONFIDENCE_THRESHOLD = 0.5
@@ -159,7 +159,7 @@ def true_bone_transforms(
     Uses the same transported bone triads that place reflectors, so reflector
     material points follow these transforms identically.
     """
-    triads = rest_triads(model)
+    triads = model.rest_triads
     kp0, kp1 = pose_t.keypoints, pose_t1.keypoints
     out = []
     for b, (p, c) in enumerate(model.bones):

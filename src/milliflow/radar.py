@@ -158,21 +158,6 @@ def bone_frame(parent: np.ndarray, child: np.ndarray, rest_axis: np.ndarray,
     return axis, length, r @ rest_e1, r @ rest_e2
 
 
-def rest_triads(model: SkeletonModel):
-    triads = []
-    for p, c in model.bones:
-        axis = model.rest_keypoints[c] - model.rest_keypoints[p]
-        axis = axis / np.linalg.norm(axis)
-        probe = np.array([1.0, 0.0, 0.0])
-        if abs(axis[0]) > 0.9:
-            probe = np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(axis, probe)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(axis, e1)
-        triads.append((axis, e1, e2))
-    return triads
-
-
 def sample_bone_local_reflectors(model: SkeletonModel, cfg: RadarConfig, seed: int):
     """Material reflector coordinates (t along bone, angle around it) per bone.
 
@@ -197,24 +182,23 @@ def place_reflectors(
     """Map bone-local reflector coordinates into the world for one pose."""
     t, psi, radial = local_coords
     n = t.shape[1]
-    triads = rest_triads(model)
-    positions = np.empty((13 * n, 3))
-    normals = np.empty((13 * n, 3))
-    reflectivities = np.empty(13 * n)
-    bone_index = np.empty(13 * n, dtype=np.int64)
     kp = pose.keypoints
-    for b, (p, c) in enumerate(model.bones):
-        rest_axis, rest_e1, rest_e2 = triads[b]
-        axis, length, e1, e2 = bone_frame(kp[p], kp[c], rest_axis, rest_e1, rest_e2)
-        radius = model.body_radius_per_bone[b] * radial[b]
-        outward = np.cos(psi[b])[:, None] * e1 + np.sin(psi[b])[:, None] * e2
-        sl = slice(b * n, (b + 1) * n)
-        positions[sl] = kp[p] + t[b][:, None] * (length * axis) + radius[:, None] * outward
-        normals[sl] = outward
-        # scaled so a detected body cell clears the downstream intensity
-        # floor of 0.5 even after clutter-removal and straddle losses
-        reflectivities[sl] = model.body_radius_per_bone[b] / 0.0125
-        bone_index[sl] = b
+    # each bone's transported triad, then every bone's reflectors at once
+    frames = [bone_frame(kp[p], kp[c], *triad)
+              for (p, c), triad in zip(model.bones, model.rest_triads)]
+    axis, length, e1, e2 = (np.array(v) for v in zip(*frames))
+    parent = kp[[p for p, _ in model.bones]]
+    radius = model.body_radius_per_bone[:, None] * radial
+    outward = np.cos(psi)[..., None] * e1[:, None] + np.sin(psi)[..., None] * e2[:, None]
+    positions = (
+        parent[:, None] + t[..., None] * (length[:, None] * axis)[:, None]
+        + radius[..., None] * outward
+    ).reshape(-1, 3)
+    normals = outward.reshape(-1, 3)
+    # scaled so a detected body cell clears the downstream intensity
+    # floor of 0.5 even after clutter-removal and straddle losses
+    reflectivities = np.repeat(model.body_radius_per_bone / 0.0125, n)
+    bone_index = np.repeat(np.arange(len(model.bones)), n)
     if jitter_std > 0.0:
         rng = np.random.default_rng(jitter_seed)
         positions = positions + rng.normal(0.0, jitter_std, size=positions.shape)
@@ -261,35 +245,58 @@ def synthesize_cube(
         sig_power = np.mean(np.abs(cube) ** 2) if len(reflectors) else 1.0
         noise_power = sig_power / (10.0 ** (cfg.snr_db / 10.0))
         sigma = np.sqrt(noise_power / 2.0)
-        cube = cube + sigma * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
+        # added in place, part by part: the same sums as adding the complex
+        # noise sigma * (a + 1j * b), with a drawn before b
+        cube.real += sigma * rng.standard_normal(shape)
+        cube.imag += sigma * rng.standard_normal(shape)
     return cube
 
 
 def clutter_removal(cubes: list[np.ndarray]) -> np.ndarray:
-    """Subtract the per-cell window mean from the newest cube."""
+    """Subtract the per-cell window mean from the newest cube.
+
+    The window is summed left to right, as a reduction over a stacked window
+    would sum it, and divided by its length, so no stacked copy is made.
+    """
     if len(cubes) < 2:
         raise ConfigError("clutter removal needs a window of at least 2 cubes")
-    stack = np.stack(cubes)
-    return stack[-1] - stack.mean(axis=0)
+    mean = np.add(cubes[0], cubes[1])
+    for cube in cubes[2:]:
+        mean += cube
+    mean /= len(cubes)
+    return np.subtract(cubes[-1], mean, out=mean)
+
+
+def _shift_halves(n: int):
+    """(source, destination) slices that move the two halves of an axis of
+    length n to where `np.fft.fftshift` puts them."""
+    k = n // 2
+    return (slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))
 
 
 def heatmap(cube: np.ndarray, cfg: RadarConfig) -> np.ndarray:
-    """Magnitude spectrum over (range, azimuth, elevation), zero-padded 2x.
+    """Magnitude spectrum over (range, azimuth, elevation), each axis
+    zero-padded `cfg.pad_factor` times.
 
     The synthesis phase convention uses negative exponents, so the cube is
     conjugated before the forward FFT; angle axes are shifted to center zero
-    spatial frequency.
+    spatial frequency.  Returns a new array on each call, of shape
+    (pad * n_freq_steps, pad * n_az, pad * n_el): a transposed view of a
+    C-ordered (az, el, range) array.
     """
     p = cfg.pad_factor
-    spec = np.fft.fftn(
-        np.conj(cube),
-        s=(p * cfg.n_az, p * cfg.n_el, p * cfg.n_freq_steps),
-        axes=(0, 1, 2),
-    )
-    spec = np.fft.fftshift(spec, axes=(0, 1))
-    mag = np.abs(spec) / (cfg.n_az * cfg.n_el * cfg.n_freq_steps)
+    shape = (p * cfg.n_az, p * cfg.n_el, p * cfg.n_freq_steps)
+    # conjugated into C order, whatever the cube's layout: the FFT's passes
+    # then read their lines from memory in order
+    spec = np.fft.fftn(np.conj(cube, order="C"), s=shape, axes=(0, 1, 2))
+    # the angle-axis shift is fused into the magnitude: |.| of each quadrant
+    # is written straight to its shifted place, then scaled in place
+    mag = np.empty(shape)
+    for (a_src, a_dst), (e_src, e_dst) in itertools.product(
+        _shift_halves(shape[0]), _shift_halves(shape[1])
+    ):
+        np.abs(spec[a_src, e_src], out=mag[a_dst, e_dst])
+    mag /= cfg.n_az * cfg.n_el * cfg.n_freq_steps
     return mag.transpose(2, 0, 1)  # (range, az, el)
 
 
@@ -355,21 +362,16 @@ def to_point_cloud(
     bone of its nearest reflector and ghosts are tagged -1; otherwise the
     frame carries no provenance.
     """
-    ranges = range_axis(cfg)
-    u_ax = azimuth_cosine_axis(cfg)
-    v_ax = elevation_cosine_axis(cfg)
-    pts, intens = [], []
-    for rb, ab, eb, val in detections:
-        r = ranges[int(rb)]
-        u = u_ax[int(ab)]
-        v = v_ax[int(eb)]
-        w2 = 1.0 - u * u - v * v
-        if w2 <= 0.0 or r <= 0.0:
-            continue
-        pts.append((r * u, r * np.sqrt(w2), r * v))
-        intens.append(val)
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    intens = np.asarray(intens, dtype=np.float64)
+    detections = np.asarray(detections, dtype=np.float64).reshape(-1, 4)
+    bins = detections[:, :3].astype(np.int64)
+    r = range_axis(cfg)[bins[:, 0]]
+    u = azimuth_cosine_axis(cfg)[bins[:, 1]]
+    v = elevation_cosine_axis(cfg)[bins[:, 2]]
+    w2 = 1.0 - u * u - v * v
+    keep = ~((w2 <= 0.0) | (r <= 0.0))
+    r, u, v, w2 = r[keep], u[keep], v[keep], w2[keep]
+    pts = np.column_stack([r * u, r * np.sqrt(w2), r * v])
+    intens = detections[keep, 3]
 
     prov = None
     if reflectors is not None and len(reflectors) > 0:

@@ -8,6 +8,7 @@ exact and makes the true per-point motion available in closed form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,27 @@ class SkeletonModel:
     bone_lengths: np.ndarray
     body_radius_per_bone: np.ndarray
     rest_keypoints: np.ndarray  # (14, 3) local frame: neck at origin, facing -y
+
+    @functools.cached_property
+    def rest_triads(self) -> tuple:
+        """Per bone, the read-only rest-pose triad (axis, e1, e2): the unit
+        bone direction and two unit vectors perpendicular to it.  Reflector
+        placement and exact bone motion transport these onto every pose, so
+        they are computed once per model."""
+        triads = []
+        for p, c in self.bones:
+            axis = self.rest_keypoints[c] - self.rest_keypoints[p]
+            axis = axis / np.linalg.norm(axis)
+            probe = np.array([1.0, 0.0, 0.0])
+            if abs(axis[0]) > 0.9:
+                probe = np.array([0.0, 1.0, 0.0])
+            e1 = np.cross(axis, probe)
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(axis, e1)
+            for v in (axis, e1, e2):
+                v.flags.writeable = False
+            triads.append((axis, e1, e2))
+        return tuple(triads)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,22 @@
 ``milliflow._kernels``, one point or cell at a time, and the scalar
 point-to-segment distance.  ``test_kernels.py`` compares the vectorised
 kernels against them.
+
+The radar stages follow at the end, as first written: whole-array
+expressions that build every temporary, and per-bone and per-detection
+loops.  ``test_radar.py`` checks that the stages give the same bytes.
 """
 
 import numpy as np
+
+from milliflow.geometry import rotation_between
+from milliflow.radar import (
+    SPEED_OF_LIGHT,
+    Reflectors,
+    azimuth_cosine_axis,
+    elevation_cosine_axis,
+    range_axis,
+)
 
 
 def knn_indices_loop(query, ref, k):
@@ -180,3 +193,131 @@ def cfar_mask_loop(flat, train_cells, guard_cells, scale_factor):
             if n > 0 and flat[i, j] > scale_factor * (acc / n):
                 out[i, j] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# radar stages
+
+
+def place_reflectors_loop(model, pose, local_coords, jitter_std=0.0, jitter_seed=0):
+    """Bone by bone, with the rest triads rebuilt on each call."""
+    t, psi, radial = local_coords
+    n = t.shape[1]
+    positions = np.empty((13 * n, 3))
+    normals = np.empty((13 * n, 3))
+    reflectivities = np.empty(13 * n)
+    bone_index = np.empty(13 * n, dtype=np.int64)
+    kp = pose.keypoints
+    for b, (p, c) in enumerate(model.bones):
+        rest_axis = model.rest_keypoints[c] - model.rest_keypoints[p]
+        rest_axis = rest_axis / np.linalg.norm(rest_axis)
+        probe = np.array([1.0, 0.0, 0.0])
+        if abs(rest_axis[0]) > 0.9:
+            probe = np.array([0.0, 1.0, 0.0])
+        rest_e1 = np.cross(rest_axis, probe)
+        rest_e1 /= np.linalg.norm(rest_e1)
+        rest_e2 = np.cross(rest_axis, rest_e1)
+        axis = kp[c] - kp[p]
+        length = np.linalg.norm(axis)
+        axis = axis / length
+        r = rotation_between(rest_axis, axis)
+        e1, e2 = r @ rest_e1, r @ rest_e2
+        radius = model.body_radius_per_bone[b] * radial[b]
+        outward = np.cos(psi[b])[:, None] * e1 + np.sin(psi[b])[:, None] * e2
+        sl = slice(b * n, (b + 1) * n)
+        positions[sl] = kp[p] + t[b][:, None] * (length * axis) + radius[:, None] * outward
+        normals[sl] = outward
+        reflectivities[sl] = model.body_radius_per_bone[b] / 0.0125
+        bone_index[sl] = b
+    if jitter_std > 0.0:
+        rng = np.random.default_rng(jitter_seed)
+        positions = positions + rng.normal(0.0, jitter_std, size=positions.shape)
+    return Reflectors(positions, reflectivities, normals, bone_index)
+
+
+def synthesize_cube_expr(reflectors, cfg, seed=0):
+    """The noise as one complex expression, sigma * (a + 1j * b)."""
+    shape = (cfg.n_az, cfg.n_el, cfg.n_freq_steps)
+    cube = np.zeros(shape, dtype=np.complex128)
+    if len(reflectors) > 0:
+        pos = reflectors.positions
+        r = np.linalg.norm(pos, axis=1)
+        u = pos[:, 0] / r
+        v = pos[:, 2] / r
+        k_wave = 2.0 * np.pi / cfg.wavelength
+        d = cfg.element_spacing
+        phase_range = np.exp(
+            -1j * (2.0 * np.pi * 2.0 / SPEED_OF_LIGHT) * np.outer(r, cfg.frequencies)
+        )
+        phase_az = np.exp(-1j * k_wave * d * np.outer(u, np.arange(cfg.n_az)))
+        phase_el = np.exp(-1j * k_wave * d * np.outer(v, np.arange(cfg.n_el)))
+        weighted = reflectors.reflectivities[:, None] * phase_az
+        cube = np.einsum("ka,ke,km->aem", weighted, phase_el, phase_range, optimize=True)
+    if cfg.snr_db is not None:
+        rng = np.random.default_rng(seed)
+        sig_power = np.mean(np.abs(cube) ** 2) if len(reflectors) else 1.0
+        noise_power = sig_power / (10.0 ** (cfg.snr_db / 10.0))
+        sigma = np.sqrt(noise_power / 2.0)
+        cube = cube + sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return cube
+
+
+def clutter_removal_stack(cubes):
+    """The window stacked into one array and averaged along its first axis."""
+    stack = np.stack(cubes)
+    return stack[-1] - stack.mean(axis=0)
+
+
+def heatmap_expr(cube, cfg):
+    """FFT, a shifted copy, its magnitude and the quotient, one after another."""
+    p = cfg.pad_factor
+    spec = np.fft.fftn(
+        np.conj(cube),
+        s=(p * cfg.n_az, p * cfg.n_el, p * cfg.n_freq_steps),
+        axes=(0, 1, 2),
+    )
+    spec = np.fft.fftshift(spec, axes=(0, 1))
+    mag = np.abs(spec) / (cfg.n_az * cfg.n_el * cfg.n_freq_steps)
+    return mag.transpose(2, 0, 1)
+
+
+def to_point_cloud_loop(detections, cfg, ghost_prob, seed, reflectors=None):
+    """(points, intensities, provenance) of ``to_point_cloud``, one detection,
+    one point and one ghost draw at a time."""
+    ranges = range_axis(cfg)
+    u_ax = azimuth_cosine_axis(cfg)
+    v_ax = elevation_cosine_axis(cfg)
+    pts, intens = [], []
+    for rb, ab, eb, val in detections:
+        r = ranges[int(rb)]
+        u = u_ax[int(ab)]
+        v = v_ax[int(eb)]
+        w2 = 1.0 - u * u - v * v
+        if w2 <= 0.0 or r <= 0.0:
+            continue
+        pts.append((r * u, r * np.sqrt(w2), r * v))
+        intens.append(val)
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    intens = np.asarray(intens, dtype=np.float64)
+
+    prov = None
+    if reflectors is not None and len(reflectors) > 0:
+        prov = np.array(
+            [reflectors.bone_index[np.argmin(((reflectors.positions - p) ** 2).sum(axis=1))]
+             for p in pts],
+            dtype=np.int64,
+        )
+
+    rng = np.random.default_rng(seed)
+    ghost_pts, ghost_int = [], []
+    for i in range(len(pts)):
+        if rng.uniform() < ghost_prob:
+            stretch = 1.0 + rng.uniform(0.15, 0.5)
+            ghost_pts.append(pts[i] * stretch)
+            ghost_int.append(intens[i] * rng.uniform(0.3, 0.7))
+    if ghost_pts:
+        pts = np.vstack([pts, ghost_pts])
+        intens = np.concatenate([intens, ghost_int])
+        if prov is not None:
+            prov = np.concatenate([prov, -np.ones(len(ghost_pts), dtype=np.int64)])
+    return pts, intens, prov

@@ -457,6 +457,13 @@ class TestTrain:
         assert main(["train", "--task", "flow", "--strategy", "s1",
                      "--data", dataset, "--ckpt", str(tmp_path / "x.ckpt")]) == 2
 
+    def test_flow_ckpt_rejected_for_flow(self, dataset, flow_ckpt, tmp_path, capsys):
+        ckpt = tmp_path / "x.ckpt"
+        assert main(["train", "--task", "flow", "--flow-ckpt", flow_ckpt,
+                     "--data", dataset, "--ckpt", str(ckpt)]) == 2
+        assert "--flow-ckpt" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_wrong_task_checkpoint_exits_5(self, dataset, flow_ckpt, har_ckpt):
         assert main(["eval", "--task", "har", "--data", dataset,
                      "--ckpt", flow_ckpt]) == 5

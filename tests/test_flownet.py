@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     MISFITS, assert_same_params, check_param_grads, flip_header_bits, jitter_params, misfit,
@@ -32,9 +34,12 @@ from milliflow.flownet import (
     predict_clip,
     train_flow_model,
 )
-from milliflow.labeling import FlowLabel
+from milliflow.labeling import FlowLabel, ground_truth_flow
 from milliflow.layers import load_checkpoint, save_checkpoint
-from milliflow.radar import RadarFrame
+from milliflow.radar import (
+    RadarConfig, RadarFrame, place_reflectors, sample_bone_local_reflectors,
+)
+from milliflow.skeleton import ALL_ACTIVITIES, ActivitySpec, generate_motion, make_subject
 
 
 def tiny_net(**kw):
@@ -581,6 +586,34 @@ class TestBaselinesAndEvaluation:
         report = evaluate_baseline(clips, "oracle")
         assert report["epe3d"]["all"] == 0.0
         assert report["acc3d"]["strict"] == 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(subject=st.integers(0, 40), activity=st.sampled_from(ALL_ACTIVITIES),
+           amplitude=st.floats(0.1, 1.2), n_pairs=st.integers(1, 4),
+           ghost_share=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_oracle_baseline_is_exact_on_exact_labels(self, subject, activity, amplitude,
+                                                      n_pairs, ghost_share, seed):
+        # reflector points labelled by the exact motion of their bones; some
+        # become ghosts, whose labels are masked out
+        model = make_subject(subject)
+        poses = generate_motion(model, ActivitySpec(activity, amplitude=amplitude),
+                                n_pairs + 1)
+        local = sample_bone_local_reflectors(model, RadarConfig(), seed)
+        rng = np.random.default_rng(seed)
+        frames = []
+        for i, pose in enumerate(poses):
+            refl = place_reflectors(model, pose, local)
+            keep = rng.choice(len(refl), size=rng.integers(1, 40), replace=False)
+            prov = refl.bone_index[keep]
+            prov[1:][rng.uniform(size=len(keep) - 1) < ghost_share] = -1  # one stays real
+            frames.append(RadarFrame(refl.positions[keep], np.ones(len(keep)), i, i / 10, prov))
+        clip = [Sample(frames[i], frames[i + 1],
+                       ground_truth_flow(frames[i], poses[i], poses[i + 1], model))
+                for i in range(n_pairs)]
+        report = evaluate_baseline([clip], "oracle")
+        assert report["epe3d"]["all"] == 0.0
+        assert report["acc3d"] == {"strict": 1.0, "relax": 1.0}
+        assert (report["n_frames"], report["n_frames_excluded"]) == (n_pairs, 0)
 
     def test_evaluate_model_shape(self):
         model = FlowNet(tiny_net(), seed=0)

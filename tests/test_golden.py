@@ -26,8 +26,8 @@ def golden_cfg() -> RunConfig:
     )
 
 
-def dataset_hashes(root) -> dict:
-    pipeline.generate_dataset(golden_cfg(), root, workers=1)
+def dataset_hashes(root, workers: int = 1) -> dict:
+    pipeline.generate_dataset(golden_cfg(), root, workers=workers)
     pipeline.label_dataset(root)
     return {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -98,3 +98,9 @@ GOLDEN = {
 def test_dataset_bytes_unchanged(tmp_path, mode):
     got = dataset_hashes(tmp_path)
     assert got == GOLDEN[mode]
+
+
+def test_dataset_bytes_unchanged_through_process_pool(tmp_path):
+    # state a worker process builds for itself, such as a subject model's
+    # cached rest triads, changes no byte
+    assert dataset_hashes(tmp_path, workers=2) == GOLDEN["json"]

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import kernel_oracles as oracle
+
 from milliflow._kernels import cfar_mask
 from milliflow.errors import ConfigError
 from milliflow.radar import (
@@ -445,3 +447,109 @@ class TestReflectors:
             np.zeros(1, dtype=np.int64),
         )
         assert len(visibility_filter(toward, origin, np.pi / 4)) == 1
+
+
+class TestStagesMatchFirstForm:
+    """The radar stages give the bytes of the expressions and loops they were
+    first written as (``kernel_oracles``)."""
+
+    CONFIGS = [RadarConfig(), RadarConfig(n_az=5, n_el=3, n_freq_steps=7, pad_factor=1),
+               RadarConfig(n_az=3, n_el=4, n_freq_steps=5, pad_factor=3)]
+
+    @staticmethod
+    def random_cube(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("cfg_index", range(3))
+    def test_heatmap(self, cfg_index):
+        cfg = self.CONFIGS[cfg_index]
+        rng = np.random.default_rng(cfg_index)
+        for _ in range(3):
+            cube = self.random_cube(rng, (cfg.n_az, cfg.n_el, cfg.n_freq_steps))
+            # a C array and the layout `synthesize_cube` returns
+            einsum_order = np.ascontiguousarray(cube.transpose(1, 0, 2)).transpose(1, 0, 2)
+            for laid_out in (cube, einsum_order):
+                got, want = heatmap(laid_out, cfg), oracle.heatmap_expr(cube, cfg)
+                assert_same_bytes(got, want)
+                assert got.strides == want.strides
+
+    def test_heatmap_returns_a_new_array_each_call(self):
+        cfg = RadarConfig()
+        rng = np.random.default_rng(11)
+        first_cube, second_cube = (self.random_cube(rng, (20, 16, 151)) for _ in range(2))
+        first = heatmap(first_cube, cfg)
+        second = heatmap(second_cube, cfg)
+        assert not np.shares_memory(first, second)
+        assert_same_bytes(first, oracle.heatmap_expr(first_cube, cfg))
+        assert_same_bytes(second, oracle.heatmap_expr(second_cube, cfg))
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 5])
+    def test_clutter_removal(self, window):
+        rng = np.random.default_rng(window)
+        cubes = [self.random_cube(rng, (6, 5, 9)) for _ in range(window)]
+        cubes[0] = np.ascontiguousarray(cubes[0].transpose(1, 0, 2)).transpose(1, 0, 2)
+        before = [c.copy() for c in cubes]
+        assert_same_bytes(clutter_removal(cubes), oracle.clutter_removal_stack(cubes))
+        for cube, copy in zip(cubes, before):  # the window is left as it was
+            assert_same_bytes(cube, copy)
+
+    @pytest.mark.parametrize("snr_db", [20.0, None])
+    def test_synthesize_cube(self, snr_db):
+        cfg = RadarConfig(snr_db=snr_db)
+        model = make_subject(2)
+        local = sample_bone_local_reflectors(model, cfg, 2)
+        none = Reflectors(np.empty((0, 3)), np.empty(0), np.empty((0, 3)),
+                          np.empty(0, dtype=np.int64))
+        for i, pose in enumerate(generate_motion(model, ActivitySpec("LegSwing"), 3)):
+            refl = visibility_filter(place_reflectors(model, pose, local), np.zeros(3),
+                                     cfg.visibility_half_angle)
+            for r in (refl, none):
+                assert_same_bytes(synthesize_cube(r, cfg, seed=i),
+                                  oracle.synthesize_cube_expr(r, cfg, seed=i))
+
+    @pytest.mark.parametrize("activity", ["ArmSwing", "Bowing", "Sitting"])
+    def test_place_reflectors(self, activity):
+        cfg = RadarConfig()
+        for subject in range(3):
+            model = make_subject(subject)
+            local = sample_bone_local_reflectors(model, cfg, subject)
+            for i, pose in enumerate(generate_motion(model, ActivitySpec(activity), 4)):
+                jitter = 1e-3 * (i % 2)
+                got = place_reflectors(model, pose, local, jitter, i)
+                want = oracle.place_reflectors_loop(model, pose, local, jitter, i)
+                for name in ("positions", "reflectivities", "normals", "bone_index"):
+                    assert_same_bytes(getattr(got, name), getattr(want, name))
+
+    def test_rest_triads_made_once_and_read_only(self):
+        model = make_subject(4)
+        assert model.rest_triads is model.rest_triads
+        with pytest.raises(ValueError):
+            model.rest_triads[0][0][0] = 1.0
+
+    @pytest.mark.parametrize("ghost_prob", [0.0, 0.5, 1.0])
+    def test_to_point_cloud(self, ghost_prob):
+        cfg = RadarConfig()
+        rng = np.random.default_rng(int(ghost_prob * 10))
+        n = 60
+        det = np.column_stack([rng.integers(0, 302, n), rng.integers(0, 40, n),
+                               rng.integers(0, 32, n), rng.exponential(size=n)]).astype(float)
+        # the r = 0 bin, and cells outside the unit disk of direction cosines
+        det[:3, 0] = 0.0
+        det[3:6, 1:3] = [[0.0, 0.0], [39.0, 0.0], [0.0, 31.0]]
+        positions = rng.uniform([-1.0, 1.5, -1.0], [1.0, 4.0, 1.0], size=(30, 3))
+        refl = reflectors_at(positions)
+        refl = Reflectors(refl.positions, refl.reflectivities, refl.normals,
+                          rng.integers(0, 13, 30))
+        for detections in (det, det[:0]):
+            for reflectors in (refl, None):
+                frame = to_point_cloud(detections, cfg, ghost_prob, seed=3,
+                                       frame_index=4, timestamp=0.5, reflectors=reflectors)
+                pts, intens, prov = oracle.to_point_cloud_loop(detections, cfg, ghost_prob,
+                                                               seed=3, reflectors=reflectors)
+                assert_same_bytes(frame.points, pts)
+                assert_same_bytes(frame.intensities, intens)
+                if reflectors is None:
+                    assert frame.prov_bone is None
+                else:
+                    assert_same_bytes(frame.prov_bone, prov)
+                assert (frame.frame_index, frame.timestamp) == (4, 0.5)

@@ -6,7 +6,7 @@ be reproduced from its artifacts alone.
 Exit codes: 0 success, 2 bad flags or configuration, a truncated or
 malformed checkpoint or dataset file, or a non-finite training loss, 3 I/O
 failure, 4 missing checkpoint file, 5 checkpoint does not match the requested
-task/strategy.
+task/strategy or the run config's class count.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .dataio import make_clips, pair_samples, read_manifest, write_json
 from .downstream import (
     STRATEGIES,
     confusion_matrix_csv,
-    evaluate_har,
-    evaluate_hp,
+    evaluate,
     evaluate_tracking,
     load_task_model,
     mje_table_csv,
@@ -97,6 +96,11 @@ def _task_clip_set(root, cfg: RunConfig, partition: str) -> list:
     seqs = load_labeled_sequences(root, partition)
     return task_clips(seqs, cfg.task, partition,
                       catalogue=tuple(cfg.gen.in_set), seed=cfg.seed)
+
+
+def _n_classes(task: str, cfg: RunConfig) -> int:
+    """Classes a task model scores: in-set activities (har), body segments (hp)."""
+    return len(cfg.gen.in_set) if task == "har" else N_SEGMENTS
 
 
 def _resolve_flow_model(args, strategy: str):
@@ -170,10 +174,9 @@ def cmd_train(args) -> int:
         best = min(h["val_epe3d"] for h in history)
         print(f"trained flow model: best val EPE3D {best:.4f} m")
     else:
-        n_classes = len(cfg.gen.in_set) if args.task == "har" else N_SEGMENTS
         _, history = train_task_model(
-            args.task, train_clips, val_clips, cfg.task, cfg.train, strategy,
-            ckpt, flow_model=flow_model, n_classes=n_classes, log_path=log_path)
+            args.task, train_clips, val_clips, cfg.task, cfg.train, strategy, ckpt,
+            flow_model=flow_model, n_classes=_n_classes(args.task, cfg), log_path=log_path)
         best = max(h["val_oa"] for h in history)
         print(f"trained {args.task} model ({strategy}): best val oA {best:.4f}")
 
@@ -207,22 +210,22 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     if args.task == "flow":
         report = _eval_flow(args, cfg)
-        csv_text = None
     else:
         if args.oracle or args.baseline:
             raise ConfigError("--oracle/--baseline apply to flow evaluation only")
         model, strategy, flow_model = load_task_model(
             _require_checkpoint(args.ckpt, "--ckpt"),
             task=args.task, strategy=args.strategy)
-        clips = _task_clip_set(args.data, cfg, args.split)
-        if args.task == "har":
-            report = evaluate_har(model, clips, strategy, flow_model)
-            csv_text = confusion_matrix_csv(report["confusion"],
-                                            list(cfg.gen.in_set))
-            report = dict(report, confusion=report["confusion"].tolist())
-        else:
-            report = evaluate_hp(model, clips, strategy, flow_model)
-            csv_text = None
+        n_classes = _n_classes(args.task, cfg)
+        if model.n_classes != n_classes:
+            raise TaskMismatch(f"checkpoint scores {model.n_classes} classes; the run "
+                               f"config's {args.task} task has {n_classes}")
+        report = evaluate(model, _task_clip_set(args.data, cfg, args.split),
+                          strategy, flow_model)
+    csv_text = None
+    if "confusion" in report:
+        csv_text = confusion_matrix_csv(report["confusion"], list(cfg.gen.in_set))
+        report = dict(report, confusion=report["confusion"].tolist())
 
     report = dict(report, config=cfg.as_dict())
     if args.out:

@@ -1,14 +1,18 @@
 """Downstream consumers of estimated scene flow.
 
 Three tasks share the flow network's encoder vocabulary: sequence-level
-activity classification, per-point body-segment classification, and
-Kabsch-based body-part tracking.  Point features are selected by strategy:
+activity classification (HAR), per-point body-segment classification (HP),
+and Kabsch-based body-part tracking.  Point features are selected by strategy:
 "raw" uses intensity alone, "s1" appends per-point flow from a frozen flow
 model, "s2" appends the flow network's per-point features and trains both
 networks jointly on a summed loss.  s1 and s2 task checkpoints store their
 flow model, frozen or co-trained, under `flow.` names.  Task and tracking
 windows come from `dataio.preprocess_sequence` and `dataio.windows`, as flow
 samples do, and s1/s2 run the flow network through `flownet.stream`.
+
+HAR and HP share one path (`clip_loss`, `predict`, `evaluate`,
+`train_task_model`) and differ only in their network's `rows` (a window's
+score rows, true classes and valid mask), `loss` and `report`.
 """
 
 from __future__ import annotations
@@ -163,7 +167,18 @@ def decorate_clip(frames, strategy: str, flow_model: FlowNet | None,
 
 class _TaskNet:
     """What the activity and parsing networks share: their parameter record
-    (seeded draws, or the `values` a checkpoint stores) and checkpoint config."""
+    (seeded draws, or the `values` a checkpoint stores), checkpoint config,
+    and the one task path, to which each network gives its `rows`, `loss`
+    and `report`."""
+
+    def _params(self, cfg: TaskConfig, in_features: int, n_classes: int, seed: int,
+                dtype, values) -> Params:
+        """Record the fields every task network has; the source of its parameters."""
+        self.cfg = cfg
+        self.in_features = in_features
+        self.n_classes = n_classes
+        self.dtype = np.dtype(dtype)
+        return Params(self.dtype, seed, values)
 
     def named_params(self) -> dict:
         return dict(self._named)  # a new dict: callers add to it
@@ -188,16 +203,13 @@ class HarNet(_TaskNet):
     """
 
     kind = "har"
+    nothing_scored = "no scorable windows"
 
     def __init__(self, cfg: TaskConfig, in_features: int, n_classes: int,
                  seed: int = 0, dtype=np.float32, values=None):
         if n_classes < 2:
             raise ConfigError("classifier needs at least 2 classes")
-        self.cfg = cfg
-        self.in_features = in_features
-        self.n_classes = n_classes
-        self.dtype = np.dtype(dtype)
-        p = Params(self.dtype, seed, values)
+        p = self._params(cfg, in_features, n_classes, seed, dtype, values)
         self.encoder = CloudEncoder(p.scope("enc"), cfg, in_features)
         self.stage2 = MLP(p.scope("stage2"), 3 + self.encoder.z_dim, list(cfg.stage2_mlp))
         self.stage2_attn = MLP(p.scope("stage2.attn"), cfg.stage2_mlp[-1],
@@ -235,6 +247,24 @@ class HarNet(_TaskNet):
             raise EmptyFrame("every frame in the window is empty")
         return self.head(h)
 
+    def rows(self, clip: TaskClip, feats):
+        """One score row for the window and its activity; None when every
+        frame is empty."""
+        try:
+            scores = self.forward(clip.frames, feats)
+        except EmptyFrame:
+            return None
+        return ad.reshape(scores, (1, -1)), np.array([clip.activity]), np.ones(1, bool)
+
+    def loss(self, scores: Tensor, labels, valid) -> Tensor:
+        return cross_entropy(scores, labels)  # the one row is always valid
+
+    def report(self, preds, truths) -> dict:
+        confusion = np.zeros((self.n_classes, self.n_classes), dtype=np.int64)
+        np.add.at(confusion, (truths, preds), 1)
+        return {"oa": overall_accuracy(preds, truths), "confusion": confusion,
+                "n_clips": len(preds)}
+
 
 class HpNet(_TaskNet):
     """Per-point body-segment classifier.
@@ -245,14 +275,11 @@ class HpNet(_TaskNet):
     """
 
     kind = "hp"
+    nothing_scored = "no valid labeled points"
 
     def __init__(self, cfg: TaskConfig, in_features: int,
                  n_classes: int = N_SEGMENTS, seed: int = 0, dtype=np.float32, values=None):
-        self.cfg = cfg
-        self.in_features = in_features
-        self.n_classes = n_classes
-        self.dtype = np.dtype(dtype)
-        p = Params(self.dtype, seed, values)
+        p = self._params(cfg, in_features, n_classes, seed, dtype, values)
         self.encoder = CloudEncoder(p.scope("enc"), cfg, in_features)
         self.gru = GRUCell(p.scope("gru"), cfg.gru_hidden, input_dim=self.encoder.feat_out)
         self.head = MLP(p.scope("head"), self.encoder.z_dim + cfg.gru_hidden,
@@ -273,6 +300,26 @@ class HpNet(_TaskNet):
             final = ad.concat([z, broadcast_rows(h, z.shape[0])], axis=1)
             scores.append(self.head(final))
         return scores
+
+    def rows(self, clip: TaskClip, feats):
+        """One score row per labeled point of the frames that have scores,
+        with its segment and validity; None when no frame has both."""
+        scored = [(scores, label)
+                  for scores, label in zip(self.forward(clip.frames, feats), clip.labels)
+                  if scores is not None and label is not None]
+        if not scored:
+            return None
+        return (ad.concat([scores for scores, _ in scored], axis=0),
+                np.concatenate([label.segment_label for _, label in scored]),
+                np.concatenate([label.valid_mask for _, label in scored]))
+
+    def loss(self, scores: Tensor, labels, valid) -> Tensor:
+        return balanced_cross_entropy(scores, labels, valid)
+
+    def report(self, preds, truths) -> dict:
+        return {"oa": overall_accuracy(preds, truths),
+                "miou": mean_iou(preds, truths, n_classes=self.n_classes),
+                "n_points": len(preds)}
 
 
 # ----------------------------------------------------------------------
@@ -312,50 +359,21 @@ def balanced_cross_entropy(scores: Tensor, labels, valid) -> Tensor:
     return ad.mean_of(terms)
 
 
-def _with_joint_flow_loss(loss: Tensor, decorated: DecoratedClip, clip: TaskClip,
-                          flow_model: FlowNet | None) -> Tensor:
-    """s2 adds the mean flow loss of the window's usable pairs to the task
-    loss (equal weighting); other strategies keep the task loss."""
+def clip_loss(model: _TaskNet, clip: TaskClip, decorated: DecoratedClip,
+              flow_model: FlowNet | None = None) -> Tensor | None:
+    """The task network's loss over the window's valid rows, or None when it
+    has none; s2 adds the mean flow loss of the window's usable pairs (equal
+    weighting)."""
+    rows = model.rows(clip, decorated.feats)
+    if rows is None or not rows[2].any():
+        return None
+    loss = model.loss(*rows)
     if decorated.pair_flows is None:
         return loss
     pairs = [(flows, label) for flows, label in zip(decorated.pair_flows, clip.labels)
              if flows is not None and label is not None]
     flow_term = mean_flow_loss(pairs, flow_model.cfg)
     return loss if flow_term is None else ad.add(loss, flow_term)
-
-
-def har_clip_loss(model: HarNet, clip: TaskClip, decorated: DecoratedClip,
-                  flow_model: FlowNet | None = None) -> Tensor | None:
-    """Cross-entropy on the window's activity; joint variants add the mean
-    flow loss of the window's pairs (equal weighting)."""
-    try:
-        scores = model.forward(clip.frames, decorated.feats)
-    except EmptyFrame:
-        return None
-    return _with_joint_flow_loss(cross_entropy(scores, clip.activity), decorated,
-                                 clip, flow_model)
-
-
-def _labelled_scores(model: HpNet, clip: TaskClip, decorated: DecoratedClip) -> list:
-    """(scores, label) for each frame of the window that has both."""
-    return [(scores, label)
-            for scores, label in zip(model.forward(clip.frames, decorated.feats), clip.labels)
-            if scores is not None and label is not None]
-
-
-def hp_clip_loss(model: HpNet, clip: TaskClip, decorated: DecoratedClip,
-                 flow_model: FlowNet | None = None) -> Tensor | None:
-    """Class-balanced cross-entropy pooled over the window's labeled points."""
-    rows = _labelled_scores(model, clip, decorated)
-    if not rows:
-        return None
-    stacked = ad.concat([scores for scores, _ in rows], axis=0)
-    labels = np.concatenate([label.segment_label for _, label in rows])
-    valid = np.concatenate([label.valid_mask for _, label in rows])
-    if not valid.any():
-        return None
-    return _with_joint_flow_loss(balanced_cross_entropy(stacked, labels, valid),
-                                 decorated, clip, flow_model)
 
 
 # ----------------------------------------------------------------------
@@ -373,66 +391,38 @@ def _decoration_lookup(decorations, clip, strategy, flow_model, dtype):
     return decorations[id(clip)]
 
 
-def predict_har(model: HarNet, clips, strategy: str,
-                flow_model: FlowNet | None = None, decorations=None):
-    """(predicted class, true class) per scorable clip."""
+def predict(model: _TaskNet, clips, strategy: str,
+            flow_model: FlowNet | None = None, decorations=None):
+    """(predicted class, true class) per valid row: one per scorable window
+    (har), one per valid labeled point (hp)."""
     preds, truths = [], []
     with ad.no_grad():
         for clip in clips:
             decorated = _decoration_lookup(decorations, clip, strategy,
                                            flow_model, model.dtype)
-            try:
-                scores = model.forward(clip.frames, decorated.feats)
-            except EmptyFrame:
+            rows = model.rows(clip, decorated.feats)
+            if rows is None:
                 continue
-            preds.append(int(np.argmax(scores.data)))
-            truths.append(clip.activity)
-    return np.asarray(preds), np.asarray(truths)
-
-
-def evaluate_har(model: HarNet, clips, strategy: str,
-                 flow_model: FlowNet | None = None, decorations=None) -> dict:
-    preds, truths = predict_har(model, clips, strategy, flow_model, decorations)
-    if len(preds) == 0:
-        raise EmptyInput("no scorable windows")
-    k = model.n_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for p, t in zip(preds, truths):
-        confusion[t, p] += 1
-    return {
-        "oa": overall_accuracy(preds, truths),
-        "confusion": confusion,
-        "n_clips": len(preds),
-    }
-
-
-def predict_hp(model: HpNet, clips, strategy: str,
-               flow_model: FlowNet | None = None, decorations=None):
-    """(predicted segment, true segment) over every valid labeled point."""
-    preds, truths = [], []
-    with ad.no_grad():
-        for clip in clips:
-            decorated = _decoration_lookup(decorations, clip, strategy,
-                                           flow_model, model.dtype)
-            for scores, label in _labelled_scores(model, clip, decorated):
-                keep = label.valid_mask
-                preds.append(np.argmax(scores.data[keep], axis=1))
-                truths.append(label.segment_label[keep])
+            scores, labels, valid = rows
+            preds.append(np.argmax(scores.data[valid], axis=1))
+            truths.append(labels[valid])
     if not preds:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.concatenate(preds), np.concatenate(truths)
 
 
-def evaluate_hp(model: HpNet, clips, strategy: str,
-                flow_model: FlowNet | None = None, decorations=None) -> dict:
-    preds, truths = predict_hp(model, clips, strategy, flow_model, decorations)
+# the name benchmarks/perf/workloads.py calls for HAR prediction
+predict_har = predict
+
+
+def evaluate(model: _TaskNet, clips, strategy: str,
+             flow_model: FlowNet | None = None, decorations=None) -> dict:
+    """The task network's report on its predictions: oa, confusion and n_clips
+    (har); oa, miou and n_points (hp)."""
+    preds, truths = predict(model, clips, strategy, flow_model, decorations)
     if len(preds) == 0:
-        raise EmptyInput("no valid labeled points")
-    return {
-        "oa": overall_accuracy(preds, truths),
-        "miou": mean_iou(preds, truths, n_classes=model.n_classes),
-        "n_points": len(preds),
-    }
+        raise EmptyInput(model.nothing_scored)
+    return model.report(preds, truths)
 
 
 def confusion_matrix_csv(confusion: np.ndarray, class_names) -> str:
@@ -476,12 +466,10 @@ def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
         named.update({f"flow.{k}": t for k, t in flow_model.named_params().items()})
         config["flow"] = flow_model.config_dict()
     cache = None if strategy == "s2" else {}  # by id(clip), filled as clips come
-    clip_loss_fn = har_clip_loss if task == "har" else hp_clip_loss
-    evaluate = evaluate_har if task == "har" else evaluate_hp
 
     def loss(clip):
         decorated = _decoration_lookup(cache, clip, strategy, flow_model, dtype)
-        return clip_loss_fn(model, clip, decorated, flow_model)
+        return clip_loss(model, clip, decorated, flow_model)
 
     def val_accuracy(clips):
         try:
@@ -619,13 +607,19 @@ def evaluate_tracking(sequences, flow_model: FlowNet | None = None,
     Bones per activity follow TRACK_TARGETS; endpoints initialize from the
     true pose at each clip start.  flow_model None uses the label flows
     (oracle); otherwise flows come from streaming model inference.
+    `activities`, when given, must name activities with tracked bones;
+    otherwise sequences of untracked activities are skipped.
     """
     if not 2 <= clip_length <= TRACK_CLIP_LENGTH:
         raise ConfigError(
             f"clip_length must lie in [2, {TRACK_CLIP_LENGTH}], got {clip_length}")
-    targets = dict(TRACK_TARGETS)
+    targets = TRACK_TARGETS
     if activities is not None:
-        targets = {a: targets[a] for a in activities if a in targets}
+        untracked = [a for a in activities if a not in TRACK_TARGETS]
+        if untracked:
+            raise ConfigError(f"no tracked bones for {', '.join(untracked)}; "
+                              f"trackable: {', '.join(TRACK_TARGETS)}")
+        targets = {a: TRACK_TARGETS[a] for a in activities}
     sums: dict = {}
     counts: dict = {}
     n_clips = 0

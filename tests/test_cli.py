@@ -472,6 +472,18 @@ class TestTrain:
         assert main(["eval", "--task", "hp", "--data", dataset,
                      "--ckpt", har_ckpt]) == 5
 
+    def test_class_count_mismatch_exits_5(self, workdir, dataset, har_ckpt, tmp_path, capsys):
+        # har_ckpt scores the dataset's two in-set activities; a third in the
+        # catalogue would put Bowing's windows in class 2
+        cfg = dict(CONFIG, gen=dict(CONFIG["gen"], in_set=["ArmSwing", "LegSwing", "Bowing"]))
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "har.json"
+        assert main(["eval", "--task", "har", "--data", dataset, "--ckpt", har_ckpt,
+                     "--config", str(path), "--out", str(out)]) == 5
+        assert "checkpoint scores 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_rejected_for_tasks(self, dataset, har_ckpt):
         assert main(["eval", "--task", "har", "--data", dataset,
                      "--ckpt", har_ckpt, "--oracle"]) == 2
@@ -508,6 +520,13 @@ class TestTrack:
     def test_missing_checkpoint_exits_4(self, dataset, tmp_path):
         assert main(["track", "--data", dataset,
                      "--ckpt", str(tmp_path / "none.ckpt")]) == 4
+
+    def test_untrackable_activity_exits_2(self, dataset, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["track", "--data", dataset, "--oracle", "--activities",
+                     "ArmSwing", "ArmSwng", "--out", str(out)]) == 2
+        assert "ArmSwng" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

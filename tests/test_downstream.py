@@ -20,16 +20,15 @@ from milliflow.downstream import (
     TrackState,
     balanced_cross_entropy,
     bone_endpoints,
+    clip_loss,
     confusion_matrix_csv,
     cross_entropy,
     decorate_clip,
-    evaluate_har,
-    evaluate_hp,
+    evaluate,
     evaluate_tracking,
-    har_clip_loss,
-    hp_clip_loss,
     load_task_model,
     mje_table_csv,
+    predict,
     strategy_feature_dim,
     task_clips,
     track_clip,
@@ -368,7 +367,7 @@ class TestHpNet:
         jitter_params(named, np.random.default_rng(3))
         clip = make_clip(window=2, n=6, seed=4)
         dec = decorate_clip(clip.frames, "raw", None, dtype=np.float64)
-        check_param_grads(lambda: hp_clip_loss(model, clip, dec),
+        check_param_grads(lambda: clip_loss(model, clip, dec),
                           named, max_entries=2, seed=5)
 
 
@@ -451,7 +450,7 @@ class TestClipLosses:
                        dtype=np.float64)
         clip = make_clip()
         dec = decorate_clip(clip.frames, "raw", None, dtype=np.float64)
-        loss = har_clip_loss(model, clip, dec)
+        loss = clip_loss(model, clip, dec)
         with ad.no_grad():
             manual = cross_entropy(model.forward(clip.frames, dec.feats),
                                    clip.activity)
@@ -462,14 +461,14 @@ class TestClipLosses:
         empty = RadarFrame(np.zeros((0, 3)), np.zeros(0), 0, 0.0)
         clip = TaskClip([empty, empty], [None, None], 0, "ArmSwing")
         dec = decorate_clip(clip.frames, "raw", None)
-        assert har_clip_loss(model, clip, dec) is None
+        assert clip_loss(model, clip, dec) is None
 
     def test_hp_no_valid_returns_none(self):
         model = HpNet(tiny_task(), in_features=1, seed=0)
         clip = make_clip(window=2, n=4)
         clip.labels[0] = make_label(4, valid=np.zeros(4, bool))
         dec = decorate_clip(clip.frames, "raw", None)
-        assert hp_clip_loss(model, clip, dec) is None
+        assert clip_loss(model, clip, dec) is None
 
     def test_s2_adds_flow_term(self):
         from milliflow.flownet import flow_loss
@@ -479,7 +478,7 @@ class TestClipLosses:
                        seed=0, dtype=np.float64)
         clip = make_clip(window=3)
         dec = decorate_clip(clip.frames, "s2", flow, dtype=np.float64)
-        total = har_clip_loss(model, clip, dec, flow)
+        total = clip_loss(model, clip, dec, flow)
         with ad.no_grad():
             task = cross_entropy(model.forward(clip.frames, dec.feats),
                                  clip.activity)
@@ -494,7 +493,7 @@ class TestClipLosses:
                        seed=0)
         clip = make_clip(window=3)
         dec = decorate_clip(clip.frames, "s2", flow)
-        har_clip_loss(model, clip, dec, flow).backward()
+        clip_loss(model, clip, dec, flow).backward()
         grads = [t.grad is not None and np.any(t.grad != 0)
                  for t in flow.named_params().values()]
         assert all(grads)
@@ -575,8 +574,8 @@ class TestTraining:
                                     n_classes=2)
         again, strategy, flow = load_task_model(ckpt)
         assert strategy == "raw" and flow is None
-        a = evaluate_har(model, clips, "raw")
-        b = evaluate_har(again, clips, "raw")
+        a = evaluate(model, clips, "raw")
+        b = evaluate(again, clips, "raw")
         assert a["oa"] == b["oa"]
         np.testing.assert_array_equal(a["confusion"], b["confusion"])
 
@@ -593,8 +592,8 @@ class TestTraining:
                                       sorted(flow2.named_params().items())):
             assert k1 == k2
             np.testing.assert_array_equal(t1.data, t2.data)
-        a = evaluate_har(model, clips, "s2", flow)
-        b = evaluate_har(again, clips, "s2", flow2)
+        a = evaluate(model, clips, "s2", flow)
+        b = evaluate(again, clips, "s2", flow2)
         assert a["oa"] == b["oa"]
 
     def test_task_and_strategy_mismatch(self, tmp_path):
@@ -696,8 +695,6 @@ class TestTraining:
         assert flip_header_bits(ckpt, load) > 0
 
     def test_hp_all_one_class_drives_argmax(self, tmp_path):
-        from milliflow.downstream import predict_hp
-
         clips = []
         for s in range(6):
             clip = make_clip(window=3, n=8, seed=10 * s)
@@ -707,7 +704,7 @@ class TestTraining:
         model, _ = train_task_model("hp", clips, clips[:2], tiny_task(),
                                     self.make_cfg(lr=1e-2, epochs=5), "raw",
                                     tmp_path / "hp.ckpt", n_classes=N_SEGMENTS)
-        preds, _ = predict_hp(model, clips, "raw")
+        preds, _ = predict(model, clips, "raw")
         assert np.mean(preds == 0) > 0.9
 
 
@@ -715,7 +712,7 @@ class TestEvaluation:
     def test_har_report(self):
         model = HarNet(tiny_task(), in_features=1, n_classes=2, seed=0)
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
-        report = evaluate_har(model, clips, "raw")
+        report = evaluate(model, clips, "raw")
         assert set(report) == {"oa", "confusion", "n_clips"}
         assert report["confusion"].sum() == report["n_clips"] == 4
         assert 0.0 <= report["oa"] <= 1.0
@@ -723,9 +720,61 @@ class TestEvaluation:
     def test_hp_report(self):
         model = HpNet(tiny_task(), in_features=1, seed=0)
         clips = [make_clip(seed=s) for s in range(2)]
-        report = evaluate_hp(model, clips, "raw")
+        report = evaluate(model, clips, "raw")
         assert set(report) == {"oa", "miou", "n_points"}
         assert report["n_points"] == 2 * 2 * 10  # 2 clips x 2 labeled frames
+
+    def test_har_predicts_the_argmax_of_each_scorable_window(self):
+        model = HarNet(tiny_task(), in_features=1, n_classes=3, seed=0)
+        empty = RadarFrame(np.zeros((0, 3)), np.zeros(0), 0, 0.0)
+        clips = [make_clip(seed=0, activity=2), TaskClip([empty] * 3, [None] * 3, 1, "Bowing"),
+                 make_clip(seed=5, activity=1)]
+        preds, truths = predict(model, clips, "raw")
+        with ad.no_grad():
+            expected = [int(np.argmax(model.forward(c.frames, decorate_clip(
+                c.frames, "raw", None).feats).data)) for c in (clips[0], clips[2])]
+        assert preds.tolist() == expected
+        assert truths.tolist() == [2, 1]
+        assert preds.dtype == truths.dtype == np.int64
+
+    def test_hp_predicts_valid_points_of_labelled_frames(self):
+        model = HpNet(tiny_task(), in_features=1, seed=0)
+        clip = make_clip(window=3, n=6)
+        clip.labels[1] = make_label(6, 7, valid=[True, False, True, False, False, True])
+        preds, truths = predict(model, [clip], "raw")
+        assert len(preds) == 6 + 3  # the window's final frame carries no label
+        np.testing.assert_array_equal(
+            truths, np.concatenate([clip.labels[0].segment_label,
+                                    clip.labels[1].segment_label[[0, 2, 5]]]))
+
+    @pytest.mark.parametrize("task, message", [("har", "no scorable windows"),
+                                               ("hp", "no valid labeled points")])
+    def test_nothing_scored(self, task, message):
+        model = TASK_NETS[task](tiny_task(), in_features=1, n_classes=3, seed=0)
+        empty = RadarFrame(np.zeros((0, 3)), np.zeros(0), 0, 0.0)
+        clip = (TaskClip([empty] * 2, [None] * 2, 0, "ArmSwing") if task == "har"
+                else make_clip(window=2, n=4))
+        if task == "hp":
+            clip.labels[0] = make_label(4, valid=np.zeros(4, bool))
+        preds, truths = predict(model, [clip], "raw")
+        assert preds.shape == truths.shape == (0,)
+        assert preds.dtype == truths.dtype == np.int64
+        with pytest.raises(EmptyInput, match=message):
+            evaluate(model, [clip], "raw")
+
+    @pytest.mark.parametrize("task", ["har", "hp"])
+    def test_decorations_cache_is_read_and_filled(self, task):
+        model = TASK_NETS[task](tiny_task(), in_features=1,
+                                n_classes=3 if task == "har" else N_SEGMENTS, seed=0)
+        clips = [make_clip(seed=s) for s in range(2)]
+        cache = {}
+        a = evaluate(model, clips, "raw", decorations=cache)
+        assert sorted(cache) == sorted(id(c) for c in clips)
+        b = evaluate(model, clips, "raw", decorations=cache)
+        c = evaluate(model, clips, "raw")
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
+            np.testing.assert_array_equal(a[key], c[key])
 
     def test_confusion_csv(self):
         csv = confusion_matrix_csv(np.array([[3, 1], [0, 2]]), ["a", "b"])
@@ -899,6 +948,12 @@ class TestEvaluateTracking:
         seqs = [tracking_sequence(activity="Bowing")]
         with pytest.raises(EmptyInput):
             evaluate_tracking(seqs)
+
+    @pytest.mark.parametrize("named", [["ArmSwing", "ArmSwng"], ["Bowing"]])
+    def test_named_activity_without_tracked_bones_refused(self, named):
+        with pytest.raises(ConfigError, match=named[-1]) as e:
+            evaluate_tracking([tracking_sequence()], activities=named)
+        assert "trackable: ArmSwing, LegSwing, ArmLegSwing" in str(e.value)
 
     def test_activity_filter(self):
         seqs = [tracking_sequence(), tracking_sequence(activity="LegSwing", seed=5)]

@@ -1,0 +1,116 @@
+"""Golden task-output hashes: what the activity (HAR) and parsing (HP)
+networks compute on the golden-inputs sequences.
+
+Seeded tiny `HarNet` and `HpNet` score the task windows of the
+`test_golden_inputs` sequences, one of whose frames preprocessing empties,
+with each feature strategy.  `predict` and `evaluate` are hashed on the
+test windows; `clip_loss` and the gradients it sends to the task (and, for
+s2, the flow) parameters are hashed on the train windows.  A change that
+moves these hashes changes what the task networks compute; re-record them
+only together with an explanation of why.  Recorded with numpy 2.4.6 on
+x86-64 (a different numpy build may round a matrix product differently).
+"""
+
+import pytest
+
+from test_golden_inputs import digest, flow_model, sequences  # noqa: F401
+from test_golden_training import tiny_task
+
+from milliflow.downstream import (
+    TASK_NETS, clip_loss, decorate_clip, evaluate, predict, strategy_feature_dim, task_clips,
+)
+from milliflow.labeling import N_SEGMENTS
+from milliflow.skeleton import IN_SET_ACTIVITIES
+
+N_CLASSES = {"har": len(IN_SET_ACTIVITIES), "hp": N_SEGMENTS}
+
+GOLDEN = {
+    "predict/har/raw":
+        "1f93ac4775ef6863a73527b42ec8743cc8d9bc754357210bdc18dcce8c0fd7f8",
+    "predict/har/s1":
+        "20e6ac18b21754b56e462e6b3d362024ae5812dc2e3ae32d0206eca694ee3c03",
+    "predict/har/s2":
+        "f6173283a0019b814fc4554409dfff357c8cf1ca67e2ad04b22a0e6e60a989aa",
+    "predict/hp/raw":
+        "88d20e88e2ab91cd1a75f595b7170b244f23663fd7aab03b6e05519c8f25e712",
+    "predict/hp/s1":
+        "3343f2bf48a50245740fd730829fd10a9472735e9e997373ba92e896953a82a9",
+    "predict/hp/s2":
+        "0bcb35fa19d26ff37c1b15699ecadb190fb0b19eae47f80d40fb63b3b02a96f3",
+    "evaluate/har/raw":
+        "3d686a4e1dee75c83869f920dd4966d4e4746dac7887b3bb666607e8eea17a73",
+    "evaluate/har/s1":
+        "8c16a10c4375e6d4f352005ac33afdfc6fa3335ce6cc8bbcd68fe10c6fc76e33",
+    "evaluate/har/s2":
+        "cab01b60cbff2b9f71bf9a1df6d81eb9632d8a0c7d6160c15d15568fa3ea3f02",
+    "evaluate/hp/raw":
+        "26481d3055a2355653d897a753c7fb9a6ec19010e18d1130c2db4442019923e1",
+    "evaluate/hp/s1":
+        "93721f4da0927cd018ae575df733a9d2d86a31bcf1e7be70cc6da42ae6879f9d",
+    "evaluate/hp/s2":
+        "735bfa5b62235a65b6d7a2729185a58777f1f4f85ea9cced63e1f668c6f543b0",
+    "clip_loss/har/raw":
+        "37ec8fef7dffbb0c47b0d93d422d2d4ab111a8adbe825cfd07083f6cd2c2f69b",
+    "clip_loss/har/s1":
+        "d2396a319c7734a7340a97216535d44d968b68a9a63a509bdd11a2abf90f8d3a",
+    "clip_loss/har/s2":
+        "f9d6d6f1aa659b390eec25b23df2ff149842761e25a91f637e9669e65b5763d2",
+    "clip_loss/hp/raw":
+        "d956e376cec4949427c855a59d939d1f17eb7c0bab66e044ee9dcee499b8f7e3",
+    "clip_loss/hp/s1":
+        "868a76ab640908bd580b386fbd196bf582f9024cb3ed90884f373051f0511839",
+    "clip_loss/hp/s2":
+        "1adc576736d479ebdea9f4415655ee7ce4fe3d3b6df85bd4edceba3294a3af6a",
+    "clip_loss/grad/har/raw":
+        "12c657a2c062f5f57add4bcfbd3710f33a4c2c53c4511e8458b8d8e84848cbc7",
+    "clip_loss/grad/har/s1":
+        "497bd94cc1101b577be5b8b32b2a65e29af2e1a1c51d11bcab4620b715517246",
+    "clip_loss/grad/har/s2":
+        "e96b05355d117cd03743d01953feff4bc04ea32675ef2b4106cd1f85ad99d7d3",
+    "clip_loss/grad/hp/raw":
+        "efdd1711a1ef214a0af534236611bfa8adc2a4d308d1ee004ddb548b6f9145b0",
+    "clip_loss/grad/hp/s1":
+        "54182c94ec54fc10e245aec4c7574bfd31b81ee407379606192f1a238c6ddfec",
+    "clip_loss/grad/hp/s2":
+        "cb9a2e7997fb3ef2f2056f7b64f9676ff53027301a7776edb0d78699584384c0",
+}
+
+
+def task_model(task, strategy, flow_model):
+    flow = None if strategy == "raw" else flow_model
+    return TASK_NETS[task](tiny_task(), strategy_feature_dim(strategy, flow),
+                           n_classes=N_CLASSES[task], seed=1), flow
+
+
+@pytest.mark.parametrize("task", ["har", "hp"])
+@pytest.mark.parametrize("strategy", ["raw", "s1", "s2"])
+def test_predict_and_evaluate(sequences, flow_model, task, strategy):  # noqa: F811
+    model, flow = task_model(task, strategy, flow_model)
+    clips = task_clips(sequences, tiny_task(), "test", catalogue=IN_SET_ACTIVITIES)
+    preds, truths = predict(model, clips, strategy, flow)
+    report = evaluate(model, clips, strategy, flow)
+    assert len(preds) == len(truths) == report["n_clips" if task == "har" else "n_points"]
+    assert digest([preds, truths]) == GOLDEN[f"predict/{task}/{strategy}"]
+    assert digest(report) == GOLDEN[f"evaluate/{task}/{strategy}"]
+
+
+@pytest.mark.parametrize("task", ["har", "hp"])
+@pytest.mark.parametrize("strategy", ["raw", "s1", "s2"])
+def test_clip_losses_and_gradients(sequences, flow_model, task, strategy):  # noqa: F811
+    model, flow = task_model(task, strategy, flow_model)
+    named = model.named_params()
+    if strategy == "s2":
+        named.update({f"flow.{k}": t for k, t in flow.named_params().items()})
+    losses, grads = [], []
+    for clip in task_clips(sequences, tiny_task(), "train", catalogue=IN_SET_ACTIVITIES,
+                           seed=3):
+        for t in named.values():
+            t.zero_grad()
+        loss = clip_loss(model, clip, decorate_clip(clip.frames, strategy, flow), flow)
+        losses.append(loss)
+        if loss is not None:
+            loss.backward()
+            grads.append({k: t.grad for k, t in named.items()})
+    assert len(grads) > 0
+    assert digest(losses) == GOLDEN[f"clip_loss/{task}/{strategy}"]
+    assert digest(grads) == GOLDEN[f"clip_loss/grad/{task}/{strategy}"]

@@ -57,8 +57,8 @@ from .layers import (
     load_checkpoint,
     set_abstraction,
 )
-from .metrics import mean_iou, mean_joint_error, overall_accuracy
-from .skeleton import BONES
+from .metrics import confusion_matrix, mean_iou, mean_joint_error, overall_accuracy
+from .skeleton import BONE_CHILD, BONE_PARENT
 
 STRATEGIES = ("raw", "s1", "s2")
 TRACK_CLIP_LENGTH = 5  # one init frame plus four tracked steps
@@ -260,9 +260,8 @@ class HarNet(_TaskNet):
         return cross_entropy(scores, labels)  # the one row is always valid
 
     def report(self, preds, truths) -> dict:
-        confusion = np.zeros((self.n_classes, self.n_classes), dtype=np.int64)
-        np.add.at(confusion, (truths, preds), 1)
-        return {"oa": overall_accuracy(preds, truths), "confusion": confusion,
+        return {"oa": overall_accuracy(preds, truths),
+                "confusion": confusion_matrix(preds, truths, self.n_classes),
                 "n_clips": len(preds)}
 
 
@@ -536,10 +535,8 @@ class TrackState:
 
 def bone_endpoints(keypoints: np.ndarray, bone_ids) -> np.ndarray:
     """(B, 2, 3) endpoint positions of the chosen bones in one pose."""
-    return np.stack([
-        np.stack([keypoints[BONES[b][0]], keypoints[BONES[b][1]]])
-        for b in bone_ids
-    ])
+    ids = list(bone_ids)
+    return np.stack([keypoints[BONE_PARENT[ids]], keypoints[BONE_CHILD[ids]]], axis=1)
 
 
 def _assign_tracked(points: np.ndarray, endpoints: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ are gated on confidence and inter-frame displacement, each surviving bone gets
 a minimal-rotation transform anchored at its midpoint, and points are assigned
 to bones by point-segment distance.  Ground-truth labels bypass the noisy
 keypoint channel entirely using the reflector provenance recorded during
-simulation.
+simulation; their bone motion comes from `SkeletonModel.bone_frames`, the
+frames the radar placed the reflectors on.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from ._kernels import point_segment_distances
 from .errors import ProvenanceMissing
 from .geometry import RigidTransform, rotation_between
-from .radar import RadarFrame, bone_frame
-from .skeleton import BONES, ObservedKeypoints, SkeletonModel, SkeletonPose
+from .radar import RadarFrame
+from .skeleton import BONE_CHILD, BONE_PARENT, ObservedKeypoints, SkeletonModel, SkeletonPose
 
 CONFIDENCE_THRESHOLD = 0.5
 DISPLACEMENT_THRESHOLD = 0.5  # meters between frames
@@ -50,12 +51,6 @@ class FlowLabel:
         )
 
 
-@dataclass(frozen=True)
-class BoneTransformSet:
-    transforms: list  # 13 entries, RigidTransform or None
-    bone_valid: np.ndarray  # (13,) bool
-
-
 def filter_keypoints(
     kp_t: ObservedKeypoints, kp_t1: ObservedKeypoints
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -69,20 +64,20 @@ def filter_keypoints(
     )
     disp = np.linalg.norm(kp_t1.positions - kp_t.positions, axis=1)
     kp_valid = conf_ok & (disp <= DISPLACEMENT_THRESHOLD)
-    bone_valid = np.array([kp_valid[p] and kp_valid[c] for p, c in BONES])
-    return kp_valid, bone_valid
+    return kp_valid, kp_valid[BONE_PARENT] & kp_valid[BONE_CHILD]
 
 
 def bone_transforms(
     kp_t: ObservedKeypoints, kp_t1: ObservedKeypoints, valid_bones: np.ndarray
-) -> BoneTransformSet:
-    """Minimal-rotation, midpoint-anchored rigid transform per valid bone.
+) -> list:
+    """Minimal-rotation, midpoint-anchored rigid transform per valid bone,
+    None for an invalid one.
 
     Two endpoint pairs leave the roll about the bone axis unobservable; the
     smallest-angle rotation consistent with the direction change is used.
     """
     transforms = []
-    for b, (p, c) in enumerate(BONES):
+    for b, (p, c) in enumerate(zip(BONE_PARENT, BONE_CHILD)):
         if not valid_bones[b]:
             transforms.append(None)
             continue
@@ -92,7 +87,7 @@ def bone_transforms(
         mid0 = 0.5 * (a0 + b0)
         mid1 = 0.5 * (a1 + b1)
         transforms.append(RigidTransform(rotation, mid1 - rotation @ mid0))
-    return BoneTransformSet(transforms, np.asarray(valid_bones, dtype=bool))
+    return transforms
 
 
 def assign_points(
@@ -107,9 +102,8 @@ def assign_points(
     valid_idx = np.flatnonzero(valid_bones)
     if n == 0 or len(valid_idx) == 0:
         return out
-    seg_a = np.array([kp_t.positions[BONES[b][0]] for b in valid_idx])
-    seg_b = np.array([kp_t.positions[BONES[b][1]] for b in valid_idx])
-    d = point_segment_distances(frame.points, seg_a, seg_b)
+    d = point_segment_distances(frame.points, kp_t.positions[BONE_PARENT[valid_idx]],
+                                kp_t.positions[BONE_CHILD[valid_idx]])
     dmin = d.min(axis=1)
     within = dmin <= ASSIGNMENT_RADIUS
     # first column within tolerance of the row minimum wins
@@ -125,20 +119,23 @@ def segment_labels(assignment: np.ndarray) -> np.ndarray:
     return np.where(assignment >= 0, BONE_SEGMENT[safe], UNASSIGNED_SEGMENT)
 
 
-def pseudo_flow(
-    frame: RadarFrame, assignment: np.ndarray, transforms: BoneTransformSet
-) -> FlowLabel:
-    """Per-point flow from the assigned bone's rigid transform."""
-    n = len(frame)
-    flows = np.zeros((n, 3))
-    valid = np.zeros(n, dtype=bool)
-    for i in range(n):
-        j = assignment[i]
-        if j >= 0 and transforms.bone_valid[j]:
-            p = frame.points[i]
-            flows[i] = transforms.transforms[j].apply(p) - p
-            valid[i] = True
-    return FlowLabel(flows, valid, np.asarray(assignment), segment_labels(assignment))
+def _bone_flows(points: np.ndarray, bone: np.ndarray, transforms: list) -> np.ndarray:
+    """Each point's motion under its bone's rigid transform, point by point;
+    zero where `bone` is -1."""
+    flows = np.zeros((len(points), 3))
+    for i in np.flatnonzero(bone >= 0):
+        p = points[i]
+        flows[i] = transforms[bone[i]].apply(p) - p
+    return flows
+
+
+def pseudo_flow(frame: RadarFrame, assignment: np.ndarray, transforms: list) -> FlowLabel:
+    """Per-point flow from the assigned bone's rigid transform; a point is
+    valid when its bone has one."""
+    assignment = np.asarray(assignment)
+    valid = np.array([j >= 0 and transforms[j] is not None for j in assignment], dtype=bool)
+    flows = _bone_flows(frame.points, np.where(valid, assignment, -1), transforms)
+    return FlowLabel(flows, valid, assignment, segment_labels(assignment))
 
 
 def label_frame_pair(
@@ -156,18 +153,16 @@ def true_bone_transforms(
 ) -> list[RigidTransform]:
     """Exact rigid motion of each bone between two noiseless poses.
 
-    Uses the same transported bone triads that place reflectors, so reflector
-    material points follow these transforms identically.
+    Reads `model.bone_frames`, the frames reflectors are placed on, so
+    reflector material points follow these transforms identically.
     """
-    triads = model.rest_triads
     kp0, kp1 = pose_t.keypoints, pose_t1.keypoints
+    ax0, _, e10, e20 = model.bone_frames(kp0)
+    ax1, _, e11, e21 = model.bone_frames(kp1)
     out = []
-    for b, (p, c) in enumerate(model.bones):
-        rest_axis, rest_e1, rest_e2 = triads[b]
-        ax0, _, e10, e20 = bone_frame(kp0[p], kp0[c], rest_axis, rest_e1, rest_e2)
-        ax1, _, e11, e21 = bone_frame(kp1[p], kp1[c], rest_axis, rest_e1, rest_e2)
-        m0 = np.column_stack([ax0, e10, e20])
-        m1 = np.column_stack([ax1, e11, e21])
+    for b, p in enumerate(BONE_PARENT):
+        m0 = np.column_stack([ax0[b], e10[b], e20[b]])
+        m1 = np.column_stack([ax1[b], e11[b], e21[b]])
         rotation = m1 @ m0.T
         out.append(RigidTransform(rotation, kp1[p] - rotation @ kp0[p]))
     return out
@@ -178,27 +173,20 @@ def ground_truth_flow(
 ) -> FlowLabel:
     """Exact labels from reflector provenance and true bone kinematics.
 
-    Real points follow their generating bone exactly (mask true); ghost points
-    get the flow of the nearest bone with mask false.
+    Real points follow their generating bone exactly (mask true); ghost and
+    noise points, of provenance -1, get the flow of the nearest bone with mask
+    false.
     """
     if frame.prov_bone is None:
         raise ProvenanceMissing("frame carries no reflector provenance")
     transforms = true_bone_transforms(model, pose_t, pose_t1)
-    n = len(frame)
-    flows = np.zeros((n, 3))
-    valid = np.ones(n, dtype=bool)
     assignment = frame.prov_bone.copy()
-    ghosts = np.flatnonzero(assignment < 0)
+    valid = assignment >= 0
+    bone = assignment.copy()
+    ghosts = np.flatnonzero(~valid)
     if len(ghosts):
-        seg_a = np.array([pose_t.keypoints[p] for p, _ in model.bones])
-        seg_b = np.array([pose_t.keypoints[c] for _, c in model.bones])
-        d = point_segment_distances(frame.points[ghosts], seg_a, seg_b)
-        nearest = np.argmin(d, axis=1)
-    for i in range(n):
-        j = assignment[i]
-        if j < 0:
-            j = int(nearest[np.searchsorted(ghosts, i)])
-            valid[i] = False
-        p = frame.points[i]
-        flows[i] = transforms[j].apply(p) - p
+        d = point_segment_distances(frame.points[ghosts], pose_t.keypoints[BONE_PARENT],
+                                    pose_t.keypoints[BONE_CHILD])
+        bone[ghosts] = np.argmin(d, axis=1)
+    flows = _bone_flows(frame.points, bone, transforms)
     return FlowLabel(flows, valid, assignment, segment_labels(assignment))

@@ -1,5 +1,5 @@
 """Evaluation metrics: end-point error, accuracy fractions, overall accuracy,
-mean IoU, and mean joint error.
+confusion matrix, mean IoU, and mean joint error.
 
 Flow metrics are computed per frame and averaged over frames for dataset-level
 reporting.  A point is moving when its reference flow exceeds 0.01 m;
@@ -120,8 +120,9 @@ def overall_accuracy(pred_labels, gt_labels) -> float:
     return float(np.mean(pred == gt))
 
 
-def mean_iou(pred, gt, n_classes: int = 6) -> float:
-    """Mean per-class IoU; classes absent from both pred and gt are excluded."""
+def confusion_matrix(pred, gt, n_classes: int) -> np.ndarray:
+    """(n_classes, n_classes) counts, rows true class and columns predicted;
+    the labels must match in length, be non-empty and lie in [0, n_classes)."""
     pred = np.asarray(pred).ravel()
     gt = np.asarray(gt).ravel()
     if pred.shape != gt.shape:
@@ -131,15 +132,17 @@ def mean_iou(pred, gt, n_classes: int = 6) -> float:
     for arr, name in ((pred, "pred"), (gt, "gt")):
         if arr.min() < 0 or arr.max() >= n_classes:
             raise ConfigError(f"{name} labels outside [0, {n_classes})")
-    ious = []
-    for c in range(n_classes):
-        p = pred == c
-        g = gt == c
-        union = (p | g).sum()
-        if union == 0:
-            continue
-        ious.append((p & g).sum() / union)
-    return float(np.mean(ious))
+    cells = np.bincount(gt * n_classes + pred, minlength=n_classes * n_classes)
+    return cells.reshape(n_classes, n_classes)
+
+
+def mean_iou(pred, gt, n_classes: int = 6) -> float:
+    """Mean per-class IoU; classes absent from both pred and gt are excluded."""
+    confusion = confusion_matrix(pred, gt, n_classes)
+    hits = np.diag(confusion)
+    union = confusion.sum(axis=0) + confusion.sum(axis=1) - hits
+    present = union > 0
+    return float(np.mean(hits[present] / union[present]))
 
 
 def mean_joint_error(pred_endpoints, gt_endpoints) -> float:

@@ -7,7 +7,8 @@ sliding-window clutter removal -> range/angle FFT heatmap -> CA-CFAR peaks ->
 Conventions: the radar sits at the origin of a right-handed x-right /
 y-forward / z-up frame.  The virtual uniform rectangular array is spaced at
 half the center-frequency wavelength; direction cosines are u = x/R (azimuth
-axis) and v = z/R (elevation axis).
+axis) and v = z/R (elevation axis).  Reflectors sit on the bone frames of
+`SkeletonModel.bone_frames`, which exact labels move points with.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from ._kernels import cfar_mask, squared_distances
 from .errors import ConfigError
-from .geometry import rotation_between
-from .skeleton import SkeletonModel, SkeletonPose
+from .skeleton import BONE_PARENT, BONES, SkeletonModel, SkeletonPose
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -148,16 +148,6 @@ class RadarFrame:
         )
 
 
-def bone_frame(parent: np.ndarray, child: np.ndarray, rest_axis: np.ndarray,
-                rest_e1: np.ndarray, rest_e2: np.ndarray):
-    """Transport the rest-pose bone triad onto the current bone direction."""
-    axis = child - parent
-    length = np.linalg.norm(axis)
-    axis = axis / length
-    r = rotation_between(rest_axis, axis)
-    return axis, length, r @ rest_e1, r @ rest_e2
-
-
 def sample_bone_local_reflectors(model: SkeletonModel, cfg: RadarConfig, seed: int):
     """Material reflector coordinates (t along bone, angle around it) per bone.
 
@@ -179,15 +169,12 @@ def place_reflectors(
     jitter_std: float = 0.0,
     jitter_seed: int = 0,
 ) -> Reflectors:
-    """Map bone-local reflector coordinates into the world for one pose."""
+    """Map bone-local reflector coordinates into the world for one pose, on
+    the bone frames of `model.bone_frames`."""
     t, psi, radial = local_coords
     n = t.shape[1]
-    kp = pose.keypoints
-    # each bone's transported triad, then every bone's reflectors at once
-    frames = [bone_frame(kp[p], kp[c], *triad)
-              for (p, c), triad in zip(model.bones, model.rest_triads)]
-    axis, length, e1, e2 = (np.array(v) for v in zip(*frames))
-    parent = kp[[p for p, _ in model.bones]]
+    axis, length, e1, e2 = model.bone_frames(pose.keypoints)
+    parent = pose.keypoints[BONE_PARENT]
     radius = model.body_radius_per_bone[:, None] * radial
     outward = np.cos(psi)[..., None] * e1[:, None] + np.sin(psi)[..., None] * e2[:, None]
     positions = (
@@ -198,7 +185,7 @@ def place_reflectors(
     # scaled so a detected body cell clears the downstream intensity
     # floor of 0.5 even after clutter-removal and straddle losses
     reflectivities = np.repeat(model.body_radius_per_bone / 0.0125, n)
-    bone_index = np.repeat(np.arange(len(model.bones)), n)
+    bone_index = np.repeat(np.arange(len(BONES)), n)
     if jitter_std > 0.0:
         rng = np.random.default_rng(jitter_seed)
         positions = positions + rng.normal(0.0, jitter_std, size=positions.shape)
@@ -359,8 +346,9 @@ def to_point_cloud(
     direction and are dropped.  Each kept point spawns, with probability
     ghost_prob, a range-extended ghost with attenuated intensity.  When the
     generating reflectors are passed in, every real point is tagged with the
-    bone of its nearest reflector and ghosts are tagged -1; otherwise the
-    frame carries no provenance.
+    bone of its nearest reflector and ghosts are tagged -1; a frame with no
+    visible reflector tags all its points -1, as noise.  Without reflectors
+    the frame carries no provenance.
     """
     detections = np.asarray(detections, dtype=np.float64).reshape(-1, 4)
     bins = detections[:, :3].astype(np.int64)
@@ -374,13 +362,12 @@ def to_point_cloud(
     intens = detections[keep, 3]
 
     prov = None
-    if reflectors is not None and len(reflectors) > 0:
-        if len(pts):
+    if reflectors is not None:
+        prov = -np.ones(len(pts), dtype=np.int64)
+        if len(pts) and len(reflectors):
             # argmin takes the first of equal minima, the lower index
             nearest = squared_distances(pts, reflectors.positions).argmin(axis=1)
             prov = reflectors.bone_index[nearest]
-        else:
-            prov = np.empty(0, dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     ghost_pts, ghost_int = [], []

@@ -4,17 +4,21 @@ The skeleton has 14 keypoints joined by 13 bones forming a tree rooted at the
 neck.  Motion is analytic forward kinematics: each activity rotates rigid
 subtrees about joint pivots with sinusoidal angles, which keeps bone lengths
 exact and makes the true per-point motion available in closed form.
+
+The bone table (`BONES`, `BONE_PARENT`, `BONE_CHILD`) and the bone frames of a
+pose (`SkeletonModel.bone_frames`) live here only: the radar places reflectors
+on those frames and exact labels move points with them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, UnknownActivity
-from .geometry import axis_angle_rotation
+from .geometry import axis_angle_rotation, rotation_between
 
 KEYPOINT_NAMES = (
     "head",
@@ -49,6 +53,8 @@ BONES = (
     (10, 12),
     (11, 13),
 )
+BONE_PARENT = np.array([p for p, _ in BONES])
+BONE_CHILD = np.array([c for _, c in BONES])
 
 IN_SET_ACTIVITIES = ("ArmSwing", "LegSwing", "ArmLegSwing", "Bowing", "TorsoTwist")
 OUT_OF_SET_ACTIVITIES = ("Sitting", "Squatting", "HeadBobbing")
@@ -81,8 +87,6 @@ _BASE_RADII = (0.10, 0.06, 0.06, 0.045, 0.045, 0.04, 0.04, 0.11, 0.11, 0.06, 0.0
 
 @dataclass(frozen=True)
 class SkeletonModel:
-    keypoint_names: tuple
-    bones: tuple
     bone_lengths: np.ndarray
     body_radius_per_bone: np.ndarray
     rest_keypoints: np.ndarray  # (14, 3) local frame: neck at origin, facing -y
@@ -94,7 +98,7 @@ class SkeletonModel:
         placement and exact bone motion transport these onto every pose, so
         they are computed once per model."""
         triads = []
-        for p, c in self.bones:
+        for p, c in BONES:
             axis = self.rest_keypoints[c] - self.rest_keypoints[p]
             axis = axis / np.linalg.norm(axis)
             probe = np.array([1.0, 0.0, 0.0])
@@ -107,6 +111,19 @@ class SkeletonModel:
                 v.flags.writeable = False
             triads.append((axis, e1, e2))
         return tuple(triads)
+
+    def bone_frames(self, keypoints: np.ndarray) -> tuple:
+        """Each bone's (axis, length, e1, e2) in one pose, stacked over bones:
+        its rest triad carried onto the bone's direction by the minimal
+        rotation."""
+        frames = []
+        for (p, c), (rest_axis, rest_e1, rest_e2) in zip(BONES, self.rest_triads):
+            axis = keypoints[c] - keypoints[p]
+            length = np.linalg.norm(axis)
+            axis = axis / length
+            r = rotation_between(rest_axis, axis)
+            frames.append((axis, length, r @ rest_e1, r @ rest_e2))
+        return tuple(np.array(v) for v in zip(*frames))
 
 
 @dataclass(frozen=True)
@@ -141,7 +158,7 @@ class ActivitySpec:
 
 def bone_length_ranges() -> np.ndarray:
     """(13, 2) inclusive [min, max] envelope implied by the sampling scheme."""
-    base = _bone_lengths_from_rest(_rest_pose(1.0, {k: 1.0 for k in _BASE}))
+    base = pose_bone_lengths(_rest_pose(1.0, {k: 1.0 for k in _BASE}))
     lo = _HEIGHT_RANGE[0] / 1.75 * _JITTER[0]
     hi = _HEIGHT_RANGE[1] / 1.75 * _JITTER[1]
     return np.stack([base * lo, base * hi], axis=1)
@@ -175,10 +192,6 @@ def _rest_pose(scale: float, j: dict) -> np.ndarray:
     return kp
 
 
-def _bone_lengths_from_rest(rest: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.norm(rest[p] - rest[c]) for p, c in BONES])
-
-
 def make_subject(seed: int) -> SkeletonModel:
     """Deterministic body model with anthropometric bone lengths."""
     rng = np.random.default_rng(seed)
@@ -187,14 +200,13 @@ def make_subject(seed: int) -> SkeletonModel:
     # left/right share one jitter factor so the body stays symmetric
     j = {name: rng.uniform(*_JITTER) for name in _BASE}
     rest = _rest_pose(scale, j)
-    lengths = _bone_lengths_from_rest(rest)
     radii = np.asarray(_BASE_RADII) * scale
-    return SkeletonModel(KEYPOINT_NAMES, BONES, lengths, radii, rest)
+    return SkeletonModel(pose_bone_lengths(rest), radii, rest)
 
 
 def pose_bone_lengths(keypoints: np.ndarray) -> np.ndarray:
     kp = np.asarray(keypoints)
-    return np.array([np.linalg.norm(kp[p] - kp[c]) for p, c in BONES])
+    return np.array([np.linalg.norm(d) for d in kp[BONE_PARENT] - kp[BONE_CHILD]])
 
 
 def _rotate_subset(kp, indices, pivot_idx, axis, angle):

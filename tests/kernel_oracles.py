@@ -18,6 +18,7 @@ from milliflow.radar import (
     elevation_cosine_axis,
     range_axis,
 )
+from milliflow.skeleton import BONES
 
 
 def knn_indices_loop(query, ref, k):
@@ -208,7 +209,7 @@ def place_reflectors_loop(model, pose, local_coords, jitter_std=0.0, jitter_seed
     reflectivities = np.empty(13 * n)
     bone_index = np.empty(13 * n, dtype=np.int64)
     kp = pose.keypoints
-    for b, (p, c) in enumerate(model.bones):
+    for b, (p, c) in enumerate(BONES):
         rest_axis = model.rest_keypoints[c] - model.rest_keypoints[p]
         rest_axis = rest_axis / np.linalg.norm(rest_axis)
         probe = np.array([1.0, 0.0, 0.0])
@@ -301,10 +302,11 @@ def to_point_cloud_loop(detections, cfg, ghost_prob, seed, reflectors=None):
     intens = np.asarray(intens, dtype=np.float64)
 
     prov = None
-    if reflectors is not None and len(reflectors) > 0:
+    if reflectors is not None:
+        # with no reflector to come from, every point is noise
         prov = np.array(
             [reflectors.bone_index[np.argmin(((reflectors.positions - p) ** 2).sum(axis=1))]
-             for p in pts],
+             if len(reflectors) else -1 for p in pts],
             dtype=np.int64,
         )
 

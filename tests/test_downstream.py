@@ -717,6 +717,13 @@ class TestEvaluation:
         assert report["confusion"].sum() == report["n_clips"] == 4
         assert 0.0 <= report["oa"] <= 1.0
 
+    @pytest.mark.parametrize("preds, truths", [([0, 2], [0, 1]), ([0, 1], [0, 2]),
+                                               ([0, -1], [0, 1])])
+    def test_har_report_refuses_classes_outside_the_model(self, preds, truths):
+        model = HarNet(tiny_task(), in_features=1, n_classes=2)
+        with pytest.raises(ConfigError, match=r"outside \[0, 2\)"):
+            model.report(preds, truths)
+
     def test_hp_report(self):
         model = HpNet(tiny_task(), in_features=1, seed=0)
         clips = [make_clip(seed=s) for s in range(2)]

@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from helpers import is_rotation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milliflow.errors import ProvenanceMissing
 from milliflow.geometry import axis_angle_rotation
@@ -20,6 +24,7 @@ from milliflow.radar import (
     RadarConfig, RadarFrame, place_reflectors, sample_bone_local_reflectors,
 )
 from milliflow.skeleton import (
+    ALL_ACTIVITIES,
     BONES,
     ActivitySpec,
     ObservedKeypoints,
@@ -43,6 +48,14 @@ def armswing():
     model = make_subject(0)
     poses = generate_motion(model, ActivitySpec("ArmSwing", amplitude=0.7), 30)
     return model, poses
+
+
+@functools.cache
+def _reflector_motion(subject: int, activity: str):
+    """(model, 12 poses, bone-local reflector coordinates) of one subject."""
+    model = make_subject(subject)
+    local = sample_bone_local_reflectors(model, RadarConfig(), subject)
+    return model, generate_motion(model, ActivitySpec(activity), 12), local
 
 
 class TestFilterKeypoints:
@@ -91,7 +104,7 @@ class TestBoneTransforms:
         _, poses = armswing
         obs = perfect_obs(poses[0])
         ts = bone_transforms(obs, obs, np.ones(13, dtype=bool))
-        for t in ts.transforms:
+        for t in ts:
             np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
             np.testing.assert_allclose(t.translation, np.zeros(3), atol=1e-12)
 
@@ -100,7 +113,7 @@ class TestBoneTransforms:
         obs = perfect_obs(poses[0])
         shifted = ObservedKeypoints(obs.positions + [0.05, 0.0, 0.0], obs.confidences)
         ts = bone_transforms(obs, shifted, np.ones(13, dtype=bool))
-        for t in ts.transforms:
+        for t in ts:
             np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
             np.testing.assert_allclose(t.translation, [0.05, 0.0, 0.0], atol=1e-12)
 
@@ -124,12 +137,12 @@ class TestBoneTransforms:
             ObservedKeypoints(pos1, np.ones(14)),
             valid,
         )
-        t = ts.transforms[1]
+        t = ts[1]
         recovered = np.arccos((np.trace(t.rotation) - 1.0) / 2.0)
         assert recovered == pytest.approx(angle, abs=1e-6)
         np.testing.assert_allclose(t.apply(pos0[1]), pos1[1], atol=1e-9)
         np.testing.assert_allclose(t.apply(pos0[2]), pos1[2], atol=1e-9)
-        assert ts.transforms[0] is None
+        assert ts[0] is None
 
     def test_invalid_bone_has_no_transform(self, armswing):
         _, poses = armswing
@@ -137,8 +150,7 @@ class TestBoneTransforms:
         valid = np.ones(13, dtype=bool)
         valid[5] = False
         ts = bone_transforms(obs, perfect_obs(poses[1]), valid)
-        assert ts.transforms[5] is None
-        assert ts.bone_valid[5] == False  # noqa: E712
+        assert ts[5] is None
 
 
 class TestAssignPoints:
@@ -338,6 +350,20 @@ class TestInvariants:
             ).max()
             bound = max_disp + 0.6
             assert np.abs(label.flows[label.valid_mask]).max() <= bound + 1e-9
+
+    @given(subject=st.integers(0, 3), activity=st.sampled_from(ALL_ACTIVITIES),
+           t=st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_reflectors_follow_exact_labels(self, subject, activity, t):
+        # the labels move each material point onto its own place in the next
+        # pose, because both read the bone frames of `bone_frames`
+        model, poses, local = _reflector_motion(subject, activity)
+        refl_t = place_reflectors(model, poses[t], local)
+        frame = RadarFrame(refl_t.positions, np.ones(len(refl_t)), t, 0.0, refl_t.bone_index)
+        label = ground_truth_flow(frame, poses[t], poses[t + 1], model)
+        assert label.valid_mask.all()
+        moved = place_reflectors(model, poses[t + 1], local).positions
+        np.testing.assert_allclose(refl_t.positions + label.flows, moved, rtol=0, atol=1e-12)
 
     def test_true_transforms_are_rigid(self, armswing):
         model, poses = armswing

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from milliflow.config import GenConfig, RunConfig
 from milliflow.dataio import SplitManifest, load_sequence, preprocess_indices, read_manifest
 from milliflow.errors import ConfigError, TooFewSubjects
 from milliflow.labeling import ground_truth_flow, label_frame_pair
+from milliflow.radar import RadarConfig
 from milliflow.skeleton import make_subject
 
 
@@ -124,6 +126,22 @@ class TestLabelSequence:
         )
         np.testing.assert_array_equal(labels[0].flows, expected.flows)
         np.testing.assert_array_equal(labels[0].bone_assignment, expected.bone_assignment)
+
+    def test_frames_without_visible_reflectors_get_exact_labels(self):
+        # no reflector faces the sensor: every detection is receiver noise,
+        # so it carries provenance -1 and an exact label that is masked out
+        cfg = dataclasses.replace(
+            tiny_cfg(frames_per_sequence=4),
+            radar=RadarConfig(visibility_half_angle=0.0))
+        seq = pipeline.generate_sequence(cfg, 0, "ArmSwing", 0)
+        assert sum(len(frame) for frame in seq.frames) > 0
+        for frame in seq.frames:
+            np.testing.assert_array_equal(frame.prov_bone, np.full(len(frame), -1))
+        labels = pipeline.label_sequence(seq, "test")
+        assert len(labels) == seq.n_samples
+        for label in labels:
+            assert not label.valid_mask.any()
+            assert np.all(np.isfinite(label.flows))
 
 
 class TestDatasetLayout:

@@ -24,7 +24,9 @@ from milliflow.radar import (
     to_point_cloud,
     visibility_filter,
 )
-from milliflow.skeleton import ActivitySpec, generate_motion, make_subject
+from milliflow.skeleton import (
+    BONE_CHILD, BONE_PARENT, ActivitySpec, generate_motion, make_subject,
+)
 
 
 def quiet_cfg(**kw) -> RadarConfig:
@@ -410,9 +412,8 @@ class TestReflectors:
         cfg = quiet_cfg(reflectors_per_bone=10)
         refl = place_reflectors(model, pose, sample_bone_local_reflectors(model, cfg, 3))
         assert len(refl) == 130
-        seg_a = np.array([pose.keypoints[p] for p, _ in model.bones])
-        seg_b = np.array([pose.keypoints[c] for _, c in model.bones])
-        d = point_segment_distances(refl.positions, seg_a, seg_b)
+        d = point_segment_distances(refl.positions, pose.keypoints[BONE_PARENT],
+                                    pose.keypoints[BONE_CHILD])
         for i in range(len(refl)):
             b = refl.bone_index[i]
             assert d[i, b] <= model.body_radius_per_bone[b] + 1e-9
@@ -541,7 +542,7 @@ class TestStagesMatchFirstForm:
         refl = Reflectors(refl.positions, refl.reflectivities, refl.normals,
                           rng.integers(0, 13, 30))
         for detections in (det, det[:0]):
-            for reflectors in (refl, None):
+            for reflectors in (refl, refl.subset(np.zeros(30, dtype=bool)), None):
                 frame = to_point_cloud(detections, cfg, ghost_prob, seed=3,
                                        frame_index=4, timestamp=0.5, reflectors=reflectors)
                 pts, intens, prov = oracle.to_point_cloud_loop(detections, cfg, ghost_prob,

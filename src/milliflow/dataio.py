@@ -22,9 +22,9 @@ import numpy as np
 from .errors import (
     ConfigError, CorruptFile, EmptyFrame, LengthMismatch, atomic_write,
 )
-from .labeling import FlowLabel
+from .labeling import N_SEGMENTS, FlowLabel
 from .radar import RadarFrame
-from .skeleton import ObservedKeypoints, SkeletonPose
+from .skeleton import BONES, ObservedKeypoints, SkeletonPose
 
 log = logging.getLogger(__name__)
 
@@ -96,21 +96,11 @@ class SplitManifest:
         raise ConfigError(f"subject {subject_id} not in any partition")
 
     def as_dict(self) -> dict:
-        return {
-            "train_subjects": list(self.train_subjects),
-            "val_subjects": list(self.val_subjects),
-            "test_subjects": list(self.test_subjects),
-            "out_of_set_sequences": list(self.out_of_set_sequences),
-        }
+        return {f.name: list(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitManifest":
-        return cls(
-            train_subjects=tuple(d["train_subjects"]),
-            val_subjects=tuple(d["val_subjects"]),
-            test_subjects=tuple(d["test_subjects"]),
-            out_of_set_sequences=tuple(d["out_of_set_sequences"]),
-        )
+        return cls(*(tuple(d[f.name]) for f in dataclasses.fields(cls)))
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +210,12 @@ def _frame_record(frame: RadarFrame, pose: SkeletonPose, obs: ObservedKeypoints)
     return rec
 
 
+def _check_range(name: str, values: np.ndarray, lo: int, hi: int):
+    """Refuse an index array holding a value outside [lo, hi)."""
+    if values.size and (values.min() < lo or values.max() >= hi):
+        raise CorruptFile(f"{name} holds a value outside [{lo}, {hi - 1}]")
+
+
 def _parse_frame_record(rec: dict):
     pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 4)
     kps = np.asarray(rec["keypoints"], dtype=np.float64).reshape(-1, 4)
@@ -228,6 +224,7 @@ def _parse_frame_record(rec: dict):
         prov = np.asarray(prov, dtype=np.int64)
         if prov.shape != (len(pts),):
             raise LengthMismatch(f"provenance of shape {prov.shape} for {len(pts)} points")
+        _check_range("bone_prov", prov, -1, len(BONES))
     pose_kp = np.asarray(rec["pose_gt"], dtype=np.float64)
     if pose_kp.shape != (len(kps), 3):
         raise LengthMismatch(f"a pose of shape {pose_kp.shape} for {len(kps)} keypoints")
@@ -267,6 +264,8 @@ def _parse_label_record(rec: dict) -> FlowLabel:
                       ("segment", label.segment_label)):
         if arr.shape != (len(label),):
             raise LengthMismatch(f"{name} of shape {arr.shape} for {len(label)} flows")
+    _check_range("bone", label.bone_assignment, -1, len(BONES))
+    _check_range("segment", label.segment_label, 0, N_SEGMENTS)
     return label
 
 
@@ -290,7 +289,7 @@ def _read_jsonl(path: Path, parse) -> list:
         raise CorruptFile(f"{path}: truncated inside its last record")
     try:
         return [parse(json.loads(line)) for line in data.splitlines()]
-    except (ValueError, KeyError, TypeError, LengthMismatch) as e:
+    except (ValueError, KeyError, TypeError, LengthMismatch, CorruptFile) as e:
         raise CorruptFile(f"{path}: malformed record: {e}") from e
 
 

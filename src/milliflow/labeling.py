@@ -7,6 +7,10 @@ to bones by point-segment distance.  Ground-truth labels bypass the noisy
 keypoint channel entirely using the reflector provenance recorded during
 simulation; their bone motion comes from `SkeletonModel.bone_frames`, the
 frames the radar placed the reflectors on.
+
+Both hold a pair's bone motion stacked, as (13, 3, 3) rotations and (13, 3)
+translations (an invalid bone keeps the identity and a zero translation; its
+validity is a separate mask), and apply it through `_rotate`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from ._kernels import point_segment_distances
 from .errors import ProvenanceMissing
-from .geometry import RigidTransform, rotation_between
+from .geometry import rotation_between
 from .radar import RadarFrame
 from .skeleton import BONE_CHILD, BONE_PARENT, ObservedKeypoints, SkeletonModel, SkeletonPose
 
@@ -43,12 +47,8 @@ class FlowLabel:
         return len(self.flows)
 
     def subset(self, idx) -> "FlowLabel":
-        return FlowLabel(
-            flows=self.flows[idx],
-            valid_mask=self.valid_mask[idx],
-            bone_assignment=self.bone_assignment[idx],
-            segment_label=self.segment_label[idx],
-        )
+        return FlowLabel(self.flows[idx], self.valid_mask[idx], self.bone_assignment[idx],
+                         self.segment_label[idx])
 
 
 def filter_keypoints(
@@ -67,27 +67,31 @@ def filter_keypoints(
     return kp_valid, kp_valid[BONE_PARENT] & kp_valid[BONE_CHILD]
 
 
+def _rotate(rotations: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """`rotations[i] @ points[i]` per row, one matrix-vector product each, so
+    a row rounds as a lone `R @ p` does (`points @ R.T` and `einsum` do not)."""
+    return np.matmul(rotations, points[:, :, None])[:, :, 0]
+
+
 def bone_transforms(
     kp_t: ObservedKeypoints, kp_t1: ObservedKeypoints, valid_bones: np.ndarray
-) -> list:
-    """Minimal-rotation, midpoint-anchored rigid transform per valid bone,
-    None for an invalid one.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal-rotation, midpoint-anchored rigid motion of each bone, stacked;
+    an invalid bone gets the identity and a zero translation.
 
     Two endpoint pairs leave the roll about the bone axis unobservable; the
     smallest-angle rotation consistent with the direction change is used.
     """
-    transforms = []
-    for b, (p, c) in enumerate(zip(BONE_PARENT, BONE_CHILD)):
-        if not valid_bones[b]:
-            transforms.append(None)
-            continue
-        a0, b0 = kp_t.positions[p], kp_t.positions[c]
-        a1, b1 = kp_t1.positions[p], kp_t1.positions[c]
-        rotation = rotation_between(b0 - a0, b1 - a1)
-        mid0 = 0.5 * (a0 + b0)
-        mid1 = 0.5 * (a1 + b1)
-        transforms.append(RigidTransform(rotation, mid1 - rotation @ mid0))
-    return transforms
+    pos0, pos1 = kp_t.positions, kp_t1.positions
+    rotations = np.tile(np.eye(3), (len(BONE_PARENT), 1, 1))
+    # directions in fresh arrays: some BLAS kernels round a dot product by
+    # the alignment of its operands, so rows of one (13, 3) array would not do
+    for b in np.flatnonzero(valid_bones):
+        p, c = BONE_PARENT[b], BONE_CHILD[b]
+        rotations[b] = rotation_between(pos0[c] - pos0[p], pos1[c] - pos1[p])
+    mid0 = 0.5 * (pos0[BONE_PARENT] + pos0[BONE_CHILD])
+    mid1 = 0.5 * (pos1[BONE_PARENT] + pos1[BONE_CHILD])
+    return rotations, np.where(valid_bones[:, None], mid1 - _rotate(rotations, mid0), 0.0)
 
 
 def assign_points(
@@ -119,22 +123,24 @@ def segment_labels(assignment: np.ndarray) -> np.ndarray:
     return np.where(assignment >= 0, BONE_SEGMENT[safe], UNASSIGNED_SEGMENT)
 
 
-def _bone_flows(points: np.ndarray, bone: np.ndarray, transforms: list) -> np.ndarray:
-    """Each point's motion under its bone's rigid transform, point by point;
-    zero where `bone` is -1."""
+def _bone_flows(points: np.ndarray, bone: np.ndarray, motion: tuple) -> np.ndarray:
+    """Each point's motion under its bone's rigid transform; zero where `bone`
+    is -1."""
+    rotations, translations = motion
     flows = np.zeros((len(points), 3))
-    for i in np.flatnonzero(bone >= 0):
-        p = points[i]
-        flows[i] = transforms[bone[i]].apply(p) - p
+    moving = bone >= 0
+    p, b = points[moving], bone[moving]
+    flows[moving] = (_rotate(rotations[b], p) + translations[b]) - p
     return flows
 
 
-def pseudo_flow(frame: RadarFrame, assignment: np.ndarray, transforms: list) -> FlowLabel:
-    """Per-point flow from the assigned bone's rigid transform; a point is
-    valid when its bone has one."""
+def pseudo_flow(frame: RadarFrame, assignment: np.ndarray, motion: tuple,
+                valid_bones: np.ndarray) -> FlowLabel:
+    """Per-point flow from the assigned bone's rigid motion; a point is valid
+    when its bone is."""
     assignment = np.asarray(assignment)
-    valid = np.array([j >= 0 and transforms[j] is not None for j in assignment], dtype=bool)
-    flows = _bone_flows(frame.points, np.where(valid, assignment, -1), transforms)
+    valid = np.isin(assignment, np.flatnonzero(valid_bones))
+    flows = _bone_flows(frame.points, np.where(valid, assignment, -1), motion)
     return FlowLabel(flows, valid, assignment, segment_labels(assignment))
 
 
@@ -143,15 +149,15 @@ def label_frame_pair(
 ) -> FlowLabel:
     """Full pseudo-labeling pipeline for one frame pair."""
     _, bone_valid = filter_keypoints(kp_t, kp_t1)
-    transforms = bone_transforms(kp_t, kp_t1, bone_valid)
+    motion = bone_transforms(kp_t, kp_t1, bone_valid)
     assignment = assign_points(frame_t, kp_t, bone_valid)
-    return pseudo_flow(frame_t, assignment, transforms)
+    return pseudo_flow(frame_t, assignment, motion, bone_valid)
 
 
 def true_bone_transforms(
     model: SkeletonModel, pose_t: SkeletonPose, pose_t1: SkeletonPose
-) -> list[RigidTransform]:
-    """Exact rigid motion of each bone between two noiseless poses.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact rigid motion of each bone between two noiseless poses, stacked.
 
     Reads `model.bone_frames`, the frames reflectors are placed on, so
     reflector material points follow these transforms identically.
@@ -159,13 +165,10 @@ def true_bone_transforms(
     kp0, kp1 = pose_t.keypoints, pose_t1.keypoints
     ax0, _, e10, e20 = model.bone_frames(kp0)
     ax1, _, e11, e21 = model.bone_frames(kp1)
-    out = []
-    for b, p in enumerate(BONE_PARENT):
-        m0 = np.column_stack([ax0[b], e10[b], e20[b]])
-        m1 = np.column_stack([ax1[b], e11[b], e21[b]])
-        rotation = m1 @ m0.T
-        out.append(RigidTransform(rotation, kp1[p] - rotation @ kp0[p]))
-    return out
+    m0 = np.stack([ax0, e10, e20], axis=-1)  # each bone's triad as columns
+    m1 = np.stack([ax1, e11, e21], axis=-1)
+    rotations = np.matmul(m1, np.swapaxes(m0, 1, 2))
+    return rotations, kp1[BONE_PARENT] - _rotate(rotations, kp0[BONE_PARENT])
 
 
 def ground_truth_flow(
@@ -179,14 +182,12 @@ def ground_truth_flow(
     """
     if frame.prov_bone is None:
         raise ProvenanceMissing("frame carries no reflector provenance")
-    transforms = true_bone_transforms(model, pose_t, pose_t1)
+    motion = true_bone_transforms(model, pose_t, pose_t1)
     assignment = frame.prov_bone.copy()
     valid = assignment >= 0
+    d = point_segment_distances(frame.points[~valid], pose_t.keypoints[BONE_PARENT],
+                                pose_t.keypoints[BONE_CHILD])
     bone = assignment.copy()
-    ghosts = np.flatnonzero(~valid)
-    if len(ghosts):
-        d = point_segment_distances(frame.points[ghosts], pose_t.keypoints[BONE_PARENT],
-                                    pose_t.keypoints[BONE_CHILD])
-        bone[ghosts] = np.argmin(d, axis=1)
-    flows = _bone_flows(frame.points, bone, transforms)
+    bone[~valid] = np.argmin(d, axis=1)
+    flows = _bone_flows(frame.points, bone, motion)
     return FlowLabel(flows, valid, assignment, segment_labels(assignment))

@@ -124,11 +124,11 @@ def generate_sequence(cfg: RunConfig, subject: int, activity_id: str,
     return Sequence(subject, activity_id, scene, frames, poses, observed)
 
 
-def label_sequence(seq: Sequence, partition: str, model=None) -> list:
+def label_sequence(seq: Sequence, partition: str) -> list:
     """Labels for every frame pair: pseudo labels from noisy keypoints for
     train/val, exact provenance-based labels for test."""
     if partition == "test":
-        model = make_subject(seq.subject_id) if model is None else model
+        model = make_subject(seq.subject_id)
         return [
             ground_truth_flow(seq.frames[i], seq.poses[i], seq.poses[i + 1], model)
             for i in range(seq.n_samples)
@@ -249,7 +249,6 @@ def label_dataset(root) -> dict:
 
     total_points = 0
     total_valid = 0
-    n_sequences = 0
     for meta in manifest["sequences"]:
         seq = _load_listed(root, meta)
         partition = sequence_partition(split_manifest, meta["id"], meta["subject_id"])
@@ -257,12 +256,11 @@ def label_dataset(root) -> dict:
         save_labels(root, meta["id"], labels)
         total_points += sum(len(l) for l in labels)
         total_valid += sum(int(l.valid_mask.sum()) for l in labels)
-        n_sequences += 1
         log.info("labeled %s (%s)", meta["id"], partition)
 
     summary = {
         "config": manifest["config"],
-        "n_sequences": n_sequences,
+        "n_sequences": len(manifest["sequences"]),
         "n_points": total_points,
         "n_valid": total_valid,
         "valid_ratio": (total_valid / total_points) if total_points else 0.0,

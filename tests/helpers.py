@@ -1,12 +1,15 @@
 """Shared test utilities: finite-difference gradient checking, checkpoint
-header bit flips and a rotation check."""
+header bit flips, a rotation check and a subject's reflectors in motion."""
 
+import functools
 import struct
 
 import numpy as np
 
 from milliflow.autodiff import Tensor
 from milliflow.errors import MilliflowError
+from milliflow.radar import RadarConfig, sample_bone_local_reflectors
+from milliflow.skeleton import ActivitySpec, generate_motion, make_subject
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -135,3 +138,11 @@ def assert_same_params(got: dict, want: dict):
     for name, t in want.items():
         assert got[name].dtype == t.dtype, name
         np.testing.assert_array_equal(got[name].data, t.data, err_msg=name)
+
+
+@functools.cache
+def reflector_motion(subject: int, activity: str):
+    """(model, 12 poses, bone-local reflector coordinates) of one subject."""
+    model = make_subject(subject)
+    local = sample_bone_local_reflectors(model, RadarConfig(), subject)
+    return model, generate_motion(model, ActivitySpec(activity), 12), local

@@ -3,14 +3,19 @@
 point-to-segment distance.  ``test_kernels.py`` compares the vectorised
 kernels against them.
 
-The radar stages follow at the end, as first written: whole-array
-expressions that build every temporary, and per-bone and per-detection
-loops.  ``test_radar.py`` checks that the stages give the same bytes.
+The radar stages follow, as first written: whole-array expressions that
+build every temporary, and per-bone and per-detection loops.
+``test_radar.py`` checks that the stages give the same bytes.
+
+The labellers' bone motion closes the file, as first written: a list of one
+``RigidTransform`` per bone (None for an invalid one) applied point by
+point.  ``test_labeling.py`` checks that the stacked form gives the same
+bytes.
 """
 
 import numpy as np
 
-from milliflow.geometry import rotation_between
+from milliflow.geometry import RigidTransform, rotation_between
 from milliflow.radar import (
     SPEED_OF_LIGHT,
     Reflectors,
@@ -18,7 +23,7 @@ from milliflow.radar import (
     elevation_cosine_axis,
     range_axis,
 )
-from milliflow.skeleton import BONES
+from milliflow.skeleton import BONE_PARENT, BONES
 
 
 def knn_indices_loop(query, ref, k):
@@ -323,3 +328,48 @@ def to_point_cloud_loop(detections, cfg, ghost_prob, seed, reflectors=None):
         if prov is not None:
             prov = np.concatenate([prov, -np.ones(len(ghost_pts), dtype=np.int64)])
     return pts, intens, prov
+
+
+# ---------------------------------------------------------------------------
+# labelling
+
+
+def bone_transforms_list(kp_t, kp_t1, valid_bones):
+    """Midpoint-anchored minimal-rotation transform per valid bone, None for
+    an invalid one."""
+    transforms = []
+    for b, (p, c) in enumerate(BONES):
+        if not valid_bones[b]:
+            transforms.append(None)
+            continue
+        a0, b0 = kp_t.positions[p], kp_t.positions[c]
+        a1, b1 = kp_t1.positions[p], kp_t1.positions[c]
+        rotation = rotation_between(b0 - a0, b1 - a1)
+        mid0 = 0.5 * (a0 + b0)
+        mid1 = 0.5 * (a1 + b1)
+        transforms.append(RigidTransform(rotation, mid1 - rotation @ mid0))
+    return transforms
+
+
+def true_bone_transforms_list(model, pose_t, pose_t1):
+    """Exact transform per bone, one column stack of its triad at a time."""
+    kp0, kp1 = pose_t.keypoints, pose_t1.keypoints
+    ax0, _, e10, e20 = model.bone_frames(kp0)
+    ax1, _, e11, e21 = model.bone_frames(kp1)
+    out = []
+    for b, p in enumerate(BONE_PARENT):
+        m0 = np.column_stack([ax0[b], e10[b], e20[b]])
+        m1 = np.column_stack([ax1[b], e11[b], e21[b]])
+        rotation = m1 @ m0.T
+        out.append(RigidTransform(rotation, kp1[p] - rotation @ kp0[p]))
+    return out
+
+
+def bone_flows_loop(points, bone, transforms):
+    """Each point's motion under its bone's transform, point by point; zero
+    where ``bone`` is -1."""
+    flows = np.zeros((len(points), 3))
+    for i in np.flatnonzero(bone >= 0):
+        p = points[i]
+        flows[i] = transforms[bone[i]].apply(p) - p
+    return flows

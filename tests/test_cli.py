@@ -184,6 +184,18 @@ class TestLabel:
         assert main(["label", "--data", str(data)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bone_provenance_out_of_range_exits_2(self, dataset, tmp_path, capsys):
+        # subject 2 is the test split, whose exact labels read the provenance
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        frames = data / "seq_002_ArmSwing_00" / "frames.jsonl"
+        first, rest = frames.read_text().split("\n", 1)
+        rec = json.loads(first)
+        rec["bone_prov"][0] = 99
+        frames.write_text(json.dumps(rec) + "\n" + rest)
+        assert main(["label", "--data", str(data)]) == 2
+        assert "bone_prov holds a value outside [-1, 12]" in capsys.readouterr().err
+
     def test_cut_manifest_exits_2(self, dataset, tmp_path, capsys):
         data = tmp_path / "ds"
         shutil.copytree(dataset, data)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -409,6 +410,21 @@ class TestSerialization:
         path = save_sequence(tmp_path, seq) / "labels.jsonl"
         path.write_text('{"flows": [[0.0, 0.0, 0.0]]}\n')
         with pytest.raises(CorruptFile):
+            load_sequence(tmp_path, seq.seq_id)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("frames.jsonl", "bone_prov", 13), ("frames.jsonl", "bone_prov", -2),
+        ("labels.jsonl", "bone", 13), ("labels.jsonl", "bone", -2),
+        ("labels.jsonl", "segment", 6), ("labels.jsonl", "segment", -1),
+    ])
+    def test_index_out_of_range_is_corrupt_file(self, tmp_path, name, key, value):
+        seq = toy_sequence(n_frames=2, n_points=3)
+        path = save_sequence(tmp_path, seq) / name
+        first, rest = path.read_text().split("\n", 1)
+        rec = json.loads(first)
+        rec[key][0] = value
+        path.write_text(json.dumps(rec) + "\n" + rest)
+        with pytest.raises(CorruptFile, match=f"{key} holds a value outside"):
             load_sequence(tmp_path, seq.seq_id)
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     MISFITS, assert_same_params, check_param_grads, flip_header_bits, jitter_params, misfit,
-    no_draws, param_signature,
+    no_draws, param_signature, reflector_motion,
 )
 
 from milliflow import autodiff as ad
@@ -12,6 +14,7 @@ from milliflow.config import NetConfig, TrainConfig
 from milliflow.dataio import Sequence, pair_samples
 from milliflow.downstream import (
     TASK_NETS,
+    TRACK_TARGETS,
     DecoratedClip,
     HarNet,
     HpNet,
@@ -48,9 +51,9 @@ from milliflow.errors import (
     TaskMismatch,
 )
 from milliflow.flownet import FlowNet
-from milliflow.labeling import N_SEGMENTS, FlowLabel
+from milliflow.labeling import N_SEGMENTS, FlowLabel, ground_truth_flow
 from milliflow.layers import load_checkpoint, save_checkpoint
-from milliflow.radar import RadarFrame
+from milliflow.radar import RadarFrame, place_reflectors
 from milliflow.skeleton import BONES, IN_SET_ACTIVITIES, ObservedKeypoints, SkeletonPose
 
 
@@ -923,6 +926,28 @@ class TestTracking:
             track_clip(frames, [np.zeros((1, 3))] * 5, self.BONES_TRACKED, init)
         with pytest.raises(LengthMismatch):
             track_clip(frames[:3], [np.zeros((1, 3))], self.BONES_TRACKED, init)
+
+    @given(subject=st.integers(0, 3),
+           target=st.sampled_from([(a, b) for a, bones in TRACK_TARGETS.items()
+                                   for b in bones]),
+           t=st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_flow_carries_a_bone_onto_the_next_pose(self, subject, target, t):
+        # one bone's reflectors only: a whole limb mixes the bone-frame
+        # motions of neighbouring bones at their shared joint
+        activity, bone = target
+        model, poses, local = reflector_motion(subject, activity)
+        refl = place_reflectors(model, poses[t], local)
+        on_bone = refl.bone_index == bone
+        frame = RadarFrame(refl.positions[on_bone], np.ones(on_bone.sum()), t, 0.0,
+                           refl.bone_index[on_bone])
+        flows = ground_truth_flow(frame, poses[t], poses[t + 1], model).flows
+        state = TrackState((bone,), bone_endpoints(poses[t].keypoints, (bone,)))
+        state = track_step(frame.points, flows, state)
+        assert state.fallback_bones == ()
+        np.testing.assert_allclose(state.endpoints,
+                                   bone_endpoints(poses[t + 1].keypoints, (bone,)),
+                                   rtol=0, atol=1e-9)
 
 
 def tracking_sequence(n_frames=10, delta=(0.004, 0.0, 0.006), seed=0,

@@ -3,7 +3,11 @@
 The radar front end, the labelers and the writers must reproduce these bytes
 exactly.  A change that moves them changes the dataset; re-record the hashes
 only together with an explanation of why the outputs changed.  Recorded with
-numpy 2.4.6 on x86-64 (a different numpy build may round an FFT differently).
+numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, on its AVX-512 (SkylakeX) kernels.
+The bytes depend on the BLAS kernel: an OpenBLAS built with DYNAMIC_ARCH picks
+its core type at run time, and under `OPENBLAS_CORETYPE=Haswell` or `Prescott`
+small dot and matrix products in the bone frames round differently, so these
+hashes move.  The FFT gives the same bytes under every core type.
 """
 
 import hashlib

@@ -8,8 +8,11 @@ stopping, for the flow network and for the activity (raw, s1) and parsing
 (s2, joint with the flow network) networks.  The s1 and s2 checkpoints hold
 their flow model's parameters too, under `flow.` names.  A change that moves
 these bytes changes what training computes or stores; re-record the hashes
-only together with an explanation of why.  Recorded with numpy 2.4.6 on
-x86-64 (a different numpy build may round a matrix product differently).
+only together with an explanation of why.  Recorded with numpy 2.4.6 and
+OpenBLAS 0.3.31 on x86-64, on its AVX-512 (SkylakeX) kernels.  The bytes
+depend on the BLAS kernel: an OpenBLAS built with DYNAMIC_ARCH picks its core
+type at run time, and under `OPENBLAS_CORETYPE=Haswell` or `Prescott` the
+network's matrix products round differently, so these hashes move.
 """
 
 import hashlib

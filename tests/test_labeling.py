@@ -1,16 +1,23 @@
-import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import is_rotation
+from helpers import is_rotation, reflector_motion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracles as oracle
+
+import milliflow
 from milliflow.errors import ProvenanceMissing
 from milliflow.geometry import axis_angle_rotation
 from milliflow.labeling import (
     BONE_SEGMENT,
     UNASSIGNED_SEGMENT,
+    _bone_flows,
     assign_points,
     bone_transforms,
     filter_keypoints,
@@ -31,6 +38,7 @@ from milliflow.skeleton import (
     SkeletonPose,
     generate_motion,
     make_subject,
+    observe_keypoints,
 )
 
 
@@ -48,14 +56,6 @@ def armswing():
     model = make_subject(0)
     poses = generate_motion(model, ActivitySpec("ArmSwing", amplitude=0.7), 30)
     return model, poses
-
-
-@functools.cache
-def _reflector_motion(subject: int, activity: str):
-    """(model, 12 poses, bone-local reflector coordinates) of one subject."""
-    model = make_subject(subject)
-    local = sample_bone_local_reflectors(model, RadarConfig(), subject)
-    return model, generate_motion(model, ActivitySpec(activity), 12), local
 
 
 class TestFilterKeypoints:
@@ -103,19 +103,18 @@ class TestBoneTransforms:
     def test_static_bone_identity(self, armswing):
         _, poses = armswing
         obs = perfect_obs(poses[0])
-        ts = bone_transforms(obs, obs, np.ones(13, dtype=bool))
-        for t in ts:
-            np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
-            np.testing.assert_allclose(t.translation, np.zeros(3), atol=1e-12)
+        rotations, translations = bone_transforms(obs, obs, np.ones(13, dtype=bool))
+        np.testing.assert_allclose(rotations, np.tile(np.eye(3), (13, 1, 1)), atol=1e-12)
+        np.testing.assert_allclose(translations, np.zeros((13, 3)), atol=1e-12)
 
     def test_pure_translation(self, armswing):
         _, poses = armswing
         obs = perfect_obs(poses[0])
         shifted = ObservedKeypoints(obs.positions + [0.05, 0.0, 0.0], obs.confidences)
-        ts = bone_transforms(obs, shifted, np.ones(13, dtype=bool))
-        for t in ts:
-            np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
-            np.testing.assert_allclose(t.translation, [0.05, 0.0, 0.0], atol=1e-12)
+        rotations, translations = bone_transforms(obs, shifted, np.ones(13, dtype=bool))
+        np.testing.assert_allclose(rotations, np.tile(np.eye(3), (13, 1, 1)), atol=1e-12)
+        np.testing.assert_allclose(translations, np.tile([0.05, 0.0, 0.0], (13, 1)),
+                                   atol=1e-12)
 
     def test_known_rotation_recovered(self):
         # Oracle: rotate one bone 10 degrees about a perpendicular axis through
@@ -132,25 +131,27 @@ class TestBoneTransforms:
             pos1[k] = rot @ (pos0[k] - mid) + mid
         valid = np.zeros(13, dtype=bool)
         valid[1] = True
-        ts = bone_transforms(
+        rotations, translations = bone_transforms(
             ObservedKeypoints(pos0, np.ones(14)),
             ObservedKeypoints(pos1, np.ones(14)),
             valid,
         )
-        t = ts[1]
-        recovered = np.arccos((np.trace(t.rotation) - 1.0) / 2.0)
+        r, t = rotations[1], translations[1]
+        recovered = np.arccos((np.trace(r) - 1.0) / 2.0)
         assert recovered == pytest.approx(angle, abs=1e-6)
-        np.testing.assert_allclose(t.apply(pos0[1]), pos1[1], atol=1e-9)
-        np.testing.assert_allclose(t.apply(pos0[2]), pos1[2], atol=1e-9)
-        assert ts[0] is None
+        np.testing.assert_allclose(r @ pos0[1] + t, pos1[1], atol=1e-9)
+        np.testing.assert_allclose(r @ pos0[2] + t, pos1[2], atol=1e-9)
+        np.testing.assert_array_equal(rotations[0], np.eye(3))
+        np.testing.assert_array_equal(translations[0], np.zeros(3))
 
     def test_invalid_bone_has_no_transform(self, armswing):
         _, poses = armswing
         obs = perfect_obs(poses[0])
         valid = np.ones(13, dtype=bool)
         valid[5] = False
-        ts = bone_transforms(obs, perfect_obs(poses[1]), valid)
-        assert ts[5] is None
+        rotations, translations = bone_transforms(obs, perfect_obs(poses[1]), valid)
+        np.testing.assert_array_equal(rotations[5], np.eye(3))
+        np.testing.assert_array_equal(translations[5], np.zeros(3))
 
 
 class TestAssignPoints:
@@ -194,9 +195,10 @@ class TestPseudoFlow:
         _, poses = armswing
         obs = perfect_obs(poses[0])
         frame = frame_from_points(obs.positions)
-        ts = bone_transforms(obs, obs, np.ones(13, dtype=bool))
-        assignment = assign_points(frame, obs, np.ones(13, dtype=bool))
-        label = pseudo_flow(frame, assignment, ts)
+        valid = np.ones(13, dtype=bool)
+        motion = bone_transforms(obs, obs, valid)
+        assignment = assign_points(frame, obs, valid)
+        label = pseudo_flow(frame, assignment, motion, valid)
         np.testing.assert_allclose(label.flows, 0.0, atol=1e-12)
         assert np.array_equal(label.valid_mask, assignment >= 0)
 
@@ -204,11 +206,12 @@ class TestPseudoFlow:
         _, poses = armswing
         obs = perfect_obs(poses[0])
         shifted = ObservedKeypoints(obs.positions + [0.05, 0.0, 0.0], obs.confidences)
-        ts = bone_transforms(obs, shifted, np.ones(13, dtype=bool))
+        valid = np.ones(13, dtype=bool)
+        motion = bone_transforms(obs, shifted, valid)
         p, c = BONES[6]
         pt = 0.5 * (obs.positions[p] + obs.positions[c])
         frame = frame_from_points([pt])
-        label = pseudo_flow(frame, np.array([6]), ts)
+        label = pseudo_flow(frame, np.array([6]), motion, valid)
         np.testing.assert_allclose(label.flows[0], [0.05, 0.0, 0.0], atol=1e-12)
         assert label.valid_mask[0]
 
@@ -223,18 +226,19 @@ class TestPseudoFlow:
             pos1[k] = rot @ (pos0[k] - mid) + mid
         valid = np.zeros(13, dtype=bool)
         valid[1] = True
-        ts = bone_transforms(
+        motion = bone_transforms(
             ObservedKeypoints(pos0, np.ones(14)), ObservedKeypoints(pos1, np.ones(14)), valid
         )
-        label = pseudo_flow(frame_from_points([mid]), np.array([1]), ts)
+        label = pseudo_flow(frame_from_points([mid]), np.array([1]), motion, valid)
         np.testing.assert_allclose(label.flows[0], 0.0, atol=1e-9)
 
     def test_unassigned_zero_flow_masked(self, armswing):
         _, poses = armswing
         frame = frame_from_points([[5.0, 5.0, 5.0]])
         obs = perfect_obs(poses[0])
-        ts = bone_transforms(obs, perfect_obs(poses[1]), np.ones(13, dtype=bool))
-        label = pseudo_flow(frame, np.array([-1]), ts)
+        valid = np.ones(13, dtype=bool)
+        motion = bone_transforms(obs, perfect_obs(poses[1]), valid)
+        label = pseudo_flow(frame, np.array([-1]), motion, valid)
         assert not label.valid_mask[0]
         np.testing.assert_array_equal(label.flows[0], np.zeros(3))
         assert label.segment_label[0] == UNASSIGNED_SEGMENT
@@ -357,7 +361,7 @@ class TestInvariants:
     def test_reflectors_follow_exact_labels(self, subject, activity, t):
         # the labels move each material point onto its own place in the next
         # pose, because both read the bone frames of `bone_frames`
-        model, poses, local = _reflector_motion(subject, activity)
+        model, poses, local = reflector_motion(subject, activity)
         refl_t = place_reflectors(model, poses[t], local)
         frame = RadarFrame(refl_t.positions, np.ones(len(refl_t)), t, 0.0, refl_t.bone_index)
         label = ground_truth_flow(frame, poses[t], poses[t + 1], model)
@@ -367,6 +371,74 @@ class TestInvariants:
 
     def test_true_transforms_are_rigid(self, armswing):
         model, poses = armswing
-        ts = true_bone_transforms(model, poses[2], poses[3])
-        for t in ts:
-            assert is_rotation(t.rotation, tol=1e-9)
+        rotations, _ = true_bone_transforms(model, poses[2], poses[3])
+        for r in rotations:
+            assert is_rotation(r, tol=1e-9)
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+class TestByteOracle:
+    """The stacked bone motion and its batched apply give the bytes of the
+    per-bone transform list applied point by point (`kernel_oracles`)."""
+
+    @given(subject=st.integers(0, 3), activity=st.sampled_from(ALL_ACTIVITIES),
+           t=st.integers(0, 10), n_points=st.integers(0, 40), seed=st.integers(0, 2**16),
+           bones=st.sampled_from(["observed", "all", "none"]))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_form_gives_the_oracle_bytes(self, subject, activity, t, n_points,
+                                                 seed, bones):
+        model, poses, _ = reflector_motion(subject, activity)
+        obs_t = observe_keypoints(poses[t], 0.03, 0.2, seed=seed)
+        obs_t1 = observe_keypoints(poses[t + 1], 0.03, 0.2, seed=seed + 1)
+        valid = {"observed": filter_keypoints(obs_t, obs_t1)[1],
+                 "all": np.ones(13, dtype=bool), "none": np.zeros(13, dtype=bool)}[bones]
+        rng = np.random.default_rng(seed)
+        points = (poses[t].keypoints[rng.integers(0, 14, n_points)]
+                  + rng.normal(0.0, 0.1, (n_points, 3)))
+        bone = rng.integers(-1, 13, n_points)
+
+        rotations, translations = bone_transforms(obs_t, obs_t1, valid)
+        listed = oracle.bone_transforms_list(obs_t, obs_t1, valid)
+        for b, ref in enumerate(listed):
+            if ref is None:
+                _same_bytes(rotations[b], np.eye(3))
+                _same_bytes(translations[b], np.zeros(3))
+            else:
+                _same_bytes(rotations[b], ref.rotation)
+                _same_bytes(translations[b], ref.translation)
+        label = pseudo_flow(frame_from_points(points), bone, (rotations, translations), valid)
+        kept = np.array([j >= 0 and listed[j] is not None for j in bone], dtype=bool)
+        _same_bytes(label.valid_mask, kept)
+        _same_bytes(label.flows, oracle.bone_flows_loop(points, np.where(kept, bone, -1),
+                                                        listed))
+
+        motion = true_bone_transforms(model, poses[t], poses[t + 1])
+        listed = oracle.true_bone_transforms_list(model, poses[t], poses[t + 1])
+        _same_bytes(motion[0], np.array([ref.rotation for ref in listed]))
+        _same_bytes(motion[1], np.array([ref.translation for ref in listed]))
+        _same_bytes(_bone_flows(points, bone, motion),
+                    oracle.bone_flows_loop(points, bone, listed))
+
+    @pytest.mark.skipif(not _uses_openblas(),
+                        reason="numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE "
+                               "picks no other kernel")
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_stacked_form_gives_the_oracle_bytes_on_another_kernel(self, core):
+        # OpenBLAS built with DYNAMIC_ARCH picks its kernels at load time, so
+        # the check reruns in a fresh interpreter told to use another core type
+        src = str(Path(milliflow.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        test = f"{__file__}::TestByteOracle::test_stacked_form_gives_the_oracle_bytes"
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               test], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -283,15 +283,10 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean over every element."""
     a = _as_tensor(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[i] for i in axis]))
-    else:
-        count = a.shape[axis]
-    return mul(tsum(a, axis, keepdims), 1.0 / count)
+    return mul(tsum(a), 1.0 / a.size)
 
 
 def mean_of(terms) -> Tensor:
@@ -302,18 +297,18 @@ def mean_of(terms) -> Tensor:
     return mul(total, 1.0 / len(terms))
 
 
-def tmax(a, axis=None, keepdims=False) -> Tensor:
+def tmax(a, axis=None) -> Tensor:
     """Max reduction; exact ties share the gradient equally."""
     a = _as_tensor(a)
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
+    out_data = a.data.max(axis=axis)
 
     def backward(g):
         expanded = out_data
-        if not keepdims and axis is not None:
+        if axis is not None:
             g = np.expand_dims(g, axis)
             expanded = np.expand_dims(out_data, axis)
         mask = a.data == expanded
-        counts = mask.sum(axis=axis if axis is not None else None, keepdims=True)
+        counts = mask.sum(axis=axis, keepdims=True)
         if a.requires_grad:
             share = (mask / counts).astype(a.dtype)
             a._accumulate(np.broadcast_to(g, a.shape) * share)
@@ -385,6 +380,9 @@ def softmax(a, axis=-1) -> Tensor:
     return mul(e, powr(tsum(e, axis=axis, keepdims=True), -1.0))
 
 
-def norm(a, axis=-1, keepdims=False, eps: float = 1e-12) -> Tensor:
-    """Euclidean norm with an epsilon guard to stay differentiable at 0."""
-    return powr(add(tsum(mul(a, a), axis=axis, keepdims=keepdims), eps), 0.5)
+NORM_EPS = 1e-12  # added under the square root: `norm` stays differentiable at 0
+
+
+def norm(a, axis=-1) -> Tensor:
+    """Euclidean norm along `axis`, guarded by NORM_EPS."""
+    return powr(add(tsum(mul(a, a), axis=axis), NORM_EPS), 0.5)

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from .config import RunConfig, from_dict, load_config
-from .dataio import make_clips, pair_samples, read_manifest, write_json
+from .dataio import make_clips, pair_samples, read_manifest, write_json, write_text
 from .downstream import (
     STRATEGIES,
     confusion_matrix_csv,
@@ -33,7 +33,7 @@ from .downstream import (
     train_task_model,
 )
 from .errors import (
-    ConfigError, MilliflowError, MissingCheckpoint, MissingFlowModel, TaskMismatch, atomic_write,
+    ConfigError, MilliflowError, MissingCheckpoint, MissingFlowModel, TaskMismatch,
 )
 from .flownet import (
     evaluate_baseline,
@@ -76,13 +76,6 @@ def _require_checkpoint(path, what: str) -> Path:
     if not path.exists():
         raise MissingCheckpoint(f"{what} not found: {path}")
     return path
-
-
-def _write_text(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(path) as f:
-        f.write(text)
 
 
 def _flow_clips(root, cfg: RunConfig, partition: str) -> list:
@@ -191,11 +184,11 @@ def cmd_train(args) -> int:
 
 
 def _eval_flow(args, cfg: RunConfig) -> dict:
+    if args.oracle + (args.baseline is not None) + (args.ckpt is not None) != 1:
+        raise ConfigError("exactly one of --oracle, --baseline or --ckpt is required")
     clips = _flow_clips(args.data, cfg, args.split)
-    if args.oracle:
-        return evaluate_baseline(clips, "oracle")
-    if args.baseline:
-        return evaluate_baseline(clips, args.baseline)
+    if args.oracle or args.baseline:
+        return evaluate_baseline(clips, "oracle" if args.oracle else args.baseline)
     model = load_flow_model(_require_checkpoint(args.ckpt, "--ckpt"))
     t0 = time.perf_counter()
     report = evaluate_model(model, clips)
@@ -233,7 +226,7 @@ def cmd_eval(args) -> int:
         print(f"report: {args.out}")
         if csv_text is not None:
             csv_path = Path(args.out).with_suffix(".confusion.csv")
-            _write_text(csv_path, csv_text)
+            write_text(csv_path, csv_text)
             print(f"confusion matrix: {csv_path}")
     else:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
@@ -259,7 +252,7 @@ def cmd_track(args) -> int:
         print(f"mean per-pair latency: {report['latency_ms']:.2f} ms")
     print(f"clips tracked: {report['n_clips']}")
     if args.out:
-        _write_text(args.out, csv_text)
+        write_text(args.out, csv_text)
         print(f"tracking table: {args.out}")
     else:
         sys.stdout.write(csv_text)

@@ -117,7 +117,7 @@ class TrainConfig:
         model_dtype(self.dtype)
         if not 0 < self.lr_decay <= 1:
             raise ConfigError("lr_decay must be in (0, 1]")
-        for name in ("max_clips_per_epoch", "max_val_clips"):
+        for name in ("epochs", "batch_clips", "max_clips_per_epoch", "max_val_clips"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be positive")

@@ -235,11 +235,7 @@ def _parse_frame_record(rec: dict):
         timestamp=float(rec["timestamp"]),
         prov_bone=prov,
     )
-    pose = SkeletonPose(
-        keypoints=pose_kp,
-        frame_index=int(rec["frame_index"]),
-        timestamp=float(rec["timestamp"]),
-    )
+    pose = SkeletonPose(pose_kp)
     obs = ObservedKeypoints(positions=kps[:, :3], confidences=kps[:, 3])
     return frame, pose, obs
 
@@ -343,18 +339,18 @@ def load_sequence(root, seq_id: str) -> Sequence:
         raise CorruptFile(f"{src}: the stored files disagree: {e}") from e
 
 
-def write_json(path, data: dict) -> Path:
-    """Indented, key-sorted JSON with a final newline, written atomically."""
+def write_text(path, text: str) -> Path:
+    """`text` written atomically to `path`, its directory made first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
     return path
 
 
-def write_manifest(root, data: dict) -> Path:
-    return write_json(Path(root) / "manifest.json", data)
+def write_json(path, data: dict) -> Path:
+    """Indented, key-sorted JSON with a final newline, written atomically."""
+    return write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 # the keys of a manifest's split and of each of its sequence entries

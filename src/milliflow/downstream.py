@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import NeighbourTable, farthest_point_sample, point_segment_distances
+from ._kernels import NeighbourTable, farthest_point_sample
 from .autodiff import Tensor
 from .config import TaskConfig, TrainConfig, from_dict, model_dtype
 # every call of preprocess_indices goes through dataio.preprocess_sequence; the
@@ -46,7 +46,7 @@ from .flownet import (
     mean_flow_loss, stream,
 )
 from .geometry import kabsch
-from .labeling import ASSIGNMENT_RADIUS, N_SEGMENTS
+from .labeling import ASSIGNMENT_RADIUS, N_SEGMENTS, nearest_segment
 from .layers import (
     MLP,
     GRUCell,
@@ -539,16 +539,6 @@ def bone_endpoints(keypoints: np.ndarray, bone_ids) -> np.ndarray:
     return np.stack([keypoints[BONE_PARENT[ids]], keypoints[BONE_CHILD[ids]]], axis=1)
 
 
-def _assign_tracked(points: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
-    """Nearest tracked bone per point within the assignment gate, else -1."""
-    if len(points) == 0:
-        return np.zeros(0, dtype=np.int64)
-    d = point_segment_distances(points, endpoints[:, 0], endpoints[:, 1])
-    nearest = np.argmin(d, axis=1)
-    dmin = d[np.arange(len(points)), nearest]
-    return np.where(dmin <= ASSIGNMENT_RADIUS, nearest, -1)
-
-
 def track_step(points: np.ndarray, flows: np.ndarray,
                state: TrackState) -> TrackState:
     """Advance every tracked bone by one frame.
@@ -561,7 +551,8 @@ def track_step(points: np.ndarray, flows: np.ndarray,
     flows = np.asarray(flows, dtype=np.float64).reshape(-1, 3)
     if len(points) != len(flows):
         raise LengthMismatch(f"{len(points)} points vs {len(flows)} flows")
-    assign = _assign_tracked(points, state.endpoints)
+    assign = nearest_segment(points, state.endpoints[:, 0], state.endpoints[:, 1],
+                             ASSIGNMENT_RADIUS)
     new_endpoints = state.endpoints.copy()
     fallback = []
     for slot, bone in enumerate(state.bone_ids):

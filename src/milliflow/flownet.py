@@ -40,7 +40,6 @@ from .layers import (
     CostVolume,
     GRUCell,
     Params,
-    assign_params,
     checkpoint_config,
     global_pool,
     load_checkpoint,
@@ -200,10 +199,10 @@ class FlowNet:
         }
 
 
-def flow_loss(flows: Tensor, label, zeta: float = 0.1,
-              alpha_large: float = 2.0, alpha_small: float = 1.0) -> Tensor:
+def flow_loss(flows: Tensor, label, cfg: NetConfig) -> Tensor:
     """Per-point endpoint error averaged separately over large and small
-    ground-truth flows, combined with the configured weights."""
+    ground-truth flows (at least `cfg.loss_zeta` long, and shorter ones),
+    combined with the weights `cfg.alpha_large` and `cfg.alpha_small`."""
     valid = np.asarray(label.valid_mask, dtype=bool)
     if flows.shape[0] != len(valid):
         raise LengthMismatch(f"{flows.shape[0]} flows vs {len(valid)} labels")
@@ -212,9 +211,9 @@ def flow_loss(flows: Tensor, label, zeta: float = 0.1,
     vidx = np.flatnonzero(valid)
     gt = label.flows[vidx]
     err = ad.norm(ad.add(ad.take(flows, vidx), Tensor(-gt.astype(flows.dtype))), axis=1)
-    large = np.linalg.norm(gt, axis=1) >= zeta
+    large = np.linalg.norm(gt, axis=1) >= cfg.loss_zeta
     loss = None
-    for sel, weight in ((large, alpha_large), (~large, alpha_small)):
+    for sel, weight in ((large, cfg.alpha_large), (~large, cfg.alpha_small)):
         if sel.any():
             term = ad.mul(ad.tmean(ad.take(err, np.flatnonzero(sel))), float(weight))
             loss = term if loss is None else ad.add(loss, term)
@@ -228,9 +227,7 @@ def mean_flow_loss(pairs, cfg: NetConfig) -> Tensor | None:
     losses = []
     for flows, label in pairs:
         try:
-            losses.append(flow_loss(flows, label, zeta=cfg.loss_zeta,
-                                    alpha_large=cfg.alpha_large,
-                                    alpha_small=cfg.alpha_small))
+            losses.append(flow_loss(flows, label, cfg))
         except NoValidPoints:
             continue
     return ad.mean_of(losses) if losses else None
@@ -326,7 +323,7 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     and flushed each epoch, so an interrupted run leaves the rows of its
     finished epochs.  A NaN or infinite loss
     raises NonFiniteLoss before it reaches the parameters.  Returns the
-    history, with the best checkpoint's values loaded into `named`.
+    history, with the best checkpoint's values put back into `named`.
     """
     train_clips, val_clips = list(train_clips), list(val_clips)
     if not train_clips:
@@ -341,7 +338,7 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
 
     sign = 1.0 if maximize else -1.0
     best = -np.inf  # of sign * score
-    saved = False
+    saved = None  # the checkpointed arrays by name
     since_best = 0
     history = []
     log_f = open(log_path, "w") if log_path is not None else None
@@ -364,6 +361,7 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
                             f"epoch {epoch}, training clip {ci}: loss is {float(loss.data)}")
                     loss.backward()
                     epoch_losses.append(float(loss.data))
+                    del loss  # frees the clip's tape before the next clip runs
                     contributed += 1
                 if contributed == 0:
                     continue
@@ -383,10 +381,10 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
             if log_f is not None:
                 log_f.write(json.dumps(row) + "\n")
                 log_f.flush()
-            if (not np.isnan(score) and sign * score > best) or not saved:
+            if (not np.isnan(score) and sign * score > best) or saved is None:
                 best = sign * score if not np.isnan(score) else best
                 save_checkpoint(checkpoint_path, named, config=config)
-                saved = True
+                saved = {k: t.data.copy() for k, t in named.items()}
                 since_best = 0
             else:
                 since_best += 1
@@ -396,8 +394,8 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
         if log_f is not None:
             log_f.close()
 
-    values, _ = load_checkpoint(checkpoint_path)
-    assign_params(named, values)
+    for k, t in named.items():
+        t.data = saved[k]
     return history
 
 

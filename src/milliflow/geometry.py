@@ -75,10 +75,8 @@ def rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return axis_angle_rotation(axis, float(np.arctan2(s, c)))
 
 
-def kabsch(
-    src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
-) -> RigidTransform:
-    """Rigid transform minimizing the (weighted) squared alignment residual.
+def kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
+    """Rigid transform minimizing the squared alignment residual.
 
     Raises DegenerateInput for fewer than 3 correspondences or when the
     source points are all collinear, since the rotation is then not unique.
@@ -92,17 +90,7 @@ def kabsch(
     n = src.shape[0]
     if n < 3:
         raise DegenerateInput(f"need at least 3 correspondences, got {n}")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,) or np.any(w < 0):
-            raise DegenerateInput("weights must be a nonnegative vector matching src")
-        total = w.sum()
-        if total <= 0:
-            raise DegenerateInput("weights sum to zero")
-        w = w / total
-
+    w = np.full(n, 1.0 / n)
     centroid_src = w @ src
     centroid_dst = w @ dst
     src_c = src - centroid_src

@@ -94,26 +94,31 @@ def bone_transforms(
     return rotations, np.where(valid_bones[:, None], mid1 - _rotate(rotations, mid0), 0.0)
 
 
+def nearest_segment(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray,
+                    radius: float = np.inf) -> np.ndarray:
+    """Index of each point's nearest segment from `seg_a[i]` to `seg_b[i]`,
+    or -1 for a point farther than `radius` from every segment.
+
+    Distances within ASSIGNMENT_TIE_TOL of a point's minimum tie, and a tie
+    goes to the lowest index.
+    """
+    if len(points) == 0 or len(seg_a) == 0:
+        return -np.ones(len(points), dtype=np.int64)
+    d = point_segment_distances(points, seg_a, seg_b)
+    dmin = d.min(axis=1)
+    first_tied = np.argmax(d <= (dmin[:, None] + ASSIGNMENT_TIE_TOL), axis=1)
+    return np.where(dmin <= radius, first_tied, -1)
+
+
 def assign_points(
     frame: RadarFrame, kp_t: ObservedKeypoints, valid_bones: np.ndarray
 ) -> np.ndarray:
-    """Closest-valid-bone index per point, or -1 beyond the assignment gate.
-
-    Distance ties within 1e-12 go to the lowest bone index.
-    """
-    n = len(frame)
-    out = -np.ones(n, dtype=np.int64)
+    """Closest-valid-bone index per point (`nearest_segment` over the valid
+    bones), or -1 beyond the assignment gate."""
     valid_idx = np.flatnonzero(valid_bones)
-    if n == 0 or len(valid_idx) == 0:
-        return out
-    d = point_segment_distances(frame.points, kp_t.positions[BONE_PARENT[valid_idx]],
-                                kp_t.positions[BONE_CHILD[valid_idx]])
-    dmin = d.min(axis=1)
-    within = dmin <= ASSIGNMENT_RADIUS
-    # first column within tolerance of the row minimum wins
-    first_tied = np.argmax(d <= (dmin[:, None] + ASSIGNMENT_TIE_TOL), axis=1)
-    out[within] = valid_idx[first_tied[within]]
-    return out
+    nearest = nearest_segment(frame.points, kp_t.positions[BONE_PARENT[valid_idx]],
+                              kp_t.positions[BONE_CHILD[valid_idx]], ASSIGNMENT_RADIUS)
+    return np.append(valid_idx, -1)[nearest]  # index -1 reads the appended -1
 
 
 def segment_labels(assignment: np.ndarray) -> np.ndarray:
@@ -185,9 +190,8 @@ def ground_truth_flow(
     motion = true_bone_transforms(model, pose_t, pose_t1)
     assignment = frame.prov_bone.copy()
     valid = assignment >= 0
-    d = point_segment_distances(frame.points[~valid], pose_t.keypoints[BONE_PARENT],
-                                pose_t.keypoints[BONE_CHILD])
     bone = assignment.copy()
-    bone[~valid] = np.argmin(d, axis=1)
+    bone[~valid] = nearest_segment(frame.points[~valid], pose_t.keypoints[BONE_PARENT],
+                                   pose_t.keypoints[BONE_CHILD])
     flows = _bone_flows(frame.points, bone, motion)
     return FlowLabel(flows, valid, assignment, segment_labels(assignment))

@@ -365,18 +365,3 @@ def checkpoint_config(path):
         yield
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise CorruptFile(f"{path}: malformed checkpoint config: {e!r}") from e
-
-
-def assign_params(named: dict[str, Tensor], values: dict[str, np.ndarray]):
-    """Load checkpoint arrays into live parameter tensors, casting dtype (as
-    `fit` restores its best checkpoint; a model is loaded through `Params`)."""
-    missing = set(named) - set(values)
-    extra = set(values) - set(named)
-    if missing or extra:
-        raise ConfigError(f"parameter name mismatch: missing={sorted(missing)}, "
-                          f"extra={sorted(extra)}")
-    for k, t in named.items():
-        v = values[k]
-        if tuple(v.shape) != tuple(t.shape):
-            raise ShapeMismatch(f"{k}: checkpoint shape {v.shape} != model {t.shape}")
-        t.data = v.astype(t.dtype)

@@ -30,7 +30,6 @@ from .dataio import (
     save_sequence,
     sequence_id,
     write_json,
-    write_manifest,
 )
 from .errors import ConfigError, CorruptFile, TooFewSubjects
 from .labeling import ground_truth_flow, label_frame_pair
@@ -44,11 +43,9 @@ from .radar import (
     to_point_cloud,
     visibility_filter,
 )
-from .skeleton import ActivitySpec, SkeletonPose, generate_motion, make_subject, observe_keypoints
+from .skeleton import ActivitySpec, generate_motion, make_subject, observe_keypoints
 
 log = logging.getLogger(__name__)
-
-SENSOR_ORIGIN = np.zeros(3)
 
 # independent deterministic random streams per (sequence, frame)
 _STREAM_JITTER, _STREAM_NOISE, _STREAM_GHOST, _STREAM_OBS, _STREAM_SCENE = range(5)
@@ -101,24 +98,19 @@ def generate_sequence(cfg: RunConfig, subject: int, activity_id: str,
             jitter_std=cfg.radar.micro_motion_std,
             jitter_seed=seed(_STREAM_JITTER),
         )
-        vis = visibility_filter(refl, SENSOR_ORIGIN, cfg.radar.visibility_half_angle)
+        vis = visibility_filter(refl, cfg.radar.visibility_half_angle)
         cubes.append(synthesize_cube(vis, cfg.radar, seed=seed(_STREAM_NOISE)))
         if t < warmup:
             continue
         out_idx = t - warmup
         hm = heatmap(clutter_removal(list(cubes)), cfg.radar)
         detections = cfar_detect(hm, cfg.radar.cfar)
-        frame = to_point_cloud(
-            detections, cfg.radar, cfg.radar.ghost_prob,
-            seed=seed(_STREAM_GHOST),
-            frame_index=out_idx, timestamp=out_idx / rate,
-            reflectors=vis,
-        )
-        out_pose = SkeletonPose(pose.keypoints.copy(), out_idx, out_idx / rate)
+        frame = to_point_cloud(detections, cfg.radar, seed=seed(_STREAM_GHOST),
+                               frame_index=out_idx, timestamp=out_idx / rate, reflectors=vis)
         frames.append(frame)
-        poses.append(out_pose)
+        poses.append(pose)
         observed.append(
-            observe_keypoints(out_pose, cfg.gen.kp_noise_std, cfg.gen.kp_dropout,
+            observe_keypoints(pose, cfg.gen.kp_noise_std, cfg.gen.kp_dropout,
                               seed=seed(_STREAM_OBS))
         )
     return Sequence(subject, activity_id, scene, frames, poses, observed)
@@ -219,7 +211,7 @@ def generate_dataset(cfg: RunConfig, root, workers: int = 1) -> dict:
             for seq_id, subject, activity, scene, n in entries
         ],
     }
-    write_manifest(root, manifest)
+    write_json(root / "manifest.json", manifest)
     return manifest
 
 

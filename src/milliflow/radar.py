@@ -192,11 +192,10 @@ def place_reflectors(
     return Reflectors(positions, reflectivities, normals, bone_index)
 
 
-def visibility_filter(
-    reflectors: Reflectors, sensor_origin: np.ndarray, half_angle: float
-) -> Reflectors:
-    """Keep reflectors whose outward normal faces the sensor within half_angle."""
-    to_sensor = np.asarray(sensor_origin)[None, :] - reflectors.positions
+def visibility_filter(reflectors: Reflectors, half_angle: float) -> Reflectors:
+    """Keep reflectors whose outward normal faces the sensor, at the origin,
+    within half_angle."""
+    to_sensor = np.subtract(0.0, reflectors.positions)  # unlike -positions, keeps +0.0
     to_sensor = to_sensor / np.linalg.norm(to_sensor, axis=1, keepdims=True)
     cosang = np.sum(reflectors.normals * to_sensor, axis=1)
     return reflectors.subset(cosang >= np.cos(half_angle) - 1e-12)
@@ -334,7 +333,6 @@ def cfar_detect(hm: np.ndarray, cfar: CfarParams) -> np.ndarray:
 def to_point_cloud(
     detections: np.ndarray,
     cfg: RadarConfig,
-    ghost_prob: float,
     seed: int,
     frame_index: int = 0,
     timestamp: float = 0.0,
@@ -344,7 +342,7 @@ def to_point_cloud(
 
     Cells whose direction cosines fall outside the unit disk have no physical
     direction and are dropped.  Each kept point spawns, with probability
-    ghost_prob, a range-extended ghost with attenuated intensity.  When the
+    `cfg.ghost_prob`, a range-extended ghost with attenuated intensity.  When the
     generating reflectors are passed in, every real point is tagged with the
     bone of its nearest reflector and ghosts are tagged -1; a frame with no
     visible reflector tags all its points -1, as noise.  Without reflectors
@@ -372,7 +370,7 @@ def to_point_cloud(
     rng = np.random.default_rng(seed)
     ghost_pts, ghost_int = [], []
     for i in range(len(pts)):
-        if rng.uniform() < ghost_prob:
+        if rng.uniform() < cfg.ghost_prob:
             stretch = 1.0 + rng.uniform(0.15, 0.5)
             ghost_pts.append(pts[i] * stretch)
             ghost_int.append(intens[i] * rng.uniform(0.3, 0.7))

@@ -129,8 +129,6 @@ class SkeletonModel:
 @dataclass(frozen=True)
 class SkeletonPose:
     keypoints: np.ndarray  # (14, 3)
-    frame_index: int
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -318,7 +316,7 @@ def generate_motion(
             if angle != 0.0:
                 r = axis_angle_rotation(axis, angle)
                 kp[idx] = (kp[idx] - pivot_pt) @ r.T + pivot_pt
-        poses.append(SkeletonPose(kp + offset, f, t))
+        poses.append(SkeletonPose(kp + offset))
     return poses
 
 

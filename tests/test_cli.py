@@ -354,6 +354,18 @@ class TestEvalFlow:
     def test_no_model_and_no_oracle_exits_2(self, dataset):
         assert main(["eval", "--task", "flow", "--data", dataset]) == 2
 
+    @pytest.mark.parametrize("sources", [
+        ["--oracle", "--baseline", "zero"],
+        ["--baseline", "zero", "--ckpt", "/nonexistent.ckpt"],
+        ["--oracle", "--ckpt", "/nonexistent.ckpt"],
+    ])
+    def test_two_flow_sources_exit_2(self, dataset, tmp_path, capsys, sources):
+        out = tmp_path / "report.json"
+        assert main(["eval", "--task", "flow", "--data", dataset, "--out", str(out)]
+                    + sources) == 2
+        assert "exactly one of --oracle, --baseline or --ckpt" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_flow_artifacts(self, workdir, dataset, flow_ckpt):

@@ -52,6 +52,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(lr_decay=0.0)
 
+    @pytest.mark.parametrize("name", ["epochs", "batch_clips"])
+    def test_counts_must_be_positive(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            TrainConfig(**{name: 0})
+
     @pytest.mark.parametrize("name", ["float16", "complex64", "int64", "", None, ["float32"]])
     def test_model_dtype_is_float32_or_float64(self, name):
         assert model_dtype("float32") == np.float32

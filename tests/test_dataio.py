@@ -17,7 +17,7 @@ from milliflow.dataio import (
     read_manifest,
     save_labels,
     save_sequence,
-    write_manifest,
+    write_json,
 )
 from milliflow.errors import (
     ConfigError,
@@ -65,9 +65,7 @@ def toy_sequence(n_frames=6, n_points=150, with_labels=True, subject=3,
                  activity="ArmSwing", scene=1):
     rng = np.random.default_rng(subject)
     frames = [toy_frame(i, n=n_points, seed=subject) for i in range(n_frames)]
-    poses = [
-        SkeletonPose(rng.normal(size=(14, 3)), i, i / 10.0) for i in range(n_frames)
-    ]
+    poses = [SkeletonPose(rng.normal(size=(14, 3))) for _ in range(n_frames)]
     observed = [
         ObservedKeypoints(rng.normal(size=(14, 3)), rng.random(14))
         for _ in range(n_frames)
@@ -313,7 +311,7 @@ class TestSerialization:
         manifest = dataset_split(split_cfg(6, seed=2))
         data = {"split": manifest.as_dict(), "seed": 2, "config": {"frames": 200},
                 "sequences": []}
-        write_manifest(tmp_path, data)
+        write_json(tmp_path / "manifest.json", data)
         back = read_manifest(tmp_path)
         assert back == data
         assert SplitManifest.from_dict(back["split"]) == manifest
@@ -338,7 +336,7 @@ class TestSerialization:
             data["sequences"] = {"id": "x"}
         else:
             del data[drop]
-        write_manifest(tmp_path, data)
+        write_json(tmp_path / "manifest.json", data)
         with pytest.raises(CorruptFile, match="not a dataset manifest"):
             read_manifest(tmp_path)
 
@@ -395,7 +393,7 @@ class TestSerialization:
         data = {"config": {},
                 "split": dataset_split(split_cfg(6)).as_dict(),
                 "sequences": [{"id": "003_ArmSwing_01", "subject_id": 3, "n_frames": 3}]}
-        path = write_manifest(tmp_path, data)
+        path = write_json(tmp_path / "manifest.json", data)
         whole = path.read_bytes()
         for cut in range(len(whole)):
             path.write_bytes(whole[:cut])
@@ -432,7 +430,7 @@ class TestSerialization:
         with pytest.raises(LengthMismatch):
             Sequence(0, "ArmSwing", 0, [toy_frame(0)], [], [])
         frames = [toy_frame(i, n=5) for i in range(3)]
-        poses = [SkeletonPose(np.zeros((14, 3)), i, 0.0) for i in range(3)]
+        poses = [SkeletonPose(np.zeros((14, 3))) for _ in range(3)]
         obs = [ObservedKeypoints(np.zeros((14, 3)), np.ones(14)) for _ in range(3)]
         with pytest.raises(LengthMismatch):
             Sequence(0, "ArmSwing", 0, frames, poses, obs, labels=[toy_label(5)])
@@ -471,9 +469,9 @@ class TestAtomicWrite:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_failed_manifest_write_keeps_previous_manifest(self, tmp_path):
-        write_manifest(tmp_path, {"a": 1})
+        write_json(tmp_path / "manifest.json", {"a": 1})
         before = (tmp_path / "manifest.json").read_bytes()
-        with pytest.raises(TypeError):  # json.dump fails after writing "a"
-            write_manifest(tmp_path, {"a": 2, "z": object()})
+        with pytest.raises(TypeError):  # json.dumps fails before the file is opened
+            write_json(tmp_path / "manifest.json", {"a": 2, "z": object()})
         assert (tmp_path / "manifest.json").read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]

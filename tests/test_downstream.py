@@ -125,7 +125,7 @@ def make_clip(window=3, n=10, seed=0, activity=0, activity_id="ArmSwing"):
 def toy_sequence(n_frames=8, n=30, activity="ArmSwing", seed=0):
     frames = [make_frame(n, seed + i, index=i) for i in range(n_frames)]
     kp = np.tile(np.array([0.0, 3.0, 0.0]), (14, 1))
-    poses = [SkeletonPose(kp.copy(), i, i / 13.2) for i in range(n_frames)]
+    poses = [SkeletonPose(kp.copy()) for _ in range(n_frames)]
     obs = [ObservedKeypoints(kp.copy(), np.ones(14)) for _ in range(n_frames)]
     labels = [make_label(n, seed + 200 + i) for i in range(n_frames - 1)]
     return Sequence(0, activity, 0, frames, poses, obs, labels)
@@ -485,7 +485,7 @@ class TestClipLosses:
         with ad.no_grad():
             task = cross_entropy(model.forward(clip.frames, dec.feats),
                                  clip.activity)
-        flow_terms = [float(flow_loss(f, lab).data)
+        flow_terms = [float(flow_loss(f, lab, flow.cfg).data)
                       for f, lab in zip(dec.pair_flows, clip.labels[:-1])]
         expected = float(task.data) + np.mean(flow_terms)
         assert float(total.data) == pytest.approx(expected, rel=1e-9)
@@ -960,7 +960,7 @@ def tracking_sequence(n_frames=10, delta=(0.004, 0.0, 0.006), seed=0,
         kp = limb_pose(t, delta)
         pts = bone_cloud(kp, bone_ids, per_bone=4, seed=seed + t)
         frames.append(RadarFrame(pts, np.ones(len(pts)), t, t / 13.2))
-        poses.append(SkeletonPose(kp, t, t / 13.2))
+        poses.append(SkeletonPose(kp))
         obs.append(ObservedKeypoints(kp, np.ones(14)))
     for t in range(n_frames - 1):
         n = len(frames[t])

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
 )
 
 from milliflow import autodiff as ad
+from milliflow._kernels import squared_distances
 from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TrainConfig
 from milliflow.dataio import Sample
@@ -67,6 +68,17 @@ def make_frame(n, seed=0, offset=(0.0, 3.0, 0.0)):
         frame_index=0,
         timestamp=0.0,
     )
+
+
+def selection_tie(points, cfg: NetConfig) -> bool:
+    """Whether the source cloud's neighbour selections can depend on point
+    order: two squared distances from one point tie where its sorted row is
+    cut, after the first `sa_samples` (ball query) or `cv_k` (self-kNN)
+    entries, or after the first, which a duplicated point ties.  Such ties
+    are broken by index."""
+    d2 = np.sort(squared_distances(points, points), axis=1)
+    cuts = sorted(c for c in {1, cfg.cv_k, *cfg.sa_samples} if c < len(points))
+    return bool(np.any(d2[:, [c - 1 for c in cuts]] == d2[:, cuts]))
 
 
 def make_label(n, seed=0, flow_scale=0.05, valid=None):
@@ -145,6 +157,25 @@ class TestForward:
         flows_p, _, _ = model.forward(src_p, tgt, model.initial_state())
         np.testing.assert_allclose(flows_p.data, flows.data[perm], atol=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_permuting_the_source_permutes_the_flows(self, data):
+        n = data.draw(st.integers(1, 16), label="n")
+        coords = data.draw(st.lists(st.floats(-0.8, 0.8), min_size=3 * n, max_size=3 * n),
+                           label="coords")
+        points = np.reshape(coords, (n, 3)) + np.array([0.0, 3.0, 0.0])
+        cfg = tiny_net()
+        assume(not selection_tie(points, cfg))
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+        src = RadarFrame(points, np.linspace(0.6, 3.0, n), 0, 0.0)
+        src_p = RadarFrame(points[perm], src.intensities[perm], 0, 0.0)
+        model = FlowNet(cfg, seed=3, dtype=np.float64)
+        tgt = make_frame(9, 5)
+        flows, _, final = model.forward(src, tgt, model.initial_state())
+        flows_p, _, final_p = model.forward(src_p, tgt, model.initial_state())
+        np.testing.assert_allclose(flows_p.data, flows.data[perm], atol=1e-9)
+        np.testing.assert_allclose(final_p.data, final.data[perm], atol=1e-9)
+
     def test_state_advances_and_resets(self):
         model = FlowNet(tiny_net(), seed=0)
         src, tgt = make_frame(8), make_frame(8, 1)
@@ -179,12 +210,12 @@ class TestLoss:
         pred = gt + np.array([[0.0, 0.02, 0.0], [0.0, 0.01, 0.0]])
         label = FlowLabel(gt, np.ones(2, bool), np.zeros(2, np.int64),
                           np.zeros(2, np.int64))
-        loss = flow_loss(Tensor(pred), label)
+        loss = flow_loss(Tensor(pred), label, NetConfig())
         assert float(loss.data) == pytest.approx(2 * 0.02 + 1 * 0.01, abs=1e-9)
 
     def test_exact_prediction_zero_loss(self):
         label = make_label(6, seed=1)
-        loss = flow_loss(Tensor(label.flows.copy()), label)
+        loss = flow_loss(Tensor(label.flows.copy()), label, NetConfig())
         assert float(loss.data) == pytest.approx(0.0, abs=1e-6)
 
     def test_threshold_boundary_counts_as_large(self):
@@ -192,7 +223,7 @@ class TestLoss:
         pred = gt + np.array([[0.0, 0.03, 0.0]])
         label = FlowLabel(gt, np.ones(1, bool), np.zeros(1, np.int64),
                           np.zeros(1, np.int64))
-        assert float(flow_loss(Tensor(pred), label).data) == pytest.approx(2 * 0.03)
+        assert float(flow_loss(Tensor(pred), label, NetConfig()).data) == pytest.approx(2 * 0.03)
 
     def test_only_small_population(self):
         gt = np.full((3, 3), 0.01)
@@ -200,22 +231,22 @@ class TestLoss:
         pred[:, 0] += 0.02
         label = FlowLabel(gt, np.ones(3, bool), np.zeros(3, np.int64),
                           np.zeros(3, np.int64))
-        assert float(flow_loss(Tensor(pred), label).data) == pytest.approx(0.02)
+        assert float(flow_loss(Tensor(pred), label, NetConfig()).data) == pytest.approx(0.02)
 
     def test_all_masked_raises(self):
         label = make_label(4, valid=np.zeros(4, bool))
         with pytest.raises(NoValidPoints):
-            flow_loss(Tensor(np.zeros((4, 3))), label)
+            flow_loss(Tensor(np.zeros((4, 3))), label, NetConfig())
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            flow_loss(Tensor(np.zeros((3, 3))), make_label(4))
+            flow_loss(Tensor(np.zeros((3, 3))), make_label(4), NetConfig())
 
     def test_masked_points_zero_gradient(self):
         valid = np.array([True, False, True, False])
         label = make_label(4, seed=2, valid=valid)
         pred = Tensor(np.zeros((4, 3)), requires_grad=True)
-        flow_loss(pred, label).backward()
+        flow_loss(pred, label, NetConfig()).backward()
         np.testing.assert_array_equal(pred.grad[~valid], 0.0)
         assert np.any(pred.grad[valid] != 0.0)
 
@@ -223,17 +254,17 @@ class TestLoss:
         valid = np.array([True, False, True])
         label = make_label(3, seed=3, valid=valid)
         pred = np.random.default_rng(0).normal(0, 0.05, (3, 3))
-        base = float(flow_loss(Tensor(pred), label).data)
+        base = float(flow_loss(Tensor(pred), label, NetConfig()).data)
         bumped = FlowLabel(label.flows + (~valid)[:, None] * 123.0,
                            label.valid_mask, label.bone_assignment,
                            label.segment_label)
-        assert float(flow_loss(Tensor(pred), bumped).data) == base
+        assert float(flow_loss(Tensor(pred), bumped, NetConfig()).data) == base
 
     def test_gradient_matches_fd(self):
         label = make_label(5, seed=4)
         pred = Tensor(np.random.default_rng(5).normal(0, 0.05, (5, 3)),
                       requires_grad=True)
-        check_param_grads(lambda: flow_loss(pred, label), {"pred": pred})
+        check_param_grads(lambda: flow_loss(pred, label, NetConfig()), {"pred": pred})
 
 
 class TestModelGradients:
@@ -267,7 +298,7 @@ class TestClipLoss:
         manual = []
         for s in samples:
             flows, state, _ = model.forward(s.source, s.target, state)
-            manual.append(float(flow_loss(flows, s.label).data))
+            manual.append(float(flow_loss(flows, s.label, model.cfg).data))
         got = clip_loss(model, samples)
         assert float(got.data) == pytest.approx(np.mean(manual), rel=1e-12)
 
@@ -758,6 +789,30 @@ class TestEncodingReuse:
 
 
 class TestTapeLifetime:
+    def test_fit_frees_each_clip_tape_before_the_next(self, tmp_path):
+        model = FlowNet(tiny_net(clamp=10.0), seed=0)
+        clips = constant_flow_clips(4, np.array([0.01, 0.0, 0.0]))
+        interiors = []
+
+        def loss_fn(clip):
+            assert all(ref() is None for ref in interiors), "an earlier clip's tape is alive"
+            loss = clip_loss(model, clip)
+            node = loss
+            for _ in range(5):
+                node = node._parents[0]
+            interiors.append(weakref.ref(node))
+            return loss
+
+        gc.collect()
+        gc.disable()
+        try:
+            fit(model.named_params(), clips, clips[:1], loss_fn, lambda c: 0.0,
+                TrainConfig(epochs=2, batch_clips=2, seed=0), tmp_path / "c.ckpt",
+                model.config_dict(), "val_score")
+        finally:
+            gc.enable()
+        assert len(interiors) == 8
+
     def test_clip_tape_freed_without_collector(self):
         model = FlowNet(tiny_net(), seed=0)
         clip = chained_clip(n_samples=3, n=8)

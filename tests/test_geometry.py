@@ -113,17 +113,6 @@ class TestKabsch:
         t = kabsch(src, dst)
         assert np.linalg.det(t.rotation) == pytest.approx(1.0, abs=1e-9)
 
-    def test_weighted_ignores_zero_weight_outlier(self):
-        rng = np.random.default_rng(8)
-        r = random_rotation(rng)
-        src = rng.normal(size=(6, 3))
-        dst = src @ r.T
-        src_bad = np.vstack([src, [100.0, 100.0, 100.0]])
-        dst_bad = np.vstack([dst, [-50.0, 0.0, 0.0]])
-        w = np.array([1.0] * 6 + [0.0])
-        t = kabsch(src_bad, dst_bad, weights=w)
-        assert np.linalg.norm(t.rotation - r) < 1e-6
-
     def test_too_few_points_raises(self):
         with pytest.raises(DegenerateInput):
             kabsch(np.zeros((2, 3)), np.zeros((2, 3)))
@@ -132,13 +121,6 @@ class TestKabsch:
         src = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
         with pytest.raises(DegenerateInput):
             kabsch(src, src)
-
-    def test_bad_weights_raise(self):
-        src = np.random.default_rng(9).normal(size=(4, 3))
-        with pytest.raises(DegenerateInput):
-            kabsch(src, src, weights=np.array([1.0, -1.0, 1.0, 1.0]))
-        with pytest.raises(DegenerateInput):
-            kabsch(src, src, weights=np.zeros(4))
 
 
 class TestPointSegmentDistance:

@@ -8,8 +8,12 @@ the training loss over flow clips, and body-part tracking with oracle and
 model flows.  Points, intensities, frame indices, timestamps and label arrays
 are hashed; `prov_bone` is left out, because no network input reads it.  A
 change that moves these hashes changes what the networks see; re-record them
-only together with an explanation of why.  Recorded with numpy 2.4.6 on
-x86-64 (a different numpy build may round a matrix product differently).
+only together with an explanation of why.  Recorded with numpy 2.4.6 and
+OpenBLAS 0.3.31 on x86-64, on its AVX-512 (SkylakeX) kernels.  The bytes
+depend on the BLAS kernel: an OpenBLAS built with DYNAMIC_ARCH picks its core
+type at run time, and under `OPENBLAS_CORETYPE=Haswell` or `Prescott` the
+generated sequences and the network's matrix products round differently, so
+every hash but the raw decorations' moves.
 """
 
 import dataclasses

@@ -7,8 +7,12 @@ with each feature strategy.  `predict` and `evaluate` are hashed on the
 test windows; `clip_loss` and the gradients it sends to the task (and, for
 s2, the flow) parameters are hashed on the train windows.  A change that
 moves these hashes changes what the task networks compute; re-record them
-only together with an explanation of why.  Recorded with numpy 2.4.6 on
-x86-64 (a different numpy build may round a matrix product differently).
+only together with an explanation of why.  Recorded with numpy 2.4.6 and
+OpenBLAS 0.3.31 on x86-64, on its AVX-512 (SkylakeX) kernels.  The bytes
+depend on the BLAS kernel: an OpenBLAS built with DYNAMIC_ARCH picks its core
+type at run time, and under `OPENBLAS_CORETYPE=Haswell` or `Prescott` the
+inputs and the network's matrix products round differently, so the
+`clip_loss` hashes move (the predicted classes and `evaluate`'s scores held).
 """
 
 import pytest

@@ -23,6 +23,7 @@ from milliflow.labeling import (
     filter_keypoints,
     ground_truth_flow,
     label_frame_pair,
+    nearest_segment,
     pseudo_flow,
     segment_labels,
     true_bone_transforms,
@@ -190,6 +191,23 @@ class TestAssignPoints:
         assert got[0] == 2
 
 
+class TestNearestSegment:
+    def test_near_tie_goes_to_lower_index(self):
+        # zero-length segments 0.3 and 0.3 - 1e-13 from the origin: within
+        # the tie tolerance, so the lower index wins over the strict minimum
+        ends = np.array([[0.3, 0.0, 0.0], [-0.3 + 1e-13, 0.0, 0.0]])
+        assert nearest_segment(np.zeros((1, 3)), ends, ends)[0] == 0
+
+    def test_radius_and_empty_inputs(self):
+        ends = np.array([[1.0, 0.0, 0.0]])
+        points = np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0]])
+        np.testing.assert_array_equal(nearest_segment(points, ends, ends, 0.5), [-1, 0])
+        np.testing.assert_array_equal(nearest_segment(points, ends, ends), [0, 0])
+        np.testing.assert_array_equal(
+            nearest_segment(points, np.empty((0, 3)), np.empty((0, 3))), [-1, -1])
+        assert nearest_segment(np.empty((0, 3)), ends, ends).shape == (0,)
+
+
 class TestPseudoFlow:
     def test_identity_transforms(self, armswing):
         _, poses = armswing
@@ -268,8 +286,8 @@ class TestGroundTruthFlow:
         return refl, RadarFrame(
             refl.positions.copy(),
             np.ones(len(refl)),
-            pose.frame_index,
-            pose.timestamp,
+            0,
+            0.0,
             refl.bone_index.copy(),
         )
 
@@ -284,7 +302,7 @@ class TestGroundTruthFlow:
         model, poses = armswing
         _, frame = self._reflector_frame(model, poses[0])
         delta = np.array([0.02, -0.01, 0.03])
-        shifted = SkeletonPose(poses[0].keypoints + delta, 1, 0.1)
+        shifted = SkeletonPose(poses[0].keypoints + delta)
         label = ground_truth_flow(frame, poses[0], shifted, model)
         np.testing.assert_allclose(label.flows, np.tile(delta, (len(frame), 1)), atol=1e-9)
 

@@ -68,10 +68,8 @@ class TestGenerateSequence:
         assert seq.labels is None
         assert [f.frame_index for f in seq.frames] == list(range(n))
         rate = cfg.gen.frame_rate
-        for t, (frame, pose) in enumerate(zip(seq.frames, seq.poses)):
+        for t, frame in enumerate(seq.frames):
             assert frame.timestamp == pytest.approx(t / rate)
-            assert pose.timestamp == pytest.approx(t / rate)
-            assert pose.frame_index == t
 
     def test_provenance_present(self):
         seq = pipeline.generate_sequence(tiny_cfg(), 0, "ArmSwing", 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -349,7 +350,7 @@ class TestToPointCloud:
     def test_on_axis_conversion(self):
         cfg = quiet_cfg()
         det = np.array([[43.0, 20.0, 16.0, 2.5]])
-        frame = to_point_cloud(det, cfg, ghost_prob=0.0, seed=0)
+        frame = to_point_cloud(det, cfg, seed=0)
         assert len(frame) == 1
         x, y, z = frame.points[0]
         assert x == pytest.approx(0.0, abs=1e-12)
@@ -363,9 +364,10 @@ class TestToPointCloud:
             [[43.0, 20.0, 16.0, 2.0], [50.0, 22.0, 14.0, 1.0], [60.0, 18.0, 17.0, 3.0]]
         )
         refl = reflectors_at([(0.0, 2.0, 0.0)])
-        none = to_point_cloud(det, cfg, 0.0, seed=1, reflectors=refl)
+        none = to_point_cloud(det, cfg, seed=1, reflectors=refl)
         assert len(none) == 3
-        doubled = to_point_cloud(det, cfg, 1.0, seed=1, reflectors=refl)
+        doubled = to_point_cloud(det, dataclasses.replace(cfg, ghost_prob=1.0), seed=1,
+                                 reflectors=refl)
         assert len(doubled) == 6
         assert np.all(doubled.prov_bone[:3] >= 0)
         assert np.all(doubled.prov_bone[3:] == -1)
@@ -379,7 +381,7 @@ class TestToPointCloud:
     def test_unphysical_cells_dropped(self):
         cfg = quiet_cfg()
         det = np.array([[43.0, 0.0, 0.0, 1.0]])  # u=-1, v=-1: outside unit disk
-        frame = to_point_cloud(det, cfg, 0.0, seed=0)
+        frame = to_point_cloud(det, cfg, seed=0)
         assert len(frame) == 0
 
     def test_provenance_is_bone_of_nearest_reflector(self):
@@ -392,7 +394,7 @@ class TestToPointCloud:
         refl = Reflectors(np.repeat(positions, 2, axis=0), np.ones(100),
                           np.tile([0.0, -1.0, 0.0], (100, 1)),
                           np.tile([0, -5], 50) + np.repeat(np.arange(50), 2))
-        frame = to_point_cloud(det, cfg, 0.0, seed=0, reflectors=refl)
+        frame = to_point_cloud(det, cfg, seed=0, reflectors=refl)
         d2 = ((frame.points[:, None, :] - positions[None]) ** 2).sum(axis=2)
         assert len(frame) > 20
         np.testing.assert_array_equal(frame.prov_bone, d2.argmin(axis=1))
@@ -400,7 +402,7 @@ class TestToPointCloud:
     def test_no_reflectors_means_no_provenance(self):
         cfg = quiet_cfg()
         det = np.array([[43.0, 20.0, 16.0, 1.0]])
-        assert to_point_cloud(det, cfg, 0.0, seed=0).prov_bone is None
+        assert to_point_cloud(det, cfg, seed=0).prov_bone is None
 
 
 class TestReflectors:
@@ -438,16 +440,15 @@ class TestReflectors:
             normals,
             np.zeros(n, dtype=np.int64),
         )
-        origin = np.zeros(3)
-        assert len(visibility_filter(refl, origin, np.pi)) == n
-        assert len(visibility_filter(refl, origin, 0.0)) == 0
+        assert len(visibility_filter(refl, np.pi)) == n
+        assert len(visibility_filter(refl, 0.0)) == 0
         toward = Reflectors(
             np.array([[0.0, 3.0, 0.0]]),
             np.ones(1),
             np.array([[0.0, -1.0, 0.0]]),
             np.zeros(1, dtype=np.int64),
         )
-        assert len(visibility_filter(toward, origin, np.pi / 4)) == 1
+        assert len(visibility_filter(toward, np.pi / 4)) == 1
 
 
 class TestStagesMatchFirstForm:
@@ -502,7 +503,7 @@ class TestStagesMatchFirstForm:
         none = Reflectors(np.empty((0, 3)), np.empty(0), np.empty((0, 3)),
                           np.empty(0, dtype=np.int64))
         for i, pose in enumerate(generate_motion(model, ActivitySpec("LegSwing"), 3)):
-            refl = visibility_filter(place_reflectors(model, pose, local), np.zeros(3),
+            refl = visibility_filter(place_reflectors(model, pose, local),
                                      cfg.visibility_half_angle)
             for r in (refl, none):
                 assert_same_bytes(synthesize_cube(r, cfg, seed=i),
@@ -529,7 +530,7 @@ class TestStagesMatchFirstForm:
 
     @pytest.mark.parametrize("ghost_prob", [0.0, 0.5, 1.0])
     def test_to_point_cloud(self, ghost_prob):
-        cfg = RadarConfig()
+        cfg = RadarConfig(ghost_prob=ghost_prob)
         rng = np.random.default_rng(int(ghost_prob * 10))
         n = 60
         det = np.column_stack([rng.integers(0, 302, n), rng.integers(0, 40, n),
@@ -543,7 +544,7 @@ class TestStagesMatchFirstForm:
                           rng.integers(0, 13, 30))
         for detections in (det, det[:0]):
             for reflectors in (refl, refl.subset(np.zeros(30, dtype=bool)), None):
-                frame = to_point_cloud(detections, cfg, ghost_prob, seed=3,
+                frame = to_point_cloud(detections, cfg, seed=3,
                                        frame_index=4, timestamp=0.5, reflectors=reflectors)
                 pts, intens, prov = oracle.to_point_cloud_loop(detections, cfg, ghost_prob,
                                                                seed=3, reflectors=reflectors)

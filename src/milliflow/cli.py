@@ -24,6 +24,7 @@ from .config import RunConfig, from_dict, load_config
 from .dataio import make_clips, pair_samples, read_manifest, write_json, write_text
 from .downstream import (
     STRATEGIES,
+    TRACK_CLIP_LENGTH,
     confusion_matrix_csv,
     evaluate,
     evaluate_tracking,
@@ -238,8 +239,8 @@ def cmd_track(args) -> int:
     cfg = _load_run_config(args)
     if args.oracle == (args.ckpt is not None):
         raise ConfigError("exactly one of --oracle or --ckpt is required")
-    if not 1 <= args.length <= 4:
-        raise ConfigError(f"--length must be in [1, 4], got {args.length}")
+    if not 1 <= args.length <= TRACK_CLIP_LENGTH - 1:
+        raise ConfigError(f"--length must be in [1, {TRACK_CLIP_LENGTH - 1}], got {args.length}")
     flow_model = None
     if args.ckpt is not None:
         flow_model = load_flow_model(_require_checkpoint(args.ckpt, "--ckpt"))
@@ -317,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--oracle", action="store_true", help="use the label flows")
     p.add_argument("--length", type=int, default=4,
-                   help="longest tracking length to report (1-4)")
+                   help=f"longest tracking length to report (1-{TRACK_CLIP_LENGTH - 1})")
     p.add_argument("--activities", nargs="*",
                    help="restrict to these activities")
     p.add_argument("--out", help="write the mJE CSV here")

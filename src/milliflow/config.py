@@ -71,12 +71,23 @@ class GenConfig:
 
 
 @dataclass(frozen=True)
-class NetConfig:
+class EncoderConfig:
+    """The fields `flownet.CloudEncoder` reads.  `NetConfig` and `TaskConfig`
+    extend it, so these come first in both, in this order."""
+
     sa_radii: tuple = (0.05, 0.1, 0.2, 0.4)
     sa_samples: tuple = (4, 8, 16, 32)
     sa_mlp: tuple = (32, 32, 64)
     post_sa_mlp: tuple = (64, 64, 64)
     attention_hidden: int = 128
+
+    def __post_init__(self):
+        if len(self.sa_radii) != len(self.sa_samples):
+            raise ConfigError("sa_radii and sa_samples must pair up")
+
+
+@dataclass(frozen=True)
+class NetConfig(EncoderConfig):
     cv_k: int = 8
     cv_dcost: int = 64
     cv_weight_hidden: tuple = (8, 8)
@@ -91,10 +102,11 @@ class NetConfig:
     temporal: bool = True  # False disables the GRU propagation (ablation)
 
     def __post_init__(self):
-        if len(self.sa_radii) != len(self.sa_samples):
-            raise ConfigError("sa_radii and sa_samples must pair up")
-        if self.regressor[-1] != 3:
+        super().__post_init__()
+        if not self.regressor or self.regressor[-1] != 3:
             raise ConfigError("flow regressor must end in 3 output channels")
+        if self.cv_k < 1:
+            raise ConfigError("cv_k must be positive")
         if self.clamp <= 0:
             raise ConfigError("clamp bound must be positive")
 
@@ -115,23 +127,20 @@ class TrainConfig:
 
     def __post_init__(self):
         model_dtype(self.dtype)
+        if not self.lr > 0:
+            raise ConfigError("lr must be positive")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError("lr_decay must be in (0, 1]")
-        for name in ("epochs", "batch_clips", "max_clips_per_epoch", "max_val_clips"):
+        for name in ("epochs", "batch_clips", "patience", "max_clips_per_epoch", "max_val_clips"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
-class TaskConfig:
+class TaskConfig(EncoderConfig):
     """Hyperparameters shared by the activity and parsing networks."""
 
-    sa_radii: tuple = (0.05, 0.1, 0.2, 0.4)
-    sa_samples: tuple = (4, 8, 16, 32)
-    sa_mlp: tuple = (32, 32, 64)
-    post_sa_mlp: tuple = (64, 64, 64)
-    attention_hidden: int = 128
     fps_centroids: int = 32
     stage2_radius: float = 0.4
     stage2_samples: int = 16
@@ -142,8 +151,7 @@ class TaskConfig:
     window: int = 20  # frames per input sequence
 
     def __post_init__(self):
-        if len(self.sa_radii) != len(self.sa_samples):
-            raise ConfigError("sa_radii and sa_samples must pair up")
+        super().__post_init__()
         if self.window < 2:
             raise ConfigError("task window needs at least 2 frames")
         if self.fps_centroids < 1:

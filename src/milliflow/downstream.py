@@ -82,7 +82,6 @@ class TaskClip:
     frames: list
     labels: list
     activity: int
-    activity_id: str
 
 
 def task_clips(sequences, cfg: TaskConfig, mode: str, catalogue,
@@ -102,8 +101,7 @@ def task_clips(sequences, cfg: TaskConfig, mode: str, catalogue,
         klass = catalogue.index(seq.activity_id)
         frames, labels = preprocess_sequence(seq, mode, seed)
         for window in windows(len(frames), cfg.window):
-            clips.append(TaskClip(frames[window], labels[window][:-1] + [None], klass,
-                                  seq.activity_id))
+            clips.append(TaskClip(frames[window], labels[window][:-1] + [None], klass))
     return clips
 
 
@@ -229,8 +227,7 @@ class HarNet(_TaskNet):
         centroid_idx = farthest_point_sample(points, k, start=start)
         pooled = set_abstraction(self.stage2, points, z, self.cfg.stage2_radius,
                                  self.cfg.stage2_samples, table, centroid_idx)
-        v, _ = global_pool(self.stage2_attn, pooled)
-        return v
+        return global_pool(self.stage2_attn, pooled)
 
     def forward(self, frames, feats_list) -> Tensor:
         """Window of frames with per-point features -> class scores (K,)."""
@@ -444,7 +441,7 @@ TASK_NETS = {"har": HarNet, "hp": HpNet}
 
 def train_task_model(task: str, train_clips, val_clips, task_cfg: TaskConfig,
                      train_cfg: TrainConfig, strategy: str, checkpoint_path,
-                     n_classes: int, flow_model: FlowNet | None = None, log_path=None):
+                     n_classes: int, flow_model: FlowNet | None = None, *, log_path):
     """`fit` for both classification tasks, keeping the model with the best
     validation accuracy.
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
-from .config import NetConfig, TrainConfig, from_dict, model_dtype
+from .config import EncoderConfig, NetConfig, TrainConfig, from_dict, model_dtype
 from .errors import (
     ConfigError,
     EmptyFrame,
@@ -60,13 +60,13 @@ def broadcast_rows(vec: Tensor, n: int) -> Tensor:
 class CloudEncoder:
     """Multi-scale local features with pooled global context appended.
 
-    One set abstraction per radius of `cfg.sa_radii`, each followed by its
-    post MLP; the concatenated per-point features k are attention-pooled into
-    g, and every point's encoding is z = [k || g].  `cfg` is a NetConfig or a
-    TaskConfig; both carry the same encoder fields.
+    One set abstraction per radius of `cfg.sa_radii` (`cfg` is an
+    EncoderConfig), each followed by its post MLP; the concatenated per-point
+    features k are attention-pooled into g, and every point's encoding is
+    z = [k || g].
     """
 
-    def __init__(self, params: Params, cfg, in_features: int):
+    def __init__(self, params: Params, cfg: EncoderConfig, in_features: int):
         self.cfg = cfg
         n_scales = len(cfg.sa_radii)
         in_dim = 3 + in_features
@@ -87,7 +87,7 @@ class CloudEncoder:
                                              self.cfg.sa_radii, self.cfg.sa_samples):
             outs.append(post(set_abstraction(sa, points, feats, radius, samples, table)))
         k = ad.concat(outs, axis=1)
-        g, _ = global_pool(self.attn, k)
+        g = global_pool(self.attn, k)
         return ad.concat([k, broadcast_rows(g, k.shape[0])], axis=1), g
 
 
@@ -175,7 +175,7 @@ class FlowNet:
         cost = self.cv(p.points, p.z, q.points, q.z, p.table)
         stacked = ad.concat([cost, z_c], axis=1)
         emb = ad.concat([branch(stacked) for branch in self.embed], axis=1)
-        g_b, _ = global_pool(self.embed_attn, emb)
+        g_b = global_pool(self.embed_attn, emb)
 
         if self.cfg.temporal:
             h_new = self.gru(state.h, g_b)
@@ -306,7 +306,7 @@ def evaluate_baseline(clips, kind: str) -> dict:
 
 def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
         train_cfg: TrainConfig, checkpoint_path, config: dict, score_name: str,
-        maximize: bool = False, log_path=None) -> list[dict]:
+        maximize: bool = False, *, log_path) -> list[dict]:
     """The training loop both trainers share.
 
     Each epoch runs Adam, its learning rate decayed per epoch, over the
@@ -318,11 +318,11 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     parameters are checkpointed with `config` whenever the score improves,
     and training stops after `patience` epochs without improvement.  Each
     epoch's row {epoch, train_loss, `score_name`, lr} is appended to the
-    history and to the JSONL log at `log_path`.  The log is a stream, not an
-    `atomic_write` as checkpoints and manifests are: it is written row by row
-    and flushed each epoch, so an interrupted run leaves the rows of its
-    finished epochs.  A NaN or infinite loss
-    raises NonFiniteLoss before it reaches the parameters.  Returns the
+    history and to the JSONL log at `log_path`, which every run writes.  The
+    log is a stream, not an `atomic_write` as checkpoints and manifests are:
+    it is written row by row and flushed each epoch, so an interrupted run
+    leaves the rows of its finished epochs.  A NaN or infinite loss raises
+    NonFiniteLoss before it reaches the parameters.  Returns the
     history, with the best checkpoint's values put back into `named`.
     """
     train_clips, val_clips = list(train_clips), list(val_clips)
@@ -341,8 +341,7 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     saved = None  # the checkpointed arrays by name
     since_best = 0
     history = []
-    log_f = open(log_path, "w") if log_path is not None else None
-    try:
+    with open(log_path, "w") as log_f:
         for epoch in range(train_cfg.epochs):
             opt.lr = train_cfg.lr * train_cfg.lr_decay ** epoch
             order = rng.permutation(len(train_clips))
@@ -378,9 +377,8 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
                 "lr": opt.lr,
             }
             history.append(row)
-            if log_f is not None:
-                log_f.write(json.dumps(row) + "\n")
-                log_f.flush()
+            log_f.write(json.dumps(row) + "\n")
+            log_f.flush()
             if (not np.isnan(score) and sign * score > best) or saved is None:
                 best = sign * score if not np.isnan(score) else best
                 save_checkpoint(checkpoint_path, named, config=config)
@@ -390,9 +388,6 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
                 since_best += 1
                 if since_best >= train_cfg.patience:
                     break
-    finally:
-        if log_f is not None:
-            log_f.close()
 
     for k, t in named.items():
         t.data = saved[k]
@@ -401,7 +396,7 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
 
 def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
                      train_cfg: TrainConfig, checkpoint_path,
-                     log_path=None) -> tuple[FlowNet, list[dict]]:
+                     log_path) -> tuple[FlowNet, list[dict]]:
     """`fit` on the flow loss, keeping the model with the lowest validation
     EPE3D; returns the best model and the per-epoch history."""
     model = FlowNet(net_cfg, seed=train_cfg.seed, dtype=np.dtype(train_cfg.dtype))

@@ -15,6 +15,7 @@ from .errors import DegenerateInput
 __all__ = [
     "RigidTransform",
     "axis_angle_rotation",
+    "perpendicular",
     "rotation_between",
     "kabsch",
 ]
@@ -46,6 +47,13 @@ def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def perpendicular(u: np.ndarray) -> np.ndarray:
+    """A direction perpendicular to the unit vector ``u`` (not normalized): u
+    crossed with the x axis, or with the y axis when u lies near x."""
+    probe = np.array([0.0, 1.0, 0.0]) if abs(u[0]) > 0.9 else np.array([1.0, 0.0, 0.0])
+    return np.cross(u, probe)
+
+
 def rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Minimal rotation taking direction ``u`` onto direction ``v``.
 
@@ -66,12 +74,8 @@ def rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if s < 1e-15:
         if c > 0.0:
             return np.eye(3)
-        # 180 degrees: pick any axis perpendicular to u
-        probe = np.array([1.0, 0.0, 0.0])
-        if abs(u[0]) > 0.9:
-            probe = np.array([0.0, 1.0, 0.0])
-        perp = np.cross(u, probe)
-        return axis_angle_rotation(perp, np.pi)
+        # 180 degrees: about any axis perpendicular to u
+        return axis_angle_rotation(perpendicular(u), np.pi)
     return axis_angle_rotation(axis, float(np.arctan2(s, c)))
 
 

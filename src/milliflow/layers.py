@@ -145,16 +145,15 @@ def set_abstraction(
     return ad.tmax(params(local), axis=1)  # (N', C')
 
 
-def global_pool(params: MLP, feats: Tensor):
+def global_pool(params: MLP, feats: Tensor) -> Tensor:
     """Aggregate per-point features into one vector by attention: the MLP
     scores each point, a softmax over points weighs them, and the weighted
-    features are summed.  Returns (vector, weights)."""
+    features are summed."""
     if feats.shape[0] < 1:
         raise ShapeMismatch("global_pool needs at least one point")
     logits = params(feats)  # (N, 1)
     w = ad.softmax(logits, axis=0)
-    g = ad.tsum(ad.mul(w, feats), axis=0)
-    return g, ad.reshape(w, (-1,))
+    return ad.tsum(ad.mul(w, feats), axis=0)
 
 
 class CostVolume:
@@ -167,8 +166,8 @@ class CostVolume:
     displacement.  `weight_hidden` gives the hidden widths of both weight MLPs.
     """
 
-    def __init__(self, params: Params, feat_dim: int, k_neighbors: int = 8,
-                 d_cost: int = 64, weight_hidden: tuple = (8, 8)):
+    def __init__(self, params: Params, feat_dim: int, k_neighbors: int, d_cost: int,
+                 weight_hidden: tuple):
         self.k = k_neighbors
         self.cost_mlp = MLP(params.scope("cost"), 2 * feat_dim + 3, [d_cost, d_cost])
         self.weight_mlp1 = MLP(params.scope("weight1"), 3, list(weight_hidden) + [1])
@@ -258,12 +257,11 @@ class LSTMCell(_GatedCell):
 class Adam:
     """Adam over a named-parameter dict; lr is mutable for schedules."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         # made at a parameter's first gradient: a frozen one costs no memory
         self.m, self.v = {}, {}

@@ -136,7 +136,7 @@ def confusion_matrix(pred, gt, n_classes: int) -> np.ndarray:
     return cells.reshape(n_classes, n_classes)
 
 
-def mean_iou(pred, gt, n_classes: int = 6) -> float:
+def mean_iou(pred, gt, n_classes: int) -> float:
     """Mean per-class IoU; classes absent from both pred and gt are excluded."""
     confusion = confusion_matrix(pred, gt, n_classes)
     hits = np.diag(confusion)

@@ -75,7 +75,6 @@ def scene_spec(cfg: RunConfig, subject: int, activity_id: str, scene: int) -> Ac
         amplitude=float(rng.uniform(*cfg.gen.amplitude_range)),
         period=float(rng.uniform(*cfg.gen.period_range)),
         subject_distance=float(rng.uniform(*cfg.gen.distance_range)),
-        subject_seed=subject,
     )
 
 

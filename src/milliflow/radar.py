@@ -68,6 +68,9 @@ class RadarConfig:
             raise ConfigError("f_max must exceed f_min")
         if self.n_freq_steps < 2:
             raise ConfigError("need at least 2 frequency steps")
+        for name in ("n_az", "n_el", "pad_factor"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
 
     @property
     def bandwidth(self) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnknownActivity
-from .geometry import axis_angle_rotation, rotation_between
+from .geometry import axis_angle_rotation, perpendicular, rotation_between
 
 KEYPOINT_NAMES = (
     "head",
@@ -101,10 +101,7 @@ class SkeletonModel:
         for p, c in BONES:
             axis = self.rest_keypoints[c] - self.rest_keypoints[p]
             axis = axis / np.linalg.norm(axis)
-            probe = np.array([1.0, 0.0, 0.0])
-            if abs(axis[0]) > 0.9:
-                probe = np.array([0.0, 1.0, 0.0])
-            e1 = np.cross(axis, probe)
+            e1 = perpendicular(axis)
             e1 /= np.linalg.norm(e1)
             e2 = np.cross(axis, e1)
             for v in (axis, e1, e2):
@@ -143,7 +140,6 @@ class ActivitySpec:
     amplitude: float = 0.7  # radians
     period: float = 2.0  # seconds
     subject_distance: float = 3.0  # meters
-    subject_seed: int = 0
 
     def __post_init__(self):
         if self.period <= 0:
@@ -207,10 +203,10 @@ def pose_bone_lengths(keypoints: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(d) for d in kp[BONE_PARENT] - kp[BONE_CHILD]])
 
 
-def _rotate_subset(kp, indices, pivot_idx, axis, angle):
+def _rotate_subset(kp, indices, pivot, axis, angle):
+    """Rotate `kp[indices]` in place by `angle` about `axis` through `pivot`."""
     if angle == 0.0:
         return
-    pivot = kp[pivot_idx].copy()
     r = axis_angle_rotation(axis, angle)
     kp[indices] = (kp[indices] - pivot) @ r.T + pivot
 
@@ -221,22 +217,22 @@ _Z = np.array([0.0, 0.0, 1.0])
 
 def _seated_base(rest: np.ndarray) -> np.ndarray:
     kp = rest.copy()
-    _rotate_subset(kp, [10, 12], 8, _X, -np.pi / 2)  # thighs forward
-    _rotate_subset(kp, [11, 13], 9, _X, -np.pi / 2)
-    _rotate_subset(kp, [12], 10, _X, np.pi / 2)  # shins back down
-    _rotate_subset(kp, [13], 11, _X, np.pi / 2)
+    _rotate_subset(kp, [10, 12], kp[8], _X, -np.pi / 2)  # thighs forward
+    _rotate_subset(kp, [11, 13], kp[9], _X, -np.pi / 2)
+    _rotate_subset(kp, [12], kp[10], _X, np.pi / 2)  # shins back down
+    _rotate_subset(kp, [13], kp[11], _X, np.pi / 2)
     return kp
 
 
 def _squat_base(rest: np.ndarray) -> np.ndarray:
     kp = rest.copy()
     bend = np.deg2rad(75.0)
-    _rotate_subset(kp, [10, 12], 8, _X, -bend)
-    _rotate_subset(kp, [11, 13], 9, _X, -bend)
-    _rotate_subset(kp, [12], 10, _X, bend)
-    _rotate_subset(kp, [13], 11, _X, bend)
-    _rotate_subset(kp, [4, 6], 2, _X, -np.pi / 2)  # arms level, forward
-    _rotate_subset(kp, [5, 7], 3, _X, -np.pi / 2)
+    _rotate_subset(kp, [10, 12], kp[8], _X, -bend)
+    _rotate_subset(kp, [11, 13], kp[9], _X, -bend)
+    _rotate_subset(kp, [12], kp[10], _X, bend)
+    _rotate_subset(kp, [13], kp[11], _X, bend)
+    _rotate_subset(kp, [4, 6], kp[2], _X, -np.pi / 2)  # arms level, forward
+    _rotate_subset(kp, [5, 7], kp[3], _X, -np.pi / 2)
     return kp
 
 
@@ -313,9 +309,7 @@ def generate_motion(
                 angle = amp * 0.5 * (1.0 - np.cos(omega * t))
             else:
                 angle = amp * np.sin(omega * t)
-            if angle != 0.0:
-                r = axis_angle_rotation(axis, angle)
-                kp[idx] = (kp[idx] - pivot_pt) @ r.T + pivot_pt
+            _rotate_subset(kp, idx, pivot_pt, axis, angle)
         poses.append(SkeletonPose(kp + offset))
     return poses
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from helpers import MISFITS, misfit
 
+import milliflow
 from milliflow.autodiff import Tensor
 from milliflow.cli import main
 from milliflow.downstream import load_task_model
@@ -127,13 +129,20 @@ class TestGen:
         {"seed": 3.7},
         {"gen": dict(CONFIG["gen"], in_set=["ArmSwing", "Jumping"])},
         {"gen": dict(CONFIG["gen"], out_of_set=["Bowing"])},
+        # sizes that a later stage cannot use
+        {"net": {"regressor": []}},
+        {"net": {"cv_k": 0}},
+        {"radar": {"pad_factor": 0}},
+        {"radar": {"n_az": 0}},
+        {"radar": {"n_el": 0}},
     ])
     def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, change):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(CONFIG, **change)))
         out = tmp_path / "ds"
         assert main(["gen", "--config", str(bad), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -464,6 +473,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("case, code", [
         ("no dataset", 3), ("no flow checkpoint", 4), ("strategy for flow", 2),
+        ("zero lr", 2), ("negative lr", 2),
     ])
     def test_refused_run_makes_no_directory(self, workdir, dataset, tmp_path, case, code):
         flags = {
@@ -471,6 +481,8 @@ class TestTrain:
             "no flow checkpoint": ["--task", "har", "--strategy", "s1", "--data", dataset,
                                    "--flow-ckpt", str(tmp_path / "nope.ckpt")],
             "strategy for flow": ["--task", "flow", "--strategy", "s1", "--data", dataset],
+            "zero lr": ["--task", "flow", "--data", dataset, "--lr", "0"],
+            "negative lr": ["--task", "flow", "--data", dataset, "--lr", "-0.001"],
         }[case]
         ckpt = tmp_path / "out" / "deep" / "x.ckpt"
         assert main(["train", "--config", str(workdir / "config.json"),
@@ -571,8 +583,12 @@ class TestParser:
         assert e.value.code == 2
 
     def test_module_entry_point(self):
+        # the fresh interpreter finds the package this one imported
+        src = str(Path(milliflow.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "milliflow.cli", "--help"],
-                              capture_output=True, text=True)
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         for sub in ("gen", "label", "train", "eval", "track"):
             assert sub in proc.stdout

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from milliflow.config import (
     GenConfig,
     NetConfig,
     RunConfig,
+    TaskConfig,
     TrainConfig,
     from_dict,
     load_config,
@@ -14,7 +17,7 @@ from milliflow.config import (
 )
 from milliflow.dataio import write_json
 from milliflow.errors import ConfigError
-from milliflow.radar import CfarParams
+from milliflow.radar import CfarParams, RadarConfig
 
 
 class TestValidation:
@@ -37,8 +40,18 @@ class TestValidation:
             NetConfig(sa_radii=(0.1, 0.2), sa_samples=(4,))
 
     def test_regressor_must_end_in_3(self):
-        with pytest.raises(ConfigError):
-            NetConfig(regressor=(64, 16))
+        for regressor in ((64, 16), ()):
+            with pytest.raises(ConfigError, match="must end in 3"):
+                NetConfig(regressor=regressor)
+
+    @pytest.mark.parametrize("cls, name", [
+        (NetConfig, "cv_k"), (RadarConfig, "n_az"), (RadarConfig, "n_el"),
+        (RadarConfig, "pad_factor"),
+    ])
+    def test_sizes_must_be_positive(self, cls, name):
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
+                cls(**{name: value})
 
     def test_bad_clamp(self):
         with pytest.raises(ConfigError):
@@ -52,10 +65,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(lr_decay=0.0)
 
-    @pytest.mark.parametrize("name", ["epochs", "batch_clips"])
+    @pytest.mark.parametrize("name", ["epochs", "batch_clips", "patience"])
     def test_counts_must_be_positive(self, name):
-        with pytest.raises(ConfigError, match=f"{name} must be positive"):
-            TrainConfig(**{name: 0})
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
+                TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan")])
+    def test_lr_must_be_positive(self, lr):
+        with pytest.raises(ConfigError, match="lr must be positive"):
+            TrainConfig(lr=lr)
 
     @pytest.mark.parametrize("name", ["float16", "complex64", "int64", "", None, ["float32"]])
     def test_model_dtype_is_float32_or_float64(self, name):
@@ -194,3 +213,35 @@ class TestRoundTrip:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def _edge_values():
+    """(section, field, value) for every numeric or tuple field of the run
+    config's sections: [], [0] and [-1] for a tuple field, 0 and -1 for a
+    number."""
+    sections = {"gen": GenConfig, "net": NetConfig, "train": TrainConfig,
+                "task": TaskConfig, "radar": RadarConfig}
+    for section, cls in sections.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if tuple in kinds:
+                values = ([], [0], [-1])
+            elif int in kinds or float in kinds:
+                values = (0, -1)
+            else:
+                continue
+            for value in values:
+                yield pytest.param(section, f.name, value,
+                                   id=f"{section}.{f.name}={json.dumps(value)}")
+
+
+class TestEdgeValues:
+    @pytest.mark.parametrize("section, name, value", _edge_values())
+    def test_builds_or_raises_config_error(self, section, name, value):
+        # a value a dataclass cannot use is refused by its check, never by
+        # another error from inside it
+        try:
+            from_dict(RunConfig, {section: {name: value}})
+        except ConfigError:
+            pass

@@ -116,10 +116,10 @@ def make_label(n, seed=0, segment=None, valid=None):
     )
 
 
-def make_clip(window=3, n=10, seed=0, activity=0, activity_id="ArmSwing"):
+def make_clip(window=3, n=10, seed=0, activity=0):
     frames = [make_frame(n, seed + t, index=t) for t in range(window)]
     labels = [make_label(n, seed + 100 + t) for t in range(window - 1)] + [None]
-    return TaskClip(frames, labels, activity, activity_id)
+    return TaskClip(frames, labels, activity)
 
 
 def toy_sequence(n_frames=8, n=30, activity="ArmSwing", seed=0):
@@ -154,7 +154,7 @@ class TestTaskClips:
                 toy_sequence(n_frames=8, activity="Bowing", seed=50)]
         clips = task_clips(seqs, tiny_task(window=3), "test", catalogue=IN_SET_ACTIVITIES)
         assert len(clips) == 4  # two full windows of 3 from each 8-frame sequence
-        assert {c.activity_id for c in clips} == {"ArmSwing", "Bowing"}
+        assert {IN_SET_ACTIVITIES[c.activity] for c in clips} == {"ArmSwing", "Bowing"}
         for clip in clips:
             assert len(clip.frames) == 3
             assert clip.labels[-1] is None
@@ -297,7 +297,7 @@ class TestHarNet:
             [full.frames[0],
              RadarFrame(np.zeros((0, 3)), np.zeros(0), 1, 0.1),
              full.frames[1]],
-            [None, None, None], 0, "ArmSwing")
+            [None, None, None], 0)
         with ad.no_grad():
             a = model.forward(full.frames, decorate_clip(full.frames, "raw", None).feats)
             b = model.forward(gap.frames, decorate_clip(gap.frames, "raw", None).feats)
@@ -462,7 +462,7 @@ class TestClipLosses:
     def test_har_all_empty_returns_none(self):
         model = HarNet(tiny_task(), in_features=1, n_classes=5, seed=0)
         empty = RadarFrame(np.zeros((0, 3)), np.zeros(0), 0, 0.0)
-        clip = TaskClip([empty, empty], [None, None], 0, "ArmSwing")
+        clip = TaskClip([empty, empty], [None, None], 0)
         dec = decorate_clip(clip.frames, "raw", None)
         assert clip_loss(model, clip, dec) is None
 
@@ -515,7 +515,7 @@ def shape_clip(klass, seed, window=3, n=8):
         labels.append(FlowLabel(np.zeros((n, 3)), np.ones(n, bool),
                                 np.zeros(n, np.int64), np.full(n, klass, np.int64)))
     labels.append(None)
-    return TaskClip(frames, labels, klass, "ArmSwing" if klass == 0 else "Bowing")
+    return TaskClip(frames, labels, klass)
 
 
 class TestTraining:
@@ -542,7 +542,7 @@ class TestTraining:
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(6)]
         _, hist = train_task_model(
             "har", clips, clips[:2], tiny_task(), self.make_cfg(epochs=6), "raw",
-            tmp_path / "har.ckpt", n_classes=2)
+            tmp_path / "har.ckpt", n_classes=2, log_path=tmp_path / "log.jsonl")
         assert hist[-1]["train_loss"] < hist[0]["train_loss"]
 
     def test_deterministic_checkpoints(self, tmp_path):
@@ -550,7 +550,8 @@ class TestTraining:
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         for path in (a, b):
             train_task_model("hp", clips, clips[:2], tiny_task(),
-                             self.make_cfg(epochs=2), "raw", path, n_classes=N_SEGMENTS)
+                             self.make_cfg(epochs=2), "raw", path, n_classes=N_SEGMENTS,
+                             log_path=tmp_path / "log.jsonl")
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_bad_inputs(self, tmp_path):
@@ -558,23 +559,23 @@ class TestTraining:
         cfg = self.make_cfg()
         with pytest.raises(ConfigError):
             train_task_model("pose", clips, clips, tiny_task(), cfg, "raw",
-                             tmp_path / "x.ckpt", n_classes=2)
+                             tmp_path / "x.ckpt", n_classes=2, log_path=tmp_path / "log.jsonl")
         with pytest.raises(ConfigError):
             train_task_model("har", clips, clips, tiny_task(), cfg, "seven",
-                             tmp_path / "x.ckpt", n_classes=2)
+                             tmp_path / "x.ckpt", n_classes=2, log_path=tmp_path / "log.jsonl")
         with pytest.raises(ConfigError):
             train_task_model("har", [], clips, tiny_task(), cfg, "raw",
-                             tmp_path / "x.ckpt", n_classes=2)
+                             tmp_path / "x.ckpt", n_classes=2, log_path=tmp_path / "log.jsonl")
         with pytest.raises(MissingFlowModel):
             train_task_model("har", clips, clips, tiny_task(), cfg, "s1",
-                             tmp_path / "x.ckpt", n_classes=2)
+                             tmp_path / "x.ckpt", n_classes=2, log_path=tmp_path / "log.jsonl")
 
     def test_checkpoint_round_trip(self, tmp_path):
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(3)]
         ckpt = tmp_path / "har.ckpt"
         model, _ = train_task_model("har", clips, clips[:2], tiny_task(),
                                     self.make_cfg(epochs=1), "raw", ckpt,
-                                    n_classes=2)
+                                    n_classes=2, log_path=tmp_path / "log.jsonl")
         again, strategy, flow = load_task_model(ckpt)
         assert strategy == "raw" and flow is None
         a = evaluate(model, clips, "raw")
@@ -588,7 +589,8 @@ class TestTraining:
         ckpt = tmp_path / "har_s2.ckpt"
         model, _ = train_task_model("har", clips, clips[:2], tiny_task(),
                                     self.make_cfg(epochs=1), "s2", ckpt,
-                                    flow_model=flow, n_classes=2)
+                                    flow_model=flow, n_classes=2,
+                                    log_path=tmp_path / "log.jsonl")
         again, strategy, flow2 = load_task_model(ckpt, task="har", strategy="s2")
         assert strategy == "s2"
         for (k1, t1), (k2, t2) in zip(sorted(flow.named_params().items()),
@@ -603,7 +605,8 @@ class TestTraining:
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
         ckpt = tmp_path / "har.ckpt"
         train_task_model("har", clips, clips[:2], tiny_task(),
-                         self.make_cfg(epochs=1), "raw", ckpt, n_classes=2)
+                         self.make_cfg(epochs=1), "raw", ckpt, n_classes=2,
+                         log_path=tmp_path / "log.jsonl")
         with pytest.raises(TaskMismatch):
             load_task_model(ckpt, task="hp")
         with pytest.raises(TaskMismatch):
@@ -659,7 +662,8 @@ class TestTraining:
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
         ckpt = tmp_path / "har_s2.ckpt"
         train_task_model("har", clips, clips[:2], tiny_task(), self.make_cfg(epochs=1),
-                         "s2", ckpt, flow_model=flow, n_classes=2)
+                         "s2", ckpt, flow_model=flow, n_classes=2,
+                         log_path=tmp_path / "log.jsonl")
         values, config = load_checkpoint(ckpt)
         del config[drop]
         save_checkpoint(ckpt, values, config=config)
@@ -671,7 +675,8 @@ class TestTraining:
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
         ckpt = tmp_path / "har_s2.ckpt"
         train_task_model("har", clips, clips[:2], tiny_task(), self.make_cfg(epochs=1),
-                         "s2", ckpt, flow_model=flow, n_classes=2)
+                         "s2", ckpt, flow_model=flow, n_classes=2,
+                         log_path=tmp_path / "log.jsonl")
         values, config = load_checkpoint(ckpt)
         for dtype in ("float16", "complex64", "int64"):
             for bad in (dict(config, dtype=dtype),
@@ -687,7 +692,8 @@ class TestTraining:
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]
         ckpt = tmp_path / "har_s2.ckpt"
         train_task_model("har", clips, clips[:2], tiny_task(**one_scale),
-                         self.make_cfg(epochs=1), "s2", ckpt, flow_model=flow, n_classes=2)
+                         self.make_cfg(epochs=1), "s2", ckpt, flow_model=flow, n_classes=2,
+                         log_path=tmp_path / "log.jsonl")
 
         def load(path):
             model, strategy, flow_model = load_task_model(path)
@@ -706,7 +712,8 @@ class TestTraining:
             clips.append(clip)
         model, _ = train_task_model("hp", clips, clips[:2], tiny_task(),
                                     self.make_cfg(lr=1e-2, epochs=5), "raw",
-                                    tmp_path / "hp.ckpt", n_classes=N_SEGMENTS)
+                                    tmp_path / "hp.ckpt", n_classes=N_SEGMENTS,
+                                    log_path=tmp_path / "log.jsonl")
         preds, _ = predict(model, clips, "raw")
         assert np.mean(preds == 0) > 0.9
 
@@ -737,7 +744,7 @@ class TestEvaluation:
     def test_har_predicts_the_argmax_of_each_scorable_window(self):
         model = HarNet(tiny_task(), in_features=1, n_classes=3, seed=0)
         empty = RadarFrame(np.zeros((0, 3)), np.zeros(0), 0, 0.0)
-        clips = [make_clip(seed=0, activity=2), TaskClip([empty] * 3, [None] * 3, 1, "Bowing"),
+        clips = [make_clip(seed=0, activity=2), TaskClip([empty] * 3, [None] * 3, 1),
                  make_clip(seed=5, activity=1)]
         preds, truths = predict(model, clips, "raw")
         with ad.no_grad():
@@ -762,7 +769,7 @@ class TestEvaluation:
     def test_nothing_scored(self, task, message):
         model = TASK_NETS[task](tiny_task(), in_features=1, n_classes=3, seed=0)
         empty = RadarFrame(np.zeros((0, 3)), np.zeros(0), 0, 0.0)
-        clip = (TaskClip([empty] * 2, [None] * 2, 0, "ArmSwing") if task == "har"
+        clip = (TaskClip([empty] * 2, [None] * 2, 0) if task == "har"
                 else make_clip(window=2, n=4))
         if task == "hp":
             clip.labels[0] = make_label(4, valid=np.zeros(4, bool))

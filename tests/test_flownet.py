@@ -362,7 +362,7 @@ class TestTraining:
         clips = constant_flow_clips(4, np.array([0.01, 0.0, 0.0]))
         net_cfg, train_cfg = self.make_cfgs(epochs=3, lr=1e-3)
         _, history = train_flow_model(clips, clips[:1], net_cfg, train_cfg,
-                                      tmp_path / "c.ckpt")
+                                      tmp_path / "c.ckpt", tmp_path / "log.jsonl")
         for row in history:
             assert row["lr"] == pytest.approx(1e-3 * 0.9 ** row["epoch"], abs=1e-12)
 
@@ -370,16 +370,22 @@ class TestTraining:
         clips = constant_flow_clips(6, np.array([0.02, 0.0, -0.01]))
         net_cfg, train_cfg = self.make_cfgs()
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        train_flow_model(clips, clips[:2], net_cfg, train_cfg, a)
-        train_flow_model(clips, clips[:2], net_cfg, train_cfg, b)
+        train_flow_model(clips, clips[:2], net_cfg, train_cfg, a, tmp_path / "a.log.jsonl")
+        train_flow_model(clips, clips[:2], net_cfg, train_cfg, b, tmp_path / "b.log.jsonl")
         assert a.read_bytes() == b.read_bytes()
 
     def test_early_stopping(self, tmp_path):
+        # a score that never improves: epoch 0 saves, the next `patience`
+        # epochs exhaust it
         clips = constant_flow_clips(4, np.array([0.01, 0.0, 0.0]))
-        net_cfg, train_cfg = self.make_cfgs(lr=0.0, epochs=50, patience=1)
-        _, history = train_flow_model(clips, clips[:1], net_cfg, train_cfg,
-                                      tmp_path / "c.ckpt")
-        assert len(history) == 2  # epoch 0 saves, epoch 1 exhausts patience
+        model = FlowNet(tiny_net(clamp=10.0), seed=0)
+        for patience in (1, 3):
+            history = fit(model.named_params(), clips, clips[:1],
+                          lambda clip: clip_loss(model, clip), lambda c: 1.0,
+                          TrainConfig(lr=1e-2, epochs=50, batch_clips=4, patience=patience),
+                          tmp_path / "c.ckpt", model.config_dict(), "val_score",
+                          log_path=tmp_path / "log.jsonl")
+            assert len(history) == patience + 1
 
     def test_argmin_sanity_constant_labels(self):
         # >= 50 optimizer steps toward a constant flow target must bring the
@@ -421,9 +427,11 @@ class TestTraining:
         net_cfg, train_cfg = self.make_cfgs()
         clips = constant_flow_clips(2, np.zeros(3))
         with pytest.raises(ConfigError):
-            train_flow_model([], clips, net_cfg, train_cfg, tmp_path / "c.ckpt")
+            train_flow_model([], clips, net_cfg, train_cfg, tmp_path / "c.ckpt",
+                             tmp_path / "log.jsonl")
         with pytest.raises(ConfigError):
-            train_flow_model(clips, [], net_cfg, train_cfg, tmp_path / "c.ckpt")
+            train_flow_model(clips, [], net_cfg, train_cfg, tmp_path / "c.ckpt",
+                             tmp_path / "log.jsonl")
 
     def test_max_clips_per_epoch_changes_work(self, tmp_path):
         clips = constant_flow_clips(8, np.array([0.01, 0.0, 0.0]))
@@ -431,14 +439,15 @@ class TestTraining:
         capped = TrainConfig(lr=1e-2, epochs=1, batch_clips=4, seed=0,
                              max_clips_per_epoch=2)
         _, history = train_flow_model(clips, clips[:1], net_cfg, capped,
-                                      tmp_path / "c.ckpt")
+                                      tmp_path / "c.ckpt", tmp_path / "log.jsonl")
         assert len(history) == 1
 
     def test_checkpoint_round_trip(self, tmp_path):
         clips = constant_flow_clips(4, np.array([0.02, 0.0, 0.0]))
         net_cfg, train_cfg = self.make_cfgs(epochs=1)
         ckpt = tmp_path / "flow.ckpt"
-        model, _ = train_flow_model(clips, clips[:1], net_cfg, train_cfg, ckpt)
+        model, _ = train_flow_model(clips, clips[:1], net_cfg, train_cfg, ckpt,
+                                    tmp_path / "log.jsonl")
         again = load_flow_model(ckpt)
         assert again.cfg == model.cfg
         src, tgt = make_frame(9, 1), make_frame(9, 2)
@@ -525,7 +534,7 @@ class TestFit:
             fit(named, clips, clips[:1], loss_fn,
                 lambda c: evaluate_model(model, c)["epe3d"]["all"],
                 TrainConfig(lr=1e-2, epochs=3, batch_clips=2, seed=0), ckpt,
-                model.config_dict(), "val_epe3d")
+                model.config_dict(), "val_epe3d", log_path=tmp_path / "log.jsonl")
         assert ckpt.read_bytes() == seen["checkpoint"]
         for k, t in named.items():
             assert t.grad is None, k  # no backward ran on the bad loss
@@ -808,7 +817,7 @@ class TestTapeLifetime:
         try:
             fit(model.named_params(), clips, clips[:1], loss_fn, lambda c: 0.0,
                 TrainConfig(epochs=2, batch_clips=2, seed=0), tmp_path / "c.ckpt",
-                model.config_dict(), "val_score")
+                model.config_dict(), "val_score", log_path=tmp_path / "log.jsonl")
         finally:
             gc.enable()
         assert len(interiors) == 8

@@ -55,7 +55,12 @@ def _update(h, obj):
     elif isinstance(obj, FlowLabel):
         for part in (obj.flows, obj.valid_mask, obj.bone_assignment, obj.segment_label):
             _update(h, part)
-    elif isinstance(obj, (Sample, TaskClip, DecoratedClip)):
+    elif isinstance(obj, TaskClip):
+        # the class's name in the catalogue follows the class, as the clip's
+        # field of that name did when these hashes were recorded
+        for part in (obj.frames, obj.labels, obj.activity, IN_SET_ACTIVITIES[obj.activity]):
+            _update(h, part)
+    elif isinstance(obj, (Sample, DecoratedClip)):
         for f in dataclasses.fields(obj):
             _update(h, getattr(obj, f.name))
     elif isinstance(obj, (list, tuple)):

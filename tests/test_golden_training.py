@@ -73,7 +73,7 @@ def task_clip(seed: int, klass: int, valid: bool = True) -> TaskClip:
     frames = [frame(100 * seed + t, t, scale) for t in range(3)]
     labels = [label(100 * seed + 50 + t, valid, segment=None if klass else 0)
               for t in range(2)]
-    return TaskClip(frames, labels + [None], klass, ("ArmSwing", "Bowing")[klass])
+    return TaskClip(frames, labels + [None], klass)
 
 
 def sha256(path) -> str:

@@ -202,21 +202,24 @@ class TestSetAbstraction:
 
 class TestGlobalPool:
     def test_attention_uniform_on_identical_features(self):
+        # any weights over identical rows pool to that row
         rng = np.random.default_rng(0)
         mlp = L.MLP(params(rng), 4, [8, 1])
-        feats = Tensor(np.tile([0.5, -1.0, 2.0, 0.1], (2, 1)))
-        g, w = L.global_pool(mlp, feats)
-        np.testing.assert_allclose(w.data, [0.5, 0.5], atol=1e-12)
+        feats = Tensor(np.tile([0.5, -1.0, 2.0, 0.1], (3, 1)))
+        g = L.global_pool(mlp, feats)
         np.testing.assert_allclose(g.data, feats.data[0], atol=1e-12)
 
     def test_attention_weights_sum_to_one(self):
+        # positive weights summing to one make g a convex combination of the
+        # rows: inside each channel's range, and here strictly inside it
         rng = np.random.default_rng(1)
         mlp = L.MLP(params(rng), 4, [8, 1])
-        feats = Tensor(rng.normal(size=(17, 4)))
-        g, w = L.global_pool(mlp, feats)
+        feats = rng.normal(size=(17, 4))
+        g = L.global_pool(mlp, Tensor(feats))
         assert g.shape == (4,)
-        assert abs(w.data.sum() - 1.0) < 1e-6
-        assert np.all(w.data > 0)
+        assert np.all(g.data >= feats.min(axis=0)) and np.all(g.data <= feats.max(axis=0))
+        assert not np.allclose(g.data, feats.min(axis=0))
+        assert not np.allclose(g.data, feats.max(axis=0))
 
     def test_empty_input(self):
         mlp = L.MLP(params(np.random.default_rng(0)), 4, [8, 1])
@@ -228,10 +231,9 @@ class TestGlobalPool:
         mlp = L.MLP(params(rng), 4, [8, 1])
         feats = rng.normal(size=(11, 4))
         perm = rng.permutation(11)
-        g, w = L.global_pool(mlp, Tensor(feats))
-        g_p, w_p = L.global_pool(mlp, Tensor(feats[perm]))
+        g = L.global_pool(mlp, Tensor(feats))
+        g_p = L.global_pool(mlp, Tensor(feats[perm]))
         np.testing.assert_allclose(g_p.data, g.data, atol=1e-9)
-        np.testing.assert_allclose(w_p.data, w.data[perm], atol=1e-9)
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
@@ -240,7 +242,7 @@ class TestGlobalPool:
         jitter_params(source.named, rng)
         feats = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         check_param_grads(
-            lambda: sq_sum(L.global_pool(mlp, feats)[0]), dict(source.named, feats=feats)
+            lambda: sq_sum(L.global_pool(mlp, feats)), dict(source.named, feats=feats)
         )
 
 
@@ -251,10 +253,12 @@ def cost_volume(cv, p, fp, q, fq):
 
 class TestCostVolume:
     def make(self, source, feat_dim=4, k=3, d_cost=6):
-        return L.CostVolume(source.scope("cv"), feat_dim, k_neighbors=k, d_cost=d_cost)
+        return L.CostVolume(source.scope("cv"), feat_dim, k_neighbors=k, d_cost=d_cost,
+                            weight_hidden=(8, 8))
 
     def test_weight_mlp_widths(self):
-        cv = L.CostVolume(params(np.random.default_rng(0)), 4, weight_hidden=(5, 7, 2))
+        cv = L.CostVolume(params(np.random.default_rng(0)), 4, k_neighbors=8, d_cost=64,
+                          weight_hidden=(5, 7, 2))
         for mlp in (cv.weight_mlp1, cv.weight_mlp2):
             assert [w.shape for w in mlp.weights] == [(3, 5), (5, 7), (7, 2), (2, 1)]
 

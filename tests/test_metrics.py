@@ -162,7 +162,7 @@ class TestOverallAccuracy:
 class TestMeanIou:
     def test_perfect(self):
         labels = np.array([0, 1, 2, 3, 4, 5])
-        assert mean_iou(labels, labels) == 1.0
+        assert mean_iou(labels, labels, n_classes=6) == 1.0
 
     def test_hand_counted_example(self):
         gt = np.array([0, 0, 1, 1])
@@ -178,9 +178,9 @@ class TestMeanIou:
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
-            mean_iou([], [])
+            mean_iou([], [], n_classes=6)
         with pytest.raises(LengthMismatch):
-            mean_iou([0], [0, 1])
+            mean_iou([0], [0, 1], n_classes=6)
         with pytest.raises(ConfigError):
             mean_iou([0, 6], [0, 0], n_classes=6)
 

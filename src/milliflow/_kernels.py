@@ -50,21 +50,21 @@ class NeighbourTable:
         first ball query, as a k-nearest lookup does not need them."""
         return np.take_along_axis(self._d2, self.order, axis=1)
 
-    def ball(self, radius: float, max_samples: int, rows=None) -> np.ndarray:
-        """Up to ``max_samples`` reference indices within ``radius`` of each
-        query row (all rows, or those ``rows`` selects).
-
-        Nearest first, padded by repeating the nearest hit.  A row with no
-        point inside the radius falls back to its single nearest point.
+    def ball(self, radius: float, max_samples: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """The reference indices within ``radius`` of each query row (all
+        rows, or those ``rows`` selects), nearest first and at most
+        ``max_samples``, as ragged lists: ``(neighbours, counts)``, where a
+        row's list is the next ``counts[i]`` entries of ``neighbours``.  A
+        row with no point inside the radius gets its single nearest point.
         """
         order, sorted_d2 = self.order, self.sorted_d2
         if rows is not None:
             order, sorted_d2 = order[rows], sorted_d2[rows]
         # the rows are sorted, so the hits among the first max_samples
         # columns are min(hits, max_samples)
-        hits = np.count_nonzero(sorted_d2[:, :max_samples] <= radius * radius, axis=1)
-        col = np.arange(max_samples)
-        return np.take_along_axis(order, np.where(col < hits[:, None], col, 0), axis=1)
+        order, sorted_d2 = order[:, :max_samples], sorted_d2[:, :max_samples]
+        counts = np.maximum(np.count_nonzero(sorted_d2 <= radius * radius, axis=1), 1)
+        return order[np.arange(order.shape[1]) < counts[:, None]], counts
 
     def knn(self, k: int) -> np.ndarray:
         """The ``k`` nearest reference indices per query row, nearest first."""

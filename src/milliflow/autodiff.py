@@ -4,8 +4,15 @@ A Tensor wraps an ndarray plus an optional gradient and a backward closure.
 Calling backward() on a scalar (or with an explicit seed gradient) walks the
 tape in reverse topological order, handing each node's gradient to its
 closure.  A closure holds its inputs but not its output, so a tape has no
-reference cycle and is freed as soon as its last tensor is dropped.  Broadcasting is supported everywhere by
-summing gradients back over broadcast axes.
+reference cycle and is freed as soon as its last tensor is dropped.
+Broadcasting is supported everywhere by summing gradients back over
+broadcast axes.
+
+The products fold every leading axis into one, so each direction of
+`linear` and `matmul_rows` is one 2-D GEMM.  `matmul_rows` multiplies by a
+row block of a weight, so a layer's input can arrive as blocks that are
+never concatenated.  `take` sums the gradient of a repeated index after one
+stable sort, and `segment_max` pools ragged runs of rows.
 """
 
 from __future__ import annotations
@@ -79,8 +86,13 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
+    def _accumulate(self, grad: np.ndarray, rows: slice | None = None):
+        """Add `grad` to the gradient, or to its `rows` only."""
+        if rows is not None:
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[rows] += grad
+        elif self.grad is None:
             # the first touch stores a copy: the closures hand out views of
             # their own gradient, which must not alias this one
             self.grad = np.broadcast_to(grad, self.data.shape).copy()
@@ -193,23 +205,48 @@ def powr(a, p: float) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """Fused x @ w + b over the last axis; one GEMM in each direction."""
+    """Fused x @ w + b over the last axis; the leading axes are folded into
+    one, so each direction is one 2-D GEMM."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"linear: input dim {x.shape[-1]} != weight rows {w.shape[0]}")
-    out_data = np.matmul(x.data, w.data) + b.data
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out2 = x2 @ w.data
+    out2 += b.data  # in place: a second (rows, out) array costs more than the add
+    out_data = out2.reshape(x.shape[:-1] + (w.shape[1],))
 
     def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            x._accumulate(np.matmul(g, w.data.T))
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            x2 = x.data.reshape(-1, x.shape[-1])
-            g2 = g.reshape(-1, g.shape[-1])
             w._accumulate(x2.T @ g2)
         if b.requires_grad:
-            b._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
+            b._accumulate(g2.sum(axis=0))
 
     return _make(out_data, (x, w, b), backward)
+
+
+def matmul_rows(x, w, lo: int) -> Tensor:
+    """x @ w[lo:hi] over the last axis, hi = lo + x.shape[-1], as one 2-D
+    GEMM in each direction.  The backward adds into rows lo:hi of w's
+    gradient only, so the blocks of one input, each against its own rows of
+    one weight, accumulate that weight's whole gradient."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    hi = lo + x.shape[-1]
+    if not 0 <= lo < hi <= w.shape[0]:
+        raise ShapeMismatch(f"matmul_rows: rows {lo}:{hi} of a weight with {w.shape[0]}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out_data = (x2 @ w.data[lo:hi]).reshape(x.shape[:-1] + (w.shape[1],))
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data[lo:hi].T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2, rows=slice(lo, hi))
+
+    return _make(out_data, (x, w), backward)
 
 
 def relu(a) -> Tensor:
@@ -297,21 +334,20 @@ def mean_of(terms) -> Tensor:
     return mul(total, 1.0 / len(terms))
 
 
-def tmax(a, axis=None) -> Tensor:
-    """Max reduction; exact ties share the gradient equally."""
+def segment_max(a, counts) -> Tensor:
+    """Max over runs of rows: row i of the output is the max of the next
+    counts[i] rows of `a` (every count at least 1), by np.maximum.reduceat.
+    Exact ties within a run share the gradient equally."""
     a = _as_tensor(a)
-    out_data = a.data.max(axis=axis)
+    counts = np.asarray(counts)
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    out_data = np.maximum.reduceat(a.data, starts, axis=0)
 
     def backward(g):
-        expanded = out_data
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-            expanded = np.expand_dims(out_data, axis)
-        mask = a.data == expanded
-        counts = mask.sum(axis=axis, keepdims=True)
-        if a.requires_grad:
-            share = (mask / counts).astype(a.dtype)
-            a._accumulate(np.broadcast_to(g, a.shape) * share)
+        run = np.repeat(np.arange(len(counts)), counts)
+        mask = a.data == out_data[run]
+        ties = np.add.reduceat(mask, starts, axis=0, dtype=a.dtype)
+        a._accumulate(mask * (g / ties)[run])
 
     return _make(out_data, (a,), backward)
 
@@ -359,15 +395,24 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def take(a, idx) -> Tensor:
-    """Indexing/gather; scatter-adds the gradient back with np.add.at."""
+    """Rows of `a` gathered by an integer array `idx` of any shape.  The
+    backward sums the gradient of each repeated index: the flat indices are
+    put in order by one stable sort, and each run of equal ones is summed by
+    np.add.reduceat."""
     a = _as_tensor(a)
+    idx = np.asarray(idx)
     out_data = a.data[idx]
 
     def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, grad)
-            a._accumulate(full)
+        flat = idx.reshape(-1)
+        full = np.zeros_like(a.data)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            ordered = flat[order]
+            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+            rows = grad.reshape((flat.size,) + a.shape[1:])[order]
+            full[ordered[starts]] = np.add.reduceat(rows, starts, axis=0)
+        a._accumulate(full)
 
     return _make(out_data, (a,), backward)
 

@@ -60,6 +60,8 @@ class GenConfig:
             raise ConfigError("sequences need at least 2 frames")
         if self.clutter_window < 2:
             raise ConfigError("clutter removal needs a window of at least 2")
+        if not self.frame_rate > 0:
+            raise ConfigError("frame_rate must be positive")
         # a name listed twice would specify the same sequences twice
         activities = tuple(self.in_set) + tuple(self.out_of_set)
         if len(set(activities)) != len(activities):

@@ -42,7 +42,7 @@ from .errors import (
     TaskMismatch,
 )
 from .flownet import (
-    CloudEncoder, FlowNet, broadcast_rows, fit, flow_model_from_config, infer_sequence,
+    CloudEncoder, FlowNet, fit, flow_model_from_config, infer_sequence,
     mean_flow_loss, stream,
 )
 from .geometry import kabsch
@@ -219,7 +219,7 @@ class HarNet(_TaskNet):
     def frame_vector(self, frame, feats: Tensor) -> Tensor:
         points = np.asarray(frame.points, dtype=self.dtype)
         table = NeighbourTable(points)
-        z, _ = self.encoder(points, feats, table)
+        z = self.encoder(points, feats, table)  # the blocks (k, g) of z
         k = min(self.cfg.fps_centroids, len(points))
         # anchor the sweep at the lexicographically smallest point so the
         # centroid choice depends on geometry, not on input order
@@ -291,10 +291,9 @@ class HpNet(_TaskNet):
                 scores.append(None)  # state held across the gap
                 continue
             points = np.asarray(frame.points, dtype=self.dtype)
-            z, g = self.encoder(points, feats, NeighbourTable(points))
+            k, g = self.encoder(points, feats, NeighbourTable(points))
             h = self.gru(h, g)
-            final = ad.concat([z, broadcast_rows(h, z.shape[0])], axis=1)
-            scores.append(self.head(final))
+            scores.append(self.head(k, g, h))
         return scores
 
     def rows(self, clip: TaskClip, feats):

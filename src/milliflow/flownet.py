@@ -63,7 +63,9 @@ class CloudEncoder:
     One set abstraction per radius of `cfg.sa_radii` (`cfg` is an
     EncoderConfig), each followed by its post MLP; the concatenated per-point
     features k are attention-pooled into g, and every point's encoding is
-    z = [k || g].
+    z = [k || g], of width `z_dim`.  The encoder returns z as its two blocks
+    (k, g): an MLP takes them as they are (`MLP.__call__`), so g is
+    multiplied once, not once per point.
     """
 
     def __init__(self, params: Params, cfg: EncoderConfig, in_features: int):
@@ -81,24 +83,24 @@ class CloudEncoder:
     def __call__(self, points, feats: Tensor,
                  table: NeighbourTable) -> tuple[Tensor, Tensor]:
         """(points N x 3, features N x C, the points' NeighbourTable) ->
-        (z N x z_dim, g feat_out)."""
+        (k N x feat_out, g feat_out)."""
         outs = []
         for sa, post, radius, samples in zip(self.sas, self.posts,
                                              self.cfg.sa_radii, self.cfg.sa_samples):
             outs.append(post(set_abstraction(sa, points, feats, radius, samples, table)))
         k = ad.concat(outs, axis=1)
-        g = global_pool(self.attn, k)
-        return ad.concat([k, broadcast_rows(g, k.shape[0])], axis=1), g
+        return k, global_pool(self.attn, k)
 
 
 @dataclass(eq=False)
 class EncodedFrame:
-    """One frame's network inputs, neighbour table and local encoding z."""
+    """One frame's network inputs, neighbour table and local encoding z as
+    its blocks (k, g)."""
 
     points: np.ndarray  # (N, 3) in the model dtype
     feats: Tensor  # (N, 1) intensities in the model dtype
     table: NeighbourTable
-    z: Tensor  # (N, z_dim)
+    z: tuple[Tensor, Tensor]  # (N, feat_out), (feat_out,)
     grad: bool  # whether z was recorded on a tape
 
 
@@ -161,8 +163,7 @@ class FlowNet:
                 and np.array_equal(cached.feats.data, feats.data)):
             return cached
         table = NeighbourTable(points)
-        z, _ = self.local(points, feats, table)
-        return EncodedFrame(points, feats, table, z, grad)
+        return EncodedFrame(points, feats, table, self.local(points, feats, table), grad)
 
     def forward(self, source, target, state: TemporalState):
         """One frame pair -> (flows N x 3, new state, final features A N x 512)."""
@@ -170,11 +171,10 @@ class FlowNet:
             raise EmptyFrame("forward needs non-empty source and target frames")
         p = self._encoded(source, state.target)
         q = self._encoded(target)
-        z_c, _ = self.ctx(p.points, p.feats, p.table)
+        k_c, g_c = self.ctx(p.points, p.feats, p.table)
 
         cost = self.cv(p.points, p.z, q.points, q.z, p.table)
-        stacked = ad.concat([cost, z_c], axis=1)
-        emb = ad.concat([branch(stacked) for branch in self.embed], axis=1)
+        emb = ad.concat([branch(cost, k_c, g_c) for branch in self.embed], axis=1)
         g_b = global_pool(self.embed_attn, emb)
 
         if self.cfg.temporal:
@@ -183,8 +183,8 @@ class FlowNet:
         else:
             h_new = state.h
             top = g_b
+        flows = ad.clamp(self.regressor(emb, top), -self.cfg.clamp, self.cfg.clamp)
         final = ad.concat([emb, broadcast_rows(top, emb.shape[0])], axis=1)
-        flows = ad.clamp(self.regressor(final), -self.cfg.clamp, self.cfg.clamp)
 
         steps = state.steps_since_reset + 1
         if steps >= RESET_PERIOD:

@@ -92,24 +92,48 @@ class MLP:
             self.biases.append(params.bias(f"b{i}", d))
             prev = d
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeMismatch(
-                f"MLP expects last axis {self.in_dim}, got {x.shape[-1]}"
-            )
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.linear(h, w, b)
-            if i != last:
-                h = ad.relu(h)
+    def __call__(self, *blocks) -> Tensor:
+        """The chain on the concatenation of `blocks` along the last axis,
+        which is never built: the first layer multiplies each block by its
+        own rows of the first weight (`ad.matmul_rows`).  A block is a
+        Tensor, or a pair (x, idx) whose product is gathered by
+        `ad.take(., idx)`, so each row of x is multiplied once however often
+        idx repeats it.  Blocks broadcast against one another as numpy
+        arrays do: a 1-D block, the same for every row, is multiplied once.
+        The products are summed smallest first, beginning with the bias, so
+        a shared one is added before it is broadcast."""
+        widths = [(b[0] if isinstance(b, tuple) else b).shape[-1] for b in blocks]
+        if sum(widths) != self.in_dim:
+            raise ShapeMismatch(f"MLP expects last axis {self.in_dim}, got {sum(widths)}")
+        w0, b0 = self.weights[0], self.biases[0]
+        if len(blocks) == 1 and not isinstance(blocks[0], tuple):
+            h = ad.linear(blocks[0], w0, b0)
+        else:
+            parts, lo = [b0], 0
+            for block, width in zip(blocks, widths):
+                x, idx = block if isinstance(block, tuple) else (block, None)
+                part = ad.matmul_rows(x, w0, lo)
+                parts.append(part if idx is None else ad.take(part, idx))
+                lo += width
+            parts.sort(key=lambda t: t.size)
+            h = parts[0]
+            for part in parts[1:]:
+                h = ad.add(h, part)
+        for w, b in zip(self.weights[1:], self.biases[1:]):
+            h = ad.linear(ad.relu(h), w, b)
         return h
 
 
+def _as_blocks(feats) -> tuple:
+    """Features as a tuple of blocks: a Tensor alone, or the tuple given."""
+    return feats if isinstance(feats, tuple) else (feats,)
+
+
 def ball_query(table: NeighbourTable, radius: float, max_samples: int,
-               rows: np.ndarray | None = None) -> np.ndarray:
+               rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``max_samples`` reference indices within ``radius`` of each
-    query point of ``table``, or of the query rows ``rows`` selects."""
+    query point of ``table``, or of the query rows ``rows`` selects, as the
+    ragged lists ``(neighbours, counts)`` of `NeighbourTable.ball`."""
     if radius <= 0:
         raise ConfigError(f"radius must be positive, got {radius}")
     if max_samples < 1:
@@ -120,7 +144,7 @@ def ball_query(table: NeighbourTable, radius: float, max_samples: int,
 def set_abstraction(
     params: MLP,
     points: np.ndarray,
-    feats: Tensor,
+    feats,
     radius: float,
     n_samples: int,
     table: NeighbourTable,
@@ -128,21 +152,28 @@ def set_abstraction(
 ) -> Tensor:
     """Ball-query neighborhoods -> shared MLP on [rel-xyz || feats] -> max-pool.
 
-    Centroids default to all input points.  `centroid_idx` selects a subset of
-    the input points as centroids (used with farthest point sampling).
-    `table` is the points' own NeighbourTable.
+    The MLP runs on each centroid's real neighbours only (up to `n_samples`
+    within `radius`, nearest first): R rows in all, one per (centroid, hit),
+    and `ad.segment_max` pools each centroid's run of rows.  `feats` is a
+    Tensor (N, C) or a tuple of blocks of the points' features: an (N, C)
+    block is multiplied per point and gathered, and a 1-D block, the same
+    for every point, is multiplied once.  Centroids default to all input
+    points.  `centroid_idx` selects a subset of the input points as
+    centroids (used with farthest point sampling).  `table` is the points'
+    own NeighbourTable.
     """
-    points = np.asarray(points, dtype=feats.dtype)
-    if len(points) != feats.shape[0]:
-        raise ShapeMismatch(
-            f"points ({len(points)}) and features ({feats.shape[0]}) disagree"
-        )
+    blocks = _as_blocks(feats)
+    points = np.asarray(points, dtype=blocks[0].dtype)
+    for b in blocks:
+        if b.data.ndim == 2 and len(points) != b.shape[0]:
+            raise ShapeMismatch(
+                f"points ({len(points)}) and features ({b.shape[0]}) disagree"
+            )
     centroids = points if centroid_idx is None else points[centroid_idx]
-    idx = ball_query(table, radius, n_samples, centroid_idx)  # (N', k)
-    rel = points[idx] - centroids[:, None, :]  # (N', k, 3)
-    gathered = ad.take(feats, idx)  # (N', k, C)
-    local = ad.concat([Tensor(rel), gathered], axis=2)
-    return ad.tmax(params(local), axis=1)  # (N', C')
+    neighbours, counts = ball_query(table, radius, n_samples, centroid_idx)  # (R,), (N',)
+    rel = points[neighbours] - np.repeat(centroids, counts, axis=0)  # (R, 3)
+    local = [(b, neighbours) if b.data.ndim == 2 else b for b in blocks]
+    return ad.segment_max(params(Tensor(rel), *local), counts)  # (N', C')
 
 
 def global_pool(params: MLP, feats: Tensor) -> Tensor:
@@ -173,24 +204,27 @@ class CostVolume:
         self.weight_mlp1 = MLP(params.scope("weight1"), 3, list(weight_hidden) + [1])
         self.weight_mlp2 = MLP(params.scope("weight2"), 3, list(weight_hidden) + [1])
 
-    def __call__(self, pts_p, feats_p: Tensor, pts_q, feats_q: Tensor,
-                 table_p: NeighbourTable) -> Tensor:
-        """`table_p` is the source points' own NeighbourTable; stage 2 reads
-        its self-kNN from it."""
-        if feats_p.shape[-1] != feats_q.shape[-1]:
+    def __call__(self, pts_p, feats_p, pts_q, feats_q, table_p: NeighbourTable) -> Tensor:
+        """`feats_p` and `feats_q` are each a Tensor or a tuple of blocks of
+        the points' features, as `set_abstraction` takes them.  The pair
+        input [feat_p || feat_q || (q - p)] is never built: the cost MLP
+        multiplies each source block once per source point and each target
+        block once per target point, then gathers.  `table_p` is the source
+        points' own NeighbourTable; stage 2 reads its self-kNN from it."""
+        blocks_p, blocks_q = _as_blocks(feats_p), _as_blocks(feats_q)
+        if sum(b.shape[-1] for b in blocks_p) != sum(b.shape[-1] for b in blocks_q):
             raise ShapeMismatch("source/target feature dims differ")
-        pts_p = np.asarray(pts_p, dtype=feats_p.dtype)
-        pts_q = np.asarray(pts_q, dtype=feats_p.dtype)
+        dtype = blocks_p[0].dtype
+        pts_p = np.asarray(pts_p, dtype=dtype)
+        pts_q = np.asarray(pts_q, dtype=dtype)
         n, m = len(pts_p), len(pts_q)
         k1 = min(self.k, m)
         idx_q = knn_indices(pts_p, pts_q, k1)  # (N, k1)
-        disp = pts_q[idx_q] - pts_p[:, None, :]  # (N, k1, 3)
-        fq = ad.take(feats_q, idx_q)  # (N, k1, C)
-        fp = ad.reshape(feats_p, (n, 1, -1))
-        fp = ad.concat([fp] * k1, axis=1)  # (N, k1, C)
-        pair = ad.concat([fp, fq, Tensor(disp)], axis=2)
-        cost = self.cost_mlp(pair)  # (N, k1, D)
-        w1 = ad.softmax(self.weight_mlp1(Tensor(disp)), axis=1)  # (N, k1, 1)
+        disp = Tensor(pts_q[idx_q] - pts_p[:, None, :])  # (N, k1, 3)
+        source = [ad.reshape(b, (n, 1, -1)) if b.data.ndim == 2 else b for b in blocks_p]
+        target = [(b, idx_q) if b.data.ndim == 2 else b for b in blocks_q]
+        cost = self.cost_mlp(*source, *target, disp)  # (N, k1, D)
+        w1 = ad.softmax(self.weight_mlp1(disp), axis=1)  # (N, k1, 1)
         patch_cost = ad.tsum(ad.mul(w1, cost), axis=1)  # (N, D)
 
         k2 = min(self.k, n)

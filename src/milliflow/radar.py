@@ -64,8 +64,14 @@ class RadarConfig:
     pad_factor: int = 2
 
     def __post_init__(self):
+        if not self.f_min > 0:
+            raise ConfigError("f_min must be positive")
         if self.f_max <= self.f_min:
             raise ConfigError("f_max must exceed f_min")
+        if not 0 <= self.ghost_prob <= 1:
+            raise ConfigError("ghost_prob must be in [0, 1]")
+        if self.reflectors_per_bone < 1:
+            raise ConfigError("reflectors_per_bone must be positive")
         if self.n_freq_steps < 2:
             raise ConfigError("need at least 2 frequency steps")
         for name in ("n_az", "n_el", "pad_factor"):

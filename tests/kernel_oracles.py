@@ -7,15 +7,27 @@ The radar stages follow, as first written: whole-array expressions that
 build every temporary, and per-bone and per-detection loops.
 ``test_radar.py`` checks that the stages give the same bytes.
 
-The labellers' bone motion closes the file, as first written: a list of one
+The labellers' bone motion follows, as first written: a list of one
 ``RigidTransform`` per bone (None for an invalid one) applied point by
 point.  ``test_labeling.py`` checks that the stacked form gives the same
 bytes.
+
+The networks close the file, as first written: set abstraction on the
+padded ball rows of ``ball_query_loop`` max-pooled by ``tmax``, the cost
+volume on the concatenated (N, k, 2C + 3) pair input, and every first layer
+on its whole input, with the rows that every point shares broadcast and
+concatenated.  ``test_network_oracle.py`` checks that the block forms give
+the same flows, scores and gradients to rounding.
 """
 
 import numpy as np
 
+from milliflow import autodiff as ad
+from milliflow._kernels import farthest_point_sample
+from milliflow.autodiff import Tensor
+from milliflow.flownet import RESET_PERIOD, broadcast_rows, mean_flow_loss
 from milliflow.geometry import RigidTransform, rotation_between
+from milliflow.layers import global_pool
 from milliflow.radar import (
     SPEED_OF_LIGHT,
     Reflectors,
@@ -373,3 +385,125 @@ def bone_flows_loop(points, bone, transforms):
         p = points[i]
         flows[i] = transforms[bone[i]].apply(p) - p
     return flows
+
+
+# ---------------------------------------------------------------------------
+# networks
+
+
+def tmax(a, axis) -> Tensor:
+    """Max reduction over `axis`; exact ties share the gradient equally."""
+    out_data = a.data.max(axis=axis)
+
+    def backward(g):
+        g = np.expand_dims(g, axis)
+        mask = a.data == np.expand_dims(out_data, axis)
+        share = (mask / mask.sum(axis=axis, keepdims=True)).astype(a.dtype)
+        a._accumulate(np.broadcast_to(g, a.shape) * share)
+
+    return ad._make(out_data, (a,), backward)
+
+
+def concat_rows(rows: Tensor, shared: Tensor) -> Tensor:
+    """[rows || shared] with the one vector `shared` repeated on every row."""
+    return ad.concat([rows, broadcast_rows(shared, rows.shape[0])], axis=1)
+
+
+def set_abstraction_padded(mlp, points, feats, radius, n_samples, centroid_idx=None):
+    """The shared MLP on every padded ball row, max-pooled by `tmax`."""
+    centroids = points if centroid_idx is None else points[centroid_idx]
+    idx = ball_query_loop(centroids, points, radius, n_samples)  # (N', k)
+    rel = points[idx] - centroids[:, None, :]
+    local = ad.concat([Tensor(rel), ad.take(feats, idx)], axis=2)
+    return tmax(mlp(local), axis=1)
+
+
+def encode_concat(encoder, points, feats):
+    """(z = [k || g] built whole, g) of a `CloudEncoder`."""
+    outs = [post(set_abstraction_padded(sa, points, feats, radius, samples))
+            for sa, post, radius, samples in zip(encoder.sas, encoder.posts,
+                                                 encoder.cfg.sa_radii, encoder.cfg.sa_samples)]
+    k = ad.concat(outs, axis=1)
+    g = global_pool(encoder.attn, k)
+    return concat_rows(k, g), g
+
+
+def cost_volume_concat(cv, pts_p, feats_p, pts_q, feats_q):
+    """A `CostVolume` whose cost MLP reads the (N, k, 2C + 3) pair input."""
+    n, m = len(pts_p), len(pts_q)
+    k1 = min(cv.k, m)
+    idx_q = knn_indices_loop(pts_p, pts_q, k1)
+    disp = pts_q[idx_q] - pts_p[:, None, :]
+    fq = ad.take(feats_q, idx_q)
+    fp = ad.concat([ad.reshape(feats_p, (n, 1, -1))] * k1, axis=1)
+    cost = cv.cost_mlp(ad.concat([fp, fq, Tensor(disp)], axis=2))
+    w1 = ad.softmax(cv.weight_mlp1(Tensor(disp)), axis=1)
+    patch_cost = ad.tsum(ad.mul(w1, cost), axis=1)
+    k2 = min(cv.k, n)
+    idx_p = knn_indices_loop(pts_p, pts_p, k2)
+    disp2 = pts_p[idx_p] - pts_p[:, None, :]
+    w2 = ad.softmax(cv.weight_mlp2(Tensor(disp2)), axis=1)
+    return ad.tsum(ad.mul(w2, ad.take(patch_cost, idx_p)), axis=1)
+
+
+def flow_forward_concat(model, source, target, h, steps):
+    """One `FlowNet.forward`, every frame encoded afresh: (flows, final, h, steps)."""
+    def inputs(frame):
+        return (np.asarray(frame.points, dtype=model.dtype),
+                Tensor(frame.intensities.astype(model.dtype)[:, None]))
+
+    (pts_p, feats_p), (pts_q, feats_q) = inputs(source), inputs(target)
+    z_p, _ = encode_concat(model.local, pts_p, feats_p)
+    z_q, _ = encode_concat(model.local, pts_q, feats_q)
+    z_c, _ = encode_concat(model.ctx, pts_p, feats_p)
+    stacked = ad.concat([cost_volume_concat(model.cv, pts_p, z_p, pts_q, z_q), z_c], axis=1)
+    emb = ad.concat([branch(stacked) for branch in model.embed], axis=1)
+    g_b = global_pool(model.embed_attn, emb)
+    h_new = model.gru(h, g_b) if model.cfg.temporal else h
+    final = concat_rows(emb, h_new if model.cfg.temporal else g_b)
+    flows = ad.clamp(model.regressor(final), -model.cfg.clamp, model.cfg.clamp)
+    steps += 1
+    if steps >= RESET_PERIOD:
+        h_new, steps = model.initial_state().h, 0
+    return flows, final, h_new, steps
+
+
+def flow_clip_loss_concat(model, clip):
+    """`flownet.clip_loss` through `flow_forward_concat`, with the flows of
+    every pair; no pair of `clip` may hold an empty frame."""
+    h, steps, pairs = model.initial_state().h, 0, []
+    for sample in clip:
+        flows, _, h, steps = flow_forward_concat(model, sample.source, sample.target, h, steps)
+        pairs.append((flows, sample.label))
+    return mean_flow_loss(pairs, model.cfg), [flows for flows, _ in pairs]
+
+
+def har_frame_vector_concat(har, frame, feats):
+    """`HarNet.frame_vector` with stage 2 on the padded rows of z built whole."""
+    points = np.asarray(frame.points, dtype=har.dtype)
+    z, _ = encode_concat(har.encoder, points, feats)
+    start = int(np.lexsort((points[:, 2], points[:, 1], points[:, 0]))[0])
+    centroid_idx = farthest_point_sample(points, min(har.cfg.fps_centroids, len(points)), start)
+    pooled = set_abstraction_padded(har.stage2, points, z, har.cfg.stage2_radius,
+                                    har.cfg.stage2_samples, centroid_idx)
+    return global_pool(har.stage2_attn, pooled)
+
+
+def har_forward_concat(har, frames, feats_list):
+    """`HarNet.forward` through `har_frame_vector_concat`; no frame may be empty."""
+    h = c = Tensor(np.zeros(har.cfg.lstm_hidden, dtype=har.dtype))
+    for frame, feats in zip(frames, feats_list):
+        h, c = har.lstm(h, c, har_frame_vector_concat(har, frame, feats))
+    return har.head(h)
+
+
+def hp_forward_concat(hp, frames, feats_list):
+    """`HpNet.forward` with each head input [z || h] built whole; no frame
+    may be empty."""
+    h = Tensor(np.zeros(hp.cfg.gru_hidden, dtype=hp.dtype))
+    scores = []
+    for frame, feats in zip(frames, feats_list):
+        z, g = encode_concat(hp.encoder, np.asarray(frame.points, dtype=hp.dtype), feats)
+        h = hp.gru(h, g)
+        scores.append(hp.head(concat_rows(z, h)))
+    return scores

@@ -110,16 +110,68 @@ class TestOpGradients:
         a = leaf(rng, 3, 4, 2)
         cases = [
             lambda: ad.tmean(ad.tsum(a, axis=1)),
-            lambda: ad.tsum(ad.tmax(a, axis=2)),
-            lambda: ad.tmax(ad.tsum(ad.reshape(a, (6, 4)), axis=0)),
+            lambda: ad.tsum(ad.segment_max(ad.reshape(a, (12, 2)), [3, 1, 4, 4])),
+            lambda: ad.tsum(ad.segment_max(ad.tsum(ad.reshape(a, (6, 4)), axis=1), [6])),
         ]
         for i, fn in enumerate(cases):
             check_param_grads(fn, {"a": a}, seed=i)
 
     def test_max_tie_gradient_splits(self):
-        a = Tensor(np.array([1.0, 1.0, 0.0]), requires_grad=True)
-        ad.tmax(a).backward()
-        np.testing.assert_allclose(a.grad, [0.5, 0.5, 0.0])
+        a = Tensor(np.array([[1.0], [1.0], [0.0]]), requires_grad=True)
+        ad.tsum(ad.segment_max(a, [3])).backward()
+        np.testing.assert_allclose(a.grad, [[0.5], [0.5], [0.0]])
+        # a tie splits within its own run and column only
+        a = Tensor(np.array([[2.0, 0.0], [2.0, 1.0], [5.0, 5.0], [3.0, 5.0]]),
+                   requires_grad=True)
+        ad.segment_max(a, [2, 2]).backward(np.array([[1.0, 1.0], [4.0, 2.0]]))
+        np.testing.assert_array_equal(a.grad, [[0.5, 0.0], [0.5, 1.0], [4.0, 1.0], [0.0, 1.0]])
+
+    def test_segment_max_values_and_grad(self):
+        # one-row runs next to longer ones, of unequal lengths
+        rng = np.random.default_rng(12)
+        a = leaf(rng, 9, 3)
+        counts = [1, 3, 1, 4]
+        out = ad.segment_max(a, counts)
+        bounds = np.cumsum([0] + counts)
+        want = [a.data[lo:hi].max(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        np.testing.assert_array_equal(out.data, want)
+        weights = rng.normal(size=(4, 3))
+        check_param_grads(lambda: ad.tsum(ad.mul(ad.segment_max(a, counts), weights)),
+                          {"a": a}, max_entries=27)
+
+    def test_matmul_rows_grad(self):
+        rng = np.random.default_rng(13)
+        x = leaf(rng, 2, 5, 3)
+        w = leaf(rng, 7, 4)
+        check_param_grads(lambda: ad.tsum(ad.tanh(ad.matmul_rows(x, w, 2))),
+                          {"x": x, "w": w}, max_entries=12)
+        np.testing.assert_array_equal(ad.matmul_rows(x, w, 2).data, x.data @ w.data[2:5])
+
+    def test_matmul_rows_touches_only_its_rows(self):
+        rng = np.random.default_rng(14)
+        x = leaf(rng, 5, 3)
+        w = leaf(rng, 7, 4)
+        ad.tsum(ad.matmul_rows(x, w, 2)).backward()
+        assert not np.any(w.grad[:2]) and not np.any(w.grad[5:])
+        assert np.all(w.grad[2:5] != 0)
+        with pytest.raises(ShapeMismatch):
+            ad.matmul_rows(x, w, 5)
+
+    def test_matmul_rows_blocks_accumulate_one_weight(self):
+        # [x1 || x2] @ w, as two blocks against their rows of one weight
+        rng = np.random.default_rng(15)
+        x1, x2, w = leaf(rng, 6, 3), leaf(rng, 6, 4), leaf(rng, 7, 5)
+        seed = rng.normal(size=(6, 5))
+        ad.add(ad.matmul_rows(x1, w, 0), ad.matmul_rows(x2, w, 3)).backward(seed)
+        blocks = w.grad
+        w.zero_grad()
+        whole = ad.linear(ad.concat([x1, x2], axis=1), w, np.zeros(5))
+        whole.backward(seed)
+        np.testing.assert_allclose(blocks, w.grad, rtol=1e-13)
+        check_param_grads(
+            lambda: ad.tsum(ad.powr(ad.add(ad.matmul_rows(x1, w, 0),
+                                           ad.matmul_rows(x2, w, 3)), 2.0)),
+            {"x1": x1, "x2": x2, "w": w}, max_entries=12)
 
     def test_concat_grad(self):
         rng = np.random.default_rng(7)
@@ -142,6 +194,28 @@ class TestOpGradients:
         a.zero_grad()
         ad.tsum(ad.take(a, np.array([2, 2, 2]))).backward()
         assert a.grad[2, 0] == pytest.approx(3.0)  # repeated rows accumulate
+
+    def test_take_repeated_unsorted_and_2d_indices(self):
+        rng = np.random.default_rng(16)
+        a = leaf(rng, 7, 2, 3)
+        weights = rng.normal(size=(4, 3, 2, 3))
+        for i, idx in enumerate((np.array([5, 0, 5, 3, 0, 5, 6]),
+                                 np.array([[6, 1, 1], [0, 6, 4], [1, 1, 1], [3, 0, 6]]))):
+            sel = weights[: idx.shape[0]] if idx.ndim == 2 else weights.reshape(-1, 2, 3)[:7]
+            check_param_grads(lambda: ad.tsum(ad.mul(ad.take(a, idx), sel)), {"a": a},
+                              max_entries=42, seed=i)
+            a.zero_grad()
+            ad.take(a, idx).backward(sel)
+            want = np.zeros_like(a.data)
+            np.add.at(want, idx, sel)
+            np.testing.assert_allclose(a.grad, want, rtol=1e-14)
+
+    def test_take_empty_index(self):
+        a = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = ad.take(a, np.array([], dtype=np.int64))
+        assert out.shape == (0, 2)
+        out.backward(np.zeros((0, 2)))
+        np.testing.assert_array_equal(a.grad, np.zeros((3, 2)))
 
     def test_clamp_grad_and_values(self):
         # the gradient passes inside the band and at either bound; a blocked

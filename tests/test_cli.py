@@ -135,6 +135,11 @@ class TestGen:
         {"radar": {"pad_factor": 0}},
         {"radar": {"n_az": 0}},
         {"radar": {"n_el": 0}},
+        # values that a later stage refused after writing, or misread
+        {"gen": dict(CONFIG["gen"], frame_rate=0)},
+        {"radar": {"ghost_prob": 2.0}},
+        {"radar": {"reflectors_per_bone": 0}},
+        {"radar": {"f_min": -1}},
     ])
     def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, change):
         bad = tmp_path / "bad.json"

@@ -245,3 +245,19 @@ class TestEdgeValues:
             from_dict(RunConfig, {section: {name: value}})
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("gen", "frame_rate", 0), ("gen", "frame_rate", -1.0),
+        ("radar", "ghost_prob", -0.1), ("radar", "ghost_prob", 1.5),
+        ("radar", "ghost_prob", 2.0), ("radar", "reflectors_per_bone", 0),
+        ("radar", "reflectors_per_bone", -1), ("radar", "f_min", 0),
+        ("radar", "f_min", -1.0),
+    ])
+    def test_unusable_value_is_refused(self, section, name, value):
+        # each of these was accepted and then refused late or misread
+        with pytest.raises(ConfigError, match=name):
+            from_dict(RunConfig, {section: {name: value}})
+
+    @pytest.mark.parametrize("value", [0, 0.5, 1])
+    def test_ghost_prob_bounds_are_accepted(self, value):
+        assert from_dict(RunConfig, {"radar": {"ghost_prob": value}}).radar.ghost_prob == value

@@ -8,11 +8,20 @@ stopping, for the flow network and for the activity (raw, s1) and parsing
 (s2, joint with the flow network) networks.  The s1 and s2 checkpoints hold
 their flow model's parameters too, under `flow.` names.  A change that moves
 these bytes changes what training computes or stores; re-record the hashes
-only together with an explanation of why.  Recorded with numpy 2.4.6 and
-OpenBLAS 0.3.31 on x86-64, on its AVX-512 (SkylakeX) kernels.  The bytes
-depend on the BLAS kernel: an OpenBLAS built with DYNAMIC_ARCH picks its core
-type at run time, and under `OPENBLAS_CORETYPE=Haswell` or `Prescott` the
-network's matrix products round differently, so these hashes move.
+only together with an explanation of why.
+
+Every hash here was re-recorded once (the logs of `har-raw` and `har-s1`
+held), when the networks stopped computing ball-query padding and rows that
+every point shares (ragged set abstraction, row-block first layers, one 2-D
+GEMM per product).  The functions are the same, summed in another order, so
+the bytes moved within rounding; `test_network_oracle.py` holds the new
+forms to the old ones to 1e-12 in float64.
+
+Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, on its AVX-512
+(SkylakeX) kernels.  The bytes depend on the BLAS kernel: an OpenBLAS built
+with DYNAMIC_ARCH picks its core type at run time, and under
+`OPENBLAS_CORETYPE=Haswell` or `Prescott` the network's matrix products
+round differently, so these hashes move.
 """
 
 import hashlib
@@ -112,14 +121,14 @@ RUNS = {
 
 # (checkpoint SHA-256, log SHA-256) per run
 GOLDEN = {
-    "flow": ("4e8ed799f5306bebf3dbf5a0f099686d98b3f60fd60b301d620631e88ad883d9",
-             "25777b79ac7cefa3a1cde0a4b2faed7599eb07b24c9a510638b450e372fc69bc"),
-    "har-raw": ("eb3f8070f918a4fa3b52d95b131cde4e98502b4ce186d35c4d0f6fabeac880a2",
+    "flow": ("47e81954193996bca6cdcb4cd52480cfe6ce20e854b99379b63590c846bcbb8b",
+             "400e142e104ce469cc90950fad54c5530823b4fab7a63a45244748d583a2644e"),
+    "har-raw": ("fc2dfdee3084a29ffb7ed70f3473847e1f153e5e484abc596d987f728ced90b6",
                 "065d8258fed337bfa67bd27662768ef07880be057f7a3ef87ee402f6a0d15e5e"),
-    "har-s1": ("a101e8f33a888daaa97dea55114eb5979564152dc97ae8e74fb078cdc0f956b8",
+    "har-s1": ("95802e4392ffeba6c350da91571e55799f3777d3c2df04fce0a3883293293a93",
                "20d845e327fa65999d2db4e6675cdb0fa83635ca433a8fc1e54ad87862179c3b"),
-    "hp-s2": ("755ec7704c21121d14c6e95f90abe679fb9cc30a4657a1472362908c900b4598",
-              "30d881abbfa9b7e65ea94c132986c6014d2a6debc3bd10c47cb0726d2006b36a"),
+    "hp-s2": ("763c03c2c7fc9015796f74f502fac48bea05bf4adc66bbdd806e78c3db03a83f",
+              "8d5f505d91d2b06d8b7114d7487e2f4fab0b2039120cc05ba4280beab944c54b"),
 }
 
 
@@ -131,7 +140,7 @@ def test_training_bytes_unchanged(tmp_path, run):
 
 
 # the har-s1 checkpoint from before s1 checkpoints stored their frozen flow model
-HAR_S1_TASK_ONLY = "46674431d09ebfdc86c4737eb0745d0ae7348a7e3cc31693856c0ec70e07ecce"
+HAR_S1_TASK_ONLY = "4e2b51a9059c3fd0aa127c356ffe6a60bd71e373f2f2184538535133c7b42602"
 
 
 def test_s1_checkpoint_adds_only_its_frozen_flow_model(tmp_path):

@@ -16,6 +16,16 @@ def brute_knn(query, ref, kk):
     return out
 
 
+def padded(lists, max_samples):
+    """Ragged ball lists ``(neighbours, counts)`` as the padded rows of
+    ``oracle.ball_query_loop``: each list repeats its first (nearest) entry
+    up to ``max_samples``."""
+    neighbours, counts = lists
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    col = np.arange(max_samples)
+    return neighbours[starts[:, None] + np.where(col < counts[:, None], col, 0)]
+
+
 @pytest.fixture(scope="module")
 def clouds():
     rng = np.random.default_rng(42)
@@ -45,29 +55,28 @@ class TestBallQuery:
     def test_against_brute_force(self, clouds):
         q, r = clouds
         radius, ms = 0.8, 6
-        got = k.NeighbourTable(q, r).ball(radius, ms)
+        neighbours, counts = k.NeighbourTable(q, r).ball(radius, ms)
+        got = padded((neighbours, counts), ms)
         np.testing.assert_array_equal(got, oracle.ball_query_loop(q, r, radius, ms))
+        lists = np.split(neighbours, np.cumsum(counts)[:-1])
         for i, c in enumerate(q):
             d = [(float(np.sum((c - p) ** 2)), j) for j, p in enumerate(r)]
             d.sort()
             hits = [j for dd, j in d if dd <= radius * radius]
-            if not hits:
-                expect = [d[0][1]] * ms
-            elif len(hits) >= ms:
-                expect = hits[:ms]
-            else:
-                expect = hits + [hits[0]] * (ms - len(hits))
-            assert got[i].tolist() == expect
+            expect = hits[:ms] if hits else [d[0][1]]
+            assert lists[i].tolist() == expect
 
     def test_empty_ball_falls_back_to_nearest(self):
         pts = np.array([[10.0, 0, 0], [20.0, 0, 0]])
-        got = k.NeighbourTable(np.zeros((1, 3)), pts).ball(0.5, 4)
-        np.testing.assert_array_equal(got, [[0, 0, 0, 0]])
+        neighbours, counts = k.NeighbourTable(np.zeros((1, 3)), pts).ball(0.5, 4)
+        np.testing.assert_array_equal(neighbours, [0])
+        np.testing.assert_array_equal(counts, [1])
 
-    def test_padding_repeats_nearest_hit(self):
+    def test_lists_hold_only_the_hits(self):
         pts = np.array([[0.3, 0, 0], [0.1, 0, 0], [9.0, 0, 0]])
-        got = k.NeighbourTable(np.zeros((1, 3)), pts).ball(0.5, 5)
-        np.testing.assert_array_equal(got, [[1, 0, 1, 1, 1]])
+        neighbours, counts = k.NeighbourTable(np.zeros((1, 3)), pts).ball(0.5, 5)
+        np.testing.assert_array_equal(neighbours, [1, 0])
+        np.testing.assert_array_equal(counts, [2])
 
 
 def tied_clouds():
@@ -93,18 +102,20 @@ class TestNeighbourTable:
         for radius in (1e-3, 0.1, 0.3, 1.0, 1.5, 2.0, 10.0):
             for ms in (1, 2, 5, 16, len(pts), len(pts) + 7):
                 want = oracle.ball_query_loop(pts, pts, radius, ms)
-                np.testing.assert_array_equal(table.ball(radius, ms), want)
-                np.testing.assert_array_equal(table.ball(radius, ms, rows=rows), want[rows])
+                np.testing.assert_array_equal(padded(table.ball(radius, ms), ms), want)
+                np.testing.assert_array_equal(padded(table.ball(radius, ms, rows=rows), ms),
+                                              want[rows])
 
     def test_no_hit_falls_back_to_nearest(self):
         pts = np.array([[10.0, 0, 0], [20.0, 0, 0], [0.0, 30.0, 0]])
         table = k.NeighbourTable(np.zeros((1, 3)), pts)
-        np.testing.assert_array_equal(table.ball(0.5, 4), [[0, 0, 0, 0]])
+        np.testing.assert_array_equal(padded(table.ball(0.5, 4), 4), [[0, 0, 0, 0]])
 
     def test_query_against_other_cloud(self, clouds):
         q, r = clouds
         table = k.NeighbourTable(q, r)
-        np.testing.assert_array_equal(table.ball(0.8, 6), oracle.ball_query_loop(q, r, 0.8, 6))
+        np.testing.assert_array_equal(padded(table.ball(0.8, 6), 6),
+                                      oracle.ball_query_loop(q, r, 0.8, 6))
         np.testing.assert_array_equal(table.knn(5), oracle.knn_indices_loop(q, r, 5))
 
     @pytest.mark.parametrize("name", ["grid", "mirror", "normal"])

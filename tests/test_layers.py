@@ -110,9 +110,10 @@ class TestSampling:
     def test_ball_query_indices_in_range(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(20, 3))
-        idx = L.ball_query(NeighbourTable(pts[:5], pts), 0.8, 6)
-        assert idx.shape == (5, 6)
-        assert idx.min() >= 0 and idx.max() < 20
+        neighbours, counts = L.ball_query(NeighbourTable(pts[:5], pts), 0.8, 6)
+        assert counts.shape == (5,) and counts.min() >= 1 and counts.max() <= 6
+        assert neighbours.shape == (counts.sum(),)
+        assert neighbours.min() >= 0 and neighbours.max() < 20
 
     def test_ball_query_reads_given_table(self):
         rng = np.random.default_rng(2)
@@ -120,7 +121,8 @@ class TestSampling:
         rows = np.array([4, 0, 17])
         want = L.ball_query(NeighbourTable(pts[rows], pts), 0.8, 6)
         table = NeighbourTable(pts)
-        np.testing.assert_array_equal(L.ball_query(table, 0.8, 6, rows), want)
+        for got, expect in zip(L.ball_query(table, 0.8, 6, rows), want, strict=True):
+            np.testing.assert_array_equal(got, expect)
 
 
 def set_abstraction(mlp, pts, feats, radius, n_samples, centroid_idx=None):

@@ -1,0 +1,169 @@
+"""The networks against their first-written forms in `kernel_oracles`.
+
+The program never builds what those forms build: set abstraction runs on
+each centroid's real neighbours, not on padded ball rows; the cost volume
+multiplies source features once per source point and target features once
+per target point, not the (N, k, 2C + 3) pair input; and a first layer
+multiplies the rows every point shares (the pooled context g, the GRU state)
+once.  In float64 the flows, scores and every parameter gradient agree with
+the first-written forms to 1e-12 of the largest entry of each tensor.  The
+biases that feed a softmax have a true gradient of exactly 0 (a softmax
+does not move when all its inputs do): the output biases of the attention
+MLPs and of the cost volume's weight MLPs, and the hidden biases of an
+attention MLP whose units are active on every row.  Both forms give
+rounding noise there, so the biases of those MLPs are held to 1e-12 of the
+largest gradient of the model.
+
+The guards below check that the waste stays out: the first set-abstraction
+layer of a frame sees one row per ball hit, and the cost volume builds no
+pair-input array.
+"""
+
+import numpy as np
+import pytest
+
+import kernel_oracles as oracle
+from helpers import jitter_params
+from test_flownet import chained_clip, make_frame, make_label, tiny_net
+
+from milliflow import autodiff as ad
+from milliflow._kernels import NeighbourTable
+from milliflow.autodiff import Tensor
+from milliflow.config import TaskConfig
+from milliflow.downstream import HarNet, HpNet, balanced_cross_entropy, cross_entropy
+from milliflow.flownet import FlowNet, clip_loss
+
+REL = 1e-12
+
+# radii and sample counts that leave most balls short of their sample count
+# (padded in the first-written form) and some cut at it
+NET = dict(sa_radii=(0.3, 0.6), sa_samples=(4, 8))
+
+
+def oracle_task() -> TaskConfig:
+    return TaskConfig(sa_radii=(0.3, 0.6), sa_samples=(4, 8), sa_mlp=(8, 8),
+                      post_sa_mlp=(8, 8), attention_hidden=4, fps_centroids=6,
+                      stage2_radius=0.5, stage2_samples=6, stage2_mlp=(8, 8),
+                      lstm_hidden=6, gru_hidden=6, classifier=(8,), window=3)
+
+
+def softmax_bias(name: str) -> bool:
+    return ".b" in name and ("attn." in name or name.startswith(("cv.weight1.", "cv.weight2.")))
+
+
+def gradients(named, loss):
+    """Every parameter's gradient of `loss`; those it does not reach are left out."""
+    for t in named.values():
+        t.zero_grad()
+    loss.backward()
+    return {name: t.grad.copy() for name, t in named.items() if t.grad is not None}
+
+
+def assert_close(got, want, scale=None, what=""):
+    want = np.asarray(want)
+    bound = REL * (np.abs(want).max() if scale is None else scale)
+    assert np.abs(np.asarray(got) - want).max() <= bound, what
+
+
+def assert_gradients_match(got, want):
+    assert sorted(got) == sorted(want)
+    scale = max(np.abs(g).max() for g in want.values())
+    for name in want:
+        assert_close(got[name], want[name], scale if softmax_bias(name) else None, name)
+
+
+def model_with_jitter(cls, *args, **kwargs):
+    model = cls(*args, dtype=np.float64, **kwargs)
+    jitter_params(model.named_params(), np.random.default_rng(5))
+    return model
+
+
+@pytest.mark.parametrize("temporal", [True, False])
+def test_flownet_matches_concat_forms(temporal):
+    model = model_with_jitter(FlowNet, tiny_net(temporal=temporal, clamp=10.0, **NET), seed=7)
+    named = model.named_params()
+    # six chained pairs: the GRU state is reset after the fifth
+    clip = chained_clip(n_samples=6, n=24, seed=3)
+    want_loss, want_flows = oracle.flow_clip_loss_concat(model, clip)
+    want = gradients(named, want_loss)
+    state, flows = model.initial_state(), []
+    for sample in clip:
+        out, state, _ = model.forward(sample.source, sample.target, state)
+        flows.append(out.data)
+    got_loss = clip_loss(model, clip)
+    got = gradients(named, got_loss)
+    for a, b in zip(flows, want_flows, strict=True):
+        assert_close(a, b.data)
+    assert_close(got_loss.data, want_loss.data)
+    assert_gradients_match(got, want)
+
+
+def task_frames(n_frames=3):
+    frames = [make_frame(20, seed=40 + t) for t in range(n_frames)]
+    return frames, [Tensor(f.intensities[:, None]) for f in frames]
+
+
+def test_harnet_stage2_matches_concat_forms():
+    model = model_with_jitter(HarNet, oracle_task(), 1, 3, seed=2)
+    named = model.named_params()
+    frames, feats = task_frames()
+    want_scores = oracle.har_forward_concat(model, frames, feats)
+    want = gradients(named, cross_entropy(want_scores, [1]))
+    got_scores = model.forward(frames, feats)
+    got = gradients(named, cross_entropy(got_scores, [1]))
+    assert_close(got_scores.data, want_scores.data)
+    assert_gradients_match(got, want)
+
+
+def test_hpnet_head_matches_concat_forms():
+    model = model_with_jitter(HpNet, oracle_task(), 1, 3, seed=2)
+    named = model.named_params()
+    frames, feats = task_frames()
+    labels = [make_label(20, seed=60 + t) for t in range(len(frames))]
+    segments = np.concatenate([np.arange(20) % 3 for _ in frames])
+    valid = np.concatenate([label.valid_mask for label in labels])
+
+    def loss(scores):
+        return balanced_cross_entropy(ad.concat(scores, axis=0), segments, valid)
+
+    want_scores = oracle.hp_forward_concat(model, frames, feats)
+    want = gradients(named, loss(want_scores))
+    got_scores = model.forward(frames, feats)
+    got = gradients(named, loss(got_scores))
+    for a, b in zip(got_scores, want_scores, strict=True):
+        assert_close(a.data, b.data)
+    assert_gradients_match(got, want)
+
+
+class TestNoWaste:
+    def test_first_set_abstraction_layer_sees_one_row_per_hit(self, monkeypatch):
+        model = FlowNet(tiny_net(**NET), seed=0)
+        frame = make_frame(40, seed=1)
+        points = frame.points.astype(np.float32)
+        table = NeighbourTable(points)
+        seen = []
+        matmul_rows = ad.matmul_rows
+        monkeypatch.setattr(ad, "matmul_rows",
+                            lambda x, w, lo: seen.append((w, x.shape)) or matmul_rows(x, w, lo))
+        model.local(points, Tensor(frame.intensities.astype(np.float32)[:, None]), table)
+        for sa, radius, samples in zip(model.local.sas, NET["sa_radii"], NET["sa_samples"]):
+            _, counts = table.ball(radius, samples)
+            # relative positions: one row per hit; intensities: one per point
+            assert [shape for w, shape in seen if w is sa.weights[0]] == [
+                (counts.sum(), 3), (40, 1)]
+            assert counts.sum() < 40 * samples  # the padded form's rows
+
+    def test_cost_volume_builds_no_pair_input(self, monkeypatch):
+        cfg = tiny_net(**NET)
+        model = FlowNet(cfg, seed=0)
+        c = model.local.z_dim
+        shapes = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make",
+                            lambda data, *rest: shapes.append(data.shape) or make(data, *rest))
+        model.forward(make_frame(30, seed=2), make_frame(25, seed=3), model.initial_state())
+        per_pair = {s[2] for s in shapes if len(s) == 3 and s[:2] == (30, cfg.cv_k)}
+        assert cfg.cv_dcost in per_pair  # the gathered target products
+        # per (point, neighbour) pair only cost and weight MLP widths appear
+        assert per_pair <= {cfg.cv_dcost, 1, *cfg.cv_weight_hidden}
+        assert all(s[-1:] != (2 * c + 3,) for s in shapes)

@@ -8,11 +8,10 @@ reference cycle and is freed as soon as its last tensor is dropped.
 Broadcasting is supported everywhere by summing gradients back over
 broadcast axes.
 
-The products fold every leading axis into one, so each direction of
-`linear` and `matmul_rows` is one 2-D GEMM.  `matmul_rows` multiplies by a
-row block of a weight, so a layer's input can arrive as blocks that are
-never concatenated.  `take` sums the gradient of a repeated index after one
-stable sort, and `segment_max` pools ragged runs of rows.
+`mlp` records a whole affine chain, ReLUs included, as one node with a
+hand-written backward; it is the only matrix product here.  `take` sums the
+gradient of a repeated index after one stable sort, and `segment_max` pools
+ragged runs of rows.
 """
 
 from __future__ import annotations
@@ -86,13 +85,8 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray, rows: slice | None = None):
-        """Add `grad` to the gradient, or to its `rows` only."""
-        if rows is not None:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[rows] += grad
-        elif self.grad is None:
+    def _accumulate(self, grad: np.ndarray):
+        if self.grad is None:
             # the first touch stores a copy: the closures hand out views of
             # their own gradient, which must not alias this one
             self.grad = np.broadcast_to(grad, self.data.shape).copy()
@@ -200,62 +194,6 @@ def powr(a, p: float) -> Tensor:
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad * p * a.data ** (p - 1.0))
-
-    return _make(out_data, (a,), backward)
-
-
-def linear(x, w, b) -> Tensor:
-    """Fused x @ w + b over the last axis; the leading axes are folded into
-    one, so each direction is one 2-D GEMM."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeMismatch(f"linear: input dim {x.shape[-1]} != weight rows {w.shape[0]}")
-    x2 = x.data.reshape(-1, x.shape[-1])
-    out2 = x2 @ w.data
-    out2 += b.data  # in place: a second (rows, out) array costs more than the add
-    out_data = out2.reshape(x.shape[:-1] + (w.shape[1],))
-
-    def backward(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
-
-    return _make(out_data, (x, w, b), backward)
-
-
-def matmul_rows(x, w, lo: int) -> Tensor:
-    """x @ w[lo:hi] over the last axis, hi = lo + x.shape[-1], as one 2-D
-    GEMM in each direction.  The backward adds into rows lo:hi of w's
-    gradient only, so the blocks of one input, each against its own rows of
-    one weight, accumulate that weight's whole gradient."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    hi = lo + x.shape[-1]
-    if not 0 <= lo < hi <= w.shape[0]:
-        raise ShapeMismatch(f"matmul_rows: rows {lo}:{hi} of a weight with {w.shape[0]}")
-    x2 = x.data.reshape(-1, x.shape[-1])
-    out_data = (x2 @ w.data[lo:hi]).reshape(x.shape[:-1] + (w.shape[1],))
-
-    def backward(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data[lo:hi].T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2, rows=slice(lo, hi))
-
-    return _make(out_data, (x, w), backward)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (a.data > 0.0))
 
     return _make(out_data, (a,), backward)
 
@@ -394,27 +332,114 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(out_data, tuple(tensors), backward)
 
 
+def _scatter_rows(grad: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The gradient of gathering by `idx` from `n` rows: each index's rows
+    of `grad` summed, after one stable sort, by np.add.reduceat."""
+    flat = idx.reshape(-1)
+    rows = grad.reshape((flat.size,) + grad.shape[idx.ndim:])
+    full = np.zeros((n,) + rows.shape[1:], dtype=grad.dtype)
+    if flat.size:
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        full[ordered[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return full
+
+
 def take(a, idx) -> Tensor:
-    """Rows of `a` gathered by an integer array `idx` of any shape.  The
-    backward sums the gradient of each repeated index: the flat indices are
-    put in order by one stable sort, and each run of equal ones is summed by
-    np.add.reduceat."""
+    """Rows of `a` gathered by an integer array `idx` of any shape."""
     a = _as_tensor(a)
     idx = np.asarray(idx)
     out_data = a.data[idx]
 
     def backward(grad):
-        flat = idx.reshape(-1)
-        full = np.zeros_like(a.data)
-        if flat.size:
-            order = np.argsort(flat, kind="stable")
-            ordered = flat[order]
-            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-            rows = grad.reshape((flat.size,) + a.shape[1:])[order]
-            full[ordered[starts]] = np.add.reduceat(rows, starts, axis=0)
-        a._accumulate(full)
+        a._accumulate(_scatter_rows(grad, idx, a.shape[0]))
 
     return _make(out_data, (a,), backward)
+
+
+def _sum_smallest_first(parts: list, shared: np.ndarray) -> np.ndarray:
+    """The broadcast sum of `parts`, smallest first.  Each add is made in
+    place into an operand of the sum's shape that is not `shared`."""
+    shape = np.broadcast(*parts).shape
+    h, *rest = sorted(parts, key=lambda a: a.size)
+    for p in rest:
+        if p.shape == shape and p is not shared:
+            p += h  # addition commutes: the bytes of h + p
+            h = p
+        elif h.shape == shape and h is not shared:
+            h += p
+        else:
+            h = h + p
+    return h
+
+
+def mlp(blocks, weights, biases) -> Tensor:
+    """An affine chain as one node: layer i maps h to h @ weights[i] +
+    biases[i], with a ReLU between layers and none after the last.
+
+    The first layer's input is the concatenation of `blocks` along the last
+    axis, which is never built: each block is multiplied by its own rows of
+    weights[0].  A block is a Tensor (a 1-D one, the same for every row, is
+    multiplied once) or a pair (x, idx): x multiplied per row, then gathered
+    by the integer array idx, so a row idx repeats is multiplied once.  The
+    products broadcast as numpy arrays do and are summed smallest first,
+    from the first bias.  Each product is one 2-D GEMM in each direction.
+    Widths that do not sum to weights[0]'s rows raise ShapeMismatch.
+
+    The backward walks the layers in reverse: dW = a^T g, db = sum of g,
+    g = (g W^T) masked where the ReLU was off.  A gathered block's gradient
+    is scattered as `take`'s is; weights[0] gets one gradient, built from
+    its row blocks.
+    """
+    w0, b0 = weights[0], biases[0]
+    width = sum((b[0] if isinstance(b, tuple) else b).shape[-1] for b in blocks)
+    if width != w0.shape[0]:
+        raise ShapeMismatch(f"mlp: input width {width} != weight rows {w0.shape[0]}")
+    inputs, parts, lo = [], [b0.data], 0  # inputs: (x, x2, idx, rows of w0, part shape)
+    for block in blocks:
+        x, idx = block if isinstance(block, tuple) else (block, None)
+        rows = slice(lo, lo + x.shape[-1])
+        lo = rows.stop
+        x2 = x.data.reshape(-1, x.shape[-1])
+        part = (x2 @ w0.data[rows]).reshape(x.shape[:-1] + (w0.shape[1],))
+        parts.append(part if idx is None else part[idx])
+        inputs.append((x, x2, idx, rows, parts[-1].shape))
+    h = _sum_smallest_first(parts, b0.data)
+    first_shape, h = h.shape, h.reshape(-1, h.shape[-1])
+    acts = []  # each hidden layer's output after its ReLU
+    for w, b in zip(weights[1:], biases[1:]):
+        acts.append(np.maximum(h, 0.0, out=h))
+        h = h @ w.data
+        h += b.data
+    out_data = h.reshape(first_shape[:-1] + (h.shape[-1],))
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        for w, b, a in zip(weights[:0:-1], biases[:0:-1], acts[::-1]):
+            if w.requires_grad:
+                w._accumulate(a.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+            g = g @ w.data.T
+            g *= a > 0.0
+        if b0.requires_grad:
+            b0._accumulate(g.sum(axis=0))
+        g = g.reshape(first_shape)
+        dw0 = np.empty_like(w0.data) if w0.requires_grad else None
+        for x, x2, idx, rows, shape in inputs:
+            gp = _unbroadcast(g, shape)
+            if idx is not None:
+                gp = _scatter_rows(gp, idx, x.shape[0])
+            gp = gp.reshape(-1, gp.shape[-1])
+            if dw0 is not None:
+                dw0[rows] = x2.T @ gp
+            if x.requires_grad:
+                x._accumulate((gp @ w0.data[rows].T).reshape(x.shape))
+        if dw0 is not None:
+            w0._accumulate(dw0)
+
+    return _make(out_data, (*(x for x, *_ in inputs), *weights, *biases), backward)
 
 
 def softmax(a, axis=-1) -> Tensor:

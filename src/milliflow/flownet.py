@@ -64,7 +64,7 @@ class CloudEncoder:
     EncoderConfig), each followed by its post MLP; the concatenated per-point
     features k are attention-pooled into g, and every point's encoding is
     z = [k || g], of width `z_dim`.  The encoder returns z as its two blocks
-    (k, g): an MLP takes them as they are (`MLP.__call__`), so g is
+    (k, g): an MLP takes them as they are (`ad.mlp`), so g is
     multiplied once, not once per point.
     """
 

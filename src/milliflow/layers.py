@@ -2,7 +2,8 @@
 
 Shared MLPs, PointNet++-style set abstraction over ball neighborhoods,
 attention global pooling, a patch-to-patch cost volume, GRU and LSTM
-cells, Adam, and a byte-stable checkpoint format.  Every layer takes its
+cells, Adam, and a byte-stable checkpoint format.  An MLP call and each
+gate of a cell record one `ad.mlp` node.  Every layer takes its
 parameters from one `Params` source, which draws them (Kaiming-uniform
 weights, zero biases) or reads them from a checkpoint's stored values.
 Point geometry (indices, neighborhoods) is plain numpy; gradients flow only
@@ -83,7 +84,6 @@ class MLP:
     def __init__(self, params: Params, in_dim: int, dims: list[int]):
         if not dims:
             raise ConfigError("MLP needs at least one layer")
-        self.in_dim = in_dim
         self.weights = []
         self.biases = []
         prev = in_dim
@@ -93,35 +93,8 @@ class MLP:
             prev = d
 
     def __call__(self, *blocks) -> Tensor:
-        """The chain on the concatenation of `blocks` along the last axis,
-        which is never built: the first layer multiplies each block by its
-        own rows of the first weight (`ad.matmul_rows`).  A block is a
-        Tensor, or a pair (x, idx) whose product is gathered by
-        `ad.take(., idx)`, so each row of x is multiplied once however often
-        idx repeats it.  Blocks broadcast against one another as numpy
-        arrays do: a 1-D block, the same for every row, is multiplied once.
-        The products are summed smallest first, beginning with the bias, so
-        a shared one is added before it is broadcast."""
-        widths = [(b[0] if isinstance(b, tuple) else b).shape[-1] for b in blocks]
-        if sum(widths) != self.in_dim:
-            raise ShapeMismatch(f"MLP expects last axis {self.in_dim}, got {sum(widths)}")
-        w0, b0 = self.weights[0], self.biases[0]
-        if len(blocks) == 1 and not isinstance(blocks[0], tuple):
-            h = ad.linear(blocks[0], w0, b0)
-        else:
-            parts, lo = [b0], 0
-            for block, width in zip(blocks, widths):
-                x, idx = block if isinstance(block, tuple) else (block, None)
-                part = ad.matmul_rows(x, w0, lo)
-                parts.append(part if idx is None else ad.take(part, idx))
-                lo += width
-            parts.sort(key=lambda t: t.size)
-            h = parts[0]
-            for part in parts[1:]:
-                h = ad.add(h, part)
-        for w, b in zip(self.weights[1:], self.biases[1:]):
-            h = ad.linear(ad.relu(h), w, b)
-        return h
+        """The chain on the concatenation of `blocks`, as `ad.mlp` takes them."""
+        return ad.mlp(blocks, self.weights, self.biases)
 
 
 def _as_blocks(feats) -> tuple:
@@ -237,7 +210,7 @@ class CostVolume:
 
 class _GatedCell:
     """A recurrent cell over concatenated [h || x]: each gate g of `gates`,
-    in order, has a weight w_<g> over [h || x] and a bias b_<g>."""
+    in order, is a one-layer `ad.mlp` with weight w_<g> and bias b_<g>."""
 
     def __init__(self, params: Params, hidden: int, input_dim: int):
         self.hidden = hidden
@@ -263,10 +236,10 @@ class GRUCell(_GatedCell):
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
         self._check_dims(h, x)
         hx = ad.concat([h, x], axis=-1)
-        z = ad.sigmoid(ad.linear(hx, self.w_z, self.b_z))
-        r = ad.sigmoid(ad.linear(hx, self.w_r, self.b_r))
+        z = ad.sigmoid(ad.mlp([hx], [self.w_z], [self.b_z]))
+        r = ad.sigmoid(ad.mlp([hx], [self.w_r], [self.b_r]))
         rhx = ad.concat([ad.mul(r, h), x], axis=-1)
-        h_tilde = ad.tanh(ad.linear(rhx, self.w_h, self.b_h))
+        h_tilde = ad.tanh(ad.mlp([rhx], [self.w_h], [self.b_h]))
         one_minus_z = ad.add(ad.mul(z, -1.0), 1.0)
         return ad.add(ad.mul(one_minus_z, h), ad.mul(z, h_tilde))
 
@@ -279,10 +252,10 @@ class LSTMCell(_GatedCell):
     def __call__(self, h: Tensor, c: Tensor, x: Tensor):
         self._check_dims(h, x)
         hx = ad.concat([h, x], axis=-1)
-        i = ad.sigmoid(ad.linear(hx, self.w_i, self.b_i))
-        f = ad.sigmoid(ad.linear(hx, self.w_f, self.b_f))
-        o = ad.sigmoid(ad.linear(hx, self.w_o, self.b_o))
-        g = ad.tanh(ad.linear(hx, self.w_g, self.b_g))
+        i = ad.sigmoid(ad.mlp([hx], [self.w_i], [self.b_i]))
+        f = ad.sigmoid(ad.mlp([hx], [self.w_f], [self.b_f]))
+        o = ad.sigmoid(ad.mlp([hx], [self.w_o], [self.b_o]))
+        g = ad.tanh(ad.mlp([hx], [self.w_g], [self.b_g]))
         c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
         h_new = ad.mul(o, ad.tanh(c_new))
         return h_new, c_new

@@ -1,11 +1,18 @@
 """Shared test utilities: finite-difference gradient checking, checkpoint
-header bit flips, a rotation check and a subject's reflectors in motion."""
+header bit flips, a rotation check, a subject's reflectors in motion, and
+test runs on another BLAS kernel."""
 
 import functools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import milliflow
 from milliflow.autodiff import Tensor
 from milliflow.errors import MilliflowError
 from milliflow.radar import RadarConfig, sample_bone_local_reflectors
@@ -34,12 +41,20 @@ def check_param_grads(
     tol: float = 1e-4,
     max_entries: int = 6,
     seed: int = 0,
+    zero: dict | None = None,
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
     `loss_fn` rebuilds the scalar loss from scratch; `tensors` maps names to
     the leaf tensors to check.  A few entries per tensor are probed.  Returns
     the worst relative error observed (asserting it stays below `tol`).
+
+    `zero` maps names to boolean masks (True for all) of the entries whose
+    true gradient is exactly 0, such as a bias that feeds a softmax (a
+    softmax does not move when all its inputs do).  A finite difference
+    there measures only the loss's rounding, so those entries are held to
+    their known value instead, within 1e-12 of the largest gradient, and
+    the others are probed.
     """
     for t in tensors.values():
         t.zero_grad()
@@ -49,11 +64,16 @@ def check_param_grads(
 
     rng = np.random.default_rng(seed)
     worst = 0.0
+    largest = max(np.abs(t.grad).max() for t in tensors.values() if t.grad is not None)
     for name, t in tensors.items():
         assert t.grad is not None, f"no gradient reached {name}"
+        free = t.data.size
+        if zero and name in zero:
+            known = np.broadcast_to(zero[name], t.shape).reshape(-1)
+            assert np.all(np.abs(t.grad.reshape(-1)[known]) <= 1e-12 * largest), name
+            free = np.flatnonzero(~known)
         flat = t.data.reshape(-1)
-        n = flat.size
-        idxs = rng.choice(n, size=min(max_entries, n), replace=False)
+        idxs = rng.choice(free, size=min(max_entries, np.size(free)), replace=False)
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + h
@@ -146,3 +166,25 @@ def reflector_motion(subject: int, activity: str):
     model = make_subject(subject)
     local = sample_bone_local_reflectors(model, RadarConfig(), subject)
     return model, generate_motion(model, ActivitySpec(activity), 12), local
+
+
+def uses_openblas() -> bool:
+    """Whether numpy is linked to OpenBLAS, whose kernels OPENBLAS_CORETYPE picks."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+on_openblas = pytest.mark.skipif(
+    not uses_openblas(),
+    reason="numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE picks no other kernel")
+
+
+def pytest_on_kernel(core: str, *tests: str) -> subprocess.CompletedProcess:
+    """pytest on `tests` in a fresh interpreter told to use the OpenBLAS
+    core type `core`: OpenBLAS built with DYNAMIC_ARCH picks its kernels at
+    load time, so another kernel needs another process."""
+    src = str(Path(milliflow.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *tests], env=env, capture_output=True, text=True)

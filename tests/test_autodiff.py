@@ -57,11 +57,15 @@ class TestBasics:
         np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
 
     def test_dtype_preserved_float32(self):
+        rng = np.random.default_rng(2)
         a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        out = ad.relu(ad.add(ad.mul(a, 2.0), 0.5))
+        ws = [Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+              for shape in ((2, 3), (3, 2))]
+        bs = [Tensor(np.zeros(n, dtype=np.float32), requires_grad=True) for n in (3, 2)]
+        out = ad.mlp([ad.add(ad.mul(a, 2.0), 0.5)], ws, bs)
         assert out.dtype == np.float32
         ad.tsum(out).backward()
-        assert a.grad.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in (a, *ws, *bs))
 
 
 class TestOpGradients:
@@ -76,7 +80,6 @@ class TestOpGradients:
             (lambda: ad.tsum(ad.mul(a, b)), both),
             (lambda: ad.tsum(ad.add(a, ad.mul(b, -1.0))), both),
             (lambda: ad.tsum(ad.powr(a, 2.0)), only_a),
-            (lambda: ad.tsum(ad.relu(a)), only_a),
             (lambda: ad.tsum(ad.exp(ad.mul(a, 0.3))), only_a),
             (lambda: ad.tsum(ad.tanh(a)), only_a),
             (lambda: ad.tsum(ad.sigmoid(a)), only_a),
@@ -90,20 +93,6 @@ class TestOpGradients:
         rng = np.random.default_rng(1)
         a = Tensor(rng.uniform(0.5, 2.0, size=(5,)), requires_grad=True)
         check_param_grads(lambda: ad.tsum(ad.log(a)), {"a": a})
-
-    def test_linear_grad(self):
-        rng = np.random.default_rng(4)
-        x = leaf(rng, 7, 4)
-        w = leaf(rng, 4, 3)
-        b = leaf(rng, 3)
-        check_param_grads(
-            lambda: ad.tsum(ad.relu(ad.linear(x, w, b))), {"x": x, "w": w, "b": b}
-        )
-
-    def test_linear_shape_error(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ShapeMismatch):
-            ad.linear(leaf(rng, 3, 4), leaf(rng, 5, 2), leaf(rng, 2))
 
     def test_reductions_and_reshape(self):
         rng = np.random.default_rng(6)
@@ -138,40 +127,6 @@ class TestOpGradients:
         weights = rng.normal(size=(4, 3))
         check_param_grads(lambda: ad.tsum(ad.mul(ad.segment_max(a, counts), weights)),
                           {"a": a}, max_entries=27)
-
-    def test_matmul_rows_grad(self):
-        rng = np.random.default_rng(13)
-        x = leaf(rng, 2, 5, 3)
-        w = leaf(rng, 7, 4)
-        check_param_grads(lambda: ad.tsum(ad.tanh(ad.matmul_rows(x, w, 2))),
-                          {"x": x, "w": w}, max_entries=12)
-        np.testing.assert_array_equal(ad.matmul_rows(x, w, 2).data, x.data @ w.data[2:5])
-
-    def test_matmul_rows_touches_only_its_rows(self):
-        rng = np.random.default_rng(14)
-        x = leaf(rng, 5, 3)
-        w = leaf(rng, 7, 4)
-        ad.tsum(ad.matmul_rows(x, w, 2)).backward()
-        assert not np.any(w.grad[:2]) and not np.any(w.grad[5:])
-        assert np.all(w.grad[2:5] != 0)
-        with pytest.raises(ShapeMismatch):
-            ad.matmul_rows(x, w, 5)
-
-    def test_matmul_rows_blocks_accumulate_one_weight(self):
-        # [x1 || x2] @ w, as two blocks against their rows of one weight
-        rng = np.random.default_rng(15)
-        x1, x2, w = leaf(rng, 6, 3), leaf(rng, 6, 4), leaf(rng, 7, 5)
-        seed = rng.normal(size=(6, 5))
-        ad.add(ad.matmul_rows(x1, w, 0), ad.matmul_rows(x2, w, 3)).backward(seed)
-        blocks = w.grad
-        w.zero_grad()
-        whole = ad.linear(ad.concat([x1, x2], axis=1), w, np.zeros(5))
-        whole.backward(seed)
-        np.testing.assert_allclose(blocks, w.grad, rtol=1e-13)
-        check_param_grads(
-            lambda: ad.tsum(ad.powr(ad.add(ad.matmul_rows(x1, w, 0),
-                                           ad.matmul_rows(x2, w, 3)), 2.0)),
-            {"x1": x1, "x2": x2, "w": w}, max_entries=12)
 
     def test_concat_grad(self):
         rng = np.random.default_rng(7)
@@ -260,6 +215,87 @@ class TestOpGradients:
         check_param_grads(lambda: ad.tsum(ad.norm(a, axis=1)), {"a": a})
 
 
+def chain(rng, *dims):
+    """The weights and biases of an affine chain through widths `dims`."""
+    return ([leaf(rng, a, b) for a, b in zip(dims, dims[1:])],
+            [leaf(rng, b) for b in dims[1:]])
+
+
+def named(**groups):
+    """{name: tensor} of lists of tensors, each named by its group and index."""
+    return {f"{k}{i}": t for k, ts in groups.items() for i, t in enumerate(ts)}
+
+
+class TestMlp:
+    def test_grad_single_block(self):
+        # a 2-D and a 3-D input, through a ReLU and straight through
+        rng = np.random.default_rng(4)
+        for i, (shape, dims) in enumerate((((7, 4), (4, 5, 3)), ((2, 5, 4), (4, 6, 5, 2)))):
+            x = leaf(rng, *shape)
+            ws, bs = chain(rng, *dims)
+            check_param_grads(lambda: ad.tsum(ad.tanh(ad.mlp([x], ws, bs))),
+                              dict(named(w=ws, b=bs), x=x), seed=i)
+
+    def test_grad_mixed_blocks(self):
+        # a plain (4, 3, 2) block, a 1-D one shared by every row, and rows of
+        # y gathered by a 2-D index that repeats rows and is not sorted
+        rng = np.random.default_rng(13)
+        x, shared, y = leaf(rng, 4, 3, 2), leaf(rng, 3), leaf(rng, 6, 4)
+        idx = np.array([[5, 0, 5], [2, 2, 2], [1, 5, 0], [3, 0, 2]])
+        ws, bs = chain(rng, 9, 5, 3)
+        check_param_grads(lambda: ad.tsum(ad.tanh(ad.mlp([x, shared, (y, idx)], ws, bs))),
+                          dict(named(w=ws, b=bs), x=x, shared=shared, y=y), max_entries=12)
+
+    def test_block_weight_grad_in_its_rows(self):
+        # a block that is all zeros puts nothing in its rows of the first
+        # weight; the other block fills its own
+        rng = np.random.default_rng(14)
+        x, zeros = leaf(rng, 5, 3), Tensor(np.zeros((5, 2)))
+        ws, bs = chain(rng, 5, 4)
+        for blocks, rows, empty in (([x, zeros], slice(0, 3), slice(3, 5)),
+                                    ([zeros, x], slice(2, 5), slice(0, 2))):
+            ws[0].zero_grad()
+            ad.tsum(ad.mlp(blocks, ws, bs)).backward()
+            assert not np.any(ws[0].grad[empty])
+            assert np.all(ws[0].grad[rows] != 0)
+
+    def test_blocks_give_the_concatenated_gradient(self):
+        # [x1 || x2] as two blocks against their rows of one weight
+        rng = np.random.default_rng(15)
+        x1, x2 = leaf(rng, 6, 3), leaf(rng, 6, 4)
+        ws, bs = chain(rng, 7, 5, 2)
+        tensors = (x1, x2, *ws, *bs)
+        seed = rng.normal(size=(6, 2))
+
+        def grads(blocks):
+            for t in tensors:
+                t.zero_grad()
+            out = ad.mlp(blocks, ws, bs)
+            out.backward(seed)
+            return out.data, [t.grad for t in tensors]
+
+        (out, got), (out_whole, want) = grads([x1, x2]), grads([ad.concat([x1, x2], axis=1)])
+        np.testing.assert_allclose(out, out_whole, rtol=1e-13)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-13)
+
+    def test_one_layer_is_x_at_w_plus_b(self):
+        rng = np.random.default_rng(16)
+        for dtype in (np.float32, np.float64):
+            x, w, b = (Tensor(rng.normal(size=s).astype(dtype)) for s in ((9, 4), (4, 3), (3,)))
+            out = ad.mlp([x], [w], [b])
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.data, x.data @ w.data + b.data)
+
+    def test_width_mismatch(self):
+        rng = np.random.default_rng(5)
+        ws, bs = chain(rng, 5, 2)
+        with pytest.raises(ShapeMismatch):
+            ad.mlp([leaf(rng, 3, 4)], ws, bs)
+        with pytest.raises(ShapeMismatch):
+            ad.mlp([leaf(rng, 3, 4), (leaf(rng, 2, 2), np.zeros(3, dtype=int))], ws, bs)
+
+
 class TestGraph:
     def test_deep_chain_no_recursion_limit(self):
         x = Tensor(1.0, requires_grad=True)
@@ -294,7 +330,7 @@ class TestGraph:
         gc.collect()
         gc.disable()
         try:
-            hidden = ad.relu(ad.linear(leaf(rng, 3, 4), w, np.zeros(4)))
+            hidden = ad.mlp([leaf(rng, 3, 4)], [w, w], [Tensor(np.zeros(4))] * 2)
             loss = ad.tsum(ad.softmax(ad.concat([hidden, ad.mul(hidden, 2.0)], axis=1)))
             interior = weakref.ref(hidden)
             del hidden

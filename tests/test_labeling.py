@@ -1,17 +1,11 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-from helpers import is_rotation, reflector_motion
+from helpers import is_rotation, on_openblas, pytest_on_kernel, reflector_motion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
 
-import milliflow
 from milliflow.errors import ProvenanceMissing
 from milliflow.geometry import axis_angle_rotation
 from milliflow.labeling import (
@@ -399,11 +393,6 @@ def _same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _uses_openblas() -> bool:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
 class TestByteOracle:
     """The stacked bone motion and its batched apply give the bytes of the
     per-bone transform list applied point by point (`kernel_oracles`)."""
@@ -446,17 +435,9 @@ class TestByteOracle:
         _same_bytes(_bone_flows(points, bone, motion),
                     oracle.bone_flows_loop(points, bone, listed))
 
-    @pytest.mark.skipif(not _uses_openblas(),
-                        reason="numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE "
-                               "picks no other kernel")
+    @on_openblas
     @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
     def test_stacked_form_gives_the_oracle_bytes_on_another_kernel(self, core):
-        # OpenBLAS built with DYNAMIC_ARCH picks its kernels at load time, so
-        # the check reruns in a fresh interpreter told to use another core type
-        src = str(Path(milliflow.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_CORETYPE=core,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        test = f"{__file__}::TestByteOracle::test_stacked_form_gives_the_oracle_bytes"
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               test], env=env, capture_output=True, text=True)
+        proc = pytest_on_kernel(
+            core, f"{__file__}::TestByteOracle::test_stacked_form_gives_the_oracle_bytes")
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -6,7 +6,7 @@ from helpers import check_param_grads, jitter_params
 
 from milliflow import autodiff as ad
 from milliflow import layers as L
-from milliflow._kernels import NeighbourTable, farthest_point_sample
+from milliflow._kernels import NeighbourTable, farthest_point_sample, knn_indices
 from milliflow.autodiff import Tensor
 from milliflow.errors import BadK, ConfigError, CorruptFile, ShapeMismatch
 
@@ -202,6 +202,19 @@ class TestSetAbstraction:
         np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
+def softmax_zeros(name: str, mlp: L.MLP, x: np.ndarray, axis: int) -> dict:
+    """Masks, by parameter name, of the biases of `mlp` (scoped `name`)
+    whose true gradient is exactly 0 when its output on `x` feeds a softmax
+    along `axis`, which does not move when all its inputs move alike: the
+    output bias, and each unit of the last hidden layer that is on for all
+    or none of the rows of every softmax."""
+    last = len(mlp.biases) - 1
+    on = ad.mlp([Tensor(x)], mlp.weights[:last], mlp.biases[:last]).data > 0
+    uniform = on.all(axis=axis, keepdims=True) | ~on.any(axis=axis, keepdims=True)
+    return {f"{name}.b{last}": True,
+            f"{name}.b{last - 1}": uniform.all(axis=tuple(range(on.ndim - 1)))}
+
+
 class TestGlobalPool:
     def test_attention_uniform_on_identical_features(self):
         # any weights over identical rows pool to that row
@@ -244,7 +257,8 @@ class TestGlobalPool:
         jitter_params(source.named, rng)
         feats = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         check_param_grads(
-            lambda: sq_sum(L.global_pool(mlp, feats)), dict(source.named, feats=feats)
+            lambda: sq_sum(L.global_pool(mlp, feats)), dict(source.named, feats=feats),
+            zero=softmax_zeros("att", mlp, feats.data, axis=0)
         )
 
 
@@ -326,8 +340,14 @@ class TestCostVolume:
         q = rng.normal(size=(4, 3))
         fp = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         fq = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        # the weight MLPs' outputs, on each point's displacements to its
+        # target and to its source neighbours, feed a softmax over neighbours
+        disp1 = q[knn_indices(p, q, 3)] - p[:, None, :]
+        disp2 = p[NeighbourTable(p).knn(3)] - p[:, None, :]
         check_param_grads(lambda: sq_sum(cost_volume(cv, p, fp, q, fq)),
-                          dict(source.named, fp=fp, fq=fq))
+                          dict(source.named, fp=fp, fq=fq),
+                          zero={**softmax_zeros("cv.weight1", cv.weight_mlp1, disp1, axis=1),
+                                **softmax_zeros("cv.weight2", cv.weight_mlp2, disp2, axis=1)})
 
 
 def gru_reference(cell, h, x):

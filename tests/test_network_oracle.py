@@ -15,8 +15,9 @@ rounding noise there, so the biases of those MLPs are held to 1e-12 of the
 largest gradient of the model.
 
 The guards below check that the waste stays out: the first set-abstraction
-layer of a frame sees one row per ball hit, and the cost volume builds no
-pair-input array.
+layer of a frame sees one row per ball hit, the cost volume's MLP gets no
+pair input, and a clip's tape holds one node per MLP and per gate, not one
+per product, bias sum and ReLU.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from test_flownet import chained_clip, make_frame, make_label, tiny_net
 from milliflow import autodiff as ad
 from milliflow._kernels import NeighbourTable
 from milliflow.autodiff import Tensor
-from milliflow.config import TaskConfig
+from milliflow.config import NetConfig, TaskConfig
 from milliflow.downstream import HarNet, HpNet, balanced_cross_entropy, cross_entropy
 from milliflow.flownet import FlowNet, clip_loss
 
@@ -135,35 +136,62 @@ def test_hpnet_head_matches_concat_forms():
     assert_gradients_match(got, want)
 
 
+def record_mlp_blocks(monkeypatch) -> list:
+    """[(first weight, block shapes)] of each `ad.mlp` call from here on; a
+    gathered block's shape is the pair (x shape, idx shape)."""
+    seen, mlp = [], ad.mlp
+
+    def recorded(blocks, weights, biases):
+        seen.append((weights[0], [(b[0].shape, np.shape(b[1])) if isinstance(b, tuple)
+                                  else b.shape for b in blocks]))
+        return mlp(blocks, weights, biases)
+
+    monkeypatch.setattr(ad, "mlp", recorded)
+    return seen
+
+
+def tape_nodes(loss: Tensor) -> int:
+    """How many tensors the tape below `loss` holds, `loss` and leaves included."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
 class TestNoWaste:
     def test_first_set_abstraction_layer_sees_one_row_per_hit(self, monkeypatch):
         model = FlowNet(tiny_net(**NET), seed=0)
         frame = make_frame(40, seed=1)
         points = frame.points.astype(np.float32)
         table = NeighbourTable(points)
-        seen = []
-        matmul_rows = ad.matmul_rows
-        monkeypatch.setattr(ad, "matmul_rows",
-                            lambda x, w, lo: seen.append((w, x.shape)) or matmul_rows(x, w, lo))
+        seen = record_mlp_blocks(monkeypatch)
         model.local(points, Tensor(frame.intensities.astype(np.float32)[:, None]), table)
         for sa, radius, samples in zip(model.local.sas, NET["sa_radii"], NET["sa_samples"]):
             _, counts = table.ball(radius, samples)
-            # relative positions: one row per hit; intensities: one per point
-            assert [shape for w, shape in seen if w is sa.weights[0]] == [
-                (counts.sum(), 3), (40, 1)]
-            assert counts.sum() < 40 * samples  # the padded form's rows
+            hits = counts.sum()
+            # relative positions: one row per hit; intensities: one row per
+            # point, gathered by hit
+            assert [blocks for w, blocks in seen if w is sa.weights[0]] == [
+                [(hits, 3), ((40, 1), (hits,))]]
+            assert hits < 40 * samples  # the padded form's rows
 
     def test_cost_volume_builds_no_pair_input(self, monkeypatch):
         cfg = tiny_net(**NET)
         model = FlowNet(cfg, seed=0)
-        c = model.local.z_dim
-        shapes = []
-        make = ad._make
-        monkeypatch.setattr(ad, "_make",
-                            lambda data, *rest: shapes.append(data.shape) or make(data, *rest))
+        f, k = model.local.feat_out, cfg.cv_k
+        seen = record_mlp_blocks(monkeypatch)
         model.forward(make_frame(30, seed=2), make_frame(25, seed=3), model.initial_state())
-        per_pair = {s[2] for s in shapes if len(s) == 3 and s[:2] == (30, cfg.cv_k)}
-        assert cfg.cv_dcost in per_pair  # the gathered target products
-        # per (point, neighbour) pair only cost and weight MLP widths appear
-        assert per_pair <= {cfg.cv_dcost, 1, *cfg.cv_weight_hidden}
-        assert all(s[-1:] != (2 * c + 3,) for s in shapes)
+        # z = [k || g] of each frame: the source's k once per source point,
+        # the target's once per target point and gathered, each g once; only
+        # the displacements come per (point, neighbour) pair
+        assert [blocks for w, blocks in seen if w is model.cv.cost_mlp.weights[0]] == [
+            [(30, 1, f), (f,), ((25, f), (30, k)), (f,), (30, k, 3)]]
+
+    def test_clip_tape_holds_one_node_per_mlp(self):
+        # a default float32 net on 5 pairs of 128 points; recorded op by op
+        # (each product, bias sum and ReLU a node), its tape held 1,598
+        loss = clip_loss(FlowNet(NetConfig(), seed=0), chained_clip(n_samples=5, n=128))
+        assert tape_nodes(loss) <= 799

@@ -158,9 +158,7 @@ def cmd_train(args) -> int:
     train_clips = read_clips(args.data, cfg, "train")
     val_clips = read_clips(args.data, cfg, "val")
 
-    # made once every input is read, so a run refused for its inputs makes none
     ckpt = Path(args.ckpt)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
     log_path = args.log or ckpt.with_suffix(ckpt.suffix + ".log.jsonl")
     if args.task == "flow":
         _, history = train_flow_model(train_clips, val_clips, cfg.net,

@@ -4,15 +4,25 @@ echoed into every dataset manifest so a run can be reproduced from its
 outputs alone.
 
 `from_dict` is the one reader: it builds a config dataclass and every config
-dataclass nested in it from their JSON form.  Each dataclass checks itself
-when it is built, so a malformed config raises ConfigError before any stage
-writes a file.
+dataclass nested in it from their JSON form, and refuses a number that is not
+finite in any field.  Each dataclass checks itself when it is built, so a
+malformed config raises ConfigError before any stage writes a file or reads a
+dataset.
+
+The rule: no stage refuses a value read from a config that `from_dict`
+built, but for `farthest_point_sample`'s sample count (a kernel with its own
+oracle tests), `HarNet`'s 2 classes (a flow-only config may list one
+activity) and the automatic split's 6 subjects (only `gen` splits, and it
+checks before it writes).  The tracked clip length (`track --length`) and
+`TrackState`'s finite endpoints (which a loaded checkpoint's flows move) are
+checked where they are known, as no config sets them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +48,22 @@ def model_dtype(name) -> np.dtype:
     return np.dtype(name)
 
 
+def _positive(cfg, *names):
+    """Refuse each named field of `cfg` that is not a number above 0 or a
+    non-empty tuple of them: a width, a count, a radius, a rate or a period."""
+    for name in names:
+        value = getattr(cfg, name)
+        items = value if isinstance(value, tuple) else (value,)
+        if not items or not all(v > 0 for v in items):
+            raise ConfigError(f"{name} must be positive, got {value}")
+
+
+def _seed(seed):
+    """Refuse a seed that numpy's generators do not take."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     n_subjects: int = 12
@@ -60,8 +86,22 @@ class GenConfig:
             raise ConfigError("sequences need at least 2 frames")
         if self.clutter_window < 2:
             raise ConfigError("clutter removal needs a window of at least 2")
-        if not self.frame_rate > 0:
-            raise ConfigError("frame_rate must be positive")
+        _positive(self, "frame_rate")
+        if self.kp_noise_std < 0:
+            raise ConfigError(f"kp_noise_std must be nonnegative, got {self.kp_noise_std}")
+        if not 0 <= self.kp_dropout <= 1:
+            raise ConfigError(f"kp_dropout must lie in [0, 1], got {self.kp_dropout}")
+        # each scene draws its motion from these ranges, so a range must be
+        # usable at both ends for every seed
+        for name in ("distance_range", "amplitude_range", "period_range"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not bounds[0] <= bounds[1]:
+                raise ConfigError(f"{name} must be a (low, high) pair with low <= high, "
+                                  f"got {bounds}")
+        if not 2.0 <= self.distance_range[0] <= self.distance_range[1] <= 4.0:
+            raise ConfigError(f"distance_range must lie within [2, 4] m, "
+                              f"got {self.distance_range}")
+        _positive(self, "period_range")
         # a name listed twice would specify the same sequences twice
         activities = tuple(self.in_set) + tuple(self.out_of_set)
         if len(set(activities)) != len(activities):
@@ -86,6 +126,7 @@ class EncoderConfig:
     def __post_init__(self):
         if len(self.sa_radii) != len(self.sa_samples):
             raise ConfigError("sa_radii and sa_samples must pair up")
+        _positive(self, "sa_radii", "sa_samples", "sa_mlp", "post_sa_mlp", "attention_hidden")
 
 
 @dataclass(frozen=True)
@@ -100,15 +141,15 @@ class NetConfig(EncoderConfig):
     loss_zeta: float = 0.1
     alpha_large: float = 2.0
     alpha_small: float = 1.0
-    input_features: int = 1  # intensity only
     temporal: bool = True  # False disables the GRU propagation (ablation)
 
     def __post_init__(self):
         super().__post_init__()
         if not self.regressor or self.regressor[-1] != 3:
             raise ConfigError("flow regressor must end in 3 output channels")
-        if self.cv_k < 1:
-            raise ConfigError("cv_k must be positive")
+        _positive(self, "cv_k", "cv_dcost", "embed_mlp", "gru_hidden", "regressor")
+        if not all(w > 0 for w in self.cv_weight_hidden):  # hidden widths: may be empty
+            raise ConfigError(f"cv_weight_hidden must be positive, got {self.cv_weight_hidden}")
         if self.clamp <= 0:
             raise ConfigError("clamp bound must be positive")
 
@@ -129,6 +170,7 @@ class TrainConfig:
 
     def __post_init__(self):
         model_dtype(self.dtype)
+        _seed(self.seed)
         if not self.lr > 0:
             raise ConfigError("lr must be positive")
         if not 0 < self.lr_decay <= 1:
@@ -156,8 +198,10 @@ class TaskConfig(EncoderConfig):
         super().__post_init__()
         if self.window < 2:
             raise ConfigError("task window needs at least 2 frames")
-        if self.fps_centroids < 1:
-            raise ConfigError("fps_centroids must be positive")
+        _positive(self, "fps_centroids", "stage2_radius", "stage2_samples", "stage2_mlp",
+                  "lstm_hidden", "gru_hidden")
+        if not all(w > 0 for w in self.classifier):  # hidden widths: may be empty
+            raise ConfigError(f"classifier must be positive, got {self.classifier}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +217,7 @@ class RunConfig:
     explicit_split: dict | None = None
 
     def __post_init__(self):
+        _seed(self.seed)
         split = self.explicit_split
         if split is None:
             return
@@ -231,9 +276,13 @@ def _of_kind(value, hint, field_) -> bool:
 
 
 def _fits(value, kind) -> bool:
+    """Whether `value` is of `kind`: a bool is not a number, and a float
+    holds a finite number (JSON readers take NaN and Infinity)."""
     if kind in (int, float) and isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def load_config(path) -> RunConfig:

@@ -216,9 +216,17 @@ def _check_range(name: str, values: np.ndarray, lo: int, hi: int):
         raise CorruptFile(f"{name} holds a value outside [{lo}, {hi - 1}]")
 
 
+def _check_finite(name: str, values: np.ndarray):
+    """Refuse an array holding NaN or an infinity, which JSON readers take."""
+    if not np.isfinite(values).all():
+        raise CorruptFile(f"{name} holds a value that is not finite")
+
+
 def _parse_frame_record(rec: dict):
     pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 4)
     kps = np.asarray(rec["keypoints"], dtype=np.float64).reshape(-1, 4)
+    _check_finite("points", pts)
+    _check_finite("keypoints", kps)
     prov = rec.get("bone_prov")
     if prov is not None:
         prov = np.asarray(prov, dtype=np.int64)
@@ -228,11 +236,14 @@ def _parse_frame_record(rec: dict):
     pose_kp = np.asarray(rec["pose_gt"], dtype=np.float64)
     if pose_kp.shape != (len(kps), 3):
         raise LengthMismatch(f"a pose of shape {pose_kp.shape} for {len(kps)} keypoints")
+    _check_finite("pose_gt", pose_kp)
+    timestamp = np.float64(rec["timestamp"])
+    _check_finite("timestamp", timestamp)
     frame = RadarFrame(
         points=pts[:, :3],
         intensities=pts[:, 3],
         frame_index=int(rec["frame_index"]),
-        timestamp=float(rec["timestamp"]),
+        timestamp=float(timestamp),
         prov_bone=prov,
     )
     pose = SkeletonPose(pose_kp)
@@ -260,6 +271,7 @@ def _parse_label_record(rec: dict) -> FlowLabel:
                       ("segment", label.segment_label)):
         if arr.shape != (len(label),):
             raise LengthMismatch(f"{name} of shape {arr.shape} for {len(label)} flows")
+    _check_finite("flows", label.flows)
     _check_range("bone", label.bone_assignment, -1, len(BONES))
     _check_range("segment", label.segment_label, 0, N_SEGMENTS)
     return label

@@ -570,9 +570,6 @@ def track_step(points: np.ndarray, flows: np.ndarray,
 def track_clip(frames, flow_fields, bone_ids, init_endpoints) -> list[TrackState]:
     """Track bones through one short clip; returns the state trajectory,
     starting with the initial state (tracking length 0)."""
-    if not 2 <= len(frames) <= TRACK_CLIP_LENGTH:
-        raise ConfigError(
-            f"clips cover 2..{TRACK_CLIP_LENGTH} frames, got {len(frames)}")
     if len(flow_fields) != len(frames) - 1:
         raise LengthMismatch(
             f"{len(frames)} frames need {len(frames) - 1} flow fields")

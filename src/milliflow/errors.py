@@ -16,10 +16,6 @@ class DegenerateInput(MilliflowError):
     """Rigid alignment is ill-posed (too few or collinear points)."""
 
 
-class UnknownActivity(MilliflowError):
-    """Activity id is not in the catalogue."""
-
-
 class EmptyFrame(MilliflowError):
     """A radar frame has no usable points."""
 

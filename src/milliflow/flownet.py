@@ -18,6 +18,7 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -122,8 +123,9 @@ class FlowNet:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         p = Params(self.dtype, seed, values)
-        self.local = CloudEncoder(p.scope("local"), cfg, cfg.input_features)
-        self.ctx = CloudEncoder(p.scope("ctx"), cfg, cfg.input_features)
+        # both encoders read the one intensity column that `_encoded` feeds them
+        self.local = CloudEncoder(p.scope("local"), cfg, 1)
+        self.ctx = CloudEncoder(p.scope("ctx"), cfg, 1)
 
         z_dim = self.local.z_dim  # 512, per-point feature + global context
         self.cv = CostVolume(p.scope("cv"), z_dim, k_neighbors=cfg.cv_k,
@@ -341,6 +343,10 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     saved = None  # the checkpointed arrays by name
     since_best = 0
     history = []
+    # made only here, where the run first writes, so a run refused for its
+    # inputs or its model makes no directory
+    for path in (log_path, checkpoint_path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(log_path, "w") as log_f:
         for epoch in range(train_cfg.epochs):
             opt.lr = train_cfg.lr * train_cfg.lr_decay ** epoch

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
 from .errors import (
-    BadK, ConfigError, CorruptFile, ShapeMismatch, atomic_write, read_exact, read_struct,
+    ConfigError, CorruptFile, ShapeMismatch, atomic_write, read_exact, read_struct,
 )
 
 CHECKPOINT_MAGIC = b"MFLW"
@@ -82,8 +82,6 @@ class MLP:
     """Affine chain with ReLU on hidden layers and a linear final layer."""
 
     def __init__(self, params: Params, in_dim: int, dims: list[int]):
-        if not dims:
-            raise ConfigError("MLP needs at least one layer")
         self.weights = []
         self.biases = []
         prev = in_dim
@@ -106,11 +104,8 @@ def ball_query(table: NeighbourTable, radius: float, max_samples: int,
                rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``max_samples`` reference indices within ``radius`` of each
     query point of ``table``, or of the query rows ``rows`` selects, as the
-    ragged lists ``(neighbours, counts)`` of `NeighbourTable.ball`."""
-    if radius <= 0:
-        raise ConfigError(f"radius must be positive, got {radius}")
-    if max_samples < 1:
-        raise BadK(f"max_samples must be >= 1, got {max_samples}")
+    ragged lists ``(neighbours, counts)`` of `NeighbourTable.ball`; the
+    config holds both positive."""
     return table.ball(radius, max_samples, rows)
 
 

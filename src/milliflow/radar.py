@@ -72,6 +72,8 @@ class RadarConfig:
             raise ConfigError("ghost_prob must be in [0, 1]")
         if self.reflectors_per_bone < 1:
             raise ConfigError("reflectors_per_bone must be positive")
+        if self.micro_motion_std < 0:
+            raise ConfigError("micro_motion_std must be nonnegative")
         if self.n_freq_steps < 2:
             raise ConfigError("need at least 2 frequency steps")
         for name in ("n_az", "n_el", "pad_factor"):

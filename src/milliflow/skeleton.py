@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnknownActivity
 from .geometry import axis_angle_rotation, perpendicular, rotation_between
 
 KEYPOINT_NAMES = (
@@ -136,18 +135,13 @@ class ObservedKeypoints:
 
 @dataclass(frozen=True)
 class ActivitySpec:
+    """One scene's motion, drawn from `GenConfig`'s ranges, which hold the
+    period above 0 and the distance in [2, 4] m."""
+
     activity_id: str
     amplitude: float = 0.7  # radians
     period: float = 2.0  # seconds
     subject_distance: float = 3.0  # meters
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ConfigError(f"period must be positive, got {self.period}")
-        if not 2.0 <= self.subject_distance <= 4.0:
-            raise ConfigError(
-                f"subject_distance must lie in [2, 4] m, got {self.subject_distance}"
-            )
 
 
 def bone_length_ranges() -> np.ndarray:
@@ -274,13 +268,6 @@ def generate_motion(
     MAX_FRAME_DISPLACEMENT between consecutive frames, whatever the requested
     amplitude/period/rate combination.
     """
-    if spec.activity_id not in _ACTIVITY_TABLE:
-        raise UnknownActivity(f"no such activity: {spec.activity_id!r}")
-    if frames < 2:
-        raise ConfigError(f"need at least 2 frames, got {frames}")
-    if rate <= 0:
-        raise ConfigError(f"frame rate must be positive, got {rate}")
-
     base_builder, joints = _ACTIVITY_TABLE[spec.activity_id]
     base = model.rest_keypoints if base_builder is None else base_builder(model.rest_keypoints)
 
@@ -322,8 +309,6 @@ def observe_keypoints(
     Dropped-out keypoints get a confidence below 0.5 and an outlier offset
     larger than the downstream displacement gate.
     """
-    if noise_std < 0:
-        raise ConfigError(f"noise_std must be nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     positions = np.empty((14, 3))
     confidences = np.empty(14)

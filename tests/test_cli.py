@@ -140,6 +140,26 @@ class TestGen:
         {"radar": {"ghost_prob": 2.0}},
         {"radar": {"reflectors_per_bone": 0}},
         {"radar": {"f_min": -1}},
+        # ranges a scene draws from, each usable for every seed
+        {"gen": dict(CONFIG["gen"], distance_range=[1.0, 5.0])},
+        {"gen": dict(CONFIG["gen"], period_range=[2.4, 1.6])},
+        {"gen": dict(CONFIG["gen"], amplitude_range=[0.5, 0.7, 0.9])},
+        # layer widths below 1, probabilities outside [0, 1], negative spreads
+        {"net": {"attention_hidden": 0}},
+        {"net": {"cv_dcost": 0}},
+        {"net": {"gru_hidden": 0}},
+        {"task": {"lstm_hidden": 0}},
+        {"task": {"classifier": [0]}},
+        {"task": {"gru_hidden": 0}},
+        {"gen": dict(CONFIG["gen"], kp_noise_std=-0.1)},
+        {"gen": dict(CONFIG["gen"], kp_dropout=2.0)},
+        {"radar": {"micro_motion_std": -1.0}},
+        # numbers that are not finite, and a field that no longer exists
+        {"radar": {"f_max": float("nan")}},
+        {"net": {"clamp": float("nan")}},
+        {"radar": {"cfar": {"scale_factor": float("inf")}}},
+        {"net": {"input_features": 2}},
+        {"seed": -1},
     ])
     def test_malformed_config_exits_2_before_writing(self, tmp_path, capsys, change):
         bad = tmp_path / "bad.json"
@@ -147,7 +167,7 @@ class TestGen:
         out = tmp_path / "ds"
         assert main(["gen", "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -209,6 +229,29 @@ class TestLabel:
         frames.write_text(json.dumps(rec) + "\n" + rest)
         assert main(["label", "--data", str(data)]) == 2
         assert "bone_prov holds a value outside [-1, 12]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--task", "flow", "--oracle"], ["eval", "--task", "flow", "--baseline", "zero"],
+        ["track", "--oracle"],
+    ])
+    @pytest.mark.parametrize("name, key, literal", [
+        ("labels.jsonl", "flows", "NaN"), ("frames.jsonl", "points", "Infinity"),
+    ])
+    def test_non_finite_stored_number_exits_2(self, dataset, tmp_path, capsys, command,
+                                              name, key, literal):
+        # Python's json reads NaN and Infinity; subject 2 is the test split
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        path = data / "seq_002_ArmSwing_00" / name
+        first, rest = path.read_text().split("\n", 1)
+        rec = json.loads(first)
+        rec[key][0][0] = "@"
+        path.write_text(json.dumps(rec).replace('"@"', literal) + "\n" + rest)
+        assert main(command + ["--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: malformed record: {key} holds a value "
+                              f"that is not finite")
 
     def test_cut_manifest_exits_2(self, dataset, tmp_path, capsys):
         data = tmp_path / "ds"
@@ -478,9 +521,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("case, code", [
         ("no dataset", 3), ("no flow checkpoint", 4), ("strategy for flow", 2),
-        ("zero lr", 2), ("negative lr", 2),
+        ("zero lr", 2), ("negative lr", 2), ("zero attention width", 2),
+        ("zero lstm width", 2), ("nan clamp", 2), ("one activity", 2),
     ])
-    def test_refused_run_makes_no_directory(self, workdir, dataset, tmp_path, case, code):
+    def test_refused_run_makes_no_directory(self, workdir, dataset, tmp_path, capsys,
+                                            case, code):
         flags = {
             "no dataset": ["--task", "flow", "--data", str(tmp_path / "nowhere")],
             "no flow checkpoint": ["--task", "har", "--strategy", "s1", "--data", dataset,
@@ -488,10 +533,24 @@ class TestTrain:
             "strategy for flow": ["--task", "flow", "--strategy", "s1", "--data", dataset],
             "zero lr": ["--task", "flow", "--data", dataset, "--lr", "0"],
             "negative lr": ["--task", "flow", "--data", dataset, "--lr", "-0.001"],
+            "zero attention width": ["--task", "flow", "--data", dataset],
+            "zero lstm width": ["--task", "har", "--data", dataset],
+            "nan clamp": ["--task", "flow", "--data", dataset],
+            # the classifier's class count is known only once the model is built
+            "one activity": ["--task", "har", "--data", dataset],
         }[case]
+        change = {
+            "zero attention width": {"net": {"attention_hidden": 0}},
+            "zero lstm width": {"task": dict(CONFIG["task"], lstm_hidden=0)},
+            "nan clamp": {"net": {"clamp": float("nan")}},
+            "one activity": {"gen": dict(CONFIG["gen"], in_set=["ArmSwing"])},
+        }.get(case, {})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG, **change)))
         ckpt = tmp_path / "out" / "deep" / "x.ckpt"
-        assert main(["train", "--config", str(workdir / "config.json"),
-                     "--ckpt", str(ckpt)] + flags) == code
+        assert main(["train", "--config", str(config), "--ckpt", str(ckpt)] + flags) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_strategy_rejected_for_flow(self, dataset, tmp_path):

@@ -5,6 +5,9 @@ import typing
 import numpy as np
 import pytest
 
+from milliflow import autodiff as ad
+from milliflow import pipeline
+from milliflow.autodiff import Tensor
 from milliflow.config import (
     GenConfig,
     NetConfig,
@@ -16,8 +19,11 @@ from milliflow.config import (
     model_dtype,
 )
 from milliflow.dataio import write_json
+from milliflow.downstream import HarNet, HpNet
 from milliflow.errors import ConfigError
-from milliflow.radar import CfarParams, RadarConfig
+from milliflow.flownet import FlowNet
+from milliflow.radar import CfarParams, RadarConfig, RadarFrame
+from milliflow.skeleton import generate_motion, make_subject, observe_keypoints
 
 
 class TestValidation:
@@ -208,6 +214,11 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             from_dict(RunConfig, content)
 
+    def test_negative_seed_is_refused(self):
+        # numpy's generators take no negative seed
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            from_dict(RunConfig, {"seed": -1})
+
     def test_non_dict_root(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -215,20 +226,26 @@ class TestRoundTrip:
             load_config(path)
 
 
+RANGE_FIELDS = ("distance_range", "amplitude_range", "period_range")
+
+
 def _edge_values():
     """(section, field, value) for every numeric or tuple field of the run
-    config's sections: [], [0] and [-1] for a tuple field, 0 and -1 for a
-    number."""
+    config's sections and of `radar.cfar`: [], [0] and [-1] for a tuple
+    field, and for a (low, high) range also three entries and the default
+    reversed; 0 and -1 for a number."""
     sections = {"gen": GenConfig, "net": NetConfig, "train": TrainConfig,
-                "task": TaskConfig, "radar": RadarConfig}
+                "task": TaskConfig, "radar": RadarConfig, "radar.cfar": CfarParams}
     for section, cls in sections.items():
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
             kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
             if tuple in kinds:
-                values = ([], [0], [-1])
+                values = [[], [0], [-1]]
+                if f.name in RANGE_FIELDS:
+                    values += [[*f.default, f.default[1]], list(reversed(f.default))]
             elif int in kinds or float in kinds:
-                values = (0, -1)
+                values = [0, -1]
             else:
                 continue
             for value in values:
@@ -236,15 +253,62 @@ def _edge_values():
                                    id=f"{section}.{f.name}={json.dumps(value)}")
 
 
+def _section_dict(section: str, values: dict) -> dict:
+    """The run config's JSON form holding `values` in the dotted `section`."""
+    for key in reversed(section.split(".")):
+        values = {key: values}
+    return values
+
+
+def _two_frames():
+    rng = np.random.default_rng(0)
+    return [RadarFrame(rng.normal([0.0, 3.0, 0.0], 0.3, size=(12, 3)),
+                       rng.uniform(0.5, 1.0, size=12), t, t / 10.0) for t in range(2)]
+
+
+def _run_what_reads(section: str, cfg: RunConfig):
+    """Run what reads `section` of `cfg` on small inputs: the networks one
+    forward on two frames, a flow network drawn with the training seed and
+    dtype, and generation each scene's motion parameters and one scene's
+    poses and observed keypoints."""
+    frames = _two_frames()
+    if section == "net":
+        net = FlowNet(cfg.net)
+        with ad.no_grad():
+            flows, _, _ = net.forward(frames[0], frames[1], net.initial_state())
+        assert np.isfinite(flows.data).all()
+    elif section == "task":
+        feats = [Tensor(f.intensities.astype(np.float32)[:, None]) for f in frames]
+        with ad.no_grad():
+            scores = HarNet(cfg.task, 1, n_classes=2).forward(frames, feats)
+            per_frame = HpNet(cfg.task, 1).forward(frames, feats)
+        assert np.isfinite(scores.data).all()
+        assert all(np.isfinite(s.data).all() for s in per_frame)
+    elif section == "train":
+        FlowNet(NetConfig(), seed=cfg.train.seed, dtype=cfg.train.dtype)
+    elif section == "gen":
+        gen = cfg.gen
+        specs = [pipeline.scene_spec(cfg, *spec)
+                 for spec in pipeline.dataset_sequence_specs(cfg)]
+        # generate_motion relies on these, and checks none of them
+        assert all(2.0 <= s.subject_distance <= 4.0 and s.period > 0 for s in specs)
+        poses = generate_motion(make_subject(0), specs[0],
+                                gen.frames_per_sequence + gen.clutter_window - 1,
+                                gen.frame_rate)
+        assert all(np.isfinite(p.keypoints).all() for p in poses)
+        observe_keypoints(poses[0], gen.kp_noise_std, gen.kp_dropout, seed=0)
+
+
 class TestEdgeValues:
     @pytest.mark.parametrize("section, name, value", _edge_values())
     def test_builds_or_raises_config_error(self, section, name, value):
         # a value a dataclass cannot use is refused by its check, never by
-        # another error from inside it
+        # another error from inside it or from a stage that reads it
         try:
-            from_dict(RunConfig, {section: {name: value}})
+            cfg = from_dict(RunConfig, _section_dict(section, {name: value}))
         except ConfigError:
-            pass
+            return
+        _run_what_reads(section, cfg)
 
     @pytest.mark.parametrize("section, name, value", [
         ("gen", "frame_rate", 0), ("gen", "frame_rate", -1.0),
@@ -252,11 +316,32 @@ class TestEdgeValues:
         ("radar", "ghost_prob", 2.0), ("radar", "reflectors_per_bone", 0),
         ("radar", "reflectors_per_bone", -1), ("radar", "f_min", 0),
         ("radar", "f_min", -1.0),
+        ("net", "attention_hidden", 0), ("net", "cv_dcost", 0), ("net", "gru_hidden", 0),
+        ("net", "sa_mlp", (32, 0, 64)), ("net", "cv_weight_hidden", (8, 0)),
+        ("task", "lstm_hidden", 0), ("task", "gru_hidden", 0), ("task", "classifier", (0,)),
+        ("task", "stage2_mlp", ()), ("task", "stage2_radius", 0.0),
+        ("gen", "kp_dropout", 2.0), ("gen", "kp_dropout", -0.5),
+        ("gen", "kp_noise_std", -0.1), ("gen", "distance_range", (1.0, 5.0)),
+        ("gen", "period_range", (2.0, 1.6)), ("gen", "amplitude_range", (0.5,)),
+        ("radar", "micro_motion_std", -1.0), ("train", "seed", -1),
     ])
     def test_unusable_value_is_refused(self, section, name, value):
         # each of these was accepted and then refused late or misread
         with pytest.raises(ConfigError, match=name):
             from_dict(RunConfig, {section: {name: value}})
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("radar", "f_max", "NaN"), ("net", "clamp", "NaN"), ("net", "loss_zeta", "NaN"),
+        ("radar.cfar", "scale_factor", "NaN"), ("gen", "kp_noise_std", "NaN"),
+        ("radar", "visibility_half_angle", "NaN"), ("radar", "snr_db", "-Infinity"),
+        ("net", "sa_radii", "[0.05, Infinity, 0.2, 0.4]"), ("train", "lr", "Infinity"),
+    ])
+    def test_non_finite_number_is_refused(self, tmp_path, section, name, value):
+        # Python's json reads NaN and Infinity; no field takes them
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_section_dict(section, {name: "@"})).replace('"@"', value))
+        with pytest.raises(ConfigError, match=f"{name}=.*(nan|inf)"):
+            load_config(path)
 
     @pytest.mark.parametrize("value", [0, 0.5, 1])
     def test_ghost_prob_bounds_are_accepted(self, value):

@@ -425,6 +425,26 @@ class TestSerialization:
         with pytest.raises(CorruptFile, match=f"{key} holds a value outside"):
             load_sequence(tmp_path, seq.seq_id)
 
+    @pytest.mark.parametrize("name, key, literal", [
+        ("frames.jsonl", "points", "NaN"), ("frames.jsonl", "keypoints", "Infinity"),
+        ("frames.jsonl", "pose_gt", "-Infinity"), ("frames.jsonl", "timestamp", "NaN"),
+        ("labels.jsonl", "flows", "NaN"), ("labels.jsonl", "flows", "Infinity"),
+    ])
+    def test_non_finite_number_is_corrupt_file(self, tmp_path, name, key, literal):
+        # Python's json reads NaN and Infinity
+        seq = toy_sequence(n_frames=2, n_points=3)
+        path = save_sequence(tmp_path, seq) / name
+        first, rest = path.read_text().split("\n", 1)
+        rec = json.loads(first)
+        if key == "timestamp":
+            rec[key] = "@"
+        else:
+            rec[key][0][0] = "@"
+        path.write_text(json.dumps(rec).replace('"@"', literal) + "\n" + rest)
+        with pytest.raises(CorruptFile, match=f"{path}: malformed record: {key} holds a "
+                                              f"value that is not finite"):
+            load_sequence(tmp_path, seq.seq_id)
+
 
     def test_sequence_length_validation(self):
         with pytest.raises(LengthMismatch):

@@ -2,7 +2,10 @@
 
 The radar front end, the labelers and the writers must reproduce these bytes
 exactly.  A change that moves them changes the dataset; re-record the hashes
-only together with an explanation of why the outputs changed.  Recorded with
+only together with an explanation of why the outputs changed.
+`manifest.json` and `label_summary.json` were re-recorded once when the run
+config they echo lost its `net.input_features` field; every other file held.
+Recorded with
 numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, on its AVX-512 (SkylakeX) kernels.
 The bytes depend on the BLAS kernel: an OpenBLAS built with DYNAMIC_ARCH picks
 its core type at run time, and under `OPENBLAS_CORETYPE=Haswell` or `Prescott`
@@ -43,9 +46,9 @@ def dataset_hashes(root, workers: int = 1) -> dict:
 GOLDEN = {
     "json": {
         "label_summary.json":
-            "bc9cf57161a5e1ac9072d270d7293ceff98eb4993a0ed3e0aef570d6d68f5f62",
+            "06ce4bf464307083693bfb140e6aae3c941d30172358d84a9a91ea528ddb8496",
         "manifest.json":
-            "17551ba7eee2045ac82444d677eb995bae021cead18e1f32bf7552d47a1aa4eb",
+            "2e37067fa4914b84eba745495db11224a2dbaac35526e15c9d9063fefd7c135b",
         "seq_000_ArmSwing_00/frames.jsonl":
             "369e1ec7c858ca16967978cc0b1f4c3c99f3c1c7f03e515eef90682b91dffaf7",
         "seq_000_ArmSwing_00/labels.jsonl":

@@ -26,6 +26,10 @@ their gradients are summed in the tape's topological order, which moved
 with the node count.  Training follows its gradients, so every checkpoint
 and log moved within rounding.
 
+The `flow`, `har-s1` and `hp-s2` checkpoints were re-recorded once more
+when the flow config in their headers lost `net.input_features`.  Their
+arrays, every log and `HAR_S1_TASK_ONLY` held.
+
 Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, on its AVX-512
 (SkylakeX) kernels.  The bytes depend on the BLAS kernel: an OpenBLAS built
 with DYNAMIC_ARCH picks its core type at run time, and under
@@ -130,13 +134,13 @@ RUNS = {
 
 # (checkpoint SHA-256, log SHA-256) per run
 GOLDEN = {
-    "flow": ("c3263ee07d3590ce2cde2a0fc792aa86cd1d8fccde2f128f385043501e49e2a1",
+    "flow": ("f59d27e4c51ca2881436bc1d98a449e9dc3dec5b52b50ac86dd199f8ff6f3b74",
              "04f5efa0bb0e69584c9694f8dbaccc2e58a9915bd65362830ac3177e9e227501"),
     "har-raw": ("aa8328bd512a2223a25e0182afc0583c8d7c3b290b0fa45b3929ff4fd72c1409",
                 "c2328c4f887bf0a369096be9a49cb8c5fcd97144065494a04ce6fa37377a0582"),
-    "har-s1": ("8e510d06a075a1b6f9705824d7ec6f03404466eefd62d9f995e1979c8ccd06e5",
+    "har-s1": ("289251a6f08d805c47f1e0a8faf5a404491725e24eed4c6d0e73282fb0f31358",
                "a3fbf2b7bbc59992d1d5365c1b7f4ae45c822296cc79b7a41df015d7f9ff2c6b"),
-    "hp-s2": ("8d140d25649fc5469e2e51b0c9086df275ab56fb8d6202af670ca165ad95e40e",
+    "hp-s2": ("e1f9f5fd9aa894153341812636997e8cc0f3f290fff57162257c63bd5bef7f43",
               "cb50debad7a3fa8054d8d2ffe26ff4934d989bbf3d8f57687befd444396ac1dd"),
 }
 

@@ -8,6 +8,7 @@ from milliflow import autodiff as ad
 from milliflow import layers as L
 from milliflow._kernels import NeighbourTable, farthest_point_sample, knn_indices
 from milliflow.autodiff import Tensor
+from milliflow.config import EncoderConfig, NetConfig, TaskConfig
 from milliflow.errors import BadK, ConfigError, CorruptFile, ShapeMismatch
 
 
@@ -62,8 +63,13 @@ class TestMLP:
             mlp(Tensor(np.zeros((3, 5))))
 
     def test_empty_dims_rejected(self):
-        with pytest.raises(ConfigError):
-            L.MLP(params(np.random.default_rng(0)), 4, [])
+        # MLP takes its widths as given; the config sections that list an
+        # MLP's widths refuse an empty list (every other MLP is built from a
+        # literal list that ends in its output width)
+        for cls, name in ((EncoderConfig, "sa_mlp"), (EncoderConfig, "post_sa_mlp"),
+                          (NetConfig, "embed_mlp"), (TaskConfig, "stage2_mlp")):
+            with pytest.raises(ConfigError, match=name):
+                cls(**{name: ()})
 
     def test_named_params_layout(self):
         source = params(np.random.default_rng(0))
@@ -101,11 +107,14 @@ class TestSampling:
             farthest_point_sample(pts, 2, start=4)
 
     def test_ball_query_validation(self):
-        table = NeighbourTable(np.zeros((3, 3)))
-        with pytest.raises(ConfigError):
-            L.ball_query(table, 0.0, 4)
-        with pytest.raises(BadK):
-            L.ball_query(table, 1.0, 0)
+        # ball_query's radii and sample counts come from these fields, which
+        # refuse a value that is not positive
+        for cls, name, value in ((EncoderConfig, "sa_radii", (0.1, 0.0, 0.2, 0.4)),
+                                 (EncoderConfig, "sa_samples", (4, 8, 0, 32)),
+                                 (TaskConfig, "stage2_radius", 0.0),
+                                 (TaskConfig, "stage2_samples", 0)):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
+                cls(**{name: value})
 
     def test_ball_query_indices_in_range(self):
         rng = np.random.default_rng(1)

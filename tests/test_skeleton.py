@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from milliflow.errors import ConfigError, UnknownActivity
+from milliflow.config import GenConfig
+from milliflow.errors import ConfigError
 from milliflow.skeleton import (
     ALL_ACTIVITIES,
     BONES,
@@ -114,20 +115,23 @@ class TestGenerateMotion:
             assert 2.0 < np.mean(kp[:, 1]) < 4.5  # subject sits at the set distance
             assert kp[:, 2].min() > -1.4  # feet near the floor plane
 
+    # generate_motion and ActivitySpec take their values from GenConfig
+    # (through pipeline.scene_spec), which refuses what they cannot use
+
     def test_unknown_activity(self):
-        with pytest.raises(UnknownActivity):
-            generate_motion(make_subject(0), ActivitySpec("Jumping"), 10)
+        for gen in ({"in_set": ("Jumping",)}, {"out_of_set": ("Jumping",)}):
+            with pytest.raises(ConfigError, match="unknown activities"):
+                GenConfig(**gen)
 
     def test_bad_args(self):
-        m = make_subject(0)
-        with pytest.raises(ConfigError):
-            generate_motion(m, ActivitySpec("ArmSwing"), 1)
-        with pytest.raises(ConfigError):
-            generate_motion(m, ActivitySpec("ArmSwing"), 10, rate=0.0)
-        with pytest.raises(ConfigError):
-            ActivitySpec("ArmSwing", period=-1.0)
-        with pytest.raises(ConfigError):
-            ActivitySpec("ArmSwing", subject_distance=5.0)
+        for gen, name in (({"frames_per_sequence": 1}, "2 frames"),
+                          ({"frame_rate": 0.0}, "frame_rate"),
+                          ({"period_range": (-1.0, 1.0)}, "period_range"),
+                          ({"period_range": (0.0, 0.0)}, "period_range"),
+                          ({"distance_range": (3.0, 5.0)}, "distance_range"),
+                          ({"distance_range": (1.9, 3.0)}, "distance_range")):
+            with pytest.raises(ConfigError, match=name):
+                GenConfig(**gen)
 
 
 class TestObserveKeypoints:
@@ -173,8 +177,12 @@ class TestObserveKeypoints:
         assert np.array_equal(a.confidences, b.confidences)
 
     def test_negative_noise_raises(self):
-        with pytest.raises(ConfigError):
-            observe_keypoints(self._pose(), -0.1, 0.0, 0)
+        # observe_keypoints reads its noise and dropout from GenConfig
+        with pytest.raises(ConfigError, match="kp_noise_std"):
+            GenConfig(kp_noise_std=-0.1)
+        for dropout in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match="kp_dropout"):
+                GenConfig(kp_dropout=dropout)
 
 
 def test_bone_table_matches_names():

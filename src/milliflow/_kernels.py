@@ -4,11 +4,13 @@ point-to-segment distances and CA-CFAR, each one vectorised numpy path.
 The network's geometry comes from ``NeighbourTable``: one float64 distance
 matrix and one stable ``argsort`` per frame, from which every ball query and
 every k-nearest lookup of that frame is read.  Inputs are taken in float64,
-so results do not depend on the caller's dtype.  The tests compare each
-kernel with an explicit-loop reference that works one point or cell at a
-time (``tests/kernel_oracles.py``): the integer-valued kernels agree bit for
-bit, the segment distances to within last-ulp rounding, and CA-CFAR wherever
-its threshold is not within rounding of a cell's value.
+so results do not depend on the caller's dtype.  ``distinct_rows`` finds a
+multiset's distinct points, and ``NeighbourTable.at`` reads a table of every
+point at them alone.  The tests compare each kernel with an explicit-loop
+reference that works one point or cell at a time
+(``tests/kernel_oracles.py``): the integer-valued kernels agree bit for bit,
+the segment distances to within last-ulp rounding, and CA-CFAR wherever its
+threshold is not within rounding of a cell's value.
 """
 
 from __future__ import annotations
@@ -67,8 +69,36 @@ class NeighbourTable:
         return order[np.arange(order.shape[1]) < counts[:, None]], counts
 
     def knn(self, k: int) -> np.ndarray:
-        """The ``k`` nearest reference indices per query row, nearest first."""
+        """The ``k`` nearest reference indices per query row, nearest first
+        (all of them when there are fewer)."""
         return np.ascontiguousarray(self.order[:, :k])
+
+    def at(self, rows: np.ndarray, inverse: np.ndarray) -> NeighbourTable:
+        """This table read at the query rows ``rows`` only, each reference
+        index ``i`` given as ``inverse[i]``.  Built over every point of a
+        multiset and read at its distinct points (``distinct_rows``), each
+        ball and k-nearest list keeps the multiset's contents, order and cap,
+        with each hit named by its distinct point."""
+        view = object.__new__(NeighbourTable)
+        view.order = inverse[self.order[rows]]
+        view.sorted_d2 = self.sorted_d2[rows]
+        return view
+
+
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array, equal byte for byte, in the order of
+    their first occurrence: ``(rows, inverse, counts)``, where ``a[rows]``
+    are the distinct rows, row ``i`` of ``a`` is distinct row
+    ``inverse[i]``, and ``counts[j]`` rows of ``a`` are distinct row ``j``.
+    An array without repeated rows gives ``rows = inverse = arange(N)``."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).reshape(-1)
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse], counts[order]
 
 
 def knn_indices(query, ref, k: int) -> np.ndarray:

@@ -112,7 +112,10 @@ def preprocess_indices(frame: RadarFrame, mode: str, seed: int = 0) -> np.ndarra
 
     Train/val resample to exactly SAMPLE_SIZE (without replacement when enough
     points survive the box/intensity gates, with replacement otherwise); test
-    keeps every survivor.
+    keeps every survivor.  So a train or val frame of fewer survivors repeats
+    points: the gates leave about 50 of a typical frame's points, and two
+    rows in three are copies.  The flow network computes each distinct point
+    once (`FlowNet._encoded`).
     """
     if mode not in ("train", "val", "test"):
         raise ConfigError(f"unknown preprocessing mode {mode!r}")
@@ -306,8 +309,12 @@ def _write_labels(out: Path, labels: list):
 
 
 def save_sequence(root, seq: Sequence) -> Path:
+    """Write a sequence's frames, and its labels when it has them.  Labels
+    stored for an earlier sequence of the same id are removed first: they
+    describe other frames."""
     out = sequence_dir(root, seq.seq_id)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "labels.jsonl").unlink(missing_ok=True)
     _write_jsonl(out / "frames.jsonl", (
         _frame_record(frame, pose, obs)
         for frame, pose, obs in zip(seq.frames, seq.poses, seq.observed_kps)))

@@ -5,11 +5,27 @@ clouds, (2) attention-pooled global context appended to every point, (3) a
 patch-to-patch cost volume between the enriched clouds, (4) a flow-embedding
 encoder whose pooled output drives a GRU carrying motion context across the
 samples of a clip, (5) a clamped per-point flow regressor.  Stages 1-2 are
-the `CloudEncoder` that the downstream networks use too.  The recurrent state
-also carries the last target's encoding, which the next pair reuses for its
-source when the frames are equal.  Training runs clip-by-clip with full
-backpropagation through the recurrent state inside a clip and a hard state
-reset between clips; `stream` carries the state over a clip's pairs.
+the `CloudEncoder` that the downstream networks use too.
+
+A frame is a multiset: train and val frames are drawn with replacement
+(`dataio.preprocess_indices`), so most rows have twins, equal (x, y, z,
+intensity) rows that get equal outputs.  Each frame's twins are found once,
+and every per-point stage (set abstraction, post MLPs, attention logits,
+cost volume, embedding, regressor) runs once per distinct point.
+Neighbourhoods stay the multiset's: the neighbour table is built over every
+row and read at the distinct ones.  Multiplicity enters only where rows
+interact, at the attention pools, which weigh each distinct point by its
+count, and at the outputs, which give each row its distinct point's flow
+and features.  A frame without twins, as every test-mode frame is, runs the
+same code with the identity mapping, given as None: its own table,
+unweighted pools and no expansion.  The downstream networks run on every
+row.
+
+The recurrent state also carries the last target's encoding, which the next
+pair reuses for its source when the frames are equal.  Training runs
+clip-by-clip with full backpropagation through the recurrent state inside a
+clip and a hard state reset between clips; `stream` carries the state over a
+clip's pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import NeighbourTable, knn_indices
+from ._kernels import NeighbourTable, distinct_rows, knn_indices
 from .autodiff import Tensor
 from .config import EncoderConfig, NetConfig, TrainConfig, from_dict, model_dtype
 from .errors import (
@@ -81,27 +97,34 @@ class CloudEncoder:
         self.z_dim = 2 * self.feat_out
         self.attn = MLP(params.scope("attn"), self.feat_out, [cfg.attention_hidden, 1])
 
-    def __call__(self, points, feats: Tensor,
-                 table: NeighbourTable) -> tuple[Tensor, Tensor]:
+    def __call__(self, points, feats: Tensor, table: NeighbourTable,
+                 counts: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """(points N x 3, features N x C, the points' NeighbourTable) ->
-        (k N x feat_out, g feat_out)."""
+        (k N x feat_out, g feat_out).  For the distinct points of a
+        multiset, `table` is read at them (`NeighbourTable.at`) and `counts`
+        weighs each in the pool, as `global_pool` takes it."""
         outs = []
         for sa, post, radius, samples in zip(self.sas, self.posts,
                                              self.cfg.sa_radii, self.cfg.sa_samples):
             outs.append(post(set_abstraction(sa, points, feats, radius, samples, table)))
         k = ad.concat(outs, axis=1)
-        return k, global_pool(self.attn, k)
+        return k, global_pool(self.attn, k, counts)
 
 
 @dataclass(eq=False)
 class EncodedFrame:
-    """One frame's network inputs, neighbour table and local encoding z as
-    its blocks (k, g)."""
+    """One frame's network inputs, each distinct (x, y, z, intensity) row
+    once, with its neighbour table and local encoding z as its blocks (k, g)."""
 
-    points: np.ndarray  # (N, 3) in the model dtype
-    feats: Tensor  # (N, 1) intensities in the model dtype
-    table: NeighbourTable
-    z: tuple[Tensor, Tensor]  # (N, feat_out), (feat_out,)
+    inputs: np.ndarray  # (N, 4) every row's (x, y, z, intensity) in the model dtype
+    points: np.ndarray  # (U, 3) the distinct rows' points, in first-occurrence order
+    feats: Tensor  # (U, 1) their intensities
+    # (N,) each input row's distinct row, and (U,) how many input rows each
+    # distinct row stands for; both None, the identity, when U = N
+    inverse: np.ndarray | None
+    counts: np.ndarray | None
+    table: NeighbourTable  # over all N points, read at the U distinct ones
+    z: tuple[Tensor, Tensor]  # (U, feat_out), (feat_out,)
     grad: bool  # whether z was recorded on a tape
 
 
@@ -155,17 +178,22 @@ class FlowNet:
         return TemporalState(Tensor(np.zeros(self.cfg.gru_hidden, dtype=self.dtype)), 0)
 
     def _encoded(self, frame, cached: EncodedFrame | None = None) -> EncodedFrame:
-        """The frame's inputs with its table and local encoding; `cached` is
-        returned instead when it holds the same inputs in the same grad mode."""
-        points = np.asarray(frame.points, dtype=self.dtype)
-        feats = Tensor(frame.intensities.astype(self.dtype)[:, None])
+        """The frame's inputs, its twins (equal rows) found once, with its
+        table and local encoding; `cached` is returned instead when it holds
+        the same inputs in the same grad mode."""
+        inputs = np.column_stack([frame.points, frame.intensities]).astype(self.dtype)
         grad = ad.is_grad_enabled()
-        if (cached is not None and cached.grad == grad
-                and np.array_equal(cached.points, points)
-                and np.array_equal(cached.feats.data, feats.data)):
+        if cached is not None and cached.grad == grad and np.array_equal(cached.inputs, inputs):
             return cached
-        table = NeighbourTable(points)
-        return EncodedFrame(points, feats, table, self.local(points, feats, table), grad)
+        rows, inverse, counts = distinct_rows(inputs)
+        points, feats = inputs[rows, :3], Tensor(inputs[rows, 3:])
+        table = NeighbourTable(inputs[:, :3])
+        if len(rows) < len(inputs):
+            table = table.at(rows, inverse)
+        else:  # no twins: the identity mapping, which every reader takes as None
+            inverse = counts = None
+        z = self.local(points, feats, table, counts)
+        return EncodedFrame(inputs, points, feats, inverse, counts, table, z, grad)
 
     def forward(self, source, target, state: TemporalState):
         """One frame pair -> (flows N x 3, new state, final features A N x 512)."""
@@ -173,11 +201,11 @@ class FlowNet:
             raise EmptyFrame("forward needs non-empty source and target frames")
         p = self._encoded(source, state.target)
         q = self._encoded(target)
-        k_c, g_c = self.ctx(p.points, p.feats, p.table)
+        k_c, g_c = self.ctx(p.points, p.feats, p.table, p.counts)
 
-        cost = self.cv(p.points, p.z, q.points, q.z, p.table)
+        cost = self.cv(p.points, p.z, q.inputs[:, :3], q.z, p.table, q.inverse)
         emb = ad.concat([branch(cost, k_c, g_c) for branch in self.embed], axis=1)
-        g_b = global_pool(self.embed_attn, emb)
+        g_b = global_pool(self.embed_attn, emb, p.counts)
 
         if self.cfg.temporal:
             h_new = self.gru(state.h, g_b)
@@ -187,6 +215,8 @@ class FlowNet:
             top = g_b
         flows = ad.clamp(self.regressor(emb, top), -self.cfg.clamp, self.cfg.clamp)
         final = ad.concat([emb, broadcast_rows(top, emb.shape[0])], axis=1)
+        if p.inverse is not None:  # each twin gets its distinct row's outputs
+            flows, final = ad.take(flows, p.inverse), ad.take(final, p.inverse)
 
         steps = state.steps_since_reset + 1
         if steps >= RESET_PERIOD:
@@ -323,8 +353,9 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     history and to the JSONL log at `log_path`, which every run writes.  The
     log is a stream, not an `atomic_write` as checkpoints and manifests are:
     it is written row by row and flushed each epoch, so an interrupted run
-    leaves the rows of its finished epochs.  A NaN or infinite loss raises
-    NonFiniteLoss before it reaches the parameters.  Returns the
+    leaves the rows of its finished epochs.  A NaN or infinite loss, or a
+    finite loss whose gradient is not finite, raises NonFiniteLoss before it
+    reaches the parameters.  Returns the
     history, with the best checkpoint's values put back into `named`.
     """
     train_clips, val_clips = list(train_clips), list(val_clips)
@@ -370,10 +401,14 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
                     contributed += 1
                 if contributed == 0:
                     continue
-                if contributed > 1:
-                    for t in named.values():
-                        if t.grad is not None:
-                            t.grad /= contributed
+                for name, t in named.items():
+                    if t.grad is None:
+                        continue
+                    if contributed > 1:
+                        t.grad /= contributed
+                    if not np.isfinite(t.grad).all():
+                        raise NonFiniteLoss(
+                            f"epoch {epoch}: the gradient of {name} is not finite")
                 opt.step()
             score = validate(val_clips)
             row = {

@@ -8,6 +8,12 @@ parameters from one `Params` source, which draws them (Kaiming-uniform
 weights, zero biases) or reads them from a checkpoint's stored values.
 Point geometry (indices, neighborhoods) is plain numpy; gradients flow only
 through features and parameters.
+
+The per-point layers can run once per distinct point of a multiset: set
+abstraction and the cost volume read a `NeighbourTable` built over every
+point and read at the distinct ones (`NeighbourTable.at`), and multiplicity
+enters only at `global_pool`'s `counts`; the flow network expands its
+outputs to every row.
 """
 
 from __future__ import annotations
@@ -127,8 +133,10 @@ def set_abstraction(
     block is multiplied per point and gathered, and a 1-D block, the same
     for every point, is multiplied once.  Centroids default to all input
     points.  `centroid_idx` selects a subset of the input points as
-    centroids (used with farthest point sampling).  `table` is the points'
-    own NeighbourTable.
+    centroids (used with farthest point sampling).  `table` names each hit
+    as a row of `points`: the points' own NeighbourTable, or, for the
+    distinct points of a multiset, one built over every point and read at
+    the distinct ones (`NeighbourTable.at`).
     """
     blocks = _as_blocks(feats)
     points = np.asarray(points, dtype=blocks[0].dtype)
@@ -144,13 +152,18 @@ def set_abstraction(
     return ad.segment_max(params(Tensor(rel), *local), counts)  # (N', C')
 
 
-def global_pool(params: MLP, feats: Tensor) -> Tensor:
+def global_pool(params: MLP, feats: Tensor, counts: np.ndarray | None = None) -> Tensor:
     """Aggregate per-point features into one vector by attention: the MLP
     scores each point, a softmax over points weighs them, and the weighted
-    features are summed."""
+    features are summed.  With `counts`, row i stands for counts[i] equal
+    points: log(counts[i]) is added to its score, which makes the softmax
+    that over every point of the multiset, each row's weight summed over its
+    copies, without building a row per copy."""
     if feats.shape[0] < 1:
         raise ShapeMismatch("global_pool needs at least one point")
     logits = params(feats)  # (N, 1)
+    if counts is not None:
+        logits = ad.add(logits, Tensor(np.log(counts).astype(logits.dtype)[:, None]))
     w = ad.softmax(logits, axis=0)
     return ad.tsum(ad.mul(w, feats), axis=0)
 
@@ -172,31 +185,36 @@ class CostVolume:
         self.weight_mlp1 = MLP(params.scope("weight1"), 3, list(weight_hidden) + [1])
         self.weight_mlp2 = MLP(params.scope("weight2"), 3, list(weight_hidden) + [1])
 
-    def __call__(self, pts_p, feats_p, pts_q, feats_q, table_p: NeighbourTable) -> Tensor:
+    def __call__(self, pts_p, feats_p, pts_q, feats_q, table_p: NeighbourTable,
+                 inverse_q: np.ndarray | None = None) -> Tensor:
         """`feats_p` and `feats_q` are each a Tensor or a tuple of blocks of
         the points' features, as `set_abstraction` takes them.  The pair
         input [feat_p || feat_q || (q - p)] is never built: the cost MLP
         multiplies each source block once per source point and each target
-        block once per target point, then gathers.  `table_p` is the source
-        points' own NeighbourTable; stage 2 reads its self-kNN from it."""
+        block once per row of `feats_q`, then gathers.  `pts_q` are every
+        target point and `inverse_q` maps each to its row of `feats_q`
+        (default: its own), so the k nearest targets are the multiset's.
+        `table_p` gives the source points' self-kNN as rows of `pts_p`: their
+        own NeighbourTable, or one read at the distinct points
+        (`NeighbourTable.at`)."""
         blocks_p, blocks_q = _as_blocks(feats_p), _as_blocks(feats_q)
         if sum(b.shape[-1] for b in blocks_p) != sum(b.shape[-1] for b in blocks_q):
             raise ShapeMismatch("source/target feature dims differ")
         dtype = blocks_p[0].dtype
         pts_p = np.asarray(pts_p, dtype=dtype)
         pts_q = np.asarray(pts_q, dtype=dtype)
-        n, m = len(pts_p), len(pts_q)
-        k1 = min(self.k, m)
-        idx_q = knn_indices(pts_p, pts_q, k1)  # (N, k1)
+        n = len(pts_p)
+        idx_q = knn_indices(pts_p, pts_q, min(self.k, len(pts_q)))  # (N, k1)
         disp = Tensor(pts_q[idx_q] - pts_p[:, None, :])  # (N, k1, 3)
+        if inverse_q is not None:
+            idx_q = inverse_q[idx_q]
         source = [ad.reshape(b, (n, 1, -1)) if b.data.ndim == 2 else b for b in blocks_p]
         target = [(b, idx_q) if b.data.ndim == 2 else b for b in blocks_q]
         cost = self.cost_mlp(*source, *target, disp)  # (N, k1, D)
         w1 = ad.softmax(self.weight_mlp1(disp), axis=1)  # (N, k1, 1)
         patch_cost = ad.tsum(ad.mul(w1, cost), axis=1)  # (N, D)
 
-        k2 = min(self.k, n)
-        idx_p = table_p.knn(k2)  # (N, k2)
+        idx_p = table_p.knn(self.k)  # (N, k2), k2 the smaller of k and the table's width
         disp2 = pts_p[idx_p] - pts_p[:, None, :]
         costs2 = ad.take(patch_cost, idx_p)  # (N, k2, D)
         w2 = ad.softmax(self.weight_mlp2(Tensor(disp2)), axis=1)
@@ -257,7 +275,10 @@ class LSTMCell(_GatedCell):
 
 
 class Adam:
-    """Adam over a named-parameter dict; lr is mutable for schedules."""
+    """Adam over a named-parameter dict; lr is mutable for schedules.  A
+    step works in place: in each parameter's moments and in two scratch
+    arrays that every parameter shares, with the operations of the textbook
+    form in its order, so its bytes are that form's."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -267,10 +288,18 @@ class Adam:
         self.t = 0
         # made at a parameter's first gradient: a frozen one costs no memory
         self.m, self.v = {}, {}
+        self._scratch = np.empty((2, 0))
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
+
+    def _pair(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays of `like`'s shape and dtype."""
+        if self._scratch.dtype != like.dtype or self._scratch.shape[1] < like.size:
+            self._scratch = np.empty((2, like.size), like.dtype)
+        a, b = self._scratch[:, : like.size]
+        return a.reshape(like.shape), b.reshape(like.shape)
 
     def step(self):
         self.t += 1
@@ -282,11 +311,19 @@ class Adam:
             g = p.grad
             if k not in self.m:
                 self.m[k], self.v[k] = np.zeros_like(p.data), np.zeros_like(p.data)
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[k] / b1t
-            v_hat = self.v[k] / b2t
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            m, v = self.m[k], self.v[k]
+            a, b = self._pair(p.data)
+            m *= self.beta1  # m = beta1 m + (1 - beta1) g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            v *= self.beta2  # v = beta2 v + (1 - beta2) g^2
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+            np.divide(v, b2t, out=b)  # sqrt(v / b2t) + eps
+            np.sqrt(b, out=b)
+            b += self.eps
+            np.divide(m, b1t, out=a)  # lr (m / b1t) / that
+            a *= self.lr
+            a /= b
+            p.data -= a
 
 
 # ----------------------------------------------------------------------

@@ -176,13 +176,16 @@ def _gen_worker(cfg: RunConfig, root: str, spec: tuple) -> tuple[str, int]:
 
 def generate_dataset(cfg: RunConfig, root, workers: int = 1) -> dict:
     """Generate and store every sequence plus the manifest; returns the
-    manifest.  A bad worker count or split raises before `root` is made."""
+    manifest.  A bad worker count or split raises before `root` is made.  A
+    label summary left in `root` by an earlier dataset is removed, as each
+    rewritten sequence's labels are."""
     if workers < 1:
         raise ConfigError(f"need at least one worker, got {workers}")
     split_manifest = dataset_split(cfg)
     specs = dataset_sequence_specs(cfg)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    (root / "label_summary.json").unlink(missing_ok=True)
 
     entries = []
     # in this process or in a pool, the results arrive in spec order

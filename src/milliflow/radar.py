@@ -70,6 +70,10 @@ class RadarConfig:
             raise ConfigError("f_max must exceed f_min")
         if not 0 <= self.ghost_prob <= 1:
             raise ConfigError("ghost_prob must be in [0, 1]")
+        if not 0 <= self.visibility_half_angle <= np.pi:
+            # read as cos(half angle), which is even and 2-pi periodic: a value
+            # outside [0, pi] would act as another one in it
+            raise ConfigError("visibility_half_angle must be in [0, pi]")
         if self.reflectors_per_bone < 1:
             raise ConfigError("reflectors_per_bone must be positive")
         if self.micro_motion_std < 0:

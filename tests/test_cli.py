@@ -105,6 +105,28 @@ class TestGen:
         assert manifest["seed"] == 11
         assert manifest["config"]["seed"] == 11
 
+    def test_regenerating_a_labelled_dataset_drops_its_labels(self, tmp_path):
+        # a rewritten sequence's old labels describe other frames: left in
+        # place, they made `label`, `eval` and `train` refuse the dataset
+        cfg = dict(CONFIG, gen=dict(CONFIG["gen"], frames_per_sequence=6, in_set=["ArmSwing"]))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["gen", "--config", str(path), "--out", str(reused), "--seed", "1"]) == 0
+        assert main(["label", "--data", str(reused)]) == 0
+        assert main(["gen", "--config", str(path), "--out", str(reused), "--seed", "2"]) == 0
+        assert not list(reused.rglob("labels.jsonl"))
+        assert not (reused / "label_summary.json").exists()
+        assert main(["gen", "--config", str(path), "--out", str(fresh), "--seed", "2"]) == 0
+        reports = []
+        for data in (reused, fresh):
+            assert main(["label", "--data", str(data)]) == 0
+            out = tmp_path / f"{data.name}.json"
+            assert main(["eval", "--task", "flow", "--data", str(data), "--oracle",
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -154,6 +176,9 @@ class TestGen:
         {"gen": dict(CONFIG["gen"], kp_noise_std=-0.1)},
         {"gen": dict(CONFIG["gen"], kp_dropout=2.0)},
         {"radar": {"micro_motion_std": -1.0}},
+        # an angle that the cosine would read as another one
+        {"radar": {"visibility_half_angle": -1.0}},
+        {"radar": {"visibility_half_angle": 3.5}},
         # numbers that are not finite, and a field that no longer exists
         {"radar": {"f_max": float("nan")}},
         {"net": {"clamp": float("nan")}},

@@ -324,6 +324,7 @@ class TestEdgeValues:
         ("gen", "kp_noise_std", -0.1), ("gen", "distance_range", (1.0, 5.0)),
         ("gen", "period_range", (2.0, 1.6)), ("gen", "amplitude_range", (0.5,)),
         ("radar", "micro_motion_std", -1.0), ("train", "seed", -1),
+        ("radar", "visibility_half_angle", -1.0), ("radar", "visibility_half_angle", 3.5),
     ])
     def test_unusable_value_is_refused(self, section, name, value):
         # each of these was accepted and then refused late or misread

@@ -540,6 +540,26 @@ class TestFit:
             assert t.grad is None, k  # no backward ran on the bad loss
             np.testing.assert_array_equal(t.data, seen["params"][k])
 
+    def test_non_finite_gradient_stops_before_the_step(self, tmp_path):
+        clips = constant_flow_clips(2, np.array([0.01, 0.0, 0.0]))
+        model = FlowNet(tiny_net(clamp=10.0), seed=0)
+        named = model.named_params()
+        before = {k: t.data.copy() for k, t in named.items()}
+
+        def loss_fn(clip):
+            # the loss plus a term that is 0 and sends NaN to a regressor weight
+            w = named["reg.w0"]
+            nan = ad._make(np.zeros((), w.dtype), (w,),
+                           lambda g: w._accumulate(np.full(w.shape, np.nan, w.dtype)))
+            return ad.add(clip_loss(model, clip), nan)
+
+        with pytest.raises(NonFiniteLoss, match="epoch 0: the gradient of reg.w0 "):
+            fit(named, clips, clips[:1], loss_fn, lambda c: 0.0,
+                TrainConfig(lr=1e-2, epochs=2, batch_clips=2, seed=0), tmp_path / "c.ckpt",
+                model.config_dict(), "val_score", log_path=tmp_path / "log.jsonl")
+        for k, t in named.items():
+            np.testing.assert_array_equal(t.data, before[k])
+
     def test_restores_best_epoch_and_logs_rows(self, tmp_path):
         # validation scores 3, 1, 2: epoch 1 is the best, and the returned
         # parameters are the ones checkpointed there

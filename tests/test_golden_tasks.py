@@ -25,6 +25,13 @@ their gradients are summed in the tape's topological order, which moved
 with the node count.  So the bytes moved within rounding.  The
 `clip_loss`, `predict` and `evaluate` hashes held.
 
+The s1 and s2 `clip_loss` and `clip_loss/grad` hashes moved once more, when
+the flow network began to compute each distinct point of a frame once: the
+train windows' frames are drawn with replacement, so the flows and
+features that decorate them, and the flow gradients of s2, moved within
+rounding (`test_golden_inputs` gives the reason).  `clip_loss/har/s1` held.
+The raw hashes, and every `predict` and `evaluate` hash, held.
+
 Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, on its AVX-512
 (SkylakeX) kernels.  The bytes depend on the BLAS kernel: an OpenBLAS built
 with DYNAMIC_ARCH picks its core type at run time, and under
@@ -76,25 +83,25 @@ GOLDEN = {
     "clip_loss/har/s1":
         "cb32b0992e0c33b2efb1b5437d6a0760b274840cd60b2ce1c685b03302c0f39c",
     "clip_loss/har/s2":
-        "912dac524ea3fb6fc85f8ad8b09b66d94e08909c606aa4c90bb0d5641cf342e6",
+        "b8e467701e752971e204258ea714836a9efe4b37d6b93c3c44d7d9654ba9270f",
     "clip_loss/hp/raw":
         "f7870ea5d4f0bcd039d9c6da9eb501d93115b16090663b959d2f8bf495375232",
     "clip_loss/hp/s1":
-        "bdc58b9ce699eb2d17cb9e4a8dec23596c21058ebdfcdcaac416b1df2cd98d49",
+        "32fa69967689d53938da480ed6368d8bb01eab941b7f9f91d0d04c206ceaeadf",
     "clip_loss/hp/s2":
-        "74b8a8891ae5de1411f5dedd674746ecd129702d0a95cab13bc17736806c40fc",
+        "dbe5273f8cfd934a16dadab2772a0ed2a23d2b5d766597a3dea4a8165043ee29",
     "clip_loss/grad/har/raw":
         "05717ea343557b94f4f21981a93d5e3b401600b2c85358b5bb3b12ee1c0e4176",
     "clip_loss/grad/har/s1":
-        "11c6b51519f91cdc4c9911db3f67c1e3b2dec4a60dc2f148246b82cad0ea54c8",
+        "e7d7a73f75937702e2f4fb11d29d4699a6685014cb5e3df768faa407defb5157",
     "clip_loss/grad/har/s2":
-        "96c71d730f8cb2c68623c8ede21a333b23363f695a835eb182e0a11a3280884c",
+        "0f800799f57ae36efe16715e9adbf6a93d0674029c8f4e1a6deda8390f5f07ea",
     "clip_loss/grad/hp/raw":
         "17fc3d7c4cdcb747e94b890e28bb3d41a19b8769407663693422f5db741e7759",
     "clip_loss/grad/hp/s1":
-        "3dab12330c9d6364f2ea481138126624363ba9c13a83f415c513efba84a1d7c0",
+        "8c56382364ea514282817c8f45142daa346df04d75c681d742b6cde24d03920e",
     "clip_loss/grad/hp/s2":
-        "500d8acf5ec6092e85b43db8765896be907d033bf8fc7f30426894678c49eb79",
+        "cd992addb80b2f8d276a6741d13aa8cddd423733325df41d7baec5fba9893d6b",
 }
 
 

@@ -492,6 +492,32 @@ class TestAdam:
         assert set(opt.m) == set(opt.v) == {"x"}
         assert frozen.data[0] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_keep_the_bytes_of_the_textbook_form(self, dtype):
+        rng = np.random.default_rng(4)
+        named = {name: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                 for name, shape in (("w", (6, 5)), ("b", (5,)), ("big", (40, 3)))}
+        opt = L.Adam(named, lr=3e-3)
+        want = {k: t.data.copy() for k, t in named.items()}
+        m = {k: np.zeros_like(w) for k, w in want.items()}
+        v = {k: np.zeros_like(w) for k, w in want.items()}
+        for step in range(1, 4):
+            b1t, b2t = 1.0 - opt.beta1**step, 1.0 - opt.beta2**step
+            for k, t in named.items():
+                # gradients over many orders of magnitude
+                g = (rng.normal(size=t.shape) * 10.0 ** rng.uniform(-6, 2, t.shape)).astype(dtype)
+                t.grad = g.copy()
+                m[k] = opt.beta1 * m[k] + (1.0 - opt.beta1) * g
+                v[k] = opt.beta2 * v[k] + (1.0 - opt.beta2) * (g * g)
+                m_hat, v_hat = m[k] / b1t, v[k] / b2t
+                want[k] -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(dtype)
+            opt.step()
+            for k, t in named.items():
+                assert t.data.dtype == dtype
+                assert t.data.tobytes() == want[k].tobytes(), (step, k)
+                assert opt.m[k].tobytes() == m[k].tobytes()
+                assert opt.v[k].tobytes() == v[k].tobytes()
+
     def test_lr_is_mutable(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         opt = L.Adam({"x": x}, lr=0.5)

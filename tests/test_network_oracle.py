@@ -14,10 +14,16 @@ attention MLP whose units are active on every row.  Both forms give
 rounding noise there, so the biases of those MLPs are held to 1e-12 of the
 largest gradient of the model.
 
+The first-written forms run every row of a frame, so on frames resampled
+with replacement, as train-mode preprocessing draws them, they hold the
+program, which computes each distinct point once, to the multiset's
+outputs.
+
 The guards below check that the waste stays out: the first set-abstraction
-layer of a frame sees one row per ball hit, the cost volume's MLP gets no
-pair input, and a clip's tape holds one node per MLP and per gate, not one
-per product, bias sum and ReLU.
+layer of a frame sees one row per ball hit, every per-point layer one row
+per distinct point, the cost volume's MLP gets no pair input, and a clip's
+tape holds one node per MLP and per gate, not one per product, bias sum and
+ReLU.
 """
 
 import numpy as np
@@ -25,12 +31,13 @@ import pytest
 
 import kernel_oracles as oracle
 from helpers import jitter_params
-from test_flownet import chained_clip, make_frame, make_label, tiny_net
+from test_flownet import chained_clip, copied, make_frame, make_label, tiny_net
 
 from milliflow import autodiff as ad
 from milliflow._kernels import NeighbourTable
 from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TaskConfig
+from milliflow.dataio import Sample
 from milliflow.downstream import HarNet, HpNet, balanced_cross_entropy, cross_entropy
 from milliflow.flownet import FlowNet, clip_loss
 
@@ -79,12 +86,38 @@ def model_with_jitter(cls, *args, **kwargs):
     return model
 
 
+def resampled_clip(n_samples=6, n=24, rows=48, seed=3):
+    """`chained_clip` with each frame's `rows` rows drawn with replacement
+    from `n` points, as train-mode preprocessing draws a frame's rows when
+    fewer points survive: most points come with twins."""
+    rng = np.random.default_rng(seed)
+    frames = [make_frame(n, seed + t).subset(np.sort(rng.choice(n, rows, replace=True)))
+              for t in range(n_samples + 1)]
+    return [Sample(source=copied(frames[t]), target=copied(frames[t + 1]),
+                   label=make_label(rows, seed + 50 + t)) for t in range(n_samples)]
+
+
+def inputs_of(frame) -> np.ndarray:
+    return np.column_stack([frame.points, frame.intensities]).astype(np.float32)
+
+
 @pytest.mark.parametrize("temporal", [True, False])
 def test_flownet_matches_concat_forms(temporal):
+    # six chained pairs: the GRU state is reset after the fifth
+    check_flownet_against_concat_forms(temporal, chained_clip(n_samples=6, n=24, seed=3))
+
+
+@pytest.mark.parametrize("temporal", [True, False])
+def test_flownet_on_resampled_frames_matches_concat_forms(temporal):
+    clip = resampled_clip()
+    for sample in clip:
+        assert len(np.unique(inputs_of(sample.source), axis=0)) < len(sample.source)
+    check_flownet_against_concat_forms(temporal, clip)
+
+
+def check_flownet_against_concat_forms(temporal, clip):
     model = model_with_jitter(FlowNet, tiny_net(temporal=temporal, clamp=10.0, **NET), seed=7)
     named = model.named_params()
-    # six chained pairs: the GRU state is reset after the fifth
-    clip = chained_clip(n_samples=6, n=24, seed=3)
     want_loss, want_flows = oracle.flow_clip_loss_concat(model, clip)
     want = gradients(named, want_loss)
     state, flows = model.initial_state(), []
@@ -177,6 +210,39 @@ class TestNoWaste:
             assert [blocks for w, blocks in seen if w is sa.weights[0]] == [
                 [(hits, 3), ((40, 1), (hits,))]]
             assert hits < 40 * samples  # the padded form's rows
+
+    def test_per_point_layers_see_each_distinct_point_once(self, monkeypatch):
+        cfg = tiny_net(**NET)
+        model = FlowNet(cfg, seed=0)
+        sample = resampled_clip(n_samples=1, n=40, rows=128)[0]
+        distinct = []  # per frame: (distinct points U, ball hits per radius)
+        for frame in (sample.source, sample.target):
+            _, first = np.unique(inputs_of(frame), axis=0, return_index=True)
+            table = NeighbourTable(frame.points.astype(np.float32))
+            distinct.append((len(first), [
+                table.ball(radius, samples, first)[1].sum()
+                for radius, samples in zip(NET["sa_radii"], NET["sa_samples"])]))
+        (u_p, hits_p), (u_q, hits_q) = distinct
+        assert u_p < 64 and u_q < 64
+        seen = record_mlp_blocks(monkeypatch)
+        model.forward(sample.source, sample.target, model.initial_state())
+        # the first set-abstraction layer: one row per hit of a distinct
+        # centroid's ball (the multiset's ball, twins included); intensities
+        # once per distinct point, gathered by hit
+        for s, sa in enumerate(model.local.sas):
+            assert [blocks for w, blocks in seen if w is sa.weights[0]] == [
+                [(hits_p[s], 3), ((u_p, 1), (hits_p[s],))],
+                [(hits_q[s], 3), ((u_q, 1), (hits_q[s],))]]
+        assert [blocks for w, blocks in seen if w is model.ctx.sas[0].weights[0]] == [
+            [(hits_p[0], 3), ((u_p, 1), (hits_p[0],))]]
+        # every other per-point layer: one row per distinct point
+        first_sa = {id(sa.weights[0]) for enc in (model.local, model.ctx) for sa in enc.sas}
+        for w, blocks in seen:
+            if id(w) in first_sa:
+                continue
+            for b in blocks:
+                rows = [b[0][0], b[1][0]] if isinstance(b[0], tuple) else b[:-1][:1]
+                assert set(rows) <= {u_p, u_q}, (w.shape, blocks)
 
     def test_cost_volume_builds_no_pair_input(self, monkeypatch):
         cfg = tiny_net(**NET)

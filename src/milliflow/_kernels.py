@@ -5,17 +5,16 @@ The network's geometry comes from ``NeighbourTable``: one float64 distance
 matrix and one stable ``argsort`` per frame, from which every ball query and
 every k-nearest lookup of that frame is read.  Inputs are taken in float64,
 so results do not depend on the caller's dtype.  ``distinct_rows`` finds a
-multiset's distinct points, and ``NeighbourTable.at`` reads a table of every
-point at them alone.  The tests compare each kernel with an explicit-loop
-reference that works one point or cell at a time
-(``tests/kernel_oracles.py``): the integer-valued kernels agree bit for bit,
-the segment distances to within last-ulp rounding, and CA-CFAR wherever its
-threshold is not within rounding of a cell's value.
+multiset's distinct points, and a table built for them against every point,
+each hit named by its distinct point, keeps the multiset's neighbours.  The
+tests compare each kernel with an explicit-loop reference that works one
+point or cell at a time (``tests/kernel_oracles.py``): the integer-valued
+kernels agree bit for bit, the segment distances to within last-ulp
+rounding, and CA-CFAR wherever its threshold is not within rounding of a
+cell's value.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -39,18 +38,20 @@ class NeighbourTable:
     ``argsort`` per row: nearest first, exact ties broken by lower index.
     Ball queries at any radius and k-nearest lookups are then read from the
     sorted table, so one frame's grouping at every radius, and its self-kNN,
-    cost one sort.  ``ref`` defaults to ``query``.
+    cost one sort.  ``ref`` defaults to ``query``.  With ``names``, each hit
+    on reference point ``i`` is given as ``names[i]`` after the sort: built
+    for a multiset's distinct points against all its points, with
+    ``distinct_rows``' ``inverse`` as ``names``, each ball and k-nearest list
+    keeps the multiset's contents, order and cap, with each hit named by its
+    distinct point.
     """
 
-    def __init__(self, query: np.ndarray, ref: np.ndarray | None = None):
-        self._d2 = squared_distances(query, query if ref is None else ref)
-        self.order = np.argsort(self._d2, axis=1, kind="stable")
-
-    @functools.cached_property
-    def sorted_d2(self) -> np.ndarray:
-        """Squared distances in the order of ``self.order``; built on the
-        first ball query, as a k-nearest lookup does not need them."""
-        return np.take_along_axis(self._d2, self.order, axis=1)
+    def __init__(self, query: np.ndarray, ref: np.ndarray | None = None,
+                 names: np.ndarray | None = None):
+        d2 = squared_distances(query, query if ref is None else ref)
+        order = np.argsort(d2, axis=1, kind="stable")
+        self.sorted_d2 = np.take_along_axis(d2, order, axis=1)
+        self.order = order if names is None else names[order]
 
     def ball(self, radius: float, max_samples: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """The reference indices within ``radius`` of each query row (all
@@ -72,17 +73,6 @@ class NeighbourTable:
         """The ``k`` nearest reference indices per query row, nearest first
         (all of them when there are fewer)."""
         return np.ascontiguousarray(self.order[:, :k])
-
-    def at(self, rows: np.ndarray, inverse: np.ndarray) -> NeighbourTable:
-        """This table read at the query rows ``rows`` only, each reference
-        index ``i`` given as ``inverse[i]``.  Built over every point of a
-        multiset and read at its distinct points (``distinct_rows``), each
-        ball and k-nearest list keeps the multiset's contents, order and cap,
-        with each hit named by its distinct point."""
-        view = object.__new__(NeighbourTable)
-        view.order = inverse[self.order[rows]]
-        view.sorted_d2 = self.sorted_d2[rows]
-        return view
 
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -372,16 +372,19 @@ def write_json(path, data: dict) -> Path:
     return write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-# the keys of a manifest's split and of each of its sequence entries
-SPLIT_KEYS = tuple(f.name for f in dataclasses.fields(SplitManifest))
-SEQUENCE_KEYS = ("id", "subject_id", "n_frames")
+# what a manifest holds: each key with the kind of its value, where [kind]
+# is a list of values of that kind and a dict the keys of an object
+SPLIT_KEYS = {"train_subjects": [int], "val_subjects": [int], "test_subjects": [int],
+              "out_of_set_sequences": [str]}
+SEQUENCE_KEYS = {"id": str, "subject_id": int, "n_frames": int}
+MANIFEST_KEYS = {"config": dict, "split": SPLIT_KEYS, "sequences": [SEQUENCE_KEYS]}
 
 
 def read_manifest(root) -> dict:
     """The dataset manifest: a config object, a split and a list of sequence
     entries.  A missing file raises FileNotFoundError; a file that is not
-    whole JSON, or lacks one of those or one of their keys, raises
-    CorruptFile."""
+    whole JSON, or lacks one of those or one of their keys, or holds a value
+    of another type there, raises CorruptFile."""
     path = Path(root) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no dataset manifest at {path}")
@@ -391,15 +394,19 @@ def read_manifest(root) -> dict:
         manifest = json.loads(data)
     except ValueError as e:
         raise CorruptFile(f"{path}: not a whole JSON document: {e}") from e
-    if (_lacks(manifest, ("config", "split", "sequences"))
-            or not isinstance(manifest["config"], dict)
-            or _lacks(manifest["split"], SPLIT_KEYS)
-            or not isinstance(manifest["sequences"], list)
-            or any(_lacks(entry, SEQUENCE_KEYS) for entry in manifest["sequences"])):
+    if not _fits(manifest, MANIFEST_KEYS):
         raise CorruptFile(f"{path}: not a dataset manifest: it needs a config object, "
-                          f"a split with {SPLIT_KEYS} and sequences with {SEQUENCE_KEYS}")
+                          f"a split of lists {tuple(SPLIT_KEYS)} and sequences with "
+                          f"{tuple(SEQUENCE_KEYS)}")
     return manifest
 
 
-def _lacks(obj, keys) -> bool:
-    return not isinstance(obj, dict) or any(k not in obj for k in keys)
+def _fits(value, kind) -> bool:
+    """Whether `value` is of `kind`: a type, [kind] or a dict of keys, as in
+    MANIFEST_KEYS."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(kind, dict):
+        return isinstance(value, dict) and all(k in value and _fits(value[k], t)
+                                               for k, t in kind.items())
+    return isinstance(value, kind)

@@ -77,15 +77,17 @@ class NonFiniteLoss(MilliflowError):
 
 
 def read_exact(f, n: int) -> bytes:
-    """Read exactly ``n`` bytes from the binary file ``f`` or raise CorruptFile."""
+    """Read exactly ``n`` bytes from the binary file ``f`` or raise
+    CorruptFile; ``n`` is checked against the bytes the file has left before
+    any is read, so a size no file holds is refused without being allocated."""
     offset = f.tell()
-    data = f.read(n)
-    if len(data) != n:
+    left = os.fstat(f.fileno()).st_size - offset
+    if n > left:
         raise CorruptFile(
             f"{getattr(f, 'name', 'file')}: truncated, needs {n} bytes at offset "
-            f"{offset} but {len(data)} remain"
+            f"{offset} but {left} remain"
         )
-    return data
+    return f.read(n)
 
 
 def read_struct(f, fmt: str) -> tuple:

@@ -12,14 +12,13 @@ A frame is a multiset: train and val frames are drawn with replacement
 intensity) rows that get equal outputs.  Each frame's twins are found once,
 and every per-point stage (set abstraction, post MLPs, attention logits,
 cost volume, embedding, regressor) runs once per distinct point.
-Neighbourhoods stay the multiset's: the neighbour table is built over every
-row and read at the distinct ones.  Multiplicity enters only where rows
-interact, at the attention pools, which weigh each distinct point by its
-count, and at the outputs, which give each row its distinct point's flow
-and features.  A frame without twins, as every test-mode frame is, runs the
-same code with the identity mapping, given as None: its own table,
-unweighted pools and no expansion.  The downstream networks run on every
-row.
+Neighbourhoods stay the multiset's: the neighbour table is built for the
+distinct points against every row, each hit named by its distinct point.
+Multiplicity enters only where rows interact, at the attention pools, which
+weigh each distinct point by its count, and at the outputs, which give each
+row its distinct point's flow and features.  A frame without twins, as
+every test-mode frame is, takes the same path: each row is its own distinct
+point, of count 1.  The downstream networks run on every row.
 
 The recurrent state also carries the last target's encoding, which the next
 pair reuses for its source when the frames are equal.  Training runs
@@ -101,7 +100,7 @@ class CloudEncoder:
                  counts: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """(points N x 3, features N x C, the points' NeighbourTable) ->
         (k N x feat_out, g feat_out).  For the distinct points of a
-        multiset, `table` is read at them (`NeighbourTable.at`) and `counts`
+        multiset, `table` names each hit by its distinct point and `counts`
         weighs each in the pool, as `global_pool` takes it."""
         outs = []
         for sa, post, radius, samples in zip(self.sas, self.posts,
@@ -120,10 +119,10 @@ class EncodedFrame:
     points: np.ndarray  # (U, 3) the distinct rows' points, in first-occurrence order
     feats: Tensor  # (U, 1) their intensities
     # (N,) each input row's distinct row, and (U,) how many input rows each
-    # distinct row stands for; both None, the identity, when U = N
-    inverse: np.ndarray | None
-    counts: np.ndarray | None
-    table: NeighbourTable  # over all N points, read at the U distinct ones
+    # distinct row stands for
+    inverse: np.ndarray
+    counts: np.ndarray
+    table: NeighbourTable  # (U, N): the distinct points' hits among all N, by distinct row
     z: tuple[Tensor, Tensor]  # (U, feat_out), (feat_out,)
     grad: bool  # whether z was recorded on a tape
 
@@ -187,11 +186,7 @@ class FlowNet:
             return cached
         rows, inverse, counts = distinct_rows(inputs)
         points, feats = inputs[rows, :3], Tensor(inputs[rows, 3:])
-        table = NeighbourTable(inputs[:, :3])
-        if len(rows) < len(inputs):
-            table = table.at(rows, inverse)
-        else:  # no twins: the identity mapping, which every reader takes as None
-            inverse = counts = None
+        table = NeighbourTable(points, inputs[:, :3], inverse)
         z = self.local(points, feats, table, counts)
         return EncodedFrame(inputs, points, feats, inverse, counts, table, z, grad)
 
@@ -215,8 +210,8 @@ class FlowNet:
             top = g_b
         flows = ad.clamp(self.regressor(emb, top), -self.cfg.clamp, self.cfg.clamp)
         final = ad.concat([emb, broadcast_rows(top, emb.shape[0])], axis=1)
-        if p.inverse is not None:  # each twin gets its distinct row's outputs
-            flows, final = ad.take(flows, p.inverse), ad.take(final, p.inverse)
+        # each row gets its distinct row's outputs
+        flows, final = ad.take(flows, p.inverse), ad.take(final, p.inverse)
 
         steps = state.steps_since_reset + 1
         if steps >= RESET_PERIOD:

@@ -10,16 +10,17 @@ Point geometry (indices, neighborhoods) is plain numpy; gradients flow only
 through features and parameters.
 
 The per-point layers can run once per distinct point of a multiset: set
-abstraction and the cost volume read a `NeighbourTable` built over every
-point and read at the distinct ones (`NeighbourTable.at`), and multiplicity
-enters only at `global_pool`'s `counts`; the flow network expands its
-outputs to every row.
+abstraction and the cost volume read a `NeighbourTable` built for the
+distinct points against every point, each hit named by its distinct point,
+and multiplicity enters only at `global_pool`'s `counts`; the flow network
+expands its outputs to every row.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -135,8 +136,8 @@ def set_abstraction(
     points.  `centroid_idx` selects a subset of the input points as
     centroids (used with farthest point sampling).  `table` names each hit
     as a row of `points`: the points' own NeighbourTable, or, for the
-    distinct points of a multiset, one built over every point and read at
-    the distinct ones (`NeighbourTable.at`).
+    distinct points of a multiset, one built against every point that names
+    each hit by its distinct point.
     """
     blocks = _as_blocks(feats)
     points = np.asarray(points, dtype=blocks[0].dtype)
@@ -186,17 +187,16 @@ class CostVolume:
         self.weight_mlp2 = MLP(params.scope("weight2"), 3, list(weight_hidden) + [1])
 
     def __call__(self, pts_p, feats_p, pts_q, feats_q, table_p: NeighbourTable,
-                 inverse_q: np.ndarray | None = None) -> Tensor:
+                 inverse_q: np.ndarray) -> Tensor:
         """`feats_p` and `feats_q` are each a Tensor or a tuple of blocks of
         the points' features, as `set_abstraction` takes them.  The pair
         input [feat_p || feat_q || (q - p)] is never built: the cost MLP
         multiplies each source block once per source point and each target
         block once per row of `feats_q`, then gathers.  `pts_q` are every
-        target point and `inverse_q` maps each to its row of `feats_q`
-        (default: its own), so the k nearest targets are the multiset's.
-        `table_p` gives the source points' self-kNN as rows of `pts_p`: their
-        own NeighbourTable, or one read at the distinct points
-        (`NeighbourTable.at`)."""
+        target point and `inverse_q` maps each to its row of `feats_q`, so
+        the k nearest targets are the multiset's.  `table_p` gives the source
+        points' self-kNN as rows of `pts_p`, as `set_abstraction`'s table
+        names its hits."""
         blocks_p, blocks_q = _as_blocks(feats_p), _as_blocks(feats_q)
         if sum(b.shape[-1] for b in blocks_p) != sum(b.shape[-1] for b in blocks_q):
             raise ShapeMismatch("source/target feature dims differ")
@@ -206,8 +206,7 @@ class CostVolume:
         n = len(pts_p)
         idx_q = knn_indices(pts_p, pts_q, min(self.k, len(pts_q)))  # (N, k1)
         disp = Tensor(pts_q[idx_q] - pts_p[:, None, :])  # (N, k1, 3)
-        if inverse_q is not None:
-            idx_q = inverse_q[idx_q]
+        idx_q = inverse_q[idx_q]
         source = [ad.reshape(b, (n, 1, -1)) if b.data.ndim == 2 else b for b in blocks_p]
         target = [(b, idx_q) if b.data.ndim == 2 else b for b in blocks_q]
         cost = self.cost_mlp(*source, *target, disp)  # (N, k1, D)
@@ -357,7 +356,8 @@ def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
 def load_checkpoint(path):
     """Returns (named float64 arrays, config dict).  A header that is not the
     one `save_checkpoint` writes, or a blob whose length differs from the one
-    the header's shapes give, raises CorruptFile."""
+    the header's shapes give, raises CorruptFile, before any read of more
+    bytes than the file holds."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4)
         if magic != CHECKPOINT_MAGIC:
@@ -367,9 +367,11 @@ def load_checkpoint(path):
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = read_exact(f, 8 * count)
-            params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            buf = read_exact(f, 8 * math.prod(shape))  # Python ints: no overflow
+            try:
+                params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            except ValueError as e:  # no elements, but dimensions numpy cannot hold
+                raise CorruptFile(f"{path}: malformed checkpoint header: {e!r}") from e
         if f.read(1):
             raise CorruptFile(f"{path}: bytes left after the last parameter")
     return params, header["config"]

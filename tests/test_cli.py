@@ -646,6 +646,13 @@ class TestTrack:
         assert main(["track", "--data", dataset,
                      "--ckpt", str(tmp_path / "none.ckpt")]) == 4
 
+    def test_checkpoint_shape_beyond_the_file_exits_2(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "big.ckpt"
+        header = b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[%d]}]}' % 10**12
+        bad.write_bytes(b"MFLW" + struct.pack("<I", len(header)) + header)
+        assert main(["track", "--data", dataset, "--ckpt", str(bad)]) == 2
+        assert "truncated" in capsys.readouterr().err
+
     def test_untrackable_activity_exits_2(self, dataset, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["track", "--data", dataset, "--oracle", "--activities",

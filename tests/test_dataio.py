@@ -7,6 +7,7 @@ import pytest
 from milliflow import dataio
 from milliflow.config import GenConfig, RunConfig
 from milliflow.dataio import (
+    SPLIT_KEYS,
     Sample,
     Sequence,
     SplitManifest,
@@ -314,11 +315,13 @@ class TestSerialization:
         write_json(tmp_path / "manifest.json", data)
         back = read_manifest(tmp_path)
         assert back == data
+        assert tuple(SPLIT_KEYS) == tuple(data["split"])  # every part is checked
         assert SplitManifest.from_dict(back["split"]) == manifest
 
     @pytest.mark.parametrize("drop", [
         "whole", "config", "split", "sequences", "split.val_subjects",
         "sequence.subject_id", "config-not-object", "sequences-not-list",
+        "sequence.id-not-string", "split.train_subjects-not-int-list",
     ])
     def test_manifest_lacking_a_key_is_corrupt_file(self, tmp_path, drop):
         data = {"config": {},
@@ -334,6 +337,10 @@ class TestSerialization:
             data["config"] = [1]
         elif drop == "sequences-not-list":
             data["sequences"] = {"id": "x"}
+        elif drop == "sequence.id-not-string":
+            data["sequences"][0]["id"] = 3
+        elif drop == "split.train_subjects-not-int-list":
+            data["split"]["train_subjects"] = 3
         else:
             del data[drop]
         write_json(tmp_path / "manifest.json", data)

@@ -151,7 +151,8 @@ class TestDistinctRows:
         pts = clouds[0][rng.choice(len(clouds[0]), 3 * len(clouds[0]))]
         rows, inverse, _ = k.distinct_rows(pts)
         full = k.NeighbourTable(pts)
-        table = full.at(rows, inverse)
+        table = k.NeighbourTable(pts[rows], pts, inverse)
+        np.testing.assert_array_equal(table.sorted_d2, full.sorted_d2[rows])
         for radius, ms in ((0.3, 4), (0.8, 16), (10.0, len(pts))):
             want, want_counts = full.ball(radius, ms, rows)
             got, got_counts = table.ball(radius, ms)

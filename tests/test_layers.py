@@ -272,8 +272,9 @@ class TestGlobalPool:
 
 
 def cost_volume(cv, p, fp, q, fq):
-    """`cv` with a neighbour table of the source points of its own."""
-    return cv(p, fp, q, fq, NeighbourTable(p))
+    """`cv` with a neighbour table of the source points of its own, each
+    target point its own row of `fq`."""
+    return cv(p, fp, q, fq, NeighbourTable(p), np.arange(len(q)))
 
 
 class TestCostVolume:
@@ -325,7 +326,7 @@ class TestCostVolume:
         # a table that already served ball queries, as a frame's does
         table = NeighbourTable(p)
         table.ball(0.5, 3)
-        np.testing.assert_array_equal(cv(p, fp, q, fq, table).data,
+        np.testing.assert_array_equal(cv(p, fp, q, fq, table, np.arange(len(q))).data,
                                       cost_volume(cv, p, fp, q, fq).data)
 
     def test_feature_dim_mismatch(self):
@@ -614,11 +615,27 @@ class TestCheckpoints:
         b'{"format_version":1,"config":{},"params":[{"name":"w"}]}',
         b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[-2]}]}',
         b'{"format_version":1,"config":{},"params":"w"}',
+        # no elements, but dimensions numpy cannot hold
+        b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[0,%d]}]}' % 2**70,
+        b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[0,%d,%d]}]}'
+        % (2**62, 2**62),
     ])
     def test_malformed_header_is_corrupt_file(self, tmp_path, header):
         path = tmp_path / "h.mflw"
         path.write_bytes(L.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
         with pytest.raises(CorruptFile, match="malformed checkpoint header"):
+            L.load_checkpoint(path)
+
+    # more bytes than any file holds; their element counts overflow int64
+    # from the second on
+    @pytest.mark.parametrize("shape", [[10**12], [2**40, 2**30], [3037000500, 3037000500]])
+    def test_header_shape_beyond_the_file_is_corrupt_file(self, tmp_path, shape):
+        path = tmp_path / "big.mflw"
+        header = b'{"format_version":1,"config":{},"params":[{"name":"w","shape":%s}]}' % (
+            str(shape).encode())
+        path.write_bytes(L.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
+                         + bytes(16))
+        with pytest.raises(CorruptFile, match="truncated, needs"):
             L.load_checkpoint(path)
 
     def test_stored_values_round_trip(self, tmp_path):

@@ -21,9 +21,9 @@ outputs.
 
 The guards below check that the waste stays out: the first set-abstraction
 layer of a frame sees one row per ball hit, every per-point layer one row
-per distinct point, the cost volume's MLP gets no pair input, and a clip's
-tape holds one node per MLP and per gate, not one per product, bias sum and
-ReLU.
+per distinct point, every neighbour table has one row per distinct point,
+the cost volume's MLP gets no pair input, and a clip's tape holds one node
+per MLP and per gate, not one per product, bias sum and ReLU.
 """
 
 import numpy as np
@@ -33,6 +33,7 @@ import kernel_oracles as oracle
 from helpers import jitter_params
 from test_flownet import chained_clip, copied, make_frame, make_label, tiny_net
 
+from milliflow import _kernels
 from milliflow import autodiff as ad
 from milliflow._kernels import NeighbourTable
 from milliflow.autodiff import Tensor
@@ -243,6 +244,24 @@ class TestNoWaste:
             for b in blocks:
                 rows = [b[0][0], b[1][0]] if isinstance(b[0], tuple) else b[:-1][:1]
                 assert set(rows) <= {u_p, u_q}, (w.shape, blocks)
+
+    def test_each_table_is_built_for_distinct_points_only(self, monkeypatch):
+        model = FlowNet(tiny_net(**NET), seed=0)
+        sample = resampled_clip(n_samples=1, n=40, rows=128)[0]
+        (u_p, n_p), (u_q, n_q) = [(len(np.unique(inputs_of(f), axis=0)), len(f))
+                                  for f in (sample.source, sample.target)]
+        assert u_p < n_p and u_q < n_q
+        shapes, distances = [], _kernels.squared_distances
+
+        def recorded(query, ref):
+            shapes.append((len(query), len(ref)))
+            return distances(query, ref)
+
+        monkeypatch.setattr(_kernels, "squared_distances", recorded)
+        model.forward(sample.source, sample.target, model.initial_state())
+        # each frame's table: its distinct points against all its rows; the
+        # cost volume's: the source's distinct points against every target row
+        assert shapes == [(u_p, n_p), (u_q, n_q), (u_p, n_q)]
 
     def test_cost_volume_builds_no_pair_input(self, monkeypatch):
         cfg = tiny_net(**NET)

@@ -276,8 +276,14 @@ def _of_kind(value, hint, field_) -> bool:
 
 
 def _fits(value, kind) -> bool:
-    """Whether `value` is of `kind`: a bool is not a number, and a float
-    holds a finite number (JSON readers take NaN and Infinity)."""
+    """Whether a JSON value is of `kind`: a type, [kind] or a dict of keys, as
+    in `dataio.MANIFEST_KEYS`.  A bool is not a number, and a float holds a
+    finite number (JSON readers take NaN and Infinity)."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(kind, dict):
+        return isinstance(value, dict) and all(k in value and _fits(value[k], t)
+                                               for k, t in kind.items())
     if kind in (int, float) and isinstance(value, bool):
         return False
     if kind is float:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _fits
 from .errors import (
     ConfigError, CorruptFile, EmptyFrame, LengthMismatch, atomic_write,
 )
@@ -114,8 +115,8 @@ def preprocess_indices(frame: RadarFrame, mode: str, seed: int = 0) -> np.ndarra
     points survive the box/intensity gates, with replacement otherwise); test
     keeps every survivor.  So a train or val frame of fewer survivors repeats
     points: the gates leave about 50 of a typical frame's points, and two
-    rows in three are copies.  The flow network computes each distinct point
-    once (`FlowNet._encoded`).
+    rows in three are copies.  The networks compute each distinct point once
+    (`flownet.encode`).
     """
     if mode not in ("train", "val", "test"):
         raise ConfigError(f"unknown preprocessing mode {mode!r}")
@@ -240,13 +241,17 @@ def _parse_frame_record(rec: dict):
     if pose_kp.shape != (len(kps), 3):
         raise LengthMismatch(f"a pose of shape {pose_kp.shape} for {len(kps)} keypoints")
     _check_finite("pose_gt", pose_kp)
-    timestamp = np.float64(rec["timestamp"])
-    _check_finite("timestamp", timestamp)
+    # clips are cut at gaps in frame_index, so it is read only as it was written
+    if not _fits(rec["frame_index"], int):
+        raise CorruptFile(f"frame_index {rec['frame_index']!r} is not an integer")
+    if not _fits(rec["timestamp"], float):
+        raise CorruptFile(f"timestamp holds a value that is not finite or not a number: "
+                          f"{rec['timestamp']!r}")
     frame = RadarFrame(
         points=pts[:, :3],
         intensities=pts[:, 3],
-        frame_index=int(rec["frame_index"]),
-        timestamp=float(timestamp),
+        frame_index=rec["frame_index"],
+        timestamp=float(rec["timestamp"]),
         prov_bone=prov,
     )
     pose = SkeletonPose(pose_kp)
@@ -399,14 +404,3 @@ def read_manifest(root) -> dict:
                           f"a split of lists {tuple(SPLIT_KEYS)} and sequences with "
                           f"{tuple(SEQUENCE_KEYS)}")
     return manifest
-
-
-def _fits(value, kind) -> bool:
-    """Whether `value` is of `kind`: a type, [kind] or a dict of keys, as in
-    MANIFEST_KEYS."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
-    if isinstance(kind, dict):
-        return isinstance(value, dict) and all(k in value and _fits(value[k], t)
-                                               for k, t in kind.items())
-    return isinstance(value, kind)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import NeighbourTable, farthest_point_sample
+from ._kernels import farthest_point_sample
 from .autodiff import Tensor
 from .config import TaskConfig, TrainConfig, from_dict, model_dtype
 # every call of preprocess_indices goes through dataio.preprocess_sequence; the
@@ -42,7 +42,7 @@ from .errors import (
     TaskMismatch,
 )
 from .flownet import (
-    CloudEncoder, FlowNet, fit, flow_model_from_config, infer_sequence,
+    CloudEncoder, FlowNet, encode, fit, flow_model_from_config, infer_sequence,
     mean_flow_loss, stream,
 )
 from .geometry import kabsch
@@ -194,10 +194,10 @@ class _TaskNet:
 class HarNet(_TaskNet):
     """Sequence-level activity classifier.
 
-    Per frame: cloud encoder, then a second local encoder on farthest-point
-    centroids, attention-pooled into one frame vector; both read one
-    neighbour table of the frame.  An LSTM consumes the frame vectors; the
-    classifier reads its last hidden state.
+    Per frame: cloud encoder (`encode`, each distinct row once), then a
+    second local encoder on farthest-point centroids, attention-pooled into
+    one frame vector; both read one neighbour table of the frame.  An LSTM
+    consumes the frame vectors; the classifier reads its last hidden state.
     """
 
     kind = "har"
@@ -218,15 +218,15 @@ class HarNet(_TaskNet):
 
     def frame_vector(self, frame, feats: Tensor) -> Tensor:
         points = np.asarray(frame.points, dtype=self.dtype)
-        table = NeighbourTable(points)
-        z = self.encoder(points, feats, table)  # the blocks (k, g) of z
+        enc = encode(self.encoder, points, feats)
         k = min(self.cfg.fps_centroids, len(points))
         # anchor the sweep at the lexicographically smallest point so the
         # centroid choice depends on geometry, not on input order
         start = int(np.lexsort((points[:, 2], points[:, 1], points[:, 0]))[0])
-        centroid_idx = farthest_point_sample(points, k, start=start)
-        pooled = set_abstraction(self.stage2, points, z, self.cfg.stage2_radius,
-                                 self.cfg.stage2_samples, table, centroid_idx)
+        # each centroid row, repeats included, read as its distinct row
+        centroid_idx = enc.inverse[farthest_point_sample(points, k, start=start)]
+        pooled = set_abstraction(self.stage2, enc.points, enc.z, self.cfg.stage2_radius,
+                                 self.cfg.stage2_samples, enc.table, centroid_idx)
         return global_pool(self.stage2_attn, pooled)
 
     def forward(self, frames, feats_list) -> Tensor:
@@ -265,9 +265,9 @@ class HarNet(_TaskNet):
 class HpNet(_TaskNet):
     """Per-point body-segment classifier.
 
-    Per frame: cloud encoder; a GRU propagates the pooled global vector
-    across frames; each point's head input is its local-global feature with
-    the current hidden state appended.
+    Per frame: cloud encoder (`encode`, each distinct row once); a GRU
+    propagates the pooled global vector across frames; a distinct row's head
+    input is its local-global feature with the hidden state appended.
     """
 
     kind = "hp"
@@ -290,10 +290,11 @@ class HpNet(_TaskNet):
             if len(frame) == 0:
                 scores.append(None)  # state held across the gap
                 continue
-            points = np.asarray(frame.points, dtype=self.dtype)
-            k, g = self.encoder(points, feats, NeighbourTable(points))
+            enc = encode(self.encoder, np.asarray(frame.points, dtype=self.dtype), feats)
+            k, g = enc.z
             h = self.gru(h, g)
-            scores.append(self.head(k, g, h))
+            # each row gets its distinct row's scores
+            scores.append(ad.take(self.head(k, g, h), enc.inverse))
         return scores
 
     def rows(self, clip: TaskClip, feats):

@@ -18,7 +18,7 @@ Multiplicity enters only where rows interact, at the attention pools, which
 weigh each distinct point by its count, and at the outputs, which give each
 row its distinct point's flow and features.  A frame without twins, as
 every test-mode frame is, takes the same path: each row is its own distinct
-point, of count 1.  The downstream networks run on every row.
+point, of count 1.  The downstream networks take the same path, `encode`.
 
 The recurrent state also carries the last target's encoding, which the next
 pair reuses for its source when the frames are equal.  Training runs
@@ -97,11 +97,11 @@ class CloudEncoder:
         self.attn = MLP(params.scope("attn"), self.feat_out, [cfg.attention_hidden, 1])
 
     def __call__(self, points, feats: Tensor, table: NeighbourTable,
-                 counts: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """(points N x 3, features N x C, the points' NeighbourTable) ->
-        (k N x feat_out, g feat_out).  For the distinct points of a
-        multiset, `table` names each hit by its distinct point and `counts`
-        weighs each in the pool, as `global_pool` takes it."""
+                 counts: np.ndarray) -> tuple[Tensor, Tensor]:
+        """(the distinct points U x 3 of a multiset, their features U x C,
+        their NeighbourTable, which names each hit by its distinct point, and
+        how many points each stands for, the pool's weights as `global_pool`
+        takes them) -> (k U x feat_out, g feat_out)."""
         outs = []
         for sa, post, radius, samples in zip(self.sas, self.posts,
                                              self.cfg.sa_radii, self.cfg.sa_samples):
@@ -112,12 +112,12 @@ class CloudEncoder:
 
 @dataclass(eq=False)
 class EncodedFrame:
-    """One frame's network inputs, each distinct (x, y, z, intensity) row
-    once, with its neighbour table and local encoding z as its blocks (k, g)."""
+    """One frame's network inputs, each distinct row of points and features
+    once, with its neighbour table and encoding z as its blocks (k, g)."""
 
-    inputs: np.ndarray  # (N, 4) every row's (x, y, z, intensity) in the model dtype
+    inputs: np.ndarray  # (N, 3 + C) every row's point and features
     points: np.ndarray  # (U, 3) the distinct rows' points, in first-occurrence order
-    feats: Tensor  # (U, 1) their intensities
+    feats: Tensor  # (U, C) their features
     # (N,) each input row's distinct row, and (U,) how many input rows each
     # distinct row stands for
     inverse: np.ndarray
@@ -125,6 +125,19 @@ class EncodedFrame:
     table: NeighbourTable  # (U, N): the distinct points' hits among all N, by distinct row
     z: tuple[Tensor, Tensor]  # (U, feat_out), (feat_out,)
     grad: bool  # whether z was recorded on a tape
+
+
+def encode(encoder: CloudEncoder, points: np.ndarray, feats: Tensor) -> EncodedFrame:
+    """Points (N x 3) and features (N x C) encoded with each distinct row once,
+    twins being equal in the point and in every feature column; the distinct
+    rows' features are taken from `feats`, so gradients reach their source."""
+    inputs = np.column_stack([points, feats.data])
+    rows, inverse, counts = distinct_rows(inputs)
+    distinct, distinct_feats = points[rows], ad.take(feats, rows)
+    table = NeighbourTable(distinct, points, inverse)
+    z = encoder(distinct, distinct_feats, table, counts)
+    return EncodedFrame(inputs, distinct, distinct_feats, inverse, counts, table, z,
+                        ad.is_grad_enabled())
 
 
 @dataclass
@@ -181,14 +194,10 @@ class FlowNet:
         table and local encoding; `cached` is returned instead when it holds
         the same inputs in the same grad mode."""
         inputs = np.column_stack([frame.points, frame.intensities]).astype(self.dtype)
-        grad = ad.is_grad_enabled()
-        if cached is not None and cached.grad == grad and np.array_equal(cached.inputs, inputs):
+        if (cached is not None and cached.grad == ad.is_grad_enabled()
+                and np.array_equal(cached.inputs, inputs)):
             return cached
-        rows, inverse, counts = distinct_rows(inputs)
-        points, feats = inputs[rows, :3], Tensor(inputs[rows, 3:])
-        table = NeighbourTable(points, inputs[:, :3], inverse)
-        z = self.local(points, feats, table, counts)
-        return EncodedFrame(inputs, points, feats, inverse, counts, table, z, grad)
+        return encode(self.local, inputs[:, :3], Tensor(inputs[:, 3:]))
 
     def forward(self, source, target, state: TemporalState):
         """One frame pair -> (flows N x 3, new state, final features A N x 512)."""

@@ -9,11 +9,11 @@ weights, zero biases) or reads them from a checkpoint's stored values.
 Point geometry (indices, neighborhoods) is plain numpy; gradients flow only
 through features and parameters.
 
-The per-point layers can run once per distinct point of a multiset: set
+The per-point layers run once per distinct point of a multiset: set
 abstraction and the cost volume read a `NeighbourTable` built for the
 distinct points against every point, each hit named by its distinct point,
-and multiplicity enters only at `global_pool`'s `counts`; the flow network
-expands its outputs to every row.
+and multiplicity enters only at `global_pool`'s `counts`; the networks give
+each row its distinct point's outputs (`flownet.encode`).
 """
 
 from __future__ import annotations
@@ -132,12 +132,11 @@ def set_abstraction(
     and `ad.segment_max` pools each centroid's run of rows.  `feats` is a
     Tensor (N, C) or a tuple of blocks of the points' features: an (N, C)
     block is multiplied per point and gathered, and a 1-D block, the same
-    for every point, is multiplied once.  Centroids default to all input
-    points.  `centroid_idx` selects a subset of the input points as
-    centroids (used with farthest point sampling).  `table` names each hit
-    as a row of `points`: the points' own NeighbourTable, or, for the
-    distinct points of a multiset, one built against every point that names
-    each hit by its distinct point.
+    for every point, is multiplied once.  `points` are the distinct points
+    of a multiset, and `table`, built for them against every point, names
+    each hit by its distinct point, a row of `points`.  Centroids default to
+    all of `points`; `centroid_idx` selects centroids among them, repeats
+    allowed (used with farthest point sampling).
     """
     blocks = _as_blocks(feats)
     points = np.asarray(points, dtype=blocks[0].dtype)

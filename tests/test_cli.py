@@ -255,6 +255,24 @@ class TestLabel:
         assert main(["label", "--data", str(data)]) == 2
         assert "bone_prov holds a value outside [-1, 12]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["label", "train"])
+    def test_frame_index_not_an_integer_exits_2(self, dataset, tmp_path, capsys, command):
+        # a frame_index of 2.7 would be read as frame 2, and clips are cut
+        # at gaps in frame_index
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        for frames in data.glob("seq_*/frames.jsonl"):
+            first, rest = frames.read_text().split("\n", 1)
+            rec = json.loads(first)
+            rec["frame_index"] = 2.7
+            frames.write_text(json.dumps(rec) + "\n" + rest)
+        ckpt = tmp_path / "flow.ckpt"
+        args = {"label": ["label"],
+                "train": ["train", "--task", "flow", "--ckpt", str(ckpt)]}[command]
+        assert main(args + ["--data", str(data)]) == 2
+        assert "frame_index 2.7 is not an integer" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("command", [
         ["eval", "--task", "flow", "--oracle"], ["eval", "--task", "flow", "--baseline", "zero"],
         ["track", "--oracle"],

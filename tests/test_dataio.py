@@ -322,6 +322,7 @@ class TestSerialization:
         "whole", "config", "split", "sequences", "split.val_subjects",
         "sequence.subject_id", "config-not-object", "sequences-not-list",
         "sequence.id-not-string", "split.train_subjects-not-int-list",
+        "sequence.subject_id-bool", "sequence.n_frames-bool", "split.train_subjects-bool",
     ])
     def test_manifest_lacking_a_key_is_corrupt_file(self, tmp_path, drop):
         data = {"config": {},
@@ -341,6 +342,12 @@ class TestSerialization:
             data["sequences"][0]["id"] = 3
         elif drop == "split.train_subjects-not-int-list":
             data["split"]["train_subjects"] = 3
+        elif drop == "sequence.subject_id-bool":
+            data["sequences"][0]["subject_id"] = True
+        elif drop == "sequence.n_frames-bool":
+            data["sequences"][0]["n_frames"] = True
+        elif drop == "split.train_subjects-bool":
+            data["split"]["train_subjects"] = [True]
         else:
             del data[drop]
         write_json(tmp_path / "manifest.json", data)
@@ -452,6 +459,22 @@ class TestSerialization:
                                               f"value that is not finite"):
             load_sequence(tmp_path, seq.seq_id)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("frame_index", 2.7, "an integer"), ("frame_index", "3", "an integer"),
+        ("frame_index", True, "an integer"), ("timestamp", "0.5", "a number"),
+        ("timestamp", True, "a number"),
+    ])
+    def test_frame_record_of_another_kind_is_corrupt_file(self, tmp_path, key, value, kind):
+        # clips are cut at gaps in frame_index: a record must not be read as
+        # another frame than it names
+        seq = toy_sequence(n_frames=2, n_points=3)
+        path = save_sequence(tmp_path, seq) / "frames.jsonl"
+        first, rest = path.read_text().split("\n", 1)
+        rec = json.loads(first)
+        rec[key] = value
+        path.write_text(json.dumps(rec) + "\n" + rest)
+        with pytest.raises(CorruptFile, match=f"{key} .*not {kind}"):
+            load_sequence(tmp_path, seq.seq_id)
 
     def test_sequence_length_validation(self):
         with pytest.raises(LengthMismatch):

@@ -17,13 +17,18 @@ largest gradient of the model.
 The first-written forms run every row of a frame, so on frames resampled
 with replacement, as train-mode preprocessing draws them, they hold the
 program, which computes each distinct point once, to the multiset's
-outputs.
+outputs.  The task networks are held so too, on frames whose twins share
+every feature column, on a frame of fewer distinct points than farthest
+point sampling asks for, and on a frame with two rows of one point but
+different features; the gradient that the features receive, summed over
+each distinct row's copies, is held with them.
 
 The guards below check that the waste stays out: the first set-abstraction
 layer of a frame sees one row per ball hit, every per-point layer one row
-per distinct point, every neighbour table has one row per distinct point,
-the cost volume's MLP gets no pair input, and a clip's tape holds one node
-per MLP and per gate, not one per product, bias sum and ReLU.
+per distinct point, in the flow network and in the task networks, every
+neighbour table has one row per distinct point, the cost volume's MLP gets
+no pair input, and a clip's tape holds one node per MLP and per gate, not
+one per product, bias sum and ReLU.
 """
 
 import numpy as np
@@ -35,7 +40,7 @@ from test_flownet import chained_clip, copied, make_frame, make_label, tiny_net
 
 from milliflow import _kernels
 from milliflow import autodiff as ad
-from milliflow._kernels import NeighbourTable
+from milliflow._kernels import NeighbourTable, distinct_rows, farthest_point_sample
 from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TaskConfig
 from milliflow.dataio import Sample
@@ -170,6 +175,68 @@ def test_hpnet_head_matches_concat_forms():
     assert_gradients_match(got, want)
 
 
+TWIN_WINDOWS = ("resampled", "fewer_distinct_than_centroids", "twin_points_other_feats")
+
+
+def twin_window(case: str, seed=8):
+    """Three frames, each drawn with replacement from 16 points as train-mode
+    preprocessing draws them, with four feature columns (an intensity and
+    three flow-like columns) that twins share.  In "fewer_distinct_than_
+    centroids" the middle frame has 4 distinct points, fewer than
+    `oracle_task`'s 6 centroids; in "twin_points_other_feats" two rows of
+    one point in it get different features.  -> (frames, feature arrays)."""
+    rng = np.random.default_rng(seed)
+    frames, feats = [], []
+    for t in range(3):
+        n = 4 if case == "fewer_distinct_than_centroids" and t == 1 else 16
+        base = make_frame(n, seed=40 + t)
+        rows = np.sort(rng.choice(n, 3 * n, replace=True))
+        cols = np.column_stack([base.intensities, rng.normal(0.0, 0.05, (n, 3))])[rows]
+        if case == "twin_points_other_feats" and t == 1:
+            twin = np.flatnonzero(rows[1:] == rows[:-1])[0] + 1
+            cols[twin, 1] += 0.01
+        frames.append(base.subset(rows))
+        feats.append(cols)
+    return frames, feats
+
+
+@pytest.mark.parametrize("case", TWIN_WINDOWS)
+@pytest.mark.parametrize("task", ["har", "hp"])
+def test_task_networks_on_resampled_frames_match_concat_forms(task, case):
+    frames, cols = twin_window(case)
+    inverses = [distinct_rows(np.column_stack([f.points, c]))[1] for f, c in zip(frames, cols)]
+    assert all(inv.max() + 1 < len(inv) for inv in inverses)  # every frame has twins
+    if case == "fewer_distinct_than_centroids":
+        assert len(np.unique(frames[1].points, axis=0)) < oracle_task().fps_centroids
+    if case == "twin_points_other_feats":
+        assert len(np.unique(frames[1].points, axis=0)) < inverses[1].max() + 1
+    model = model_with_jitter(HarNet if task == "har" else HpNet, oracle_task(), 4, 3, seed=2)
+
+    def run(forward):
+        feats = [Tensor(c.copy(), requires_grad=True) for c in cols]
+        scores = forward(model, frames, feats)
+        if task == "har":
+            loss = cross_entropy(scores, [1])
+        else:
+            segments = np.concatenate([np.arange(len(f)) % 3 for f in frames])
+            loss = balanced_cross_entropy(ad.concat(scores, axis=0), segments,
+                                          np.ones(len(segments), bool))
+        named = dict(model.named_params(), **{f"feats{t}": f for t, f in enumerate(feats)})
+        grads = gradients(named, loss)
+        # a feature's gradient, summed over the copies of each distinct row
+        for t, inverse in enumerate(inverses):
+            summed = np.zeros((inverse.max() + 1, cols[t].shape[1]))
+            np.add.at(summed, inverse, grads[f"feats{t}"])
+            grads[f"feats{t}"] = summed
+        return scores if task == "har" else ad.concat(scores, axis=0), grads
+
+    want_scores, want = run(oracle.har_forward_concat if task == "har"
+                            else oracle.hp_forward_concat)
+    got_scores, got = run(type(model).forward)
+    assert_close(got_scores.data, want_scores.data)
+    assert_gradients_match(got, want)
+
+
 def record_mlp_blocks(monkeypatch) -> list:
     """[(first weight, block shapes)] of each `ad.mlp` call from here on; a
     gathered block's shape is the pair (x shape, idx shape)."""
@@ -202,7 +269,8 @@ class TestNoWaste:
         points = frame.points.astype(np.float32)
         table = NeighbourTable(points)
         seen = record_mlp_blocks(monkeypatch)
-        model.local(points, Tensor(frame.intensities.astype(np.float32)[:, None]), table)
+        model.local(points, Tensor(frame.intensities.astype(np.float32)[:, None]), table,
+                    np.ones(40, dtype=np.int64))
         for sa, radius, samples in zip(model.local.sas, NET["sa_radii"], NET["sa_samples"]):
             _, counts = table.ball(radius, samples)
             hits = counts.sum()
@@ -244,6 +312,47 @@ class TestNoWaste:
             for b in blocks:
                 rows = [b[0][0], b[1][0]] if isinstance(b[0], tuple) else b[:-1][:1]
                 assert set(rows) <= {u_p, u_q}, (w.shape, blocks)
+
+    @pytest.mark.parametrize("cls", [HarNet, HpNet])
+    def test_task_networks_see_each_distinct_point_once(self, monkeypatch, cls):
+        cfg = oracle_task()
+        model = cls(cfg, 1, 3, seed=0)
+        frame = resampled_clip(n_samples=1, n=40, rows=128)[0].source
+        points = frame.points.astype(np.float32)
+        _, first = np.unique(inputs_of(frame), axis=0, return_index=True)
+        u = len(first)
+        assert u < 64
+        table = NeighbourTable(points)
+        hits = [table.ball(radius, samples, first)[1].sum()
+                for radius, samples in zip(cfg.sa_radii, cfg.sa_samples)]
+        seen = record_mlp_blocks(monkeypatch)
+        model.forward([frame], [Tensor(frame.intensities.astype(np.float32)[:, None])])
+        # the first set-abstraction layer: one row per hit of a distinct
+        # centroid's ball; intensities once per distinct point, gathered by hit
+        for s, sa in enumerate(model.encoder.sas):
+            assert [blocks for w, blocks in seen if w is sa.weights[0]] == [
+                [(hits[s], 3), ((u, 1), (hits[s],))]]
+        skip = {id(sa.weights[0]) for sa in model.encoder.sas}
+        if cls is HarNet:
+            # stage 2: one row per hit of a centroid's ball, the features of
+            # each distinct point once, gathered by hit; its pool, one row
+            # per centroid
+            start = int(np.lexsort((points[:, 2], points[:, 1], points[:, 0]))[0])
+            centroids = farthest_point_sample(points, cfg.fps_centroids, start)
+            r2 = table.ball(cfg.stage2_radius, cfg.stage2_samples, centroids)[1].sum()
+            f = model.encoder.feat_out
+            assert [blocks for w, blocks in seen if w is model.stage2.weights[0]] == [
+                [(r2, 3), ((u, f), (r2,)), (f,)]]
+            assert [blocks for w, blocks in seen if w is model.stage2_attn.weights[0]] == [
+                [(cfg.fps_centroids, cfg.stage2_mlp[-1])]]
+            skip |= {id(model.stage2.weights[0]), id(model.stage2_attn.weights[0])}
+        # every other per-point layer: one row per distinct point
+        for w, blocks in seen:
+            if id(w) in skip:
+                continue
+            for b in blocks:
+                rows = b[0][:1] if isinstance(b[0], tuple) else b[:-1]
+                assert set(rows) <= {u}, (w.shape, blocks)
 
     def test_each_table_is_built_for_distinct_points_only(self, monkeypatch):
         model = FlowNet(tiny_net(**NET), seed=0)

@@ -111,12 +111,10 @@ class SplitManifest:
 def preprocess_indices(frame: RadarFrame, mode: str, seed: int = 0) -> np.ndarray:
     """Indices of the points a preprocessed frame keeps, in a stable order.
 
-    Train/val resample to exactly SAMPLE_SIZE (without replacement when enough
-    points survive the box/intensity gates, with replacement otherwise); test
-    keeps every survivor.  So a train or val frame of fewer survivors repeats
-    points: the gates leave about 50 of a typical frame's points, and two
-    rows in three are copies.  The networks compute each distinct point once
-    (`flownet.encode`).
+    Every point that survives the box and intensity gates is kept, each
+    once; above SAMPLE_SIZE survivors, train and val frames keep a seeded
+    draw of SAMPLE_SIZE of them, without replacement.  Test frames keep
+    every survivor.
     """
     if mode not in ("train", "val", "test"):
         raise ConfigError(f"unknown preprocessing mode {mode!r}")
@@ -127,15 +125,14 @@ def preprocess_indices(frame: RadarFrame, mode: str, seed: int = 0) -> np.ndarra
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         raise EmptyFrame(f"no points survive preprocessing (frame {frame.frame_index})")
-    if mode == "test":
+    if mode == "test" or idx.size <= SAMPLE_SIZE:
         return idx
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(idx, size=SAMPLE_SIZE, replace=idx.size < SAMPLE_SIZE)
-    return np.sort(chosen)
+    return np.sort(rng.choice(idx, size=SAMPLE_SIZE, replace=False))
 
 
 def _frame_seed(seed: int, frame_index: int) -> np.random.SeedSequence:
-    # the same frame must resample identically as a pair's target and as the
+    # the same frame must be drawn identically as a pair's target and as the
     # next pair's source, or temporal state sees a discontinuity
     return np.random.SeedSequence((seed, frame_index))
 

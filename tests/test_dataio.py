@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milliflow import dataio
 from milliflow.config import GenConfig, RunConfig
 from milliflow.dataio import (
+    INTENSITY_FLOOR,
+    SAMPLE_SIZE,
     SPLIT_KEYS,
     Sample,
     Sequence,
@@ -95,22 +99,32 @@ class TestPreprocess:
         out = f.subset(preprocess_indices(f, "test"))
         np.testing.assert_array_equal(out.points, [[0.2, 2.0, 0.0]])
 
-    def test_train_upsamples_with_replacement(self):
-        f = toy_frame(0, n=50)
-        out = f.subset(preprocess_indices(f, "train", seed=7))
-        assert len(out.points) == 128
-        # every output row is one of the 50 inputs
-        src = {tuple(p) for p in f.points}
-        assert all(tuple(p) in src for p in out.points)
+    @given(survivors=st.integers(1, 300), dropped=st.integers(0, 40),
+           mode=st.sampled_from(["train", "val", "test"]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_never_draws_an_index_twice(self, survivors, dropped, mode, seed):
+        # every toy point survives the gates, so `dropped` rows are gated out
+        # by their intensity
+        rng = np.random.default_rng(seed)
+        f = toy_frame(0, n=survivors + dropped, seed=seed % 1000)
+        gated = rng.choice(len(f), dropped, replace=False)
+        intensities = f.intensities.copy()
+        intensities[gated] = INTENSITY_FLOOR
+        f = dataclasses.replace(f, intensities=intensities)
+        kept = np.setdiff1d(np.arange(len(f)), gated)
+        idx = preprocess_indices(f, mode, seed)
+        assert np.all(np.diff(idx) > 0)  # sorted, and no index twice
+        assert np.isin(idx, kept).all()
+        if mode == "test" or survivors <= SAMPLE_SIZE:
+            np.testing.assert_array_equal(idx, kept)
+        else:
+            assert len(idx) == SAMPLE_SIZE
 
     def test_train_subsamples_without_replacement(self):
         f = toy_frame(0, n=500)
         idx = preprocess_indices(f, "train", seed=7)
         assert len(idx) == 128
         assert len(np.unique(idx)) == 128
-
-    def test_val_mode_also_128(self):
-        assert len(preprocess_indices(toy_frame(0, n=50), "val")) == 128
 
     def test_test_mode_keeps_all_survivors(self):
         f = toy_frame(0, n=300)
@@ -141,11 +155,13 @@ class TestPreprocess:
 
 class TestSamplesAndClips:
     def test_pair_count_and_label_length(self):
-        seq = toy_sequence(n_frames=8)
+        # every toy point survives the gates, and a frame of fewer than
+        # SAMPLE_SIZE survivors keeps each of them once
+        seq = toy_sequence(n_frames=8, n_points=60)
         samples = pair_samples(seq, "train", seed=0)
         assert len(samples) == 7
         for s in samples:
-            assert len(s.label) == len(s.source.points) == 128
+            assert len(s.label) == len(s.source.points) == 60
             assert s.target.frame_index == s.source.frame_index + 1
 
     def test_shared_frame_resamples_identically(self):

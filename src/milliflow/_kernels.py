@@ -4,14 +4,11 @@ point-to-segment distances and CA-CFAR, each one vectorised numpy path.
 The network's geometry comes from ``NeighbourTable``: one float64 distance
 matrix and one stable ``argsort`` per frame, from which every ball query and
 every k-nearest lookup of that frame is read.  Inputs are taken in float64,
-so results do not depend on the caller's dtype.  ``distinct_rows`` finds a
-multiset's distinct points, and a table built for them against every point,
-each hit named by its distinct point, keeps the multiset's neighbours.  The
-tests compare each kernel with an explicit-loop reference that works one
-point or cell at a time (``tests/kernel_oracles.py``): the integer-valued
-kernels agree bit for bit, the segment distances to within last-ulp
-rounding, and CA-CFAR wherever its threshold is not within rounding of a
-cell's value.
+so results do not depend on the caller's dtype.  The tests compare each
+kernel with an explicit-loop reference that works one point or cell at a
+time (``tests/kernel_oracles.py``): the integer-valued kernels agree bit for
+bit, the segment distances to within last-ulp rounding, and CA-CFAR
+wherever its threshold is not within rounding of a cell's value.
 """
 
 from __future__ import annotations
@@ -38,20 +35,13 @@ class NeighbourTable:
     ``argsort`` per row: nearest first, exact ties broken by lower index.
     Ball queries at any radius and k-nearest lookups are then read from the
     sorted table, so one frame's grouping at every radius, and its self-kNN,
-    cost one sort.  ``ref`` defaults to ``query``.  With ``names``, each hit
-    on reference point ``i`` is given as ``names[i]`` after the sort: built
-    for a multiset's distinct points against all its points, with
-    ``distinct_rows``' ``inverse`` as ``names``, each ball and k-nearest list
-    keeps the multiset's contents, order and cap, with each hit named by its
-    distinct point.
+    cost one sort.  ``ref`` defaults to ``query``.
     """
 
-    def __init__(self, query: np.ndarray, ref: np.ndarray | None = None,
-                 names: np.ndarray | None = None):
+    def __init__(self, query: np.ndarray, ref: np.ndarray | None = None):
         d2 = squared_distances(query, query if ref is None else ref)
-        order = np.argsort(d2, axis=1, kind="stable")
-        self.sorted_d2 = np.take_along_axis(d2, order, axis=1)
-        self.order = order if names is None else names[order]
+        self.order = np.argsort(d2, axis=1, kind="stable")
+        self.sorted_d2 = np.take_along_axis(d2, self.order, axis=1)
 
     def ball(self, radius: float, max_samples: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """The reference indices within ``radius`` of each query row (all
@@ -73,22 +63,6 @@ class NeighbourTable:
         """The ``k`` nearest reference indices per query row, nearest first
         (all of them when there are fewer)."""
         return np.ascontiguousarray(self.order[:, :k])
-
-
-def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array, equal byte for byte, in the order of
-    their first occurrence: ``(rows, inverse, counts)``, where ``a[rows]``
-    are the distinct rows, row ``i`` of ``a`` is distinct row
-    ``inverse[i]``, and ``counts[j]`` rows of ``a`` are distinct row ``j``.
-    An array without repeated rows gives ``rows = inverse = arange(N)``."""
-    a = np.ascontiguousarray(a)
-    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).reshape(-1)
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse], counts[order]
 
 
 def knn_indices(query, ref, k: int) -> np.ndarray:

@@ -194,10 +194,10 @@ class _TaskNet:
 class HarNet(_TaskNet):
     """Sequence-level activity classifier.
 
-    Per frame: cloud encoder (`encode`, each distinct row once), then a
-    second local encoder on farthest-point centroids, attention-pooled into
-    one frame vector; both read one neighbour table of the frame.  An LSTM
-    consumes the frame vectors; the classifier reads its last hidden state.
+    Per frame: cloud encoder (`encode`), then a second local encoder on
+    farthest-point centroids, attention-pooled into one frame vector; both
+    read one neighbour table of the frame.  An LSTM consumes the frame
+    vectors; the classifier reads its last hidden state.
     """
 
     kind = "har"
@@ -223,9 +223,8 @@ class HarNet(_TaskNet):
         # anchor the sweep at the lexicographically smallest point so the
         # centroid choice depends on geometry, not on input order
         start = int(np.lexsort((points[:, 2], points[:, 1], points[:, 0]))[0])
-        # each centroid row, repeats included, read as its distinct row
-        centroid_idx = enc.inverse[farthest_point_sample(points, k, start=start)]
-        pooled = set_abstraction(self.stage2, enc.points, enc.z, self.cfg.stage2_radius,
+        centroid_idx = farthest_point_sample(points, k, start=start)
+        pooled = set_abstraction(self.stage2, points, enc.z, self.cfg.stage2_radius,
                                  self.cfg.stage2_samples, enc.table, centroid_idx)
         return global_pool(self.stage2_attn, pooled)
 
@@ -265,9 +264,9 @@ class HarNet(_TaskNet):
 class HpNet(_TaskNet):
     """Per-point body-segment classifier.
 
-    Per frame: cloud encoder (`encode`, each distinct row once); a GRU
-    propagates the pooled global vector across frames; a distinct row's head
-    input is its local-global feature with the hidden state appended.
+    Per frame: cloud encoder (`encode`); a GRU propagates the pooled global
+    vector across frames; a point's head input is its local-global feature
+    with the hidden state appended.
     """
 
     kind = "hp"
@@ -293,8 +292,7 @@ class HpNet(_TaskNet):
             enc = encode(self.encoder, np.asarray(frame.points, dtype=self.dtype), feats)
             k, g = enc.z
             h = self.gru(h, g)
-            # each row gets its distinct row's scores
-            scores.append(ad.take(self.head(k, g, h), enc.inverse))
+            scores.append(self.head(k, g, h))
         return scores
 
     def rows(self, clip: TaskClip, feats):

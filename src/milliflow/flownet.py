@@ -7,18 +7,10 @@ encoder whose pooled output drives a GRU carrying motion context across the
 samples of a clip, (5) a clamped per-point flow regressor.  Stages 1-2 are
 the `CloudEncoder` that the downstream networks use too.
 
-A frame is a multiset: train and val frames are drawn with replacement
-(`dataio.preprocess_indices`), so most rows have twins, equal (x, y, z,
-intensity) rows that get equal outputs.  Each frame's twins are found once,
-and every per-point stage (set abstraction, post MLPs, attention logits,
-cost volume, embedding, regressor) runs once per distinct point.
-Neighbourhoods stay the multiset's: the neighbour table is built for the
-distinct points against every row, each hit named by its distinct point.
-Multiplicity enters only where rows interact, at the attention pools, which
-weigh each distinct point by its count, and at the outputs, which give each
-row its distinct point's flow and features.  A frame without twins, as
-every test-mode frame is, takes the same path: each row is its own distinct
-point, of count 1.  The downstream networks take the same path, `encode`.
+Each frame is encoded once (`encode`): one `NeighbourTable` of its points,
+from which every ball query and self-kNN of the frame is read, and the
+encoder run on every point.  The downstream networks encode their frames
+the same way.
 
 The recurrent state also carries the last target's encoding, which the next
 pair reuses for its source when the frames are equal.  Training runs
@@ -38,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import NeighbourTable, distinct_rows, knn_indices
+from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
 from .config import EncoderConfig, NetConfig, TrainConfig, from_dict, model_dtype
 from .errors import (
@@ -96,47 +88,33 @@ class CloudEncoder:
         self.z_dim = 2 * self.feat_out
         self.attn = MLP(params.scope("attn"), self.feat_out, [cfg.attention_hidden, 1])
 
-    def __call__(self, points, feats: Tensor, table: NeighbourTable,
-                 counts: np.ndarray) -> tuple[Tensor, Tensor]:
-        """(the distinct points U x 3 of a multiset, their features U x C,
-        their NeighbourTable, which names each hit by its distinct point, and
-        how many points each stands for, the pool's weights as `global_pool`
-        takes them) -> (k U x feat_out, g feat_out)."""
+    def __call__(self, points, feats: Tensor, table: NeighbourTable) -> tuple[Tensor, Tensor]:
+        """(points N x 3, features N x C, their NeighbourTable)
+        -> (k N x feat_out, g feat_out)."""
         outs = []
         for sa, post, radius, samples in zip(self.sas, self.posts,
                                              self.cfg.sa_radii, self.cfg.sa_samples):
             outs.append(post(set_abstraction(sa, points, feats, radius, samples, table)))
         k = ad.concat(outs, axis=1)
-        return k, global_pool(self.attn, k, counts)
+        return k, global_pool(self.attn, k)
 
 
 @dataclass(eq=False)
 class EncodedFrame:
-    """One frame's network inputs, each distinct row of points and features
-    once, with its neighbour table and encoding z as its blocks (k, g)."""
+    """One frame's network inputs with its neighbour table and encoding z
+    as its blocks (k, g)."""
 
-    inputs: np.ndarray  # (N, 3 + C) every row's point and features
-    points: np.ndarray  # (U, 3) the distinct rows' points, in first-occurrence order
-    feats: Tensor  # (U, C) their features
-    # (N,) each input row's distinct row, and (U,) how many input rows each
-    # distinct row stands for
-    inverse: np.ndarray
-    counts: np.ndarray
-    table: NeighbourTable  # (U, N): the distinct points' hits among all N, by distinct row
-    z: tuple[Tensor, Tensor]  # (U, feat_out), (feat_out,)
+    points: np.ndarray  # (N, 3)
+    feats: Tensor  # (N, C)
+    table: NeighbourTable  # (N, N)
+    z: tuple[Tensor, Tensor]  # (N, feat_out), (feat_out,)
     grad: bool  # whether z was recorded on a tape
 
 
 def encode(encoder: CloudEncoder, points: np.ndarray, feats: Tensor) -> EncodedFrame:
-    """Points (N x 3) and features (N x C) encoded with each distinct row once,
-    twins being equal in the point and in every feature column; the distinct
-    rows' features are taken from `feats`, so gradients reach their source."""
-    inputs = np.column_stack([points, feats.data])
-    rows, inverse, counts = distinct_rows(inputs)
-    distinct, distinct_feats = points[rows], ad.take(feats, rows)
-    table = NeighbourTable(distinct, points, inverse)
-    z = encoder(distinct, distinct_feats, table, counts)
-    return EncodedFrame(inputs, distinct, distinct_feats, inverse, counts, table, z,
+    """Points (N x 3) and features (N x C) encoded, with their table."""
+    table = NeighbourTable(points)
+    return EncodedFrame(points, feats, table, encoder(points, feats, table),
                         ad.is_grad_enabled())
 
 
@@ -152,7 +130,15 @@ class TemporalState:
 
 class FlowNet:
     """All parameters plus the forward pass; see module docstring.  `values`,
-    a checkpoint's arrays by parameter name, take the place of seeded draws."""
+    a checkpoint's arrays by parameter name, take the place of seeded draws.
+
+    The flow embedding has one branch `embed.{s}` per radius of
+    `cfg.sa_radii`, but no branch reads its radius: each is an MLP of widths
+    `cfg.embed_mlp` on the same blocks (cost, k_c, g_c), so the branches
+    differ only in their parameters.  At the default config they are four
+    576 -> 512 -> 256 -> 64 MLPs, holding 1,772,800 of the network's
+    2,635,176 parameters (67 %).
+    """
 
     def __init__(self, cfg: NetConfig, seed: int = 0, dtype=np.float32, values=None):
         self.cfg = cfg
@@ -190,14 +176,15 @@ class FlowNet:
         return TemporalState(Tensor(np.zeros(self.cfg.gru_hidden, dtype=self.dtype)), 0)
 
     def _encoded(self, frame, cached: EncodedFrame | None = None) -> EncodedFrame:
-        """The frame's inputs, its twins (equal rows) found once, with its
-        table and local encoding; `cached` is returned instead when it holds
-        the same inputs in the same grad mode."""
-        inputs = np.column_stack([frame.points, frame.intensities]).astype(self.dtype)
+        """The frame's inputs with its table and local encoding; `cached` is
+        returned instead when it holds the same inputs in the same grad mode."""
+        points = frame.points.astype(self.dtype)
+        feats = frame.intensities.astype(self.dtype)[:, None]
         if (cached is not None and cached.grad == ad.is_grad_enabled()
-                and np.array_equal(cached.inputs, inputs)):
+                and np.array_equal(cached.points, points)
+                and np.array_equal(cached.feats.data, feats)):
             return cached
-        return encode(self.local, inputs[:, :3], Tensor(inputs[:, 3:]))
+        return encode(self.local, points, Tensor(feats))
 
     def forward(self, source, target, state: TemporalState):
         """One frame pair -> (flows N x 3, new state, final features A N x 512)."""
@@ -205,11 +192,11 @@ class FlowNet:
             raise EmptyFrame("forward needs non-empty source and target frames")
         p = self._encoded(source, state.target)
         q = self._encoded(target)
-        k_c, g_c = self.ctx(p.points, p.feats, p.table, p.counts)
+        k_c, g_c = self.ctx(p.points, p.feats, p.table)
 
-        cost = self.cv(p.points, p.z, q.inputs[:, :3], q.z, p.table, q.inverse)
+        cost = self.cv(p.points, p.z, q.points, q.z, p.table)
         emb = ad.concat([branch(cost, k_c, g_c) for branch in self.embed], axis=1)
-        g_b = global_pool(self.embed_attn, emb, p.counts)
+        g_b = global_pool(self.embed_attn, emb)
 
         if self.cfg.temporal:
             h_new = self.gru(state.h, g_b)
@@ -219,8 +206,6 @@ class FlowNet:
             top = g_b
         flows = ad.clamp(self.regressor(emb, top), -self.cfg.clamp, self.cfg.clamp)
         final = ad.concat([emb, broadcast_rows(top, emb.shape[0])], axis=1)
-        # each row gets its distinct row's outputs
-        flows, final = ad.take(flows, p.inverse), ad.take(final, p.inverse)
 
         steps = state.steps_since_reset + 1
         if steps >= RESET_PERIOD:

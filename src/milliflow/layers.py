@@ -7,13 +7,9 @@ gate of a cell record one `ad.mlp` node.  Every layer takes its
 parameters from one `Params` source, which draws them (Kaiming-uniform
 weights, zero biases) or reads them from a checkpoint's stored values.
 Point geometry (indices, neighborhoods) is plain numpy; gradients flow only
-through features and parameters.
-
-The per-point layers run once per distinct point of a multiset: set
-abstraction and the cost volume read a `NeighbourTable` built for the
-distinct points against every point, each hit named by its distinct point,
-and multiplicity enters only at `global_pool`'s `counts`; the networks give
-each row its distinct point's outputs (`flownet.encode`).
+through features and parameters.  Set abstraction and the cost volume read
+their neighbourhoods from a frame's one `NeighbourTable`, which
+`flownet.encode` builds.
 """
 
 from __future__ import annotations
@@ -132,11 +128,10 @@ def set_abstraction(
     and `ad.segment_max` pools each centroid's run of rows.  `feats` is a
     Tensor (N, C) or a tuple of blocks of the points' features: an (N, C)
     block is multiplied per point and gathered, and a 1-D block, the same
-    for every point, is multiplied once.  `points` are the distinct points
-    of a multiset, and `table`, built for them against every point, names
-    each hit by its distinct point, a row of `points`.  Centroids default to
-    all of `points`; `centroid_idx` selects centroids among them, repeats
-    allowed (used with farthest point sampling).
+    for every point, is multiplied once.  `table` is the points'
+    `NeighbourTable`.  Centroids default to all of `points`; `centroid_idx`
+    selects centroids among them, repeats allowed (used with farthest point
+    sampling).
     """
     blocks = _as_blocks(feats)
     points = np.asarray(points, dtype=blocks[0].dtype)
@@ -152,19 +147,13 @@ def set_abstraction(
     return ad.segment_max(params(Tensor(rel), *local), counts)  # (N', C')
 
 
-def global_pool(params: MLP, feats: Tensor, counts: np.ndarray | None = None) -> Tensor:
+def global_pool(params: MLP, feats: Tensor) -> Tensor:
     """Aggregate per-point features into one vector by attention: the MLP
     scores each point, a softmax over points weighs them, and the weighted
-    features are summed.  With `counts`, row i stands for counts[i] equal
-    points: log(counts[i]) is added to its score, which makes the softmax
-    that over every point of the multiset, each row's weight summed over its
-    copies, without building a row per copy."""
+    features are summed."""
     if feats.shape[0] < 1:
         raise ShapeMismatch("global_pool needs at least one point")
-    logits = params(feats)  # (N, 1)
-    if counts is not None:
-        logits = ad.add(logits, Tensor(np.log(counts).astype(logits.dtype)[:, None]))
-    w = ad.softmax(logits, axis=0)
+    w = ad.softmax(params(feats), axis=0)  # (N, 1)
     return ad.tsum(ad.mul(w, feats), axis=0)
 
 
@@ -185,17 +174,13 @@ class CostVolume:
         self.weight_mlp1 = MLP(params.scope("weight1"), 3, list(weight_hidden) + [1])
         self.weight_mlp2 = MLP(params.scope("weight2"), 3, list(weight_hidden) + [1])
 
-    def __call__(self, pts_p, feats_p, pts_q, feats_q, table_p: NeighbourTable,
-                 inverse_q: np.ndarray) -> Tensor:
+    def __call__(self, pts_p, feats_p, pts_q, feats_q, table_p: NeighbourTable) -> Tensor:
         """`feats_p` and `feats_q` are each a Tensor or a tuple of blocks of
         the points' features, as `set_abstraction` takes them.  The pair
         input [feat_p || feat_q || (q - p)] is never built: the cost MLP
         multiplies each source block once per source point and each target
-        block once per row of `feats_q`, then gathers.  `pts_q` are every
-        target point and `inverse_q` maps each to its row of `feats_q`, so
-        the k nearest targets are the multiset's.  `table_p` gives the source
-        points' self-kNN as rows of `pts_p`, as `set_abstraction`'s table
-        names its hits."""
+        block once per target point, then gathers.  `table_p`, the source
+        points' `NeighbourTable`, gives their self-kNN."""
         blocks_p, blocks_q = _as_blocks(feats_p), _as_blocks(feats_q)
         if sum(b.shape[-1] for b in blocks_p) != sum(b.shape[-1] for b in blocks_q):
             raise ShapeMismatch("source/target feature dims differ")
@@ -205,7 +190,6 @@ class CostVolume:
         n = len(pts_p)
         idx_q = knn_indices(pts_p, pts_q, min(self.k, len(pts_q)))  # (N, k1)
         disp = Tensor(pts_q[idx_q] - pts_p[:, None, :])  # (N, k1, 3)
-        idx_q = inverse_q[idx_q]
         source = [ad.reshape(b, (n, 1, -1)) if b.data.ndim == 2 else b for b in blocks_p]
         target = [(b, idx_q) if b.data.ndim == 2 else b for b in blocks_q]
         cost = self.cost_mlp(*source, *target, disp)  # (N, k1, D)

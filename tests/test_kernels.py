@@ -129,38 +129,6 @@ class TestNeighbourTable:
             assert got.dtype == np.int64 and got.flags.c_contiguous
 
 
-class TestDistinctRows:
-    def test_first_occurrence_order(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [0.0, 0.0], [3.0, 4.0], [1.0, 2.0]])
-        rows, inverse, counts = k.distinct_rows(a)
-        np.testing.assert_array_equal(rows, [0, 1, 3])
-        np.testing.assert_array_equal(inverse, [0, 1, 0, 2, 1, 0])
-        np.testing.assert_array_equal(counts, [3, 2, 1])
-        np.testing.assert_array_equal(a[rows][inverse], a)
-
-    def test_rows_without_twins_map_to_themselves(self, clouds):
-        rows, inverse, counts = k.distinct_rows(clouds[0])
-        n = len(clouds[0])
-        np.testing.assert_array_equal(rows, np.arange(n))
-        np.testing.assert_array_equal(inverse, np.arange(n))
-        np.testing.assert_array_equal(counts, np.ones(n))
-
-    def test_table_read_at_distinct_points_keeps_the_multiset_neighbours(self, clouds):
-        # every point twice or more, in a shuffled order
-        rng = np.random.default_rng(2)
-        pts = clouds[0][rng.choice(len(clouds[0]), 3 * len(clouds[0]))]
-        rows, inverse, _ = k.distinct_rows(pts)
-        full = k.NeighbourTable(pts)
-        table = k.NeighbourTable(pts[rows], pts, inverse)
-        np.testing.assert_array_equal(table.sorted_d2, full.sorted_d2[rows])
-        for radius, ms in ((0.3, 4), (0.8, 16), (10.0, len(pts))):
-            want, want_counts = full.ball(radius, ms, rows)
-            got, got_counts = table.ball(radius, ms)
-            np.testing.assert_array_equal(got_counts, want_counts)
-            np.testing.assert_array_equal(got, inverse[want])
-        np.testing.assert_array_equal(table.knn(7), inverse[full.knn(7)[rows]])
-
-
 class TestFps:
     def test_two_point_selection(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [5.0, 0, 0], [2.0, 0, 0]])

@@ -272,9 +272,8 @@ class TestGlobalPool:
 
 
 def cost_volume(cv, p, fp, q, fq):
-    """`cv` with a neighbour table of the source points of its own, each
-    target point its own row of `fq`."""
-    return cv(p, fp, q, fq, NeighbourTable(p), np.arange(len(q)))
+    """`cv` with a neighbour table of the source points of its own."""
+    return cv(p, fp, q, fq, NeighbourTable(p))
 
 
 class TestCostVolume:
@@ -326,7 +325,7 @@ class TestCostVolume:
         # a table that already served ball queries, as a frame's does
         table = NeighbourTable(p)
         table.ball(0.5, 3)
-        np.testing.assert_array_equal(cv(p, fp, q, fq, table, np.arange(len(q))).data,
+        np.testing.assert_array_equal(cv(p, fp, q, fq, table).data,
                                       cost_volume(cv, p, fp, q, fq).data)
 
     def test_feature_dim_mismatch(self):

@@ -14,21 +14,20 @@ attention MLP whose units are active on every row.  Both forms give
 rounding noise there, so the biases of those MLPs are held to 1e-12 of the
 largest gradient of the model.
 
-The first-written forms run every row of a frame, so on frames resampled
-with replacement, as train-mode preprocessing draws them, they hold the
-program, which computes each distinct point once, to the multiset's
-outputs.  The task networks are held so too, on frames whose twins share
-every feature column, on a frame of fewer distinct points than farthest
-point sampling asks for, and on a frame with two rows of one point but
-different features; the gradient that the features receive, summed over
-each distinct row's copies, is held with them.
+Preprocessing draws no row twice, but a user's own files may hold frames
+with repeated rows ("twins").  So the program is held to the first-written
+forms on frames drawn with replacement too: the flow network, and the task
+networks on frames whose twins share every feature column, on a frame of
+fewer distinct points than farthest point sampling asks for, and on a
+frame with two rows of one point but different features; the gradient that
+the features receive, summed over each row's twins, is held with them (a
+max over equal rows may give its gradient to either copy).
 
 The guards below check that the waste stays out: the first set-abstraction
-layer of a frame sees one row per ball hit, every per-point layer one row
-per distinct point, in the flow network and in the task networks, every
-neighbour table has one row per distinct point, the cost volume's MLP gets
-no pair input, and a clip's tape holds one node per MLP and per gate, not
-one per product, bias sum and ReLU.
+layer of a frame sees one row per ball hit, a pair builds its source's, its
+target's and the cost volume's neighbour tables and no more, the cost
+volume's MLP gets no pair input, and a clip's tape holds one node per MLP
+and per gate, not one per product, bias sum and ReLU.
 """
 
 import numpy as np
@@ -40,7 +39,7 @@ from test_flownet import chained_clip, copied, make_frame, make_label, tiny_net
 
 from milliflow import _kernels
 from milliflow import autodiff as ad
-from milliflow._kernels import NeighbourTable, distinct_rows, farthest_point_sample
+from milliflow._kernels import NeighbourTable
 from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TaskConfig
 from milliflow.dataio import Sample
@@ -94,8 +93,7 @@ def model_with_jitter(cls, *args, **kwargs):
 
 def resampled_clip(n_samples=6, n=24, rows=48, seed=3):
     """`chained_clip` with each frame's `rows` rows drawn with replacement
-    from `n` points, as train-mode preprocessing draws a frame's rows when
-    fewer points survive: most points come with twins."""
+    from `n` points: most points come with twins."""
     rng = np.random.default_rng(seed)
     frames = [make_frame(n, seed + t).subset(np.sort(rng.choice(n, rows, replace=True)))
               for t in range(n_samples + 1)]
@@ -179,8 +177,8 @@ TWIN_WINDOWS = ("resampled", "fewer_distinct_than_centroids", "twin_points_other
 
 
 def twin_window(case: str, seed=8):
-    """Three frames, each drawn with replacement from 16 points as train-mode
-    preprocessing draws them, with four feature columns (an intensity and
+    """Three frames, each drawn with replacement from 16 points, with four
+    feature columns (an intensity and
     three flow-like columns) that twins share.  In "fewer_distinct_than_
     centroids" the middle frame has 4 distinct points, fewer than
     `oracle_task`'s 6 centroids; in "twin_points_other_feats" two rows of
@@ -204,12 +202,14 @@ def twin_window(case: str, seed=8):
 @pytest.mark.parametrize("task", ["har", "hp"])
 def test_task_networks_on_resampled_frames_match_concat_forms(task, case):
     frames, cols = twin_window(case)
-    inverses = [distinct_rows(np.column_stack([f.points, c]))[1] for f, c in zip(frames, cols)]
-    assert all(inv.max() + 1 < len(inv) for inv in inverses)  # every frame has twins
+    # each row's twin group: its distinct (point, features) row
+    groups = [np.unique(np.column_stack([f.points, c]), axis=0, return_inverse=True)[1]
+              .reshape(-1) for f, c in zip(frames, cols)]
+    assert all(g.max() + 1 < len(g) for g in groups)  # every frame has twins
     if case == "fewer_distinct_than_centroids":
         assert len(np.unique(frames[1].points, axis=0)) < oracle_task().fps_centroids
     if case == "twin_points_other_feats":
-        assert len(np.unique(frames[1].points, axis=0)) < inverses[1].max() + 1
+        assert len(np.unique(frames[1].points, axis=0)) < groups[1].max() + 1
     model = model_with_jitter(HarNet if task == "har" else HpNet, oracle_task(), 4, 3, seed=2)
 
     def run(forward):
@@ -223,10 +223,11 @@ def test_task_networks_on_resampled_frames_match_concat_forms(task, case):
                                           np.ones(len(segments), bool))
         named = dict(model.named_params(), **{f"feats{t}": f for t, f in enumerate(feats)})
         grads = gradients(named, loss)
-        # a feature's gradient, summed over the copies of each distinct row
-        for t, inverse in enumerate(inverses):
-            summed = np.zeros((inverse.max() + 1, cols[t].shape[1]))
-            np.add.at(summed, inverse, grads[f"feats{t}"])
+        # a feature's gradient, summed over each twin group: a max over
+        # equal rows may give its gradient to either copy
+        for t, group in enumerate(groups):
+            summed = np.zeros((group.max() + 1, cols[t].shape[1]))
+            np.add.at(summed, group, grads[f"feats{t}"])
             grads[f"feats{t}"] = summed
         return scores if task == "har" else ad.concat(scores, axis=0), grads
 
@@ -269,8 +270,7 @@ class TestNoWaste:
         points = frame.points.astype(np.float32)
         table = NeighbourTable(points)
         seen = record_mlp_blocks(monkeypatch)
-        model.local(points, Tensor(frame.intensities.astype(np.float32)[:, None]), table,
-                    np.ones(40, dtype=np.int64))
+        model.local(points, Tensor(frame.intensities.astype(np.float32)[:, None]), table)
         for sa, radius, samples in zip(model.local.sas, NET["sa_radii"], NET["sa_samples"]):
             _, counts = table.ball(radius, samples)
             hits = counts.sum()
@@ -280,86 +280,13 @@ class TestNoWaste:
                 [(hits, 3), ((40, 1), (hits,))]]
             assert hits < 40 * samples  # the padded form's rows
 
-    def test_per_point_layers_see_each_distinct_point_once(self, monkeypatch):
-        cfg = tiny_net(**NET)
-        model = FlowNet(cfg, seed=0)
-        sample = resampled_clip(n_samples=1, n=40, rows=128)[0]
-        distinct = []  # per frame: (distinct points U, ball hits per radius)
-        for frame in (sample.source, sample.target):
-            _, first = np.unique(inputs_of(frame), axis=0, return_index=True)
-            table = NeighbourTable(frame.points.astype(np.float32))
-            distinct.append((len(first), [
-                table.ball(radius, samples, first)[1].sum()
-                for radius, samples in zip(NET["sa_radii"], NET["sa_samples"])]))
-        (u_p, hits_p), (u_q, hits_q) = distinct
-        assert u_p < 64 and u_q < 64
-        seen = record_mlp_blocks(monkeypatch)
-        model.forward(sample.source, sample.target, model.initial_state())
-        # the first set-abstraction layer: one row per hit of a distinct
-        # centroid's ball (the multiset's ball, twins included); intensities
-        # once per distinct point, gathered by hit
-        for s, sa in enumerate(model.local.sas):
-            assert [blocks for w, blocks in seen if w is sa.weights[0]] == [
-                [(hits_p[s], 3), ((u_p, 1), (hits_p[s],))],
-                [(hits_q[s], 3), ((u_q, 1), (hits_q[s],))]]
-        assert [blocks for w, blocks in seen if w is model.ctx.sas[0].weights[0]] == [
-            [(hits_p[0], 3), ((u_p, 1), (hits_p[0],))]]
-        # every other per-point layer: one row per distinct point
-        first_sa = {id(sa.weights[0]) for enc in (model.local, model.ctx) for sa in enc.sas}
-        for w, blocks in seen:
-            if id(w) in first_sa:
-                continue
-            for b in blocks:
-                rows = [b[0][0], b[1][0]] if isinstance(b[0], tuple) else b[:-1][:1]
-                assert set(rows) <= {u_p, u_q}, (w.shape, blocks)
-
-    @pytest.mark.parametrize("cls", [HarNet, HpNet])
-    def test_task_networks_see_each_distinct_point_once(self, monkeypatch, cls):
-        cfg = oracle_task()
-        model = cls(cfg, 1, 3, seed=0)
-        frame = resampled_clip(n_samples=1, n=40, rows=128)[0].source
-        points = frame.points.astype(np.float32)
-        _, first = np.unique(inputs_of(frame), axis=0, return_index=True)
-        u = len(first)
-        assert u < 64
-        table = NeighbourTable(points)
-        hits = [table.ball(radius, samples, first)[1].sum()
-                for radius, samples in zip(cfg.sa_radii, cfg.sa_samples)]
-        seen = record_mlp_blocks(monkeypatch)
-        model.forward([frame], [Tensor(frame.intensities.astype(np.float32)[:, None])])
-        # the first set-abstraction layer: one row per hit of a distinct
-        # centroid's ball; intensities once per distinct point, gathered by hit
-        for s, sa in enumerate(model.encoder.sas):
-            assert [blocks for w, blocks in seen if w is sa.weights[0]] == [
-                [(hits[s], 3), ((u, 1), (hits[s],))]]
-        skip = {id(sa.weights[0]) for sa in model.encoder.sas}
-        if cls is HarNet:
-            # stage 2: one row per hit of a centroid's ball, the features of
-            # each distinct point once, gathered by hit; its pool, one row
-            # per centroid
-            start = int(np.lexsort((points[:, 2], points[:, 1], points[:, 0]))[0])
-            centroids = farthest_point_sample(points, cfg.fps_centroids, start)
-            r2 = table.ball(cfg.stage2_radius, cfg.stage2_samples, centroids)[1].sum()
-            f = model.encoder.feat_out
-            assert [blocks for w, blocks in seen if w is model.stage2.weights[0]] == [
-                [(r2, 3), ((u, f), (r2,)), (f,)]]
-            assert [blocks for w, blocks in seen if w is model.stage2_attn.weights[0]] == [
-                [(cfg.fps_centroids, cfg.stage2_mlp[-1])]]
-            skip |= {id(model.stage2.weights[0]), id(model.stage2_attn.weights[0])}
-        # every other per-point layer: one row per distinct point
-        for w, blocks in seen:
-            if id(w) in skip:
-                continue
-            for b in blocks:
-                rows = b[0][:1] if isinstance(b[0], tuple) else b[:-1]
-                assert set(rows) <= {u}, (w.shape, blocks)
-
-    def test_each_table_is_built_for_distinct_points_only(self, monkeypatch):
+    def test_a_pair_builds_its_three_tables(self, monkeypatch):
+        # frames of 30, 25 and 20 points, in two chained pairs: the second
+        # pair's source is the first pair's target, whose encoding it reuses
         model = FlowNet(tiny_net(**NET), seed=0)
-        sample = resampled_clip(n_samples=1, n=40, rows=128)[0]
-        (u_p, n_p), (u_q, n_q) = [(len(np.unique(inputs_of(f), axis=0)), len(f))
-                                  for f in (sample.source, sample.target)]
-        assert u_p < n_p and u_q < n_q
+        frames = [make_frame(n, seed=n) for n in (30, 25, 20)]
+        clip = [Sample(source=copied(frames[t]), target=copied(frames[t + 1]),
+                       label=make_label(len(frames[t]), seed=t)) for t in range(2)]
         shapes, distances = [], _kernels.squared_distances
 
         def recorded(query, ref):
@@ -367,10 +294,13 @@ class TestNoWaste:
             return distances(query, ref)
 
         monkeypatch.setattr(_kernels, "squared_distances", recorded)
-        model.forward(sample.source, sample.target, model.initial_state())
-        # each frame's table: its distinct points against all its rows; the
-        # cost volume's: the source's distinct points against every target row
-        assert shapes == [(u_p, n_p), (u_q, n_q), (u_p, n_q)]
+        state = model.initial_state()
+        for sample in clip:
+            _, state, _ = model.forward(sample.source, sample.target, state)
+        # each frame's own table once, which its ball queries, the context
+        # encoder and the cost volume's self-kNN share; and the cost
+        # volume's source against target
+        assert shapes == [(30, 30), (25, 25), (30, 25), (20, 20), (25, 20)]
 
     def test_cost_volume_builds_no_pair_input(self, monkeypatch):
         cfg = tiny_net(**NET)

@@ -217,6 +217,14 @@ def _check_range(name: str, values: np.ndarray, lo: int, hi: int):
         raise CorruptFile(f"{name} holds a value outside [{lo}, {hi - 1}]")
 
 
+def _check_kind(name: str, values: list, kind: type):
+    """Refuse a stored list holding a value not of `kind`, int or bool,
+    which numpy would coerce (2.7 to 2, "3" to 3, 7 to True)."""
+    if not _fits(values, [kind]):
+        raise CorruptFile(f"{name} holds a value that is not "
+                          f"{'a boolean' if kind is bool else 'an integer'}")
+
+
 def _check_finite(name: str, values: np.ndarray):
     """Refuse an array holding NaN or an infinity, which JSON readers take."""
     if not np.isfinite(values).all():
@@ -233,6 +241,7 @@ def _parse_frame_record(rec: dict):
         prov = np.asarray(prov, dtype=np.int64)
         if prov.shape != (len(pts),):
             raise LengthMismatch(f"provenance of shape {prov.shape} for {len(pts)} points")
+        _check_kind("bone_prov", rec["bone_prov"], int)
         _check_range("bone_prov", prov, -1, len(BONES))
     pose_kp = np.asarray(rec["pose_gt"], dtype=np.float64)
     if pose_kp.shape != (len(kps), 3):
@@ -272,10 +281,12 @@ def _parse_label_record(rec: dict) -> FlowLabel:
         bone_assignment=np.asarray(rec["bone"], dtype=np.int64),
         segment_label=np.asarray(rec["segment"], dtype=np.int64),
     )
-    for name, arr in (("valid", label.valid_mask), ("bone", label.bone_assignment),
-                      ("segment", label.segment_label)):
+    for name, arr, kind in (("valid", label.valid_mask, bool),
+                            ("bone", label.bone_assignment, int),
+                            ("segment", label.segment_label, int)):
         if arr.shape != (len(label),):
             raise LengthMismatch(f"{name} of shape {arr.shape} for {len(label)} flows")
+        _check_kind(name, rec[name], kind)
     _check_finite("flows", label.flows)
     _check_range("bone", label.bone_assignment, -1, len(BONES))
     _check_range("segment", label.segment_label, 0, N_SEGMENTS)

@@ -255,6 +255,18 @@ class TestLabel:
         assert main(["label", "--data", str(data)]) == 2
         assert "bone_prov holds a value outside [-1, 12]" in capsys.readouterr().err
 
+    def test_label_mask_of_another_kind_exits_2(self, dataset, tmp_path, capsys):
+        # numpy would read a stored 7 as True; subject 2 is the test split
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        labels = data / "seq_002_ArmSwing_00" / "labels.jsonl"
+        first, rest = labels.read_text().split("\n", 1)
+        rec = json.loads(first)
+        rec["valid"][0] = 7
+        labels.write_text(json.dumps(rec) + "\n" + rest)
+        assert main(["eval", "--task", "flow", "--data", str(data), "--oracle"]) == 2
+        assert "valid holds a value that is not a boolean" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["label", "train"])
     def test_frame_index_not_an_integer_exits_2(self, dataset, tmp_path, capsys, command):
         # a frame_index of 2.7 would be read as frame 2, and clips are cut

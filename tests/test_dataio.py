@@ -478,13 +478,30 @@ class TestSerialization:
     @pytest.mark.parametrize("key, value, kind", [
         ("frame_index", 2.7, "an integer"), ("frame_index", "3", "an integer"),
         ("frame_index", True, "an integer"), ("timestamp", "0.5", "a number"),
-        ("timestamp", True, "a number"),
+        ("timestamp", True, "a number"), ("bone_prov", [2.7, True, 0], "an integer"),
+        ("bone_prov", ["3", 1, 0], "an integer"),
     ])
     def test_frame_record_of_another_kind_is_corrupt_file(self, tmp_path, key, value, kind):
         # clips are cut at gaps in frame_index: a record must not be read as
         # another frame than it names
         seq = toy_sequence(n_frames=2, n_points=3)
         path = save_sequence(tmp_path, seq) / "frames.jsonl"
+        first, rest = path.read_text().split("\n", 1)
+        rec = json.loads(first)
+        rec[key] = value
+        path.write_text(json.dumps(rec) + "\n" + rest)
+        with pytest.raises(CorruptFile, match=f"{key} .*not {kind}"):
+            load_sequence(tmp_path, seq.seq_id)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("valid", [7, "x", True], "a boolean"), ("valid", [1, 0, 1], "a boolean"),
+        ("bone", [2.7, 1, 0], "an integer"), ("bone", ["3", 1, 0], "an integer"),
+        ("segment", [1.9, 0, 0], "an integer"), ("segment", [True, 0, 0], "an integer"),
+    ])
+    def test_label_record_of_another_kind_is_corrupt_file(self, tmp_path, key, value, kind):
+        # numpy would coerce each of these: 2.7 to 2, "3" to 3, 7 and "x" to True
+        seq = toy_sequence(n_frames=2, n_points=3)
+        path = save_sequence(tmp_path, seq) / "labels.jsonl"
         first, rest = path.read_text().split("\n", 1)
         rec = json.loads(first)
         rec[key] = value

@@ -4,32 +4,34 @@ echoed into every dataset manifest so a run can be reproduced from its
 outputs alone.
 
 `from_dict` is the one reader: it builds a config dataclass and every config
-dataclass nested in it from their JSON form, and refuses a number that is not
-finite in any field.  Each dataclass checks itself when it is built, so a
+dataclass nested in it from their JSON form, and refuses a value that
+`errors.fits` does not find of its field's kind, a number that is not
+finite among them.  Each dataclass checks itself when it is built, so a
 malformed config raises ConfigError before any stage writes a file or reads a
 dataset.
 
-The rule: no stage refuses a value read from a config that `from_dict`
-built, but for `farthest_point_sample`'s sample count (a kernel with its own
-oracle tests), `HarNet`'s 2 classes (a flow-only config may list one
-activity) and the automatic split's 6 subjects (only `gen` splits, and it
-checks before it writes).  The tracked clip length (`track --length`) and
-`TrackState`'s finite endpoints (which a loaded checkpoint's flows move) are
-checked where they are known, as no config sets them.
+The rule: the kind of every stored value, in a config, a manifest, a frame
+or label record or a checkpoint header, is checked by the one `errors.fits`
+before any stage reads it.  No stage refuses a value read from a config
+that `from_dict` built, but for `farthest_point_sample`'s sample count (a
+kernel with its own oracle tests), `HarNet`'s 2 classes (a flow-only config
+may list one activity) and the automatic split's 6 subjects (only `gen`
+splits, and it checks before it writes).  The tracked clip length (`track
+--length`) and `TrackState`'s finite endpoints (which a loaded checkpoint's
+flows move) are checked where they are known, as no config sets them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, fits
 from .radar import RadarConfig
 from .skeleton import (
     ALL_ACTIVITIES,
@@ -221,11 +223,9 @@ class RunConfig:
         split = self.explicit_split
         if split is None:
             return
-        if not isinstance(split, dict) or set(split) != set(SPLIT_PARTS):
-            raise ConfigError(f"explicit_split must be an object with the keys {SPLIT_PARTS}")
-        if not all(isinstance(ids, list) and all(_fits(i, int) for i in ids)
-                   for ids in split.values()):
-            raise ConfigError("explicit_split must map each part to a list of subject ids")
+        if not fits(split, dict.fromkeys(SPLIT_PARTS, [int])) or set(split) != set(SPLIT_PARTS):
+            raise ConfigError(f"explicit_split must map each of {SPLIT_PARTS} to a list "
+                              f"of subject ids")
         listed = sorted(i for ids in split.values() for i in ids)
         if listed != list(range(self.gen.n_subjects)):
             raise ConfigError(f"explicit_split must list each of the {self.gen.n_subjects} "
@@ -265,30 +265,11 @@ def _of_kind(value, hint, field_) -> bool:
     the annotation admits it, and a tuple's items the kind of the items of
     the field's default."""
     kinds = typing.get_args(hint) or (hint,)
-    if value is None:
-        return type(None) in kinds
-    kind = next(k for k in kinds if k is not type(None))
-    if kind is tuple:
+    if kinds == (tuple,):
         default = field_.default
         item_kind = type(default[0]) if isinstance(default, tuple) and default else object
-        return isinstance(value, tuple) and all(_fits(item, item_kind) for item in value)
-    return _fits(value, kind)
-
-
-def _fits(value, kind) -> bool:
-    """Whether a JSON value is of `kind`: a type, [kind] or a dict of keys, as
-    in `dataio.MANIFEST_KEYS`.  A bool is not a number, and a float holds a
-    finite number (JSON readers take NaN and Infinity)."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
-    if isinstance(kind, dict):
-        return isinstance(value, dict) and all(k in value and _fits(value[k], t)
-                                               for k, t in kind.items())
-    if kind in (int, float) and isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
+        return isinstance(value, tuple) and fits(list(value), [item_kind])
+    return fits(value, kinds)
 
 
 def load_config(path) -> RunConfig:

@@ -6,6 +6,8 @@ On-disk layout: `<root>/manifest.json` plus one directory per sequence holding
 `frames.jsonl` (points, observed keypoints, ground-truth pose per frame) and
 `labels.jsonl` (per-pair flow labels), one JSON record per line.  JSON numbers
 use the shortest exact decimal form, so a sequence round-trips bit-exactly.
+A reader checks each record and the manifest against its schema below with
+the one `errors.fits` before numpy sees a value, then the record's shapes.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _fits
 from .errors import (
-    ConfigError, CorruptFile, EmptyFrame, LengthMismatch, atomic_write,
+    ConfigError, CorruptFile, EmptyFrame, LengthMismatch, atomic_write, fits,
 )
 from .labeling import N_SEGMENTS, FlowLabel
 from .radar import RadarFrame
-from .skeleton import BONES, ObservedKeypoints, SkeletonPose
+from .skeleton import BONES, KEYPOINT_NAMES, ObservedKeypoints, SkeletonPose
 
 log = logging.getLogger(__name__)
 
@@ -197,6 +198,17 @@ def make_clips(samples: list[Sample]) -> list[list[Sample]]:
 # ----------------------------------------------------------------------
 # serialization
 
+# what each stored record holds, in the kinds of `errors.fits`: [kind] is a
+# list, a dict an object's keys and a tuple the kinds a value may take; clips
+# are cut at gaps in frame_index, so it is read only as it was written
+FRAME_KEYS = {"frame_index": int, "timestamp": float, "points": [[float]],
+              "keypoints": [[float]], "pose_gt": [[float]], "bone_prov": ([int], type(None))}
+LABEL_KEYS = {"flows": [[float]], "valid": [bool], "bone": [int], "segment": [int]}
+SPLIT_KEYS = {"train_subjects": [int], "val_subjects": [int], "test_subjects": [int],
+              "out_of_set_sequences": [str]}
+SEQUENCE_KEYS = {"id": str, "subject_id": int, "n_frames": int}
+MANIFEST_KEYS = {"config": dict, "split": SPLIT_KEYS, "sequences": [SEQUENCE_KEYS]}
+
 
 def _frame_record(frame: RadarFrame, pose: SkeletonPose, obs: ObservedKeypoints) -> dict:
     rec = {
@@ -211,58 +223,54 @@ def _frame_record(frame: RadarFrame, pose: SkeletonPose, obs: ObservedKeypoints)
     return rec
 
 
-def _check_range(name: str, values: np.ndarray, lo: int, hi: int):
-    """Refuse an index array holding a value outside [lo, hi)."""
-    if values.size and (values.min() < lo or values.max() >= hi):
+def _check_range(name: str, values: list, lo: int, hi: int):
+    """Refuse stored indices holding a value outside [lo, hi), before numpy
+    reads them: it cannot hold an integer of any size."""
+    if values and (min(values) < lo or max(values) >= hi):
         raise CorruptFile(f"{name} holds a value outside [{lo}, {hi - 1}]")
 
 
-def _check_kind(name: str, values: list, kind: type):
-    """Refuse a stored list holding a value not of `kind`, int or bool,
-    which numpy would coerce (2.7 to 2, "3" to 3, 7 to True)."""
-    if not _fits(values, [kind]):
-        raise CorruptFile(f"{name} holds a value that is not "
-                          f"{'a boolean' if kind is bool else 'an integer'}")
+def _check_kinds(rec, keys: dict):
+    """Refuse a record that is not an object or whose value of a key in `keys`
+    does not fit its kind, before numpy would read "0.25" as 0.25 or true as 1."""
+    if type(rec) is not dict:
+        raise CorruptFile("a record that is not a JSON object")
+    for key, kind in keys.items():
+        value = rec.get(key)
+        if fits(value, kind):
+            continue
+        if kind is int:  # named by its value; a number may be NaN
+            raise CorruptFile(f"{key} {value!r} is not an integer")
+        rows = ", or a row that is not a list" if kind == [[float]] else ""
+        while not isinstance(kind, type):
+            kind = kind[0]
+        name = {float: "finite or not a number", int: "an integer", bool: "a boolean"}[kind]
+        raise CorruptFile(f"{key} holds a value that is not {name}{rows}")
 
 
-def _check_finite(name: str, values: np.ndarray):
-    """Refuse an array holding NaN or an infinity, which JSON readers take."""
-    if not np.isfinite(values).all():
-        raise CorruptFile(f"{name} holds a value that is not finite")
+def _rows(name: str, values: list, width: int, count: int | None = None) -> np.ndarray:
+    """Stored rows of `width` numbers, `count` of them where given, as an array."""
+    if not set(map(len, values)) <= {width}:
+        raise LengthMismatch(f"{name} holds a row that is not {width} numbers")
+    if count is not None and len(values) != count:
+        raise LengthMismatch(f"{name} holds {len(values)} rows, not {count}")
+    return np.array(values, dtype=np.float64).reshape(-1, width)
 
 
 def _parse_frame_record(rec: dict):
-    pts = np.asarray(rec["points"], dtype=np.float64).reshape(-1, 4)
-    kps = np.asarray(rec["keypoints"], dtype=np.float64).reshape(-1, 4)
-    _check_finite("points", pts)
-    _check_finite("keypoints", kps)
+    _check_kinds(rec, FRAME_KEYS)
+    pts = _rows("points", rec["points"], 4)
+    kps = _rows("keypoints", rec["keypoints"], 4, len(KEYPOINT_NAMES))
+    pose_kp = _rows("pose_gt", rec["pose_gt"], 3, len(KEYPOINT_NAMES))
     prov = rec.get("bone_prov")
     if prov is not None:
-        prov = np.asarray(prov, dtype=np.int64)
-        if prov.shape != (len(pts),):
-            raise LengthMismatch(f"provenance of shape {prov.shape} for {len(pts)} points")
-        _check_kind("bone_prov", rec["bone_prov"], int)
+        if len(prov) != len(pts):
+            raise LengthMismatch(f"provenance of shape ({len(prov)},) for {len(pts)} points")
         _check_range("bone_prov", prov, -1, len(BONES))
-    pose_kp = np.asarray(rec["pose_gt"], dtype=np.float64)
-    if pose_kp.shape != (len(kps), 3):
-        raise LengthMismatch(f"a pose of shape {pose_kp.shape} for {len(kps)} keypoints")
-    _check_finite("pose_gt", pose_kp)
-    # clips are cut at gaps in frame_index, so it is read only as it was written
-    if not _fits(rec["frame_index"], int):
-        raise CorruptFile(f"frame_index {rec['frame_index']!r} is not an integer")
-    if not _fits(rec["timestamp"], float):
-        raise CorruptFile(f"timestamp holds a value that is not finite or not a number: "
-                          f"{rec['timestamp']!r}")
-    frame = RadarFrame(
-        points=pts[:, :3],
-        intensities=pts[:, 3],
-        frame_index=rec["frame_index"],
-        timestamp=float(rec["timestamp"]),
-        prov_bone=prov,
-    )
-    pose = SkeletonPose(pose_kp)
-    obs = ObservedKeypoints(positions=kps[:, :3], confidences=kps[:, 3])
-    return frame, pose, obs
+        prov = np.array(prov, dtype=np.int64)
+    frame = RadarFrame(points=pts[:, :3], intensities=pts[:, 3], frame_index=rec["frame_index"],
+                       timestamp=float(rec["timestamp"]), prov_bone=prov)
+    return frame, SkeletonPose(pose_kp), ObservedKeypoints(kps[:, :3], kps[:, 3])
 
 
 def _label_record(label: FlowLabel) -> dict:
@@ -275,22 +283,19 @@ def _label_record(label: FlowLabel) -> dict:
 
 
 def _parse_label_record(rec: dict) -> FlowLabel:
-    label = FlowLabel(
-        flows=np.asarray(rec["flows"], dtype=np.float64).reshape(-1, 3),
-        valid_mask=np.asarray(rec["valid"], dtype=bool),
-        bone_assignment=np.asarray(rec["bone"], dtype=np.int64),
-        segment_label=np.asarray(rec["segment"], dtype=np.int64),
-    )
-    for name, arr, kind in (("valid", label.valid_mask, bool),
-                            ("bone", label.bone_assignment, int),
-                            ("segment", label.segment_label, int)):
-        if arr.shape != (len(label),):
-            raise LengthMismatch(f"{name} of shape {arr.shape} for {len(label)} flows")
-        _check_kind(name, rec[name], kind)
-    _check_finite("flows", label.flows)
-    _check_range("bone", label.bone_assignment, -1, len(BONES))
-    _check_range("segment", label.segment_label, 0, N_SEGMENTS)
-    return label
+    # lengths before kinds: a "," flipped to "." merges two integers into one
+    # float, and is named by the length it changes
+    _check_kinds(rec, {"flows": LABEL_KEYS["flows"]})
+    n = len(rec["flows"])
+    for name in ("valid", "bone", "segment"):
+        if len(rec[name]) != n:
+            raise LengthMismatch(f"{name} of shape ({len(rec[name])},) for {n} flows")
+    _check_kinds(rec, LABEL_KEYS)
+    _check_range("bone", rec["bone"], -1, len(BONES))
+    _check_range("segment", rec["segment"], 0, N_SEGMENTS)
+    return FlowLabel(_rows("flows", rec["flows"], 3), np.array(rec["valid"], dtype=bool),
+                     np.array(rec["bone"], dtype=np.int64),
+                     np.array(rec["segment"], dtype=np.int64))
 
 
 def sequence_dir(root, seq_id: str) -> Path:
@@ -307,8 +312,7 @@ def _read_jsonl(path: Path, parse) -> list:
     """Parsed records of a JSON-lines file; a cut or malformed record raises
     CorruptFile.  Every record ends with a newline, so a file that does not
     was cut inside its last record."""
-    with open(path, "rb") as f:
-        data = f.read()
+    data = path.read_bytes()
     if data and not data.endswith(b"\n"):
         raise CorruptFile(f"{path}: truncated inside its last record")
     try:
@@ -385,14 +389,6 @@ def write_json(path, data: dict) -> Path:
     return write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-# what a manifest holds: each key with the kind of its value, where [kind]
-# is a list of values of that kind and a dict the keys of an object
-SPLIT_KEYS = {"train_subjects": [int], "val_subjects": [int], "test_subjects": [int],
-              "out_of_set_sequences": [str]}
-SEQUENCE_KEYS = {"id": str, "subject_id": int, "n_frames": int}
-MANIFEST_KEYS = {"config": dict, "split": SPLIT_KEYS, "sequences": [SEQUENCE_KEYS]}
-
-
 def read_manifest(root) -> dict:
     """The dataset manifest: a config object, a split and a list of sequence
     entries.  A missing file raises FileNotFoundError; a file that is not
@@ -401,13 +397,11 @@ def read_manifest(root) -> dict:
     path = Path(root) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no dataset manifest at {path}")
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        manifest = json.loads(data)
+        manifest = json.loads(path.read_bytes())
     except ValueError as e:
         raise CorruptFile(f"{path}: not a whole JSON document: {e}") from e
-    if not _fits(manifest, MANIFEST_KEYS):
+    if not fits(manifest, MANIFEST_KEYS):
         raise CorruptFile(f"{path}: not a dataset manifest: it needs a config object, "
                           f"a split of lists {tuple(SPLIT_KEYS)} and sequences with "
                           f"{tuple(SEQUENCE_KEYS)}")

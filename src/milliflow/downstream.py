@@ -40,6 +40,7 @@ from .errors import (
     MissingFlowModel,
     NoValidPoints,
     TaskMismatch,
+    fits,
 )
 from .flownet import (
     CloudEncoder, FlowNet, encode, fit, flow_model_from_config, infer_sequence,
@@ -495,7 +496,9 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
             raise ConfigError(f"unknown strategy {stored!r}")
         task_cfg = from_dict(TaskConfig, config["task"])
         dtype = model_dtype(config["dtype"])
-        in_features, n_classes = int(config["in_features"]), int(config["n_classes"])
+        if not fits(config, {"in_features": int, "n_classes": int}):
+            raise ConfigError("in_features and n_classes must be integers")
+        in_features, n_classes = config["in_features"], config["n_classes"]
         flow_config = config["flow"] if stored != "raw" else None
     if strategy is not None and stored != strategy:
         raise TaskMismatch(

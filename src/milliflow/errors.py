@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the file helpers that
-keep stored files whole: exact-length reads that turn a truncated
-checkpoint into a typed error, and atomic writes."""
+"""Exception types shared across the package, and the helpers for stored
+files: `fits`, the one check of a stored value's kind (configs, manifests,
+frame and label records, checkpoint headers), exact-length reads that turn
+a truncated checkpoint into a typed error, and atomic writes."""
 
 import contextlib
+import itertools
+import math
 import os
-import struct
 from pathlib import Path
 
 
@@ -76,6 +78,35 @@ class NonFiniteLoss(MilliflowError):
     """A training loss is NaN or infinite."""
 
 
+def fits(value, kind) -> bool:
+    """Whether a JSON value is of `kind`: a type, [kind] for a list of values
+    of that kind, a dict of keys each with the kind of its value, or a tuple
+    of kinds any of which fits (a dict's key may be absent where NoneType
+    fits).  A bool is not a number, and a float is a finite number that a
+    float holds (JSON readers take NaN, Infinity and integers of any size)."""
+    if type(kind) is tuple:
+        return any(fits(value, k) for k in kind)
+    if type(kind) is dict:
+        return type(value) is dict and all(fits(value.get(k), t) for k, t in kind.items())
+    if type(kind) is not list:
+        return fits([value], [kind]) if kind in (int, bool, float) else isinstance(value, kind)
+    (item,) = kind
+    if type(value) is not list:
+        return False
+    # the fast paths, for the long number lists of frame and label records
+    if type(item) is list:  # rows, checked as one list
+        return (set(map(type, value)) <= {list}
+                and fits(list(itertools.chain.from_iterable(value)), item))
+    if item in (int, bool):
+        return set(map(type, value)) <= {item}
+    if item is not float:
+        return all(fits(v, item) for v in value)
+    try:
+        return set(map(type, value)) <= {int, float} and all(map(math.isfinite, value))
+    except OverflowError:  # an integer that no float holds
+        return False
+
+
 def read_exact(f, n: int) -> bytes:
     """Read exactly ``n`` bytes from the binary file ``f`` or raise
     CorruptFile; ``n`` is checked against the bytes the file has left before
@@ -88,11 +119,6 @@ def read_exact(f, n: int) -> bytes:
             f"{offset} but {left} remain"
         )
     return f.read(n)
-
-
-def read_struct(f, fmt: str) -> tuple:
-    """Unpack the ``struct`` format ``fmt`` from ``f`` or raise CorruptFile."""
-    return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt)))
 
 
 @contextlib.contextmanager

@@ -25,11 +25,14 @@ from . import autodiff as ad
 from ._kernels import NeighbourTable, knn_indices
 from .autodiff import Tensor
 from .errors import (
-    ConfigError, CorruptFile, ShapeMismatch, atomic_write, read_exact, read_struct,
+    ConfigError, CorruptFile, ShapeMismatch, atomic_write, fits, read_exact,
 )
 
 CHECKPOINT_MAGIC = b"MFLW"
 CHECKPOINT_VERSION = 1
+# what a checkpoint header holds, in the kinds of `errors.fits`
+HEADER_KEYS = {"format_version": int, "config": dict,
+               "params": [{"name": str, "shape": [int]}]}
 
 
 class Params:
@@ -337,16 +340,27 @@ def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
 
 
 def load_checkpoint(path):
-    """Returns (named float64 arrays, config dict).  A header that is not the
-    one `save_checkpoint` writes, or a blob whose length differs from the one
-    the header's shapes give, raises CorruptFile, before any read of more
-    bytes than the file holds."""
+    """Returns (named float64 arrays, config dict).  The header is checked by
+    `errors.fits` against HEADER_KEYS: a header of another format version
+    raises ConfigError; one that does not fit, or holds a negative dimension,
+    and a blob whose length differs from the one the header's shapes give
+    raise CorruptFile, before any read of more bytes than the file holds."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
-        (hlen,) = read_struct(f, "<I")
-        header = _parse_header(read_exact(f, hlen), path)
+        (hlen,) = struct.unpack("<I", read_exact(f, 4))
+        try:
+            header = json.loads(read_exact(f, hlen).decode("utf-8"))
+        except ValueError as e:
+            raise CorruptFile(f"{path}: malformed checkpoint header: {e!r}") from e
+        # another version may hold other keys
+        if (fits(header, {"format_version": int})
+                and header["format_version"] != CHECKPOINT_VERSION):
+            raise ConfigError(f"unsupported checkpoint version {header['format_version']}")
+        if not fits(header, HEADER_KEYS) or any(n < 0 for e in header["params"]
+                                                for n in e["shape"]):
+            raise CorruptFile(f"{path}: malformed checkpoint header")
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
@@ -358,25 +372,6 @@ def load_checkpoint(path):
         if f.read(1):
             raise CorruptFile(f"{path}: bytes left after the last parameter")
     return params, header["config"]
-
-
-def _parse_header(raw: bytes, path) -> dict:
-    """The parsed header: a config object and a list of named, shaped
-    parameters.  A header of another format version raises ConfigError, a
-    malformed one CorruptFile."""
-    try:
-        header = json.loads(raw.decode("utf-8"))
-        if header["format_version"] != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {header['format_version']}")
-        valid = (isinstance(header["config"], dict)
-                 and all(isinstance(e["name"], str) and isinstance(e["shape"], list)
-                         and all(isinstance(n, int) and n >= 0 for n in e["shape"])
-                         for e in header["params"]))
-    except (ValueError, KeyError, TypeError) as e:
-        raise CorruptFile(f"{path}: malformed checkpoint header: {e!r}") from e
-    if not valid:
-        raise CorruptFile(f"{path}: malformed checkpoint header")
-    return header
 
 
 @contextlib.contextmanager

@@ -183,6 +183,7 @@ class TestGen:
         {"radar": {"f_max": float("nan")}},
         {"net": {"clamp": float("nan")}},
         {"radar": {"cfar": {"scale_factor": float("inf")}}},
+        {"net": {"clamp": 10**400}},  # an integer that no float holds
         {"net": {"input_features": 2}},
         {"seed": -1},
     ])
@@ -242,6 +243,27 @@ class TestLabel:
         frames.write_bytes(whole[: end // 2] if cut == "record" else whole[:end])
         assert main(["label", "--data", str(data)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("change", ["13 keypoints", "rows of 5"])
+    def test_frame_of_another_shape_exits_2(self, dataset, tmp_path, capsys, change):
+        # 13 keypoints, with a pose of 13 joints, stop the labeller; in an
+        # unlabelled sequence, a frame without provenance has nothing else
+        # that counts its points, so 184 rows of 5 could be read as 230 points
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        seq_dir = data / "seq_000_ArmSwing_00"
+        (seq_dir / "labels.jsonl").unlink()
+        frames = seq_dir / "frames.jsonl"
+        first, rest = frames.read_text().split("\n", 1)
+        rec = json.loads(first)
+        if change == "13 keypoints":
+            rec["keypoints"], rec["pose_gt"] = rec["keypoints"][:13], rec["pose_gt"][:13]
+        else:
+            del rec["bone_prov"]
+            rec["points"] = [[0.0, 2.0, 0.0, 1.0, 1.0]] * 184
+        frames.write_text(json.dumps(rec) + "\n" + rest)
+        assert main(["label", "--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {frames}: malformed record: ")
 
     def test_bone_provenance_out_of_range_exits_2(self, dataset, tmp_path, capsys):
         # subject 2 is the test split, whose exact labels read the provenance
@@ -423,7 +445,10 @@ class TestEvalFlow:
                      "--ckpt", str(cut)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("header", [b"{}", b"{not json"])
+    @pytest.mark.parametrize("header", [
+        b"{}", b"{not json",
+        b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[true,3]}]}',
+    ])
     def test_malformed_checkpoint_header_exits_2(self, dataset, tmp_path, capsys, header):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"MFLW" + struct.pack("<I", len(header)) + header)

@@ -66,6 +66,11 @@ def toy_label(n, seed=0):
     )
 
 
+def rows(n, width, first=0.0):
+    """`n` stored rows of `width` numbers, the first starting with `first`."""
+    return [[first] + [0.0] * (width - 1)] + [[0.0] * width for _ in range(n - 1)]
+
+
 def toy_sequence(n_frames=6, n_points=150, with_labels=True, subject=3,
                  activity="ArmSwing", scene=1):
     rng = np.random.default_rng(subject)
@@ -444,6 +449,8 @@ class TestSerialization:
         ("frames.jsonl", "bone_prov", 13), ("frames.jsonl", "bone_prov", -2),
         ("labels.jsonl", "bone", 13), ("labels.jsonl", "bone", -2),
         ("labels.jsonl", "segment", 6), ("labels.jsonl", "segment", -1),
+        # an integer that no int64 holds
+        ("frames.jsonl", "bone_prov", 10**30), ("labels.jsonl", "bone", -10**30),
     ])
     def test_index_out_of_range_is_corrupt_file(self, tmp_path, name, key, value):
         seq = toy_sequence(n_frames=2, n_points=3)
@@ -459,6 +466,8 @@ class TestSerialization:
         ("frames.jsonl", "points", "NaN"), ("frames.jsonl", "keypoints", "Infinity"),
         ("frames.jsonl", "pose_gt", "-Infinity"), ("frames.jsonl", "timestamp", "NaN"),
         ("labels.jsonl", "flows", "NaN"), ("labels.jsonl", "flows", "Infinity"),
+        # an integer that no float holds
+        ("frames.jsonl", "points", "1" + "0" * 400), ("frames.jsonl", "timestamp", "9" * 400),
     ])
     def test_non_finite_number_is_corrupt_file(self, tmp_path, name, key, literal):
         # Python's json reads NaN and Infinity
@@ -480,6 +489,15 @@ class TestSerialization:
         ("frame_index", True, "an integer"), ("timestamp", "0.5", "a number"),
         ("timestamp", True, "a number"), ("bone_prov", [2.7, True, 0], "an integer"),
         ("bone_prov", ["3", 1, 0], "an integer"),
+        ("points", rows(3, 4, "0.25"), "a number"), ("points", rows(3, 4, True), "a number"),
+        ("keypoints", rows(14, 4, "0.25"), "a number"),
+        ("keypoints", rows(14, 4, True), "a number"),
+        ("pose_gt", rows(14, 3, "0.25"), "a number"), ("pose_gt", rows(14, 3, True), "a number"),
+        # rows flattened into one list, rows of another width, a keypoint short
+        ("points", [0.0] * 12, "a list"), ("keypoints", [0.0] * 56, "a list"),
+        ("pose_gt", [0.0] * 42, "a list"),
+        ("points", rows(12, 5), "4 numbers"), ("keypoints", rows(14, 5), "4 numbers"),
+        ("pose_gt", rows(14, 5), "3 numbers"), ("keypoints", rows(13, 4), "14"),
     ])
     def test_frame_record_of_another_kind_is_corrupt_file(self, tmp_path, key, value, kind):
         # clips are cut at gaps in frame_index: a record must not be read as
@@ -497,6 +515,8 @@ class TestSerialization:
         ("valid", [7, "x", True], "a boolean"), ("valid", [1, 0, 1], "a boolean"),
         ("bone", [2.7, 1, 0], "an integer"), ("bone", ["3", 1, 0], "an integer"),
         ("segment", [1.9, 0, 0], "an integer"), ("segment", [True, 0, 0], "an integer"),
+        ("flows", rows(3, 3, "0.25"), "a number"), ("flows", rows(3, 3, True), "a number"),
+        ("flows", [0.0] * 9, "a list"), ("flows", rows(3, 5), "3 numbers"),
     ])
     def test_label_record_of_another_kind_is_corrupt_file(self, tmp_path, key, value, kind):
         # numpy would coerce each of these: 2.7 to 2, "3" to 3, 7 and "x" to True

@@ -670,6 +670,19 @@ class TestTraining:
         with pytest.raises(CorruptFile, match="malformed checkpoint config"):
             load_task_model(ckpt)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_classes", 3.9), ("n_classes", "3"), ("in_features", True),
+    ])
+    def test_size_that_is_not_an_integer_is_corrupt_file(self, tmp_path, key, value):
+        # int() would read each as the size the model was saved with
+        model = HarNet(tiny_task(), in_features=1, n_classes=3, seed=0)
+        path = tmp_path / "har.ckpt"
+        self.save_task_checkpoint(path, model, "raw")
+        values, config = load_checkpoint(path)
+        save_checkpoint(path, values, config=dict(config, **{key: value}))
+        with pytest.raises(CorruptFile, match="in_features and n_classes must be integers"):
+            load_task_model(path)
+
     def test_dtype_other_than_float32_or_float64_is_corrupt_file(self, tmp_path):
         flow = FlowNet(tiny_flow(clamp=10.0), seed=0)
         clips = [shape_clip(k, s) for k in (0, 1) for s in range(2)]

@@ -614,6 +614,11 @@ class TestCheckpoints:
         b'{"format_version":1,"config":{},"params":[{"name":"w"}]}',
         b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[-2]}]}',
         b'{"format_version":1,"config":{},"params":"w"}',
+        # a version or a dimension that is not an integer, though Python
+        # compares it equal to one
+        b'{"format_version":true,"config":{},"params":[]}',
+        b'{"format_version":1.0,"config":{},"params":[]}',
+        b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[true,3]}]}',
         # no elements, but dimensions numpy cannot hold
         b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[0,%d]}]}' % 2**70,
         b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[0,%d,%d]}]}'

@@ -12,7 +12,9 @@ dataset.
 
 The rule: the kind of every stored value, in a config, a manifest, a frame
 or label record or a checkpoint header, is checked by the one `errors.fits`
-before any stage reads it.  No stage refuses a value read from a config
+before any stage reads it.  A config file that the JSON parser cannot read,
+one that is not UTF-8 or nests deeper than the parser follows among them,
+raises ConfigError as well.  No stage refuses a value read from a config
 that `from_dict` built, but for `farthest_point_sample`'s sample count (a
 kernel with its own oracle tests), `HarNet`'s 2 classes (a flow-only config
 may list one activity) and the automatic split's 6 subjects (only `gen`
@@ -277,8 +279,7 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as f:
-            data = json.load(f)
-    except json.JSONDecodeError as e:
+        data = json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return from_dict(RunConfig, data)

@@ -132,12 +132,6 @@ def preprocess_indices(frame: RadarFrame, mode: str, seed: int = 0) -> np.ndarra
     return np.sort(rng.choice(idx, size=SAMPLE_SIZE, replace=False))
 
 
-def _frame_seed(seed: int, frame_index: int) -> np.random.SeedSequence:
-    # the same frame must be drawn identically as a pair's target and as the
-    # next pair's source, or temporal state sees a discontinuity
-    return np.random.SeedSequence((seed, frame_index))
-
-
 def preprocess_sequence(seq: Sequence, mode: str, seed: int = 0) -> tuple[list, list]:
     """(frames, labels): every frame of a labelled sequence preprocessed once,
     and the label of the pair each frame starts, subset by the same indices.
@@ -150,7 +144,8 @@ def preprocess_sequence(seq: Sequence, mode: str, seed: int = 0) -> tuple[list, 
     frames, labels = [], []
     for i, frame in enumerate(seq.frames):
         try:
-            idx = preprocess_indices(frame, mode, _frame_seed(seed, i))
+            # a frame's draw depends only on the seed and its own index
+            idx = preprocess_indices(frame, mode, np.random.SeedSequence((seed, i)))
         except EmptyFrame:
             frames.append(frame.subset([]))
             labels.append(None)
@@ -317,7 +312,8 @@ def _read_jsonl(path: Path, parse) -> list:
         raise CorruptFile(f"{path}: truncated inside its last record")
     try:
         return [parse(json.loads(line)) for line in data.splitlines()]
-    except (ValueError, KeyError, TypeError, LengthMismatch, CorruptFile) as e:
+    except (ValueError, RecursionError, KeyError, TypeError, LengthMismatch,
+            CorruptFile) as e:
         raise CorruptFile(f"{path}: malformed record: {e}") from e
 
 
@@ -399,7 +395,7 @@ def read_manifest(root) -> dict:
         raise FileNotFoundError(f"no dataset manifest at {path}")
     try:
         manifest = json.loads(path.read_bytes())
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise CorruptFile(f"{path}: not a whole JSON document: {e}") from e
     if not fits(manifest, MANIFEST_KEYS):
         raise CorruptFile(f"{path}: not a dataset manifest: it needs a config object, "

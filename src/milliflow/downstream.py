@@ -148,15 +148,15 @@ def decorate_clip(frames, strategy: str, flow_model: FlowNet | None,
         outputs = stream(flow_model, zip(frames[:-1], frames[1:]))
         for b in base:
             # the final frame starts no pair and reads None, as an empty pair does
-            out = next(outputs, None)
-            if out is None:
+            flows, _, final = next(outputs, (None, None, None))
+            if flows is None:
                 extra = Tensor(np.zeros((b.shape[0], width), dtype=dtype))
             elif strategy == "s1":
-                extra = Tensor(out[0].data.astype(dtype))
+                extra = Tensor(flows.data.astype(dtype))
             else:
-                extra = out[1]
+                extra = final
             feats.append(ad.concat([b, extra], axis=1))
-            pair_flows.append(None if out is None else out[0])
+            pair_flows.append(flows)
     return DecoratedClip(feats, pair_flows[:-1] if strategy == "s2" else None)
 
 

@@ -15,8 +15,8 @@ the same way.
 The recurrent state also carries the last target's encoding, which the next
 pair reuses for its source when the frames are equal.  Training runs
 clip-by-clip with full backpropagation through the recurrent state inside a
-clip and a hard state reset between clips; `stream` carries the state over a
-clip's pairs.
+clip and a hard state reset between clips.  `stream` is the one loop over
+frame pairs, for training, prediction, inference and decoration alike.
 """
 
 from __future__ import annotations
@@ -255,33 +255,33 @@ def mean_flow_loss(pairs, cfg: NetConfig) -> Tensor | None:
 
 
 def stream(model: FlowNet, pairs):
-    """`model.forward` over consecutive (source, target) pairs from a fresh
-    state, carrying the recurrent state from pair to pair: yields
-    (flows, final features) per pair, or None for a pair with an empty frame,
-    which leaves the state as it was."""
+    """The one loop of `model.forward` over consecutive (source, target)
+    pairs, from a fresh state: yields forward's (flows, state, final
+    features) per pair, or (None, state, None) for a pair with an empty
+    frame, which leaves the state as it was."""
     state = model.initial_state()
     for source, target in pairs:
         try:
             flows, state, final = model.forward(source, target, state)
         except EmptyFrame:
-            yield None
+            yield None, state, None
             continue
-        yield flows, final
+        yield flows, state, final
 
 
 def clip_loss(model: FlowNet, clip) -> Tensor | None:
     """Mean loss over a clip's usable samples; None when none are usable."""
     outputs = stream(model, ((sample.source, sample.target) for sample in clip))
-    pairs = [(out[0], sample.label) for out, sample in zip(outputs, clip)
-             if out is not None]
+    pairs = [(flows, sample.label) for (flows, _, _), sample in zip(outputs, clip)
+             if flows is not None]
     return mean_flow_loss(pairs, model.cfg)
 
 
 def predict_clip(model: FlowNet, clip) -> list[np.ndarray | None]:
     """Inference over one clip; None marks samples with an empty frame."""
     with ad.no_grad():
-        return [None if out is None else out[0].data.astype(np.float64)
-                for out in stream(model, ((s.source, s.target) for s in clip))]
+        return [None if flows is None else flows.data.astype(np.float64)
+                for flows, _, _ in stream(model, ((s.source, s.target) for s in clip))]
 
 
 def _baseline_flows(sample, kind: str) -> np.ndarray:
@@ -455,23 +455,23 @@ def load_flow_model(path) -> FlowNet:
 
 
 def infer_sequence(model: FlowNet, frames) -> tuple[list[dict], TemporalState]:
-    """Streaming pair-by-pair inference over a frame list.
-
-    Pairs with an empty frame yield a zero-flow placeholder without touching
-    the recurrent state.  Each record carries the wall-clock latency.
+    """Streaming inference over a frame list, one step of `stream` per pair:
+    (one record per pair, the state after the last pair without an empty
+    frame).  A pair with an empty frame gets a zero-flow placeholder.  Each
+    record carries the wall-clock latency of its step and of its flows' copy.
     """
     if len(frames) < 2:
         raise ConfigError(f"need at least 2 frames, got {len(frames)}")
-    state = model.initial_state()
     records = []
-    for i in range(len(frames) - 1):
-        t0 = time.perf_counter()
-        try:
-            with ad.no_grad():
-                flows, state, _ = model.forward(frames[i], frames[i + 1], state)
-            rec = {"flows": flows.data.astype(np.float64), "placeholder": False}
-        except EmptyFrame:
-            rec = {"flows": np.zeros((len(frames[i]), 3)), "placeholder": True}
-        rec["latency"] = time.perf_counter() - t0
-        records.append(rec)
+    with ad.no_grad():
+        steps = stream(model, zip(frames[:-1], frames[1:]))
+        for source in frames[:-1]:
+            t0 = time.perf_counter()
+            flows, state, _ = next(steps)
+            if flows is None:
+                rec = {"flows": np.zeros((len(source), 3)), "placeholder": True}
+            else:
+                rec = {"flows": flows.data.astype(np.float64), "placeholder": False}
+            rec["latency"] = time.perf_counter() - t0
+            records.append(rec)
     return records, state

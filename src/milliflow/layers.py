@@ -352,7 +352,7 @@ def load_checkpoint(path):
         (hlen,) = struct.unpack("<I", read_exact(f, 4))
         try:
             header = json.loads(read_exact(f, hlen).decode("utf-8"))
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise CorruptFile(f"{path}: malformed checkpoint header: {e!r}") from e
         # another version may hold other keys
         if (fits(header, {"format_version": int})

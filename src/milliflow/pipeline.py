@@ -224,6 +224,15 @@ def sequence_partition(manifest_split: SplitManifest, seq_id: str,
     return manifest_split.partition_of(subject_id)
 
 
+def _listed(root) -> tuple[dict, list[tuple[dict, str]]]:
+    """The manifest at `root`, and each sequence entry it lists with that
+    sequence's partition: the one walk of the manifest."""
+    manifest = read_manifest(root)
+    split_manifest = SplitManifest.from_dict(manifest["split"])
+    return manifest, [(meta, sequence_partition(split_manifest, meta["id"], meta["subject_id"]))
+                      for meta in manifest["sequences"]]
+
+
 def _load_listed(root, meta: dict) -> Sequence:
     """The stored sequence a manifest entry lists; a frame count that differs
     from the entry's means a frame file was cut between two records."""
@@ -238,15 +247,12 @@ def label_dataset(root) -> dict:
     """Label every stored sequence per its partition; writes label files and a
     summary with the valid-point ratio."""
     root = Path(root)
-    manifest = read_manifest(root)
-    split_manifest = SplitManifest.from_dict(manifest["split"])
+    manifest, listed = _listed(root)
 
     total_points = 0
     total_valid = 0
-    for meta in manifest["sequences"]:
-        seq = _load_listed(root, meta)
-        partition = sequence_partition(split_manifest, meta["id"], meta["subject_id"])
-        labels = label_sequence(seq, partition)
+    for meta, partition in listed:
+        labels = label_sequence(_load_listed(root, meta), partition)
         save_labels(root, meta["id"], labels)
         total_points += sum(len(l) for l in labels)
         total_valid += sum(int(l.valid_mask.sum()) for l in labels)
@@ -254,7 +260,7 @@ def label_dataset(root) -> dict:
 
     summary = {
         "config": manifest["config"],
-        "n_sequences": len(manifest["sequences"]),
+        "n_sequences": len(listed),
         "n_points": total_points,
         "n_valid": total_valid,
         "valid_ratio": (total_valid / total_points) if total_points else 0.0,
@@ -265,13 +271,6 @@ def label_dataset(root) -> dict:
 
 def load_labeled_sequences(root, partition: str | None = None) -> list[Sequence]:
     """All labeled sequences, optionally filtered to one partition."""
-    root = Path(root)
-    manifest = read_manifest(root)
-    split_manifest = SplitManifest.from_dict(manifest["split"])
-    out = []
-    for meta in manifest["sequences"]:
-        part = sequence_partition(split_manifest, meta["id"], meta["subject_id"])
-        if partition is not None and part != partition:
-            continue
-        out.append(_load_listed(root, meta))
-    return out
+    _, listed = _listed(root)
+    return [_load_listed(root, meta) for meta, part in listed
+            if partition is None or part == partition]

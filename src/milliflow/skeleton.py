@@ -209,22 +209,21 @@ _X = np.array([1.0, 0.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 
 
-def _seated_base(rest: np.ndarray) -> np.ndarray:
+def _bent_legs(rest: np.ndarray, bend: float) -> np.ndarray:
     kp = rest.copy()
-    _rotate_subset(kp, [10, 12], kp[8], _X, -np.pi / 2)  # thighs forward
-    _rotate_subset(kp, [11, 13], kp[9], _X, -np.pi / 2)
-    _rotate_subset(kp, [12], kp[10], _X, np.pi / 2)  # shins back down
-    _rotate_subset(kp, [13], kp[11], _X, np.pi / 2)
+    _rotate_subset(kp, [10, 12], kp[8], _X, -bend)  # thighs forward by `bend`
+    _rotate_subset(kp, [11, 13], kp[9], _X, -bend)
+    _rotate_subset(kp, [12], kp[10], _X, bend)  # shins back down by it
+    _rotate_subset(kp, [13], kp[11], _X, bend)
     return kp
 
 
+def _seated_base(rest: np.ndarray) -> np.ndarray:
+    return _bent_legs(rest, np.pi / 2)
+
+
 def _squat_base(rest: np.ndarray) -> np.ndarray:
-    kp = rest.copy()
-    bend = np.deg2rad(75.0)
-    _rotate_subset(kp, [10, 12], kp[8], _X, -bend)
-    _rotate_subset(kp, [11, 13], kp[9], _X, -bend)
-    _rotate_subset(kp, [12], kp[10], _X, bend)
-    _rotate_subset(kp, [13], kp[11], _X, bend)
+    kp = _bent_legs(rest, np.deg2rad(75.0))
     _rotate_subset(kp, [4, 6], kp[2], _X, -np.pi / 2)  # arms level, forward
     _rotate_subset(kp, [5, 7], kp[3], _X, -np.pi / 2)
     return kp

@@ -196,6 +196,17 @@ class TestGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b"\xff", b"[" * 5000 + b"]" * 5000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_config_exits_2_before_writing(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "ds"
+        assert main(["gen", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_fewer_than_one_worker_exits_2(self, workdir, tmp_path, capsys, workers):
         out = tmp_path / "ds"
@@ -243,6 +254,14 @@ class TestLabel:
         frames.write_bytes(whole[: end // 2] if cut == "record" else whole[:end])
         assert main(["label", "--data", str(data)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_frame_line_nested_too_deep_exits_2(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        frames = next(data.glob("seq_*")) / "frames.jsonl"
+        frames.write_bytes(b"[" * 5000 + b"]" * 5000 + b"\n" + frames.read_bytes())
+        assert main(["label", "--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {frames}: malformed record: ")
 
     @pytest.mark.parametrize("change", ["13 keypoints", "rows of 5"])
     def test_frame_of_another_shape_exits_2(self, dataset, tmp_path, capsys, change):

@@ -190,9 +190,12 @@ class TestRoundTrip:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        # not JSON; not UTF-8; nested deeper than the parser follows
+        for content in (b"{not json", b"\xff", b'{"seed": "\xff"}',
+                        b"[" * 5000 + b"]" * 5000, b'{"gen": ' * 5000 + b"{}" + b"}" * 5000):
+            path.write_bytes(content)
+            with pytest.raises(ConfigError):
+                load_config(path)
 
     @pytest.mark.parametrize("content", [
         {"net": {"sa_radii": 5}},

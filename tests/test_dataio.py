@@ -375,6 +375,11 @@ class TestSerialization:
         with pytest.raises(CorruptFile, match="not a dataset manifest"):
             read_manifest(tmp_path)
 
+    def test_manifest_nested_too_deep_is_corrupt_file(self, tmp_path):
+        (tmp_path / "manifest.json").write_bytes(b"[" * 5000 + b"]" * 5000)
+        with pytest.raises(CorruptFile, match="not a whole JSON document"):
+            read_manifest(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no dataset manifest"):
             read_manifest(tmp_path)
@@ -444,6 +449,13 @@ class TestSerialization:
         path.write_text('{"flows": [[0.0, 0.0, 0.0]]}\n')
         with pytest.raises(CorruptFile):
             load_sequence(tmp_path, seq.seq_id)
+        # a frame or a label line nested deeper than the parser follows
+        deep = b"[" * 5000 + b"]" * 5000 + b"\n"
+        for name in ("frames.jsonl", "labels.jsonl"):
+            path = save_sequence(tmp_path, seq) / name
+            path.write_bytes(deep + path.read_bytes())
+            with pytest.raises(CorruptFile, match="malformed record"):
+                load_sequence(tmp_path, seq.seq_id)
 
     @pytest.mark.parametrize("name, key, value", [
         ("frames.jsonl", "bone_prov", 13), ("frames.jsonl", "bone_prov", -2),

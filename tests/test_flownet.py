@@ -14,6 +14,7 @@ from helpers import (
 )
 
 from milliflow import autodiff as ad
+from milliflow import flownet
 from milliflow._kernels import squared_distances
 from milliflow.autodiff import Tensor
 from milliflow.config import NetConfig, TrainConfig
@@ -33,6 +34,7 @@ from milliflow.flownet import (
     infer_sequence,
     load_flow_model,
     predict_clip,
+    stream,
     train_flow_model,
 )
 from milliflow.labeling import FlowLabel, ground_truth_flow
@@ -617,6 +619,31 @@ class TestInferSequence:
         model = FlowNet(tiny_net(), seed=0)
         with pytest.raises(ConfigError):
             infer_sequence(model, [make_frame(4)])
+
+    def test_reads_the_loop_that_prediction_reads(self, monkeypatch):
+        # one chained run with an empty frame inside and one at its end
+        model = FlowNet(tiny_net(), seed=0)
+        frames = [make_frame(8, s) for s in range(8)]
+        frames[3] = frames[7] = make_frame(0)
+        clip = [Sample(a, b, make_label(len(a))) for a, b in zip(frames[:-1], frames[1:])]
+        loops = []
+        monkeypatch.setattr(flownet, "stream",
+                            lambda *args: loops.append(args) or stream(*args))
+        records, state = infer_sequence(model, frames)
+        predicted = predict_clip(model, clip)
+        assert len(loops) == 2
+        for rec, flows in zip(records, predicted, strict=True):
+            assert rec["placeholder"] == (flows is None)
+            if flows is not None:
+                assert rec["flows"].tobytes() == flows.tobytes()
+        # the state after the last pair without an empty frame, (5, 6)
+        with ad.no_grad():
+            want = model.initial_state()
+            for i in (0, 1, 4, 5):
+                _, want, _ = model.forward(frames[i], frames[i + 1], want)
+        assert state.steps_since_reset == want.steps_since_reset == 4
+        assert state.h.data.tobytes() == want.h.data.tobytes()
+        assert state.target.points.tobytes() == want.target.points.tobytes()
 
 
 class TestBaselinesAndEvaluation:

@@ -623,6 +623,7 @@ class TestCheckpoints:
         b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[0,%d]}]}' % 2**70,
         b'{"format_version":1,"config":{},"params":[{"name":"w","shape":[0,%d,%d]}]}'
         % (2**62, 2**62),
+        pytest.param(b"[" * 5000 + b"]" * 5000, id="nested-too-deep"),
     ])
     def test_malformed_header_is_corrupt_file(self, tmp_path, header):
         path = tmp_path / "h.mflw"

@@ -85,11 +85,12 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray):
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False):
         if self.grad is None:
-            # the first touch stores a copy: the closures hand out views of
-            # their own gradient, which must not alias this one
-            self.grad = np.broadcast_to(grad, self.data.shape).copy()
+            # the first touch stores a copy, as closures hand out views of
+            # their own gradient; a `fresh` one, of this shape and held
+            # nowhere else, is kept
+            self.grad = grad if fresh else np.broadcast_to(grad, self.data.shape).copy()
         else:
             self.grad += grad
 
@@ -353,7 +354,7 @@ def take(a, idx) -> Tensor:
     out_data = a.data[idx]
 
     def backward(grad):
-        a._accumulate(_scatter_rows(grad, idx, a.shape[0]))
+        a._accumulate(_scatter_rows(grad, idx, a.shape[0]), fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -384,13 +385,15 @@ def mlp(blocks, weights, biases) -> Tensor:
     multiplied once) or a pair (x, idx): x multiplied per row, then gathered
     by the integer array idx, so a row idx repeats is multiplied once.  The
     products broadcast as numpy arrays do and are summed smallest first,
-    from the first bias.  Each product is one 2-D GEMM in each direction.
-    Widths that do not sum to weights[0]'s rows raise ShapeMismatch.
+    from the first bias.  Each product is one 2-D GEMM in each direction,
+    but a one-row block's weight gradient (below).  Widths that do not sum to
+    weights[0]'s rows raise ShapeMismatch.
 
     The backward walks the layers in reverse: dW = a^T g, db = sum of g,
     g = (g W^T) masked where the ReLU was off.  A gathered block's gradient
     is scattered as `take`'s is; weights[0] gets one gradient, built from
-    its row blocks.
+    its row blocks; a one-row block's are the outer product x^T g plus 0.0,
+    which turns -0.0 into +0.0 as a GEMM's sum from 0 does.
     """
     w0, b0 = weights[0], biases[0]
     width = sum((b[0] if isinstance(b, tuple) else b).shape[-1] for b in blocks)
@@ -418,13 +421,13 @@ def mlp(blocks, weights, biases) -> Tensor:
         g = g.reshape(-1, g.shape[-1])
         for w, b, a in zip(weights[:0:-1], biases[:0:-1], acts[::-1]):
             if w.requires_grad:
-                w._accumulate(a.T @ g)
+                w._accumulate(a.T @ g, fresh=True)
             if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
+                b._accumulate(g.sum(axis=0), fresh=True)
             g = g @ w.data.T
             g *= a > 0.0
         if b0.requires_grad:
-            b0._accumulate(g.sum(axis=0))
+            b0._accumulate(g.sum(axis=0), fresh=True)
         g = g.reshape(first_shape)
         dw0 = np.empty_like(w0.data) if w0.requires_grad else None
         for x, x2, idx, rows, shape in inputs:
@@ -432,12 +435,15 @@ def mlp(blocks, weights, biases) -> Tensor:
             if idx is not None:
                 gp = _scatter_rows(gp, idx, x.shape[0])
             gp = gp.reshape(-1, gp.shape[-1])
-            if dw0 is not None:
+            if dw0 is not None and len(x2) == 1:
+                np.multiply(x2.T, gp, out=dw0[rows])
+                dw0[rows] += 0.0
+            elif dw0 is not None:
                 dw0[rows] = x2.T @ gp
             if x.requires_grad:
-                x._accumulate((gp @ w0.data[rows].T).reshape(x.shape))
+                x._accumulate((gp @ w0.data[rows].T).reshape(x.shape), fresh=True)
         if dw0 is not None:
-            w0._accumulate(dw0)
+            w0._accumulate(dw0, fresh=True)
 
     return _make(out_data, (*(x for x, *_ in inputs), *weights, *biases), backward)
 

@@ -269,11 +269,23 @@ def stream(model: FlowNet, pairs):
         yield flows, state, final
 
 
+def _split_at_last_label(clip) -> tuple[list, list]:
+    """(samples to run, flows of the rest): no sample after a clip's last one
+    with a valid label feeds a loss or a metric.  The rest get zero flows, so
+    their labels are still checked against their frames, or None for a pair
+    with an empty frame, as from `stream`."""
+    n = max((i + 1 for i, s in enumerate(clip) if np.any(s.label.valid_mask)), default=0)
+    rest = [np.zeros((len(s.source), 3)) if len(s.source) and len(s.target) else None
+            for s in clip[n:]]
+    return clip[:n], rest
+
+
 def clip_loss(model: FlowNet, clip) -> Tensor | None:
     """Mean loss over a clip's usable samples; None when none are usable."""
-    outputs = stream(model, ((sample.source, sample.target) for sample in clip))
-    pairs = [(flows, sample.label) for (flows, _, _), sample in zip(outputs, clip)
-             if flows is not None]
+    run, rest = _split_at_last_label(clip)
+    outputs = stream(model, ((sample.source, sample.target) for sample in run))
+    flows = [f for f, _, _ in outputs] + [None if f is None else Tensor(f) for f in rest]
+    pairs = [(f, sample.label) for f, sample in zip(flows, clip) if f is not None]
     return mean_flow_loss(pairs, model.cfg)
 
 
@@ -317,7 +329,14 @@ def _collect_metrics(per_sample_flows, clips):
 
 
 def evaluate_model(model: FlowNet, clips) -> dict:
-    return _collect_metrics((predict_clip(model, c) for c in clips), clips)
+    """`predict_clip` scored on valid labels.  Pairs after a clip's last
+    labelled one have no point to score: they count in `n_frames_excluded`
+    without running, as pairs with an empty frame do."""
+    def predictions(clip):
+        run, rest = _split_at_last_label(clip)
+        return predict_clip(model, run) + rest
+
+    return _collect_metrics((predictions(c) for c in clips), clips)
 
 
 def evaluate_baseline(clips, kind: str) -> dict:
@@ -344,8 +363,11 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     it is written row by row and flushed each epoch, so an interrupted run
     leaves the rows of its finished epochs.  A NaN or infinite loss, or a
     finite loss whose gradient is not finite, raises NonFiniteLoss before it
-    reaches the parameters.  Returns the
-    history, with the best checkpoint's values put back into `named`.
+    reaches the parameters.  The checkpoint is the run's one copy of the
+    best parameters: `fit` drops the gradients and Adam state, and only then,
+    if an epoch ran after the best one, reads the checkpoint back into
+    `named` (its float64 holds float32 exactly).  Returns the history.
+    `clip_loss` and `evaluate_model` stop each clip at its last labelled pair.
     """
     train_clips, val_clips = list(train_clips), list(val_clips)
     if not train_clips:
@@ -360,7 +382,7 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
 
     sign = 1.0 if maximize else -1.0
     best = -np.inf  # of sign * score
-    saved = None  # the checkpointed arrays by name
+    best_epoch = None  # the epoch whose parameters are checkpointed
     since_best = 0
     history = []
     # made only here, where the run first writes, so a run refused for its
@@ -409,18 +431,23 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
             history.append(row)
             log_f.write(json.dumps(row) + "\n")
             log_f.flush()
-            if (not np.isnan(score) and sign * score > best) or saved is None:
+            if (not np.isnan(score) and sign * score > best) or best_epoch is None:
                 best = sign * score if not np.isnan(score) else best
                 save_checkpoint(checkpoint_path, named, config=config)
-                saved = {k: t.data.copy() for k, t in named.items()}
+                best_epoch = epoch
                 since_best = 0
             else:
                 since_best += 1
                 if since_best >= train_cfg.patience:
                     break
 
-    for k, t in named.items():
-        t.data = saved[k]
+    del opt
+    for t in named.values():
+        t.grad = None
+    if best_epoch != history[-1]["epoch"]:
+        values, _ = load_checkpoint(checkpoint_path)
+        for k, t in named.items():
+            t.data[...] = values.pop(k)
     return history
 
 

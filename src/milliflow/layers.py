@@ -317,26 +317,22 @@ class Adam:
 
 def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
                     config: dict | None = None):
-    """Versioned binary checkpoint: JSON header + little-endian float64 blob."""
-    entries = []
-    blobs = []
-    for name in sorted(named_params):
-        arr = named_params[name]
-        arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
-        arr64 = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr64.tobytes())
+    """Versioned binary checkpoint: JSON header + little-endian float64 blob.
+    The blob is written array by array, each converted to `<f8` as it is
+    written, so no more than one parameter is held twice."""
+    arrays = {name: np.asarray(a.data if isinstance(a, Tensor) else a)
+              for name, a in sorted(named_params.items())}
     header = json.dumps(
         {"format_version": CHECKPOINT_VERSION, "config": config or {},
-         "params": entries},
+         "params": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
     with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays.values():
+            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_checkpoint(path):

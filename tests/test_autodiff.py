@@ -287,6 +287,26 @@ class TestMlp:
             assert out.dtype == dtype
             np.testing.assert_array_equal(out.data, x.data @ w.data + b.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_weight_grad_has_the_gemm_bytes(self, dtype):
+        # a 1-D block's rows of the first weight's gradient are an outer
+        # product; they hold the bytes of the GEMM x2.T @ gp, which gives
+        # +0.0 where the product of the two entries is -0.0
+        rng = np.random.default_rng(17)
+        y = Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
+        x = Tensor(rng.normal(size=6).astype(dtype), requires_grad=True)
+        x.data[[1, 4]] = [0.0, -0.0]
+        w, b = (Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                for s in ((10, 5), (5,)))
+        seed = rng.normal(size=(3, 5)).astype(dtype)
+        seed[:, 2] = -0.0  # sums to -0.0 in the 1-D block's gradient
+        ad.mlp([y, x], [w], [b]).backward(seed)
+        gp = seed.sum(axis=0, keepdims=True)
+        want = x.data.reshape(1, -1).T @ gp
+        assert np.any(np.signbit(np.multiply(x.data[:, None], gp)) & (want == 0.0))
+        assert w.grad[4:].tobytes() == want.tobytes()
+        assert w.grad[:4].tobytes() == (y.data.T @ seed).tobytes()
+
     def test_width_mismatch(self):
         rng = np.random.default_rng(5)
         ws, bs = chain(rng, 5, 2)

@@ -319,6 +319,87 @@ class TestClipLoss:
         assert float(both.data) == pytest.approx(float(lone.data))
 
 
+def unlabelled_from(clip, first):
+    """The clip with no valid label in its samples from `first` on."""
+    return [s if t < first else dataclasses.replace(s, label=make_label(
+                len(s.source), valid=np.zeros(len(s.source), bool)))
+            for t, s in enumerate(clip)]
+
+
+def counting_forward(monkeypatch) -> list:
+    """From here on each `FlowNet.forward` call appends to the returned list."""
+    calls, forward = [], FlowNet.forward
+    monkeypatch.setattr(FlowNet, "forward",
+                        lambda self, *args: calls.append(1) or forward(self, *args))
+    return calls
+
+
+def same_report(a: dict, b: dict) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestLastLabelledPair:
+    """A clip is run only up to its last pair with a valid label: the loss,
+    its gradient and the evaluation report are those of running every
+    pair."""
+
+    def test_clip_loss_bytes_of_every_pair(self, monkeypatch):
+        model = FlowNet(tiny_net(), seed=0, dtype=np.float64)
+        named = model.named_params()
+        # pair 1 holds no valid label but feeds the state of pair 2; 3 and 4
+        # feed nothing
+        clip = unlabelled_from(chained_clip(n_samples=5, n=10), 3)
+        clip[1] = unlabelled_from([clip[1]], 0)[0]
+
+        def loss_and_grads(loss_of):
+            for t in named.values():
+                t.zero_grad()
+            loss = loss_of()
+            loss.backward()
+            return loss.data.tobytes(), {k: t.grad.tobytes() for k, t in named.items()
+                                         if t.grad is not None}
+
+        every = loss_and_grads(lambda: flownet.mean_flow_loss(
+            [(f, s.label) for (f, _, _), s in zip(stream(model, [(s.source, s.target)
+                                                              for s in clip]), clip)],
+            model.cfg))
+        calls = counting_forward(monkeypatch)
+        assert loss_and_grads(lambda: clip_loss(model, clip)) == every
+        assert len(calls) == 3
+
+    def test_clip_without_a_label_runs_nothing(self, monkeypatch):
+        model = FlowNet(tiny_net(), seed=0)
+        calls = counting_forward(monkeypatch)
+        assert clip_loss(model, unlabelled_from(chained_clip(n_samples=4), 0)) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("run", [clip_loss, lambda m, clip: evaluate_model(m, [clip])],
+                             ids=["clip_loss", "evaluate_model"])
+    def test_skipped_pair_label_length_still_checked(self, monkeypatch, run):
+        model = FlowNet(tiny_net(), seed=0)
+        clip = unlabelled_from(chained_clip(n_samples=4, n=10), 2)
+        clip[3] = dataclasses.replace(clip[3], label=make_label(11, valid=np.zeros(11, bool)))
+        calls = counting_forward(monkeypatch)
+        with pytest.raises(LengthMismatch):
+            run(model, clip)
+        assert len(calls) == 2
+
+    def test_evaluate_model_report_of_every_pair(self, monkeypatch):
+        model = FlowNet(tiny_net(), seed=0)
+        full = chained_clip(n_samples=5, n=10, seed=1)
+        with_empty = chained_clip(n_samples=5, n=10, seed=2)
+        with_empty[4] = Sample(make_frame(0), make_frame(0), make_label(0))
+        clips = [unlabelled_from(chained_clip(n_samples=5, n=10), 2), full,
+                 unlabelled_from(chained_clip(n_samples=5, n=10, seed=3), 0),
+                 unlabelled_from(with_empty, 3)]
+        every = flownet._collect_metrics([predict_clip(model, c) for c in clips], clips)
+        calls = counting_forward(monkeypatch)
+        report = evaluate_model(model, clips)
+        assert same_report(report, every)
+        assert (report["n_frames"], report["n_frames_excluded"]) == (10, 10)
+        assert len(calls) == 2 + 5 + 0 + 3
+
+
 def constant_flow_clips(n_clips, v, n_points=16, clip_len=2):
     clips = []
     for c in range(n_clips):
@@ -583,6 +664,47 @@ class TestFit:
         for k, t in named.items():
             np.testing.assert_array_equal(t.data, snapshots[1][k].astype(t.dtype))
         assert load_checkpoint(ckpt)[1] == {"kind": "test"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_worse_later_epoch_returns_the_checkpoint(self, tmp_path, dtype):
+        # epoch 1 scores worse and patience stops the run: the returned
+        # parameters are read back from epoch 0's checkpoint, without gradients
+        clips = constant_flow_clips(2, np.array([0.01, 0.0, 0.0]))
+        model = FlowNet(tiny_net(clamp=10.0), seed=0, dtype=dtype)
+        named = model.named_params()
+        ckpt = tmp_path / "c.ckpt"
+        scores, snapshots = iter([1.0, 2.0]), []
+
+        def validate(c):
+            snapshots.append({k: t.data.copy() for k, t in named.items()})
+            return next(scores)
+
+        history = fit(named, clips, clips, lambda clip: clip_loss(model, clip), validate,
+                      TrainConfig(lr=1e-2, epochs=4, batch_clips=2, patience=1, seed=0),
+                      ckpt, model.config_dict(), "val_score", log_path=tmp_path / "log.jsonl")
+        assert len(history) == 2
+        stored, _ = load_checkpoint(ckpt)
+        for k, t in named.items():
+            assert t.grad is None, k
+            assert t.data.dtype == dtype
+            assert t.data.tobytes() == stored[k].astype(dtype).tobytes(), k
+            assert t.data.tobytes() == snapshots[0][k].tobytes(), k
+        assert any(not np.array_equal(snapshots[0][k], snapshots[1][k]) for k in named)
+
+    def test_best_last_epoch_reads_no_checkpoint(self, tmp_path, monkeypatch):
+        clips = constant_flow_clips(2, np.array([0.01, 0.0, 0.0]))
+        model = FlowNet(tiny_net(clamp=10.0), seed=0)
+        named = model.named_params()
+        scores = iter([2.0, 1.0])
+
+        def refuse(path):
+            raise AssertionError("the last epoch is the best: nothing to read back")
+
+        monkeypatch.setattr(flownet, "load_checkpoint", refuse)
+        fit(named, clips, clips, lambda clip: clip_loss(model, clip), lambda c: next(scores),
+            TrainConfig(lr=1e-2, epochs=2, batch_clips=2, seed=0), tmp_path / "c.ckpt",
+            model.config_dict(), "val_score", log_path=tmp_path / "log.jsonl")
+        assert all(t.grad is None for t in named.values())
 
 
 class TestInferSequence:

@@ -13,6 +13,8 @@ wherever its threshold is not within rounding of a cell's value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadK
@@ -122,6 +124,11 @@ def point_segment_distances(points, seg_a, seg_b) -> np.ndarray:
 # cell-averaging CFAR along the leading (range) axis
 
 
+# range columns per block of `cfar_mask`: each block's temporaries are then
+# a few hundred kB, where a whole default heatmap's are 3 MB each
+CFAR_BLOCK_COLUMNS = 128
+
+
 def cfar_mask(heatmap, train_cells: int, guard_cells: int, scale_factor: float) -> np.ndarray:
     """CA-CFAR detection mask along axis 0 of a (range, ...) heatmap.
 
@@ -129,7 +136,10 @@ def cfar_mask(heatmap, train_cells: int, guard_cells: int, scale_factor: float) 
     band; edge cells use whatever training cells exist in bounds.  A cell is
     detected when ``value > ((left sum) + (right sum)) / count * scale_factor``,
     in that order of operations.  Expects ``train_cells >= 1`` and
-    ``guard_cells >= 0``.
+    ``guard_cells >= 0``.  Each range column is tested on its own, so the
+    prefix sums and thresholds are built for about ``CFAR_BLOCK_COLUMNS``
+    columns at a time (whole slices along axis 1), with the bytes of one
+    pass over the whole heatmap.
     """
     heatmap = np.asarray(heatmap, dtype=np.float64)
     scale_factor = float(scale_factor)
@@ -138,27 +148,34 @@ def cfar_mask(heatmap, train_cells: int, guard_cells: int, scale_factor: float) 
     # csum[lead + k] is the sum of range cells [0, k) with k clipped to
     # [0, r], so every window sum is a difference of two row slices of csum
     lead = reach + 1
-    # laid out in memory as the heatmap is, so every step below runs over
-    # memory in order
-    csum = np.empty_like(heatmap, shape=(r + 2 * lead,) + heatmap.shape[1:])
-    csum[: lead + 1] = 0.0
-    np.cumsum(heatmap, axis=0, out=csum[lead + 1 : lead + 1 + r])
-    csum[lead + 1 + r :] = csum[lead + r]
     idx = np.arange(r)
     count = (
         np.clip(idx - guard_cells, 0, r) - np.clip(idx - reach, 0, r)
         + np.clip(idx + reach + 1, 0, r) - np.clip(idx + guard_cells + 1, 0, r)
     )
+    divisor = count.astype(np.float64).reshape((r,) + (1,) * (heatmap.ndim - 1))
+    # laid out in memory as the heatmap is, as is every temporary below, so
+    # every step runs over memory in order
+    detect = np.empty_like(heatmap, dtype=np.bool_)
+    width = heatmap.shape[1] if heatmap.ndim > 1 else 1
+    step = max(1, CFAR_BLOCK_COLUMNS // math.prod(heatmap.shape[2:]))
+    for start in range(0, width, step):
+        block = (slice(None), slice(start, start + step))[: heatmap.ndim]
+        hm = heatmap[block]
+        csum = np.empty_like(hm, shape=(r + 2 * lead,) + hm.shape[1:])
+        csum[: lead + 1] = 0.0
+        np.cumsum(hm, axis=0, out=csum[lead + 1 : lead + 1 + r])
+        csum[lead + 1 + r :] = csum[lead + r]
 
-    def rows(k):  # csum at clipped position k + i for every range cell i
-        return csum[lead + k : lead + k + r]
+        def rows(k):  # csum at clipped position k + i for every range cell i
+            return csum[lead + k : lead + k + r]
 
-    # the threshold is built in place, in the order the docstring states
-    total = np.subtract(rows(-guard_cells), rows(-reach))
-    total += np.subtract(rows(reach + 1), rows(guard_cells + 1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        total /= count.astype(np.float64).reshape((r,) + (1,) * (heatmap.ndim - 1))
-    total *= scale_factor
-    detect = np.greater(heatmap, total)
+        # the threshold is built in place, in the order the docstring states
+        total = np.subtract(rows(-guard_cells), rows(-reach))
+        total += np.subtract(rows(reach + 1), rows(guard_cells + 1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            total /= divisor
+        total *= scale_factor
+        np.greater(hm, total, out=detect[block])
     detect[count == 0] = False
     return detect

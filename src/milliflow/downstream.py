@@ -55,7 +55,7 @@ from .layers import (
     Params,
     checkpoint_config,
     global_pool,
-    load_checkpoint,
+    open_checkpoint,
     set_abstraction,
 )
 from .metrics import confusion_matrix, mean_iou, mean_joint_error, overall_accuracy
@@ -484,33 +484,31 @@ def load_task_model(path, task: str | None = None, strategy: str | None = None):
     or co-trained, under `flow.` names and a `flow` config entry; a raw
     checkpoint stores none, and a `flow.` entry in it is refused.
     """
-    values, config = load_checkpoint(path)
-    kind = config.get("kind")
-    if kind not in TASK_NETS:
-        raise TaskMismatch(f"checkpoint at {path} is not a task model")
-    if task is not None and kind != task:
-        raise TaskMismatch(f"checkpoint holds a {kind!r} model, not {task!r}")
-    with checkpoint_config(path):
-        stored = config["strategy"]
-        if stored not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {stored!r}")
-        task_cfg = from_dict(TaskConfig, config["task"])
-        dtype = model_dtype(config["dtype"])
-        if not fits(config, {"in_features": int, "n_classes": int}):
-            raise ConfigError("in_features and n_classes must be integers")
-        in_features, n_classes = config["in_features"], config["n_classes"]
-        flow_config = config["flow"] if stored != "raw" else None
-    if strategy is not None and stored != strategy:
-        raise TaskMismatch(
-            f"checkpoint was trained with strategy {stored!r}, not {strategy!r}")
-    flow_model = None
-    if stored != "raw":
-        flow_values = {name[len("flow."):]: values.pop(name) for name in list(values)
-                       if name.startswith("flow.")}
-        flow_model = flow_model_from_config(flow_config, flow_values, path)
-    model = TASK_NETS[kind](task_cfg, in_features, n_classes=n_classes, dtype=dtype,
-                            values=values)
-    return model, stored, flow_model
+    with open_checkpoint(path) as (values, config):
+        kind = config.get("kind")
+        if kind not in TASK_NETS:
+            raise TaskMismatch(f"checkpoint at {path} is not a task model")
+        if task is not None and kind != task:
+            raise TaskMismatch(f"checkpoint holds a {kind!r} model, not {task!r}")
+        with checkpoint_config(path):
+            stored = config["strategy"]
+            if stored not in STRATEGIES:
+                raise ConfigError(f"unknown strategy {stored!r}")
+            task_cfg = from_dict(TaskConfig, config["task"])
+            dtype = model_dtype(config["dtype"])
+            if not fits(config, {"in_features": int, "n_classes": int}):
+                raise ConfigError("in_features and n_classes must be integers")
+            in_features, n_classes = config["in_features"], config["n_classes"]
+            flow_config = config["flow"] if stored != "raw" else None
+        if strategy is not None and stored != strategy:
+            raise TaskMismatch(
+                f"checkpoint was trained with strategy {stored!r}, not {strategy!r}")
+        flow_model = None
+        if stored != "raw":
+            flow_model = flow_model_from_config(flow_config, values.take_scope("flow"), path)
+        model = TASK_NETS[kind](task_cfg, in_features, n_classes=n_classes, dtype=dtype,
+                                values=values)
+        return model, stored, flow_model
 
 
 # ----------------------------------------------------------------------

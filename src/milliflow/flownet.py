@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from .layers import (
     Params,
     checkpoint_config,
     global_pool,
-    load_checkpoint,
+    open_checkpoint,
     save_checkpoint,
     set_abstraction,
 )
@@ -366,7 +367,8 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     reaches the parameters.  The checkpoint is the run's one copy of the
     best parameters: `fit` drops the gradients and Adam state, and only then,
     if an epoch ran after the best one, reads the checkpoint back into
-    `named` (its float64 holds float32 exactly).  Returns the history.
+    `named` one array at a time (its float64 holds float32 exactly).
+    Returns the history.
     `clip_loss` and `evaluate_model` stop each clip at its last labelled pair.
     """
     train_clips, val_clips = list(train_clips), list(val_clips)
@@ -445,9 +447,9 @@ def fit(named: dict[str, Tensor], train_clips, val_clips, loss_fn, validate,
     for t in named.values():
         t.grad = None
     if best_epoch != history[-1]["epoch"]:
-        values, _ = load_checkpoint(checkpoint_path)
-        for k, t in named.items():
-            t.data[...] = values.pop(k)
+        with open_checkpoint(checkpoint_path) as (stored, _):
+            for k, t in named.items():
+                t.data[...] = stored[k]
     return history
 
 
@@ -465,7 +467,7 @@ def train_flow_model(train_clips, val_clips, net_cfg: NetConfig,
     return model, history
 
 
-def flow_model_from_config(config: dict, values: dict[str, np.ndarray], path) -> FlowNet:
+def flow_model_from_config(config: dict, values: Mapping[str, np.ndarray], path) -> FlowNet:
     """The FlowNet a checkpoint's flow config describes, holding the stored
     `values`; `path` names the checkpoint in errors."""
     with checkpoint_config(path):
@@ -475,10 +477,12 @@ def flow_model_from_config(config: dict, values: dict[str, np.ndarray], path) ->
 
 
 def load_flow_model(path) -> FlowNet:
-    values, config = load_checkpoint(path)
-    if config.get("kind") != "flow":
-        raise TaskMismatch(f"checkpoint at {path} is not a flow model")
-    return flow_model_from_config(config, values, path)
+    """The flow model a checkpoint stores, each parameter read and cast on
+    its own."""
+    with open_checkpoint(path) as (stored, config):
+        if config.get("kind") != "flow":
+            raise TaskMismatch(f"checkpoint at {path} is not a flow model")
+        return flow_model_from_config(config, stored, path)
 
 
 def infer_sequence(model: FlowNet, frames) -> tuple[list[dict], TemporalState]:

@@ -15,6 +15,7 @@ from .errors import DegenerateInput
 __all__ = [
     "RigidTransform",
     "axis_angle_rotation",
+    "cross",
     "perpendicular",
     "rotation_between",
     "kabsch",
@@ -47,11 +48,20 @@ def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two float64 3-vectors, component by component in its
+    order of operations, so bit for bit its result (signed zeros included)
+    at a fraction of its call overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def perpendicular(u: np.ndarray) -> np.ndarray:
     """A direction perpendicular to the unit vector ``u`` (not normalized): u
     crossed with the x axis, or with the y axis when u lies near x."""
     probe = np.array([0.0, 1.0, 0.0]) if abs(u[0]) > 0.9 else np.array([1.0, 0.0, 0.0])
-    return np.cross(u, probe)
+    return cross(u, probe)
 
 
 def rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -68,7 +78,7 @@ def rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise DegenerateInput("cannot rotate a zero-length direction")
     u = u / nu
     v = v / nv
-    axis = np.cross(u, v)
+    axis = cross(u, v)
     s = np.linalg.norm(axis)
     c = float(np.dot(u, v))
     if s < 1e-15:

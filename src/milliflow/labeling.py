@@ -159,35 +159,42 @@ def label_frame_pair(
     return pseudo_flow(frame_t, assignment, motion, bone_valid)
 
 
+def bone_triads(model: SkeletonModel, pose: SkeletonPose) -> np.ndarray:
+    """Each bone's frame of `model.bone_frames` in one pose, as the columns
+    (axis, e1, e2) of a (13, 3, 3) stack."""
+    axis, _, e1, e2 = model.bone_frames(pose.keypoints)
+    return np.stack([axis, e1, e2], axis=-1)
+
+
 def true_bone_transforms(
-    model: SkeletonModel, pose_t: SkeletonPose, pose_t1: SkeletonPose
+    model: SkeletonModel, pose_t: SkeletonPose, pose_t1: SkeletonPose, triads=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact rigid motion of each bone between two noiseless poses, stacked.
 
     Reads `model.bone_frames`, the frames reflectors are placed on, so
     reflector material points follow these transforms identically.
+    `triads`, the two poses' `bone_triads`, when the caller has them.
     """
-    kp0, kp1 = pose_t.keypoints, pose_t1.keypoints
-    ax0, _, e10, e20 = model.bone_frames(kp0)
-    ax1, _, e11, e21 = model.bone_frames(kp1)
-    m0 = np.stack([ax0, e10, e20], axis=-1)  # each bone's triad as columns
-    m1 = np.stack([ax1, e11, e21], axis=-1)
+    m0, m1 = triads or (bone_triads(model, pose_t), bone_triads(model, pose_t1))
     rotations = np.matmul(m1, np.swapaxes(m0, 1, 2))
-    return rotations, kp1[BONE_PARENT] - _rotate(rotations, kp0[BONE_PARENT])
+    return rotations, pose_t1.keypoints[BONE_PARENT] - _rotate(
+        rotations, pose_t.keypoints[BONE_PARENT])
 
 
 def ground_truth_flow(
-    frame: RadarFrame, pose_t: SkeletonPose, pose_t1: SkeletonPose, model: SkeletonModel
+    frame: RadarFrame, pose_t: SkeletonPose, pose_t1: SkeletonPose, model: SkeletonModel,
+    triads=None,
 ) -> FlowLabel:
     """Exact labels from reflector provenance and true bone kinematics.
 
     Real points follow their generating bone exactly (mask true); ghost and
     noise points, of provenance -1, get the flow of the nearest bone with mask
-    false.
+    false.  `triads`, the two poses' `bone_triads`, spares building them
+    again when a caller labels a sequence.
     """
     if frame.prov_bone is None:
         raise ProvenanceMissing("frame carries no reflector provenance")
-    motion = true_bone_transforms(model, pose_t, pose_t1)
+    motion = true_bone_transforms(model, pose_t, pose_t1, triads)
     assignment = frame.prov_bone.copy()
     valid = assignment >= 0
     bone = assignment.copy()

@@ -17,7 +17,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -40,13 +42,15 @@ class Params:
     parameter, by name, and gets it in `dtype`.  Without `values` a weight is
     a Kaiming-uniform draw from a generator seeded with `seed` (anything
     `np.random.default_rng` takes) and a bias is zeros.  With `values`, a
-    checkpoint's arrays by full name, no generator is made: each parameter is
-    the stored array of its name (that array itself when it is in `dtype`);
+    checkpoint's arrays by full name (a dict, or an open checkpoint's
+    `StoredArrays`, read as each is asked for), no generator is made: each
+    parameter is the stored array of its name (that array itself when it is
+    in `dtype`);
     a missing one raises ConfigError, one of another shape ShapeMismatch.
     `named` records every parameter by full name; `scope(name)` is a view
     that prefixes `name.` and shares `named`."""
 
-    def __init__(self, dtype, seed=0, values: dict[str, np.ndarray] | None = None):
+    def __init__(self, dtype, seed=0, values: Mapping[str, np.ndarray] | None = None):
         self.dtype = np.dtype(dtype)
         self.values = values
         self.rng = np.random.default_rng(seed) if values is None else None
@@ -335,12 +339,46 @@ def save_checkpoint(path, named_params: dict[str, Tensor | np.ndarray],
             f.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
-def load_checkpoint(path):
-    """Returns (named float64 arrays, config dict).  The header is checked by
-    `errors.fits` against HEADER_KEYS: a header of another format version
-    raises ConfigError; one that does not fit, or holds a negative dimension,
-    and a blob whose length differs from the one the header's shapes give
-    raise CorruptFile, before any read of more bytes than the file holds."""
+class StoredArrays(Mapping):
+    """A checkpoint's arrays by name, in the file's order, read from the open
+    file one at a time: each lookup reads its array into a new float64 array,
+    so a model built from them holds no more than one beside its own."""
+
+    def __init__(self, f, places: dict[str, tuple[int, tuple]]):
+        self._f, self._places = f, places  # name -> (blob offset, shape)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        offset, shape = self._places[name]
+        out = np.empty(shape, dtype="<f8")
+        self._f.seek(offset)
+        if self._f.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise CorruptFile(f"{self._f.name}: truncated while {name!r} was read")
+        return out
+
+    def __iter__(self):
+        return iter(self._places)
+
+    def __len__(self) -> int:
+        return len(self._places)
+
+    def take_scope(self, scope: str) -> StoredArrays:
+        """The arrays named `scope.*`, by the rest of their names; they leave
+        this mapping."""
+        prefix = scope + "."
+        taken = [name for name in self._places if name.startswith(prefix)]
+        return StoredArrays(self._f, {name[len(prefix):]: self._places.pop(name)
+                                      for name in taken})
+
+
+@contextlib.contextmanager
+def open_checkpoint(path):
+    """The checkpoint at `path` as (`StoredArrays`, config dict), its arrays
+    readable inside the block.  Every check runs before any array is read.
+    The header is checked by `errors.fits` against HEADER_KEYS: a header of
+    another format version raises ConfigError; one that does not fit, or
+    holds a negative dimension or dimensions numpy cannot hold, and a blob
+    whose length differs from the one the header's shapes give raise
+    CorruptFile."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4)
         if magic != CHECKPOINT_MAGIC:
@@ -357,17 +395,31 @@ def load_checkpoint(path):
         if not fits(header, HEADER_KEYS) or any(n < 0 for e in header["params"]
                                                 for n in e["shape"]):
             raise CorruptFile(f"{path}: malformed checkpoint header")
-        params = {}
+        places, start, nbytes = {}, f.tell(), 0
         for entry in header["params"]:
             shape = tuple(entry["shape"])
-            buf = read_exact(f, 8 * math.prod(shape))  # Python ints: no overflow
-            try:
-                params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            except ValueError as e:  # no elements, but dimensions numpy cannot hold
-                raise CorruptFile(f"{path}: malformed checkpoint header: {e!r}") from e
-        if f.read(1):
+            size = math.prod(shape)  # Python ints: no overflow
+            if size == 0:
+                try:
+                    np.empty(shape)
+                except ValueError as e:  # no elements, but dimensions numpy cannot hold
+                    raise CorruptFile(f"{path}: malformed checkpoint header: {e!r}") from e
+            places[entry["name"]] = (start + nbytes, shape)
+            nbytes += 8 * size
+        left = os.fstat(f.fileno()).st_size - start
+        if nbytes > left:
+            raise CorruptFile(f"{path}: truncated, needs {nbytes} bytes at offset {start} "
+                              f"but {left} remain")
+        if nbytes < left:
             raise CorruptFile(f"{path}: bytes left after the last parameter")
-    return params, header["config"]
+        yield StoredArrays(f, places), header["config"]
+
+
+def load_checkpoint(path):
+    """Returns (named float64 arrays, config dict): every array of
+    `open_checkpoint`, read, with its checks."""
+    with open_checkpoint(path) as (stored, config):
+        return dict(stored), config
 
 
 @contextlib.contextmanager

@@ -15,7 +15,6 @@ import collections
 import contextlib
 import functools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .dataio import (
     write_json,
 )
 from .errors import ConfigError, CorruptFile, TooFewSubjects
-from .labeling import ground_truth_flow, label_frame_pair
+from .labeling import bone_triads, ground_truth_flow, label_frame_pair
 from .radar import (
     clutter_removal,
     cfar_detect,
@@ -90,6 +89,7 @@ def generate_sequence(cfg: RunConfig, subject: int, activity_id: str,
 
     cubes = collections.deque(maxlen=cfg.gen.clutter_window)
     frames, poses, observed = [], [], []
+    hm = None
     for t, pose in enumerate(all_poses):
         seed = lambda stream: _stream_seed(cfg, subject, activity_id, scene, t, stream)
         refl = place_reflectors(
@@ -102,7 +102,10 @@ def generate_sequence(cfg: RunConfig, subject: int, activity_id: str,
         if t < warmup:
             continue
         out_idx = t - warmup
-        hm = heatmap(clutter_removal(list(cubes)), cfg.radar)
+        # each frame's heatmap is written over the previous one's: a fresh
+        # one per frame would be freed at the frame's end, and the allocator
+        # hands memory that size back to the system and faults it in again
+        hm = heatmap(clutter_removal(list(cubes)), cfg.radar, out=hm)
         detections = cfar_detect(hm, cfg.radar.cfar)
         frame = to_point_cloud(detections, cfg.radar, seed=seed(_STREAM_GHOST),
                                frame_index=out_idx, timestamp=out_idx / rate, reflectors=vis)
@@ -120,8 +123,11 @@ def label_sequence(seq: Sequence, partition: str) -> list:
     train/val, exact provenance-based labels for test."""
     if partition == "test":
         model = make_subject(seq.subject_id)
+        # each pose's bone frames are built once, for both pairs that read it
+        triads = [bone_triads(model, pose) for pose in seq.poses[: seq.n_samples + 1]]
         return [
-            ground_truth_flow(seq.frames[i], seq.poses[i], seq.poses[i + 1], model)
+            ground_truth_flow(seq.frames[i], seq.poses[i], seq.poses[i + 1], model,
+                              triads=triads[i : i + 2])
             for i in range(seq.n_samples)
         ]
     return [
@@ -188,9 +194,15 @@ def generate_dataset(cfg: RunConfig, root, workers: int = 1) -> dict:
     (root / "label_summary.json").unlink(missing_ok=True)
 
     entries = []
+    if workers == 1:
+        context = contextlib.nullcontext()
+    else:
+        # imported only here: it loads multiprocessing, socket and subprocess
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = ProcessPoolExecutor(max_workers=workers)
     # in this process or in a pool, the results arrive in spec order
-    with (contextlib.nullcontext() if workers == 1
-          else ProcessPoolExecutor(max_workers=workers)) as pool:
+    with context as pool:
         run = map if pool is None else pool.map
         results = run(functools.partial(_gen_worker, cfg, str(root)), specs)
         for (subject, activity, scene), (seq_id, n) in zip(specs, results):

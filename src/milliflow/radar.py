@@ -23,6 +23,9 @@ from .errors import ConfigError
 from .skeleton import BONE_PARENT, BONES, SkeletonModel, SkeletonPose
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
+# elevation columns per azimuth pass of `heatmap`: a default frame's block
+# is a (40, 4, 302) complex array, 0.8 MB of the 6.2 MB padded spectrum
+HEATMAP_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -275,29 +278,40 @@ def _shift_halves(n: int):
     return (slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))
 
 
-def heatmap(cube: np.ndarray, cfg: RadarConfig) -> np.ndarray:
+def heatmap(cube: np.ndarray, cfg: RadarConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Magnitude spectrum over (range, azimuth, elevation), each axis
     zero-padded `cfg.pad_factor` times.
 
     The synthesis phase convention uses negative exponents, so the cube is
     conjugated before the forward FFT; angle axes are shifted to center zero
-    spatial frequency.  Returns a new array on each call, of shape
-    (pad * n_freq_steps, pad * n_az, pad * n_el): a transposed view of a
-    C-ordered (az, el, range) array.
+    spatial frequency.  The FFT is `np.fft.fftn`'s, pass by pass in its
+    order: range and elevation over the whole cube, then azimuth and the
+    shifted magnitude one block of `HEATMAP_BLOCK` elevation columns at a
+    time, so the padded complex spectrum is never held whole.  Each 1-D
+    transform is the one `fftn` computes, so the bytes are its bytes.
+    Returns an array of shape (pad * n_freq_steps, pad * n_az, pad * n_el),
+    a transposed view of a C-ordered (az, el, range) array: a new one, or
+    `out`, a heatmap an earlier call returned for `cfg`, written over.
     """
     p = cfg.pad_factor
     shape = (p * cfg.n_az, p * cfg.n_el, p * cfg.n_freq_steps)
     # conjugated into C order, whatever the cube's layout: the FFT's passes
     # then read their lines from memory in order
-    spec = np.fft.fftn(np.conj(cube, order="C"), s=shape, axes=(0, 1, 2))
+    spec = np.fft.fft(np.conj(cube, order="C"), n=shape[2], axis=2)
+    spec = np.fft.fft(spec, n=shape[1], axis=1)
     # the angle-axis shift is fused into the magnitude: |.| of each quadrant
-    # is written straight to its shifted place, then scaled in place
-    mag = np.empty(shape)
-    for (a_src, a_dst), (e_src, e_dst) in itertools.product(
-        _shift_halves(shape[0]), _shift_halves(shape[1])
-    ):
-        np.abs(spec[a_src, e_src], out=mag[a_dst, e_dst])
-    mag /= cfg.n_az * cfg.n_el * cfg.n_freq_steps
+    # of a block is written straight to its shifted place, then scaled there
+    mag = np.empty(shape) if out is None else out.transpose(1, 2, 0)
+    n = cfg.n_az * cfg.n_el * cfg.n_freq_steps
+    for e_src, e_dst in _shift_halves(shape[1]):
+        shift = e_dst.start - e_src.start
+        for start in range(e_src.start, e_src.stop, HEATMAP_BLOCK):
+            stop = min(start + HEATMAP_BLOCK, e_src.stop)
+            block = np.fft.fft(spec[:, start:stop], n=shape[0], axis=0)
+            for a_src, a_dst in _shift_halves(shape[0]):
+                quadrant = mag[a_dst, start + shift : stop + shift]
+                np.abs(block[a_src], out=quadrant)
+                quadrant /= n
     return mag.transpose(2, 0, 1)  # (range, az, el)
 
 

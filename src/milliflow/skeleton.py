@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import axis_angle_rotation, perpendicular, rotation_between
+from .geometry import axis_angle_rotation, cross, perpendicular, rotation_between
 
 KEYPOINT_NAMES = (
     "head",
@@ -102,7 +102,7 @@ class SkeletonModel:
             axis = axis / np.linalg.norm(axis)
             e1 = perpendicular(axis)
             e1 /= np.linalg.norm(e1)
-            e2 = np.cross(axis, e1)
+            e2 = cross(axis, e1)
             for v in (axis, e1, e2):
                 v.flags.writeable = False
             triads.append((axis, e1, e2))

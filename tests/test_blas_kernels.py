@@ -1,4 +1,5 @@
-"""The autodiff, layer and network checks on other BLAS kernels.
+"""The autodiff, layer and network checks, and the cross product's match
+with `np.cross`, on other BLAS kernels.
 
 OpenBLAS rounds a matrix product differently on each kernel it can pick, so
 a check that holds only on the kernel it was written on is held to
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 from helpers import on_openblas, pytest_on_kernel
 
-CHECKS = ("test_autodiff.py", "test_layers.py", "test_network_oracle.py")
+CHECKS = ("test_autodiff.py", "test_layers.py", "test_network_oracle.py",
+          "test_geometry.py::TestCross")
 
 
 @on_openblas

@@ -752,13 +752,25 @@ class TestParser:
             main([])
         assert e.value.code == 2
 
-    def test_module_entry_point(self):
-        # the fresh interpreter finds the package this one imported
+    @staticmethod
+    def fresh_python(*args):
+        """`python *args` in a fresh interpreter that finds the package this
+        one imported."""
         src = str(Path(milliflow.__file__).parents[1])
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "milliflow.cli", "--help"],
-                              env=env, capture_output=True, text=True)
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+    def test_module_entry_point(self):
+        proc = self.fresh_python("-m", "milliflow.cli", "--help")
         assert proc.returncode == 0
         for sub in ("gen", "label", "train", "eval", "track"):
             assert sub in proc.stdout
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # a process pool is imported only by `gen --workers` above 1
+        proc = self.fresh_python("-c", "import sys, milliflow.cli; "
+                                 "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                                 "('multiprocessing', 'concurrent')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -700,7 +700,7 @@ class TestFit:
         def refuse(path):
             raise AssertionError("the last epoch is the best: nothing to read back")
 
-        monkeypatch.setattr(flownet, "load_checkpoint", refuse)
+        monkeypatch.setattr(flownet, "open_checkpoint", refuse)
         fit(named, clips, clips, lambda clip: clip_loss(model, clip), lambda c: next(scores),
             TrainConfig(lr=1e-2, epochs=2, batch_clips=2, seed=0), tmp_path / "c.ckpt",
             model.config_dict(), "val_score", log_path=tmp_path / "log.jsonl")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,7 +198,11 @@ class TestCfar:
 
     def test_paths_agree(self):
         rng = np.random.default_rng(11)
-        shapes = [(32, 6, 5), (7, 3, 2), (3, 4, 4), (1, 2, 2), (40, 1, 1)]
+        # the last two span several blocks of CFAR_BLOCK_COLUMNS columns, the
+        # last block a partial one
+        shapes = [(32, 6, 5), (7, 3, 2), (3, 4, 4), (1, 2, 2), (40, 1, 1),
+                  (20, 9, 32), (12, 7, 50)]
+        assert all(math.prod(s[1:]) > 2 * k.CFAR_BLOCK_COLUMNS for s in shapes[-2:])
         # (train, guard, scale); a guard of 10 swallows every window of the
         # shorter range axes, so those cells have no training cells at all
         params = [(5, 2, 3.0), (1, 0, 1.0), (8, 6, 5.0), (2, 10, 1.5), (3, 0, 0.5)]

@@ -643,6 +643,24 @@ class TestCheckpoints:
         with pytest.raises(CorruptFile, match="truncated, needs"):
             L.load_checkpoint(path)
 
+    def test_open_checkpoint_reads_arrays_on_lookup(self, tmp_path):
+        path = tmp_path / "lazy.mflw"
+        values = self.params(np.random.default_rng(5))
+        # larger than a file buffer, so its read reaches the file
+        values["head.w0"] = np.arange(64 * 1024.0).reshape(64, 1024)
+        L.save_checkpoint(path, values, config={"k": 1})
+        whole = path.read_bytes()
+        with L.open_checkpoint(path) as (stored, config):
+            assert config == {"k": 1} and list(stored) == sorted(values)
+            enc = stored.take_scope("enc")
+            assert sorted(enc) == ["b0", "w0"] and list(stored) == ["head.w0"]
+            np.testing.assert_array_equal(enc["w0"], values["enc.w0"])
+            assert enc["w0"].flags.writeable
+            # the file is cut after the checks: the next read finds it short
+            path.write_bytes(whole[:-1])
+            with pytest.raises(CorruptFile, match="truncated while 'head.w0' was read"):
+                stored["head.w0"]
+
     def test_stored_values_round_trip(self, tmp_path):
         source = params(np.random.default_rng(3), np.float32)
         L.MLP(source.scope("mlp"), 4, [3, 2])

@@ -1,7 +1,8 @@
-"""Memory guards on training, under `tracemalloc`, which numpy reports its
-array buffers to: a checkpoint is written without a second copy of the
-parameters, and `fit` returns holding its parameters and nothing of their
-size besides."""
+"""Memory guards under `tracemalloc`, which numpy reports its array buffers
+to: a radar frame's heatmap and CFAR hold only block-sized temporaries
+beside the heatmap, a checkpoint is written and read without a second copy
+of the parameters, and `fit` returns holding its parameters and nothing of
+their size besides."""
 
 import contextlib
 import gc
@@ -11,8 +12,9 @@ import numpy as np
 from test_flownet import constant_flow_clips, tiny_net
 
 from milliflow.config import NetConfig, TrainConfig
-from milliflow.flownet import FlowNet, clip_loss, fit
+from milliflow.flownet import FlowNet, clip_loss, fit, load_flow_model
 from milliflow.layers import save_checkpoint
+from milliflow.radar import RadarConfig, cfar_detect, heatmap
 
 # what a tiny model's `fit` may hold besides its parameters' buffers: the
 # Python objects of the model and its tensors, the history and numpy's caches
@@ -47,6 +49,40 @@ def test_checkpoint_write_holds_one_parameter_at_a_time(tmp_path):
     size = path.stat().st_size
     assert size > 8 * sum(t.size for t in named.values())
     assert peak < size / 4, (peak, size)
+
+
+def test_radar_frame_holds_no_full_spectrum():
+    # the heatmap, the (az, el) spectrum its azimuth pass starts from (of the
+    # heatmap's bytes) and block temporaries; the whole padded complex
+    # spectrum alone is twice the heatmap, and CA-CFAR's whole-array
+    # temporaries three more of it
+    cfg = RadarConfig()
+    rng = np.random.default_rng(0)
+    shape = (cfg.n_az, cfg.n_el, cfg.n_freq_steps)
+    cube = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    with traced() as figures:
+        detections = cfar_detect(heatmap(cube, cfg), cfg.cfar)
+    _, peak = figures
+    hm_bytes = 8 * cfg.pad_factor ** 3 * cfg.n_az * cfg.n_el * cfg.n_freq_steps
+    assert len(detections) > 0
+    assert peak < 3 * hm_bytes, (peak, hm_bytes)
+
+
+def test_checkpoint_read_holds_one_stored_array_at_a_time(tmp_path):
+    # each stored float64 array is cast into its float32 parameter before the
+    # next is read, so the largest one, 576 x 512, bounds the peak beside the
+    # model, rather than the whole float64 blob
+    model = FlowNet(NetConfig(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.named_params(), config=model.config_dict())
+    param_bytes = sum(t.data.nbytes for t in model.named_params().values())
+    largest = 8 * max(t.size for t in model.named_params().values())
+    del model
+    with traced() as figures:
+        loaded = load_flow_model(path)
+    _, peak = figures
+    assert sum(t.data.nbytes for t in loaded.named_params().values()) == param_bytes
+    assert peak <= param_bytes + largest + FIT_SLACK, (peak, param_bytes)
 
 
 def test_fit_returns_holding_only_its_parameters(tmp_path):

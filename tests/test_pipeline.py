@@ -8,9 +8,9 @@ from milliflow import pipeline
 from milliflow.config import GenConfig, RunConfig
 from milliflow.dataio import SplitManifest, load_sequence, preprocess_indices, read_manifest
 from milliflow.errors import ConfigError, TooFewSubjects
-from milliflow.labeling import ground_truth_flow, label_frame_pair
+from milliflow.labeling import FlowLabel, ground_truth_flow, label_frame_pair
 from milliflow.radar import RadarConfig
-from milliflow.skeleton import make_subject
+from milliflow.skeleton import SkeletonModel, make_subject
 
 
 def tiny_cfg(**gen_kw):
@@ -114,6 +114,30 @@ class TestLabelSequence:
         expected = ground_truth_flow(seq.frames[0], seq.poses[0], seq.poses[1], model)
         np.testing.assert_array_equal(labels[0].flows, expected.flows)
         np.testing.assert_array_equal(labels[0].valid_mask, expected.valid_mask)
+
+    def test_exact_labels_read_each_pose_once(self, monkeypatch):
+        # byte-equal to labelling pair by pair, with one `bone_frames` call
+        # per pose where pair-by-pair labelling makes two per interior pose
+        cfg = tiny_cfg(frames_per_sequence=5)
+        seq = pipeline.generate_sequence(cfg, 2, "ArmSwing", 0)
+        model = make_subject(2)
+        expected = [ground_truth_flow(seq.frames[i], seq.poses[i], seq.poses[i + 1], model)
+                    for i in range(seq.n_samples)]
+        read = []
+        bone_frames = SkeletonModel.bone_frames
+
+        def counted(self, keypoints):
+            read.append(keypoints.tobytes())
+            return bone_frames(self, keypoints)
+
+        monkeypatch.setattr(SkeletonModel, "bone_frames", counted)
+        labels = pipeline.label_sequence(seq, "test")
+        assert sorted(read) == sorted(pose.keypoints.tobytes() for pose in seq.poses)
+        assert len(labels) == len(expected) == seq.n_samples
+        for got, want in zip(labels, expected):
+            for field in dataclasses.fields(FlowLabel):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
 
     def test_train_partition_matches_pseudo_labels(self):
         cfg = tiny_cfg(frames_per_sequence=4)

@@ -9,6 +9,7 @@ import kernel_oracles as oracle
 from milliflow._kernels import cfar_mask
 from milliflow.errors import ConfigError
 from milliflow.radar import (
+    HEATMAP_BLOCK,
     SPEED_OF_LIGHT,
     CfarParams,
     RadarConfig,
@@ -456,13 +457,23 @@ class TestStagesMatchFirstForm:
     first written as (``kernel_oracles``)."""
 
     CONFIGS = [RadarConfig(), RadarConfig(n_az=5, n_el=3, n_freq_steps=7, pad_factor=1),
-               RadarConfig(n_az=3, n_el=4, n_freq_steps=5, pad_factor=3)]
+               RadarConfig(n_az=3, n_el=4, n_freq_steps=5, pad_factor=3),
+               # padded elevation lengths 19 and 21: each half spans several
+               # blocks of HEATMAP_BLOCK columns and ends in a partial one
+               RadarConfig(n_az=6, n_el=19, n_freq_steps=11, pad_factor=1),
+               RadarConfig(n_az=5, n_el=7, n_freq_steps=9, pad_factor=3)]
 
     @staticmethod
     def random_cube(rng, shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    @pytest.mark.parametrize("cfg_index", range(3))
+    def test_heatmap_configs_split_into_partial_blocks(self):
+        for cfg in self.CONFIGS[3:]:
+            n = cfg.pad_factor * cfg.n_el
+            for half in (n // 2, n - n // 2):
+                assert half > 2 * HEATMAP_BLOCK and half % HEATMAP_BLOCK, cfg
+
+    @pytest.mark.parametrize("cfg_index", range(len(CONFIGS)))
     def test_heatmap(self, cfg_index):
         cfg = self.CONFIGS[cfg_index]
         rng = np.random.default_rng(cfg_index)
@@ -484,6 +495,17 @@ class TestStagesMatchFirstForm:
         assert not np.shares_memory(first, second)
         assert_same_bytes(first, oracle.heatmap_expr(first_cube, cfg))
         assert_same_bytes(second, oracle.heatmap_expr(second_cube, cfg))
+
+    @pytest.mark.parametrize("cfg_index", range(len(CONFIGS)))
+    def test_heatmap_written_over_an_earlier_one(self, cfg_index):
+        cfg = self.CONFIGS[cfg_index]
+        rng = np.random.default_rng(cfg_index + 10)
+        first, second = (self.random_cube(rng, (cfg.n_az, cfg.n_el, cfg.n_freq_steps))
+                         for _ in range(2))
+        out = heatmap(first, cfg)
+        got = heatmap(second, cfg, out=out)
+        assert np.shares_memory(got, out) and got.strides == out.strides
+        assert_same_bytes(got, oracle.heatmap_expr(second, cfg))
 
     @pytest.mark.parametrize("window", [2, 3, 4, 5])
     def test_clutter_removal(self, window):

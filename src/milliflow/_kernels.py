@@ -125,7 +125,8 @@ def point_segment_distances(points, seg_a, seg_b) -> np.ndarray:
 
 
 # range columns per block of `cfar_mask`: each block's temporaries are then
-# a few hundred kB, where a whole default heatmap's are 3 MB each
+# a few hundred kB, where a pipeline frame's whole heatmap's are 1.5 MB each
+# (3 MB over all 302 range bins)
 CFAR_BLOCK_COLUMNS = 128
 
 

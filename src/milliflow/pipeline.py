@@ -4,7 +4,10 @@ A sequence is one subject performing one activity in one scene: forward
 kinematics give ground-truth poses, reflectors sampled on the body feed the
 radar simulator frame by frame, clutter removal runs over a short rolling
 window (a few warmup frames are simulated and discarded), and CFAR detections
-become the stored point clouds.  Labels come from the noisy keypoint channel
+become the stored point clouds.  No network reads a point outside
+`dataio.PREPROCESS_BOX`, so a stored cloud holds only the detections within
+the box's range, and the heatmap and CFAR run only over the range bins those
+detections read (`range_cut`).  Labels come from the noisy keypoint channel
 for train/val subjects and from reflector provenance (exact kinematics) for
 test and out-of-set sequences, mirroring an annotated evaluation set.
 """
@@ -15,12 +18,14 @@ import collections
 import contextlib
 import functools
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .config import SPLIT_PARTS, RunConfig
 from .dataio import (
+    PREPROCESS_BOX,
     Sequence,
     SplitManifest,
     load_sequence,
@@ -33,10 +38,12 @@ from .dataio import (
 from .errors import ConfigError, CorruptFile, TooFewSubjects
 from .labeling import bone_triads, ground_truth_flow, label_frame_pair
 from .radar import (
+    RadarConfig,
     clutter_removal,
     cfar_detect,
     heatmap,
     place_reflectors,
+    range_axis,
     sample_bone_local_reflectors,
     synthesize_cube,
     to_point_cloud,
@@ -77,6 +84,23 @@ def scene_spec(cfg: RunConfig, subject: int, activity_id: str, scene: int) -> Ac
     )
 
 
+def range_cut(cfg: RadarConfig) -> tuple[int, int]:
+    """(last, n_range): the farthest range bin whose points can lie in
+    `PREPROCESS_BOX`, and how many leading range bins a heatmap must hold for
+    the detections up to that bin to be those of the whole heatmap.
+
+    A point's distance from the radar is its bin's range, so a point past the
+    box's farthest corner lies outside the box.  CA-CFAR reads
+    `guard_cells + train_cells` bins past a cell along range; the local
+    maximum reads one, which that reach covers, as `train_cells >= 1`.
+    """
+    corner = math.hypot(*(max(abs(lo), abs(hi)) for lo, hi in PREPROCESS_BOX))
+    ranges = range_axis(cfg)
+    last = int(np.searchsorted(ranges, corner, side="right")) - 1
+    reach = cfg.cfar.guard_cells + cfg.cfar.train_cells
+    return last, min(last + reach + 1, len(ranges))
+
+
 def generate_sequence(cfg: RunConfig, subject: int, activity_id: str,
                       scene: int) -> Sequence:
     """Simulate one unlabeled sequence (frames, true poses, observed keypoints)."""
@@ -86,6 +110,7 @@ def generate_sequence(cfg: RunConfig, subject: int, activity_id: str,
     rate = cfg.gen.frame_rate
     all_poses = generate_motion(model, spec, cfg.gen.frames_per_sequence + warmup, rate)
     local = sample_bone_local_reflectors(model, cfg.radar, seed=subject)
+    last_bin, n_range = range_cut(cfg.radar)
 
     cubes = collections.deque(maxlen=cfg.gen.clutter_window)
     frames, poses, observed = [], [], []
@@ -105,8 +130,11 @@ def generate_sequence(cfg: RunConfig, subject: int, activity_id: str,
         # each frame's heatmap is written over the previous one's: a fresh
         # one per frame would be freed at the frame's end, and the allocator
         # hands memory that size back to the system and faults it in again
-        hm = heatmap(clutter_removal(list(cubes)), cfg.radar, out=hm)
+        hm = heatmap(clutter_removal(list(cubes)), cfg.radar, out=hm, n_range=n_range)
         detections = cfar_detect(hm, cfg.radar.cfar)
+        # the rows are in range-major order and ghosts are drawn row by row,
+        # so this drops a suffix and leaves every nearer point and ghost as is
+        detections = detections[detections[:, 0] <= last_bin]
         frame = to_point_cloud(detections, cfg.radar, seed=seed(_STREAM_GHOST),
                                frame_index=out_idx, timestamp=out_idx / rate, reflectors=vis)
         frames.append(frame)

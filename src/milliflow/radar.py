@@ -23,8 +23,9 @@ from .errors import ConfigError
 from .skeleton import BONE_PARENT, BONES, SkeletonModel, SkeletonPose
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
-# elevation columns per azimuth pass of `heatmap`: a default frame's block
-# is a (40, 4, 302) complex array, 0.8 MB of the 6.2 MB padded spectrum
+# elevation columns per azimuth pass of `heatmap`: a pipeline frame's block,
+# cut to 144 range bins, is a (40, 4, 144) complex array, 0.37 MB of the
+# 2.9 MB padded spectrum (0.77 MB of 6.2 MB over all 302 bins)
 HEATMAP_BLOCK = 4
 
 
@@ -48,7 +49,9 @@ class CfarParams:
 @dataclass(frozen=True)
 class RadarConfig:
     """The defaults are the Vayyar board's: 62-63.6 GHz, 151 steps, 20x16
-    virtual array: 9.375 cm bins, ~14 m reach."""
+    virtual array: 9.375 cm bins.  The stored point clouds hold only the
+    detections within the range of the preprocessing box, 6.02 m: the
+    pipeline cuts the heatmap after its range pass (`pipeline.range_cut`)."""
 
     f_min: float = 62.0e9
     f_max: float = 63.6e9
@@ -110,14 +113,6 @@ class RadarConfig:
     @property
     def range_resolution(self) -> float:
         return SPEED_OF_LIGHT / (2.0 * self.bandwidth)
-
-    @property
-    def max_range(self) -> float:
-        return SPEED_OF_LIGHT / (2.0 * self.freq_step)
-
-    @property
-    def n_virtual_pairs(self) -> int:
-        return self.n_az * self.n_el
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -278,27 +273,32 @@ def _shift_halves(n: int):
     return (slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))
 
 
-def heatmap(cube: np.ndarray, cfg: RadarConfig, out: np.ndarray | None = None) -> np.ndarray:
+def heatmap(cube: np.ndarray, cfg: RadarConfig, out: np.ndarray | None = None,
+            n_range: int | None = None) -> np.ndarray:
     """Magnitude spectrum over (range, azimuth, elevation), each axis
-    zero-padded `cfg.pad_factor` times.
+    zero-padded `cfg.pad_factor` times, cut to its first `n_range` range
+    bins (all of them when None).
 
     The synthesis phase convention uses negative exponents, so the cube is
     conjugated before the forward FFT; angle axes are shifted to center zero
     spatial frequency.  The FFT is `np.fft.fftn`'s, pass by pass in its
-    order: range and elevation over the whole cube, then azimuth and the
-    shifted magnitude one block of `HEATMAP_BLOCK` elevation columns at a
-    time, so the padded complex spectrum is never held whole.  Each 1-D
-    transform is the one `fftn` computes, so the bytes are its bytes.
-    Returns an array of shape (pad * n_freq_steps, pad * n_az, pad * n_el),
-    a transposed view of a C-ordered (az, el, range) array: a new one, or
-    `out`, a heatmap an earlier call returned for `cfg`, written over.
+    order: range over the whole cube, whose spectrum is then cut, elevation
+    over the cut, then azimuth and the shifted magnitude one block of
+    `HEATMAP_BLOCK` elevation columns at a time, so the padded complex
+    spectrum is never held whole.  Each 1-D transform is the one `fftn`
+    computes, so the bytes are its bytes, over the bins kept.
+    Returns an array of shape (n_range, pad * n_az, pad * n_el), where
+    n_range defaults to pad * n_freq_steps: a transposed view of a C-ordered
+    (az, el, range) array, a new one or `out`, a heatmap an earlier call
+    returned for `cfg` and `n_range`, written over.
     """
     p = cfg.pad_factor
-    shape = (p * cfg.n_az, p * cfg.n_el, p * cfg.n_freq_steps)
+    n_fft = p * cfg.n_freq_steps
+    shape = (p * cfg.n_az, p * cfg.n_el, n_fft if n_range is None else n_range)
     # conjugated into C order, whatever the cube's layout: the FFT's passes
     # then read their lines from memory in order
-    spec = np.fft.fft(np.conj(cube, order="C"), n=shape[2], axis=2)
-    spec = np.fft.fft(spec, n=shape[1], axis=1)
+    spec = np.fft.fft(np.conj(cube, order="C"), n=n_fft, axis=2)
+    spec = np.fft.fft(spec[..., : shape[2]], n=shape[1], axis=1)
     # the angle-axis shift is fused into the magnitude: |.| of each quadrant
     # of a block is written straight to its shifted place, then scaled there
     mag = np.empty(shape) if out is None else out.transpose(1, 2, 0)
@@ -338,8 +338,12 @@ def cfar_detect(hm: np.ndarray, cfar: CfarParams) -> np.ndarray:
     """CA-CFAR along range plus 3x3x3 local-maximum suppression.
 
     A CFAR hit is kept when no cell of its 3x3x3 neighbourhood is larger,
-    cells outside the heatmap counting as 0.  Returns a (D, 4) array of
+    cells outside the array `hm` counting as 0.  Returns a (D, 4) array of
     (range_bin, az_bin, el_bin, intensity) rows in lexicographic bin order.
+    On a heatmap cut after its first K range bins, the rows of range bin
+    below K - train_cells - guard_cells are those of the whole heatmap: their
+    CFAR windows and neighbourhoods lie inside the cut.  Nearer the cut,
+    the cells past it read as absent or 0, so the rows there can differ.
     """
     detected = cfar_mask(hm, cfar.train_cells, cfar.guard_cells, cfar.scale_factor)
     # test only the hits, on a zero-padded copy so that no neighbour index

@@ -5,7 +5,12 @@ exactly.  A change that moves them changes the dataset; re-record the hashes
 only together with an explanation of why the outputs changed.
 `manifest.json` and `label_summary.json` were re-recorded once when the run
 config they echo lost its `net.input_features` field; every other file held.
-Recorded with
+Every frame, label and `label_summary.json` hash was re-recorded once when
+generation began to store only the detections within the range of
+`dataio.PREPROCESS_BOX` (range bin 129 and nearer at the default radar):
+farther points, which no network reads, and their ghosts and label rows are
+no longer written; `manifest.json` held, and so did every network input
+hashed in the other golden files.  Recorded with
 numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, on its AVX-512 (SkylakeX) kernels.
 The bytes depend on the BLAS kernel: an OpenBLAS built with DYNAMIC_ARCH picks
 its core type at run time, and under `OPENBLAS_CORETYPE=Haswell` or `Prescott`
@@ -46,57 +51,57 @@ def dataset_hashes(root, workers: int = 1) -> dict:
 GOLDEN = {
     "json": {
         "label_summary.json":
-            "06ce4bf464307083693bfb140e6aae3c941d30172358d84a9a91ea528ddb8496",
+            "42c0d0abcfbf5e6c681d3c0dac5339441b0e887be91089c29c3010e846aa79a0",
         "manifest.json":
             "2e37067fa4914b84eba745495db11224a2dbaac35526e15c9d9063fefd7c135b",
         "seq_000_ArmSwing_00/frames.jsonl":
-            "369e1ec7c858ca16967978cc0b1f4c3c99f3c1c7f03e515eef90682b91dffaf7",
+            "7caf8d8b844e568df8229de552d78a9da0a005b1139dffeab7b589b9399809bb",
         "seq_000_ArmSwing_00/labels.jsonl":
-            "afb0a13b921727f6539199506ab80c72bfc5975869a1d60f5415b778e6ef60fd",
+            "10f20d71d7d5dbbfd8ca66e249f2d72f5c932113da69fa1099690efdc6ef1698",
         "seq_000_Sitting_00/frames.jsonl":
-            "1044930bb687f862957d26607b2b2c95475ad09d7f6a405e574a859e1d599b35",
+            "b607b6302a1b9e620797261a3de39ba9b7f1262bd5f2dca91d8f600e7cc59240",
         "seq_000_Sitting_00/labels.jsonl":
-            "3b58e61198c6b6e7f85ee2e738033ab9def7445ed87cdc074b02839755a4349d",
+            "fd64896bab750eeff0a7122c3a67a783a3385e168663478a29d82bffb07669bc",
         "seq_001_ArmSwing_00/frames.jsonl":
-            "27f4f9f6004ecf9e68b773b01ad8b29159021be16ad4d17cb9e37436b23c8ae4",
+            "32a616bda503db51a5fbf9457c90493e141339583f2cb2daeb5202b339d99052",
         "seq_001_ArmSwing_00/labels.jsonl":
-            "6e6aacc5a9a44b890e791a39d1e157a3b668823ef82728f40b1d46ba1ad91e5d",
+            "ba8a64ebd1846919b552a428598cc808252c9004a943f3b8a67c9ad706b908aa",
         "seq_001_Sitting_00/frames.jsonl":
-            "d4076977b8b632f1facdc79114d8a0429090e6903947a1b88b30f51177052c0d",
+            "69ac11b8385ba973280ee3d1b964f95511160fe131a26d3d4abd260ef79c3617",
         "seq_001_Sitting_00/labels.jsonl":
-            "dcdeb8ff8d07104aa3a5bd39e2ba7af374b8cd2ad7886bf2a118909351f55d2b",
+            "47189a7c7be42d576e96b87461b05c0954c99413181ef88b441583b49191f3ef",
         "seq_002_ArmSwing_00/frames.jsonl":
-            "311c0ec08f07f8fed46c36bcac802da875cf006936105a9d4c8fff0ce404af24",
+            "325483e7f8f9f563715e8b1b29db7284ecb0eb99e82c9df1c139e527bef69138",
         "seq_002_ArmSwing_00/labels.jsonl":
-            "33fdfdc008a97d6b29a55978258426e12720128041e7ea7e2ac068b655cca65b",
+            "cc087b59d33c3821563d5cec34af0f4020688826e5b532495c60492f9fce8211",
         "seq_002_Sitting_00/frames.jsonl":
-            "f0e55f7856428ff28074247f6c420cc6c5e1f098323ed0e875f27eb4d0162a80",
+            "9fd6164a329e0aa2b7799f7ac88dbf4156adc7022448e578b19517a1cb5cb25b",
         "seq_002_Sitting_00/labels.jsonl":
-            "638d0c75076cd00a35454419ecaa0c2821207ba8081339562b71902bc1d1e8ee",
+            "11ad731e0c734ec385e0013ddbd314c0512cf7464ba10fbc1fec0dba9d38417a",
         "seq_003_ArmSwing_00/frames.jsonl":
-            "16995525170d44076b81bc8c4ee1647aecbe179cfa945ad9d91b2eb8c3b18f56",
+            "f2c8c438ef2c2edbd265be1f67f49299284aa9ff713543cda80ebea7c673dd49",
         "seq_003_ArmSwing_00/labels.jsonl":
-            "d4c925aa765d95c73ba3557bb8a36e5edd6265fdcdbb4bdbd4a20a282aa83a81",
+            "fd4204355f72bcf320614fa19d206d00f38a7cce5017f885ee724f255208ded7",
         "seq_003_Sitting_00/frames.jsonl":
-            "74e82177da5d7c1292544b67a54f72a8b1f7e96a5b8e3f1701b054f715143447",
+            "6e54d9a6c05ef525781ff718f4ee366ed4de0dd3dfe45af69b14d0a75200da60",
         "seq_003_Sitting_00/labels.jsonl":
-            "8e8a15471e8f5a3ead48601a173c46e1a42b034e2b65f204f342e1df9ad380fe",
+            "07a8ac1510dc27e8188a0efde0c832478e6776351bcc1eaff1f8d5c72b24c16a",
         "seq_004_ArmSwing_00/frames.jsonl":
-            "21c021ef2b2c968b31bfa883e5ddb9c909e1e1e2a0bc6f58471100c004ce4672",
+            "2949b711e68bc7d8599e35f628e438ef7dbc3251a902e5bd36daf12a22be8242",
         "seq_004_ArmSwing_00/labels.jsonl":
-            "c055b899739d91d617e61ee34a3a712336c7d2390cdd3c32a662f47777f565df",
+            "eaaa49227a59ae26683a7f7a6fda45397e3586664fb3b2c573847cdd0f1501f7",
         "seq_004_Sitting_00/frames.jsonl":
-            "a580c124de1f5a31dbd92290d39303ef7080cc40e91b5602a41764e42f3ba50b",
+            "0b773f78385f1a3dca3002710bcb677e92bbb821c329bf35d4bb70b945ebbd44",
         "seq_004_Sitting_00/labels.jsonl":
-            "a1a60a512f1f31c24ad4647ff8eddec25b2f648ede194db562b1fecc2503b060",
+            "f0b0f4e5713bcbc791c18375bd8accb76f919114f273c644087854d519a5e3ac",
         "seq_005_ArmSwing_00/frames.jsonl":
-            "0817ee7c7f3f05122e685aafaf16585279b7d3adfc0a17e8a9591dbe1d57edf5",
+            "5b2587f91a494cf1bb5d110caabe329053e91d27a54089d9b751ad390baec53a",
         "seq_005_ArmSwing_00/labels.jsonl":
-            "eab7db28830a1d2226a5bec56f567e8cf5eef34cf47dafd3ab85145e0ac71cf0",
+            "d599844391ed7333c4ecb81eb95f5419cd5e1724ca887aaf58f31ad2057debe3",
         "seq_005_Sitting_00/frames.jsonl":
-            "c4646845978fb23ac19210ddc7bc4fed5890a84a131eac02f823dda02411a81a",
+            "7febadb319ac9841088202b0d6c62632b3171ea8455c14e337fe902a70d768a0",
         "seq_005_Sitting_00/labels.jsonl":
-            "4a13f8d9d882d85032194d771ffebfe610b2470e88ad2ffff702b16481016aa9",
+            "89c5b0dabc0941d6262b322106ef75f0feaab38a27e13a1a0549d7ba245556e8",
     },
 }
 

@@ -1,6 +1,7 @@
 """Memory guards under `tracemalloc`, which numpy reports its array buffers
 to: a radar frame's heatmap and CFAR hold only block-sized temporaries
-beside the heatmap, a checkpoint is written and read without a second copy
+beside the heatmap, and a pipeline frame's only those of the range bins it
+keeps, a checkpoint is written and read without a second copy
 of the parameters, and `fit` returns holding its parameters and nothing of
 their size besides."""
 
@@ -11,6 +12,7 @@ import tracemalloc
 import numpy as np
 from test_flownet import constant_flow_clips, tiny_net
 
+from milliflow import pipeline
 from milliflow.config import NetConfig, TrainConfig
 from milliflow.flownet import FlowNet, clip_loss, fit, load_flow_model
 from milliflow.layers import save_checkpoint
@@ -66,6 +68,23 @@ def test_radar_frame_holds_no_full_spectrum():
     hm_bytes = 8 * cfg.pad_factor ** 3 * cfg.n_az * cfg.n_el * cfg.n_freq_steps
     assert len(detections) > 0
     assert peak < 3 * hm_bytes, (peak, hm_bytes)
+
+
+def test_pipeline_frame_holds_only_its_range_cut():
+    # the bound above, scaled by the share of range bins the pipeline keeps:
+    # a frame that went back to the whole range would peak at about 2.5
+    # heatmaps against this 1.4
+    cfg = RadarConfig()
+    rng = np.random.default_rng(0)
+    shape = (cfg.n_az, cfg.n_el, cfg.n_freq_steps)
+    cube = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    _, n_range = pipeline.range_cut(cfg)
+    with traced() as figures:
+        detections = cfar_detect(heatmap(cube, cfg, n_range=n_range), cfg.cfar)
+    _, peak = figures
+    hm_bytes = 8 * cfg.pad_factor ** 3 * cfg.n_az * cfg.n_el * cfg.n_freq_steps
+    assert len(detections) > 0
+    assert peak < 3 * hm_bytes * n_range / (cfg.pad_factor * cfg.n_freq_steps), (peak, hm_bytes)
 
 
 def test_checkpoint_read_holds_one_stored_array_at_a_time(tmp_path):

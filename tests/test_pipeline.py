@@ -1,15 +1,21 @@
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from milliflow import pipeline
+from milliflow import pipeline, radar
 from milliflow.config import GenConfig, RunConfig
-from milliflow.dataio import SplitManifest, load_sequence, preprocess_indices, read_manifest
-from milliflow.errors import ConfigError, TooFewSubjects
+from milliflow.dataio import (
+    PREPROCESS_BOX, SplitManifest, load_sequence, preprocess_indices, read_manifest,
+)
+from milliflow.errors import ConfigError, EmptyFrame, TooFewSubjects
 from milliflow.labeling import FlowLabel, ground_truth_flow, label_frame_pair
-from milliflow.radar import RadarConfig
+from milliflow.radar import RadarConfig, Reflectors
 from milliflow.skeleton import SkeletonModel, make_subject
 
 
@@ -102,6 +108,103 @@ class TestGenerateSequence:
         assert a.frames[0].points.shape != b.frames[0].points.shape or not np.array_equal(
             a.frames[0].points, b.frames[0].points
         )
+
+
+def assert_frames_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("points", "intensities", "prov_bone"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+class TestRangeCut:
+    CFG = RadarConfig()
+    LAST, N_RANGE = pipeline.range_cut(CFG)
+    RANGES = radar.range_axis(CFG)
+
+    def test_default_radar_cut(self):
+        corner = max(math.dist((0.0, 0.0, 0.0), c) for c in itertools.product(*PREPROCESS_BOX))
+        assert corner == pytest.approx(6.02, abs=0.005)
+        assert self.LAST == 129
+        assert self.RANGES[self.LAST] <= corner < self.RANGES[self.LAST + 1]
+        cfar = self.CFG.cfar
+        assert self.N_RANGE == self.LAST + cfar.guard_cells + cfar.train_cells + 1 == 144
+
+    def test_no_point_past_the_cut_lies_in_the_box(self):
+        # every direction cell at the first range bin past the cut
+        p = self.CFG.pad_factor
+        cells = np.array([(self.LAST + 1, a, e, 1.0)
+                          for a in range(p * self.CFG.n_az) for e in range(p * self.CFG.n_el)])
+        frame = radar.to_point_cloud(cells, dataclasses.replace(self.CFG, ghost_prob=0.0), seed=0)
+        assert len(frame) > 0
+        with pytest.raises(EmptyFrame):
+            preprocess_indices(frame, "test")
+
+    @settings(max_examples=40, deadline=None)
+    @given(ranges=st.lists(st.one_of(st.floats(0.5, 7.5),
+                                     st.sampled_from([float(r) for r in RANGES[127:133]])),
+                           min_size=1, max_size=4),
+           directions=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-0.6, 0.6)),
+                               min_size=4, max_size=4),
+           seed=st.integers(0, 2**16))
+    def test_cut_keeps_the_whole_heatmaps_detections(self, ranges, directions, seed):
+        # reflectors from 0.5 m to past the box's farthest corner, among them
+        # the ranges of the bins on both sides of the last one kept
+        positions = []
+        for r, (az, el) in zip(ranges, directions):
+            u = np.array([np.sin(az) * np.cos(el), np.cos(az) * np.cos(el), np.sin(el)])
+            positions.append(r * u)
+        n = len(positions)
+        refl = Reflectors(np.array(positions), np.ones(n), np.tile([0.0, -1.0, 0.0], (n, 1)),
+                          np.zeros(n, dtype=np.int64))
+        cube = radar.synthesize_cube(refl, self.CFG, seed=seed)
+        whole = radar.cfar_detect(radar.heatmap(cube, self.CFG), self.CFG.cfar)
+        cut = radar.cfar_detect(radar.heatmap(cube, self.CFG, n_range=self.N_RANGE),
+                                self.CFG.cfar)
+        want = whole[whole[:, 0] <= self.LAST]
+        got = cut[cut[:, 0] <= self.LAST]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("distance_range", [(2.2, 3.8), (3.8, 4.0)])
+    def test_frames_are_the_whole_heatmaps_up_to_the_cut(self, monkeypatch, distance_range):
+        # points, intensities, provenance and ghosts of a run on whole
+        # heatmaps whose detections are kept up to the same bin
+        cfg = tiny_cfg(frames_per_sequence=4, distance_range=distance_range)
+        specs = [(0, "ArmSwing", 0), (2, "Sitting", 0)]
+        shapes = []
+
+        def spied(*args, **kwargs):
+            hm = radar.heatmap(*args, **kwargs)
+            shapes.append(hm.shape)
+            return hm
+
+        monkeypatch.setattr(pipeline, "heatmap", spied)
+        cut = [pipeline.generate_sequence(cfg, *spec).frames for spec in specs]
+        assert set(shapes) == {(self.N_RANGE, 40, 32)}
+        # every range bin, whatever cut the pipeline asks for
+        monkeypatch.setattr(pipeline, "heatmap",
+                            lambda cube, cfg, out=None, n_range=None: radar.heatmap(cube, cfg))
+        for spec, frames in zip(specs, cut):
+            assert_frames_equal(frames, pipeline.generate_sequence(cfg, *spec).frames)
+
+    def test_network_inputs_unchanged(self, monkeypatch):
+        # a run that stores every detection of the whole heatmap: the cut
+        # drops only points no preprocessing mode keeps
+        cfg = tiny_cfg(frames_per_sequence=4)
+        specs = [(1, "ArmSwing", 0), (0, "Sitting", 0)]
+        cut = [pipeline.generate_sequence(cfg, *spec).frames for spec in specs]
+        n = len(self.RANGES)
+        monkeypatch.setattr(pipeline, "range_cut", lambda radar_cfg: (n - 1, n))
+        dropped = 0
+        for spec, frames in zip(specs, cut):
+            for got, want in zip(frames, pipeline.generate_sequence(cfg, *spec).frames):
+                dropped += len(want) - len(got)
+                for mode in ("train", "test"):
+                    assert_frames_equal([got.subset(preprocess_indices(got, mode, seed=3))],
+                                        [want.subset(preprocess_indices(want, mode, seed=3))])
+        assert dropped > 0
 
 
 class TestLabelSequence:

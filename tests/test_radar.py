@@ -67,8 +67,6 @@ class TestConfig:
         assert cfg.bandwidth == pytest.approx(1.6e9)
         assert cfg.range_resolution == pytest.approx(0.09375, abs=1e-12)
         assert cfg.freq_step == pytest.approx(10.666e6, rel=1e-3)
-        assert cfg.max_range == pytest.approx(14.0, abs=0.1)
-        assert cfg.n_virtual_pairs == 320
         assert cfg.n_freq_steps == 151
         # half-wavelength spacing at the center frequency
         assert cfg.element_spacing == pytest.approx(
@@ -506,6 +504,22 @@ class TestStagesMatchFirstForm:
         got = heatmap(second, cfg, out=out)
         assert np.shares_memory(got, out) and got.strides == out.strides
         assert_same_bytes(got, oracle.heatmap_expr(second, cfg))
+
+    @pytest.mark.parametrize("cfg_index", range(len(CONFIGS)))
+    def test_cut_heatmap(self, cfg_index):
+        # the leading range bins of the whole heatmap, in a new array and
+        # written over an earlier cut one
+        cfg = self.CONFIGS[cfg_index]
+        rng = np.random.default_rng(cfg_index + 20)
+        n = cfg.pad_factor * cfg.n_freq_steps
+        for n_range in sorted({1, n // 3 + 1, n - 1}):
+            first, second = (self.random_cube(rng, (cfg.n_az, cfg.n_el, cfg.n_freq_steps))
+                             for _ in range(2))
+            out = heatmap(first, cfg, n_range=n_range)
+            assert_same_bytes(out, oracle.heatmap_expr(first, cfg)[:n_range])
+            got = heatmap(second, cfg, out=out, n_range=n_range)
+            assert np.shares_memory(got, out) and got.strides == out.strides
+            assert_same_bytes(got, oracle.heatmap_expr(second, cfg)[:n_range])
 
     @pytest.mark.parametrize("window", [2, 3, 4, 5])
     def test_clutter_removal(self, window):
